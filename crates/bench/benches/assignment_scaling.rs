@@ -45,20 +45,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// `PlacementEngine::unplaced` returns a lazy iterator over the
-/// engine's placement bitmap; iterating it in the steady state of the
-/// ranking loop must never touch the allocator. This drives one full
-/// Algorithm-2 assignment and asserts exactly that after every commit.
-fn zero_alloc_check() {
+/// The 16-NCP, 8-stage scenario the engine-level checks drive.
+fn check_scenario(seed: u64) -> sparcle_workloads::Scenario {
     let mut cfg = ScenarioConfig::new(
         BottleneckCase::Balanced,
         GraphKind::Linear { stages: 8 },
         TopologyKind::Star,
     );
     cfg.ncps = 16;
-    let scenario = cfg
-        .sample(&mut StdRng::seed_from_u64(7))
-        .expect("valid scenario");
+    cfg.sample(&mut StdRng::seed_from_u64(seed))
+        .expect("valid scenario")
+}
+
+/// `PlacementEngine::unplaced` returns a lazy iterator over the
+/// engine's placement bitmap; iterating it in the steady state of the
+/// ranking loop must never touch the allocator. This drives one full
+/// Algorithm-2 assignment and asserts exactly that after every commit.
+fn zero_alloc_check() {
+    let scenario = check_scenario(7);
     let caps = scenario.network.capacity_map();
     let mut engine =
         PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
@@ -85,15 +89,7 @@ fn zero_alloc_check() {
 /// buffers fresh. Single-threaded cached mode keeps the counts
 /// deterministic (no worker threads racing the counter).
 fn scratch_reuse_check() {
-    let mut cfg = ScenarioConfig::new(
-        BottleneckCase::Balanced,
-        GraphKind::Linear { stages: 8 },
-        TopologyKind::Star,
-    );
-    cfg.ncps = 16;
-    let scenario = cfg
-        .sample(&mut StdRng::seed_from_u64(11))
-        .expect("valid scenario");
+    let scenario = check_scenario(11);
     let caps = scenario.network.capacity_map();
     let assigner = DynamicRankingAssigner::with_threads(1);
     let mut scratch = EngineScratch::default();
@@ -122,6 +118,76 @@ fn scratch_reuse_check() {
         "scratch reuse must cut allocator calls: warm {warm} vs cold {cold}"
     );
     println!("scratch reuse check: warm assignment {warm} allocator calls vs cold {cold}");
+}
+
+/// A ranking round that finds every row cached is the merge scan and
+/// nothing else: |unplaced| × |N| host-rate evaluations against the
+/// cached network terms. It must not touch the allocator — the host
+/// term used to clone a `ResourceVec` per (CT, host) pair. Asking twice
+/// without committing in between isolates exactly that round.
+fn warm_merge_scan_check() {
+    let scenario = check_scenario(13);
+    let caps = scenario.network.capacity_map();
+    let mut engine =
+        PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
+    let mut rounds = 0u32;
+    while let Some(pick) = engine.rank_round(1).expect("rankable") {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let again = black_box(engine.rank_round(1).expect("rankable"));
+        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        assert_eq!(again, Some(pick), "a warm round must repeat the pick");
+        assert_eq!(
+            before, after,
+            "warm rank_round allocated in round {rounds} (merge scan must be allocation-free)"
+        );
+        engine.commit(pick.0, pick.1).expect("committable");
+        rounds += 1;
+    }
+    assert!(rounds > 0, "the check must exercise at least one round");
+    println!("warm merge check: {rounds} all-hit ranking rounds stayed allocation-free");
+}
+
+/// The tree store's promise in numbers: an assignment computes at most
+/// one tree per distinct `(target host, bits)` key its rounds' reach
+/// sets name (recounted here from the public graph API), and fewer
+/// whenever a tree survives a commit — so strictly fewer sweeps than
+/// the row-at-a-time evaluator's one per reach-set entry.
+fn tree_sharing_check() {
+    let scenario = check_scenario(17);
+    let caps = scenario.network.capacity_map();
+    let graph = scenario.app.graph();
+    let mut engine =
+        PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
+    let mut distinct_keys = 0u64;
+    loop {
+        let mut keys: Vec<(u32, u64)> = engine
+            .unplaced()
+            .flat_map(|ct| graph.placed_reachable(ct, |c| engine.is_placed(c)))
+            .map(|r| {
+                let host = engine.placement().ct_host(r.ct).expect("placed");
+                (host.as_u32(), r.min_bits.to_bits())
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        distinct_keys += keys.len() as u64;
+        let Some((ct, host, _)) = engine.rank_round(1).expect("rankable") else {
+            break;
+        };
+        engine.commit(ct, host).expect("committable");
+    }
+    let stats = engine.stats();
+    assert!(
+        stats.tree_misses <= distinct_keys,
+        "computed {} trees for {distinct_keys} distinct keys",
+        stats.tree_misses
+    );
+    assert!(stats.tree_hits > 0, "no tree was ever shared: {stats:?}");
+    println!(
+        "tree sharing check: {} sweeps for {} reach-set entries ({distinct_keys} distinct keys)",
+        stats.tree_misses,
+        stats.tree_hits + stats.tree_misses
+    );
 }
 
 fn bench_network_size(c: &mut Criterion) {
@@ -266,6 +332,8 @@ criterion_group!(
 fn main() {
     zero_alloc_check();
     scratch_reuse_check();
+    warm_merge_scan_check();
+    tree_sharing_check();
     let mut criterion = Criterion::from_args();
     benches(&mut criterion);
     criterion.final_summary();

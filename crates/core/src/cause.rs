@@ -43,6 +43,12 @@ pub enum RejectCause {
         /// Index of the first path that no longer fits.
         path: usize,
     },
+    /// The submission failed outright — `submit` returned an
+    /// [`crate::AssignError`] instead of a decision, e.g. for an application
+    /// that touches more elements than the availability analyser
+    /// accepts. The caller turned the error into a rejection rather
+    /// than let one application take the timeline down.
+    SubmitError,
 }
 
 impl RejectCause {
@@ -53,6 +59,7 @@ impl RejectCause {
             RejectCause::AvailabilityUnreachable { .. } => "availability_unreachable",
             RejectCause::AllocationInfeasible => "allocation_infeasible",
             RejectCause::PlacementUnfit { .. } => "placement_unfit",
+            RejectCause::SubmitError => "submit_error",
         }
     }
 }
@@ -71,6 +78,7 @@ impl fmt::Display for RejectCause {
             RejectCause::PlacementUnfit { path } => {
                 write!(f, "placement_unfit (path {path})")
             }
+            RejectCause::SubmitError => write!(f, "submit_error"),
         }
     }
 }

@@ -23,40 +23,71 @@
 //! [`PlacementEngine::gamma`] does — costs one Dijkstra per placed
 //! reachable CT *per candidate host*, which dominates Algorithm 2 on
 //! large topologies. The engine therefore also maintains a **γ-cache**
-//! behind three faster entry points: [`PlacementEngine::gamma_batched`],
+//! (rows over a store of shared widest-path trees) behind three faster
+//! entry points: [`PlacementEngine::gamma_batched`],
 //! [`PlacementEngine::rank_round`] (one full Algorithm-2 ranking round,
 //! optionally multi-threaded), and the invalidation hook inside
 //! [`PlacementEngine::commit_with`].
 //!
-//! ## Caching contract
+//! ## Caching contract: trees, then rows
 //!
 //! γ splits as `γ_{i,j} = min(host_rate(i, j), net_γ(i, j))`. The host
 //! term is cheap and always computed fresh; only the network term is
-//! cached, as one **row per CT** (`net_γ(i, ·)` for every host at once).
-//! A row is produced by one reversed widest-path Dijkstra
-//! ([`crate::widest_path::widest_tree`]) per placed reachable CT —
-//! `O(|reach|)` sweeps for all `|N|` hosts, instead of the reference
-//! path's `O(|reach| · |N|)` — and records a **witness link set**: the
-//! union of the widest-path trees' links, i.e. one optimal path per
-//! `(host, reachable CT)` pair.
+//! cached, on two levels.
 //!
-//! Rows stay valid under commits because element loads only ever
+//! **Trees.** The unit that is computed is one reversed widest-path
+//! sweep ([`crate::widest_path::csr_widest_tree`]): for a *key*
+//! `(target host, TT bits)` it yields `φ[j]`, the widest `j → target`
+//! width for every host `j` at once, and a **witness**: the links of
+//! the sweep's parent tree, i.e. one optimal path per source. A tree is
+//! a pure function of its key and the link loads — it does not know
+//! which CT asked — so the engine keeps finished trees in a small
+//! **tree store** keyed that way. Two CTs whose reach sets name the same
+//! host with the same bits share one sweep, and so does one CT across
+//! rounds.
+//!
+//! **Rows.** What the ranking scan reads is one row per unplaced CT,
+//! `net_γ(i, ·)` for every host. A row is a fold over the CT's reach
+//! set (its placed reachable CTs, [`TaskGraph::placed_reachable`]): per
+//! host the `min` of the named trees' `φ`, and the union of their
+//! witnesses — `O(|reach|)` sweeps at most for all `|N|` hosts, instead
+//! of the reference path's `O(|reach| · |N|)`, and none at all when the
+//! trees are already stored.
+//!
+//! Both levels stay valid under commits because element loads only ever
 //! *increase* during an engine's lifetime (commits add load, nothing
-//! subtracts it), so link widths only decrease. A cached row is
-//! invalidated by [`PlacementEngine::commit_with`] iff
+//! subtracts it), so link widths only decrease.
+//! [`PlacementEngine::commit_with`] drops
 //!
-//! 1. its CT belongs to the just-placed CT's *unplaced component* (the
-//!    CTs connected to it through unplaced intermediates, whose
-//!    `placed_reachable` sets the commit may change), or
-//! 2. a link the commit routed load onto intersects the row's witness
-//!    set.
+//! * a **tree** iff a link the commit routed load onto is in its
+//!   witness;
+//! * a **row** iff such a link is in its witness (the union of its
+//!   trees'), or its CT belongs to the just-placed CT's *unplaced
+//!   component* — the CTs connected to it through unplaced
+//!   intermediates, whose reach sets the commit may change.
 //!
-//! Any surviving row is **bit-identical** to a fresh recomputation: its
-//! witness paths' links are untouched, so those paths still achieve the
-//! cached widths, while every alternative path's width can only have
-//! decreased — the old optimum is still the optimum, as an exact `f64`.
-//! (`tests/parallel_equivalence.rs` and the γ-staleness proptest enforce
-//! this.)
+//! A surviving tree is **bit-identical** to a fresh sweep, in `φ` *and*
+//! in parent links. Its witness paths' links are untouched, so those
+//! paths still achieve the stored widths, while every alternative's
+//! width can only have decreased — the old optimum is still the
+//! optimum, as an exact `f64`. For the parents, replay the fresh sweep
+//! next to the old one: every relaxation now offers at most what it
+//! offered then, and the tree-link relaxations offer exactly the same;
+//! so by induction the same node tops the queue at every pop (its final
+//! label is unchanged, nobody else's grew, ties still break by node
+//! id), and each node's parent is still set by the same relaxation —
+//! the first to reach the final width, since everything earlier stayed
+//! strictly below it. Equal parents mean an equal witness, so a row
+//! folded from survivors is invalidated later by exactly the commits
+//! that would invalidate a row swept afresh: the cache's hit/miss
+//! sequence is the one a row-at-a-time evaluator produces.
+//!
+//! A tree is **evicted** once no unplaced CT's row names its key (a
+//! placed CT that stopped being reachable never becomes reachable
+//! again), so the store holds a handful of `φ` vectors, not one per
+//! sweep ever run.
+//! ([`PlacementEngine::audit_caches`], `tests/parallel_equivalence.rs`
+//! and the γ- and tree-staleness proptests enforce all of this.)
 //!
 //! ## Deterministic tie-break and thread-count independence
 //!
@@ -67,11 +98,12 @@
 //! 2. across CTs, the candidate with the **smallest** best-γ, ties
 //!    toward the **lower `CtId`**.
 //!
-//! Worker threads only fill missing cache rows — each row is a pure
-//! function of the engine state, and the ranking scan itself is serial
-//! over the merged rows — so the committed placement is identical for
-//! every thread count, and identical to the serial uncached reference
-//! path ([`PlacementEngine::gamma`] driven by
+//! Worker threads only compute missing trees — each a pure function of
+//! its key and the engine state, landing in a slot fixed before the
+//! workers start — while row folds and the ranking scan are serial, so
+//! the committed placement, the counters and the store's contents are
+//! identical for every thread count, and the placement identical to the
+//! serial uncached reference path ([`PlacementEngine::gamma`] driven by
 //! [`crate::DynamicRankingAssigner::reference`]).
 
 use crate::error::AssignError;
@@ -82,7 +114,7 @@ use crate::widest_path::{
 };
 use sparcle_model::{
     Application, CapacityMap, CsrNetwork, CtId, GraphRepr, LinkId, LoadMap, NcpId, Network,
-    Placement, TaskGraph, TtId,
+    Placement, ReachScratch, ReachablePlacedCt, TaskGraph, TtId,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -155,8 +187,21 @@ impl LinkSet {
         }
     }
 
+    /// Empties the set and sizes it for `links` links, keeping the
+    /// allocation.
+    fn reset(&mut self, links: usize) {
+        self.words.clear();
+        self.words.resize(links.div_ceil(64), 0);
+    }
+
     fn insert(&mut self, link: LinkId) {
         self.words[link.index() / 64] |= 1 << (link.index() % 64);
+    }
+
+    fn union_with(&mut self, other: &LinkSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
     }
 
     fn intersects(&self, other: &LinkSet) -> bool {
@@ -180,7 +225,86 @@ impl LinkSet {
 struct GammaRow {
     net: Vec<f64>,
     witness: LinkSet,
+    /// The trees the row was folded from, in reach-set order — what
+    /// keeps those trees in the store while the row's CT is unplaced.
+    keys: Vec<TreeKey>,
     generation: u64,
+}
+
+/// What one widest-path tree is a function of, besides the link loads:
+/// the sweep's target host and the TT bits its widths are sized for.
+/// Bits compare by representation, so `0.0` and `-0.0` are two keys —
+/// harmless, each gets its own (identical) tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TreeKey {
+    target: NcpId,
+    bits: u64,
+}
+
+impl TreeKey {
+    fn new(target: NcpId, min_bits: f64) -> Self {
+        TreeKey {
+            target,
+            bits: min_bits.to_bits(),
+        }
+    }
+
+    fn min_bits(self) -> f64 {
+        f64::from_bits(self.bits)
+    }
+}
+
+/// One stored widest-path tree: `phi[j]` is the widest `j → target`
+/// width (`NEG_INFINITY` when `j` cannot reach the target) and `witness`
+/// the links of the sweep's parent tree. The parent pointers, visited
+/// flags and queue stay in the sweep buffers the tree was cut from.
+#[derive(Debug, Clone, PartialEq)]
+struct StoredTree {
+    key: TreeKey,
+    phi: Vec<f64>,
+    witness: LinkSet,
+}
+
+/// The trees the cached rows are folded from (module docs, "Caching
+/// contract"). A handful at a time — one per distinct `(target, bits)`
+/// the unplaced CTs' reach sets name — so lookup is a linear scan.
+/// Dropped trees park in `free`, which is all that survives into the
+/// next engine built over the same [`EngineScratch`].
+#[derive(Debug, Clone, Default)]
+struct TreeStore {
+    live: Vec<StoredTree>,
+    free: Vec<StoredTree>,
+}
+
+impl TreeStore {
+    fn get(&self, key: TreeKey) -> Option<&StoredTree> {
+        self.live.iter().find(|t| t.key == key)
+    }
+
+    /// A recycled (or new) buffer labelled `key`, for
+    /// [`EvalView::fill_tree`] to overwrite.
+    fn fresh(&mut self, key: TreeKey) -> StoredTree {
+        match self.free.pop() {
+            Some(tree) => StoredTree { key, ..tree },
+            None => StoredTree {
+                key,
+                phi: Vec::new(),
+                witness: LinkSet::default(),
+            },
+        }
+    }
+
+    /// Drops every live tree `stale` selects, keeping its buffers.
+    fn retire(&mut self, mut stale: impl FnMut(&StoredTree) -> bool) {
+        let mut i = 0;
+        while i < self.live.len() {
+            if stale(&self.live[i]) {
+                self.free.push(self.live.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
 }
 
 /// Sweep buffers for one γ-row fill under either representation. Both
@@ -193,20 +317,53 @@ struct RowScratch {
 }
 
 /// Reusable assignment buffers a long-lived caller hoists across engine
-/// lifetimes: the serial row-sweep buffers, both routing scratches, and
-/// the ranking loop's missing-row list. A fresh engine allocates these
+/// lifetimes: the serial sweep buffers, both routing scratches, the tree
+/// store's `phi`/witness buffers, the reach-set traversal, and the
+/// per-round and per-commit work lists. A fresh engine allocates these
 /// lazily per assignment; the system's rollback-only probe paths (γ
 /// reconcile probes, defrag migration probes) run thousands of
 /// assignments over one network, so taking the buffers from — and
 /// returning them to — a hoisted `EngineScratch` keeps warm probes off
 /// the allocator for every content-independent buffer
 /// (`benches/assignment_scaling.rs` holds the probe loop to it).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     row: RowScratch,
     route: DijkstraScratch,
     csr_route: CsrScratch,
+    trees: TreeStore,
+    /// Ranking round: rows to fill, their reach sets' tree keys (all
+    /// rows back to back, `need_ends[i]` closing row `i`'s run), and the
+    /// distinct keys the store lacks.
     missing: Vec<CtId>,
+    reach: ReachScratch,
+    reached: Vec<ReachablePlacedCt>,
+    needs: Vec<TreeKey>,
+    need_ends: Vec<usize>,
+    compute: Vec<TreeKey>,
+    /// Commit: the placed CT's unplaced component, the links its routes
+    /// loaded, and its incident TTs in routing order.
+    affected: Vec<bool>,
+    stack: Vec<CtId>,
+    touched: LinkSet,
+    incident: Vec<TtId>,
+}
+
+/// Bitwise equality of two width vectors.
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Runs `f`, returning the wall-clock nanoseconds it took — or 0,
+/// without reading the clock, when `timed` is off.
+fn timed_ns(timed: bool, f: impl FnOnce()) -> u64 {
+    if !timed {
+        f();
+        return 0;
+    }
+    let started = std::time::Instant::now();
+    f();
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The graph structure the sweeps traverse, per [`GraphRepr`].
@@ -216,9 +373,9 @@ enum ReprView<'e> {
     Csr(&'e CsrNetwork),
 }
 
-/// The read-only engine state a γ row is a pure function of. Borrowing
-/// it field-by-field (rather than `&self`) is what lets worker threads
-/// share it while each owns a private [`RowScratch`].
+/// The read-only engine state trees and rows are pure functions of.
+/// Borrowing it field-by-field (rather than `&self`) is what lets worker
+/// threads share it while each owns a private [`RowScratch`].
 struct EvalView<'e> {
     graph: &'e TaskGraph,
     placement: &'e Placement,
@@ -231,67 +388,74 @@ struct EvalView<'e> {
     generation: u64,
 }
 
-/// Folds one completed sweep into the row: per host, `min` with the
-/// sweep's width, or `NEG_INFINITY` once any target is unreachable.
-fn fold_sweep(net: &mut [f64], width_from: impl Fn(NcpId) -> Option<f64>) {
-    for (j, entry) in net.iter_mut().enumerate() {
-        if *entry == f64::NEG_INFINITY {
-            continue;
-        }
-        match width_from(NcpId::new(j as u32)) {
-            Some(w) => *entry = entry.min(w),
-            None => *entry = f64::NEG_INFINITY,
+impl EvalView<'_> {
+    /// Computes the tree `tree.key` names under the current loads: one
+    /// reversed widest-path sweep, its widths moved (not copied) into
+    /// `tree.phi` and its parent links recorded in `tree.witness`. Both
+    /// representations produce the same bits (the ordering contract in
+    /// [`sparcle_model::csr`]).
+    fn fill_tree(&self, tree: &mut StoredTree, scratch: &mut RowScratch) {
+        let (target, bits) = (tree.key.target, tree.key.min_bits());
+        tree.witness.reset(self.link_count);
+        match self.repr {
+            ReprView::Csr(csr) => {
+                let sweep = &mut scratch.csr;
+                csr_widest_tree(csr, sweep, self.capacities, self.load, bits, target);
+                sweep.for_each_tree_link(|l| tree.witness.insert(l));
+                sweep.swap_widths(&mut tree.phi);
+            }
+            ReprView::Legacy(rev) => {
+                let sweep = &mut scratch.legacy;
+                widest_tree(rev, sweep, self.capacities, self.load, bits, target);
+                sweep.for_each_tree_link(|l| tree.witness.insert(l));
+                sweep.swap_widths(&mut tree.phi);
+            }
         }
     }
-}
 
-impl EvalView<'_> {
-    /// Computes one CT's γ row: one reversed widest-path sweep per placed
-    /// reachable CT, folded with `min` per host. Exact equality with the
-    /// pairwise reference path holds because both take the same min over
-    /// the same unique widest-path widths — under either representation
-    /// (the CSR sweep is bit-identical to the legacy one by the ordering
-    /// contract in [`sparcle_model::csr`]).
-    fn compute_net_row(&self, ct: CtId, scratch: &mut RowScratch) -> GammaRow {
+    /// Builds one CT's γ row from stored trees, one per entry of its
+    /// reach set (`keys`, all present in `trees`): per host the `min` of
+    /// the trees' widths — `NEG_INFINITY` as soon as one target is
+    /// unreachable, which `min` propagates by itself — and the union of
+    /// their witnesses. Exact equality with the pairwise reference path
+    /// holds because both take the same min over the same unique
+    /// widest-path widths.
+    fn fold_row(&self, keys: &[TreeKey], trees: &TreeStore) -> GammaRow {
         let mut net = vec![f64::INFINITY; self.ncp_count];
         let mut witness = LinkSet::new(self.link_count);
-        for reach in self.graph.placed_reachable(ct, |c| self.placed[c.index()]) {
-            let target = self
-                .placement
-                .ct_host(reach.ct)
-                .expect("reachable CTs are placed");
-            match self.repr {
-                ReprView::Csr(csr) => {
-                    csr_widest_tree(
-                        csr,
-                        &mut scratch.csr,
-                        self.capacities,
-                        self.load,
-                        reach.min_bits,
-                        target,
-                    );
-                    fold_sweep(&mut net, |j| scratch.csr.width_from(j));
-                    scratch.csr.for_each_tree_link(|l| witness.insert(l));
-                }
-                ReprView::Legacy(rev) => {
-                    widest_tree(
-                        rev,
-                        &mut scratch.legacy,
-                        self.capacities,
-                        self.load,
-                        reach.min_bits,
-                        target,
-                    );
-                    fold_sweep(&mut net, |j| scratch.legacy.width_from(j));
-                    scratch.legacy.for_each_tree_link(|l| witness.insert(l));
-                }
+        for &key in keys {
+            let tree = trees.get(key).expect("a row's trees are stored first");
+            for (entry, &width) in net.iter_mut().zip(&tree.phi) {
+                *entry = entry.min(width);
             }
+            witness.union_with(&tree.witness);
         }
         GammaRow {
             net,
             witness,
+            keys: keys.to_vec(),
             generation: self.generation,
         }
+    }
+
+    /// The tree keys of `ct`'s reach set, in reach-set order, appended
+    /// to `keys`.
+    fn reach_keys(
+        &self,
+        ct: CtId,
+        reach: &mut ReachScratch,
+        reached: &mut Vec<ReachablePlacedCt>,
+        keys: &mut Vec<TreeKey>,
+    ) {
+        self.graph
+            .placed_reachable_into(ct, |c| self.placed[c.index()], reach, reached);
+        keys.extend(reached.iter().map(|r| {
+            let target = self
+                .placement
+                .ct_host(r.ct)
+                .expect("reachable CTs are placed");
+            TreeKey::new(target, r.min_bits)
+        }));
     }
 }
 
@@ -341,8 +505,8 @@ pub struct AssignedPath {
 /// of the engine proper, so online consumers (the runtime's
 /// observability monitor, `SparcleSystem`'s state stats) can read cache
 /// behaviour in every build configuration. All fields are deterministic
-/// functions of the input: the missing-row set does not depend on the
-/// worker-thread count.
+/// functions of the input: neither the missing-row set nor the set of
+/// trees it needs depends on the worker-thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssignStats {
     /// Ranking rounds executed ([`PlacementEngine::rank_round`]).
@@ -351,6 +515,14 @@ pub struct AssignStats {
     pub cache_hits: u64,
     /// γ-cache rows (re)computed.
     pub cache_misses: u64,
+    /// Widest-path trees a (re)computed row took from the tree store:
+    /// entries of the filled rows' reach sets whose tree was already
+    /// stored, or computed for another row of the same round. With
+    /// [`Self::tree_misses`] this adds up to the sweeps a row-at-a-time
+    /// evaluator would have run.
+    pub tree_hits: u64,
+    /// Widest-path trees computed (one Algorithm-1 sweep each).
+    pub tree_misses: u64,
 }
 
 impl AssignStats {
@@ -359,6 +531,8 @@ impl AssignStats {
         self.rank_rounds += other.rank_rounds;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.tree_hits += other.tree_hits;
+        self.tree_misses += other.tree_misses;
     }
 
     /// Total cache lookups (hits + misses).
@@ -388,17 +562,11 @@ pub struct PlacementEngine<'a> {
     generation: u64,
     /// γ-cache: one optional row per CT (see module docs).
     cache: Vec<Option<GammaRow>>,
-    /// Serial-path sweep buffers (worker threads allocate their own).
-    row_scratch: RowScratch,
-    /// Commit-time routing buffers (legacy representation).
-    route_scratch: DijkstraScratch,
-    /// Commit-time routing buffers (CSR representation).
-    csr_route_scratch: CsrScratch,
+    /// The tree store and every reusable work buffer. Methods that need
+    /// it next to [`Self::eval_view`] move it out for their duration.
+    scratch: EngineScratch,
     /// Telemetry sink; zero-sized when the `telemetry` feature is off.
     trace: TraceHandle<'a>,
-    /// Reused across [`Self::rank_round`] calls so the steady-state
-    /// ranking loop allocates nothing.
-    missing_scratch: Vec<CtId>,
     /// Construction (and its pinned commits) has finished.
     pinned_done: bool,
     /// An unpinned commit has happened — cached rows may now depend on
@@ -512,19 +680,18 @@ impl<'a> PlacementEngine<'a> {
             csr,
             generation: network.generation(),
             cache: vec![None; app.graph().ct_count()],
-            row_scratch: std::mem::take(&mut scratch.row),
-            // Both routing scratches resize lazily on first use, so the
+            // Every buffer resizes lazily on first use, so the
             // representation not in play costs nothing.
-            route_scratch: std::mem::take(&mut scratch.route),
-            csr_route_scratch: std::mem::take(&mut scratch.csr_route),
+            scratch: std::mem::take(scratch),
             trace,
-            missing_scratch: std::mem::take(&mut scratch.missing),
             pinned_done: false,
             unpinned_committed: false,
             stats: AssignStats::default(),
             #[cfg(feature = "telemetry")]
             round: 0,
         };
+        // Trees describe one engine's loads; only buffers carry over.
+        engine.scratch.trees.retire(|_| true);
         for (&ct, &host) in app.pinned() {
             if let Err(e) = engine.commit(ct, host) {
                 // A rejected pin must not swallow the caller's buffers.
@@ -627,13 +794,9 @@ impl<'a> PlacementEngine<'a> {
     /// does "not consider the connecting TTs' resource requirements"
     /// (the paper's GS/GRand baselines) optimizes.
     pub fn host_rate(&self, ct: CtId, host: NcpId) -> f64 {
-        let combined = self
-            .load
-            .ncp(host)
-            .plus_scaled(self.app.graph().ct(ct).requirement(), 1.0);
         self.capacities
             .ncp(host)
-            .rate_supported(&combined)
+            .rate_supported_sum(self.load.ncp(host), self.app.graph().ct(ct).requirement())
             .unwrap_or(f64::INFINITY)
     }
 
@@ -694,12 +857,18 @@ impl<'a> PlacementEngine<'a> {
         }
         let commit_span = self.trace.span("engine.commit");
         let graph = self.app.graph();
+        let mut scratch = std::mem::take(&mut self.scratch);
         // Cache rows whose `placed_reachable` set this commit may change:
         // the CTs connected to `ct` through unplaced intermediates,
         // gathered before `placed` is mutated (module docs, rule 1).
-        let mut affected = vec![false; graph.ct_count()];
+        let EngineScratch {
+            affected, stack, ..
+        } = &mut scratch;
+        affected.clear();
+        affected.resize(graph.ct_count(), false);
         affected[ct.index()] = true;
-        let mut stack = vec![ct];
+        stack.clear();
+        stack.push(ct);
         while let Some(u) = stack.pop() {
             for tt in graph.incident_edges(u) {
                 let v = graph.tt(tt).other_endpoint(u).expect("incident edge");
@@ -712,14 +881,21 @@ impl<'a> PlacementEngine<'a> {
         self.placement.place_ct(ct, host);
         self.placed[ct.index()] = true;
         self.load.add_ct_load(host, graph.ct(ct).requirement());
-        let mut touched = LinkSet::new(self.network.link_count());
-        let routed = self.route_incident(ct, policy, &mut touched);
+        scratch.touched.reset(self.network.link_count());
+        let routed = self.route_incident(ct, policy, &mut scratch);
         // Invalidate even on a routing error: loads added before the
         // failure are real, and callers may keep using the engine.
+        let EngineScratch {
+            affected,
+            touched,
+            trees,
+            ..
+        } = &mut scratch;
+        trees.retire(|t| t.witness.intersects(touched));
         #[cfg(feature = "telemetry")]
         let (mut inv_component, mut inv_witness) = (0u64, 0u64);
         for (i, row) in self.cache.iter_mut().enumerate() {
-            let stale = affected[i] || row.as_ref().is_some_and(|r| r.witness.intersects(&touched));
+            let stale = affected[i] || row.as_ref().is_some_and(|r| r.witness.intersects(touched));
             if stale {
                 #[cfg(feature = "telemetry")]
                 if row.is_some() {
@@ -732,6 +908,7 @@ impl<'a> PlacementEngine<'a> {
                 *row = None;
             }
         }
+        self.scratch = scratch;
         #[cfg(feature = "telemetry")]
         {
             self.trace.counter("engine.commits", 1);
@@ -760,28 +937,36 @@ impl<'a> PlacementEngine<'a> {
     }
 
     /// Routes every TT between `ct` and an already-placed direct neighbor
-    /// under `policy`, recording routed links in `touched`. TTs go
-    /// cheapest-bits first so heavyweight TTs see the most up-to-date
+    /// under `policy`, recording routed links in `scratch.touched`. TTs
+    /// go cheapest-bits first so heavyweight TTs see the most up-to-date
     /// loads last (ordering is a heuristic; the paper routes them one at
     /// a time). Returns `(routed TTs, total link hops)` for telemetry.
     fn route_incident(
         &mut self,
         ct: CtId,
         policy: RoutePolicy,
-        touched: &mut LinkSet,
+        scratch: &mut EngineScratch,
     ) -> Result<(u64, u64), AssignError> {
         let route_span = self.trace.span("engine.route");
         let graph = self.app.graph();
         let mut routed_tts = 0u64;
         let mut routed_hops = 0u64;
-        let mut incident: Vec<TtId> = graph.incident_edges(ct).collect();
+        let EngineScratch {
+            incident,
+            touched,
+            route,
+            csr_route,
+            ..
+        } = scratch;
+        incident.clear();
+        incident.extend(graph.incident_edges(ct));
         incident.sort_by(|&a, &b| {
             graph
                 .tt(a)
                 .bits_per_unit()
                 .total_cmp(&graph.tt(b).bits_per_unit())
         });
-        for tt in incident {
+        for &tt in incident.iter() {
             let t = graph.tt(tt);
             let other = t.other_endpoint(ct).expect("incident edge");
             if !self.placed[other.index()] {
@@ -792,7 +977,7 @@ impl<'a> PlacementEngine<'a> {
             let links = match policy {
                 RoutePolicy::Widest => match self.csr.as_deref() {
                     Some(csr) => csr_widest_path_with(
-                        &mut self.csr_route_scratch,
+                        csr_route,
                         csr,
                         self.capacities,
                         &self.load,
@@ -802,7 +987,7 @@ impl<'a> PlacementEngine<'a> {
                     )
                     .map(|p| p.links),
                     None => widest_path_with(
-                        &mut self.route_scratch,
+                        route,
                         self.network,
                         self.capacities,
                         &self.load,
@@ -864,6 +1049,98 @@ impl<'a> PlacementEngine<'a> {
         }
     }
 
+    /// Fills the cache rows of `scratch.missing` (none of them present):
+    /// gathers the tree keys their reach sets name, computes the trees
+    /// the store lacks — the unit up to `threads` workers steal — then
+    /// folds each row from stored trees (module docs, "Caching
+    /// contract"). Takes the engine's scratch by argument because the
+    /// caller has it moved out already.
+    fn fill_rows(&mut self, scratch: &mut EngineScratch, threads: usize) {
+        let EngineScratch {
+            row,
+            trees,
+            missing,
+            reach,
+            reached,
+            needs,
+            need_ends,
+            compute,
+            ..
+        } = scratch;
+        // The view borrows `self`; the rows it folds go into the cache
+        // once it is done with, so the cache steps aside meanwhile.
+        let mut cache = std::mem::take(&mut self.cache);
+        let view = self.eval_view();
+        needs.clear();
+        need_ends.clear();
+        compute.clear();
+        for &ct in missing.iter() {
+            let first = needs.len();
+            view.reach_keys(ct, reach, reached, needs);
+            for &key in &needs[first..] {
+                if trees.get(key).is_none() && !compute.contains(&key) {
+                    compute.push(key);
+                }
+            }
+            need_ends.push(needs.len());
+        }
+        let (tree_hits, tree_misses) = ((needs.len() - compute.len()) as u64, compute.len() as u64);
+        // Workers never touch the recorder (so `Recorder` needs no
+        // `Sync` bound): fill times are collected as plain data and
+        // recorded serially.
+        let timed = self.trace.is_enabled();
+        let workers = threads.max(1).min(compute.len());
+        if workers > 1 {
+            let slots: Vec<Mutex<(StoredTree, u64)>> = compute
+                .iter()
+                .map(|&key| Mutex::new((trees.fresh(key), 0)))
+                .collect();
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| {
+                        let mut sweep = RowScratch::default();
+                        while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let mut slot = slot.lock().expect("one worker per tree slot");
+                            let (tree, ns) = &mut *slot;
+                            *ns = timed_ns(timed, || view.fill_tree(tree, &mut sweep));
+                        }
+                    });
+                }
+            });
+            for slot in slots {
+                let (tree, ns) = slot.into_inner().expect("workers have joined");
+                if timed {
+                    self.trace.timing("engine.tree_fill_ns", ns);
+                }
+                trees.live.push(tree);
+            }
+        } else {
+            for &key in compute.iter() {
+                let mut tree = trees.fresh(key);
+                let ns = timed_ns(timed, || view.fill_tree(&mut tree, row));
+                if timed {
+                    self.trace.timing("engine.tree_fill_ns", ns);
+                }
+                trees.live.push(tree);
+            }
+        }
+        let mut first = 0;
+        for (&ct, &end) in missing.iter().zip(need_ends.iter()) {
+            let slot = &mut cache[ct.index()];
+            let ns = timed_ns(timed, || {
+                *slot = Some(view.fold_row(&needs[first..end], trees));
+            });
+            if timed {
+                self.trace.timing("engine.row_fill_ns", ns);
+            }
+            first = end;
+        }
+        self.cache = cache;
+        self.stats.tree_hits += tree_hits;
+        self.stats.tree_misses += tree_misses;
+    }
+
     /// Fills `ct`'s cache row if missing (serial path).
     fn ensure_row(&mut self, ct: CtId) {
         if self.cache[ct.index()]
@@ -872,30 +1149,11 @@ impl<'a> PlacementEngine<'a> {
         {
             return;
         }
-        #[cfg(feature = "telemetry")]
-        let started = self.trace.is_enabled().then(std::time::Instant::now);
-        let view = EvalView {
-            graph: self.app.graph(),
-            placement: &self.placement,
-            placed: &self.placed,
-            capacities: self.capacities,
-            load: &self.load,
-            repr: match (&self.csr, &self.rev) {
-                (Some(csr), _) => ReprView::Csr(csr),
-                (None, Some(rev)) => ReprView::Legacy(rev),
-                (None, None) => unreachable!("one representation is always materialized"),
-            },
-            ncp_count: self.network.ncp_count(),
-            link_count: self.network.link_count(),
-            generation: self.generation,
-        };
-        let row = view.compute_net_row(ct, &mut self.row_scratch);
-        self.cache[ct.index()] = Some(row);
-        #[cfg(feature = "telemetry")]
-        if let Some(t0) = started {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.trace.timing("engine.row_fill_ns", nanos);
-        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.missing.clear();
+        scratch.missing.push(ct);
+        self.fill_rows(&mut scratch, 1);
+        self.scratch = scratch;
     }
 
     /// [`Self::gamma`] served from the γ-cache: computes (or reuses)
@@ -932,7 +1190,8 @@ impl<'a> PlacementEngine<'a> {
         // One pass over the graph fills the (reused) missing-row scratch
         // and counts the unplaced set — no per-round allocation once the
         // scratch has grown to its high-water mark.
-        let mut missing = std::mem::take(&mut self.missing_scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let missing = &mut scratch.missing;
         missing.clear();
         let mut unplaced_count = 0usize;
         for ct in self.app.graph().ct_ids() {
@@ -948,7 +1207,7 @@ impl<'a> PlacementEngine<'a> {
             }
         }
         if unplaced_count == 0 {
-            self.missing_scratch = missing;
+            self.scratch = scratch;
             return Ok(None);
         }
         let round_span = self.trace.span("engine.rank_round");
@@ -959,53 +1218,18 @@ impl<'a> PlacementEngine<'a> {
         self.stats.rank_rounds += 1;
         self.stats.cache_hits += cache_hits;
         self.stats.cache_misses += cache_misses;
-        let fill_span = (!missing.is_empty()).then(|| self.trace.span("engine.row_fill"));
-        let workers = threads.max(1).min(missing.len());
-        if workers > 1 {
-            let view = self.eval_view();
-            let next = AtomicUsize::new(0);
-            let rows: Mutex<Vec<(CtId, GammaRow)>> = Mutex::new(Vec::with_capacity(missing.len()));
-            // Workers never touch the recorder (so `Recorder` needs no
-            // `Sync` bound): per-row fill times are collected as plain
-            // data and recorded serially after the join.
-            #[cfg(feature = "telemetry")]
-            let fill_ns: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(missing.len()));
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let mut scratch = RowScratch::default();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&ct) = missing.get(i) else { break };
-                            #[cfg(feature = "telemetry")]
-                            let started = std::time::Instant::now();
-                            let row = view.compute_net_row(ct, &mut scratch);
-                            #[cfg(feature = "telemetry")]
-                            fill_ns.lock().expect("timing mutex").push(
-                                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
-                            rows.lock().expect("row mutex").push((ct, row));
-                        }
-                    });
-                }
-            });
-            for (ct, row) in rows.into_inner().expect("row mutex") {
-                self.cache[ct.index()] = Some(row);
-            }
-            #[cfg(feature = "telemetry")]
-            for ns in fill_ns.into_inner().expect("timing mutex") {
-                self.trace.timing("engine.row_fill_ns", ns);
-            }
-        } else {
-            for &ct in &missing {
-                self.ensure_row(ct);
-            }
+        if !missing.is_empty() {
+            let fill_span = self.trace.span("engine.row_fill");
+            self.fill_rows(&mut scratch, threads);
+            fill_span.finish();
         }
-        missing.clear();
-        self.missing_scratch = missing;
-        if let Some(span) = fill_span {
-            span.finish();
-        }
+        // Every unplaced CT has its row now, so a tree no row names is
+        // one no reach set names any more: evict it.
+        let rows = &self.cache;
+        scratch
+            .trees
+            .retire(|t| !rows.iter().flatten().any(|row| row.keys.contains(&t.key)));
+        self.scratch = scratch;
         let merge_span = self.trace.span("engine.rank_merge");
         // Serial merge over the (now complete) rows, reproducing the
         // reference scan's strict-comparison tie-breaks exactly.
@@ -1127,7 +1351,9 @@ impl<'a> PlacementEngine<'a> {
     }
 
     /// Adopts exported γ rows into this engine's cache, filling only
-    /// empty slots, and returns how many rows were adopted.
+    /// empty slots, and returns how many rows were adopted. Rows travel
+    /// without their trees: whatever trees later fills need, this
+    /// engine computes itself.
     ///
     /// Adoption is refused wholesale (returns 0) when the snapshot's
     /// topology generation or shape differs from this engine's, or when
@@ -1154,6 +1380,53 @@ impl<'a> PlacementEngine<'a> {
         adopted
     }
 
+    /// Recomputes every stored tree and every cached row from scratch —
+    /// plain sweeps under the current loads, folded one row at a time,
+    /// sharing nothing with the store — and compares them bit for bit:
+    /// widths, witness links, and a row's reach set. The check behind
+    /// the "a survivor equals a fresh sweep" half of the caching
+    /// contract (module docs); the staleness proptests run it after
+    /// every commit.
+    ///
+    /// # Errors
+    ///
+    /// Names the first tree or row that differs.
+    pub fn audit_caches(&self) -> Result<(), String> {
+        let view = self.eval_view();
+        let mut sweep = RowScratch::default();
+        let mut recomputed = TreeStore::default();
+        let mut recompute = |store: &mut TreeStore, key| {
+            let mut tree = store.fresh(key);
+            view.fill_tree(&mut tree, &mut sweep);
+            store.live.push(tree);
+        };
+        for tree in &self.scratch.trees.live {
+            recompute(&mut recomputed, tree.key);
+            let again = recomputed.live.last().expect("just pushed");
+            if !bits_eq(&again.phi, &tree.phi) || again.witness != tree.witness {
+                return Err(format!("stored tree {:?} is stale", tree.key));
+            }
+        }
+        let (mut reach, mut reached) = Default::default();
+        let mut keys: Vec<TreeKey> = Vec::new();
+        for ct in self.unplaced() {
+            let Some(row) = self.cache[ct.index()].as_ref() else {
+                continue;
+            };
+            keys.clear();
+            view.reach_keys(ct, &mut reach, &mut reached, &mut keys);
+            recomputed.retire(|_| true);
+            for &key in &keys {
+                recompute(&mut recomputed, key);
+            }
+            let again = view.fold_row(&keys, &recomputed);
+            if keys != row.keys || !bits_eq(&again.net, &row.net) || again.witness != row.witness {
+                return Err(format!("cached row of {ct} is stale"));
+            }
+        }
+        Ok(())
+    }
+
     /// Hands the reusable buffers back to a caller-hoisted
     /// [`EngineScratch`] so the *next* engine built over it starts warm.
     /// Call once the ranking loop is done — [`Self::finish`] does not
@@ -1161,11 +1434,8 @@ impl<'a> PlacementEngine<'a> {
     /// than the one the engine was built from is harmless (the buffers
     /// carry no placement content, only capacity).
     pub fn reclaim_scratch(&mut self, scratch: &mut EngineScratch) {
-        scratch.row = std::mem::take(&mut self.row_scratch);
-        scratch.route = std::mem::take(&mut self.route_scratch);
-        scratch.csr_route = std::mem::take(&mut self.csr_route_scratch);
-        scratch.missing = std::mem::take(&mut self.missing_scratch);
-        scratch.missing.clear();
+        *scratch = std::mem::take(&mut self.scratch);
+        scratch.trees.retire(|_| true);
     }
 
     /// Finishes the assignment: validates the placement and computes the

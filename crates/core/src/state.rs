@@ -35,6 +35,7 @@
 //! full rebuilds of the same folds — the reference the differential
 //! suite (`tests/incremental_equivalence.rs`) compares against.
 
+use crate::engine::AssignStats;
 use crate::system::{DisplacedApp, PlacedBeApp, PlacedGrApp};
 use sparcle_alloc::num::IncrementalConstraints;
 use sparcle_alloc::predict::PriorityLoads;
@@ -96,6 +97,23 @@ pub struct StateStats {
     /// γ-cache rows (re)computed across every assignment the system
     /// ran.
     pub gamma_cache_misses: u64,
+    /// Widest-path trees those (re)computed rows took from the
+    /// engine's tree store ([`AssignStats::tree_hits`]).
+    pub tree_hits: u64,
+    /// Widest-path trees computed — one Algorithm-1 sweep each
+    /// ([`AssignStats::tree_misses`]).
+    pub tree_misses: u64,
+}
+
+impl StateStats {
+    /// Adds one assignment's (or one multipath extraction's) engine
+    /// work counters.
+    pub(crate) fn add_assign(&mut self, stats: &AssignStats) {
+        self.gamma_cache_hits += stats.cache_hits;
+        self.gamma_cache_misses += stats.cache_misses;
+        self.tree_hits += stats.tree_hits;
+        self.tree_misses += stats.tree_misses;
+    }
 }
 
 /// The mutable state of a [`SparcleSystem`](crate::SparcleSystem):

@@ -1081,8 +1081,7 @@ impl SystemTxn<'_> {
             want_paths,
             sys.config.min_path_rate,
         );
-        sys.state.stats.gamma_cache_hits += assign_stats.cache_hits;
-        sys.state.stats.gamma_cache_misses += assign_stats.cache_misses;
+        sys.state.stats.add_assign(&assign_stats);
         if all_paths.is_empty() {
             return Ok(Admission::Rejected(RejectReason::NoPath(
                 "no task assignment path with positive rate",
@@ -1223,8 +1222,7 @@ impl SystemTxn<'_> {
                 &sys.state.gr_residual,
             ) {
                 Ok((p, s)) if p.rate > sys.config.min_path_rate && p.rate.is_finite() => {
-                    sys.state.stats.gamma_cache_hits += s.cache_hits;
-                    sys.state.stats.gamma_cache_misses += s.cache_misses;
+                    sys.state.stats.add_assign(&s);
                     p
                 }
                 _ => break,

@@ -26,6 +26,25 @@
 //!   exact max-heap inside each bucket, so the pop order — including
 //!   every tie-break — is identical to the binary heap's and results
 //!   stay byte-identical across representations (see [`BucketQueue`]).
+//!
+//! ## The stub short-circuit
+//!
+//! The CSR searches additionally skip *queueing* a node that could
+//! relay nothing: when a sweep relaxes `u → v` and every arc the sweep
+//! would follow out of `v` leads straight back to `u`
+//! ([`CsrNetwork::all_in_arcs_from`] for the reversed tree sweep,
+//! [`CsrNetwork::all_out_arcs_to`] for the forward search), `φ[v]` and
+//! `v`'s parent are set but `v` is not pushed. Popping `v` could only
+//! have looked at `u`, which is already final, so nothing it would have
+//! done is lost; and because queue entries are totally ordered by
+//! `(width, node)`, removing `v`'s entries changes neither the order in
+//! which any *other* node pops nor, therefore, any `φ`, parent link or
+//! tie-break. `v` stays un-`done`, so a later relaxation from a third
+//! node still reaches it exactly as before (it can no longer improve
+//! `φ[v]` once `v` would have popped, since pops are non-increasing).
+//! The forward search never skips its destination. The legacy searches
+//! stay plain: `tests/csr_equivalence.rs` and the core proptests prove
+//! the short-circuit against them.
 
 use sparcle_model::{CapacityMap, CsrNetwork, LinkId, LoadMap, NcpId, Network};
 use std::cmp::Ordering;
@@ -297,6 +316,15 @@ impl WidestTree {
         }
     }
 
+    /// Exchanges the per-node widths (`f64::NEG_INFINITY` = cannot reach
+    /// the target) with `widths`, so a caller can keep a finished
+    /// sweep's result without copying it. The next sweep resizes
+    /// whatever it is handed back; until then [`Self::width_from`] reads
+    /// that buffer.
+    pub fn swap_widths(&mut self, widths: &mut Vec<f64>) {
+        std::mem::swap(&mut self.phi, widths);
+    }
+
     /// Calls `f` for every link of the witness tree (the union of one
     /// optimal path per reachable source). These are the links a cached
     /// γ value depends on.
@@ -407,10 +435,12 @@ impl Default for BucketQueue {
 }
 
 impl BucketQueue {
-    /// Creates an empty queue.
+    /// Creates an empty queue. The buckets are allocated by the first
+    /// [`Self::push`], so an idle queue — every `Default` scratch that
+    /// embeds one — costs nothing.
     pub fn new() -> Self {
         BucketQueue {
-            buckets: (0..WIDTH_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            buckets: Vec::new(),
             touched: Vec::new(),
             cursor: 0,
             len: 0,
@@ -429,6 +459,9 @@ impl BucketQueue {
 
     /// Queues `node` at `width` (must be non-negative, possibly `+∞`).
     pub fn push(&mut self, width: f64, node: NcpId) {
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(WIDTH_BUCKETS, BinaryHeap::new);
+        }
         let b = width_bucket(width);
         if self.buckets[b].is_empty() {
             self.touched.push(b as u16);
@@ -526,8 +559,9 @@ pub fn csr_widest_path(
 ///
 /// Byte-identical to [`widest_path_with`] on the same topology: the CSR
 /// arc order equals the legacy neighbor order (so equal-width `prev`
-/// choices match) and the [`BucketQueue`] pops in the legacy heap order
-/// (so the label-setting sequence matches).
+/// choices match), the [`BucketQueue`] pops in the legacy heap order
+/// (so the label-setting sequence matches), and the stub short-circuit
+/// (module docs) only drops pops that relax nothing.
 pub fn csr_widest_path_with(
     scratch: &mut CsrScratch,
     csr: &CsrNetwork,
@@ -582,7 +616,10 @@ pub fn csr_widest_path_with(
                 phi[neighbor] = w;
                 prev_node[neighbor] = node.as_u32();
                 prev_link[neighbor] = arc_link;
-                queue.push(w, NcpId::new(head));
+                // Stub short-circuit (module docs); `to` must still pop.
+                if neighbor == to.index() || !csr.all_out_arcs_to(head, node.as_u32()) {
+                    queue.push(w, NcpId::new(head));
+                }
             }
         }
     }
@@ -625,6 +662,11 @@ impl CsrWidestTree {
         }
     }
 
+    /// [`WidestTree::swap_widths`] for the flat tree.
+    pub fn swap_widths(&mut self, widths: &mut Vec<f64>) {
+        std::mem::swap(&mut self.phi, widths);
+    }
+
     /// Calls `f` for every link of the witness tree, in node order —
     /// the same enumeration [`WidestTree::for_each_tree_link`] uses.
     pub fn for_each_tree_link(&self, mut f: impl FnMut(LinkId)) {
@@ -638,7 +680,8 @@ impl CsrWidestTree {
 
 /// Runs the full (no early exit) reversed widest-path sweep from
 /// `target` over the CSR reverse arcs — the flat twin of
-/// [`widest_tree`], producing bit-identical `φ` and witness trees.
+/// [`widest_tree`], producing bit-identical `φ` and witness trees while
+/// never queueing a stub (module docs).
 pub fn csr_widest_tree(
     csr: &CsrNetwork,
     tree: &mut CsrWidestTree,
@@ -676,7 +719,10 @@ pub fn csr_widest_tree(
                 tree.phi[neighbor] = w;
                 tree.prev_node[neighbor] = node.as_u32();
                 tree.prev_link[neighbor] = arc_link;
-                tree.queue.push(w, NcpId::new(tail));
+                // Stub short-circuit (module docs).
+                if !csr.all_in_arcs_from(tail, node.as_u32()) {
+                    tree.queue.push(w, NcpId::new(tail));
+                }
             }
         }
     }

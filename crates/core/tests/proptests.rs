@@ -2,12 +2,13 @@
 
 use proptest::prelude::*;
 use sparcle_core::widest_path::{
-    csr_widest_path, widest_path, widest_path_brute_force, BucketQueue,
+    csr_widest_path, csr_widest_tree, widest_path, widest_path_brute_force, widest_tree,
+    BucketQueue, CsrWidestTree, ReverseAdjacency, WidestTree,
 };
 use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
 use sparcle_model::{
-    Application, CapacityMap, CsrNetwork, LoadMap, NcpId, Network, NetworkBuilder, QoeClass,
-    ResourceVec, TaskGraphBuilder,
+    Application, CapacityMap, CsrNetwork, CtId, LinkDirection, LoadMap, NcpId, Network,
+    NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder,
 };
 
 /// Strategy: a random connected network of `n` NCPs — a spanning spine
@@ -84,6 +85,112 @@ fn arb_network_degenerate(max_n: usize) -> impl Strategy<Value = Network> {
             }
             b.build().expect("connected by construction")
         })
+}
+
+/// Strategy: a network built to exercise the stub short-circuit — a
+/// random core (no connectivity promised, so some nodes end up
+/// isolated) whose links may be directed, parallel, or zero-width, plus
+/// *stubs*: extra nodes hanging off one core node each by one link, by
+/// two parallel links, or by a directed link in either direction (a
+/// node nothing leads into, or one with no way out).
+fn arb_network_with_stubs(max_core: usize) -> impl Strategy<Value = Network> {
+    let bandwidth = || prop_oneof![Just(0.0f64), 5.0f64..500.0, 5.0f64..500.0];
+    (2..=max_core)
+        .prop_flat_map(move |n| {
+            let core = proptest::collection::vec((0..n, 0..n, bandwidth(), 0u8..2), 0..2 * n);
+            let stubs = proptest::collection::vec((0..n, bandwidth(), 0u8..4), 0..2 * n);
+            (Just(n), core, stubs)
+        })
+        .prop_map(|(n, core, stubs)| {
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<NcpId> = (0..n)
+                .map(|i| b.add_ncp(format!("n{i}"), ResourceVec::cpu(100.0)))
+                .collect();
+            let direction = |directed| match directed {
+                true => LinkDirection::Directed,
+                false => LinkDirection::Undirected,
+            };
+            for (k, (x, y, bw, directed)) in core.into_iter().enumerate() {
+                if x != y {
+                    b.add_link_full(
+                        format!("c{k}"),
+                        ids[x],
+                        ids[y],
+                        bw,
+                        direction(directed == 1),
+                        0.0,
+                    )
+                    .expect("valid");
+                }
+            }
+            for (k, (at, bw, shape)) in stubs.into_iter().enumerate() {
+                let stub = b.add_ncp(format!("s{k}"), ResourceVec::cpu(100.0));
+                let (a, z) = if shape == 3 {
+                    (stub, ids[at])
+                } else {
+                    (ids[at], stub)
+                };
+                b.add_link_full(format!("s{k}"), a, z, bw, direction(shape >= 2), 0.0)
+                    .expect("valid");
+                if shape == 1 {
+                    b.add_link(format!("s{k}'"), stub, ids[at], bw / 2.0)
+                        .expect("valid");
+                }
+            }
+            b.build().expect("non-empty")
+        })
+}
+
+/// Strategy: a random fan-out/fan-in application — every interior CT
+/// hangs off the source or an earlier interior CT, and every CT nobody
+/// hangs off feeds the sink — as `(parent per interior CT, cpu per
+/// interior CT, bits per TT)`. Branches reach the same placed CTs, so
+/// their rows name shared trees.
+fn arb_branching(max_cts: usize) -> impl Strategy<Value = (Vec<usize>, Vec<f64>, Vec<f64>)> {
+    (1..=max_cts).prop_flat_map(|k| {
+        (
+            // Reduced modulo the CTs that exist by then.
+            proptest::collection::vec(0usize..64, k),
+            proptest::collection::vec(1.0f64..100.0, k),
+            // Few distinct values, so different branches tie on bits.
+            proptest::collection::vec(prop_oneof![Just(4.0f64), Just(9.0f64), 1.0f64..50.0], 2 * k),
+        )
+    })
+}
+
+fn branching_app(
+    parents: &[usize],
+    cpu: &[f64],
+    bits: &[f64],
+    src: NcpId,
+    dst: NcpId,
+) -> Application {
+    let mut tb = TaskGraphBuilder::new();
+    let s = tb.add_ct("src", ResourceVec::new());
+    let mut cts = vec![s];
+    let mut bits = bits.iter().copied();
+    let mut has_child = vec![false; parents.len() + 1];
+    for (i, (&parent, &c)) in parents.iter().zip(cpu).enumerate() {
+        let parent = parent % cts.len();
+        let ct = tb.add_ct(format!("c{i}"), ResourceVec::cpu(c));
+        tb.add_tt(format!("t{i}"), cts[parent], ct, bits.next().unwrap())
+            .unwrap();
+        has_child[parent] = true;
+        cts.push(ct);
+    }
+    let t = tb.add_ct("sink", ResourceVec::new());
+    for (i, &ct) in cts.iter().enumerate().skip(1) {
+        if !has_child[i] {
+            tb.add_tt(format!("out{i}"), ct, t, bits.next().unwrap())
+                .unwrap();
+        }
+    }
+    Application::new(
+        tb.build().unwrap(),
+        QoeClass::best_effort(1.0),
+        [(s, src), (t, dst)],
+    )
+    .unwrap()
 }
 
 /// Strategy: a random pipeline application pinned to the first and last
@@ -427,10 +534,107 @@ proptest! {
         }
         engine.finish().expect("complete placement validates");
     }
+
+    /// Neither cache level ever goes stale, whatever gets committed: the
+    /// commits here are *arbitrary* (any unplaced CT on any host, not
+    /// the ranking's pick), interleaved with ranking rounds and single
+    /// row fills that stock the tree store, and after every step the
+    /// engine's own audit recomputes every stored tree and cached row
+    /// from scratch — widths, witness links and reach keys must match
+    /// bit for bit. Work counters must not depend on the thread count.
+    #[test]
+    fn tree_store_is_never_stale(
+        net in arb_network(8),
+        (parents, cpu, bits) in arb_branching(5),
+        steps in proptest::collection::vec((0usize..64, 0usize..64, 0u8..3), 8),
+        threads in 2usize..4,
+    ) {
+        let n = net.ncp_count() as u32;
+        let app = branching_app(&parents, &cpu, &bits, NcpId::new(0), NcpId::new(n - 1));
+        let caps = net.capacity_map();
+        let drive = |threads: usize| -> Result<_, TestCaseError> {
+            let mut engine = PlacementEngine::new(&app, &net, &caps).expect("pins routable");
+            for &(ci, hi, action) in &steps {
+                let unplaced: Vec<CtId> = engine.unplaced().collect();
+                if unplaced.is_empty() {
+                    break;
+                }
+                let ct = unplaced[ci % unplaced.len()];
+                let host = NcpId::new((hi % net.ncp_count()) as u32);
+                match action {
+                    0 => {
+                        engine.rank_round(threads).expect("connected network");
+                    }
+                    1 => {
+                        engine.gamma_batched(ct, host);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(engine.audit_caches(), Ok(()), "before committing {}", ct);
+                engine.commit(ct, host).expect("connected network");
+                prop_assert_eq!(engine.audit_caches(), Ok(()), "after committing {}", ct);
+            }
+            while let Some((ct, host, _)) = engine.rank_round(threads).expect("connected network") {
+                prop_assert_eq!(engine.audit_caches(), Ok(()), "ranked {}", ct);
+                engine.commit(ct, host).expect("picked host is routable");
+                prop_assert_eq!(engine.audit_caches(), Ok(()), "committed {}", ct);
+            }
+            let stats = engine.stats();
+            Ok((stats, engine.finish().expect("complete placement validates")))
+        };
+        let (serial_stats, serial) = drive(1)?;
+        let (parallel_stats, parallel) = drive(threads)?;
+        prop_assert_eq!(serial_stats, parallel_stats);
+        prop_assert_eq!(serial.placement, parallel.placement);
+        prop_assert_eq!(serial.rate.to_bits(), parallel.rate.to_bits());
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The stub short-circuit changes nothing observable: on graphs full
+    /// of stubs (single, parallel and one-way attachments), directed and
+    /// parallel core links, isolated nodes and zero-width links, the CSR
+    /// tree sweep — which never queues a stub — reports the legacy
+    /// sweep's exact `φ` for every node and the same witness-link
+    /// sequence, and the CSR point-to-point search the legacy route.
+    #[test]
+    fn stub_short_circuit_is_exactly_the_legacy_search(
+        net in arb_network_with_stubs(6),
+        bits in prop_oneof![Just(0.0f64), 0.5f64..50.0],
+        loads in proptest::collection::vec(prop_oneof![Just(0.0f64), 0.5f64..100.0], 16),
+        from in 0usize..64,
+    ) {
+        let caps = net.capacity_map();
+        let mut load = LoadMap::zeroed(&net);
+        for (i, link) in net.link_ids().enumerate() {
+            load.add_tt_load(link, loads[i % loads.len()]);
+        }
+        let rev = ReverseAdjacency::new(&net);
+        let mut legacy = WidestTree::new(net.ncp_count());
+        let mut flat = CsrWidestTree::new(net.ncp_count());
+        let from = NcpId::new((from % net.ncp_count()) as u32);
+        for target in net.ncp_ids() {
+            widest_tree(&rev, &mut legacy, &caps, &load, bits, target);
+            csr_widest_tree(net.csr(), &mut flat, &caps, &load, bits, target);
+            for j in net.ncp_ids() {
+                prop_assert_eq!(
+                    legacy.width_from(j).map(f64::to_bits),
+                    flat.width_from(j).map(f64::to_bits),
+                    "φ diverged at {} for target {}", j, target
+                );
+            }
+            let (mut legacy_links, mut flat_links) = (Vec::new(), Vec::new());
+            legacy.for_each_tree_link(|l| legacy_links.push(l));
+            flat.for_each_tree_link(|l| flat_links.push(l));
+            prop_assert_eq!(legacy_links, flat_links, "witness diverged for target {}", target);
+
+            let legacy_path = widest_path(&net, &caps, &load, bits, from, target);
+            let flat_path = csr_widest_path(net.csr(), &caps, &load, bits, from, target);
+            prop_assert_eq!(legacy_path, flat_path, "route {} → {} diverged", from, target);
+        }
+    }
 
     /// The bucketed CSR Dijkstra is **exactly** the legacy heap Dijkstra:
     /// on random loaded graphs — including parallel edges (`arb_network`

@@ -28,6 +28,17 @@
 //! byte-identical placements, rates, and telemetry on the strength of
 //! this contract.
 //!
+//! ## Sole-neighbour tables
+//!
+//! [`CsrNetwork::build`] also records, per node, whether all of its
+//! in-arcs (and, separately, all of its out-arcs) come from **one**
+//! neighbour — parallel links to that neighbour included. A widest-path
+//! sweep that has just relaxed `u → v` can then tell in one load that
+//! popping `v` could only look back at `u`, and skip queueing it
+//! ([`CsrNetwork::all_in_arcs_from`] / [`CsrNetwork::all_out_arcs_to`]).
+//! On access-network topologies — a routed core with degree-1 leaves —
+//! that is nearly every node.
+//!
 //! ## Generations
 //!
 //! Every [`Network`] built by [`crate::NetworkBuilder`] draws a fresh
@@ -81,6 +92,27 @@ impl std::fmt::Display for GraphRepr {
     }
 }
 
+/// Sole-neighbour table entry: the node has no arc on that side.
+const SOLE_NONE: u32 = u32::MAX;
+/// Sole-neighbour table entry: arcs from two or more distinct neighbours.
+const SOLE_SEVERAL: u32 = u32::MAX - 1;
+
+/// Per node, the one neighbour all of its arcs in `row_ptr`/`col_idx`
+/// lead to, or [`SOLE_NONE`] / [`SOLE_SEVERAL`].
+fn sole_neighbours(row_ptr: &[u32], col_idx: &[u32]) -> Vec<u32> {
+    row_ptr
+        .windows(2)
+        .map(|w| {
+            let arcs = &col_idx[w[0] as usize..w[1] as usize];
+            match arcs.split_first() {
+                None => SOLE_NONE,
+                Some((&first, rest)) if rest.iter().all(|&v| v == first) => first,
+                Some(_) => SOLE_SEVERAL,
+            }
+        })
+        .collect()
+}
+
 /// Flat CSR adjacency (forward and reverse) plus SoA attribute arrays
 /// for one immutable [`Network`].
 ///
@@ -104,6 +136,11 @@ pub struct CsrNetwork {
     rev_col_idx: Vec<u32>,
     /// Link carrying each reverse arc.
     rev_arc_link: Vec<u32>,
+    /// Per node, the sole head of its forward arcs (see
+    /// [`sole_neighbours`]).
+    sole_out: Vec<u32>,
+    /// Per node, the sole tail of its reverse arcs.
+    sole_in: Vec<u32>,
     /// Nominal bandwidth per link (dense by `LinkId`).
     link_bandwidth: Vec<f64>,
     /// Failure probability per NCP (dense by `NcpId`).
@@ -153,10 +190,16 @@ impl CsrNetwork {
             }
         }
 
+        assert!(
+            n < SOLE_SEVERAL as usize,
+            "node ids must stay clear of the sole-neighbour sentinels"
+        );
         CsrNetwork {
             generation: network.generation(),
             ncp_count: n,
             link_count: network.link_count(),
+            sole_out: sole_neighbours(&row_ptr, &col_idx),
+            sole_in: sole_neighbours(&rev_row_ptr, &rev_col_idx),
             row_ptr,
             col_idx,
             arc_link,
@@ -214,6 +257,24 @@ impl CsrNetwork {
         let lo = self.rev_row_ptr[node.index()] as usize;
         let hi = self.rev_row_ptr[node.index() + 1] as usize;
         (&self.rev_col_idx[lo..hi], &self.rev_arc_link[lo..hi])
+    }
+
+    /// `true` when every arc *into* `node` comes from `from` (vacuously
+    /// so for a node nothing leads into). A reversed sweep that reached
+    /// `node` from `from` has then nothing left to relax out of it.
+    #[inline]
+    pub fn all_in_arcs_from(&self, node: u32, from: u32) -> bool {
+        let sole = self.sole_in[node as usize];
+        sole == from || sole == SOLE_NONE
+    }
+
+    /// `true` when every arc *out of* `node` leads to `to` (vacuously so
+    /// for a node with no way out) — the forward twin of
+    /// [`Self::all_in_arcs_from`].
+    #[inline]
+    pub fn all_out_arcs_to(&self, node: u32, to: u32) -> bool {
+        let sole = self.sole_out[node as usize];
+        sole == to || sole == SOLE_NONE
     }
 
     /// `(link, neighbor)` pairs traversable from `node` — the CSR
@@ -311,6 +372,45 @@ mod tests {
         }
         // Directed yz contributes one arc; the undirected links two.
         assert_eq!(csr.arc_count(), 5);
+    }
+
+    #[test]
+    fn sole_neighbour_tables_see_through_parallel_and_directed_links() {
+        let mut b = NetworkBuilder::new();
+        let hub = b.add_ncp("hub", ResourceVec::new());
+        let leaf = b.add_ncp("leaf", ResourceVec::new());
+        let twin = b.add_ncp("twin", ResourceVec::new());
+        let tx = b.add_ncp("tx", ResourceVec::new());
+        let lone = b.add_ncp("lone", ResourceVec::new());
+        let other = b.add_ncp("other", ResourceVec::new());
+        b.add_link("hl", hub, leaf, 1.0).unwrap();
+        b.add_link("ht1", hub, twin, 1.0).unwrap();
+        b.add_link("ht2", twin, hub, 2.0).unwrap();
+        b.add_link_full("tx", tx, hub, 1.0, LinkDirection::Directed, 0.0)
+            .unwrap();
+        b.add_link("ho", hub, other, 1.0).unwrap();
+        b.add_link("ot", other, twin, 1.0).unwrap();
+        let csr = CsrNetwork::build(&b.build().unwrap());
+        let id = |n: NcpId| n.as_u32();
+        // A degree-1 leaf and a send-only node relay nothing back.
+        assert!(csr.all_in_arcs_from(id(leaf), id(hub)));
+        assert!(csr.all_out_arcs_to(id(leaf), id(hub)));
+        assert!(csr.all_in_arcs_from(id(tx), id(hub)), "no in-arcs at all");
+        assert!(csr.all_out_arcs_to(id(tx), id(hub)));
+        assert!(csr.all_in_arcs_from(id(lone), id(hub)), "isolated");
+        // Parallel links to one neighbour still count as one; a second
+        // neighbour does not.
+        assert!(!csr.all_in_arcs_from(id(twin), id(hub)));
+        assert!(!csr.all_in_arcs_from(id(leaf), id(other)));
+        assert!(!csr.all_in_arcs_from(id(hub), id(leaf)));
+        let mut p = NetworkBuilder::new();
+        let a = p.add_ncp("a", ResourceVec::new());
+        let z = p.add_ncp("z", ResourceVec::new());
+        p.add_link("az1", a, z, 1.0).unwrap();
+        p.add_link("az2", z, a, 2.0).unwrap();
+        let csr = CsrNetwork::build(&p.build().unwrap());
+        assert!(csr.all_in_arcs_from(id(z), id(a)));
+        assert!(csr.all_out_arcs_to(id(z), id(a)));
     }
 
     #[test]

@@ -74,5 +74,5 @@ pub use network::{Link, LinkDirection, Ncp, Network, NetworkBuilder};
 pub use placement::{Placement, Route};
 pub use resources::{ResourceKind, ResourceVec};
 pub use taskgraph::{
-    ComputationTask, ReachablePlacedCt, TaskGraph, TaskGraphBuilder, TransportTask,
+    ComputationTask, ReachScratch, ReachablePlacedCt, TaskGraph, TaskGraphBuilder, TransportTask,
 };

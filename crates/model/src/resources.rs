@@ -264,6 +264,60 @@ impl ResourceVec {
         rate
     }
 
+    /// `self.rate_supported(&base.plus_scaled(extra, 1.0))` without the
+    /// temporary vector: the rate capacity `self` sustains once `extra`
+    /// is added on top of `base`.
+    ///
+    /// All three vectors are sorted by kind, so one merged walk visits
+    /// the kinds of `base ∪ extra` in the order the temporary would hold
+    /// them and performs the same float operations in the same order
+    /// (scaling by `1.0` is exact, so it is elided) — the result is
+    /// bit-identical (the model proptests hold it to that). The placement engine asks this once per (CT, host) pair
+    /// every ranking round.
+    pub fn rate_supported_sum(&self, base: &ResourceVec, extra: &ResourceVec) -> Option<f64> {
+        let (b, e, c) = (&base.entries, &extra.entries, &self.entries);
+        let (mut bi, mut ei, mut ci) = (0, 0, 0);
+        let mut rate: Option<f64> = None;
+        while bi < b.len() || ei < e.len() {
+            let (kind, need) = match (b.get(bi), e.get(ei)) {
+                (Some(&(bk, ba)), Some(&(ek, ea))) if bk == ek => {
+                    bi += 1;
+                    ei += 1;
+                    (bk, ba + ea)
+                }
+                (Some(&(bk, ba)), Some(&(ek, _))) if bk < ek => {
+                    bi += 1;
+                    (bk, ba)
+                }
+                (Some(&(bk, ba)), None) => {
+                    bi += 1;
+                    (bk, ba)
+                }
+                (_, Some(&(ek, ea))) => {
+                    ei += 1;
+                    (ek, ea)
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            if need == 0.0 {
+                continue;
+            }
+            while ci < c.len() && c[ci].0 < kind {
+                ci += 1;
+            }
+            let have = match c.get(ci) {
+                Some(&(ck, amount)) if ck == kind => amount,
+                _ => 0.0,
+            };
+            let r = have / need;
+            rate = Some(match rate {
+                Some(best) => best.min(r),
+                None => r,
+            });
+        }
+        rate
+    }
+
     /// Returns `true` if every entry of `requirement` fits within `self`
     /// (with a small relative tolerance for floating-point drift).
     pub fn covers(&self, requirement: &ResourceVec) -> bool {

@@ -394,16 +394,43 @@ impl TaskGraph {
         i: CtId,
         placed: impl Fn(CtId) -> bool,
     ) -> Vec<ReachablePlacedCt> {
+        let mut found = Vec::new();
+        self.placed_reachable_into(i, placed, &mut ReachScratch::default(), &mut found);
+        found
+    }
+
+    /// [`Self::placed_reachable`] over caller-owned buffers: the
+    /// traversal runs inside `scratch` and the result replaces the
+    /// contents of `found` (ascending `CtId`), so a caller that asks
+    /// every ranking round allocates nothing once both have grown.
+    pub fn placed_reachable_into(
+        &self,
+        i: CtId,
+        placed: impl Fn(CtId) -> bool,
+        scratch: &mut ReachScratch,
+        found: &mut Vec<ReachablePlacedCt>,
+    ) {
         // Relaxation through unplaced CTs, tracking per-CT the minimum TT
         // bits (and the TT attaining it) over the best connecting walk
         // found so far. Values only decrease, so this terminates.
         let n = self.cts.len();
-        let mut best = vec![f64::INFINITY; n];
-        let mut best_tt: Vec<Option<TtId>> = vec![None; n];
-        let mut queue = VecDeque::new();
+        let ReachScratch {
+            best,
+            best_tt,
+            found_best,
+            found_tt,
+            queue,
+        } = scratch;
+        for bits in [&mut *best, &mut *found_best] {
+            bits.clear();
+            bits.resize(n, f64::INFINITY);
+        }
+        for tts in [&mut *best_tt, &mut *found_tt] {
+            tts.clear();
+            tts.resize(n, None);
+        }
+        queue.clear();
         queue.push_back(i);
-        let mut found_best = vec![f64::INFINITY; n];
-        let mut found_tt: Vec<Option<TtId>> = vec![None; n];
         while let Some(u) = queue.pop_front() {
             for tt in self.incident_edges(u) {
                 let t = &self.tts[tt.index()];
@@ -425,9 +452,9 @@ impl TaskGraph {
                 }
             }
         }
-        let mut found: Vec<ReachablePlacedCt> = Vec::new();
-        for (idx, tt) in found_tt.into_iter().enumerate() {
-            if let Some(tt) = tt {
+        found.clear();
+        for (idx, tt) in found_tt.iter().enumerate() {
+            if let Some(tt) = *tt {
                 found.push(ReachablePlacedCt {
                     ct: CtId::new(idx as u32),
                     min_bits_tt: tt,
@@ -435,8 +462,6 @@ impl TaskGraph {
                 });
             }
         }
-        found.sort_by_key(|r| r.ct);
-        found
     }
 
     /// Sum of all CT requirements (useful for sizing scenarios).
@@ -452,6 +477,16 @@ impl TaskGraph {
     pub fn total_tt_bits(&self) -> f64 {
         self.tts.iter().map(|t| t.bits_per_unit).sum()
     }
+}
+
+/// Reusable traversal buffers for [`TaskGraph::placed_reachable_into`].
+#[derive(Debug, Clone, Default)]
+pub struct ReachScratch {
+    best: Vec<f64>,
+    best_tt: Vec<Option<TtId>>,
+    found_best: Vec<f64>,
+    found_tt: Vec<Option<TtId>>,
+    queue: VecDeque<CtId>,
 }
 
 /// One placed CT reachable from an unplaced CT, as computed by

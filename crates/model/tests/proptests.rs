@@ -36,6 +36,31 @@ fn arb_dag(max_cts: usize) -> impl Strategy<Value = sparcle_model::TaskGraph> {
         })
 }
 
+/// Strategy: a sparse resource vector over five kinds — each absent,
+/// exactly zero, or positive — so any two draws overlap partially.
+fn arb_resource_vec() -> impl Strategy<Value = ResourceVec> {
+    let kinds = [
+        ResourceKind::Cpu,
+        ResourceKind::Memory,
+        ResourceKind::Bandwidth,
+        ResourceKind::Custom(0),
+        ResourceKind::Custom(7),
+    ];
+    let amount = prop_oneof![
+        Just(None),
+        Just(Some(0.0f64)),
+        (1e-3f64..1e6).prop_map(Some),
+        (1e-3f64..1e6).prop_map(Some)
+    ];
+    proptest::collection::vec(amount, kinds.len()).prop_map(move |amounts| {
+        kinds
+            .iter()
+            .zip(amounts)
+            .filter_map(|(&kind, amount)| amount.map(|a| (kind, a)))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -235,5 +260,26 @@ proptest! {
         let rate = p.bottleneck_rate(&graph, &net, &net.capacity_map());
         let expect = (100.0 / req_a).min(100.0 / req_b).min(1000.0 / bits);
         prop_assert!((rate - expect).abs() < 1e-9 * expect.max(1.0));
+    }
+
+    /// `rate_supported_sum` is `rate_supported(&plus_scaled(.., 1.0))`
+    /// to the bit — the merged walk must visit the same kinds in the
+    /// same order with the same operands, whatever the three vectors
+    /// share: empty vectors, zero amounts (skipped needs, zero
+    /// capacities), kinds the capacity lacks (rate 0), kinds only the
+    /// base or only the extra holds, and the `None` of an all-zero need.
+    #[test]
+    fn rate_supported_sum_matches_the_two_step_form(
+        cap in arb_resource_vec(),
+        base in arb_resource_vec(),
+        extra in arb_resource_vec(),
+    ) {
+        let fused = cap.rate_supported_sum(&base, &extra);
+        let two_step = cap.rate_supported(&base.plus_scaled(&extra, 1.0));
+        prop_assert_eq!(
+            fused.map(f64::to_bits), two_step.map(f64::to_bits),
+            "fused {:?} vs two-step {:?} for cap {}, base {}, extra {}",
+            fused, two_step, cap, base, extra
+        );
     }
 }

@@ -27,6 +27,9 @@ pub struct SloLedger {
     restores: u64,
     arrivals: u64,
     admitted: u64,
+    /// Arrivals that were not admitted, by cause code
+    /// (`RejectCause::code()`).
+    rejections: BTreeMap<&'static str, u64>,
     departures: u64,
     displacements: u64,
     reconciles: u64,
@@ -73,6 +76,12 @@ impl SloLedger {
         if admitted {
             self.admitted += 1;
         }
+    }
+
+    /// Records why one arrival was not admitted, by its stable cause
+    /// code; call next to `record_arrival(false)`.
+    pub fn record_rejection(&mut self, cause: &'static str) {
+        *self.rejections.entry(cause).or_insert(0) += 1;
     }
 
     /// Records one departure (of a live or displaced application).
@@ -187,6 +196,11 @@ impl SloLedger {
     /// Arrivals admitted.
     pub fn admitted(&self) -> u64 {
         self.admitted
+    }
+
+    /// Arrivals not admitted, counted per cause code.
+    pub fn rejections(&self) -> &BTreeMap<&'static str, u64> {
+        &self.rejections
     }
 
     /// Departures processed.

@@ -18,7 +18,9 @@ use sparcle_core::telemetry::Event;
 use sparcle_core::DisplaceCause;
 #[cfg(feature = "telemetry")]
 use sparcle_core::MigrationCause;
-use sparcle_core::{Admission, DisplacedApp, SparcleSystem, SystemConfig, TraceHandle};
+use sparcle_core::{
+    Admission, DisplacedApp, RejectCause, SparcleSystem, SystemConfig, TraceHandle,
+};
 use sparcle_model::{
     AppId, Application, CapacityMap, Network, NetworkElement, Placement, QoeClass,
 };
@@ -445,13 +447,17 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     fn on_arrival(&mut self, t: f64, index: u64, trace: TraceHandle<'_>) {
         let app = (self.source)(index);
         let is_gr = matches!(app.qoe(), QoeClass::GuaranteedRate { .. });
-        let admission = self
-            .system
-            .submit(app)
-            .expect("arrival source produced a malformed application");
-        let admitted = admission.is_admitted();
+        // An `Err` — an application the system cannot assign or analyse
+        // at all, such as one past the availability analyser's element
+        // limit — is this arrival's rejection, not the timeline's end.
+        let (id, cause) = match self.system.submit(app) {
+            Ok(Admission::Admitted(id)) => (Some(id), None),
+            Ok(Admission::Rejected(reason)) => (None, Some(reason.cause())),
+            Err(_) => (None, Some(RejectCause::SubmitError)),
+        };
+        let admitted = id.is_some();
         let mut rate = 0.0;
-        if let Some(id) = admission.id() {
+        if let Some(id) = id {
             self.register(index, id);
             rate = self.rate_of(id);
             let u: f64 = self.hold_rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -461,16 +467,15 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             );
         }
         self.ledger.record_arrival(admitted);
+        if let Some(cause) = &cause {
+            self.ledger.record_rejection(cause.code());
+        }
         trace.counter("runtime.arrivals", 1);
         #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             // An arrival is exogenous: it roots the app's cause chain
             // (empty `causes`). The lineage is the arrival index; a
             // rejection records the binding constraint's cause code.
-            let cause = match &admission {
-                Admission::Rejected(reason) => Some(reason.cause_code().to_owned()),
-                Admission::Admitted(_) => None,
-            };
             let id = trace.event(&Event::RuntimeArrival {
                 time: t,
                 app: index as u32,
@@ -478,7 +483,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 class: if is_gr { "gr" } else { "be" }.to_owned(),
                 admitted,
                 rate,
-                cause,
+                cause: cause.map(|c| c.code().to_owned()),
             });
             if admitted && id != 0 && trace.provenance_enabled() {
                 self.last_event.insert(index, id);
@@ -1161,6 +1166,85 @@ mod tests {
         let c = run_once(ReconcilePolicy::GammaImpact, 1);
         assert_eq!(a.arrivals(), c.arrivals());
         assert_eq!(a.displacements(), c.displacements());
+    }
+
+    /// Regression: an application whose path crosses more distinct
+    /// elements than the availability analyser accepts (128) makes
+    /// `submit` return `Err`. That used to panic the whole timeline; it
+    /// is that arrival's rejection, and later arrivals still run.
+    #[test]
+    fn submit_error_rejects_the_arrival_and_the_timeline_goes_on() {
+        // 70 hubs in a chain, a leaf on each: end to end is 70 NCPs and
+        // 69 links.
+        const HUBS: u32 = 70;
+        let mut b = NetworkBuilder::new();
+        for h in 0..HUBS {
+            b.add_ncp(format!("hub{h}"), ResourceVec::cpu(1000.0));
+        }
+        for h in 0..HUBS {
+            let leaf = b.add_ncp(format!("leaf{h}"), ResourceVec::cpu(100.0));
+            b.add_link(format!("drop{h}"), NcpId::new(h), leaf, 1e4)
+                .unwrap();
+            if h > 0 {
+                b.add_link(format!("trunk{h}"), NcpId::new(h - 1), NcpId::new(h), 1e4)
+                    .unwrap();
+            }
+        }
+        // Arrival 0 spans the whole chain, arrival 1 two hubs.
+        let source = |index: u64| {
+            let graph = linear_task_graph(&[50.0], &[1000.0, 500.0]).unwrap();
+            let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
+            let far = if index == 0 { HUBS - 1 } else { 1 };
+            Application::new(
+                graph,
+                QoeClass::best_effort(1.0),
+                [(src, NcpId::new(0)), (sink, NcpId::new(far))],
+            )
+            .unwrap()
+        };
+        let arrivals = [1.0, 2.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, time)| ArrivalEvent {
+                time,
+                index: i as u64,
+            });
+        let cfg = RuntimeConfig {
+            horizon: 5.0,
+            mean_hold: 1e6,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = SparcleRuntime::new(b.build().unwrap(), arrivals, source, cfg);
+
+        #[cfg(feature = "telemetry")]
+        let recorder = sparcle_core::telemetry::CollectRecorder::new();
+        #[cfg(feature = "telemetry")]
+        rt.run_traced(TraceHandle::new(&recorder));
+        #[cfg(not(feature = "telemetry"))]
+        rt.run();
+
+        let ledger = rt.ledger();
+        assert_eq!((ledger.arrivals(), ledger.admitted()), (2, 1));
+        assert_eq!(ledger.rejections().get("submit_error"), Some(&1));
+        assert_eq!(ledger.rejections().len(), 1);
+        assert_eq!(rt.live_indices(), vec![1]);
+        #[cfg(feature = "telemetry")]
+        {
+            let causes: Vec<_> = recorder
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::RuntimeArrival {
+                        admitted, cause, ..
+                    } => Some((admitted, cause)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                causes,
+                vec![(false, Some("submit_error".to_owned())), (true, None)]
+            );
+        }
     }
 
     #[test]

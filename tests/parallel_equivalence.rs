@@ -146,12 +146,65 @@ fn default_assigner_is_cached_and_equivalent() {
     }
 }
 
+/// Worker threads steal *trees* now, not rows, so the determinism
+/// contract is re-proved at that level: driving the engine round by
+/// round at 1, 2 and 8 threads yields the same picks with bit-identical
+/// γ, the same always-compiled work counters — row hits/misses and tree
+/// hits/misses, which therefore cannot depend on who computed what —
+/// and caches that pass the engine's from-scratch audit after every
+/// round and commit. The grid must actually reach the stolen path (a
+/// round missing two or more distinct trees) and the sharing path.
+#[test]
+fn tree_level_work_stealing_is_thread_count_independent() {
+    use sparcle_core::PlacementEngine;
+    let (mut shared, mut stolen) = (0, 0);
+    for (label, scenario) in scenario_grid().into_iter().step_by(2) {
+        let caps = scenario.network.capacity_map();
+        let drive = |threads: usize| {
+            let mut engine = PlacementEngine::new(&scenario.app, &scenario.network, &caps)
+                .expect("grid pins are routable");
+            let mut picks = Vec::new();
+            let mut widest_round = 0;
+            loop {
+                let before = engine.stats().tree_misses;
+                let Ok(Some((ct, host, gamma))) = engine.rank_round(threads) else {
+                    break;
+                };
+                widest_round = widest_round.max(engine.stats().tree_misses - before);
+                assert_eq!(engine.audit_caches(), Ok(()), "{label}: ranked {ct}");
+                picks.push((ct, host, gamma.to_bits()));
+                if engine.commit(ct, host).is_err() {
+                    break;
+                }
+                assert_eq!(engine.audit_caches(), Ok(()), "{label}: committed {ct}");
+            }
+            (picks, engine.stats(), widest_round)
+        };
+        let (picks_1, stats_1, widest_round) = drive(1);
+        for threads in [2, 8] {
+            let (picks, stats, _) = drive(threads);
+            assert_eq!(
+                picks_1, picks,
+                "{label}: picks diverged at {threads} threads"
+            );
+            assert_eq!(
+                stats_1, stats,
+                "{label}: counters diverged at {threads} threads"
+            );
+        }
+        shared += u64::from(stats_1.tree_hits > 0);
+        stolen += u64::from(widest_round >= 2);
+    }
+    assert!(shared > 0, "no scenario ever reused a stored tree");
+    assert!(stolen > 0, "no round ever had two trees to steal");
+}
+
 /// The telemetry stream obeys the same contract as the placements: the
 /// decision trace (candidate sets, chosen host, γ, tie-break reasons)
 /// and every counter (commits, γ-cache hits/misses, both invalidation
-/// rules) must be identical whether rows are filled by one worker
-/// thread or eight. Only the timing histograms may differ — they hold
-/// wall-clock samples and never enter the trace.
+/// rules) must be identical whether trees are computed by one worker
+/// thread, two or eight. Only the timing histograms' *values* may
+/// differ — they hold wall-clock samples and never enter the trace.
 #[cfg(feature = "telemetry")]
 #[test]
 fn decision_traces_and_counters_identical_across_thread_counts() {
@@ -173,15 +226,36 @@ fn decision_traces_and_counters_identical_across_thread_counts() {
             (recorder.events(), recorder.snapshot())
         };
         let (events_1, snap_1) = run(1);
-        let (events_8, snap_8) = run(8);
+        for threads in [2, 8] {
+            let (events, snap) = run(threads);
+            assert_eq!(
+                events_1, events,
+                "{label}: decision/commit event streams diverged at {threads} threads"
+            );
+            assert_eq!(
+                snap_1.counters, snap.counters,
+                "{label}: counters diverged at {threads} threads"
+            );
+            // One fill time per row and per tree, whoever computed it.
+            for timing in ["engine.row_fill_ns", "engine.tree_fill_ns"] {
+                assert_eq!(
+                    snap_1.histograms[timing].count(),
+                    snap.histograms[timing].count(),
+                    "{label}: {timing} sample count diverged at {threads} threads"
+                );
+            }
+        }
         assert_eq!(
-            events_1, events_8,
-            "{label}: decision/commit event streams diverged across thread counts"
+            snap_1.histograms["engine.row_fill_ns"].count(),
+            snap_1.counter("gamma_cache.misses"),
+            "{label}: one row-fill time per filled row"
         );
-        assert_eq!(
-            snap_1.counters, snap_8.counters,
-            "{label}: counters diverged across thread counts"
-        );
+        for name in snap_1.histograms.keys() {
+            assert!(
+                sparcle_telemetry::schema::is_known_histogram(name),
+                "{label}: histogram {name} is missing from the schema"
+            );
+        }
         // The streams must actually carry the assignment: one decision
         // per ranked CT, one commit per placed CT (ranked + pinned),
         // with live cache counters.
