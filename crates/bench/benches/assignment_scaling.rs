@@ -107,9 +107,8 @@ fn scratch_reuse_check() {
     let warm = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let cold_path = assigner
-        .assign_with_stats(&scenario.app, &scenario.network, &caps)
-        .expect("assignable")
-        .0;
+        .assign(&scenario.app, &scenario.network, &caps)
+        .expect("assignable");
     let cold = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(black_box(warm_path).rate, black_box(&hot_path).rate);
     assert_eq!(hot_path.rate, black_box(cold_path).rate);
@@ -271,12 +270,13 @@ fn bench_topologies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial-reference vs cached vs cached+parallel γ evaluation, one
-/// column per topology size. All three modes commit identical placements
+/// The oracle's serial pair scan (`sparcle_oracle::assign_reference`)
+/// vs the production assigner at one and at all cores, one column per
+/// topology size. All three commit identical placements
 /// (`tests/parallel_equivalence.rs` proves it), so the columns are
-/// directly comparable; the cached modes should win by well over the
-/// target 3× on the largest size thanks to the batched per-row sweeps
-/// and incremental invalidation.
+/// directly comparable; production should win by well over the target
+/// 3× on the largest size thanks to the batched per-row sweeps and
+/// incremental invalidation.
 fn bench_evaluator_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluator_modes");
     for ncps in [8usize, 16, 32] {
@@ -293,8 +293,15 @@ fn bench_evaluator_modes(c: &mut Criterion) {
         // More workers than cores never helps the CPU-bound row fills,
         // so the parallel column uses the machine's real parallelism.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        group.bench_with_input(BenchmarkId::new("serial", ncps), &ncps, |b, _| {
+            b.iter(|| {
+                black_box(
+                    sparcle_oracle::assign_reference(&scenario.app, &scenario.network, &caps)
+                        .expect("assignable"),
+                )
+            })
+        });
         let modes = [
-            ("serial".to_string(), DynamicRankingAssigner::reference()),
             (
                 "cached".to_string(),
                 DynamicRankingAssigner::with_threads(1),

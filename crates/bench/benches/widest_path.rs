@@ -1,9 +1,11 @@
-//! Algorithm 1 micro-benchmarks: the modified-Dijkstra widest path on
-//! the paper's topologies, versus network size.
+//! Algorithm 1 micro-benchmarks: the bucketed CSR widest path on the
+//! paper's topologies, versus network size, and next to the oracle's
+//! exhaustive search.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparcle_core::widest_path::{widest_path, widest_path_brute_force};
+use sparcle_core::widest_path::{csr_widest_path_with, CsrScratch};
 use sparcle_model::{LoadMap, NcpId, Network};
+use sparcle_oracle::widest_path_brute_force;
 use sparcle_workloads::{TopologyKind, TopologySpec};
 use std::hint::black_box;
 
@@ -28,8 +30,15 @@ fn bench_widest_path_size(c: &mut Criterion) {
         }
         let from = NcpId::new(0);
         let to = NcpId::new((n - 1) as u32);
+        // The engine's router keeps one scratch across queries; so does
+        // the bench.
+        let mut scratch = CsrScratch::new(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(widest_path(&net, &caps, &load, 8.0, from, to).expect("connected")))
+            b.iter(|| {
+                let path =
+                    csr_widest_path_with(&mut scratch, net.csr(), &caps, &load, 8.0, from, to);
+                black_box(path.expect("connected"))
+            })
         });
     }
     group.finish();
@@ -44,8 +53,19 @@ fn bench_widest_vs_brute_force(c: &mut Criterion) {
     let from = NcpId::new(0);
     let to = NcpId::new(6);
     let mut group = c.benchmark_group("widest_path_algorithms");
+    let mut scratch = CsrScratch::new(net.ncp_count());
     group.bench_function("dijkstra", |b| {
-        b.iter(|| black_box(widest_path(&net, &caps, &load, 8.0, from, to)))
+        b.iter(|| {
+            black_box(csr_widest_path_with(
+                &mut scratch,
+                net.csr(),
+                &caps,
+                &load,
+                8.0,
+                from,
+                to,
+            ))
+        })
     });
     group.bench_function("brute_force", |b| {
         b.iter(|| black_box(widest_path_brute_force(&net, &caps, &load, 8.0, from, to)))

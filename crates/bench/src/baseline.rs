@@ -554,10 +554,10 @@ fn run_scaling_assign() -> BenchResult {
 }
 
 /// `exp_scale` cut: repeated assignment of the backbone-crossing
-/// pipeline on a 5000-NCP hub-and-spoke topology (the CSR
-/// representation's home turf — the legacy adjacency walk dominates at
-/// this size). Same adoption pattern as [`run_scaling_assign`], fewer
-/// reps since each assignment sweeps a 5k-node graph.
+/// pipeline on a 5000-NCP hub-and-spoke topology (the size the flat
+/// CSR arrays exist for). Same adoption pattern as
+/// [`run_scaling_assign`], fewer reps since each assignment sweeps a
+/// 5k-node graph.
 fn run_scale_assign() -> BenchResult {
     const REPS: usize = 20;
     const NCPS: usize = 5_000;

@@ -37,17 +37,7 @@ fn assign_with_policy(
     trace: TraceHandle<'_>,
 ) -> Result<AssignedPath, AssignError> {
     let mut engine = PlacementEngine::new_traced(app, network, capacities, trace)?;
-    loop {
-        let mut pick: Option<(f64, sparcle_model::CtId, sparcle_model::NcpId)> = None;
-        for ct in engine.unplaced() {
-            let (host, g) = engine.best_host(ct).ok_or(AssignError::NoHostForCt(ct))?;
-            if pick.is_none_or(|(bg, _, _)| g < bg) {
-                pick = Some((g, ct, host));
-            }
-        }
-        let Some((_, ct, host)) = pick else {
-            break;
-        };
+    while let Some((ct, host, _)) = engine.rank_round(1)? {
         engine.commit_with(ct, host, policy)?;
     }
     engine.finish()

@@ -2,20 +2,17 @@
 //!
 //! Sweeps two sizes of the seeded hub-and-spoke network from
 //! `sparcle_workloads::scale` and times full dynamic-ranking
-//! assignments under both graph representations — the legacy adjacency
-//! maps and the flat CSR arrays — printing wall time per assignment,
-//! placements per second, and the achieved rate. The rate bits must be
-//! identical across representations (the CSR port is a pure speedup);
-//! this binary asserts it on every size it touches.
+//! assignments, printing wall time per assignment, placements per
+//! second, and the achieved rate.
 //!
 //! Extra flags on top of the shared harness ones:
 //!
 //! * `--ncps <n>` — the largest topology size (default 5000; the sweep
 //!   also runs `n/2`). Nightly smoke runs pass a reduced size.
-//! * `--reps <n>` — timed assignments per (size, repr) cell (default 3).
+//! * `--reps <n>` — timed assignments per size (default 3).
 
 use sparcle_bench::{ExpFlags, ExpHarness, Table};
-use sparcle_core::{DynamicRankingAssigner, GraphRepr};
+use sparcle_core::DynamicRankingAssigner;
 use sparcle_workloads::ScaleSpec;
 use std::time::Instant;
 
@@ -32,7 +29,7 @@ fn main() {
             "largest topology size (the sweep also runs n/2)",
             "5000",
         )
-        .value("reps", "timed assignments per (size, repr) cell", "3");
+        .value("reps", "timed assignments per size", "3");
     let parsed = flags.parse();
     let args = ScaleArgs {
         ncps: parsed.usize("ncps"),
@@ -48,7 +45,6 @@ fn main() {
 
     let mut table = Table::new([
         "|N| (NCPs)",
-        "repr",
         "time per assignment (ms)",
         "placements/s",
         "rate (Mbps)",
@@ -56,39 +52,27 @@ fn main() {
     for ncps in [args.ncps / 2, args.ncps] {
         let scenario = ScaleSpec::new(ncps).build().expect("valid scale scenario");
         let caps = scenario.network.capacity_map();
-        let mut rate_bits: Option<u64> = None;
-        for repr in [GraphRepr::Legacy, GraphRepr::Csr] {
-            let assigner = DynamicRankingAssigner::new().with_repr(repr);
-            // Warm-up carries the trace so the decision stream holds one
-            // assignment per (size, repr) cell, not `reps` duplicates.
-            let warm = assigner
-                .assign_with_trace(&scenario.app, &scenario.network, &caps, harness.trace())
+        let assigner = DynamicRankingAssigner::new();
+        // Warm-up carries the trace so the decision stream holds one
+        // assignment per size, not `reps` duplicates.
+        let warm = assigner
+            .assign_with_trace(&scenario.app, &scenario.network, &caps, harness.trace())
+            .expect("assignable");
+        let mut placements = 0usize;
+        let start = Instant::now();
+        for _ in 0..args.reps {
+            let path = assigner
+                .assign(&scenario.app, &scenario.network, &caps)
                 .expect("assignable");
-            match rate_bits {
-                None => rate_bits = Some(warm.rate.to_bits()),
-                Some(bits) => assert_eq!(
-                    bits,
-                    warm.rate.to_bits(),
-                    "graph representations must agree bit-for-bit at {ncps} NCPs"
-                ),
-            }
-            let mut placements = 0usize;
-            let start = Instant::now();
-            for _ in 0..args.reps {
-                let path = assigner
-                    .assign(&scenario.app, &scenario.network, &caps)
-                    .expect("assignable");
-                placements += path.placement.ct_count();
-            }
-            let secs = start.elapsed().as_secs_f64();
-            table.row([
-                format!("{ncps}"),
-                repr.to_string(),
-                format!("{:.1}", secs * 1e3 / args.reps as f64),
-                format!("{:.0}", placements as f64 / secs.max(1e-9)),
-                format!("{:.3}", warm.rate),
-            ]);
+            placements += path.placement.ct_count();
         }
+        let secs = start.elapsed().as_secs_f64();
+        table.row([
+            format!("{ncps}"),
+            format!("{:.1}", secs * 1e3 / args.reps as f64),
+            format!("{:.0}", placements as f64 / secs.max(1e-9)),
+            format!("{:.3}", warm.rate),
+        ]);
     }
     println!("{}", table.render());
     let path = table.write_csv("scale_assign_sweep");

@@ -56,7 +56,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ("exp_scaling", "Theorem 2: running-time scaling table"),
     (
         "exp_scale",
-        "Scale: CSR vs legacy assignment on 5k-NCP topologies",
+        "Scale: Algorithm 2 on 2.5k/5k-NCP hub-and-spoke topologies",
     ),
     (
         "exp_churn",

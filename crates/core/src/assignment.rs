@@ -19,30 +19,16 @@
 use crate::engine::{AssignStats, AssignedPath, EngineScratch, PlacementEngine};
 use crate::error::AssignError;
 use crate::trace::TraceHandle;
-use sparcle_model::{Application, CapacityMap, GraphRepr, Network};
-
-/// How [`DynamicRankingAssigner`] evaluates γ each ranking round.
-///
-/// Both modes commit the *same placements in the same order* — the cached
-/// evaluator's invalidation rules and tie-breaks reproduce the reference
-/// scan bit-for-bit (see the [`crate::engine`] module docs), and
-/// `tests/parallel_equivalence.rs` holds them to it. The modes differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// The uncached, single-threaded scan straight off eq. (2):
-    /// [`PlacementEngine::gamma`] per (CT, host) pair. The ground truth
-    /// the differential tests compare against.
-    Reference,
-    /// The batched γ-cache ([`PlacementEngine::rank_round`]), filling
-    /// missing rows with up to `threads` worker threads.
-    Cached {
-        /// Worker-thread cap for row computation (1 = serial cached).
-        threads: usize,
-    },
-}
+use sparcle_model::{Application, CapacityMap, Network};
 
 /// SPARCLE's polynomial-time dynamic-ranking task assigner (Algorithm 2).
+///
+/// Every ranking round runs over the engine's γ-cache
+/// ([`PlacementEngine::rank_round`]); the only setting is how many
+/// worker threads compute missing widest-path trees, and results are
+/// identical for every value. The uncached pair scan straight off
+/// eq. (2) that this is validated against is
+/// `sparcle_oracle::assign_reference` (dev-only).
 ///
 /// # Examples
 ///
@@ -77,67 +63,29 @@ pub enum EvalMode {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynamicRankingAssigner {
-    mode: EvalMode,
-    repr: GraphRepr,
+    threads: usize,
 }
 
 impl Default for DynamicRankingAssigner {
-    /// The cached single-threaded evaluator over the flat CSR
-    /// representation — always at least as fast as [`Self::reference`],
-    /// same results.
+    /// The single-threaded assigner.
     fn default() -> Self {
-        DynamicRankingAssigner {
-            mode: EvalMode::Cached { threads: 1 },
-            repr: GraphRepr::default(),
-        }
+        Self::with_threads(1)
     }
 }
 
 impl DynamicRankingAssigner {
-    /// Creates the assigner in its default [`EvalMode`].
+    /// Creates the single-threaded assigner.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The uncached single-threaded evaluator, straight off eq. (2),
-    /// over the legacy adjacency — the ground truth every fast path
-    /// (γ-cache, worker threads, CSR representation) is differenced
-    /// against.
-    pub fn reference() -> Self {
-        DynamicRankingAssigner {
-            mode: EvalMode::Reference,
-            repr: GraphRepr::Legacy,
-        }
-    }
-
-    /// The cached evaluator with up to `threads` worker threads filling
-    /// γ rows (clamped to ≥ 1). Results are identical for every value.
+    /// The assigner with up to `threads` worker threads computing
+    /// missing widest-path trees (clamped to ≥ 1). Results are identical
+    /// for every value.
     pub fn with_threads(threads: usize) -> Self {
         DynamicRankingAssigner {
-            mode: EvalMode::Cached {
-                threads: threads.max(1),
-            },
-            repr: GraphRepr::default(),
+            threads: threads.max(1),
         }
-    }
-
-    /// The same assigner over an explicit graph representation. Results
-    /// are identical for both (`tests/csr_equivalence.rs`); only speed
-    /// differs.
-    #[must_use]
-    pub fn with_repr(mut self, repr: GraphRepr) -> Self {
-        self.repr = repr;
-        self
-    }
-
-    /// The evaluation mode this assigner runs in.
-    pub fn mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// The graph representation this assigner evaluates over.
-    pub fn repr(&self) -> GraphRepr {
-        self.repr
     }
 
     /// Runs Algorithm 2: finds one task assignment path for `app` on
@@ -161,8 +109,7 @@ impl DynamicRankingAssigner {
     /// [`Self::assign`] with a telemetry handle: the engine records
     /// per-round placement decisions (candidate γ values, chosen host,
     /// tie-break reason), commits, and γ-cache counters into it. The
-    /// trace is bit-identical for every [`EvalMode::Cached`] thread
-    /// count.
+    /// trace is bit-identical for every thread count.
     ///
     /// # Errors
     ///
@@ -174,52 +121,20 @@ impl DynamicRankingAssigner {
         capacities: &CapacityMap,
         trace: TraceHandle<'_>,
     ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced_with_stats(app, network, capacities, trace)
-            .map(|(path, _)| path)
-    }
-
-    /// [`Self::assign`], also returning the engine's always-compiled
-    /// γ-cache work counters ([`AssignStats`]) — the feature-independent
-    /// signal the runtime's observability monitor folds into its
-    /// windows.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::assign`].
-    pub fn assign_with_stats(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<(AssignedPath, AssignStats), AssignError> {
-        self.assign_traced_with_stats(app, network, capacities, TraceHandle::none())
-    }
-
-    /// [`Self::assign_with_trace`] + [`Self::assign_with_stats`]
-    /// combined: traced assignment that also returns the work counters.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::assign`].
-    pub fn assign_traced_with_stats(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-        trace: TraceHandle<'_>,
-    ) -> Result<(AssignedPath, AssignStats), AssignError> {
-        self.assign_scratch_traced_with_stats(
+        self.run(
             &mut EngineScratch::default(),
             app,
             network,
             capacities,
             trace,
         )
+        .map(|(path, _)| path)
     }
 
-    /// [`Self::assign_with_stats`] over caller-hoisted buffers: the
-    /// engine takes its sweep/routing scratch out of `scratch` and hands
-    /// it back before returning, so a warm probe loop (γ reconcile
+    /// [`Self::assign`] over caller-hoisted buffers, also returning the
+    /// engine's always-compiled γ-cache work counters ([`AssignStats`]).
+    /// The engine takes its sweep/routing scratch out of `scratch` and
+    /// hands it back before returning, so a warm probe loop (γ reconcile
     /// probes, defrag what-if migrations) stops paying per-assignment
     /// allocations for every content-independent buffer.
     ///
@@ -233,23 +148,12 @@ impl DynamicRankingAssigner {
         network: &Network,
         capacities: &CapacityMap,
     ) -> Result<(AssignedPath, AssignStats), AssignError> {
-        self.assign_scratch_traced_with_stats(
-            scratch,
-            app,
-            network,
-            capacities,
-            TraceHandle::none(),
-        )
+        self.run(scratch, app, network, capacities, TraceHandle::none())
     }
 
-    /// [`Self::assign_scratch_with_stats`] with a telemetry handle — the
-    /// most general assignment entry point; every other `assign_*`
-    /// method funnels here. The scratch is reclaimed on error exits too.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::assign`].
-    pub fn assign_scratch_traced_with_stats(
+    /// One full Algorithm-2 assignment; every public `assign*` method
+    /// funnels here. The scratch is reclaimed on error exits too.
+    fn run(
         &self,
         scratch: &mut EngineScratch,
         app: &Application,
@@ -261,36 +165,17 @@ impl DynamicRankingAssigner {
         // rank-round and commit span nests underneath. An error exit
         // drops the guard, closing the span as aborted.
         let assign_span = trace.span("engine.assign");
-        let mut engine = PlacementEngine::new_traced_with_scratch(
-            app, network, capacities, trace, self.repr, scratch,
-        )?;
+        let mut engine =
+            PlacementEngine::new_traced_with_scratch(app, network, capacities, trace, scratch)?;
         // Run the ranking loop through a closure so the scratch is
         // reclaimed on ranking errors as well as on success.
         let ranked = (|| -> Result<(), AssignError> {
-            match self.mode {
-                EvalMode::Reference => loop {
-                    // Rank: for each unplaced CT, its best achievable γ;
-                    // commit the CT with the smallest best (most
-                    // constrained first).
-                    let mut pick: Option<(f64, sparcle_model::CtId, sparcle_model::NcpId)> = None;
-                    for ct in engine.unplaced() {
-                        let (host, g) = engine.best_host(ct).ok_or(AssignError::NoHostForCt(ct))?;
-                        if pick.is_none_or(|(bg, _, _)| g < bg) {
-                            pick = Some((g, ct, host));
-                        }
-                    }
-                    let Some((_, ct, host)) = pick else {
-                        return Ok(());
-                    };
-                    engine.commit(ct, host)?;
-                },
-                EvalMode::Cached { threads } => {
-                    while let Some((ct, host, _)) = engine.rank_round(threads)? {
-                        engine.commit(ct, host)?;
-                    }
-                    Ok(())
-                }
+            // Rank: for each unplaced CT, its best achievable γ; commit
+            // the CT with the smallest best (most constrained first).
+            while let Some((ct, host, _)) = engine.rank_round(self.threads)? {
+                engine.commit(ct, host)?;
             }
+            Ok(())
         })();
         let stats = engine.stats();
         // `finish` never touches the scratch buffers, so they can go
@@ -351,23 +236,7 @@ pub fn assign_multipath(
     max_paths: usize,
     min_rate: f64,
 ) -> (Vec<AssignedPath>, CapacityMap) {
-    let (paths, residual, _) =
-        assign_multipath_stats(assigner, app, network, capacities, max_paths, min_rate);
-    (paths, residual)
-}
-
-/// [`assign_multipath`], also returning the γ-cache work counters
-/// ([`AssignStats`]) accumulated across every successfully assigned
-/// path.
-pub fn assign_multipath_stats(
-    assigner: &DynamicRankingAssigner,
-    app: &Application,
-    network: &Network,
-    capacities: &CapacityMap,
-    max_paths: usize,
-    min_rate: f64,
-) -> (Vec<AssignedPath>, CapacityMap, AssignStats) {
-    assign_multipath_scratch_stats(
+    let (paths, residual, _) = assign_multipath_scratch_stats(
         assigner,
         &mut EngineScratch::default(),
         app,
@@ -375,14 +244,16 @@ pub fn assign_multipath_stats(
         capacities,
         max_paths,
         min_rate,
-    )
+    );
+    (paths, residual)
 }
 
-/// [`assign_multipath_stats`] over caller-hoisted [`EngineScratch`]:
-/// every per-path engine in the extraction loop reuses — and refills —
-/// the same buffers, so a probe loop placing many apps over one network
-/// stays off the allocator for the content-independent scratch.
-#[allow(clippy::too_many_arguments)] // mirrors assign_multipath_stats + scratch
+/// [`assign_multipath`] over caller-hoisted [`EngineScratch`], also
+/// returning the γ-cache work counters ([`AssignStats`]) accumulated
+/// across every successfully assigned path. Every per-path engine in the
+/// extraction loop reuses — and refills — the same buffers, so a probe
+/// loop placing many apps over one network stays off the allocator for
+/// the content-independent scratch.
 pub fn assign_multipath_scratch_stats(
     assigner: &DynamicRankingAssigner,
     scratch: &mut EngineScratch,

@@ -4,10 +4,11 @@
 //! with its per-element [`LoadMap`], and provides the two primitives
 //! every task-assignment policy in this workspace is built from:
 //!
-//! * [`PlacementEngine::gamma`] — the paper's `γ_{i,j}` (eq. (2)): the
-//!   new bottleneck processing rate if CT `i` were placed on NCP `j`,
-//!   combining the host's compute headroom with widest-path bottlenecks
-//!   (Algorithm 1) to every already-placed reachable CT;
+//! * [`PlacementEngine::gamma_batched`] — the paper's `γ_{i,j}`
+//!   (eq. (2)): the new bottleneck processing rate if CT `i` were
+//!   placed on NCP `j`, combining the host's compute headroom with
+//!   widest-path bottlenecks (Algorithm 1) to every already-placed
+//!   reachable CT;
 //! * [`PlacementEngine::commit`] — irrevocably place a CT on a host and
 //!   route (via Algorithm 1) every TT connecting it to already-placed
 //!   direct neighbors, updating loads.
@@ -19,12 +20,12 @@
 //!
 //! # The batched, incrementally-cached γ evaluator
 //!
-//! Evaluating eq. (2) one `(CT, NCP)` pair at a time — as
-//! [`PlacementEngine::gamma`] does — costs one Dijkstra per placed
-//! reachable CT *per candidate host*, which dominates Algorithm 2 on
-//! large topologies. The engine therefore also maintains a **γ-cache**
-//! (rows over a store of shared widest-path trees) behind three faster
-//! entry points: [`PlacementEngine::gamma_batched`],
+//! Evaluating eq. (2) one `(CT, NCP)` pair at a time — as the pair
+//! scan of the dev-only `sparcle-oracle` crate does — costs one
+//! Dijkstra per placed reachable CT *per candidate host*, which
+//! dominates Algorithm 2 on large topologies. The engine therefore
+//! maintains a **γ-cache** (rows over a store of shared widest-path
+//! trees) behind its entry points: [`PlacementEngine::gamma_batched`],
 //! [`PlacementEngine::rank_round`] (one full Algorithm-2 ranking round,
 //! optionally multi-threaded), and the invalidation hook inside
 //! [`PlacementEngine::commit_with`].
@@ -51,7 +52,7 @@
 //! set (its placed reachable CTs, [`TaskGraph::placed_reachable`]): per
 //! host the `min` of the named trees' `φ`, and the union of their
 //! witnesses — `O(|reach|)` sweeps at most for all `|N|` hosts, instead
-//! of the reference path's `O(|reach| · |N|)`, and none at all when the
+//! of the pair scan's `O(|reach| · |N|)`, and none at all when the
 //! trees are already stored.
 //!
 //! Both levels stay valid under commits because element loads only ever
@@ -103,18 +104,16 @@
 //! workers start — while row folds and the ranking scan are serial, so
 //! the committed placement, the counters and the store's contents are
 //! identical for every thread count, and the placement identical to the
-//! serial uncached reference path ([`PlacementEngine::gamma`] driven by
-//! [`crate::DynamicRankingAssigner::reference`]).
+//! oracle's serial uncached pair scan (`sparcle_oracle::assign_reference`;
+//! `tests/parallel_equivalence.rs` and `tests/csr_equivalence.rs`
+//! compare the two at 1, 2 and 8 threads).
 
 use crate::error::AssignError;
 use crate::trace::TraceHandle;
-use crate::widest_path::{
-    csr_widest_path_with, csr_widest_tree, widest_path, widest_path_with, widest_tree, CsrScratch,
-    CsrWidestTree, DijkstraScratch, ReverseAdjacency, WidestTree,
-};
+use crate::widest_path::{csr_widest_path_with, csr_widest_tree, CsrScratch, CsrWidestTree};
 use sparcle_model::{
-    Application, CapacityMap, CsrNetwork, CtId, GraphRepr, LinkId, LoadMap, NcpId, Network,
-    Placement, ReachScratch, ReachablePlacedCt, TaskGraph, TtId,
+    Application, CapacityMap, CsrNetwork, CtId, LinkId, LoadMap, NcpId, Network, Placement,
+    ReachScratch, ReachablePlacedCt, TaskGraph, TtId,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -212,7 +211,7 @@ impl LinkSet {
 /// One cached γ row: the network term `net_γ(ct, j)` for every host `j`
 /// plus the witness links the values depend on (see module docs).
 /// `f64::NEG_INFINITY` marks hosts that cannot route every placed
-/// reachable CT (the reference path's `gamma == None`).
+/// reachable CT ([`PlacementEngine::gamma_batched`]'s `None`).
 ///
 /// Rows are keyed on *dense* element ids (positions in `net`, bits in
 /// `witness`), so every row also carries the build `generation` of the
@@ -307,17 +306,8 @@ impl TreeStore {
     }
 }
 
-/// Sweep buffers for one γ-row fill under either representation. Both
-/// trees size themselves at call time, so `Default` is enough for the
-/// worker threads that own one each.
-#[derive(Debug, Clone, Default)]
-struct RowScratch {
-    legacy: WidestTree,
-    csr: CsrWidestTree,
-}
-
 /// Reusable assignment buffers a long-lived caller hoists across engine
-/// lifetimes: the serial sweep buffers, both routing scratches, the tree
+/// lifetimes: the serial sweep buffers, the routing scratch, the tree
 /// store's `phi`/witness buffers, the reach-set traversal, and the
 /// per-round and per-commit work lists. A fresh engine allocates these
 /// lazily per assignment; the system's rollback-only probe paths (γ
@@ -328,9 +318,8 @@ struct RowScratch {
 /// (`benches/assignment_scaling.rs` holds the probe loop to it).
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
-    row: RowScratch,
-    route: DijkstraScratch,
-    csr_route: CsrScratch,
+    sweep: CsrWidestTree,
+    route: CsrScratch,
     trees: TreeStore,
     /// Ranking round: rows to fill, their reach sets' tree keys (all
     /// rows back to back, `need_ends[i]` closing row `i`'s run), and the
@@ -366,23 +355,16 @@ fn timed_ns(timed: bool, f: impl FnOnce()) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The graph structure the sweeps traverse, per [`GraphRepr`].
-#[derive(Clone, Copy)]
-enum ReprView<'e> {
-    Legacy(&'e ReverseAdjacency),
-    Csr(&'e CsrNetwork),
-}
-
 /// The read-only engine state trees and rows are pure functions of.
 /// Borrowing it field-by-field (rather than `&self`) is what lets worker
-/// threads share it while each owns a private [`RowScratch`].
+/// threads share it while each owns a private sweep buffer.
 struct EvalView<'e> {
     graph: &'e TaskGraph,
     placement: &'e Placement,
     placed: &'e [bool],
     capacities: &'e CapacityMap,
     load: &'e LoadMap,
-    repr: ReprView<'e>,
+    csr: &'e CsrNetwork,
     ncp_count: usize,
     link_count: usize,
     generation: u64,
@@ -391,33 +373,20 @@ struct EvalView<'e> {
 impl EvalView<'_> {
     /// Computes the tree `tree.key` names under the current loads: one
     /// reversed widest-path sweep, its widths moved (not copied) into
-    /// `tree.phi` and its parent links recorded in `tree.witness`. Both
-    /// representations produce the same bits (the ordering contract in
-    /// [`sparcle_model::csr`]).
-    fn fill_tree(&self, tree: &mut StoredTree, scratch: &mut RowScratch) {
+    /// `tree.phi` and its parent links recorded in `tree.witness`.
+    fn fill_tree(&self, tree: &mut StoredTree, sweep: &mut CsrWidestTree) {
         let (target, bits) = (tree.key.target, tree.key.min_bits());
         tree.witness.reset(self.link_count);
-        match self.repr {
-            ReprView::Csr(csr) => {
-                let sweep = &mut scratch.csr;
-                csr_widest_tree(csr, sweep, self.capacities, self.load, bits, target);
-                sweep.for_each_tree_link(|l| tree.witness.insert(l));
-                sweep.swap_widths(&mut tree.phi);
-            }
-            ReprView::Legacy(rev) => {
-                let sweep = &mut scratch.legacy;
-                widest_tree(rev, sweep, self.capacities, self.load, bits, target);
-                sweep.for_each_tree_link(|l| tree.witness.insert(l));
-                sweep.swap_widths(&mut tree.phi);
-            }
-        }
+        csr_widest_tree(self.csr, sweep, self.capacities, self.load, bits, target);
+        sweep.for_each_tree_link(|l| tree.witness.insert(l));
+        sweep.swap_widths(&mut tree.phi);
     }
 
     /// Builds one CT's γ row from stored trees, one per entry of its
     /// reach set (`keys`, all present in `trees`): per host the `min` of
     /// the trees' widths — `NEG_INFINITY` as soon as one target is
     /// unreachable, which `min` propagates by itself — and the union of
-    /// their witnesses. Exact equality with the pairwise reference path
+    /// their witnesses. Exact equality with the oracle's pair scan
     /// holds because both take the same min over the same unique
     /// widest-path widths.
     fn fold_row(&self, keys: &[TreeKey], trees: &TreeStore) -> GammaRow {
@@ -550,14 +519,8 @@ pub struct PlacementEngine<'a> {
     placement: Placement,
     load: LoadMap,
     placed: Vec<bool>,
-    /// Which representation the sweeps traverse.
-    repr: GraphRepr,
-    /// Reversed arcs powering the legacy per-row sweeps (`Legacy` only —
-    /// at CSR scale the flat reverse arcs replace it, and skipping its
-    /// construction matters on 5k+-NCP networks).
-    rev: Option<ReverseAdjacency>,
-    /// The flat view powering the bucketed sweeps (`Csr` only).
-    csr: Option<Arc<CsrNetwork>>,
+    /// The flat view the sweeps and the router traverse.
+    csr: Arc<CsrNetwork>,
     /// The network's build generation, stamped into every cached row.
     generation: u64,
     /// γ-cache: one optional row per CT (see module docs).
@@ -611,36 +574,16 @@ impl<'a> PlacementEngine<'a> {
         capacities: &'a CapacityMap,
         trace: TraceHandle<'a>,
     ) -> Result<Self, AssignError> {
-        Self::new_traced_with_repr(app, network, capacities, trace, GraphRepr::default())
-    }
-
-    /// Like [`Self::new_traced`], with an explicit graph representation.
-    /// Both representations commit byte-identical placements (routes,
-    /// rates, telemetry) — `tests/csr_equivalence.rs` enforces this —
-    /// so [`GraphRepr::Legacy`] exists for differencing and as the
-    /// reference the CSR fast path is validated against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_traced_with_repr(
-        app: &'a Application,
-        network: &'a Network,
-        capacities: &'a CapacityMap,
-        trace: TraceHandle<'a>,
-        repr: GraphRepr,
-    ) -> Result<Self, AssignError> {
         Self::new_traced_with_scratch(
             app,
             network,
             capacities,
             trace,
-            repr,
             &mut EngineScratch::default(),
         )
     }
 
-    /// Like [`Self::new_traced_with_repr`], taking the reusable buffers
+    /// Like [`Self::new_traced`], taking the reusable buffers
     /// out of a caller-hoisted [`EngineScratch`] instead of allocating
     /// fresh ones. Pair with [`Self::reclaim_scratch`] to hand them back
     /// once the assignment is done; warmed buffers make repeated
@@ -655,7 +598,6 @@ impl<'a> PlacementEngine<'a> {
         network: &'a Network,
         capacities: &'a CapacityMap,
         trace: TraceHandle<'a>,
-        repr: GraphRepr,
         scratch: &mut EngineScratch,
     ) -> Result<Self, AssignError> {
         app.check_against_network(network)?;
@@ -664,10 +606,6 @@ impl<'a> PlacementEngine<'a> {
             network.ncp_count(),
             "capacity map must match the network shape"
         );
-        let (rev, csr) = match repr {
-            GraphRepr::Legacy => (Some(ReverseAdjacency::new(network)), None),
-            GraphRepr::Csr => (None, Some(Arc::clone(network.csr()))),
-        };
         let mut engine = PlacementEngine {
             app,
             network,
@@ -675,13 +613,9 @@ impl<'a> PlacementEngine<'a> {
             placement: Placement::empty(app.graph()),
             load: LoadMap::zeroed(network),
             placed: vec![false; app.graph().ct_count()],
-            repr,
-            rev,
-            csr,
+            csr: Arc::clone(network.csr()),
             generation: network.generation(),
             cache: vec![None; app.graph().ct_count()],
-            // Every buffer resizes lazily on first use, so the
-            // representation not in play costs nothing.
             scratch: std::mem::take(scratch),
             trace,
             pinned_done: false,
@@ -706,11 +640,6 @@ impl<'a> PlacementEngine<'a> {
     /// The telemetry handle this engine records into.
     pub fn trace(&self) -> TraceHandle<'a> {
         self.trace
-    }
-
-    /// The graph representation this engine traverses.
-    pub fn graph_repr(&self) -> GraphRepr {
-        self.repr
     }
 
     /// The application being placed.
@@ -755,39 +684,6 @@ impl<'a> PlacementEngine<'a> {
             .filter(|&ct| !self.placed[ct.index()])
     }
 
-    /// The paper's `γ_{i,j}` (eq. (2)): the bottleneck processing rate
-    /// that results from hypothetically placing CT `i` on NCP `j`,
-    /// considering
-    ///
-    /// * the host's compute headroom
-    ///   `min_r C_j^(r) / (a_i^(r) + Σ_{i''} y_{i'',j} a_{i''}^(r))`, and
-    /// * for every already-placed reachable CT `i'` (through unplaced
-    ///   intermediates), the widest-path bottleneck from `j` to `h(i')`
-    ///   for the cheapest TT in `G(i, i')` (Algorithm 2 lines 10–13).
-    ///
-    /// Returns `None` when some reachable placed CT cannot be routed to
-    /// from `j` at all (placing `i` there would strand a TT).
-    pub fn gamma(&self, ct: CtId, host: NcpId) -> Option<f64> {
-        let graph = self.app.graph();
-        let mut gamma = self.host_rate(ct, host);
-        for reach in graph.placed_reachable(ct, |c| self.placed[c.index()]) {
-            let other_host = self
-                .placement
-                .ct_host(reach.ct)
-                .expect("reachable CTs are placed");
-            let path = widest_path(
-                self.network,
-                self.capacities,
-                &self.load,
-                reach.min_bits,
-                host,
-                other_host,
-            )?;
-            gamma = gamma.min(path.width);
-        }
-        Some(gamma)
-    }
-
     /// The *compute-only* part of `γ_{i,j}`: the rate the host NCP alone
     /// would impose, `min_r C_j^(r) / (a_i^(r) + Σ_{i''} y_{i'',j}
     /// a_{i''}^(r))`, ignoring every link. This is what a scheduler that
@@ -798,22 +694,6 @@ impl<'a> PlacementEngine<'a> {
             .ncp(host)
             .rate_supported_sum(self.load.ncp(host), self.app.graph().ct(ct).requirement())
             .unwrap_or(f64::INFINITY)
-    }
-
-    /// The best host for `ct` right now: `j*_i = argmax_j γ_{i,j}`
-    /// (Algorithm 2 line 15). Ties break toward the lower NCP id for
-    /// determinism. Returns `None` if no host can route all of `ct`'s
-    /// placed reachable CTs.
-    pub fn best_host(&self, ct: CtId) -> Option<(NcpId, f64)> {
-        let mut best: Option<(NcpId, f64)> = None;
-        for host in self.network.ncp_ids() {
-            if let Some(g) = self.gamma(ct, host) {
-                if best.is_none_or(|(_, bg)| g > bg) {
-                    best = Some((host, g));
-                }
-            }
-        }
-        best
     }
 
     /// Places `ct` on `host` and routes every TT between `ct` and an
@@ -955,7 +835,6 @@ impl<'a> PlacementEngine<'a> {
             incident,
             touched,
             route,
-            csr_route,
             ..
         } = scratch;
         incident.clear();
@@ -975,30 +854,16 @@ impl<'a> PlacementEngine<'a> {
             let from_host = self.placement.ct_host(t.from()).expect("placed");
             let to_host = self.placement.ct_host(t.to()).expect("placed");
             let links = match policy {
-                RoutePolicy::Widest => match self.csr.as_deref() {
-                    Some(csr) => csr_widest_path_with(
-                        csr_route,
-                        csr,
-                        self.capacities,
-                        &self.load,
-                        t.bits_per_unit(),
-                        from_host,
-                        to_host,
-                    )
-                    .map(|p| p.links),
-                    None => widest_path_with(
-                        route,
-                        self.network,
-                        self.capacities,
-                        &self.load,
-                        t.bits_per_unit(),
-                        from_host,
-                        to_host,
-                    )
-                    .map(|p| p.links),
-                },
-                // Hop-count routing ignores widths entirely, so it runs
-                // on the legacy adjacency under both representations.
+                RoutePolicy::Widest => csr_widest_path_with(
+                    route,
+                    &self.csr,
+                    self.capacities,
+                    &self.load,
+                    t.bits_per_unit(),
+                    from_host,
+                    to_host,
+                )
+                .map(|p| p.links),
                 RoutePolicy::FewestHops => fewest_hops_path(self.network, from_host, to_host),
             }
             .ok_or(AssignError::NoRoute {
@@ -1018,15 +883,6 @@ impl<'a> PlacementEngine<'a> {
         Ok((routed_tts, routed_hops))
     }
 
-    /// The active representation's traversal structure.
-    fn repr_view(&self) -> ReprView<'_> {
-        match (&self.csr, &self.rev) {
-            (Some(csr), _) => ReprView::Csr(csr),
-            (None, Some(rev)) => ReprView::Legacy(rev),
-            (None, None) => unreachable!("one representation is always materialized"),
-        }
-    }
-
     /// `true` when `row` was computed against this engine's topology —
     /// the last line of defense against dense-id aliasing across
     /// rebuilt networks (see [`GammaRow`]).
@@ -1042,7 +898,7 @@ impl<'a> PlacementEngine<'a> {
             placed: &self.placed,
             capacities: self.capacities,
             load: &self.load,
-            repr: self.repr_view(),
+            csr: &self.csr,
             ncp_count: self.network.ncp_count(),
             link_count: self.network.link_count(),
             generation: self.generation,
@@ -1057,7 +913,7 @@ impl<'a> PlacementEngine<'a> {
     /// caller has it moved out already.
     fn fill_rows(&mut self, scratch: &mut EngineScratch, threads: usize) {
         let EngineScratch {
-            row,
+            sweep,
             trees,
             missing,
             reach,
@@ -1099,7 +955,7 @@ impl<'a> PlacementEngine<'a> {
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| {
-                        let mut sweep = RowScratch::default();
+                        let mut sweep = CsrWidestTree::default();
                         while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
                             let mut slot = slot.lock().expect("one worker per tree slot");
                             let (tree, ns) = &mut *slot;
@@ -1118,7 +974,7 @@ impl<'a> PlacementEngine<'a> {
         } else {
             for &key in compute.iter() {
                 let mut tree = trees.fresh(key);
-                let ns = timed_ns(timed, || view.fill_tree(&mut tree, row));
+                let ns = timed_ns(timed, || view.fill_tree(&mut tree, sweep));
                 if timed {
                     self.trace.timing("engine.tree_fill_ns", ns);
                 }
@@ -1156,10 +1012,23 @@ impl<'a> PlacementEngine<'a> {
         self.scratch = scratch;
     }
 
-    /// [`Self::gamma`] served from the γ-cache: computes (or reuses)
-    /// `ct`'s whole row, then combines the cached network term with a
-    /// fresh host term. Bit-identical to [`Self::gamma`] — the
-    /// determinism suite holds both paths to that.
+    /// The paper's `γ_{i,j}` (eq. (2)): the bottleneck processing rate
+    /// that results from hypothetically placing CT `i` on NCP `j`,
+    /// considering
+    ///
+    /// * the host's compute headroom
+    ///   `min_r C_j^(r) / (a_i^(r) + Σ_{i''} y_{i'',j} a_{i''}^(r))`, and
+    /// * for every already-placed reachable CT `i'` (through unplaced
+    ///   intermediates), the widest-path bottleneck from `j` to `h(i')`
+    ///   for the cheapest TT in `G(i, i')` (Algorithm 2 lines 10–13).
+    ///
+    /// Returns `None` when some reachable placed CT cannot be routed to
+    /// from `j` at all (placing `i` there would strand a TT).
+    ///
+    /// Served from the γ-cache: computes (or reuses) `ct`'s whole row,
+    /// then combines the cached network term with a fresh host term.
+    /// Bit-identical to the oracle's uncached pair scan — the core
+    /// proptests hold it to that at every Algorithm-2 step.
     pub fn gamma_batched(&mut self, ct: CtId, host: NcpId) -> Option<f64> {
         self.ensure_row(ct);
         let net = self.cache[ct.index()]
@@ -1176,13 +1045,13 @@ impl<'a> PlacementEngine<'a> {
     /// `argmin_i max_j γ_{i,j}` choice `(i*, j*, γ)` among unplaced CTs,
     /// or `None` when everything is placed. Missing cache rows are filled
     /// by up to `threads` worker threads; the choice is identical for
-    /// every `threads` value and identical to the serial reference scan
-    /// (module docs describe the tie-break).
+    /// every `threads` value and identical to the oracle's serial pair
+    /// scan (module docs describe the tie-break).
     ///
     /// # Errors
     ///
     /// Returns [`AssignError::NoHostForCt`] for the lowest-id unplaced CT
-    /// that no host can route — exactly where the reference scan stops.
+    /// that no host can route — exactly where the oracle's scan stops.
     pub fn rank_round(
         &mut self,
         threads: usize,
@@ -1231,8 +1100,8 @@ impl<'a> PlacementEngine<'a> {
             .retire(|t| !rows.iter().flatten().any(|row| row.keys.contains(&t.key)));
         self.scratch = scratch;
         let merge_span = self.trace.span("engine.rank_merge");
-        // Serial merge over the (now complete) rows, reproducing the
-        // reference scan's strict-comparison tie-breaks exactly.
+        // Serial merge over the (now complete) rows; the strict
+        // comparisons are the tie-breaks of the module docs.
         #[cfg(feature = "telemetry")]
         let mut candidates: Vec<Candidate> = Vec::new();
         #[cfg(feature = "telemetry")]
@@ -1393,7 +1262,7 @@ impl<'a> PlacementEngine<'a> {
     /// Names the first tree or row that differs.
     pub fn audit_caches(&self) -> Result<(), String> {
         let view = self.eval_view();
-        let mut sweep = RowScratch::default();
+        let mut sweep = CsrWidestTree::default();
         let mut recomputed = TreeStore::default();
         let mut recompute = |store: &mut TreeStore, key| {
             let mut tree = store.fresh(key);
@@ -1512,20 +1381,18 @@ mod tests {
     fn gamma_accounts_for_host_and_paths() {
         let (app, net) = fixture();
         let caps = net.capacity_map();
-        let engine = PlacementEngine::new(&app, &net, &caps).unwrap();
+        let mut engine = PlacementEngine::new(&app, &net, &caps).unwrap();
         let w = CtId::new(1);
         // On NCP1 (middle): host 100/10 = 10; TT "in" (8 bits) one hop
         // 80/8 = 10; TT "out" (2 bits) one hop 80/2 = 40 ⇒ γ = 10.
-        let g1 = engine.gamma(w, NcpId::new(1)).unwrap();
+        let g1 = engine.gamma_batched(w, NcpId::new(1)).unwrap();
         assert!((g1 - 10.0).abs() < 1e-12, "γ = {g1}");
         // On NCP0 (source host): host 40/10 = 4; "in" local; "out"
         // crosses both links: min(80/2, 80/2) = 40 ⇒ γ = 4.
-        let g0 = engine.gamma(w, NcpId::new(0)).unwrap();
+        let g0 = engine.gamma_batched(w, NcpId::new(0)).unwrap();
         assert!((g0 - 4.0).abs() < 1e-12, "γ = {g0}");
         // Best host is the middle NCP.
-        let (host, g) = engine.best_host(w).unwrap();
-        assert_eq!(host, NcpId::new(1));
-        assert_eq!(g, g1);
+        assert_eq!(engine.rank_round(1), Ok(Some((w, NcpId::new(1), g1))));
     }
 
     #[test]
@@ -1544,7 +1411,7 @@ mod tests {
     fn host_rate_ignores_links() {
         let (app, net) = fixture();
         let caps = net.capacity_map();
-        let engine = PlacementEngine::new(&app, &net, &caps).unwrap();
+        let mut engine = PlacementEngine::new(&app, &net, &caps).unwrap();
         let w = CtId::new(1);
         // Compute-only rates: NCP0 40/10 = 4, NCP1 100/10 = 10,
         // NCP2 60/10 = 6 — no link term anywhere.
@@ -1553,7 +1420,7 @@ mod tests {
         assert!((engine.host_rate(w, NcpId::new(2)) - 6.0).abs() < 1e-12);
         // γ on NCP0 is also 4 (local TT + wide out-links), equal to the
         // node term; on NCP1 the node term dominates γ too.
-        assert!(engine.gamma(w, NcpId::new(0)).unwrap() <= 4.0 + 1e-12);
+        assert!(engine.gamma_batched(w, NcpId::new(0)).unwrap() <= 4.0 + 1e-12);
     }
 
     #[test]
@@ -1635,17 +1502,6 @@ mod tests {
 
     #[test]
     fn gamma_none_when_host_cannot_reach_placed_neighbor() {
-        let mut tb = TaskGraphBuilder::new();
-        let s = tb.add_ct("s", ResourceVec::new());
-        let w = tb.add_ct("w", ResourceVec::cpu(1.0));
-        tb.add_tt("sw", s, w, 1.0).unwrap();
-        let graph = tb.build().unwrap();
-        let app = Application::new(
-            graph,
-            QoeClass::best_effort(1.0),
-            [(s, NcpId::new(0)), (w, NcpId::new(0))],
-        )
-        .unwrap();
         let mut nb = NetworkBuilder::new();
         let a = nb.add_ncp("a", ResourceVec::cpu(1.0));
         let b = nb.add_ncp("b", ResourceVec::cpu(1.0));
@@ -1653,25 +1509,6 @@ mod tests {
         nb.add_link("ab", a, b, 1.0).unwrap();
         let net = nb.build().unwrap();
         let caps = net.capacity_map();
-        // Build a fresh app whose w is unpinned to probe gamma.
-        let app2 = Application::new(
-            app.graph().clone(),
-            QoeClass::best_effort(1.0),
-            [(s, NcpId::new(0))],
-        );
-        // w is a sink so it must be pinned; instead probe via engine on
-        // the pinned app but query gamma for the *unplaced* state by
-        // rebuilding manually. Simpler: check gamma from the isolated c.
-        drop(app2);
-        let engine_app = Application::new(
-            app.graph().clone(),
-            QoeClass::best_effort(1.0),
-            [(s, NcpId::new(0)), (w, NcpId::new(1))],
-        )
-        .unwrap();
-        // Pin w on b (reachable) so construction succeeds, then ask γ
-        // for a hypothetical placement elsewhere — use a 2-CT graph with
-        // an extra middle CT instead.
         let mut tb = TaskGraphBuilder::new();
         let s2 = tb.add_ct("s", ResourceVec::new());
         let m2 = tb.add_ct("m", ResourceVec::cpu(1.0));
@@ -1685,10 +1522,9 @@ mod tests {
             [(s2, NcpId::new(0)), (t2, NcpId::new(1))],
         )
         .unwrap();
-        let engine = PlacementEngine::new(&app3, &net, &caps).unwrap();
+        let mut engine = PlacementEngine::new(&app3, &net, &caps).unwrap();
         // Hosting m on isolated c cannot route to a or b.
-        assert_eq!(engine.gamma(m2, c), None);
-        assert!(engine.gamma(m2, a).is_some());
-        drop(engine_app);
+        assert_eq!(engine.gamma_batched(m2, c), None);
+        assert!(engine.gamma_batched(m2, a).is_some());
     }
 }

@@ -28,7 +28,7 @@ pub mod widest_path;
 
 pub use assignment::{
     assign_multipath, assign_multipath_diverse, assign_multipath_scratch_stats,
-    assign_multipath_stats, DynamicRankingAssigner, EvalMode,
+    DynamicRankingAssigner,
 };
 pub use cause::{DisplaceCause, MigrationCause, RejectCause, ShedCause, DEFER_WRITER_BUSY};
 pub use engine::{
@@ -37,17 +37,15 @@ pub use engine::{
 };
 pub use error::AssignError;
 pub use snapshot::{SnapshotBeApp, SnapshotGrApp, StateSnapshot};
-pub use sparcle_model::GraphRepr;
 #[cfg(feature = "telemetry")]
 pub use sparcle_telemetry as telemetry;
-pub use state::{StateMaintenance, StateStats, SystemState};
+pub use state::{StateStats, SystemState};
 pub use system::{
     Admission, AllocationPolicy, DisplacedApp, MigrationOutcome, PlacedBeApp, PlacedGrApp,
     RejectReason, SparcleSystem, SystemConfig, SystemTxn,
 };
 pub use trace::{SpanGuard, TraceHandle};
 pub use widest_path::{
-    csr_widest_path, csr_widest_path_with, csr_widest_tree, widest_path, widest_path_brute_force,
-    widest_path_with, widest_tree, BucketQueue, CsrScratch, CsrWidestTree, DijkstraScratch,
-    ReverseAdjacency, WidestPath, WidestTree,
+    csr_widest_path, csr_widest_path_with, csr_widest_tree, BucketQueue, CsrScratch, CsrWidestTree,
+    WidestPath,
 };

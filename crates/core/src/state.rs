@@ -31,30 +31,17 @@
 //!   capacities (`(x − 0·r).max(0) = x`), so dropping a zero-load term
 //!   from the fold cannot change it.
 //!
-//! [`StateMaintenance::Scratch`] replaces the per-element replays with
-//! full rebuilds of the same folds — the reference the differential
-//! suite (`tests/incremental_equivalence.rs`) compares against.
+//! [`SystemState::audit`] is the invariant as code: the full folds,
+//! compared with what delta maintenance left behind. Every
+//! [`crate::SystemTxn`] commit, rollback and drop `debug_assert!`s it;
+//! `tests/incremental_equivalence.rs` drives full runtime histories
+//! through it.
 
 use crate::engine::AssignStats;
 use crate::system::{DisplacedApp, PlacedBeApp, PlacedGrApp};
-use sparcle_alloc::num::IncrementalConstraints;
+use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, IncrementalConstraints};
 use sparcle_alloc::predict::PriorityLoads;
-use sparcle_model::{CapacityMap, Network, NetworkElement};
-
-/// How the derived state (GR residual, priority loads, constraint
-/// matrix) is kept in sync with the admitted applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StateMaintenance {
-    /// Delta-maintain: update only the elements an operation touches,
-    /// replaying the canonical fold per element (bitwise identical to a
-    /// full rebuild; see the module docs).
-    #[default]
-    Incremental,
-    /// Rebuild the derived state from scratch on every mutation and
-    /// solve — the slow reference path the differential suite compares
-    /// the incremental path against.
-    Scratch,
-}
+use sparcle_model::{CapacityMap, LoadMap, Network, NetworkElement};
 
 /// Counters describing the work the state core has done. Obtain via
 /// [`crate::SparcleSystem::state_stats`].
@@ -81,8 +68,7 @@ pub struct StateStats {
     /// Individual residual elements re-derived by the canonical
     /// per-element replay.
     pub residual_element_updates: u64,
-    /// Full residual rebuilds (fluctuations, scratch mode, capacity
-    /// restores).
+    /// Full residual rebuilds (fluctuations, capacity restores).
     pub residual_full_recomputes: u64,
     /// Transactions committed.
     pub txn_commits: u64,
@@ -198,7 +184,7 @@ impl SystemState {
     /// the element's current capacity, then subtract every admitted GR
     /// path's load on it, in `gr_apps` order. This is the dense
     /// rebuild's arithmetic restricted to one element, so the result is
-    /// bitwise identical to [`Self::rebuild_residual_full`].
+    /// bitwise identical to [`Self::canonical_residual`].
     fn recompute_residual_element(&mut self, element: NetworkElement) {
         self.gr_residual
             .copy_element_from(&self.current_capacities, element);
@@ -210,30 +196,31 @@ impl SystemState {
         }
     }
 
-    pub(crate) fn rebuild_residual_full(&mut self) {
+    /// The canonical residual fold over the whole network: current
+    /// capacities minus every admitted GR reservation, in `gr_apps`
+    /// order.
+    fn canonical_residual(&self) -> CapacityMap {
         let mut residual = self.current_capacities.clone();
         for gr in &self.gr_apps {
             for (path, rate) in &gr.paths {
                 residual.subtract_load(&path.load, *rate);
             }
         }
-        self.gr_residual = residual;
+        residual
+    }
+
+    pub(crate) fn rebuild_residual_full(&mut self) {
+        self.gr_residual = self.canonical_residual();
         self.stats.residual_full_recomputes += 1;
     }
 
     /// Restores the canonical residual value of `elements` after a
-    /// structural change ([`StateMaintenance`] decides per-element
-    /// replay vs. full rebuild; both produce bitwise-equal state).
-    pub(crate) fn refresh_residual(&mut self, mode: StateMaintenance, elements: &[NetworkElement]) {
-        match mode {
-            StateMaintenance::Incremental => {
-                for &e in elements {
-                    self.recompute_residual_element(e);
-                }
-                self.stats.residual_element_updates += elements.len() as u64;
-            }
-            StateMaintenance::Scratch => self.rebuild_residual_full(),
+    /// structural change, replaying the fold per element.
+    pub(crate) fn refresh_residual(&mut self, elements: &[NetworkElement]) {
+        for &e in elements {
+            self.recompute_residual_element(e);
         }
+        self.stats.residual_element_updates += elements.len() as u64;
     }
 
     /// Re-derives one priority-load element from the canonical fold:
@@ -255,71 +242,103 @@ impl SystemState {
         self.priority_loads.set_element(element, total);
     }
 
-    pub(crate) fn rebuild_priorities_full(&mut self, network: &Network) {
+    /// The canonical priority-load fold over the whole network.
+    fn canonical_priorities(&self, network: &Network) -> PriorityLoads {
         let mut loads = PriorityLoads::zeroed(network);
         for be in &self.be_apps {
             loads.add_app(&be.combined_load, be.priority);
         }
-        self.priority_loads = loads;
+        loads
     }
 
     /// Restores the canonical priority-load value of `elements` after a
     /// BE structural change.
-    pub(crate) fn refresh_priorities(
-        &mut self,
-        network: &Network,
-        mode: StateMaintenance,
-        elements: &[NetworkElement],
-    ) {
-        match mode {
-            StateMaintenance::Incremental => {
-                for &e in elements {
-                    self.recompute_priority_element(e);
+    pub(crate) fn refresh_priorities(&mut self, elements: &[NetworkElement]) {
+        for &e in elements {
+            self.recompute_priority_element(e);
+        }
+    }
+
+    /// Checks the canonical-state invariant (module docs): rebuilds the
+    /// GR residual, the priority loads and the constraint matrix from
+    /// the primary state with the full folds and compares each with the
+    /// delta-maintained copy, bit for bit. Read-only — no
+    /// [`StateStats`] counter moves. The constraint rows are compared on
+    /// a copy refreshed to the residual's capacities, which is what
+    /// every solve does to the original first.
+    ///
+    /// # Errors
+    ///
+    /// Names the first residual element, priority-load element or
+    /// constraint column that differs.
+    pub fn audit(&self, network: &Network) -> Result<(), String> {
+        let residual = self.canonical_residual();
+        let priorities = self.canonical_priorities(network);
+        if residual != self.gr_residual || priorities != self.priority_loads {
+            let total = |loads: &PriorityLoads, e| match e {
+                NetworkElement::Ncp(id) => loads.ncp(id),
+                NetworkElement::Link(id) => loads.link(id),
+            };
+            for e in network.elements() {
+                if residual.element(e) != self.gr_residual.element(e) {
+                    return Err(format!("gr_residual is off its canonical fold at {e}"));
+                }
+                if total(&priorities, e) != total(&self.priority_loads, e) {
+                    return Err(format!("priority_loads is off its canonical fold at {e}"));
                 }
             }
-            StateMaintenance::Scratch => self.rebuild_priorities_full(network),
         }
+        let loads: Vec<&LoadMap> = self.be_apps.iter().map(|a| &a.combined_load).collect();
+        let canonical = ConstraintSystem::from_loads(network, &self.gr_residual, &loads);
+        let mut maintained = self.constraints.clone();
+        maintained.refresh_capacities(&self.gr_residual);
+        let maintained = maintained.system();
+        if maintained.app_count() != loads.len() || maintained.rows() != canonical.rows() {
+            // A column is the rows it binds and its coefficients there.
+            let column = |system: &ConstraintSystem, col: usize| -> Vec<_> {
+                let coeff = |r: &ConstraintRow| r.coeffs.get(col).copied().unwrap_or(0.0);
+                let bound = system.rows().iter().filter(|r| coeff(r) > 0.0);
+                bound.map(|r| (r.element, coeff(r).to_bits())).collect()
+            };
+            let col = (0..loads.len()).find(|&c| column(maintained, c) != column(&canonical, c));
+            return Err(match col {
+                Some(col) => format!("constraint column {col} is off its application's load"),
+                None => "constraint rows are off `ConstraintSystem::from_loads`".to_owned(),
+            });
+        }
+        Ok(())
     }
 
     /// Applies one undo record. Returns the application entry popped
     /// off the admitted lists, if the record held one (so a failed
     /// readmit can hand ownership back to its caller).
-    pub(crate) fn apply_undo(
-        &mut self,
-        op: UndoOp,
-        network: &Network,
-        mode: StateMaintenance,
-    ) -> Option<DisplacedApp> {
+    pub(crate) fn apply_undo(&mut self, op: UndoOp) -> Option<DisplacedApp> {
         match op {
             UndoOp::PopGr => {
                 let entry = self.gr_apps.pop().expect("undo log matches state");
                 let touched = gr_touched_elements(&entry);
-                self.refresh_residual(mode, &touched);
+                self.refresh_residual(&touched);
                 Some(DisplacedApp::Gr(entry))
             }
             UndoOp::InsertGr(pos, entry) => {
                 let touched = gr_touched_elements(&entry);
                 self.gr_apps.insert(pos, entry);
-                self.refresh_residual(mode, &touched);
+                self.refresh_residual(&touched);
                 None
             }
             UndoOp::PopBe => {
                 let entry = self.be_apps.pop().expect("undo log matches state");
-                if mode == StateMaintenance::Incremental {
-                    self.constraints.remove_app(self.be_apps.len());
-                }
+                self.constraints.remove_app(self.be_apps.len());
                 let touched = entry.combined_load.loaded_elements();
-                self.refresh_priorities(network, mode, &touched);
+                self.refresh_priorities(&touched);
                 Some(DisplacedApp::Be(entry))
             }
             UndoOp::InsertBe(pos, entry) => {
                 let touched = entry.combined_load.loaded_elements();
                 self.be_apps.insert(pos, entry);
-                if mode == StateMaintenance::Incremental {
-                    self.constraints
-                        .insert_app(pos, &self.be_apps[pos].combined_load);
-                }
-                self.refresh_priorities(network, mode, &touched);
+                self.constraints
+                    .insert_app(pos, &self.be_apps[pos].combined_load);
+                self.refresh_priorities(&touched);
                 None
             }
             UndoOp::RestoreRates(rates) => {
@@ -336,7 +355,7 @@ impl SystemState {
                 None
             }
             UndoOp::RecomputeResidual(elements) => {
-                self.refresh_residual(mode, &elements);
+                self.refresh_residual(&elements);
                 None
             }
         }

@@ -41,13 +41,11 @@ use crate::assignment::{assign_multipath_scratch_stats, DynamicRankingAssigner};
 use crate::engine::AssignedPath;
 use crate::engine::EngineScratch;
 use crate::error::AssignError;
-use crate::state::{
-    gr_touched_elements, StateMaintenance, StateStats, SystemState, TxnLog, UndoOp,
-};
+use crate::state::{gr_touched_elements, StateStats, SystemState, TxnLog, UndoOp};
 use sparcle_alloc::availability::PathAvailability;
 use sparcle_alloc::maxmin::max_min_allocation;
-use sparcle_alloc::num::{Allocation, ConstraintSystem, ProportionalFairSolver};
-use sparcle_model::{AppId, Application, CapacityMap, GraphRepr, LoadMap, Network, QoeClass};
+use sparcle_alloc::num::{Allocation, ProportionalFairSolver};
+use sparcle_model::{AppId, Application, CapacityMap, LoadMap, Network, QoeClass};
 use std::sync::Arc;
 
 /// How Best-Effort rates are shared (§IV-C; the paper uses weighted
@@ -76,18 +74,9 @@ pub struct SystemConfig {
     /// How Best-Effort rates are shared.
     pub allocation_policy: AllocationPolicy,
     /// Worker threads of the γ evaluator
-    /// ([`crate::EvalMode::Cached`]); results are bit-identical for
-    /// every thread count.
+    /// ([`DynamicRankingAssigner::with_threads`]); results are
+    /// bit-identical for every thread count.
     pub assigner_threads: usize,
-    /// Graph representation the γ evaluator traverses
-    /// ([`GraphRepr::Csr`] by default); results are bit-identical for
-    /// both, only speed differs.
-    pub graph_repr: GraphRepr,
-    /// How derived state (GR residual, priority loads, constraint
-    /// matrix) is maintained. [`StateMaintenance::Incremental`] and
-    /// [`StateMaintenance::Scratch`] produce bitwise-identical results;
-    /// the scratch path exists as the differential-testing reference.
-    pub maintenance: StateMaintenance,
 }
 
 impl Default for SystemConfig {
@@ -98,8 +87,6 @@ impl Default for SystemConfig {
             solver: ProportionalFairSolver::new(),
             allocation_policy: AllocationPolicy::ProportionalFair,
             assigner_threads: 1,
-            graph_repr: GraphRepr::default(),
-            maintenance: StateMaintenance::Incremental,
         }
     }
 }
@@ -352,8 +339,7 @@ impl SparcleSystem {
 
     /// Creates a system with explicit configuration.
     pub fn with_config(network: Network, config: SystemConfig) -> Self {
-        let assigner = DynamicRankingAssigner::with_threads(config.assigner_threads.max(1))
-            .with_repr(config.graph_repr);
+        let assigner = DynamicRankingAssigner::with_threads(config.assigner_threads);
         let state = SystemState::new(&network);
         SparcleSystem {
             network,
@@ -697,6 +683,16 @@ impl SparcleSystem {
         Some(outcome)
     }
 
+    /// The canonical-state invariant ([`SystemState::audit`]) as a debug
+    /// assertion at a transaction boundary.
+    fn debug_audit(&self, boundary: &str) {
+        debug_assert_eq!(
+            self.state.audit(&self.network),
+            Ok(()),
+            "derived state left canonical form at txn {boundary}"
+        );
+    }
+
     /// Solves problem (4) over all admitted BE applications against the
     /// GR-residual capacities and stores each `allocated_rate`.
     ///
@@ -708,8 +704,8 @@ impl SparcleSystem {
     }
 
     /// Re-solves the BE allocation: refresh the incrementally-maintained
-    /// constraint system (or rebuild it, in scratch mode) and run the
-    /// solver warm-started from the incumbent rates. The solver demotes
+    /// constraint system to the live residual and run the solver
+    /// warm-started from the incumbent rates. The solver demotes
     /// itself to a bitwise-cold start when no incumbent rate is usable
     /// (first admission, lone readmit).
     fn solve_be_internal(&mut self) -> Result<Option<Allocation>, sparcle_alloc::AllocError> {
@@ -719,18 +715,8 @@ impl SparcleSystem {
         let t0 = std::time::Instant::now();
         let state = &mut self.state;
         let priorities: Vec<f64> = state.be_apps.iter().map(|a| a.priority).collect();
-        let scratch;
-        let system: &ConstraintSystem = match self.config.maintenance {
-            StateMaintenance::Incremental => {
-                state.constraints.refresh_capacities(&state.gr_residual);
-                state.constraints.system()
-            }
-            StateMaintenance::Scratch => {
-                let loads: Vec<&LoadMap> = state.be_apps.iter().map(|a| &a.combined_load).collect();
-                scratch = ConstraintSystem::from_loads(&self.network, &state.gr_residual, &loads);
-                &scratch
-            }
-        };
+        state.constraints.refresh_capacities(&state.gr_residual);
+        let system = state.constraints.system();
         let (allocation, solve_stats) = match self.config.allocation_policy {
             AllocationPolicy::ProportionalFair => {
                 let previous: Vec<f64> = state.be_apps.iter().map(|a| a.allocated_rate).collect();
@@ -921,12 +907,11 @@ impl SystemTxn<'_> {
     }
 
     fn displace_inner(&mut self, id: AppId, solve: bool) -> bool {
-        let mode = self.sys.config.maintenance;
         let sys = &mut *self.sys;
         if let Some(pos) = sys.state.gr_apps.iter().position(|a| a.id == id) {
             let entry = sys.state.gr_apps.remove(pos);
             let touched = gr_touched_elements(&entry);
-            sys.state.refresh_residual(mode, &touched);
+            sys.state.refresh_residual(&touched);
             self.log.push(UndoOp::InsertGr(pos, entry));
             if solve && !sys.state.be_apps.is_empty() {
                 self.log
@@ -937,11 +922,9 @@ impl SystemTxn<'_> {
         }
         if let Some(pos) = sys.state.be_apps.iter().position(|a| a.id == id) {
             let entry = sys.state.be_apps.remove(pos);
-            if mode == StateMaintenance::Incremental {
-                sys.state.constraints.remove_app(pos);
-            }
+            sys.state.constraints.remove_app(pos);
             let touched = entry.combined_load.loaded_elements();
-            sys.state.refresh_priorities(&sys.network, mode, &touched);
+            sys.state.refresh_priorities(&touched);
             self.log.push(UndoOp::InsertBe(pos, entry));
             if solve {
                 self.log
@@ -1012,6 +995,7 @@ impl SystemTxn<'_> {
             }
         }
         self.sys.state.stats.txn_commits += 1;
+        self.sys.debug_audit("commit");
         displaced
     }
 
@@ -1020,6 +1004,7 @@ impl SystemTxn<'_> {
     pub fn rollback(mut self) {
         self.unwind_to(0);
         self.sys.state.stats.txn_rollbacks += 1;
+        self.sys.debug_audit("rollback");
     }
 
     fn unwind_to(&mut self, savepoint: usize) -> Vec<DisplacedApp> {
@@ -1027,10 +1012,7 @@ impl SystemTxn<'_> {
         let sys = &mut *self.sys;
         while self.log.ops.len() > savepoint {
             let op = self.log.ops.pop().expect("length checked");
-            if let Some(entry) = sys
-                .state
-                .apply_undo(op, &sys.network, sys.config.maintenance)
-            {
+            if let Some(entry) = sys.state.apply_undo(op) {
                 popped.push(entry);
             }
         }
@@ -1126,9 +1108,7 @@ impl SystemTxn<'_> {
         let id = self.fresh_id();
         let sys = &mut *self.sys;
         sys.state.priority_loads.add_app(&combined_load, priority);
-        if sys.config.maintenance == StateMaintenance::Incremental {
-            sys.state.constraints.push_app(&combined_load);
-        }
+        sys.state.constraints.push_app(&combined_load);
         sys.state.be_apps.push(PlacedBeApp {
             id,
             app,
@@ -1302,9 +1282,7 @@ impl SystemTxn<'_> {
                 sys.state
                     .priority_loads
                     .add_app(&entry.combined_load, entry.priority);
-                if sys.config.maintenance == StateMaintenance::Incremental {
-                    sys.state.constraints.push_app(&entry.combined_load);
-                }
+                sys.state.constraints.push_app(&entry.combined_load);
                 sys.state.be_apps.push(entry);
                 self.log.push(UndoOp::PopBe);
                 self.log
@@ -1373,6 +1351,11 @@ impl Drop for SystemTxn<'_> {
         if !self.log.ops.is_empty() {
             self.unwind_to(0);
             self.sys.state.stats.txn_rollbacks += 1;
+            // A failed audit must not turn an unwinding panic into an
+            // abort.
+            if !std::thread::panicking() {
+                self.sys.debug_audit("drop");
+            }
         }
     }
 }
@@ -2052,44 +2035,50 @@ mod tests {
         assert_eq!(rates, after);
     }
 
+    /// `SystemState::audit` names each piece of derived state it finds
+    /// off its canonical fold: corrupt one residual element, one
+    /// priority-load element and one constraint column in turn.
     #[test]
-    fn scratch_maintenance_matches_incremental() {
-        let run = |maintenance: StateMaintenance| {
-            let config = SystemConfig {
-                maintenance,
-                ..SystemConfig::default()
-            };
-            let mut sys = SparcleSystem::with_config(star_network(0.0), config);
-            let gr = sys
-                .submit(simple_app(QoeClass::guaranteed_rate(2.0, 0.9), 10.0, 50.0))
-                .unwrap()
-                .id()
-                .unwrap();
-            sys.submit(simple_app(QoeClass::best_effort(1.0), 10.0, 50.0))
-                .unwrap();
-            sys.submit(simple_app(QoeClass::best_effort(2.0), 20.0, 100.0))
-                .unwrap();
-            let displaced = sys.displace(gr).unwrap();
-            sys.readmit(displaced);
-            let mut halved = sys.network().capacity_map();
-            for ncp in sys.network().ncp_ids() {
-                halved.ncp_mut(ncp).scale(0.5);
-            }
-            sys.apply_capacity_fluctuation(halved);
-            (
-                sys.gr_residual().clone(),
-                sys.be_apps()
-                    .iter()
-                    .map(|a| a.allocated_rate)
-                    .collect::<Vec<_>>(),
-                sys.app_ids(),
-            )
+    fn audit_names_each_corrupted_piece_of_derived_state() {
+        use sparcle_model::{LinkId, NetworkElement};
+        let network = star_network(0.0);
+        let mut sys = SparcleSystem::new(network.clone());
+        for app in [
+            simple_app(QoeClass::guaranteed_rate(2.0, 0.0), 10.0, 50.0),
+            simple_app(QoeClass::best_effort(1.0), 10.0, 50.0),
+            simple_app(QoeClass::best_effort(2.0), 20.0, 100.0),
+        ] {
+            assert!(sys.submit(app).unwrap().is_admitted());
+        }
+        let state = &mut sys.state;
+        assert_eq!(state.audit(&network), Ok(()));
+        let assert_names = |state: &SystemState, piece: &str, at: String| {
+            let err = state.audit(&network).unwrap_err();
+            assert!(err.contains(piece) && err.contains(&at), "{err}");
         };
-        let incremental = run(StateMaintenance::Incremental);
-        let scratch = run(StateMaintenance::Scratch);
-        assert_eq!(incremental.0, scratch.0, "residual bitwise equal");
-        assert_eq!(incremental.1, scratch.1, "rates bitwise equal");
-        assert_eq!(incremental.2, scratch.2, "admissions equal");
+
+        let link = LinkId::new(1);
+        let canonical = state.gr_residual.link(link);
+        state.gr_residual.set_link(link, canonical + 1.0);
+        assert_names(state, "gr_residual", NetworkElement::Link(link).to_string());
+        state.gr_residual.set_link(link, canonical);
+
+        let hub = NetworkElement::Ncp(NcpId::new(0));
+        let canonical = state.priority_loads.ncp(NcpId::new(0));
+        state.priority_loads.set_element(hub, canonical + 1.0);
+        assert_names(state, "priority_loads", hub.to_string());
+        state.priority_loads.set_element(hub, canonical);
+
+        // Column 1 carrying application 0's load.
+        let own = state.be_apps[1].combined_load.clone();
+        let other = state.be_apps[0].combined_load.clone();
+        assert_ne!(own, other);
+        state.constraints.remove_app(1);
+        state.constraints.insert_app(1, &other);
+        assert_names(state, "constraint column", "1".to_owned());
+        state.constraints.remove_app(1);
+        state.constraints.insert_app(1, &own);
+        assert_eq!(state.audit(&network), Ok(()));
     }
 
     /// A small mixed workload for the batch-admission tests: BE apps of

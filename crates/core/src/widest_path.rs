@@ -14,22 +14,23 @@
 //! minimum width is the classic widest-path (bottleneck shortest path)
 //! problem, solved by a modified Dijkstra in `O(|L| log |N|)`.
 //!
-//! Two implementations coexist, selected by
-//! [`sparcle_model::GraphRepr`] at the engine level:
+//! There is one implementation: a bucketed (dial-style) queue over the
+//! flat [`CsrNetwork`] arrays ([`csr_widest_path_with`] for one route,
+//! [`csr_widest_tree`] for every source of one target at once). The
+//! queue quantizes widths by their f64 *exponent* into 256 buckets and
+//! keeps an exact max-heap inside each bucket, so the pop order —
+//! including every tie-break — is that of a single binary heap over
+//! `(width, node)` (see [`BucketQueue`]).
 //!
-//! * the original binary-heap Dijkstra over [`Network`]'s nested-`Vec`
-//!   adjacency ([`widest_path_with`] / [`widest_tree`]), kept as the
-//!   ground truth; and
-//! * a bucketed (dial-style) queue over the flat [`CsrNetwork`] arrays
-//!   ([`csr_widest_path_with`] / [`csr_widest_tree`]), which quantizes
-//!   widths by their f64 *exponent* into 256 buckets and keeps an
-//!   exact max-heap inside each bucket, so the pop order — including
-//!   every tie-break — is identical to the binary heap's and results
-//!   stay byte-identical across representations (see [`BucketQueue`]).
+//! Ground truth is a single-heap Dijkstra over
+//! [`sparcle_model::Network`]'s nested adjacency, kept in the dev-only
+//! `sparcle-oracle` crate next to an exhaustive search;
+//! `crates/core/tests/` and `tests/csr_equivalence.rs` compare the
+//! searches here against both, bit for bit.
 //!
 //! ## The stub short-circuit
 //!
-//! The CSR searches additionally skip *queueing* a node that could
+//! The searches skip *queueing* a node that could
 //! relay nothing: when a sweep relaxes `u → v` and every arc the sweep
 //! would follow out of `v` leads straight back to `u`
 //! ([`CsrNetwork::all_in_arcs_from`] for the reversed tree sweep,
@@ -42,11 +43,11 @@
 //! tie-break. `v` stays un-`done`, so a later relaxation from a third
 //! node still reaches it exactly as before (it can no longer improve
 //! `φ[v]` once `v` would have popped, since pops are non-increasing).
-//! The forward search never skips its destination. The legacy searches
-//! stay plain: `tests/csr_equivalence.rs` and the core proptests prove
-//! the short-circuit against them.
+//! The forward search never skips its destination. The oracle's
+//! searches stay plain, and the core proptests prove the short-circuit
+//! against them.
 
-use sparcle_model::{CapacityMap, CsrNetwork, LinkId, LoadMap, NcpId, Network};
+use sparcle_model::{CapacityMap, CsrNetwork, LinkId, LoadMap, NcpId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -101,287 +102,6 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Algorithm 1: finds the best path `P*_k(from, to)` for a TT carrying
-/// `tt_bits` bits per data unit, given current residual `capacities` and
-/// the bits already routed per link (`load`).
-///
-/// Returns `None` when no path exists (topologically disconnected — a
-/// zero-width path is still returned, since a zero rate may be the best
-/// achievable). `from == to` yields the empty path with infinite width.
-///
-/// # Examples
-///
-/// ```
-/// use sparcle_core::widest_path::widest_path;
-/// use sparcle_model::{LoadMap, NetworkBuilder, ResourceVec};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = NetworkBuilder::new();
-/// let s = b.add_ncp("s", ResourceVec::new());
-/// let m = b.add_ncp("m", ResourceVec::new());
-/// let t = b.add_ncp("t", ResourceVec::new());
-/// b.add_link("narrow", s, t, 10.0)?; // direct but narrow
-/// b.add_link("wide1", s, m, 100.0)?;
-/// b.add_link("wide2", m, t, 80.0)?;
-/// let net = b.build()?;
-/// let caps = net.capacity_map();
-/// let load = LoadMap::zeroed(&net);
-/// let path = widest_path(&net, &caps, &load, 1.0, s, t).unwrap();
-/// assert_eq!(path.links.len(), 2); // two-hop wide route wins
-/// assert_eq!(path.width, 80.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn widest_path(
-    network: &Network,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    from: NcpId,
-    to: NcpId,
-) -> Option<WidestPath> {
-    let mut scratch = DijkstraScratch::new(network.ncp_count());
-    widest_path_with(&mut scratch, network, capacities, load, tt_bits, from, to)
-}
-
-/// [`widest_path`] over caller-owned buffers: the modified Dijkstra runs
-/// entirely inside `scratch`, so repeated calls (the placement engine's
-/// hot loop) allocate only the returned link vector.
-///
-/// The algorithm, tie-breaking, and returned value are identical to
-/// [`widest_path`] — that function is a thin wrapper over this one.
-pub fn widest_path_with(
-    scratch: &mut DijkstraScratch,
-    network: &Network,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    from: NcpId,
-    to: NcpId,
-) -> Option<WidestPath> {
-    if from == to {
-        return Some(WidestPath {
-            links: Vec::new(),
-            width: f64::INFINITY,
-        });
-    }
-    scratch.reset(network.ncp_count());
-    let DijkstraScratch {
-        phi,
-        prev,
-        done,
-        heap,
-    } = scratch;
-    phi[from.index()] = f64::INFINITY;
-    heap.push(Candidate {
-        width: f64::INFINITY,
-        node: from,
-    });
-    while let Some(Candidate { width, node }) = heap.pop() {
-        if done[node.index()] {
-            continue;
-        }
-        done[node.index()] = true;
-        if node == to {
-            // Reconstruct the link sequence.
-            let mut links = Vec::new();
-            let mut at = to;
-            while let Some((p, l)) = prev[at.index()] {
-                links.push(l);
-                at = p;
-            }
-            links.reverse();
-            heap.clear();
-            return Some(WidestPath { links, width });
-        }
-        for (link, neighbor) in network.neighbors(node) {
-            if done[neighbor.index()] {
-                continue;
-            }
-            let w = width.min(link_width(capacities, load, link, tt_bits));
-            if w > phi[neighbor.index()] {
-                phi[neighbor.index()] = w;
-                prev[neighbor.index()] = Some((node, link));
-                heap.push(Candidate {
-                    width: w,
-                    node: neighbor,
-                });
-            }
-        }
-    }
-    None
-}
-
-/// Reusable buffers for the modified Dijkstra: distance (`φ`), parent
-/// pointers, visited flags, and the priority queue. Holding one of these
-/// in the engine makes every inner routing query allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct DijkstraScratch {
-    /// Best bottleneck width found so far per node.
-    phi: Vec<f64>,
-    prev: Vec<Option<(NcpId, LinkId)>>,
-    done: Vec<bool>,
-    heap: BinaryHeap<Candidate>,
-}
-
-impl DijkstraScratch {
-    /// Creates buffers sized for an `n`-NCP network.
-    pub fn new(n: usize) -> Self {
-        DijkstraScratch {
-            phi: vec![f64::NEG_INFINITY; n],
-            prev: vec![None; n],
-            done: vec![false; n],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Clears all buffers, resizing to `n` nodes if the network grew.
-    fn reset(&mut self, n: usize) {
-        self.phi.clear();
-        self.phi.resize(n, f64::NEG_INFINITY);
-        self.prev.clear();
-        self.prev.resize(n, None);
-        self.done.clear();
-        self.done.resize(n, false);
-        self.heap.clear();
-    }
-}
-
-/// The network's adjacency with every traversable arc reversed.
-///
-/// The batched γ evaluator wants, for one already-placed CT on host
-/// `t`, the widest-path width *from every candidate host `j` to `t`* in
-/// a single sweep. Running Dijkstra from `t` over the reversed arcs
-/// yields exactly those `j → t` widths for all `j` at once (for
-/// undirected links the reversal is a no-op; for directed links it is
-/// what makes the sharing correct).
-#[derive(Debug, Clone)]
-pub struct ReverseAdjacency {
-    adj: Vec<Vec<(LinkId, NcpId)>>,
-}
-
-impl ReverseAdjacency {
-    /// Builds the reversed adjacency for `network`.
-    pub fn new(network: &Network) -> Self {
-        let mut adj = vec![Vec::new(); network.ncp_count()];
-        for u in network.ncp_ids() {
-            for (link, v) in network.neighbors(u) {
-                adj[v.index()].push((link, u));
-            }
-        }
-        ReverseAdjacency { adj }
-    }
-
-    /// Number of nodes covered.
-    pub fn ncp_count(&self) -> usize {
-        self.adj.len()
-    }
-}
-
-/// A completed single-target widest-path sweep (see
-/// [`widest_tree`]): per-source widths and the witness tree.
-///
-/// `width_from(j)` is bit-identical to
-/// `widest_path(…, j, target).map(|p| p.width)`: both compute the exact
-/// maximum over paths of the minimum per-link width, and no arithmetic
-/// accumulation is involved, so the optimum is a unique `f64`.
-#[derive(Debug, Clone, Default)]
-pub struct WidestTree {
-    phi: Vec<f64>,
-    prev: Vec<Option<(NcpId, LinkId)>>,
-    done: Vec<bool>,
-    heap: BinaryHeap<Candidate>,
-}
-
-impl WidestTree {
-    /// Creates buffers sized for an `n`-NCP network.
-    pub fn new(n: usize) -> Self {
-        WidestTree {
-            phi: vec![f64::NEG_INFINITY; n],
-            prev: vec![None; n],
-            done: vec![false; n],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// The widest `from → target` width computed by the last
-    /// [`widest_tree`] run, or `None` when `from` cannot reach the
-    /// target at all.
-    pub fn width_from(&self, from: NcpId) -> Option<f64> {
-        let w = self.phi[from.index()];
-        if w == f64::NEG_INFINITY {
-            None
-        } else {
-            Some(w)
-        }
-    }
-
-    /// Exchanges the per-node widths (`f64::NEG_INFINITY` = cannot reach
-    /// the target) with `widths`, so a caller can keep a finished
-    /// sweep's result without copying it. The next sweep resizes
-    /// whatever it is handed back; until then [`Self::width_from`] reads
-    /// that buffer.
-    pub fn swap_widths(&mut self, widths: &mut Vec<f64>) {
-        std::mem::swap(&mut self.phi, widths);
-    }
-
-    /// Calls `f` for every link of the witness tree (the union of one
-    /// optimal path per reachable source). These are the links a cached
-    /// γ value depends on.
-    pub fn for_each_tree_link(&self, mut f: impl FnMut(LinkId)) {
-        for entry in self.prev.iter().flatten() {
-            f(entry.1);
-        }
-    }
-}
-
-/// Runs the full (no early exit) reversed widest-path Dijkstra from
-/// `target`, filling `tree` with `φ[j] =` widest `j → target` width for
-/// every node `j`, plus the witness tree. Buffers are reused across
-/// calls; nothing is allocated once the tree has warmed up.
-pub fn widest_tree(
-    rev: &ReverseAdjacency,
-    tree: &mut WidestTree,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    target: NcpId,
-) {
-    let n = rev.adj.len();
-    tree.phi.clear();
-    tree.phi.resize(n, f64::NEG_INFINITY);
-    tree.prev.clear();
-    tree.prev.resize(n, None);
-    tree.done.clear();
-    tree.done.resize(n, false);
-    tree.heap.clear();
-    tree.phi[target.index()] = f64::INFINITY;
-    tree.heap.push(Candidate {
-        width: f64::INFINITY,
-        node: target,
-    });
-    while let Some(Candidate { width, node }) = tree.heap.pop() {
-        if tree.done[node.index()] {
-            continue;
-        }
-        tree.done[node.index()] = true;
-        for &(link, neighbor) in &rev.adj[node.index()] {
-            if tree.done[neighbor.index()] {
-                continue;
-            }
-            let w = width.min(link_width(capacities, load, link, tt_bits));
-            if w > tree.phi[neighbor.index()] {
-                tree.phi[neighbor.index()] = w;
-                tree.prev[neighbor.index()] = Some((node, link));
-                tree.heap.push(Candidate {
-                    width: w,
-                    node: neighbor,
-                });
-            }
-        }
-    }
-}
-
 /// Number of width buckets: one per group of 8 biased f64 exponents.
 const WIDTH_BUCKETS: usize = 1 << 8;
 
@@ -408,13 +128,13 @@ fn width_bucket(width: f64) -> usize {
 /// Entries are spread across `WIDTH_BUCKETS` buckets by
 /// `width_bucket` — a *monotone* quantization, so the globally widest
 /// entry always sits in the highest non-empty bucket. Each bucket is a
-/// small exact max-heap on the legacy `Candidate` ordering (width, then
-/// node id), which makes the overall pop sequence **identical** to the
-/// single binary heap the legacy Dijkstra uses: quantization only
-/// decides *which* heap an entry waits in, never who pops first. This
-/// keeps routes and rates byte-identical across representations while
-/// shrinking the hot heap from all frontier nodes to one exponent's
-/// worth.
+/// small exact max-heap on the `Candidate` ordering (width, then node
+/// id), which makes the overall pop sequence **identical** to that of
+/// one binary heap holding every entry: quantization only decides
+/// *which* heap an entry waits in, never who pops first. This keeps
+/// routes and rates byte-identical to the oracle's single-heap search
+/// while shrinking the hot heap from all frontier nodes to one
+/// exponent's worth.
 ///
 /// A monotone-decreasing cursor tracks the highest occupied bucket
 /// (widest-path relaxations never push wider than the entry being
@@ -473,8 +193,8 @@ impl BucketQueue {
         self.len += 1;
     }
 
-    /// Pops the widest entry (ties: the larger node id, exactly like the
-    /// legacy `BinaryHeap<Candidate>`).
+    /// Pops the widest entry (ties: the larger node id, exactly like one
+    /// `BinaryHeap<Candidate>` would).
     pub fn pop(&mut self) -> Option<(f64, NcpId)> {
         if self.len == 0 {
             return None;
@@ -505,7 +225,7 @@ const NO_PREV: u32 = u32::MAX;
 
 /// Reusable buffers for the CSR widest-path sweep: SoA parent pointers
 /// (`u32` + sentinel instead of `Option<(NcpId, LinkId)>`) and the
-/// bucketed queue. The CSR twin of [`DijkstraScratch`].
+/// bucketed queue.
 #[derive(Debug, Clone, Default)]
 pub struct CsrScratch {
     phi: Vec<f64>,
@@ -557,11 +277,33 @@ pub fn csr_widest_path(
 
 /// Algorithm 1 over the flat CSR arrays with the bucketed queue.
 ///
-/// Byte-identical to [`widest_path_with`] on the same topology: the CSR
-/// arc order equals the legacy neighbor order (so equal-width `prev`
-/// choices match), the [`BucketQueue`] pops in the legacy heap order
-/// (so the label-setting sequence matches), and the stub short-circuit
+/// Returns `None` when no path exists (topologically disconnected — a
+/// zero-width path is still returned, since a zero rate may be the best
+/// achievable). `from == to` yields the empty path with infinite width.
+///
+/// Byte-identical to the oracle's heap search over
+/// [`sparcle_model::Network`]: the CSR arc order equals the
+/// [`sparcle_model::Network::neighbors`] order (so equal-width `prev`
+/// choices match), the [`BucketQueue`] pops in single-heap order (so
+/// the label-setting sequence matches), and the stub short-circuit
 /// (module docs) only drops pops that relax nothing.
+///
+/// # Examples
+///
+/// ```
+/// use sparcle_core::widest_path::csr_widest_path;
+/// use sparcle_model::{LoadMap, NetworkBuilder, ResourceVec};
+///
+/// let mut b = NetworkBuilder::new();
+/// let [s, m, t] = ["s", "m", "t"].map(|n| b.add_ncp(n, ResourceVec::new()));
+/// b.add_link("narrow", s, t, 10.0).unwrap(); // direct but narrow
+/// b.add_link("wide1", s, m, 100.0).unwrap();
+/// b.add_link("wide2", m, t, 80.0).unwrap();
+/// let net = b.build().unwrap();
+/// let (caps, load) = (net.capacity_map(), LoadMap::zeroed(&net));
+/// let path = csr_widest_path(net.csr(), &caps, &load, 1.0, s, t).unwrap();
+/// assert_eq!((path.links.len(), path.width), (2, 80.0)); // the wide detour wins
+/// ```
 pub fn csr_widest_path_with(
     scratch: &mut CsrScratch,
     csr: &CsrNetwork,
@@ -626,9 +368,15 @@ pub fn csr_widest_path_with(
     None
 }
 
-/// The CSR twin of [`WidestTree`]: a completed single-target sweep over
-/// the flat reverse arcs, with SoA parent pointers. `width_from` and
-/// `for_each_tree_link` report exactly what the legacy tree would.
+/// A completed single-target widest-path sweep (see
+/// [`csr_widest_tree`]) over the flat reverse arcs: per-source widths
+/// and the witness tree, with SoA parent pointers.
+///
+/// `width_from(j)` is bit-identical to
+/// `csr_widest_path(…, j, target).map(|p| p.width)`: both compute the
+/// exact maximum over paths of the minimum per-link width, and no
+/// arithmetic accumulation is involved, so the optimum is a unique
+/// `f64`.
 #[derive(Debug, Clone, Default)]
 pub struct CsrWidestTree {
     phi: Vec<f64>,
@@ -662,13 +410,18 @@ impl CsrWidestTree {
         }
     }
 
-    /// [`WidestTree::swap_widths`] for the flat tree.
+    /// Exchanges the per-node widths (`f64::NEG_INFINITY` = cannot reach
+    /// the target) with `widths`, so a caller can keep a finished
+    /// sweep's result without copying it. The next sweep resizes
+    /// whatever it is handed back; until then [`Self::width_from`] reads
+    /// that buffer.
     pub fn swap_widths(&mut self, widths: &mut Vec<f64>) {
         std::mem::swap(&mut self.phi, widths);
     }
 
-    /// Calls `f` for every link of the witness tree, in node order —
-    /// the same enumeration [`WidestTree::for_each_tree_link`] uses.
+    /// Calls `f` for every link of the witness tree (the union of one
+    /// optimal path per reachable source), in node order. These are the
+    /// links a cached γ value depends on.
     pub fn for_each_tree_link(&self, mut f: impl FnMut(LinkId)) {
         for (i, &p) in self.prev_node.iter().enumerate() {
             if p != NO_PREV {
@@ -679,9 +432,13 @@ impl CsrWidestTree {
 }
 
 /// Runs the full (no early exit) reversed widest-path sweep from
-/// `target` over the CSR reverse arcs — the flat twin of
-/// [`widest_tree`], producing bit-identical `φ` and witness trees while
-/// never queueing a stub (module docs).
+/// `target` over the CSR reverse arcs, filling `tree` with `φ[j] =`
+/// widest `j → target` width for every node `j` at once, plus the
+/// witness tree; it never queues a stub (module docs). Sweeping the
+/// *reversed* arcs is what makes one run serve every source (for
+/// undirected links the reversal is a no-op; for directed links it is
+/// what makes the sharing correct). Buffers are reused across calls;
+/// nothing is allocated once the tree has warmed up.
 pub fn csr_widest_tree(
     csr: &CsrNetwork,
     tree: &mut CsrWidestTree,
@@ -728,80 +485,10 @@ pub fn csr_widest_tree(
     }
 }
 
-/// Brute-force widest path by exhaustive DFS over simple paths. Only for
-/// verification on small networks (exponential time).
-pub fn widest_path_brute_force(
-    network: &Network,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    from: NcpId,
-    to: NcpId,
-) -> Option<WidestPath> {
-    if from == to {
-        return Some(WidestPath {
-            links: Vec::new(),
-            width: f64::INFINITY,
-        });
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        network: &Network,
-        capacities: &CapacityMap,
-        load: &LoadMap,
-        tt_bits: f64,
-        at: NcpId,
-        to: NcpId,
-        visited: &mut Vec<bool>,
-        stack: &mut Vec<LinkId>,
-        width: f64,
-        best: &mut Option<WidestPath>,
-    ) {
-        if at == to {
-            if best.as_ref().is_none_or(|b| width > b.width) {
-                *best = Some(WidestPath {
-                    links: stack.clone(),
-                    width,
-                });
-            }
-            return;
-        }
-        for (link, neighbor) in network.neighbors(at) {
-            if visited[neighbor.index()] {
-                continue;
-            }
-            visited[neighbor.index()] = true;
-            stack.push(link);
-            let w = width.min(link_width(capacities, load, link, tt_bits));
-            dfs(
-                network, capacities, load, tt_bits, neighbor, to, visited, stack, w, best,
-            );
-            stack.pop();
-            visited[neighbor.index()] = false;
-        }
-    }
-    let mut visited = vec![false; network.ncp_count()];
-    visited[from.index()] = true;
-    let mut best = None;
-    dfs(
-        network,
-        capacities,
-        load,
-        tt_bits,
-        from,
-        to,
-        &mut visited,
-        &mut Vec::new(),
-        f64::INFINITY,
-        &mut best,
-    );
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparcle_model::{NetworkBuilder, ResourceVec};
+    use sparcle_model::{Network, NetworkBuilder, ResourceVec};
 
     fn diamond() -> Network {
         // s - a - t (widths 10, 10) and s - b - t (widths 4, 100).
@@ -817,12 +504,22 @@ mod tests {
         nb.build().unwrap()
     }
 
+    fn route(net: &Network, load: &LoadMap, bits: f64, from: u32, to: u32) -> Option<WidestPath> {
+        let caps = net.capacity_map();
+        csr_widest_path(
+            net.csr(),
+            &caps,
+            load,
+            bits,
+            NcpId::new(from),
+            NcpId::new(to),
+        )
+    }
+
     #[test]
     fn picks_max_min_width_route() {
         let net = diamond();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        let p = widest_path(&net, &caps, &load, 1.0, NcpId::new(0), NcpId::new(3)).unwrap();
+        let p = route(&net, &LoadMap::zeroed(&net), 1.0, 0, 3).unwrap();
         assert_eq!(p.width, 10.0);
         assert_eq!(p.links, vec![LinkId::new(0), LinkId::new(1)]);
     }
@@ -830,11 +527,10 @@ mod tests {
     #[test]
     fn existing_load_shifts_the_choice() {
         let net = diamond();
-        let caps = net.capacity_map();
         let mut load = LoadMap::zeroed(&net);
         // Load 4 bits on sa: width becomes 10/(1+4) = 2 < min(4/1, 100/1).
         load.add_tt_load(LinkId::new(0), 4.0);
-        let p = widest_path(&net, &caps, &load, 1.0, NcpId::new(0), NcpId::new(3)).unwrap();
+        let p = route(&net, &load, 1.0, 0, 3).unwrap();
         assert_eq!(p.width, 4.0);
         assert_eq!(p.links, vec![LinkId::new(2), LinkId::new(3)]);
     }
@@ -842,9 +538,7 @@ mod tests {
     #[test]
     fn same_node_is_free() {
         let net = diamond();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        let p = widest_path(&net, &caps, &load, 1.0, NcpId::new(1), NcpId::new(1)).unwrap();
+        let p = route(&net, &LoadMap::zeroed(&net), 1.0, 1, 1).unwrap();
         assert!(p.links.is_empty());
         assert_eq!(p.width, f64::INFINITY);
     }
@@ -854,21 +548,16 @@ mod tests {
         let mut nb = NetworkBuilder::new();
         let a = nb.add_ncp("a", ResourceVec::new());
         let b = nb.add_ncp("b", ResourceVec::new());
-        let c = nb.add_ncp("c", ResourceVec::new());
+        nb.add_ncp("c", ResourceVec::new());
         nb.add_link("ab", a, b, 1.0).unwrap();
         let net = nb.build().unwrap();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        assert!(widest_path(&net, &caps, &load, 1.0, a, c).is_none());
-        assert!(widest_path_brute_force(&net, &caps, &load, 1.0, a, c).is_none());
+        assert!(route(&net, &LoadMap::zeroed(&net), 1.0, 0, 2).is_none());
     }
 
     #[test]
     fn zero_bit_tt_on_unloaded_link_has_infinite_width() {
         let net = diamond();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        let p = widest_path(&net, &caps, &load, 0.0, NcpId::new(0), NcpId::new(3)).unwrap();
+        let p = route(&net, &LoadMap::zeroed(&net), 0.0, 0, 3).unwrap();
         assert_eq!(p.width, f64::INFINITY);
     }
 
@@ -879,63 +568,13 @@ mod tests {
         let b = nb.add_ncp("b", ResourceVec::new());
         nb.add_link("ab", a, b, 0.0).unwrap();
         let net = nb.build().unwrap();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        let p = widest_path(&net, &caps, &load, 1.0, a, b).unwrap();
+        let p = route(&net, &LoadMap::zeroed(&net), 1.0, 0, 1).unwrap();
         assert_eq!(p.width, 0.0);
         assert_eq!(p.links.len(), 1);
     }
 
     #[test]
-    fn agrees_with_brute_force_on_diamond() {
-        let net = diamond();
-        let caps = net.capacity_map();
-        let mut load = LoadMap::zeroed(&net);
-        for bits in [0.0, 1.0, 3.0, 10.0] {
-            for s in 0..4u32 {
-                for t in 0..4u32 {
-                    let fast = widest_path(&net, &caps, &load, bits, NcpId::new(s), NcpId::new(t));
-                    let slow = widest_path_brute_force(
-                        &net,
-                        &caps,
-                        &load,
-                        bits,
-                        NcpId::new(s),
-                        NcpId::new(t),
-                    );
-                    match (fast, slow) {
-                        (Some(f), Some(sl)) => {
-                            assert!(
-                                (f.width - sl.width).abs() < 1e-12 || (f.width == sl.width),
-                                "width mismatch {} vs {}",
-                                f.width,
-                                sl.width
-                            );
-                        }
-                        (None, None) => {}
-                        other => panic!("reachability mismatch: {other:?}"),
-                    }
-                }
-            }
-            load.add_tt_load(LinkId::new(1), bits);
-        }
-    }
-
-    #[test]
-    fn route_is_walkable() {
-        let net = diamond();
-        let caps = net.capacity_map();
-        let load = LoadMap::zeroed(&net);
-        let p = widest_path(&net, &caps, &load, 1.0, NcpId::new(0), NcpId::new(3)).unwrap();
-        let mut at = NcpId::new(0);
-        for &l in &p.links {
-            at = net.link(l).traverse_from(at).expect("continuous route");
-        }
-        assert_eq!(at, NcpId::new(3));
-    }
-
-    #[test]
-    fn bucket_queue_pops_in_legacy_heap_order() {
+    fn bucket_queue_pops_in_single_heap_order() {
         // Mixed magnitudes (different exponents), same-exponent
         // neighbors (1.25 vs 1.5), exact ties (two 4.0s differing only
         // by node), zero, and +∞.
@@ -949,17 +588,17 @@ mod tests {
             (1e-300, 3),
             (1024.0, 4),
         ];
-        let mut legacy = BinaryHeap::new();
+        let mut single = BinaryHeap::new();
         let mut bucketed = BucketQueue::new();
         for &(w, n) in &entries {
-            legacy.push(Candidate {
+            single.push(Candidate {
                 width: w,
                 node: NcpId::new(n),
             });
             bucketed.push(w, NcpId::new(n));
         }
         assert_eq!(bucketed.len(), entries.len());
-        while let Some(c) = legacy.pop() {
+        while let Some(c) = single.pop() {
             let (w, n) = bucketed.pop().expect("same number of entries");
             assert_eq!((w.to_bits(), n), (c.width.to_bits(), c.node));
         }
@@ -976,60 +615,5 @@ mod tests {
         assert!(q.is_empty());
         q.push(3.0, NcpId::new(2));
         assert_eq!(q.pop(), Some((3.0, NcpId::new(2))));
-    }
-
-    #[test]
-    fn csr_path_matches_legacy_on_diamond() {
-        let net = diamond();
-        let csr = net.csr();
-        let caps = net.capacity_map();
-        let mut load = LoadMap::zeroed(&net);
-        for bits in [0.0, 1.0, 4.0] {
-            for s in 0..4u32 {
-                for t in 0..4u32 {
-                    let legacy =
-                        widest_path(&net, &caps, &load, bits, NcpId::new(s), NcpId::new(t));
-                    let flat =
-                        csr_widest_path(csr, &caps, &load, bits, NcpId::new(s), NcpId::new(t));
-                    match (legacy, flat) {
-                        (Some(l), Some(f)) => {
-                            assert_eq!(l.links, f.links, "routes diverged {s}->{t}");
-                            assert_eq!(l.width.to_bits(), f.width.to_bits());
-                        }
-                        (None, None) => {}
-                        other => panic!("reachability diverged: {other:?}"),
-                    }
-                }
-            }
-            load.add_tt_load(LinkId::new(0), 2.0);
-        }
-    }
-
-    #[test]
-    fn csr_tree_matches_legacy_tree() {
-        let net = diamond();
-        let csr = net.csr();
-        let rev = ReverseAdjacency::new(&net);
-        let caps = net.capacity_map();
-        let mut load = LoadMap::zeroed(&net);
-        load.add_tt_load(LinkId::new(1), 3.0);
-        for target in net.ncp_ids() {
-            let mut legacy = WidestTree::new(net.ncp_count());
-            let mut flat = CsrWidestTree::new(net.ncp_count());
-            widest_tree(&rev, &mut legacy, &caps, &load, 1.0, target);
-            csr_widest_tree(csr, &mut flat, &caps, &load, 1.0, target);
-            for j in net.ncp_ids() {
-                assert_eq!(
-                    legacy.width_from(j).map(f64::to_bits),
-                    flat.width_from(j).map(f64::to_bits),
-                    "φ diverged at {j} for target {target}"
-                );
-            }
-            let mut legacy_links = Vec::new();
-            legacy.for_each_tree_link(|l| legacy_links.push(l));
-            let mut flat_links = Vec::new();
-            flat.for_each_tree_link(|l| flat_links.push(l));
-            assert_eq!(legacy_links, flat_links, "witness tree diverged");
-        }
     }
 }

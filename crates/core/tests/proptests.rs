@@ -1,14 +1,14 @@
 //! Property-based tests for SPARCLE's core algorithms.
 
 use proptest::prelude::*;
-use sparcle_core::widest_path::{
-    csr_widest_path, csr_widest_tree, widest_path, widest_path_brute_force, widest_tree,
-    BucketQueue, CsrWidestTree, ReverseAdjacency, WidestTree,
-};
+use sparcle_core::widest_path::{csr_widest_path, csr_widest_tree, BucketQueue, CsrWidestTree};
 use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
 use sparcle_model::{
     Application, CapacityMap, CsrNetwork, CtId, LinkDirection, LoadMap, NcpId, Network,
     NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder,
+};
+use sparcle_oracle::{
+    gamma, widest_path, widest_path_brute_force, widest_tree, ReverseAdjacency, WidestTree,
 };
 
 /// Strategy: a random connected network of `n` NCPs — a spanning spine
@@ -244,7 +244,7 @@ fn residual_rel_diff(net: &Network, a: &CapacityMap, b: &CapacityMap) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The modified Dijkstra agrees with the exhaustive widest path on
+    /// The bucketed search agrees with the exhaustive widest path on
     /// random networks and loads.
     #[test]
     fn widest_path_matches_brute_force(
@@ -259,7 +259,7 @@ proptest! {
         }
         let from = NcpId::new(0);
         let to = NcpId::new((net.ncp_count() - 1) as u32);
-        let fast = widest_path(&net, &caps, &load, bits, from, to);
+        let fast = csr_widest_path(net.csr(), &caps, &load, bits, from, to);
         let slow = widest_path_brute_force(&net, &caps, &load, bits, from, to);
         match (fast, slow) {
             (Some(f), Some(s)) => {
@@ -317,7 +317,7 @@ proptest! {
         let mut engine = PlacementEngine::new(&app, &net, &caps).expect("pins routable");
         let ct = engine.unplaced().next().expect("one unplaced CT");
         let host = NcpId::new(host % n);
-        if let Some(gamma) = engine.gamma(ct, host) {
+        if let Some(gamma) = engine.gamma_batched(ct, host) {
             engine.commit(ct, host).expect("gamma says routable");
             let rate_now = engine.capacities().bottleneck_rate(engine.load());
             // γ can be optimistic when the two TTs contend for the same
@@ -452,7 +452,7 @@ proptest! {
         );
     }
 
-    /// The modified Dijkstra agrees with the exhaustive widest path on
+    /// The bucketed search agrees with the exhaustive widest path on
     /// bigger (up to 12-NCP) graphs carrying nonzero pre-existing load
     /// and zero-capacity links — the degenerate widths must not confuse
     /// either search, and the returned optimum must be *exactly* equal
@@ -473,7 +473,7 @@ proptest! {
         }
         let n = net.ncp_count() as u32;
         let (from, to) = (NcpId::new(from % n), NcpId::new(to % n));
-        let fast = widest_path(&net, &caps, &load, bits, from, to);
+        let fast = csr_widest_path(net.csr(), &caps, &load, bits, from, to);
         let slow = widest_path_brute_force(&net, &caps, &load, bits, from, to);
         match (fast, slow) {
             (Some(f), Some(s)) => {
@@ -489,9 +489,9 @@ proptest! {
 
     /// The γ-cache never serves a stale value: at every Algorithm-2 step,
     /// on every (unplaced CT, host) probe, the cached batched evaluator
-    /// is bit-identical to the uncached reference — including agreement
-    /// on unroutability — and the committed `rank_round` pick carries the
-    /// reference γ.
+    /// is bit-identical to the oracle's uncached pair scan — including
+    /// agreement on unroutability — and the committed `rank_round` pick
+    /// carries the oracle's γ.
     #[test]
     fn gamma_cache_is_never_stale(
         net in arb_network(8),
@@ -511,7 +511,7 @@ proptest! {
             for &(ci, hi) in &probes {
                 let ct = unplaced[ci % unplaced.len()];
                 let host = NcpId::new((hi % net.ncp_count()) as u32);
-                let fresh = engine.gamma(ct, host);
+                let fresh = gamma(&engine, ct, host);
                 let cached = engine.gamma_batched(ct, host);
                 match (fresh, cached) {
                     (Some(f), Some(c)) => prop_assert_eq!(
@@ -524,7 +524,7 @@ proptest! {
             }
             match engine.rank_round(threads) {
                 Ok(Some((ct, host, g))) => {
-                    let fresh = engine.gamma(ct, host).expect("picked host is routable");
+                    let fresh = gamma(&engine, ct, host).expect("picked host is routable");
                     prop_assert_eq!(fresh.to_bits(), g.to_bits());
                     engine.commit(ct, host).expect("picked host is routable");
                 }
@@ -786,6 +786,10 @@ proptest! {
 enum ReplayOp {
     Submit(std::sync::Arc<Application>),
     Displace(sparcle_model::AppId),
+    /// Displace, then readmit the same entry on its old placement.
+    Bounce(sparcle_model::AppId),
+    Migrate(sparcle_model::AppId),
+    Fluctuate(CapacityMap),
 }
 
 proptest! {
@@ -799,13 +803,15 @@ proptest! {
     /// every BE allocated rate, and the id counter all match the
     /// canonical replay, because undo restores exact rate snapshots and
     /// re-derives residual elements through the same canonical fold the
-    /// fresh admission path uses.
+    /// fresh admission path uses. And every step — submit, remove,
+    /// displace, readmit, migrate, fluctuation, committed or rolled
+    /// back — ends on state that passes `SystemState::audit`.
     #[test]
     fn rolled_back_transactions_are_invisible(
         net in arb_network(6),
         ops in proptest::collection::vec(
-            (0u8..4, 0usize..64, 1.0f64..20.0, 1.0f64..20.0, 0.1f64..1.5, 0u8..2),
-            1..28,
+            (0u8..7, 0usize..64, 1.0f64..20.0, 1.0f64..20.0, 0.1f64..1.5, 0u8..2),
+            1..36,
         ),
     ) {
         use std::sync::Arc;
@@ -850,7 +856,7 @@ proptest! {
                         txn.rollback();
                     }
                 }
-                _ => {
+                3 => {
                     // Multi-op transaction (the reconcile probe shape):
                     // displace an admitted app, then submit a new one,
                     // committed or rolled back as a unit.
@@ -877,7 +883,41 @@ proptest! {
                         txn.rollback();
                     }
                 }
+                4 | 5 => {
+                    let ids = sys.app_ids();
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let id = ids[pick % ids.len()];
+                    if kind == 4 {
+                        // Displace + readmit on the preserved placement.
+                        let entry = sys.displace(id).expect("listed id");
+                        prop_assert_eq!(sys.state().audit(sys.network()), Ok(()));
+                        let _ = sys.readmit(entry);
+                        committed.push(ReplayOp::Bounce(id));
+                    } else {
+                        // Planned migration, kept or probed and rolled back.
+                        let mut txn = sys.begin();
+                        prop_assert!(txn.migrate(id).is_some());
+                        if commit {
+                            txn.commit();
+                            committed.push(ReplayOp::Migrate(id));
+                        } else {
+                            txn.rollback();
+                        }
+                    }
+                }
+                _ => {
+                    // Capacity fluctuation: every NCP scaled to 50–99 %.
+                    let mut caps = net.capacity_map();
+                    for ncp in net.ncp_ids() {
+                        caps.ncp_mut(ncp).scale(0.5 + (pick % 50) as f64 / 100.0);
+                    }
+                    sys.apply_capacity_fluctuation(caps.clone());
+                    committed.push(ReplayOp::Fluctuate(caps));
+                }
             }
+            prop_assert_eq!(sys.state().audit(sys.network()), Ok(()));
         }
         // Replay only the committed operations on a fresh system. If
         // every rollback was invisible, the two systems agree bitwise
@@ -890,6 +930,17 @@ proptest! {
                 }
                 ReplayOp::Displace(id) => {
                     prop_assert!(fresh.displace(id).is_some(), "replay lost id {id:?}");
+                }
+                ReplayOp::Bounce(id) => {
+                    let entry = fresh.displace(id);
+                    prop_assert!(entry.is_some(), "replay lost id {id:?}");
+                    let _ = fresh.readmit(entry.expect("checked"));
+                }
+                ReplayOp::Migrate(id) => {
+                    prop_assert!(fresh.migrate(id).is_some(), "replay lost id {id:?}");
+                }
+                ReplayOp::Fluctuate(caps) => {
+                    fresh.apply_capacity_fluctuation(caps);
                 }
             }
         }

@@ -12,21 +12,23 @@
 //!
 //! ## Ordering contract
 //!
-//! The CSR arc order is **exactly** the legacy traversal order — this
-//! is load-bearing, not cosmetic. Widest-path parents update only on
-//! *strict* width improvement, so among equal-width alternatives the
-//! iteration order decides the witness route, and routes are part of
-//! placement equality. Concretely:
+//! The CSR arc order is **exactly** the order [`Network`]'s own
+//! adjacency is walked in — this is load-bearing, not cosmetic.
+//! Widest-path parents update only on *strict* width improvement, so
+//! among equal-width alternatives the iteration order decides the
+//! witness route, and routes are part of placement equality. Concretely:
 //!
 //! * forward arcs of node `u` appear in the order
 //!   [`Network::neighbors`] yields them (links in insertion order);
-//! * reverse arcs of node `v` appear ordered by (source node
-//!   ascending, then that source's forward-arc order) — the order
-//!   `ReverseAdjacency::new` in `sparcle-core` pushes them.
+//! * reverse arcs of node `v` appear ordered by source node ascending,
+//!   then by that source's forward-arc order — what visiting every
+//!   node `u` in id order and appending `(link, u)` to the list of each
+//!   `v` that [`Network::neighbors`]`(u)` yields produces.
 //!
-//! `tests/csr_equivalence.rs` holds the two representations to
-//! byte-identical placements, rates, and telemetry on the strength of
-//! this contract.
+//! The heap searches of the dev-only `sparcle-oracle` crate walk
+//! [`Network`] directly; `tests/csr_equivalence.rs` holds the engine to
+//! byte-identical placements, routes and rates against them on the
+//! strength of this contract.
 //!
 //! ## Sole-neighbour tables
 //!
@@ -62,34 +64,6 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 /// Draws the next topology generation (process-unique, monotone).
 pub(crate) fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Which graph representation the placement engine traverses.
-///
-/// Both representations hold the same arcs in the same order and
-/// produce bit-identical placements, rates, and telemetry (the
-/// differential suite `tests/csr_equivalence.rs` enforces this); they
-/// differ only in memory layout and therefore speed. The legacy
-/// nested-`Vec` walk stays available as the ground truth the flat
-/// representation is differenced against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GraphRepr {
-    /// The original `Vec<Vec<(LinkId, NcpId)>>` adjacency with the
-    /// binary-heap widest-path queue.
-    Legacy,
-    /// The flat [`CsrNetwork`] arrays with the bucketed widest-path
-    /// queue (the default).
-    #[default]
-    Csr,
-}
-
-impl std::fmt::Display for GraphRepr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphRepr::Legacy => f.write_str("legacy"),
-            GraphRepr::Csr => f.write_str("csr"),
-        }
-    }
 }
 
 /// Sole-neighbour table entry: the node has no arc on that side.
@@ -150,7 +124,7 @@ pub struct CsrNetwork {
 }
 
 impl CsrNetwork {
-    /// Builds the CSR view of `network`, preserving the legacy
+    /// Builds the CSR view of `network`, preserving its adjacency's
     /// traversal order exactly (see the module docs).
     pub fn build(network: &Network) -> Self {
         let n = network.ncp_count();
@@ -242,7 +216,7 @@ impl CsrNetwork {
     }
 
     /// Forward arcs out of `node` as parallel `(heads, links)` slices,
-    /// in the legacy [`Network::neighbors`] order.
+    /// in [`Network::neighbors`] order.
     #[inline]
     pub fn out_arcs(&self, node: NcpId) -> (&[u32], &[u32]) {
         let lo = self.row_ptr[node.index()] as usize;
@@ -251,7 +225,7 @@ impl CsrNetwork {
     }
 
     /// Reverse arcs into `node` as parallel `(tails, links)` slices, in
-    /// the legacy reverse-adjacency order.
+    /// the reverse-arc order of the module docs.
     #[inline]
     pub fn in_arcs(&self, node: NcpId) -> (&[u32], &[u32]) {
         let lo = self.rev_row_ptr[node.index()] as usize;
@@ -341,7 +315,8 @@ mod tests {
     fn reverse_arcs_match_reverse_adjacency_order() {
         let net = sample();
         let csr = CsrNetwork::build(&net);
-        // Reference: the order ReverseAdjacency::new uses.
+        // Reference: the ordering contract of the module docs, spelled
+        // out on the nested adjacency.
         let mut adj: Vec<Vec<(LinkId, NcpId)>> = vec![Vec::new(); net.ncp_count()];
         for u in net.ncp_ids() {
             for (link, v) in net.neighbors(u) {
@@ -429,12 +404,5 @@ mod tests {
         let csr = std::sync::Arc::clone(net.csr());
         let cloned = net.clone();
         assert!(std::sync::Arc::ptr_eq(&csr, cloned.csr()));
-    }
-
-    #[test]
-    fn graph_repr_default_and_display() {
-        assert_eq!(GraphRepr::default(), GraphRepr::Csr);
-        assert_eq!(GraphRepr::Legacy.to_string(), "legacy");
-        assert_eq!(GraphRepr::Csr.to_string(), "csr");
     }
 }

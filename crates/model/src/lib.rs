@@ -67,7 +67,7 @@ pub mod taskgraph;
 
 pub use app::{Application, QoeClass};
 pub use capacity::{CapacityMap, LoadMap};
-pub use csr::{CsrNetwork, GraphRepr};
+pub use csr::CsrNetwork;
 pub use error::{ModelError, RouteError};
 pub use ids::{AppId, CtId, LinkId, NcpId, NetworkElement, TtId};
 pub use network::{Link, LinkDirection, Ncp, Network, NetworkBuilder};

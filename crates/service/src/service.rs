@@ -23,7 +23,8 @@ use sparcle_core::trace::TraceHandle;
 #[cfg(feature = "telemetry")]
 use sparcle_core::DEFER_WRITER_BUSY;
 use sparcle_core::{
-    Admission, DynamicRankingAssigner, ShedCause, SparcleSystem, StateSnapshot, SystemConfig,
+    Admission, AssignError, DynamicRankingAssigner, RejectCause, ShedCause, SparcleSystem,
+    StateSnapshot, SystemConfig,
 };
 use sparcle_model::{Application, Network, QoeClass};
 use sparcle_runtime::{Monitor, MonitorConfig, SloLedger, TickInput};
@@ -184,9 +185,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             config.queue_capacity > 0,
             "queue_capacity must be at least 1"
         );
-        let probe_assigner =
-            DynamicRankingAssigner::with_threads(config.system.assigner_threads.max(1))
-                .with_repr(config.system.graph_repr);
+        let probe_assigner = DynamicRankingAssigner::with_threads(config.system.assigner_threads);
         let monitor = config.monitor.clone().map(Monitor::new);
         let system = SparcleSystem::with_config(network, config.system.clone());
         let snapshot = system.snapshot();
@@ -438,19 +437,27 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         self.accrue(t);
 
         let solves_before = self.system.state_stats().solves;
-        let admissions = {
+        let outcomes: Vec<Result<Admission, AssignError>> = {
             let mut txn = self.system.begin();
-            let admissions = txn
-                .submit_all(&apps)
-                .expect("service batch: application from the request source failed validation");
+            let outcomes = match txn.submit_all(&apps) {
+                Ok(admissions) => admissions.into_iter().map(Ok).collect(),
+                // One request the system cannot assign or analyse (e.g.
+                // a path past the availability analyser's element limit)
+                // unwound the whole batch: replay it request by request,
+                // so the error is that request's rejection alone.
+                Err(_) => apps.iter().map(|app| txn.submit(Arc::clone(app))).collect(),
+            };
             txn.commit();
-            admissions
+            outcomes
         };
         let batch_solves = self.system.state_stats().solves - solves_before;
         // Publish the post-commit state to the read path.
         self.snapshot = self.system.snapshot();
 
-        let admitted = admissions.iter().filter(|a| a.is_admitted()).count() as u64;
+        let admitted = outcomes
+            .iter()
+            .filter(|o| o.as_ref().is_ok_and(Admission::is_admitted))
+            .count() as u64;
         let rejected = take as u64 - admitted;
 
         // The batch event precedes its member decisions so every
@@ -473,17 +480,21 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         #[cfg(not(feature = "telemetry"))]
         let _ = batch_solves;
 
-        for (p, admission) in batch.iter().zip(&admissions) {
+        for (p, outcome) in batch.iter().zip(&outcomes) {
             let wait = t - p.arrival;
             self.decision_waits.push(wait);
             self.stats.decisions += 1;
-            let (outcome, rate, cause) = match admission {
-                Admission::Admitted(id) => {
+            let (outcome, rate, cause) = match outcome {
+                Ok(Admission::Admitted(id)) => {
                     ("admitted", self.snapshot.rate_of(*id).unwrap_or(0.0), None)
                 }
-                Admission::Rejected(reason) => ("rejected", 0.0, Some(reason.cause_code())),
+                Ok(Admission::Rejected(reason)) => ("rejected", 0.0, Some(reason.cause_code())),
+                Err(_) => ("rejected", 0.0, Some(RejectCause::SubmitError.code())),
             };
-            self.ledger.record_arrival(admission.is_admitted());
+            self.ledger.record_arrival(cause.is_none());
+            if let Some(cause) = cause {
+                self.ledger.record_rejection(cause);
+            }
             #[cfg(feature = "telemetry")]
             if trace.is_enabled() {
                 let mut causes = [0u64; 2];

@@ -277,6 +277,71 @@ fn rejected_batch_leaves_snapshot_readers_unperturbed() {
     );
 }
 
+/// Regression: a request whose path crosses more distinct elements than
+/// the availability analyser accepts (128) makes `submit_all` return
+/// `Err` for the whole batch. That used to panic the service; it is
+/// that request's rejection, and the rest of its window is decided as
+/// if it had never been queued.
+#[test]
+fn submit_error_rejects_one_request_and_the_window_goes_on() {
+    // 70 hubs in a chain, a leaf on each: end to end is 70 NCPs and
+    // 69 links.
+    const HUBS: u32 = 70;
+    let mut b = NetworkBuilder::new();
+    for h in 0..HUBS {
+        b.add_ncp(format!("hub{h}"), ResourceVec::cpu(1000.0));
+    }
+    for h in 0..HUBS {
+        let leaf = b.add_ncp(format!("leaf{h}"), ResourceVec::cpu(100.0));
+        b.add_link(format!("drop{h}"), NcpId::new(h), leaf, 1e4)
+            .unwrap();
+        if h > 0 {
+            b.add_link(format!("trunk{h}"), NcpId::new(h - 1), NcpId::new(h), 1e4)
+                .unwrap();
+        }
+    }
+    // Request 1 spans the whole chain; 0 and 2 reach one hub over.
+    let source = |index: u64| {
+        let mut tb = TaskGraphBuilder::new();
+        let s = tb.add_ct("s", ResourceVec::new());
+        let w = tb.add_ct("w", ResourceVec::cpu(50.0));
+        let t = tb.add_ct("t", ResourceVec::new());
+        tb.add_tt("sw", s, w, 1000.0).unwrap();
+        tb.add_tt("wt", w, t, 500.0).unwrap();
+        let far = if index == 1 { HUBS - 1 } else { 1 };
+        let pins = [(s, NcpId::new(0)), (t, NcpId::new(far))];
+        Application::new(tb.build().unwrap(), QoeClass::best_effort(1.0), pins).unwrap()
+    };
+    let config = ServiceConfig {
+        batch_window: 1.0,
+        solve_cost: free_writer(),
+        ..ServiceConfig::default()
+    };
+    let mut service = AdmissionService::new(b.build().unwrap(), config, source);
+    service.run((0..3).map(|index| ServiceRequest {
+        time: 0.1 + 0.1 * index as f64,
+        index,
+        kind: RequestKind::Admit,
+    }));
+
+    let stats = *service.stats();
+    assert_eq!(
+        (
+            stats.batches,
+            stats.decisions,
+            stats.admitted,
+            stats.rejected
+        ),
+        (1, 3, 2, 1),
+        "one window, one offender: {stats:?}"
+    );
+    let ledger = service.ledger();
+    assert_eq!((ledger.arrivals(), ledger.admitted()), (3, 2));
+    assert_eq!(ledger.rejections().get("submit_error"), Some(&1));
+    assert_eq!(ledger.rejections().len(), 1);
+    assert_eq!(service.system().be_apps().len(), 2);
+}
+
 /// One step of a generated request interleaving.
 #[derive(Debug, Clone)]
 struct Step {

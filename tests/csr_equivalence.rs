@@ -1,66 +1,42 @@
-//! Cross-representation differential suite: Legacy adjacency vs CSR.
+//! CSR-versus-oracle differential suite.
 //!
 //! The CSR graph core (`sparcle_model::CsrNetwork` + the bucketed
-//! widest-path queue) promises to be a *pure speedup*: for every
-//! scenario, thread count, and telemetry stream, assignments under
-//! `GraphRepr::Csr` are byte-identical to `GraphRepr::Legacy` — same
-//! CT→NCP placements, same TT routes, bit-identical bottleneck rates,
-//! same rejection reasons, same decision/commit event logs and
-//! counters. This suite holds it to that over the same seeded scenario
-//! grid as `parallel_equivalence.rs`, plus the fig6 testbed, the
-//! scaling_assign benchmark point, and a hub-and-spoke scale topology.
+//! widest-path queue + the stub short-circuit) is the only graph the
+//! placement engine traverses. Its ground truth — *legacy* in this
+//! file's test names — is
+//! `sparcle_oracle::assign_reference`: the eq. (2) pair scan over heap
+//! searches on `Network`'s nested adjacency, which also re-derives every
+//! committed route on a load map of its own. Production must match it
+//! at every thread count in placements, routes, rate bits and errors,
+//! over the seeded grid of `parallel_equivalence.rs`, the fig6 testbed,
+//! the scaling_assign point and a hub-and-spoke scale topology.
 //!
 //! It also pins the γ-row adoption safety contract: exported rows are
 //! stamped with the network's build generation, so a *rebuilt* (even
 //! identically shaped) topology refuses adoption instead of aliasing
 //! dense element ids across builds.
 
+mod common;
+
+use common::{assert_matches_reference, assert_same_outcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparcle_core::{AssignError, AssignedPath, DynamicRankingAssigner, GraphRepr, PlacementEngine};
-use sparcle_model::{Application, CapacityMap, Network, QoeClass};
+use sparcle_core::{DynamicRankingAssigner, PlacementEngine};
+use sparcle_model::{Application, Network, QoeClass};
+use sparcle_oracle::assign_reference;
 use sparcle_workloads::face_detection::{face_detection_app, testbed_network};
 use sparcle_workloads::{
     BottleneckCase, GraphKind, ScaleSpec, Scenario, ScenarioConfig, TopologyKind,
 };
 
-/// The seeded scenario grid shared with `parallel_equivalence.rs`:
-/// 3 graph families × 3 topologies × 4 bottleneck regimes.
+/// The seeded scenario grid shared with `parallel_equivalence.rs`, on
+/// seeds of its own.
 fn scenario_grid() -> Vec<(String, Scenario)> {
-    let graphs = [
-        GraphKind::Linear { stages: 5 },
-        GraphKind::Diamond,
-        GraphKind::Random { cts: 7 },
-    ];
-    let cases = BottleneckCase::SINGLE_RESOURCE
-        .into_iter()
-        .chain([BottleneckCase::MemoryBottleneck]);
-    let mut out = Vec::new();
-    let mut seed = 0xc5a0;
-    for case in cases {
-        for &graph in &graphs {
-            for &topology in &TopologyKind::ALL {
-                if case == BottleneckCase::MemoryBottleneck
-                    && matches!(graph, GraphKind::Random { .. })
-                {
-                    continue;
-                }
-                seed += 1;
-                let mut cfg = ScenarioConfig::new(case, graph, topology);
-                cfg.ncps = 10;
-                let scenario = cfg
-                    .sample(&mut StdRng::seed_from_u64(seed as u64))
-                    .expect("valid scenario config");
-                out.push((format!("{case}/{graph}/{topology}/seed{seed}"), scenario));
-            }
-        }
-    }
-    assert!(out.len() >= 20, "grid too small: {}", out.len());
-    out
+    common::scenario_grid(0xc5a0)
 }
 
 /// Named (app, network) pairs beyond the random grid: the benchmark
-/// workloads the CSR port explicitly targets.
+/// workloads the CSR core explicitly targets.
 fn named_scenarios() -> Vec<(String, Application, Network)> {
     let mut out = Vec::new();
     for &bw in &[0.5, 10.0, 22.0] {
@@ -94,54 +70,12 @@ fn named_scenarios() -> Vec<(String, Application, Network)> {
     out
 }
 
-fn assert_identical(label: &str, legacy: &AssignedPath, csr: &AssignedPath, variant: &str) {
-    assert_eq!(
-        legacy.placement, csr.placement,
-        "{label}: {variant} CSR placement (hosts or routes) diverged from legacy"
-    );
-    assert_eq!(
-        legacy.rate.to_bits(),
-        csr.rate.to_bits(),
-        "{label}: {variant} CSR rate {} is not bit-identical to legacy {}",
-        csr.rate,
-        legacy.rate
-    );
-}
-
-fn compare_reprs(label: &str, app: &Application, network: &Network, caps: &CapacityMap) -> bool {
-    let mut any_ok = false;
-    for threads in [1usize, 2, 8] {
-        let run = |repr| {
-            DynamicRankingAssigner::with_threads(threads)
-                .with_repr(repr)
-                .assign(app, network, caps)
-        };
-        let legacy = run(GraphRepr::Legacy);
-        let csr = run(GraphRepr::Csr);
-        match (&legacy, &csr) {
-            (Ok(l), Ok(c)) => {
-                assert_identical(label, l, c, &format!("threads={threads}"));
-                any_ok = true;
-            }
-            (Err(le), Err(ce)) => assert_eq!(
-                le, ce,
-                "{label}: threads={threads} CSR failed differently from legacy"
-            ),
-            (l, c) => panic!(
-                "{label}: threads={threads} representations disagreed on feasibility: \
-                 legacy {l:?} vs csr {c:?}"
-            ),
-        }
-    }
-    any_ok
-}
-
 #[test]
 fn csr_matches_legacy_on_the_scenario_grid() {
     let mut compared = 0;
     for (label, scenario) in scenario_grid() {
         let caps = scenario.network.capacity_map();
-        if compare_reprs(&label, &scenario.app, &scenario.network, &caps) {
+        if assert_matches_reference(&label, &scenario.app, &scenario.network, &caps) {
             compared += 1;
         }
     }
@@ -153,110 +87,29 @@ fn csr_matches_legacy_on_benchmark_workloads() {
     for (label, app, network) in named_scenarios() {
         let caps = network.capacity_map();
         assert!(
-            compare_reprs(&label, &app, &network, &caps),
+            assert_matches_reference(&label, &app, &network, &caps),
             "{label}: benchmark workload must be assignable"
         );
     }
 }
 
-/// The reference (uncached) scan runs on the legacy representation; the
-/// default assigner is cached + CSR. They must still agree — this is
-/// the triangle `reference/legacy ≡ cached/legacy ≡ cached/csr` closed.
+/// The default assigner — what every caller that names no thread count
+/// gets — against the reference scan.
 #[test]
 fn default_csr_assigner_matches_legacy_reference_scan() {
-    assert_eq!(DynamicRankingAssigner::new().repr(), GraphRepr::Csr);
-    assert_eq!(
-        DynamicRankingAssigner::reference().repr(),
-        GraphRepr::Legacy
-    );
     for (label, scenario) in scenario_grid().into_iter().step_by(4) {
         let caps = scenario.network.capacity_map();
-        let reference =
-            DynamicRankingAssigner::reference().assign(&scenario.app, &scenario.network, &caps);
+        let reference = assign_reference(&scenario.app, &scenario.network, &caps);
         let csr = DynamicRankingAssigner::new().assign(&scenario.app, &scenario.network, &caps);
-        match (&reference, &csr) {
-            (Ok(r), Ok(c)) => assert_identical(&label, r, c, "default-csr"),
-            (Err(re), Err(ce)) => assert_eq!(re, ce, "{label}: errors diverged"),
-            (r, c) => panic!("{label}: feasibility diverged: {r:?} vs {c:?}"),
-        }
+        assert_same_outcome(&label, &reference, &csr, "default-csr");
     }
 }
 
-/// Telemetry must not leak the representation either: decision/commit
-/// event streams and every counter (commits, γ-cache hits/misses,
-/// invalidations) are identical under Legacy and Csr, at one and eight
-/// threads. Only timing histograms may differ.
-#[cfg(feature = "telemetry")]
-#[test]
-fn telemetry_streams_identical_across_representations() {
-    use sparcle_core::TraceHandle;
-    use sparcle_telemetry::CollectRecorder;
-
-    let mut scenarios = named_scenarios();
-    scenarios.truncate(5);
-    for (label, app, network) in scenarios {
-        let caps = network.capacity_map();
-        for threads in [1usize, 8] {
-            let run = |repr| {
-                let recorder = CollectRecorder::new();
-                DynamicRankingAssigner::with_threads(threads)
-                    .with_repr(repr)
-                    .assign_with_trace(&app, &network, &caps, TraceHandle::new(&recorder))
-                    .expect("named scenarios are feasible");
-                (recorder.events(), recorder.snapshot())
-            };
-            let (events_l, snap_l) = run(GraphRepr::Legacy);
-            let (events_c, snap_c) = run(GraphRepr::Csr);
-            assert_eq!(
-                events_l, events_c,
-                "{label}: threads={threads} event streams diverged across representations"
-            );
-            assert_eq!(
-                snap_l.counters, snap_c.counters,
-                "{label}: threads={threads} counters diverged across representations"
-            );
-        }
-    }
-}
-
-/// Infeasible instances fail identically across representations: the
-/// CSR router must report the same `NoRoute` the legacy router does.
+/// Infeasible instances fail identically: the CSR router must report
+/// the same `NoRoute` the oracle's heap router does.
 #[test]
 fn infeasible_scenarios_fail_identically_across_representations() {
-    use sparcle_model::{NetworkBuilder, ResourceVec, TaskGraphBuilder};
-    let mut tb = TaskGraphBuilder::new();
-    let s = tb.add_ct("s", ResourceVec::new());
-    let w = tb.add_ct("w", ResourceVec::cpu(5.0));
-    let t = tb.add_ct("t", ResourceVec::new());
-    tb.add_tt("a", s, w, 2.0).unwrap();
-    tb.add_tt("b", w, t, 2.0).unwrap();
-    let mut nb = NetworkBuilder::new();
-    let n0 = nb.add_ncp("n0", ResourceVec::cpu(50.0));
-    let n1 = nb.add_ncp("n1", ResourceVec::cpu(50.0));
-    let n2 = nb.add_ncp("n2", ResourceVec::cpu(50.0));
-    nb.add_link("l0", n0, n1, 100.0).unwrap();
-    // n2 is an island.
-    let net = nb.build().unwrap();
-    let app = Application::new(
-        tb.build().unwrap(),
-        QoeClass::best_effort(1.0),
-        [(s, n0), (t, n2)],
-    )
-    .unwrap();
-    let caps = net.capacity_map();
-    let legacy = DynamicRankingAssigner::new()
-        .with_repr(GraphRepr::Legacy)
-        .assign(&app, &net, &caps);
-    for threads in [1, 2, 8] {
-        let csr = DynamicRankingAssigner::with_threads(threads)
-            .with_repr(GraphRepr::Csr)
-            .assign(&app, &net, &caps);
-        match (&legacy, &csr) {
-            (Err(AssignError::NoRoute { .. }), Err(AssignError::NoRoute { .. })) => {}
-            (Err(le), Err(ce)) => assert_eq!(le, ce),
-            (l, c) => panic!("feasibility diverged: {l:?} vs {c:?}"),
-        }
-    }
+    common::assert_island_sink_fails_identically(1);
 }
 
 /// γ-row adoption is generation-fenced: rows exported from one engine
@@ -293,14 +146,19 @@ fn gamma_row_adoption_is_fenced_by_network_generation() {
         while let Some((ct, host, _)) = engine.rank_round(1).expect("rankable") {
             engine.commit(ct, host).expect("committable");
         }
-        (engine.finish().expect("assignable"), adopted)
+        (engine.finish(), adopted)
     };
 
     // Same build: adoption takes, and the result matches a cold engine.
     let (cold, _) = drive(&a.network, None);
     let (warm, adopted_same) = drive(&a.network, Some(&rows));
     assert_eq!(adopted_same, Some(rows.present()), "same-build rows adopt");
-    assert_identical("adoption/same-build", &cold, &warm, "warm");
+    assert!(assert_same_outcome(
+        "adoption/same-build",
+        &cold,
+        &warm,
+        "warm"
+    ));
 
     // Rebuilt topology: adoption must be refused wholesale...
     let (rebuilt, adopted_rebuilt) = drive(&b.network, Some(&rows));
@@ -310,5 +168,10 @@ fn gamma_row_adoption_is_fenced_by_network_generation() {
         "rows from another build generation must not be adopted"
     );
     // ...and the refusing engine still produces the identical result.
-    assert_identical("adoption/rebuilt", &cold, &rebuilt, "rebuilt");
+    assert!(assert_same_outcome(
+        "adoption/rebuilt",
+        &cold,
+        &rebuilt,
+        "rebuilt"
+    ));
 }

@@ -1,22 +1,20 @@
-//! Differential suite for the incremental system-state core.
+//! Audit suite for the incremental system-state core.
 //!
 //! `SparcleSystem` maintains its derived state (GR residual, BE
-//! constraint matrix, priority loads) by **delta** under
-//! `StateMaintenance::Incremental`, with every touched element
-//! re-derived through the same canonical fold a from-scratch rebuild
-//! uses. The contract (see `sparcle_core::state` module docs) is that
-//! the incremental path is *bitwise indistinguishable* from the
-//! scratch path: same admissions, same residuals, same BE rates, same
-//! decision/event stream.
+//! constraint matrix, priority loads) by **delta**. The contract (see
+//! `sparcle_core::state` module docs) is that it stays *bitwise* the
+//! full fold over the admitted applications at every transaction
+//! boundary; `SystemState::audit` is that contract as code, and every
+//! `SystemTxn` commit, rollback and drop `debug_assert!`s it.
 //!
-//! This suite holds the two modes to that contract over full online
-//! runtime histories — three arrival traces × two failure regimes,
-//! with capacity fluctuation, displacement, and policy-ordered
-//! re-placement all active — so every transactional mutation path
-//! (submit, displace, readmit, reschedule, fluctuation, rollback) is
-//! crossed thousands of times per run.
+//! This suite drives full online runtime histories — three arrival
+//! traces × two failure regimes, with capacity fluctuation,
+//! displacement, and policy-ordered re-placement all active — so every
+//! transactional mutation path crosses the audit thousands of times per
+//! run in a build with debug assertions (the default test profile), and
+//! audits the final state explicitly in every build.
 
-use sparcle_core::{SparcleSystem, StateMaintenance};
+use sparcle_core::SparcleSystem;
 use sparcle_model::{
     Application, LinkDirection, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
 };
@@ -29,7 +27,7 @@ use sparcle_workloads::ArrivalTrace;
 
 /// Four edge hosts and two hubs with flaky hub links — the same shape
 /// as the churn experiment, small enough that a full history runs in
-/// well under a second per mode.
+/// well under a second.
 fn grid_network(flaky: f64) -> Network {
     let mut b = NetworkBuilder::new();
     let edges: Vec<NcpId> = (0..4)
@@ -118,20 +116,9 @@ fn grid() -> Vec<(String, ArrivalTrace, f64)> {
     out
 }
 
-/// Everything one runtime history observably produces.
-struct RunOutput {
-    ledger: SloLedger,
-    events_processed: u64,
-    /// Consumed system at end of run, for final-state comparison.
-    system: SparcleSystem,
-    #[cfg(feature = "telemetry")]
-    event_log: String,
-    #[cfg(feature = "telemetry")]
-    counters: std::collections::BTreeMap<String, u64>,
-}
-
-fn run(trace: &ArrivalTrace, flaky: f64, maintenance: StateMaintenance) -> RunOutput {
-    let mut config = RuntimeConfig {
+/// One full runtime history: its ledger and the system it leaves.
+fn run(trace: &ArrivalTrace, flaky: f64) -> (SloLedger, SparcleSystem) {
+    let config = RuntimeConfig {
         horizon: 90.0,
         failure_seed: 0xd1ff,
         hold_seed: 0x7e57,
@@ -147,168 +134,54 @@ fn run(trace: &ArrivalTrace, flaky: f64, maintenance: StateMaintenance) -> RunOu
         }),
         ..RuntimeConfig::default()
     };
-    config.system.maintenance = maintenance;
     let arrivals = trace.events(config.horizon, 0x5eed);
     let mut rt = SparcleRuntime::new(grid_network(flaky), arrivals, grid_app, config);
-
-    #[cfg(feature = "telemetry")]
-    {
-        let recorder = sparcle_telemetry::CollectRecorder::new();
-        let ledger = rt
-            .run_traced(sparcle_core::TraceHandle::new(&recorder))
-            .clone();
-        let event_log = recorder.render_trace();
-        let counters = recorder.snapshot().counters;
-        let events_processed = rt.events_processed();
-        RunOutput {
-            ledger,
-            events_processed,
-            system: rt.into_system(),
-            event_log,
-            counters,
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let ledger = rt.run().clone();
-        let events_processed = rt.events_processed();
-        RunOutput {
-            ledger,
-            events_processed,
-            system: rt.into_system(),
-        }
-    }
+    let ledger = rt.run().clone();
+    (ledger, rt.into_system())
 }
 
-/// The two residual-maintenance counters are *expected* to differ — they
-/// are the mode's signature, not part of the behavioral contract.
-#[cfg(feature = "telemetry")]
-const MODE_SIGNATURE_COUNTERS: [&str; 2] = [
-    "system.residual_element_updates",
-    "system.residual_full_recomputes",
-];
-
 #[test]
-fn incremental_matches_scratch_over_full_histories() {
+fn full_histories_pass_the_per_transaction_audit() {
     for (label, trace, flaky) in grid() {
-        let inc = run(&trace, flaky, StateMaintenance::Incremental);
-        let scr = run(&trace, flaky, StateMaintenance::Scratch);
-
+        let (ledger, system) = run(&trace, flaky);
         assert_eq!(
-            inc.events_processed, scr.events_processed,
-            "{label}: event counts diverged"
+            system.state().audit(system.network()),
+            Ok(()),
+            "{label}: final state left canonical form"
         );
+
+        // Useful histories only: every mutation path must actually run,
+        // the delta path included.
+        assert!(ledger.arrivals() > 0, "{label}: no arrivals");
+        assert!(ledger.displacements() > 0, "{label}: no displacements");
         assert!(
-            format!("{:?}", inc.ledger) == format!("{:?}", scr.ledger),
-            "{label}: SLO ledgers diverged:\n  inc: {:?}\n  scr: {:?}",
-            inc.ledger,
-            scr.ledger
+            system.state_stats().residual_element_updates > 0,
+            "{label}: the residual was never maintained by delta"
         );
-
-        // Final system state, bitwise.
-        assert_eq!(
-            inc.system.app_ids(),
-            scr.system.app_ids(),
-            "{label}: admitted id sequences diverged"
-        );
-        assert_eq!(
-            inc.system.gr_residual(),
-            scr.system.gr_residual(),
-            "{label}: GR residual diverged (delta maintenance leaked)"
-        );
-        let rates = |s: &SparcleSystem| -> Vec<u64> {
-            s.be_apps()
-                .iter()
-                .map(|a| a.allocated_rate.to_bits())
-                .collect()
-        };
-        assert_eq!(
-            rates(&inc.system),
-            rates(&scr.system),
-            "{label}: BE allocated rates diverged"
-        );
-
-        // Useful histories only: every mutation path must actually run.
-        assert!(inc.ledger.arrivals() > 0, "{label}: no arrivals");
-        assert!(inc.ledger.displacements() > 0, "{label}: no displacements");
-
-        #[cfg(feature = "telemetry")]
-        {
-            assert!(
-                inc.event_log == scr.event_log,
-                "{label}: telemetry event logs diverged"
-            );
-            let strip = |mut c: std::collections::BTreeMap<String, u64>| {
-                for k in MODE_SIGNATURE_COUNTERS {
-                    c.remove(k);
-                }
-                c
-            };
-            assert_eq!(
-                strip(inc.counters.clone()),
-                strip(scr.counters.clone()),
-                "{label}: deterministic counters diverged"
-            );
-            // The signature counters prove each mode took its own path.
-            assert!(
-                inc.counters
-                    .get("system.residual_element_updates")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
-                "{label}: incremental mode never used the delta path"
-            );
-            assert_eq!(
-                scr.counters
-                    .get("system.residual_element_updates")
-                    .copied()
-                    .unwrap_or(0),
-                0,
-                "{label}: scratch mode used the delta path"
-            );
-            assert!(
-                scr.counters
-                    .get("system.residual_full_recomputes")
-                    .copied()
-                    .unwrap_or(0)
-                    > inc
-                        .counters
-                        .get("system.residual_full_recomputes")
-                        .copied()
-                        .unwrap_or(0),
-                "{label}: scratch mode should rebuild strictly more often"
-            );
-        }
     }
 }
 
 /// The γ-probe policy drives rollback-only transactions through the
-/// incremental constraint maintenance on every reconcile; it must obey
-/// the same cross-mode contract.
+/// incremental constraint maintenance on every reconcile; each of those
+/// rollbacks must land back on canonical state.
 #[test]
-fn gamma_probe_policy_matches_across_modes() {
+fn gamma_probe_rollbacks_pass_the_per_transaction_audit() {
     let trace = ArrivalTrace::Poisson { rate: 1.5 };
-    let run_probe = |maintenance| {
-        let mut config = RuntimeConfig {
-            horizon: 80.0,
-            failure_seed: 0xfa11,
-            hold_seed: 0x0dd,
-            mean_hold: 15.0,
-            policy: ReconcilePolicy::GammaProbe,
-            ..RuntimeConfig::default()
-        };
-        config.system.maintenance = maintenance;
-        let arrivals = trace.events(config.horizon, 0xcafe);
-        let mut rt = SparcleRuntime::new(grid_network(0.1), arrivals, grid_app, config);
-        let ledger = format!("{:?}", rt.run().clone());
-        let stats = rt.system().state_stats().clone();
-        (ledger, stats.txn_rollbacks, rt.into_system())
+    let config = RuntimeConfig {
+        horizon: 80.0,
+        failure_seed: 0xfa11,
+        hold_seed: 0x0dd,
+        mean_hold: 15.0,
+        policy: ReconcilePolicy::GammaProbe,
+        ..RuntimeConfig::default()
     };
-    let (ledger_inc, rollbacks_inc, sys_inc) = run_probe(StateMaintenance::Incremental);
-    let (ledger_scr, rollbacks_scr, sys_scr) = run_probe(StateMaintenance::Scratch);
-    assert_eq!(ledger_inc, ledger_scr, "γ-probe ledgers diverged");
-    assert_eq!(rollbacks_inc, rollbacks_scr, "probe counts diverged");
-    assert!(rollbacks_inc > 0, "γ-probe policy never probed");
-    assert_eq!(sys_inc.gr_residual(), sys_scr.gr_residual());
-    assert_eq!(sys_inc.app_ids(), sys_scr.app_ids());
+    let arrivals = trace.events(config.horizon, 0xcafe);
+    let mut rt = SparcleRuntime::new(grid_network(0.1), arrivals, grid_app, config);
+    rt.run();
+    let system = rt.into_system();
+    assert!(
+        system.state_stats().txn_rollbacks > 0,
+        "γ-probe policy never probed"
+    );
+    assert_eq!(system.state().audit(system.network()), Ok(()));
 }
