@@ -70,10 +70,9 @@ pub trait Assigner: std::fmt::Debug {
 
     /// Like [`Assigner::assign`], threading a telemetry handle through
     /// to the placement engine so commit events and γ-cache counters
-    /// are recorded. The handle is zero-sized (and this method is
-    /// equivalent to [`Assigner::assign`]) when the `telemetry` feature
-    /// is off; every roster member overrides the default to actually
-    /// thread the handle through.
+    /// are recorded. With [`TraceHandle::none`] this is equivalent to
+    /// [`Assigner::assign`]; every roster member overrides the default
+    /// to actually thread the handle through.
     ///
     /// # Errors
     ///

@@ -17,133 +17,117 @@
 //! the nightly CI perf gate. `--tolerance` widens or tightens the
 //! wall-clock band (deterministic metrics keep their 2 % band).
 
-fn main() {
-    #[cfg(feature = "telemetry")]
-    imp::main();
-    #[cfg(not(feature = "telemetry"))]
-    {
-        // Metric extraction rides on the telemetry counters, so without
-        // the feature there is nothing to measure — succeed quietly so
-        // `exp_all` and CI matrix builds keep working.
-        eprintln!("note: exp_baseline built without the `telemetry` feature; skipping");
-    }
+use std::path::PathBuf;
+
+use sparcle_bench::baseline::{
+    baselines_dir, compare, result_path, BenchResult, BASELINE_EXPERIMENTS, DEFAULT_WALL_TOLERANCE,
+};
+
+struct Args {
+    compare_mode: bool,
+    out: PathBuf,
+    baseline_dir: PathBuf,
+    tolerance: f64,
+    experiments: Vec<String>,
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use std::path::PathBuf;
-
-    use sparcle_bench::baseline::{
-        baselines_dir, compare, result_path, BenchResult, BASELINE_EXPERIMENTS,
-        DEFAULT_WALL_TOLERANCE,
+fn parse_args() -> Args {
+    let mut args = Args {
+        compare_mode: false,
+        out: sparcle_bench::experiments_dir(),
+        baseline_dir: baselines_dir(),
+        tolerance: DEFAULT_WALL_TOLERANCE,
+        experiments: Vec::new(),
     };
-
-    struct Args {
-        compare_mode: bool,
-        out: PathBuf,
-        baseline_dir: PathBuf,
-        tolerance: f64,
-        experiments: Vec<String>,
-    }
-
-    fn parse_args() -> Args {
-        let mut args = Args {
-            compare_mode: false,
-            out: sparcle_bench::experiments_dir(),
-            baseline_dir: baselines_dir(),
-            tolerance: DEFAULT_WALL_TOLERANCE,
-            experiments: Vec::new(),
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "run" => args.compare_mode = false,
-                "compare" => args.compare_mode = true,
-                "--out" => args.out = PathBuf::from(it.next().expect("--out requires a directory")),
-                "--baseline-dir" => {
-                    args.baseline_dir =
-                        PathBuf::from(it.next().expect("--baseline-dir requires a directory"));
-                }
-                "--tolerance" => {
-                    let v = it.next().expect("--tolerance requires a fraction");
-                    args.tolerance = v.parse().expect("--tolerance must be a number");
-                    assert!(args.tolerance >= 0.0, "--tolerance must be non-negative");
-                }
-                name if BASELINE_EXPERIMENTS.iter().any(|(n, _)| *n == name) => {
-                    args.experiments.push(name.to_owned());
-                }
-                other => eprintln!("note: ignoring unknown argument {other:?}"),
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "run" => args.compare_mode = false,
+            "compare" => args.compare_mode = true,
+            "--out" => args.out = PathBuf::from(it.next().expect("--out requires a directory")),
+            "--baseline-dir" => {
+                args.baseline_dir =
+                    PathBuf::from(it.next().expect("--baseline-dir requires a directory"));
             }
+            "--tolerance" => {
+                let v = it.next().expect("--tolerance requires a fraction");
+                args.tolerance = v.parse().expect("--tolerance must be a number");
+                assert!(args.tolerance >= 0.0, "--tolerance must be non-negative");
+            }
+            name if BASELINE_EXPERIMENTS.iter().any(|(n, _)| *n == name) => {
+                args.experiments.push(name.to_owned());
+            }
+            other => eprintln!("note: ignoring unknown argument {other:?}"),
         }
-        if args.experiments.is_empty() {
-            args.experiments = BASELINE_EXPERIMENTS
-                .iter()
-                .map(|(n, _)| (*n).to_owned())
-                .collect();
-        }
-        args
     }
-
-    fn run_selected(names: &[String]) -> Vec<BenchResult> {
-        names
+    if args.experiments.is_empty() {
+        args.experiments = BASELINE_EXPERIMENTS
             .iter()
-            .map(|name| {
-                println!("running baseline workload {name} ...");
-                let result = sparcle_bench::baseline::run_experiment(name)
-                    .unwrap_or_else(|| panic!("unknown baseline experiment {name}"));
-                println!(
-                    "  wall {:.3}s  gamma-hit {:.3}  events/s {:.0}  peak-queue {:.0}",
-                    result.wall_time_s,
-                    result.gamma_cache_hit_rate,
-                    result.events_per_sec,
-                    result.peak_queue_depth,
-                );
-                result
-            })
-            .collect()
+            .map(|(n, _)| (*n).to_owned())
+            .collect();
+    }
+    args
+}
+
+fn run_selected(names: &[String]) -> Vec<BenchResult> {
+    names
+        .iter()
+        .map(|name| {
+            println!("running baseline workload {name} ...");
+            let result = sparcle_bench::baseline::run_experiment(name)
+                .unwrap_or_else(|| panic!("unknown baseline experiment {name}"));
+            println!(
+                "  wall {:.3}s  gamma-hit {:.3}  events/s {:.0}  peak-queue {:.0}",
+                result.wall_time_s,
+                result.gamma_cache_hit_rate,
+                result.events_per_sec,
+                result.peak_queue_depth,
+            );
+            result
+        })
+        .collect()
+}
+
+fn main() {
+    let args = parse_args();
+    let results = run_selected(&args.experiments);
+
+    if !args.compare_mode {
+        std::fs::create_dir_all(&args.out).expect("create output dir");
+        for result in &results {
+            let path = result_path(&args.out, &result.experiment);
+            std::fs::write(&path, result.to_json().render() + "\n")
+                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+            println!("wrote {}", path.display());
+        }
+        return;
     }
 
-    pub fn main() {
-        let args = parse_args();
-        let results = run_selected(&args.experiments);
-
-        if !args.compare_mode {
-            std::fs::create_dir_all(&args.out).expect("create output dir");
-            for result in &results {
-                let path = result_path(&args.out, &result.experiment);
-                std::fs::write(&path, result.to_json().render() + "\n")
-                    .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-                println!("wrote {}", path.display());
-            }
-            return;
-        }
-
-        let mut failed = false;
-        for result in &results {
-            let path = result_path(&args.baseline_dir, &result.experiment);
-            let contents = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-            let baseline = sparcle_telemetry::parse_json(contents.trim())
-                .ok()
-                .as_ref()
-                .and_then(BenchResult::from_json)
-                .unwrap_or_else(|| panic!("malformed baseline {}", path.display()));
-            let regressions = compare(result, &baseline, args.tolerance);
-            if regressions.is_empty() {
-                println!(
-                    "{}: OK (within tolerance of committed baseline)",
-                    result.experiment
-                );
-            } else {
-                failed = true;
-                println!("{}: REGRESSED", result.experiment);
-                for regression in &regressions {
-                    println!("  {regression}");
-                }
+    let mut failed = false;
+    for result in &results {
+        let path = result_path(&args.baseline_dir, &result.experiment);
+        let contents = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
+        let baseline = sparcle_telemetry::parse_json(contents.trim())
+            .ok()
+            .as_ref()
+            .and_then(BenchResult::from_json)
+            .unwrap_or_else(|| panic!("malformed baseline {}", path.display()));
+        let regressions = compare(result, &baseline, args.tolerance);
+        if regressions.is_empty() {
+            println!(
+                "{}: OK (within tolerance of committed baseline)",
+                result.experiment
+            );
+        } else {
+            failed = true;
+            println!("{}: REGRESSED", result.experiment);
+            for regression in &regressions {
+                println!("  {regression}");
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -11,8 +11,7 @@
 //!
 //! A final determinism section replays one ≥10 000-event timeline with
 //! 1 and 8 γ-evaluator worker threads and asserts the runs are
-//! indistinguishable — byte-identical telemetry event logs when built
-//! with the `telemetry` feature, identical ledgers otherwise.
+//! indistinguishable: byte-identical telemetry event logs.
 //!
 //! ```sh
 //! cargo run --release -p sparcle-bench --bin exp_churn
@@ -168,20 +167,11 @@ fn determinism_run(threads: usize) -> (String, u64, sparcle_core::StateStats) {
     let arrivals = ArrivalTrace::Poisson { rate: 10.0 }.events(config.horizon, 0xbeef);
     let mut rt = SparcleRuntime::new(churn_network(0.08), arrivals, churn_app, config);
 
-    #[cfg(feature = "telemetry")]
-    {
-        let recorder = sparcle_telemetry::CollectRecorder::new();
-        rt.run_traced(sparcle_core::TraceHandle::new(&recorder));
-        let log = recorder.render_trace();
-        let stats = rt.system().state_stats().clone();
-        (log, rt.events_processed(), stats)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let ledger = rt.run().clone();
-        let stats = rt.system().state_stats().clone();
-        (format!("{ledger:?}"), rt.events_processed(), stats)
-    }
+    let recorder = sparcle_telemetry::CollectRecorder::new();
+    rt.run_traced(sparcle_core::TraceHandle::new(&recorder));
+    let log = recorder.render_trace();
+    let stats = rt.system().state_stats().clone();
+    (log, rt.events_processed(), stats)
 }
 
 fn main() {

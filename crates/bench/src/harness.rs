@@ -25,10 +25,6 @@
 //! // ... pass `harness.trace()` into assign_traced / simulate_flows_traced ...
 //! harness.finish();
 //! ```
-//!
-//! With the `telemetry` cargo feature disabled both flags are accepted
-//! but inert (a note goes to stderr), so invocations keep working
-//! across feature configurations.
 
 use std::path::PathBuf;
 
@@ -254,7 +250,6 @@ impl ParsedFlags {
     }
 }
 
-#[cfg(feature = "telemetry")]
 enum Sink {
     /// No flag given: recording disabled, zero overhead.
     None,
@@ -272,9 +267,7 @@ pub struct ExpHarness {
     name: &'static str,
     summary: bool,
     metrics_out: Option<PathBuf>,
-    #[cfg(feature = "telemetry")]
     sink: Sink,
-    #[cfg(feature = "telemetry")]
     spans: Option<sparcle_telemetry::SpanTracker>,
 }
 
@@ -303,52 +296,33 @@ impl ExpHarness {
     ///
     /// Panics when `--trace-out` names an uncreatable file.
     pub fn with_args(name: &'static str, args: ExpArgs) -> Self {
-        #[cfg(feature = "telemetry")]
-        {
-            use sparcle_telemetry::{CollectRecorder, Event, JsonlRecorder, Recorder};
-            let sink = match &args.trace_out {
-                Some(path) => Sink::Jsonl(
-                    JsonlRecorder::create(path)
-                        .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display())),
-                ),
-                None if args.summary || args.metrics_out.is_some() => {
-                    Sink::Collect(CollectRecorder::new())
-                }
-                None => Sink::None,
-            };
-            let run_start = Event::RunStart {
-                name: name.to_owned(),
-            };
-            match &sink {
-                Sink::None => {}
-                Sink::Jsonl(r) => r.event(&run_start),
-                Sink::Collect(r) => r.event(&run_start),
+        use sparcle_telemetry::{CollectRecorder, Event, JsonlRecorder, Recorder};
+        let sink = match &args.trace_out {
+            Some(path) => Sink::Jsonl(
+                JsonlRecorder::create(path)
+                    .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display())),
+            ),
+            None if args.summary || args.metrics_out.is_some() => {
+                Sink::Collect(CollectRecorder::new())
             }
-            let spans = (args.trace_spans && !matches!(sink, Sink::None))
-                .then(sparcle_telemetry::SpanTracker::new);
-            ExpHarness {
-                name,
-                summary: args.summary,
-                metrics_out: args.metrics_out,
-                sink,
-                spans,
-            }
+            None => Sink::None,
+        };
+        let run_start = Event::RunStart {
+            name: name.to_owned(),
+        };
+        match &sink {
+            Sink::None => {}
+            Sink::Jsonl(r) => r.event(&run_start),
+            Sink::Collect(r) => r.event(&run_start),
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            if args.trace_out.is_some() || args.trace_spans || args.summary {
-                eprintln!(
-                    "note: {name} built without the `telemetry` feature; \
-                     --trace-out/--summary are inert"
-                );
-            }
-            // --metrics-out stays live: the churn runtime's monitor
-            // writes the exposition file in every build configuration.
-            ExpHarness {
-                name,
-                summary: args.summary,
-                metrics_out: args.metrics_out,
-            }
+        let spans = (args.trace_spans && !matches!(sink, Sink::None))
+            .then(sparcle_telemetry::SpanTracker::new);
+        ExpHarness {
+            name,
+            summary: args.summary,
+            metrics_out: args.metrics_out,
+            sink,
+            spans,
         }
     }
 
@@ -362,22 +336,15 @@ impl ExpHarness {
     /// The handle experiment code threads into `assign_traced`,
     /// `simulate_flows_traced`, and friends.
     pub fn trace(&self) -> TraceHandle<'_> {
-        #[cfg(feature = "telemetry")]
-        {
-            let recorder: Option<&dyn sparcle_telemetry::Recorder> = match &self.sink {
-                Sink::None => None,
-                Sink::Jsonl(r) => Some(r),
-                Sink::Collect(r) => Some(r),
-            };
-            match (recorder, &self.spans) {
-                (Some(r), Some(tracker)) => TraceHandle::with_spans(r, tracker),
-                (Some(r), None) => TraceHandle::new(r),
-                (None, _) => TraceHandle::none(),
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            TraceHandle::none()
+        let recorder: Option<&dyn sparcle_telemetry::Recorder> = match &self.sink {
+            Sink::None => None,
+            Sink::Jsonl(r) => Some(r),
+            Sink::Collect(r) => Some(r),
+        };
+        match (recorder, &self.spans) {
+            (Some(r), Some(tracker)) => TraceHandle::with_spans(r, tracker),
+            (Some(r), None) => TraceHandle::new(r),
+            (None, _) => TraceHandle::none(),
         }
     }
 
@@ -391,50 +358,47 @@ impl ExpHarness {
     /// Panics when a trace or metrics write fails (experiment binaries
     /// want loud failures).
     pub fn finish(self) {
-        #[cfg(feature = "telemetry")]
-        {
-            use sparcle_telemetry::Json;
-            let snapshot = match self.sink {
-                Sink::None => return,
-                Sink::Jsonl(r) => r.finish().expect("flush trace file"),
-                Sink::Collect(r) => r.snapshot(),
-            };
-            if let Some(path) = &self.metrics_out {
-                // Append so a monitor-written exposition (periodic
-                // sparcle_* gauges) keeps its last tick; the final
-                // counter series use a distinct metric name.
-                use std::io::Write;
-                let mut text = String::from(
-                    "# HELP sparcle_counter_total Final telemetry counters of the run\n\
-                     # TYPE sparcle_counter_total counter\n",
-                );
-                for (name, value) in &snapshot.counters {
-                    text.push_str(&format!(
-                        "sparcle_counter_total{{name=\"{name}\"}} {value}\n"
-                    ));
-                }
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| f.write_all(text.as_bytes()))
-                    .unwrap_or_else(|e| panic!("write metrics file {}: {e}", path.display()));
-                println!("wrote {}", path.display());
+        use sparcle_telemetry::Json;
+        let snapshot = match self.sink {
+            Sink::None => return,
+            Sink::Jsonl(r) => r.finish().expect("flush trace file"),
+            Sink::Collect(r) => r.snapshot(),
+        };
+        if let Some(path) = &self.metrics_out {
+            // Append so a monitor-written exposition (periodic
+            // sparcle_* gauges) keeps its last tick; the final
+            // counter series use a distinct metric name.
+            use std::io::Write;
+            let mut text = String::from(
+                "# HELP sparcle_counter_total Final telemetry counters of the run\n\
+                 # TYPE sparcle_counter_total counter\n",
+            );
+            for (name, value) in &snapshot.counters {
+                text.push_str(&format!(
+                    "sparcle_counter_total{{name=\"{name}\"}} {value}\n"
+                ));
             }
-            if self.summary {
-                println!("\n=== telemetry summary: {} ===", self.name);
-                println!("{}", snapshot.render_summary());
-            }
-            let result = Json::obj([
-                ("experiment", Json::Str(self.name.to_owned())),
-                ("metrics", snapshot.to_json()),
-            ]);
-            let dir = crate::experiments_dir();
-            std::fs::create_dir_all(&dir).expect("create experiments dir");
-            let path = dir.join(format!("{}_metrics.json", self.name));
-            std::fs::write(&path, result.render() + "\n").expect("write metrics json");
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(text.as_bytes()))
+                .unwrap_or_else(|e| panic!("write metrics file {}: {e}", path.display()));
             println!("wrote {}", path.display());
         }
+        if self.summary {
+            println!("\n=== telemetry summary: {} ===", self.name);
+            println!("{}", snapshot.render_summary());
+        }
+        let result = Json::obj([
+            ("experiment", Json::Str(self.name.to_owned())),
+            ("metrics", snapshot.to_json()),
+        ]);
+        let dir = crate::experiments_dir();
+        std::fs::create_dir_all(&dir).expect("create experiments dir");
+        let path = dir.join(format!("{}_metrics.json", self.name));
+        std::fs::write(&path, result.render() + "\n").expect("write metrics json");
+        println!("wrote {}", path.display());
     }
 }
 
@@ -524,7 +488,6 @@ mod tests {
             .is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metrics_out_writes_a_prometheus_exposition() {
         let dir = crate::experiments_dir();
@@ -549,7 +512,6 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("unit-test-metrics-out_metrics.json"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_spans_flag_enables_span_emission() {
         let spanned = ExpHarness::with_args(
@@ -595,7 +557,6 @@ mod tests {
         let _ = ExpArgs::parse_from(["--trace-out"]);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn harness_records_run_start_and_counters() {
         let args = ExpArgs {

@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "telemetry")]
 pub mod baseline;
 pub mod harness;
 pub mod svg;

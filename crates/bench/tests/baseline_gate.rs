@@ -2,8 +2,6 @@
 //! and parse, the registry must cover them, and `compare` must catch an
 //! injected 2× slowdown while tolerating noise-level drift.
 
-#![cfg(feature = "telemetry")]
-
 use sparcle_bench::baseline::{
     baselines_dir, compare, result_path, BenchResult, BASELINE_EXPERIMENTS, DEFAULT_WALL_TOLERANCE,
     METRIC_SPECS,
@@ -92,11 +90,10 @@ fn deterministic_metrics_get_the_tight_band() {
         peak_queue_depth: 100.0,
         be_solve_ms_per_event: 0.1,
         warm_inner_iters_per_solve: 30.0,
-        placements_per_sec: 250.0,
+        ct_commits_per_sec: 250.0,
         monitor_overhead_ratio: 1.0,
         admissions_per_sec: 500.0,
         p99_decision_ms: 12.0,
-        provenance_overhead_ratio: 1.0,
         delivered_rate_uplift: 1.1,
         defrag_overhead_ratio: 1.2,
     };

@@ -44,7 +44,6 @@ fn registry_matches_binaries_on_disk() {
 /// runner, and every pinned baseline workload must be resolvable by
 /// name so `exp_baseline run <name>` / `compare <name>` cannot drift
 /// from the registered list.
-#[cfg(feature = "telemetry")]
 #[test]
 fn registry_covers_baseline_entry_points() {
     assert!(

@@ -10,8 +10,6 @@
 //! cargo test --release -p sparcle-bench --test span_overhead -- --ignored
 //! ```
 
-#![cfg(feature = "telemetry")]
-
 use std::time::Instant;
 
 use rand::rngs::StdRng;

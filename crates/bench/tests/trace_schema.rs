@@ -16,8 +16,6 @@
 //! types that must appear instead (the nightly `exp_churn` step uses
 //! this for the `runtime_*` kinds).
 
-#![cfg(feature = "telemetry")]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparcle_core::{DynamicRankingAssigner, TraceHandle};

@@ -7,8 +7,6 @@
 //! different-seed traces name the first diverging event, and `profile`
 //! reconstructs the per-round span tree the engine actually opened.
 
-#![cfg(feature = "telemetry")]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparcle_core::{DynamicRankingAssigner, TraceHandle};

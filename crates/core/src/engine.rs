@@ -118,7 +118,6 @@ use sparcle_model::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "telemetry")]
 use sparcle_telemetry::{
     Candidate, CommitRecord, CtTieBreak, Event, HostTieBreak, PlacementDecision,
 };
@@ -466,14 +465,13 @@ pub struct AssignedPath {
     pub rate: f64,
 }
 
-/// Always-compiled γ-cache work counters for one assignment (or an
-/// accumulation across assignments via [`AssignStats::merge`]).
+/// γ-cache work counters for one assignment (or an accumulation across
+/// assignments via [`AssignStats::merge`]).
 ///
-/// Unlike the `gamma_cache.*` telemetry counters — which exist only
-/// with the `telemetry` feature and require a recorder — these are part
-/// of the engine proper, so online consumers (the runtime's
-/// observability monitor, `SparcleSystem`'s state stats) can read cache
-/// behaviour in every build configuration. All fields are deterministic
+/// Unlike the `gamma_cache.*` telemetry counters — which require a
+/// recorder — these are part of the engine proper, so online consumers
+/// (the runtime's observability monitor, `SparcleSystem`'s state stats)
+/// can read cache behaviour of an untraced run. All fields are deterministic
 /// functions of the input: neither the missing-row set nor the set of
 /// trees it needs depends on the worker-thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -528,7 +526,7 @@ pub struct PlacementEngine<'a> {
     /// The tree store and every reusable work buffer. Methods that need
     /// it next to [`Self::eval_view`] move it out for their duration.
     scratch: EngineScratch,
-    /// Telemetry sink; zero-sized when the `telemetry` feature is off.
+    /// Telemetry sink (possibly disconnected).
     trace: TraceHandle<'a>,
     /// Construction (and its pinned commits) has finished.
     pinned_done: bool,
@@ -539,7 +537,6 @@ pub struct PlacementEngine<'a> {
     /// Always-compiled γ-cache work counters (see [`AssignStats`]).
     stats: AssignStats,
     /// Ranking rounds completed (numbers the decision events).
-    #[cfg(feature = "telemetry")]
     round: u64,
 }
 
@@ -621,7 +618,6 @@ impl<'a> PlacementEngine<'a> {
             pinned_done: false,
             unpinned_committed: false,
             stats: AssignStats::default(),
-            #[cfg(feature = "telemetry")]
             round: 0,
         };
         // Trees describe one engine's loads; only buffers carry over.
@@ -772,12 +768,10 @@ impl<'a> PlacementEngine<'a> {
             ..
         } = &mut scratch;
         trees.retire(|t| t.witness.intersects(touched));
-        #[cfg(feature = "telemetry")]
         let (mut inv_component, mut inv_witness) = (0u64, 0u64);
         for (i, row) in self.cache.iter_mut().enumerate() {
             let stale = affected[i] || row.as_ref().is_some_and(|r| r.witness.intersects(touched));
             if stale {
-                #[cfg(feature = "telemetry")]
                 if row.is_some() {
                     if affected[i] {
                         inv_component += 1;
@@ -789,24 +783,21 @@ impl<'a> PlacementEngine<'a> {
             }
         }
         self.scratch = scratch;
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace.counter("engine.commits", 1);
-            self.trace
-                .counter("gamma_cache.invalidated_component", inv_component);
-            self.trace
-                .counter("gamma_cache.invalidated_witness", inv_witness);
-            if self.trace.is_enabled() {
-                let (routed_tts, routed_hops) = routed.as_ref().ok().copied().unwrap_or((0, 0));
-                self.trace.event(&Event::Commit(CommitRecord {
-                    ct: ct.index() as u32,
-                    host: host.index() as u32,
-                    invalidated_component: inv_component,
-                    invalidated_witness: inv_witness,
-                    routed_tts,
-                    routed_hops,
-                }));
-            }
+        self.trace.counter("engine.commits", 1);
+        self.trace
+            .counter("gamma_cache.invalidated_component", inv_component);
+        self.trace
+            .counter("gamma_cache.invalidated_witness", inv_witness);
+        if self.trace.is_enabled() {
+            let (routed_tts, routed_hops) = routed.as_ref().ok().copied().unwrap_or((0, 0));
+            self.trace.event(&Event::Commit(CommitRecord {
+                ct: ct.index() as u32,
+                host: host.index() as u32,
+                invalidated_component: inv_component,
+                invalidated_witness: inv_witness,
+                routed_tts,
+                routed_hops,
+            }));
         }
         // A failed route leaves the span to drop: its close is marked
         // aborted, flagging the error path in profiles.
@@ -1102,9 +1093,7 @@ impl<'a> PlacementEngine<'a> {
         let merge_span = self.trace.span("engine.rank_merge");
         // Serial merge over the (now complete) rows; the strict
         // comparisons are the tie-breaks of the module docs.
-        #[cfg(feature = "telemetry")]
         let mut candidates: Vec<Candidate> = Vec::new();
-        #[cfg(feature = "telemetry")]
         let mut ct_tied = false;
         let mut pick: Option<(f64, CtId, NcpId)> = None;
         for ct in self.app.graph().ct_ids() {
@@ -1113,7 +1102,6 @@ impl<'a> PlacementEngine<'a> {
             }
             let row = self.cache[ct.index()].as_ref().expect("row just ensured");
             let mut best: Option<(NcpId, f64)> = None;
-            #[cfg(feature = "telemetry")]
             let mut host_tied = false;
             for host in self.network.ncp_ids() {
                 let net = row.net[host.index()];
@@ -1123,19 +1111,12 @@ impl<'a> PlacementEngine<'a> {
                 let g = self.host_rate(ct, host).min(net);
                 if best.is_none_or(|(_, bg)| g > bg) {
                     best = Some((host, g));
-                    #[cfg(feature = "telemetry")]
-                    {
-                        host_tied = false;
-                    }
-                } else {
-                    #[cfg(feature = "telemetry")]
-                    if best.is_some_and(|(_, bg)| g == bg) {
-                        host_tied = true;
-                    }
+                    host_tied = false;
+                } else if best.is_some_and(|(_, bg)| g == bg) {
+                    host_tied = true;
                 }
             }
             let (host, g) = best.ok_or(AssignError::NoHostForCt(ct))?;
-            #[cfg(feature = "telemetry")]
             if self.trace.is_enabled() {
                 candidates.push(Candidate {
                     ct: ct.index() as u32,
@@ -1150,42 +1131,33 @@ impl<'a> PlacementEngine<'a> {
             }
             if pick.is_none_or(|(bg, _, _)| g < bg) {
                 pick = Some((g, ct, host));
-                #[cfg(feature = "telemetry")]
-                {
-                    ct_tied = false;
-                }
-            } else {
-                #[cfg(feature = "telemetry")]
-                if pick.is_some_and(|(bg, _, _)| g == bg) {
-                    ct_tied = true;
-                }
+                ct_tied = false;
+            } else if pick.is_some_and(|(bg, _, _)| g == bg) {
+                ct_tied = true;
             }
         }
         let (g, ct, host) = pick.expect("unplaced set is non-empty");
         merge_span.finish();
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace.counter("engine.rank_rounds", 1);
-            self.trace.counter("gamma_cache.hits", cache_hits);
-            self.trace.counter("gamma_cache.misses", cache_misses);
-            if self.trace.is_enabled() {
-                self.trace.event(&Event::Decision(PlacementDecision {
-                    round: self.round,
-                    candidates,
-                    ct: ct.index() as u32,
-                    host: host.index() as u32,
-                    gamma: g,
-                    tie_break: if ct_tied {
-                        CtTieBreak::LowerCtId
-                    } else {
-                        CtTieBreak::UniqueMin
-                    },
-                    cache_hits,
-                    cache_misses,
-                }));
-            }
-            self.round += 1;
+        self.trace.counter("engine.rank_rounds", 1);
+        self.trace.counter("gamma_cache.hits", cache_hits);
+        self.trace.counter("gamma_cache.misses", cache_misses);
+        if self.trace.is_enabled() {
+            self.trace.event(&Event::Decision(PlacementDecision {
+                round: self.round,
+                candidates,
+                ct: ct.index() as u32,
+                host: host.index() as u32,
+                gamma: g,
+                tie_break: if ct_tied {
+                    CtTieBreak::LowerCtId
+                } else {
+                    CtTieBreak::UniqueMin
+                },
+                cache_hits,
+                cache_misses,
+            }));
         }
+        self.round += 1;
         round_span.finish();
         Ok(Some((ct, host, g)))
     }

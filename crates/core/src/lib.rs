@@ -37,7 +37,6 @@ pub use engine::{
 };
 pub use error::AssignError;
 pub use snapshot::{SnapshotBeApp, SnapshotGrApp, StateSnapshot};
-#[cfg(feature = "telemetry")]
 pub use sparcle_telemetry as telemetry;
 pub use state::{StateStats, SystemState};
 pub use system::{

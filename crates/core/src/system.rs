@@ -623,55 +623,16 @@ impl SparcleSystem {
         violated
     }
 
-    /// Re-schedules an admitted application from scratch: releases its
-    /// current placement, runs the full admission pipeline again on the
-    /// freed capacities, and — if the fresh admission fails — rolls the
-    /// whole transaction back, reinstating the old placement (and every
-    /// BE rate) exactly.
-    ///
-    /// This is the *migration* escape hatch for capacity fluctuation:
-    /// when [`Self::apply_capacity_fluctuation`] flags a GR application,
-    /// `reschedule` finds it new paths that fit the shrunken network (or
-    /// proves none exist). It deliberately breaks the paper's
-    /// no-migration rule, so it is never invoked implicitly. For a
-    /// planned move inside a larger transaction (or one whose
-    /// displaced-seconds the caller wants to budget), use
-    /// [`SystemTxn::migrate`] / [`SparcleSystem::migrate`] instead — the
-    /// first-class primitive this wrapper predates.
-    ///
-    /// Returns `None` for an unknown id; `Some(admission)` otherwise,
-    /// where a rejection means the old placement is still in force.
-    pub fn reschedule(&mut self, id: AppId) -> Option<Admission> {
-        let app: Arc<Application> = self
-            .state
-            .gr_apps()
-            .iter()
-            .find(|a| a.id == id)
-            .map(|a| a.app.clone())
-            .or_else(|| {
-                self.state
-                    .be_apps()
-                    .iter()
-                    .find(|a| a.id == id)
-                    .map(|a| a.app.clone())
-            })?;
-        let mut txn = self.begin();
-        txn.displace(id);
-        let admission = txn
-            .submit(app)
-            .expect("previously admitted apps are well-formed");
-        if admission.is_admitted() {
-            txn.commit();
-        } else {
-            txn.rollback();
-        }
-        Some(admission)
-    }
-
     /// Migrates an admitted application to a fresh placement in one
     /// transaction (see [`SystemTxn::migrate`]): commits when the move
     /// lands, rolls back — leaving the old placement bitwise intact —
     /// when the fresh admission fails. Returns `None` for an unknown id.
+    ///
+    /// This is also the escape hatch for capacity fluctuation: when
+    /// [`Self::apply_capacity_fluctuation`] flags a GR application,
+    /// `migrate` finds it new paths that fit the shrunken network (or
+    /// proves none exist). It deliberately breaks the paper's
+    /// no-migration rule, so it is never invoked implicitly.
     pub fn migrate(&mut self, id: AppId) -> Option<MigrationOutcome> {
         let mut txn = self.begin();
         let outcome = txn.migrate(id)?;
@@ -1683,7 +1644,7 @@ mod tests {
     }
 
     #[test]
-    fn reschedule_finds_new_gr_paths_after_fluctuation() {
+    fn migrate_finds_new_gr_paths_after_fluctuation() {
         let net = star_network(0.0);
         let mut sys = SparcleSystem::new(net);
         let id = sys
@@ -1704,47 +1665,12 @@ mod tests {
         }
         let violated = sys.apply_capacity_fluctuation(caps);
         assert_eq!(violated, vec![id]);
-        let admission = sys.reschedule(id).expect("known id");
-        assert!(admission.is_admitted(), "{admission:?}");
+        let outcome = sys.migrate(id).expect("known id");
+        assert!(outcome.moved(), "{outcome:?}");
         assert_eq!(sys.gr_apps().len(), 1);
         // The new reservation fits the shrunken capacities.
         let gr = &sys.gr_apps()[0];
         assert!((gr.guaranteed_rate() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reschedule_reinstates_on_failure() {
-        let net = star_network(0.0);
-        let mut sys = SparcleSystem::new(net);
-        let id = sys
-            .submit(simple_app(QoeClass::guaranteed_rate(2.0, 0.9), 10.0, 50.0))
-            .unwrap()
-            .id()
-            .unwrap();
-        // Collapse the network so a fresh schedule is impossible.
-        let mut caps = sys.network().capacity_map();
-        for ncp in sys.network().ncp_ids() {
-            caps.ncp_mut(ncp).scale(1e-6);
-        }
-        for link in sys.network().link_ids() {
-            let bw = caps.link(link);
-            caps.set_link(link, bw * 1e-6);
-        }
-        sys.apply_capacity_fluctuation(caps);
-        let before = sys.gr_apps()[0].clone();
-        let admission = sys.reschedule(id).expect("known id");
-        assert!(!admission.is_admitted());
-        // Old placement still in force.
-        assert_eq!(sys.gr_apps().len(), 1);
-        assert_eq!(sys.gr_apps()[0].id, before.id);
-        assert_eq!(sys.gr_apps()[0].paths.len(), before.paths.len());
-    }
-
-    #[test]
-    fn reschedule_unknown_id_is_none() {
-        let net = star_network(0.0);
-        let mut sys = SparcleSystem::new(net);
-        assert!(sys.reschedule(AppId::new(42)).is_none());
     }
 
     #[test]

@@ -1,66 +1,36 @@
 //! The [`TraceHandle`] the engine and its callers thread telemetry
 //! through.
 //!
-//! The handle exists in **both** feature configurations so every public
-//! API that accepts one (`PlacementEngine::new_traced`,
-//! `Assigner::assign_traced`, the sim entry points, …) keeps a single
-//! signature:
-//!
-//! * with the `telemetry` feature **off**, [`TraceHandle`] is a
-//!   zero-sized type and all of its methods are empty `#[inline]` bodies
-//!   — instrumentation call sites compile to nothing;
-//! * with the feature **on**, it wraps an optional
-//!   `&dyn sparcle_telemetry::Recorder`, and a `None` recorder still
-//!   short-circuits every recording path.
-//!
-//! The expensive instrumentation inside the engine (building candidate
-//! sets for decision events, timing row fills) is additionally gated on
-//! `#[cfg(feature = "telemetry")]` + [`TraceHandle::is_enabled`], so
-//! even feature-on builds pay nothing when no recorder is attached.
+//! The handle wraps an optional `&dyn` [`Recorder`], so every public API
+//! that accepts one (`PlacementEngine::new_traced`,
+//! `Assigner::assign_traced`, the sim entry points, …) has a single
+//! signature whether or not anything listens. A `None` recorder
+//! ([`TraceHandle::none`]) short-circuits every recording path, and the
+//! expensive instrumentation inside the engine (building candidate sets
+//! for decision events, timing row fills) is gated on
+//! [`TraceHandle::is_enabled`], so an untraced run pays one branch per
+//! site.
 //!
 //! ## Spans
 //!
 //! Hierarchical timed spans ride the same handle but are **separately
 //! opt-in**: only a handle built with [`TraceHandle::with_spans`]
-//! carries a [`sparcle_telemetry::SpanTracker`], and only such handles
-//! emit `span_open`/`span_close` events from [`TraceHandle::span`].
+//! carries a [`SpanTracker`], and only such handles emit
+//! `span_open`/`span_close` events from [`TraceHandle::span`].
 //! Span timestamps are wall-clock, so the byte-identical determinism
 //! suites run with span-less handles and see traces without span lines;
 //! `--trace-spans` on the experiment binaries turns them on.
 
-#[cfg(feature = "telemetry")]
 use sparcle_telemetry::{Event, Recorder, SpanTracker};
 
 /// A copyable, possibly-disconnected reference to a telemetry sink.
 ///
-/// See the module docs for the two feature configurations. Obtain one
-/// with [`TraceHandle::none`] (always) or [`TraceHandle::new`] /
-/// [`TraceHandle::with_spans`] (feature-gated).
-#[derive(Clone, Copy)]
+/// Obtain one with [`TraceHandle::none`], [`TraceHandle::new`] or
+/// [`TraceHandle::with_spans`].
+#[derive(Clone, Copy, Default)]
 pub struct TraceHandle<'a> {
-    #[cfg(feature = "telemetry")]
     recorder: Option<&'a dyn Recorder>,
-    #[cfg(feature = "telemetry")]
     spans: Option<&'a SpanTracker>,
-    #[cfg(feature = "telemetry")]
-    provenance: bool,
-    #[cfg(not(feature = "telemetry"))]
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl Default for TraceHandle<'_> {
-    fn default() -> Self {
-        TraceHandle {
-            #[cfg(feature = "telemetry")]
-            recorder: None,
-            #[cfg(feature = "telemetry")]
-            spans: None,
-            #[cfg(feature = "telemetry")]
-            provenance: true,
-            #[cfg(not(feature = "telemetry"))]
-            _marker: std::marker::PhantomData,
-        }
-    }
 }
 
 impl std::fmt::Debug for TraceHandle<'_> {
@@ -73,101 +43,48 @@ impl std::fmt::Debug for TraceHandle<'_> {
 }
 
 impl<'a> TraceHandle<'a> {
-    /// A disconnected handle: records nothing, costs nothing.
+    /// A disconnected handle: records nothing.
     #[inline]
     pub fn none() -> Self {
         Self::default()
     }
 
     /// A handle recording into `recorder` (no spans).
-    #[cfg(feature = "telemetry")]
     pub fn new(recorder: &'a dyn Recorder) -> Self {
         TraceHandle {
             recorder: Some(recorder),
             spans: None,
-            provenance: true,
         }
     }
 
     /// A handle recording into `recorder` that additionally emits
     /// hierarchical span events through `tracker`.
-    #[cfg(feature = "telemetry")]
     pub fn with_spans(recorder: &'a dyn Recorder, tracker: &'a SpanTracker) -> Self {
         TraceHandle {
             recorder: Some(recorder),
             spans: Some(tracker),
-            provenance: true,
         }
     }
 
-    /// The same handle with the decision-provenance plane disabled: the
-    /// per-app lifecycle events (`runtime_displace`/`runtime_readmit`/
-    /// `runtime_probe`, `service_ingest`/`service_defer`) and the cause
-    /// bookkeeping behind them are skipped, leaving the pre-provenance
-    /// event stream. This is the off-axis of the
-    /// `provenance_overhead_ratio` perf gate (DESIGN.md §14).
-    #[must_use]
-    pub fn without_provenance(self) -> Self {
-        #[cfg(feature = "telemetry")]
-        {
-            let mut this = self;
-            this.provenance = false;
-            this
-        }
-        #[cfg(not(feature = "telemetry"))]
-        self
-    }
-
-    /// Whether the provenance plane is active (requires an attached
-    /// recorder; always `false` with the `telemetry` feature off).
-    #[inline]
-    pub fn provenance_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.recorder.is_some() && self.provenance
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
-    }
-
-    /// Whether a recorder is attached (always `false` with the
-    /// `telemetry` feature off).
+    /// Whether a recorder is attached.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.recorder.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
+        self.recorder.is_some()
     }
 
-    /// Whether span events are emitted (always `false` with the
-    /// `telemetry` feature off or without a tracker attached).
+    /// Whether span events are emitted (a recorder and a tracker are
+    /// both attached).
     #[inline]
     pub fn spans_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.recorder.is_some() && self.spans.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
+        self.recorder.is_some() && self.spans.is_some()
     }
 
     /// The attached recorder, if any.
-    #[cfg(feature = "telemetry")]
     pub fn recorder(&self) -> Option<&'a dyn Recorder> {
         self.recorder
     }
 
     /// The attached span tracker, if any.
-    #[cfg(feature = "telemetry")]
     pub fn span_tracker(&self) -> Option<&'a SpanTracker> {
         self.spans
     }
@@ -175,7 +92,6 @@ impl<'a> TraceHandle<'a> {
     /// Records a structured event and returns the provenance id the
     /// sink assigned (`0` when no recorder is attached or the sink does
     /// not track provenance).
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn event(&self, event: &Event) -> u64 {
         self.event_caused(event, &[])
@@ -184,20 +100,10 @@ impl<'a> TraceHandle<'a> {
     /// Records a structured event with its causal back-references
     /// (provenance ids of the earlier events that caused it) and
     /// returns the new event's id.
-    ///
-    /// When the provenance plane is disabled
-    /// ([`TraceHandle::without_provenance`]) the causes are dropped —
-    /// the event is still recorded, but unlinked, and the returned id
-    /// is `0` so downstream bookkeeping short-circuits.
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn event_caused(&self, event: &Event, causes: &[u64]) -> u64 {
         match self.recorder {
-            Some(r) if self.provenance => r.event_caused(event, causes),
-            Some(r) => {
-                r.event_caused(event, &[]);
-                0
-            }
+            Some(r) => r.event_caused(event, causes),
             None => 0,
         }
     }
@@ -205,26 +111,16 @@ impl<'a> TraceHandle<'a> {
     /// Increments a named counter.
     #[inline]
     pub fn counter(&self, name: &str, delta: u64) {
-        #[cfg(feature = "telemetry")]
         if let Some(r) = self.recorder {
             r.counter(name, delta);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (name, delta);
         }
     }
 
     /// Records a duration (nanoseconds) into a named histogram.
     #[inline]
     pub fn timing(&self, name: &str, nanos: u64) {
-        #[cfg(feature = "telemetry")]
         if let Some(r) = self.recorder {
             r.timing(name, nanos);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (name, nanos);
         }
     }
 
@@ -236,32 +132,19 @@ impl<'a> TraceHandle<'a> {
     /// aborted close.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'a> {
-        #[cfg(feature = "telemetry")]
-        {
-            let inner = match (self.recorder, self.spans) {
-                (Some(recorder), Some(tracker)) => Some(tracker.open(recorder, name)),
-                _ => None,
-            };
-            SpanGuard { inner }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = name;
-            SpanGuard {
-                _marker: std::marker::PhantomData,
-            }
-        }
+        let inner = match (self.recorder, self.spans) {
+            (Some(recorder), Some(tracker)) => Some(tracker.open(recorder, name)),
+            _ => None,
+        };
+        SpanGuard { inner }
     }
 }
 
-/// RAII guard for a [`TraceHandle::span`]. Zero-sized and inert with
-/// the `telemetry` feature off or when the handle carries no tracker.
+/// RAII guard for a [`TraceHandle::span`]. Inert when the handle
+/// carries no tracker.
 #[must_use = "dropping an active span guard records an aborted close; call finish()"]
 pub struct SpanGuard<'a> {
-    #[cfg(feature = "telemetry")]
     inner: Option<sparcle_telemetry::Span<'a>>,
-    #[cfg(not(feature = "telemetry"))]
-    _marker: std::marker::PhantomData<&'a ()>,
 }
 
 impl std::fmt::Debug for SpanGuard<'_> {
@@ -276,20 +159,12 @@ impl SpanGuard<'_> {
     /// Whether this guard wraps a live span (false for inert guards).
     #[inline]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Closes the span normally (no-op for inert guards).
     #[inline]
     pub fn finish(self) {
-        #[cfg(feature = "telemetry")]
         if let Some(span) = self.inner {
             span.finish();
         }
@@ -314,7 +189,6 @@ mod tests {
         let _ = t.span("inert2");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn new_records_into_the_sink() {
         let r = sparcle_telemetry::CollectRecorder::new();
@@ -330,31 +204,22 @@ mod tests {
         assert_eq!(r.events().len(), 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn event_caused_threads_provenance_through_the_sink() {
         let r = sparcle_telemetry::CollectRecorder::new();
         let t = TraceHandle::new(&r);
-        assert!(t.provenance_enabled());
         let a = t.event(&Event::RunStart { name: "a".into() });
         let b = t.event_caused(&Event::RunStart { name: "b".into() }, &[a]);
         assert_eq!((a, b), (1, 2));
         assert_eq!(r.stamped_events()[1].causes, vec![1]);
-
-        // Disabling the plane records the event but drops the links and
-        // reports id 0 so emitters skip their bookkeeping.
-        let quiet = t.without_provenance();
-        assert!(!quiet.provenance_enabled());
-        assert!(quiet.is_enabled());
-        let c = quiet.event_caused(&Event::RunStart { name: "c".into() }, &[b]);
-        assert_eq!(c, 0);
-        assert!(r.stamped_events()[2].causes.is_empty());
-
-        // A disconnected handle reports both planes off.
-        assert!(!TraceHandle::none().provenance_enabled());
+        // A disconnected handle records nothing and reports id 0.
+        assert_eq!(
+            TraceHandle::none().event_caused(&Event::RunStart { name: "c".into() }, &[b]),
+            0
+        );
+        assert_eq!(r.stamped_events().len(), 2);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn with_spans_emits_nested_span_events() {
         let r = sparcle_telemetry::CollectRecorder::new();

@@ -13,19 +13,13 @@
 //! * the **pass itself** lives in the runtime event loop (a
 //!   [`crate::ChurnEvent::DefragTick`] handler) because it needs the
 //!   live system, the arrival-index maps, and the trace handle;
-//! * this module owns the **accounting**: the writer cost model gating
-//!   (a pass only starts when the modeled writer is idle, and a
-//!   committed pass occupies it for
-//!   [`SolveCostModel::batch_cost`]`(moves)` — the same currency the
-//!   admission service charges itself per PR 8), the per-epoch
-//!   displaced-seconds budget, and the pass/probe/move counters the
+//! * this module owns the **accounting**: the per-epoch
+//!   displaced-seconds budget and the pass/skip/probe/move counters the
 //!   differential and budget tests assert on.
 //!
 //! Everything here is pure state-in/state-out on simulated time; a run
 //! with `defrag: None` never constructs a [`Defragmenter`] and is
 //! byte-identical to a run built before this plane existed.
-
-use crate::cost::SolveCostModel;
 
 /// Tunables of the background defragmentation pass.
 #[derive(Debug, Clone)]
@@ -46,10 +40,6 @@ pub struct DefragConfig {
     /// Minimum total-BE-delivered-rate improvement a move must show (at
     /// probe time *and* again at commit time) to be worth its churn.
     pub min_gain: f64,
-    /// Writer cost model: a pass that commits `n` moves occupies the
-    /// modeled writer for `batch_cost(n)` sim-seconds; a tick that lands
-    /// while the writer is still busy skips its pass entirely.
-    pub solve_cost: SolveCostModel,
 }
 
 impl Default for DefragConfig {
@@ -59,19 +49,16 @@ impl Default for DefragConfig {
             budget_per_epoch: 1.0,
             move_cost: 0.25,
             min_gain: 1e-9,
-            solve_cost: SolveCostModel::default(),
         }
     }
 }
 
-/// Accounting state of the background defragmenter: writer-busy
-/// horizon, per-epoch budget, and the counters
-/// (passes/skips/probes/moves) the budget invariant is asserted from.
+/// Accounting state of the background defragmenter: per-epoch budget
+/// and the counters (passes/skips/probes/moves) the budget invariant is
+/// asserted from.
 #[derive(Debug, Clone)]
 pub struct Defragmenter {
     config: DefragConfig,
-    /// Simulated time the modeled writer becomes idle again.
-    writer_free_at: f64,
     passes: u64,
     skipped: u64,
     probes: u64,
@@ -101,7 +88,6 @@ impl Defragmenter {
         );
         Defragmenter {
             config,
-            writer_free_at: 0.0,
             passes: 0,
             skipped: 0,
             probes: 0,
@@ -114,14 +100,7 @@ impl Defragmenter {
         &self.config
     }
 
-    /// `true` when the modeled writer is idle at `t` — the precondition
-    /// for starting a pass.
-    pub fn writer_idle(&self, t: f64) -> bool {
-        t >= self.writer_free_at
-    }
-
-    /// Records a tick that skipped its pass (writer busy or a reconcile
-    /// owed).
+    /// Records a tick that skipped its pass (a reconcile is owed).
     pub(crate) fn note_skip(&mut self) {
         self.skipped += 1;
     }
@@ -138,18 +117,12 @@ impl Defragmenter {
         self.probes += n;
     }
 
-    /// Records the committed moves of a pass ending at `t`, occupying
-    /// the modeled writer for `batch_cost(moves)`. Probe-only passes
-    /// (zero moves) are modeled as snapshot reads and leave the writer
-    /// idle.
-    pub(crate) fn note_moves(&mut self, t: f64, moves: u64) {
+    /// Records the committed moves of a pass.
+    pub(crate) fn note_moves(&mut self, moves: u64) {
         self.moves += moves;
-        if moves > 0 {
-            self.writer_free_at = t + self.config.solve_cost.batch_cost(moves as usize);
-        }
     }
 
-    /// Passes that ran (ticks that passed the idle/backlog gate).
+    /// Passes that ran (ticks that passed the backlog gate).
     pub fn passes(&self) -> u64 {
         self.passes
     }
@@ -168,11 +141,6 @@ impl Defragmenter {
     pub fn moves(&self) -> u64 {
         self.moves
     }
-
-    /// The simulated time the modeled writer becomes idle.
-    pub fn writer_free_at(&self) -> f64 {
-        self.writer_free_at
-    }
 }
 
 #[cfg(test)]
@@ -180,29 +148,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn writer_gating_follows_the_cost_model() {
+    fn counters_follow_the_pass_bookkeeping() {
         let mut d = Defragmenter::new(DefragConfig::default());
-        assert!(d.writer_idle(0.0));
-        let budget = d.begin_pass();
-        assert_eq!(budget, 1.0);
-        d.note_moves(5.0, 3);
-        // 0.05 fixed + 3 × 0.01 marginal.
-        assert!((d.writer_free_at() - 5.08).abs() < 1e-12);
-        assert!(!d.writer_idle(5.05));
-        assert!(d.writer_idle(5.08));
-        assert_eq!((d.passes(), d.moves()), (1, 3));
-    }
-
-    #[test]
-    fn probe_only_passes_leave_the_writer_idle() {
-        let mut d = Defragmenter::new(DefragConfig::default());
-        d.begin_pass();
-        d.note_probes(1);
-        d.note_moves(5.0, 0);
-        assert!(d.writer_idle(5.0));
-        assert_eq!((d.probes(), d.moves(), d.skipped()), (1, 0, 0));
+        assert_eq!(d.begin_pass(), 1.0);
+        d.note_probes(4);
+        d.note_moves(3);
         d.note_skip();
-        assert_eq!(d.skipped(), 1);
+        assert_eq!(
+            (d.passes(), d.probes(), d.moves(), d.skipped()),
+            (1, 4, 3, 1)
+        );
     }
 
     #[test]

@@ -43,14 +43,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cost;
 pub mod defrag;
 pub mod ledger;
 pub mod monitor;
 pub mod policy;
 pub mod runtime;
 
-pub use cost::SolveCostModel;
 pub use defrag::{DefragConfig, Defragmenter};
 pub use ledger::SloLedger;
 pub use monitor::{

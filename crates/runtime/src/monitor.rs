@@ -32,13 +32,16 @@
 //! obey.
 //!
 //! The monitor itself is pure state-in/state-out (no I/O, no clock):
-//! the runtime feeds it [`TickInput`]s and turns the returned
-//! [`MonitorSample`]s into telemetry events and the optional
+//! its owner — the churn runtime or the admission service — feeds it
+//! [`TickInput`]s and turns the returned [`MonitorSample`]s into
+//! telemetry events ([`MonitorSample::emit`]) and the optional
 //! Prometheus-style text exposition ([`Monitor::render_prometheus`]).
 
 use std::path::PathBuf;
 
+use sparcle_core::TraceHandle;
 use sparcle_telemetry::window::{RateEstimator, WindowedCounter, WindowedHistogram};
+use sparcle_telemetry::Event;
 
 /// Labels of the four alert rules, in evaluation order.
 pub const ALERT_RULES: [&str; 4] = [
@@ -203,6 +206,44 @@ pub struct MonitorSample {
     pub alerts_firing: u64,
     /// Edge transitions produced by this tick, in rule order.
     pub transitions: Vec<AlertTransition>,
+}
+
+impl MonitorSample {
+    /// Emits this sample as one `monitor_snapshot` event followed by one
+    /// `monitor_alert` event per edge transition, in rule order. Nothing
+    /// is built when `trace` carries no recorder.
+    pub fn emit(&self, trace: TraceHandle<'_>) {
+        if !trace.is_enabled() {
+            return;
+        }
+        trace.event(&Event::MonitorSnapshot {
+            time: self.time,
+            window: self.window,
+            gr_burn: self.gr_burn,
+            gr_violation_s: self.gr_violation_s,
+            be_rate: self.be_rate,
+            arrival_rate: self.arrival_rate,
+            admit_rate: self.admit_rate,
+            cache_hit_rate: self.cache_hit_rate,
+            cache_lookups: self.cache_lookups,
+            warm_iters_per_solve: self.warm_iters_per_solve,
+            solves: self.solves,
+            queue_depth: self.queue_depth,
+            queue_p95: self.queue_p95,
+            backlog: self.backlog,
+            live: self.live,
+            alerts_firing: self.alerts_firing,
+        });
+        for tr in &self.transitions {
+            trace.event(&Event::MonitorAlert {
+                time: self.time,
+                rule: tr.rule.to_owned(),
+                state: if tr.firing { "firing" } else { "cleared" }.to_owned(),
+                value: tr.value,
+                threshold: tr.threshold,
+            });
+        }
+    }
 }
 
 /// Sliding-window health aggregation + edge-triggered alerting for one

@@ -12,14 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "telemetry")]
 use sparcle_core::telemetry::Event;
-#[cfg(feature = "telemetry")]
-use sparcle_core::DisplaceCause;
-#[cfg(feature = "telemetry")]
-use sparcle_core::MigrationCause;
 use sparcle_core::{
-    Admission, DisplacedApp, RejectCause, SparcleSystem, SystemConfig, TraceHandle,
+    Admission, DisplaceCause, DisplacedApp, MigrationCause, RejectCause, SparcleSystem,
+    SystemConfig, TraceHandle,
 };
 use sparcle_model::{
     AppId, Application, CapacityMap, Network, NetworkElement, Placement, QoeClass,
@@ -35,7 +31,6 @@ use crate::policy::ReconcilePolicy;
 
 /// Stable trace label of a network element (`"ncp:3"`, `"link:7"`) —
 /// same format the failure simulator emits.
-#[cfg(feature = "telemetry")]
 fn element_label(e: NetworkElement) -> String {
     match e {
         NetworkElement::Ncp(id) => format!("ncp:{}", id.index()),
@@ -189,9 +184,8 @@ pub struct SparcleRuntime<F> {
     events_processed: u64,
     /// Arrival index → provenance id of the app's latest lifecycle
     /// event (arrival/displace/readmit), so the next hop can link back
-    /// to it. Only populated while the provenance plane is on; entries
+    /// to it. Only populated while a recorder is attached; entries
     /// leave at departure.
-    #[cfg(feature = "telemetry")]
     last_event: BTreeMap<u64, u64>,
 }
 
@@ -310,7 +304,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             monitor,
             defrag,
             events_processed: 0,
-            #[cfg(feature = "telemetry")]
             last_event: BTreeMap::new(),
         }
     }
@@ -471,7 +464,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             self.ledger.record_rejection(cause.code());
         }
         trace.counter("runtime.arrivals", 1);
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             // An arrival is exogenous: it roots the app's cause chain
             // (empty `causes`). The lineage is the arrival index; a
@@ -485,12 +477,10 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 rate,
                 cause: cause.map(|c| c.code().to_owned()),
             });
-            if admitted && id != 0 && trace.provenance_enabled() {
+            if admitted && id != 0 {
                 self.last_event.insert(index, id);
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (is_gr, rate);
     }
 
     fn on_departure(&mut self, t: f64, index: u64, trace: TraceHandle<'_>) {
@@ -511,7 +501,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         }
         self.ledger.record_departure();
         trace.counter("runtime.departures", 1);
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             let prev = self.last_event.remove(&index).unwrap_or(0);
             let buf = [prev];
@@ -525,8 +514,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 causes,
             );
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = t;
     }
 
     fn on_element(&mut self, t: f64, element: NetworkElement, up: bool, trace: TraceHandle<'_>) {
@@ -563,7 +550,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         self.apply_caps();
         self.ledger.record_displacements(displaced_now);
         trace.counter("runtime.element_transitions", 1);
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             let element_id = trace.event(&Event::RuntimeElementState {
                 time: t,
@@ -574,33 +560,29 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             // Per-app displacement provenance: each evicted app links
             // back to its latest lifecycle event and to the element
             // transition that evicted it — the binding constraint.
-            if trace.provenance_enabled() {
-                for &index in &displaced_indices {
-                    let mut causes = Vec::with_capacity(2);
-                    if let Some(&prev) = self.last_event.get(&index) {
-                        causes.push(prev);
-                    }
-                    if element_id != 0 {
-                        causes.push(element_id);
-                    }
-                    let id = trace.event_caused(
-                        &Event::RuntimeDisplace {
-                            time: t,
-                            app: index as u32,
-                            lineage: index,
-                            element: element_label(element),
-                            cause: DisplaceCause::ElementFailure.code().to_owned(),
-                        },
-                        &causes,
-                    );
-                    if id != 0 {
-                        self.last_event.insert(index, id);
-                    }
+            for &index in &displaced_indices {
+                let mut causes = Vec::with_capacity(2);
+                if let Some(&prev) = self.last_event.get(&index) {
+                    causes.push(prev);
+                }
+                if element_id != 0 {
+                    causes.push(element_id);
+                }
+                let id = trace.event_caused(
+                    &Event::RuntimeDisplace {
+                        time: t,
+                        app: index as u32,
+                        lineage: index,
+                        element: element_label(element),
+                        cause: DisplaceCause::ElementFailure.code().to_owned(),
+                    },
+                    &causes,
+                );
+                if id != 0 {
+                    self.last_event.insert(index, id);
                 }
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = &displaced_indices;
         if displaced_now > 0 || (up && !self.pending.is_empty()) {
             let delay = self.config.reconcile_base_delay
                 + self.config.reconcile_per_app_delay * self.pending.len() as f64;
@@ -613,15 +595,12 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         self.base_caps = self.fluct_steps[step].clone();
         self.apply_caps();
         trace.counter("runtime.fluctuations", 1);
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             trace.event(&Event::RuntimeFluctuation {
                 time: t,
                 violated: self.violating.len() as u64,
             });
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = t;
     }
 
     fn on_reconcile(&mut self, t: f64, cause: f64, trace: TraceHandle<'_>) {
@@ -639,10 +618,8 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         // Provenance ids of the lifecycle events (displacements) this
         // pass is resolving — the aggregate reconcile event links back
         // to all of them.
-        #[cfg(feature = "telemetry")]
         let mut pass_causes: Vec<u64> = Vec::new();
         for mut p in batch {
-            #[cfg(feature = "telemetry")]
             let prev = {
                 let prev = self.last_event.get(&p.index).copied().unwrap_or(0);
                 if prev != 0 {
@@ -658,7 +635,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                         restored += 1;
                         self.register(p.index, id);
                         self.ledger.record_restore(t - p.since);
-                        #[cfg(feature = "telemetry")]
                         self.emit_readmit(
                             trace,
                             t,
@@ -687,12 +663,10 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                     replaced += 1;
                     self.register(p.index, id);
                     self.ledger.record_replacement(t - p.since);
-                    #[cfg(feature = "telemetry")]
                     self.emit_readmit(trace, t, p.index, "replaced", self.rate_of(id), None, prev);
                 }
                 Admission::Rejected(reason) => {
                     failed += 1;
-                    #[cfg(feature = "telemetry")]
                     self.emit_readmit(
                         trace,
                         t,
@@ -702,15 +676,12 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                         Some(reason.cause_code()),
                         prev,
                     );
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = reason;
                     self.pending.push(p);
                 }
             }
         }
         self.ledger.record_reconcile();
         trace.counter("runtime.reconciles", 1);
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             pass_causes.sort_unstable();
             pass_causes.dedup();
@@ -726,8 +697,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 &pass_causes,
             );
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (t, cause, restored, replaced, failed);
         reconcile_span.finish();
     }
 
@@ -759,36 +728,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             self.queue.schedule(next, ChurnEvent::MonitorTick);
         }
         trace.counter("runtime.monitor_ticks", 1);
-        #[cfg(feature = "telemetry")]
-        if trace.is_enabled() {
-            trace.event(&Event::MonitorSnapshot {
-                time: sample.time,
-                window: sample.window,
-                gr_burn: sample.gr_burn,
-                gr_violation_s: sample.gr_violation_s,
-                be_rate: sample.be_rate,
-                arrival_rate: sample.arrival_rate,
-                admit_rate: sample.admit_rate,
-                cache_hit_rate: sample.cache_hit_rate,
-                cache_lookups: sample.cache_lookups,
-                warm_iters_per_solve: sample.warm_iters_per_solve,
-                solves: sample.solves,
-                queue_depth: sample.queue_depth,
-                queue_p95: sample.queue_p95,
-                backlog: sample.backlog,
-                live: sample.live,
-                alerts_firing: sample.alerts_firing,
-            });
-            for tr in &sample.transitions {
-                trace.event(&Event::MonitorAlert {
-                    time: t,
-                    rule: tr.rule.to_owned(),
-                    state: if tr.firing { "firing" } else { "cleared" }.to_owned(),
-                    value: tr.value,
-                    threshold: tr.threshold,
-                });
-            }
-        }
+        sample.emit(trace);
         if let Some(path) = &monitor.config().metrics_out {
             let text = monitor.render_prometheus(&sample);
             if let Err(e) = std::fs::write(path, text) {
@@ -802,9 +742,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     /// One background defragmentation pass (DESIGN.md §15). Reconcile
     /// repair always outranks optimization churn: the pass is skipped
-    /// outright while displaced applications wait or while the modeled
-    /// writer is still busy with a previous pass (the PR-8 cost model,
-    /// shared with the admission service). A pass that does run:
+    /// outright while displaced applications wait. A pass that does run:
     ///
     /// 1. **Probes** every live application with a rollback-only
     ///    [`sparcle_core::SystemTxn::migrate`] and scores the move by
@@ -830,13 +768,12 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             return;
         };
         let cfg = d.config().clone();
-        let writer_idle = d.writer_idle(t);
         let next = t + cfg.period;
         if next <= self.config.horizon {
             self.queue.schedule(next, ChurnEvent::DefragTick);
         }
         trace.counter("runtime.defrag_ticks", 1);
-        if !self.pending.is_empty() || !writer_idle {
+        if !self.pending.is_empty() {
             self.defrag.as_mut().expect("checked above").note_skip();
             return;
         }
@@ -892,7 +829,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 self.ledger.record_migration(cfg.move_cost);
                 new_rate = self.rate_of(new_id);
             }
-            #[cfg(feature = "telemetry")]
             if trace.is_enabled() {
                 let prev = self.last_event.get(&index).copied().unwrap_or(0);
                 let buf = [prev];
@@ -909,16 +845,14 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                     },
                     causes,
                 );
-                if committed && eid != 0 && trace.provenance_enabled() {
+                if committed && eid != 0 {
                     self.last_event.insert(index, eid);
                 }
             }
-            #[cfg(not(feature = "telemetry"))]
-            let _ = new_rate;
         }
         let d = self.defrag.as_mut().expect("checked above");
         d.note_probes(probes);
-        d.note_moves(t, moves);
+        d.note_moves(moves);
         trace.counter("runtime.defrag_passes", 1);
         trace.counter("runtime.defrag_moves", moves);
         pass_span.finish();
@@ -926,7 +860,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     /// Emits one `runtime_readmit` lifecycle event linking back to the
     /// app's previous lifecycle hop, and advances the lineage cursor.
-    #[cfg(feature = "telemetry")]
     #[allow(clippy::too_many_arguments)]
     fn emit_readmit(
         &mut self,
@@ -938,7 +871,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         cause: Option<&'static str>,
         prev: u64,
     ) {
-        if !trace.provenance_enabled() {
+        if !trace.is_enabled() {
             return;
         }
         let buf = [prev];
@@ -966,13 +899,11 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     /// counter included) is left bitwise untouched. Highest probed rate
     /// first; failed probes last; ties fall back to the arrival index.
     ///
-    /// With the provenance plane on, each probe's counterfactual answer
+    /// With a recorder attached, each probe's counterfactual answer
     /// is emitted as a `runtime_probe` event linked to the app's latest
     /// lifecycle event — the what-if results `sparcle-trace explain`
     /// attaches to the timeline.
     fn order_by_probe(&mut self, batch: &mut Vec<PendingApp>, t: f64, trace: TraceHandle<'_>) {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (t, trace);
         let mut keyed: Vec<(f64, PendingApp)> = batch
             .drain(..)
             .map(|p| {
@@ -992,8 +923,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                     _ => f64::NEG_INFINITY,
                 };
                 txn.rollback();
-                #[cfg(feature = "telemetry")]
-                if trace.provenance_enabled() {
+                if trace.is_enabled() {
                     let feasible = probed > f64::NEG_INFINITY;
                     let prev = self.last_event.get(&p.index).copied().unwrap_or(0);
                     let buf = [prev];
@@ -1216,35 +1146,28 @@ mod tests {
         };
         let mut rt = SparcleRuntime::new(b.build().unwrap(), arrivals, source, cfg);
 
-        #[cfg(feature = "telemetry")]
         let recorder = sparcle_core::telemetry::CollectRecorder::new();
-        #[cfg(feature = "telemetry")]
         rt.run_traced(TraceHandle::new(&recorder));
-        #[cfg(not(feature = "telemetry"))]
-        rt.run();
 
         let ledger = rt.ledger();
         assert_eq!((ledger.arrivals(), ledger.admitted()), (2, 1));
         assert_eq!(ledger.rejections().get("submit_error"), Some(&1));
         assert_eq!(ledger.rejections().len(), 1);
         assert_eq!(rt.live_indices(), vec![1]);
-        #[cfg(feature = "telemetry")]
-        {
-            let causes: Vec<_> = recorder
-                .events()
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::RuntimeArrival {
-                        admitted, cause, ..
-                    } => Some((admitted, cause)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                causes,
-                vec![(false, Some("submit_error".to_owned())), (true, None)]
-            );
-        }
+        let causes: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::RuntimeArrival {
+                    admitted, cause, ..
+                } => Some((admitted, cause)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            causes,
+            vec![(false, Some("submit_error".to_owned())), (true, None)]
+        );
     }
 
     #[test]

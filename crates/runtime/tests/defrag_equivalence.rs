@@ -136,7 +136,6 @@ fn committed_moves_are_identical_across_threads() {
     assert_eq!(base_fp, fingerprint(&on(8)), "8 threads diverged");
 }
 
-#[cfg(feature = "telemetry")]
 mod telemetry {
     use super::*;
     use sparcle_core::telemetry::schema::validate_line;

@@ -3,8 +3,6 @@
 //! runs and across γ-evaluator thread counts — and every emitted event
 //! passes the trace schema validator.
 
-#![cfg(feature = "telemetry")]
-
 use sparcle_core::telemetry::schema::validate_line;
 use sparcle_core::telemetry::CollectRecorder;
 use sparcle_core::TraceHandle;

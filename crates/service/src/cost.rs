@@ -1,16 +1,10 @@
-//! The shared **writer cost model**: how long the single system writer
-//! is busy after one batched solve, in simulated seconds.
+//! The **writer cost model**: how long the service's single writer is
+//! busy after one batched solve, in simulated seconds.
 //!
-//! Two control planes charge themselves with this model. The admission
-//! service (`sparcle-service`) holds the writer for
+//! The admission service holds the writer for
 //! `fixed + per_request × batch_size` after each batched admission
 //! commit and defers windows whose boundary falls inside that interval
-//! (backpressure). The background defragmenter
-//! ([`crate::defrag::Defragmenter`]) uses the same model for its
-//! re-optimization passes — a pass only *starts* when the modeled
-//! writer is idle, and a committed pass occupies the writer for
-//! `fixed + per_request × moves`, so planned migrations can never
-//! starve admission work they share a writer with.
+//! (backpressure).
 
 /// Simulated cost of one batched solve, in sim-seconds: the writer is
 /// busy for `fixed + per_request × batch_size` after each commit.

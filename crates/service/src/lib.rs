@@ -28,6 +28,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cost;
 pub mod service;
 
-pub use service::{AdmissionService, ProbeAnswer, ServiceConfig, ServiceStats, SolveCostModel};
+pub use cost::SolveCostModel;
+pub use service::{AdmissionService, ProbeAnswer, ServiceConfig, ServiceStats};

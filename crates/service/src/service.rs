@@ -17,10 +17,8 @@
 //! out of a full ingest queue, are shed — lowest priority first, with
 //! Guaranteed-Rate requests protected by an infinite rank.
 
-#[cfg(feature = "telemetry")]
 use sparcle_core::telemetry::Event;
 use sparcle_core::trace::TraceHandle;
-#[cfg(feature = "telemetry")]
 use sparcle_core::DEFER_WRITER_BUSY;
 use sparcle_core::{
     Admission, AssignError, DynamicRankingAssigner, RejectCause, ShedCause, SparcleSystem,
@@ -32,10 +30,7 @@ use sparcle_workloads::{RequestKind, ServiceRequest};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-// The writer cost model is shared with the runtime's background
-// defragmenter, so it lives in `sparcle-runtime` and is re-exported
-// here for the service plane's historical public path.
-pub use sparcle_runtime::SolveCostModel;
+use crate::cost::SolveCostModel;
 
 /// Tunables of the admission service plane.
 #[derive(Debug, Clone)]
@@ -119,8 +114,7 @@ struct Pending {
     deferred: u64,
     /// Id of the last provenance event on this request's lineage (the
     /// `service_ingest`, or the latest `service_defer` that parked it);
-    /// 0 when provenance is off.
-    #[cfg(feature = "telemetry")]
+    /// 0 when untraced.
     last_event: u64,
 }
 
@@ -150,8 +144,7 @@ pub struct AdmissionService<F: FnMut(u64) -> Application> {
     shed_since_batch: u64,
     /// Id of the last committed `service_batch` event — the cause of any
     /// deferral its writer-busy tail forces; 0 before the first commit
-    /// or when provenance is off.
-    #[cfg(feature = "telemetry")]
+    /// or when untraced.
     last_batch_id: u64,
 }
 
@@ -203,7 +196,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             writer_free_at: 0.0,
             window_seq: 0,
             shed_since_batch: 0,
-            #[cfg(feature = "telemetry")]
             last_batch_id: 0,
         }
     }
@@ -217,11 +209,16 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
     /// Drives the service over a time-ordered request stream, then
     /// drains every queued request through its (possibly deferred)
     /// batch window. Emits `service_*` telemetry events into `trace`.
+    ///
+    /// The stream may be fed in slices over several calls: the
+    /// `service.*` counters each call exports are that call's share, so
+    /// the recorder's totals always equal [`Self::stats`].
     pub fn run_traced(
         &mut self,
         requests: impl IntoIterator<Item = ServiceRequest>,
         trace: TraceHandle<'_>,
     ) {
+        let (before, deferrals_before) = (self.stats, self.ledger.deferrals());
         for request in requests {
             self.advance_to(request.time, trace);
             match request.kind {
@@ -238,13 +235,17 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             self.close_window(boundary, trace);
             self.window_seq += 1;
         }
-        trace.counter("service.batches", self.stats.batches);
-        trace.counter("service.decisions", self.stats.decisions);
-        trace.counter("service.admitted", self.stats.admitted);
-        trace.counter("service.rejected", self.stats.rejected);
-        trace.counter("service.shed", self.stats.shed);
-        trace.counter("service.probes", self.stats.probes);
-        trace.counter("service.deferrals", self.ledger.deferrals());
+        let now = self.stats;
+        trace.counter("service.batches", now.batches - before.batches);
+        trace.counter("service.decisions", now.decisions - before.decisions);
+        trace.counter("service.admitted", now.admitted - before.admitted);
+        trace.counter("service.rejected", now.rejected - before.rejected);
+        trace.counter("service.shed", now.shed - before.shed);
+        trace.counter("service.probes", now.probes - before.probes);
+        trace.counter(
+            "service.deferrals",
+            self.ledger.deferrals() - deferrals_before,
+        );
     }
 
     /// Closes every window boundary at or before `t`, fast-forwarding
@@ -275,8 +276,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         let (class, rank) = class_and_rank(&app);
         // Mint the lineage: the ingest event is the causal root of every
         // later event about this request.
-        #[cfg(feature = "telemetry")]
-        let ingest_id = if trace.is_enabled() && trace.provenance_enabled() {
+        let ingest_id = if trace.is_enabled() {
             trace.event(&Event::ServiceIngest {
                 time: request.time,
                 request: request.index,
@@ -293,7 +293,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             class,
             rank,
             deferred: 0,
-            #[cfg(feature = "telemetry")]
             last_event: ingest_id,
         });
         if self.pending.len() > self.config.queue_capacity {
@@ -344,7 +343,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         if answer.feasible {
             self.stats.probes_feasible += 1;
         }
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             trace.event(&Event::ServiceProbe {
                 time: request.time,
@@ -354,8 +352,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                 rate: answer.rate,
             });
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = trace;
         answer
     }
 
@@ -372,8 +368,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             // covers this boundary; it in turn becomes the latest
             // lineage event of everything it parked (or pushed over its
             // deferral budget).
-            #[cfg(feature = "telemetry")]
-            if trace.is_enabled() && trace.provenance_enabled() {
+            if trace.is_enabled() {
                 // Causes: the batch whose solve is still running, plus
                 // the latest lineage event of every request it parks —
                 // so a later shed still chains back to its ingest
@@ -462,7 +457,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
 
         // The batch event precedes its member decisions so every
         // decision can cite the commit that produced it as a cause.
-        #[cfg(feature = "telemetry")]
         let batch_id = if trace.is_enabled() {
             trace.event(&Event::ServiceBatch {
                 time: t,
@@ -477,8 +471,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         } else {
             0
         };
-        #[cfg(not(feature = "telemetry"))]
-        let _ = batch_solves;
 
         for (p, outcome) in batch.iter().zip(&outcomes) {
             let wait = t - p.arrival;
@@ -495,7 +487,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             if let Some(cause) = cause {
                 self.ledger.record_rejection(cause);
             }
-            #[cfg(feature = "telemetry")]
             if trace.is_enabled() {
                 let mut causes = [0u64; 2];
                 let mut n = 0;
@@ -521,17 +512,12 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                     &causes[..n],
                 );
             }
-            #[cfg(not(feature = "telemetry"))]
-            let _ = (outcome, rate, cause);
         }
         self.stats.batches += 1;
         self.stats.admitted += admitted;
         self.stats.rejected += rejected;
         self.writer_free_at = t + self.config.solve_cost.batch_cost(take);
-        #[cfg(feature = "telemetry")]
-        {
-            self.last_batch_id = batch_id;
-        }
+        self.last_batch_id = batch_id;
         self.shed_since_batch = 0;
         self.tick_monitor(t, trace);
     }
@@ -542,7 +528,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         self.stats.shed += 1;
         self.shed_since_batch += 1;
         self.ledger.record_shed();
-        #[cfg(feature = "telemetry")]
         if trace.is_enabled() {
             let causes = [victim.last_event];
             let n = usize::from(victim.last_event != 0);
@@ -560,8 +545,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                 &causes[..n],
             );
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (victim.class, t, trace, cause);
     }
 
     /// Accrues the ledger's integrals up to `t` at the current rates.
@@ -593,38 +576,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         };
         let sample = monitor.tick(t, &input);
         trace.counter("service.monitor_ticks", 1);
-        #[cfg(feature = "telemetry")]
-        if trace.is_enabled() {
-            trace.event(&Event::MonitorSnapshot {
-                time: sample.time,
-                window: sample.window,
-                gr_burn: sample.gr_burn,
-                gr_violation_s: sample.gr_violation_s,
-                be_rate: sample.be_rate,
-                arrival_rate: sample.arrival_rate,
-                admit_rate: sample.admit_rate,
-                cache_hit_rate: sample.cache_hit_rate,
-                cache_lookups: sample.cache_lookups,
-                warm_iters_per_solve: sample.warm_iters_per_solve,
-                solves: sample.solves,
-                queue_depth: sample.queue_depth,
-                queue_p95: sample.queue_p95,
-                backlog: sample.backlog,
-                live: sample.live,
-                alerts_firing: sample.alerts_firing,
-            });
-            for tr in &sample.transitions {
-                trace.event(&Event::MonitorAlert {
-                    time: t,
-                    rule: tr.rule.to_owned(),
-                    state: if tr.firing { "firing" } else { "cleared" }.to_owned(),
-                    value: tr.value,
-                    threshold: tr.threshold,
-                });
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = sample;
+        sample.emit(trace);
     }
 
     /// The owned scheduling system (read-only).

@@ -228,6 +228,54 @@ fn busy_writer_defers_windows_then_sheds_over_budget() {
     assert_eq!(service.ledger().sheds(), 1);
 }
 
+/// A stream fed in slices must not multiply the exported counters:
+/// each `run_traced` call exports its own share of the cumulative
+/// stats, so the recorder's totals equal `stats()`.
+#[test]
+fn sliced_stream_exports_each_counter_once() {
+    use sparcle_core::telemetry::CollectRecorder;
+    use sparcle_core::TraceHandle;
+
+    let config = ServiceConfig {
+        batch_window: 0.5,
+        queue_capacity: 8,
+        max_defer_windows: 1,
+        solve_cost: SolveCostModel {
+            fixed: 1.2,
+            per_request: 0.05,
+        },
+        ..ServiceConfig::default()
+    };
+    let mut service = AdmissionService::new(star_network(), config, mixed_app);
+    let requests: Vec<ServiceRequest> =
+        RequestStream::new(ArrivalTrace::Poisson { rate: 6.0 }, 20.0, 11)
+            .with_probe_every(5)
+            .collect();
+    let recorder = CollectRecorder::new();
+    let (first, second) = requests.split_at(requests.len() / 2);
+    service.run_traced(first.iter().copied(), TraceHandle::new(&recorder));
+    service.run_traced(second.iter().copied(), TraceHandle::new(&recorder));
+
+    let stats = *service.stats();
+    assert!(
+        stats.batches > 1 && stats.shed > 0 && stats.probes > 0,
+        "the stream must exercise every counter: {stats:?}"
+    );
+    let counters = recorder.snapshot();
+    let exported = [
+        ("service.batches", stats.batches),
+        ("service.decisions", stats.decisions),
+        ("service.admitted", stats.admitted),
+        ("service.rejected", stats.rejected),
+        ("service.shed", stats.shed),
+        ("service.probes", stats.probes),
+        ("service.deferrals", service.ledger().deferrals()),
+    ];
+    for (name, expected) in exported {
+        assert_eq!(counters.counter(name), expected, "{name}");
+    }
+}
+
 #[test]
 fn rejected_batch_leaves_snapshot_readers_unperturbed() {
     // Index 0 is placeable; every later submission asks for an absurd

@@ -12,14 +12,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "telemetry")]
 use sparcle_core::telemetry::Event;
 use sparcle_core::TraceHandle;
 use sparcle_model::{Network, NetworkElement};
 use std::collections::BTreeSet;
 
 /// Stable trace label of a network element (`"ncp:3"`, `"link:7"`).
-#[cfg(feature = "telemetry")]
 fn element_label(e: NetworkElement) -> String {
     match e {
         NetworkElement::Ncp(id) => format!("ncp:{}", id.index()),
@@ -302,7 +300,6 @@ impl FailureSim {
         let mut step = Vec::new();
         while stream.step_into(&mut step) {
             transitions += step.len() as u64;
-            #[cfg(feature = "telemetry")]
             if trace.is_enabled() {
                 for tr in &step {
                     trace.event(&Event::SimElementState {

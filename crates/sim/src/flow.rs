@@ -18,7 +18,6 @@
 use crate::des::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "telemetry")]
 use sparcle_core::telemetry::Event;
 use sparcle_core::TraceHandle;
 use sparcle_model::{CtId, Network, NetworkElement, Placement, TaskGraph, TtId};
@@ -430,14 +429,11 @@ impl<'a> FlowSim<'a> {
 
     /// Emits a queue-depth sample and advances the sampling clock.
     fn sample_queue_depth(&mut self, now: f64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace.event(&Event::SimQueueDepth {
-                time: now,
-                depth: self.queue.len() as u64,
-                processed: self.processed,
-            });
-        }
+        self.trace.event(&Event::SimQueueDepth {
+            time: now,
+            depth: self.queue.len() as u64,
+            processed: self.processed,
+        });
         self.trace
             .timing("sim.queue_depth", self.queue.len() as u64);
         let every = (self.config.duration / f64::from(QUEUE_SAMPLES)).max(f64::MIN_POSITIVE);
@@ -451,17 +447,14 @@ impl<'a> FlowSim<'a> {
         if !self.trace.is_enabled() {
             return;
         }
-        #[cfg(feature = "telemetry")]
-        {
-            let width = self.bucket_width();
-            for (app, buckets) in self.bucket_delivered.iter().enumerate() {
-                for (b, &count) in buckets.iter().enumerate() {
-                    self.trace.event(&Event::SimAppRate {
-                        time: self.config.warmup + (b + 1) as f64 * width,
-                        app: app as u32,
-                        rate: count as f64 / width,
-                    });
-                }
+        let width = self.bucket_width();
+        for (app, buckets) in self.bucket_delivered.iter().enumerate() {
+            for (b, &count) in buckets.iter().enumerate() {
+                self.trace.event(&Event::SimAppRate {
+                    time: self.config.warmup + (b + 1) as f64 * width,
+                    app: app as u32,
+                    rate: count as f64 / width,
+                });
             }
         }
         self.trace

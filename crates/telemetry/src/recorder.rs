@@ -67,9 +67,9 @@ pub fn stamp_json(json: Json, id: u64, causes: &[u64]) -> Json {
 /// reference; implementations use interior mutability. All methods have
 /// no-op defaults, so a sink only implements what it cares about.
 ///
-/// The overhead contract: when the `telemetry` feature is off in the
-/// instrumented crates, no `Recorder` is ever constructed or called —
-/// call sites compile away entirely (see DESIGN.md §7).
+/// The overhead contract: an untraced run carries a `TraceHandle` with
+/// no recorder, so no `Recorder` method is ever called — each call site
+/// costs one branch (see DESIGN.md §7).
 pub trait Recorder {
     /// Records one structured (deterministic) event.
     fn event(&self, event: &Event) {

@@ -133,7 +133,6 @@ fn tree_level_work_stealing_is_thread_count_independent() {
 /// rules) must be identical whether trees are computed by one worker
 /// thread, two or eight. Only the timing histograms' *values* may
 /// differ — they hold wall-clock samples and never enter the trace.
-#[cfg(feature = "telemetry")]
 #[test]
 fn decision_traces_and_counters_identical_across_thread_counts() {
     use sparcle_core::TraceHandle;

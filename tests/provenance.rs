@@ -11,8 +11,6 @@
 //! 8 worker threads — provenance obeys the same determinism contract
 //! as the event log itself.
 
-#![cfg(feature = "telemetry")]
-
 use proptest::prelude::*;
 use sparcle_core::{SystemConfig, TraceHandle};
 use sparcle_model::{
@@ -258,47 +256,4 @@ fn every_service_lineage_explains_completely() {
             explanation.render()
         );
     }
-}
-
-/// Recording with provenance disabled still yields a valid, explainable
-/// trace-free log: lines keep their ids (schema stays uniform) but no
-/// causes are attached, and `explain` reports the absence rather than
-/// fabricating a chain.
-#[test]
-fn provenance_off_drops_causes_but_keeps_ids() {
-    let recorder = {
-        let config = RuntimeConfig {
-            horizon: 30.0,
-            failure_seed: 11,
-            hold_seed: 7,
-            mean_hold: 12.0,
-            policy: ReconcilePolicy::Fifo,
-            ..RuntimeConfig::default()
-        };
-        let arrivals = ArrivalTrace::Poisson { rate: 0.8 }.events(config.horizon, 42);
-        let mut rt = SparcleRuntime::new(churn_network(), arrivals, churn_app, config);
-        let recorder = CollectRecorder::new();
-        rt.run_traced(TraceHandle::new(&recorder).without_provenance());
-        recorder
-    };
-    let stamped = recorder.stamped_events();
-    assert!(!stamped.is_empty(), "base telemetry must still record");
-    for (i, s) in stamped.iter().enumerate() {
-        assert_eq!(s.id, i as u64 + 1, "ids survive provenance-off");
-        assert!(s.causes.is_empty(), "causes must be dropped when off");
-    }
-    let events = load_trace(&recorder.render_trace()).unwrap();
-    // Base lifecycle events (arrivals) still exist, so explain finds a
-    // subject — but with every cause link stripped.
-    let explanation = explain(&events, Selector::Lineage(0)).unwrap();
-    assert!(explanation
-        .timeline
-        .iter()
-        .all(|entry| entry.causes.is_empty()));
-    // A lineage the run never saw names the likely culprit.
-    let err = explain(&events, Selector::Lineage(u64::MAX)).expect_err("unknown subject");
-    assert!(
-        err.contains("without provenance"),
-        "error should point at the provenance switch: {err}"
-    );
 }

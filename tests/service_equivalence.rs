@@ -209,16 +209,25 @@ fn lossy_service_replay_is_deterministic() {
 /// contract: `service_batch` / `service_decision` / `service_probe` /
 /// `monitor_*` lines must be identical whether the γ evaluator fills
 /// rows with one worker thread or eight.
-#[cfg(feature = "telemetry")]
 #[test]
 fn service_logs_byte_identical_across_thread_counts() {
     use sparcle_core::TraceHandle;
-    use sparcle_runtime::MonitorConfig;
+    use sparcle_runtime::{AlertRules, MonitorConfig};
     use sparcle_telemetry::{schema, CollectRecorder};
 
     let run = |threads: usize| -> String {
         let config = ServiceConfig {
-            monitor: Some(MonitorConfig::default()),
+            // A ceiling any warm solve exceeds, so the alert half of the
+            // monitor emitter the service shares with the churn runtime
+            // is exercised too.
+            monitor: Some(MonitorConfig {
+                rules: AlertRules {
+                    warm_iters_ceiling: 1.0,
+                    min_solves: 1,
+                    ..AlertRules::default()
+                },
+                ..MonitorConfig::default()
+            }),
             queue_capacity: 16,
             max_defer_windows: 1,
             solve_cost: SolveCostModel {
@@ -255,6 +264,7 @@ fn service_logs_byte_identical_across_thread_counts() {
         "service_decision",
         "service_probe",
         "monitor_snapshot",
+        "monitor_alert",
     ] {
         assert!(kinds.contains(expected), "log carries no {expected} events");
     }
