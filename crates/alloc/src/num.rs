@@ -435,16 +435,6 @@ impl ProportionalFairSolver {
         Self::default()
     }
 
-    /// Creates a solver with custom iteration budget; larger budgets give
-    /// tighter KKT residuals.
-    pub fn with_iterations(outer_iters: usize, inner_iters: usize) -> Self {
-        ProportionalFairSolver {
-            outer_iters,
-            inner_iters,
-            ..Self::default()
-        }
-    }
-
     /// Solves problem (4).
     ///
     /// # Errors

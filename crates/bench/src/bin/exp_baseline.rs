@@ -1,8 +1,8 @@
-//! Perf-baseline runner and regression gate.
+//! Behaviour-baseline runner and regression gate.
 //!
 //! ```sh
 //! exp_baseline [run] [--out <dir>] [<experiment>...]
-//! exp_baseline compare [--baseline-dir <dir>] [--tolerance <frac>] [<experiment>...]
+//! exp_baseline compare [--baseline-dir <dir>] [<experiment>...]
 //! ```
 //!
 //! `run` (the default) executes the pinned workloads in
@@ -12,22 +12,21 @@
 //! the baseline (`--out benchmarks`).
 //!
 //! `compare` re-runs the workloads and checks each metric against the
-//! committed baseline with direction-aware tolerances (see
+//! committed baseline with direction-aware per-metric tolerances (see
 //! `sparcle_bench::baseline`), exiting `1` when anything regressed —
-//! the nightly CI perf gate. `--tolerance` widens or tightens the
-//! wall-clock band (deterministic metrics keep their 2 % band).
+//! the nightly CI gate. Every gated metric is machine-independent;
+//! absolute wall-clock numbers live in `benchmark/`.
 
 use std::path::PathBuf;
 
 use sparcle_bench::baseline::{
-    baselines_dir, compare, result_path, BenchResult, BASELINE_EXPERIMENTS, DEFAULT_WALL_TOLERANCE,
+    baselines_dir, compare, result_path, BenchResult, BASELINE_EXPERIMENTS,
 };
 
 struct Args {
     compare_mode: bool,
     out: PathBuf,
     baseline_dir: PathBuf,
-    tolerance: f64,
     experiments: Vec<String>,
 }
 
@@ -36,7 +35,6 @@ fn parse_args() -> Args {
         compare_mode: false,
         out: sparcle_bench::experiments_dir(),
         baseline_dir: baselines_dir(),
-        tolerance: DEFAULT_WALL_TOLERANCE,
         experiments: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -48,11 +46,6 @@ fn parse_args() -> Args {
             "--baseline-dir" => {
                 args.baseline_dir =
                     PathBuf::from(it.next().expect("--baseline-dir requires a directory"));
-            }
-            "--tolerance" => {
-                let v = it.next().expect("--tolerance requires a fraction");
-                args.tolerance = v.parse().expect("--tolerance must be a number");
-                assert!(args.tolerance >= 0.0, "--tolerance must be non-negative");
             }
             name if BASELINE_EXPERIMENTS.iter().any(|(n, _)| *n == name) => {
                 args.experiments.push(name.to_owned());
@@ -76,13 +69,9 @@ fn run_selected(names: &[String]) -> Vec<BenchResult> {
             println!("running baseline workload {name} ...");
             let result = sparcle_bench::baseline::run_experiment(name)
                 .unwrap_or_else(|| panic!("unknown baseline experiment {name}"));
-            println!(
-                "  wall {:.3}s  gamma-hit {:.3}  events/s {:.0}  peak-queue {:.0}",
-                result.wall_time_s,
-                result.gamma_cache_hit_rate,
-                result.events_per_sec,
-                result.peak_queue_depth,
-            );
+            for (name, value) in result.produced() {
+                println!("  {name} {value:.4}");
+            }
             result
         })
         .collect()
@@ -113,7 +102,7 @@ fn main() {
             .as_ref()
             .and_then(BenchResult::from_json)
             .unwrap_or_else(|| panic!("malformed baseline {}", path.display()));
-        let regressions = compare(result, &baseline, args.tolerance);
+        let regressions = compare(result, &baseline);
         if regressions.is_empty() {
             println!(
                 "{}: OK (within tolerance of committed baseline)",

@@ -93,7 +93,7 @@ fn churn_app(index: u64) -> Application {
 /// below it while the flash-crowd × stormy cells (~0.9 viol-s/s) burn
 /// through it. The γ-cache detector is disabled (floor 0): each online
 /// placement ranks with a fresh engine, so the windowed hit rate is
-/// legitimately zero here (see BENCH_churn_runtime.json).
+/// legitimately zero here.
 fn cell_monitor(metrics_out: Option<std::path::PathBuf>) -> MonitorConfig {
     MonitorConfig {
         period: 5.0,

@@ -1,8 +1,8 @@
 //! Theorem 2 as a table: Algorithm 2 wall-clock time vs `|N|` and `|C|`.
 //!
-//! Criterion benches (`cargo bench`) give the rigorous numbers; this
-//! binary prints a quick textual artifact with fitted growth exponents
-//! so the polynomial-time claim is visible without the bench harness.
+//! Prints the sweep with fitted growth exponents, which are the
+//! evidence for the polynomial-time claim; the microseconds themselves
+//! are one machine's (absolute costs are `benchmark/`'s to measure).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

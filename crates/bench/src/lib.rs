@@ -54,10 +54,6 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     ("exp_scaling", "Theorem 2: running-time scaling table"),
     (
-        "exp_scale",
-        "Scale: Algorithm 2 on 2.5k/5k-NCP hub-and-spoke topologies",
-    ),
-    (
         "exp_churn",
         "Online runtime: SLO ledger under churn, per reconcile policy",
     ),

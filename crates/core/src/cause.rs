@@ -96,6 +96,7 @@ impl RejectReason {
             }
             RejectReason::AllocationFailed(_) => RejectCause::AllocationInfeasible,
             RejectReason::PlacementUnfit { path } => RejectCause::PlacementUnfit { path: *path },
+            RejectReason::SubmitError(_) => RejectCause::SubmitError,
         }
     }
 

@@ -210,15 +210,8 @@ impl LinkSet {
 /// One cached γ row: the network term `net_γ(ct, j)` for every host `j`
 /// plus the witness links the values depend on (see module docs).
 /// `f64::NEG_INFINITY` marks hosts that cannot route every placed
-/// reachable CT ([`PlacementEngine::gamma_batched`]'s `None`).
-///
-/// Rows are keyed on *dense* element ids (positions in `net`, bits in
-/// `witness`), so every row also carries the build `generation` of the
-/// topology it was computed against: dense ids collide across rebuilt
-/// topologies, and [`LinkSet::intersects`] silently truncates on
-/// mismatched link counts, so a row from another topology could pass
-/// witness-based invalidation while being completely wrong. The
-/// generation stamp makes such rows unusable instead.
+/// reachable CT ([`PlacementEngine::gamma_batched`]'s `None`). A row
+/// never outlives the engine (and so the network) it was folded for.
 #[derive(Debug, Clone, PartialEq)]
 struct GammaRow {
     net: Vec<f64>,
@@ -226,7 +219,6 @@ struct GammaRow {
     /// The trees the row was folded from, in reach-set order — what
     /// keeps those trees in the store while the row's CT is unplaced.
     keys: Vec<TreeKey>,
-    generation: u64,
 }
 
 /// What one widest-path tree is a function of, besides the link loads:
@@ -314,7 +306,7 @@ impl TreeStore {
 /// assignments over one network, so taking the buffers from — and
 /// returning them to — a hoisted `EngineScratch` keeps warm probes off
 /// the allocator for every content-independent buffer
-/// (`benches/assignment_scaling.rs` holds the probe loop to it).
+/// (`tests/alloc_free.rs` holds the probe loop to it).
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     sweep: CsrWidestTree,
@@ -366,7 +358,6 @@ struct EvalView<'e> {
     csr: &'e CsrNetwork,
     ncp_count: usize,
     link_count: usize,
-    generation: u64,
 }
 
 impl EvalView<'_> {
@@ -402,7 +393,6 @@ impl EvalView<'_> {
             net,
             witness,
             keys: keys.to_vec(),
-            generation: self.generation,
         }
     }
 
@@ -424,32 +414,6 @@ impl EvalView<'_> {
                 .expect("reachable CTs are placed");
             TreeKey::new(target, r.min_bits)
         }));
-    }
-}
-
-/// A portable snapshot of γ-cache rows, produced by
-/// [`PlacementEngine::export_rows`] and consumed by
-/// [`PlacementEngine::adopt_rows`].
-///
-/// Rows computed before any unpinned commit are pure functions of
-/// `(application, network, capacities)` — the pinned placement is forced
-/// — so a fresh engine over the same inputs may adopt them instead of
-/// recomputing, turning its first ranking round into all cache hits.
-/// The snapshot carries the topology generation and shape; adoption
-/// validates both, so rows can never alias a rebuilt topology (see
-/// `GammaRow`).
-#[derive(Debug, Clone)]
-pub struct GammaRows {
-    generation: u64,
-    ct_count: usize,
-    ncp_count: usize,
-    rows: Vec<Option<GammaRow>>,
-}
-
-impl GammaRows {
-    /// Number of present (adoptable) rows in the snapshot.
-    pub fn present(&self) -> usize {
-        self.rows.iter().flatten().count()
     }
 }
 
@@ -519,8 +483,6 @@ pub struct PlacementEngine<'a> {
     placed: Vec<bool>,
     /// The flat view the sweeps and the router traverse.
     csr: Arc<CsrNetwork>,
-    /// The network's build generation, stamped into every cached row.
-    generation: u64,
     /// γ-cache: one optional row per CT (see module docs).
     cache: Vec<Option<GammaRow>>,
     /// The tree store and every reusable work buffer. Methods that need
@@ -528,12 +490,6 @@ pub struct PlacementEngine<'a> {
     scratch: EngineScratch,
     /// Telemetry sink (possibly disconnected).
     trace: TraceHandle<'a>,
-    /// Construction (and its pinned commits) has finished.
-    pinned_done: bool,
-    /// An unpinned commit has happened — cached rows may now depend on
-    /// ranking decisions and stop being exportable (see
-    /// [`Self::export_rows`]).
-    unpinned_committed: bool,
     /// Always-compiled γ-cache work counters (see [`AssignStats`]).
     stats: AssignStats,
     /// Ranking rounds completed (numbers the decision events).
@@ -611,12 +567,9 @@ impl<'a> PlacementEngine<'a> {
             load: LoadMap::zeroed(network),
             placed: vec![false; app.graph().ct_count()],
             csr: Arc::clone(network.csr()),
-            generation: network.generation(),
             cache: vec![None; app.graph().ct_count()],
             scratch: std::mem::take(scratch),
             trace,
-            pinned_done: false,
-            unpinned_committed: false,
             stats: AssignStats::default(),
             round: 0,
         };
@@ -629,7 +582,6 @@ impl<'a> PlacementEngine<'a> {
                 return Err(e);
             }
         }
-        engine.pinned_done = true;
         Ok(engine)
     }
 
@@ -728,9 +680,6 @@ impl<'a> PlacementEngine<'a> {
         policy: RoutePolicy,
     ) -> Result<(), AssignError> {
         assert!(!self.placed[ct.index()], "{ct} is already placed");
-        if self.pinned_done {
-            self.unpinned_committed = true;
-        }
         let commit_span = self.trace.span("engine.commit");
         let graph = self.app.graph();
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -874,13 +823,6 @@ impl<'a> PlacementEngine<'a> {
         Ok((routed_tts, routed_hops))
     }
 
-    /// `true` when `row` was computed against this engine's topology —
-    /// the last line of defense against dense-id aliasing across
-    /// rebuilt networks (see [`GammaRow`]).
-    fn row_valid(&self, row: &GammaRow) -> bool {
-        row.generation == self.generation
-    }
-
     /// The read-only state snapshot γ rows are computed from.
     fn eval_view(&self) -> EvalView<'_> {
         EvalView {
@@ -892,7 +834,6 @@ impl<'a> PlacementEngine<'a> {
             csr: &self.csr,
             ncp_count: self.network.ncp_count(),
             link_count: self.network.link_count(),
-            generation: self.generation,
         }
     }
 
@@ -990,10 +931,7 @@ impl<'a> PlacementEngine<'a> {
 
     /// Fills `ct`'s cache row if missing (serial path).
     fn ensure_row(&mut self, ct: CtId) {
-        if self.cache[ct.index()]
-            .as_ref()
-            .is_some_and(|r| self.row_valid(r))
-        {
+        if self.cache[ct.index()].is_some() {
             return;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -1059,10 +997,7 @@ impl<'a> PlacementEngine<'a> {
                 continue;
             }
             unplaced_count += 1;
-            let present = self.cache[ct.index()]
-                .as_ref()
-                .is_some_and(|r| self.row_valid(r));
-            if !present {
+            if self.cache[ct.index()].is_none() {
                 missing.push(ct);
             }
         }
@@ -1165,60 +1100,6 @@ impl<'a> PlacementEngine<'a> {
     /// The γ-cache work counters accumulated by this engine so far.
     pub fn stats(&self) -> AssignStats {
         self.stats
-    }
-
-    /// Exports the current γ-cache rows for adoption by another engine
-    /// over the same `(application, network, capacities)` triple.
-    ///
-    /// Returns `None` once any *unpinned* commit has happened: from that
-    /// point the cached rows depend on this engine's ranking decisions
-    /// and would poison a fresh engine. Before that, every row is a pure
-    /// function of the shared inputs (construction commits exactly the
-    /// pinned CTs, in pinned order), so adoption is sound and
-    /// bit-preserving. Typical use: run one [`Self::rank_round`] on a
-    /// seeder engine, export, and let repeated re-assignments of the
-    /// same app start warm — `scale_assign` in `sparcle-bench` does
-    /// exactly this.
-    pub fn export_rows(&self) -> Option<GammaRows> {
-        if self.unpinned_committed {
-            return None;
-        }
-        Some(GammaRows {
-            generation: self.generation,
-            ct_count: self.app.graph().ct_count(),
-            ncp_count: self.network.ncp_count(),
-            rows: self.cache.clone(),
-        })
-    }
-
-    /// Adopts exported γ rows into this engine's cache, filling only
-    /// empty slots, and returns how many rows were adopted. Rows travel
-    /// without their trees: whatever trees later fills need, this
-    /// engine computes itself.
-    ///
-    /// Adoption is refused wholesale (returns 0) when the snapshot's
-    /// topology generation or shape differs from this engine's, or when
-    /// this engine has already committed an unpinned CT — the stale-row
-    /// aliasing the generation stamp exists to prevent (see
-    /// `GammaRow`; the regression lives in `tests/csr_equivalence.rs`).
-    pub fn adopt_rows(&mut self, rows: &GammaRows) -> usize {
-        if rows.generation != self.generation
-            || rows.ct_count != self.app.graph().ct_count()
-            || rows.ncp_count != self.network.ncp_count()
-            || self.unpinned_committed
-        {
-            return 0;
-        }
-        let mut adopted = 0;
-        for (slot, row) in self.cache.iter_mut().zip(&rows.rows) {
-            if slot.is_none() {
-                if let Some(row) = row {
-                    *slot = Some(row.clone());
-                    adopted += 1;
-                }
-            }
-        }
-        adopted
     }
 
     /// Recomputes every stored tree and every cached row from scratch —

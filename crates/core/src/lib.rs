@@ -32,8 +32,7 @@ pub use assignment::{
 };
 pub use cause::{DisplaceCause, MigrationCause, RejectCause, ShedCause, DEFER_WRITER_BUSY};
 pub use engine::{
-    fewest_hops_path, AssignStats, AssignedPath, EngineScratch, GammaRows, PlacementEngine,
-    RoutePolicy,
+    fewest_hops_path, AssignStats, AssignedPath, EngineScratch, PlacementEngine, RoutePolicy,
 };
 pub use error::AssignError;
 pub use snapshot::{SnapshotBeApp, SnapshotGrApp, StateSnapshot};
@@ -41,7 +40,7 @@ pub use sparcle_telemetry as telemetry;
 pub use state::{StateStats, SystemState};
 pub use system::{
     Admission, AllocationPolicy, DisplacedApp, MigrationOutcome, PlacedBeApp, PlacedGrApp,
-    RejectReason, SparcleSystem, SystemConfig, SystemTxn,
+    RejectReason, SparcleSystem, SystemConfig, SystemTxn, MIN_PATH_RATE,
 };
 pub use trace::{SpanGuard, TraceHandle};
 pub use widest_path::{

@@ -44,7 +44,7 @@ use crate::error::AssignError;
 use crate::state::{gr_touched_elements, StateStats, SystemState, TxnLog, UndoOp};
 use sparcle_alloc::availability::PathAvailability;
 use sparcle_alloc::maxmin::max_min_allocation;
-use sparcle_alloc::num::{Allocation, ProportionalFairSolver};
+use sparcle_alloc::num::ProportionalFairSolver;
 use sparcle_model::{AppId, Application, CapacityMap, LoadMap, Network, QoeClass};
 use std::sync::Arc;
 
@@ -61,16 +61,16 @@ pub enum AllocationPolicy {
     MaxMin,
 }
 
+/// Maximum task assignment paths per application (the paper keeps this
+/// small; path extraction has diminishing returns).
+const MAX_PATHS_PER_APP: usize = 8;
+
+/// Paths with a rate at or below this threshold are not used.
+pub const MIN_PATH_RATE: f64 = 1e-9;
+
 /// Tunables of the system pipeline.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Maximum task assignment paths per application (the paper keeps
-    /// this small; path extraction has diminishing returns).
-    pub max_paths_per_app: usize,
-    /// Paths with a rate at or below this threshold are not used.
-    pub min_path_rate: f64,
-    /// Solver for the proportional-fair allocation (4).
-    pub solver: ProportionalFairSolver,
     /// How Best-Effort rates are shared.
     pub allocation_policy: AllocationPolicy,
     /// Worker threads of the γ evaluator
@@ -82,9 +82,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            max_paths_per_app: 8,
-            min_path_rate: 1e-9,
-            solver: ProportionalFairSolver::new(),
             allocation_policy: AllocationPolicy::ProportionalFair,
             assigner_threads: 1,
         }
@@ -259,6 +256,10 @@ pub enum RejectReason {
         /// Index of the first path that no longer fits.
         path: usize,
     },
+    /// The fresh admission of a [`SystemTxn::migrate`] failed outright
+    /// — the path it found is one the pipeline cannot analyse (e.g. it
+    /// crosses more elements than the availability analyser accepts).
+    SubmitError(AssignError),
 }
 
 /// The outcome of submitting an application.
@@ -417,8 +418,10 @@ impl SparcleSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`AssignError`] only for malformed inputs (bad pins); a
-    /// *feasibility* failure is an [`Admission::Rejected`], not an error.
+    /// Returns [`AssignError`] for malformed inputs (bad pins) and for a
+    /// found path the pipeline cannot analyse (one past the availability
+    /// analyser's element limit); a *feasibility* failure is an
+    /// [`Admission::Rejected`], not an error.
     pub fn submit(&mut self, app: impl Into<Arc<Application>>) -> Result<Admission, AssignError> {
         let mut txn = self.begin();
         let admission = txn.submit(app)?;
@@ -655,54 +658,31 @@ impl SparcleSystem {
     }
 
     /// Solves problem (4) over all admitted BE applications against the
-    /// GR-residual capacities and stores each `allocated_rate`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (infeasible / unconstrained columns).
-    pub fn solve_be_allocation(&mut self) -> Result<Option<Allocation>, sparcle_alloc::AllocError> {
-        self.solve_be_internal()
-    }
-
-    /// Re-solves the BE allocation: refresh the incrementally-maintained
-    /// constraint system to the live residual and run the solver
-    /// warm-started from the incumbent rates. The solver demotes
-    /// itself to a bitwise-cold start when no incumbent rate is usable
-    /// (first admission, lone readmit).
-    fn solve_be_internal(&mut self) -> Result<Option<Allocation>, sparcle_alloc::AllocError> {
+    /// GR-residual capacities and stores each `allocated_rate`: refresh
+    /// the incrementally-maintained constraint system to the live
+    /// residual and run the solver warm-started from the incumbent
+    /// rates. The solver demotes itself to a bitwise-cold start when no
+    /// incumbent rate is usable (first admission, lone readmit).
+    fn solve_be_internal(&mut self) -> Result<(), sparcle_alloc::AllocError> {
         if self.state.be_apps().is_empty() {
-            return Ok(None);
+            return Ok(());
         }
         let t0 = std::time::Instant::now();
         let state = &mut self.state;
         let priorities: Vec<f64> = state.be_apps.iter().map(|a| a.priority).collect();
         state.constraints.refresh_capacities(&state.gr_residual);
         let system = state.constraints.system();
-        let (allocation, solve_stats) = match self.config.allocation_policy {
+        let (rates, solve_stats) = match self.config.allocation_policy {
             AllocationPolicy::ProportionalFair => {
                 let previous: Vec<f64> = state.be_apps.iter().map(|a| a.allocated_rate).collect();
-                let (allocation, stats) =
-                    self.config
-                        .solver
-                        .solve_warm_with_stats(system, &priorities, &previous)?;
-                (allocation, Some(stats))
+                let (allocation, stats) = ProportionalFairSolver::new().solve_warm_with_stats(
+                    system,
+                    &priorities,
+                    &previous,
+                )?;
+                (allocation.rates, Some(stats))
             }
-            AllocationPolicy::MaxMin => {
-                let mm = max_min_allocation(system, &priorities)?;
-                let utility = priorities
-                    .iter()
-                    .zip(&mm.rates)
-                    .map(|(&p, &x)| p * x.ln())
-                    .sum();
-                (
-                    Allocation {
-                        rates: mm.rates,
-                        duals: vec![0.0; system.rows().len()],
-                        utility,
-                    },
-                    None,
-                )
-            }
+            AllocationPolicy::MaxMin => (max_min_allocation(system, &priorities)?.rates, None),
         };
         state.stats.solves += 1;
         match solve_stats {
@@ -717,10 +697,10 @@ impl SparcleSystem {
             None => {}
         }
         state.stats.solve_nanos += t0.elapsed().as_nanos() as u64;
-        for (entry, &rate) in state.be_apps.iter_mut().zip(&allocation.rates) {
+        for (entry, rate) in state.be_apps.iter_mut().zip(rates) {
             entry.allocated_rate = rate;
         }
-        Ok(Some(allocation))
+        Ok(())
     }
 }
 
@@ -905,10 +885,11 @@ impl SystemTxn<'_> {
     /// re-place — never the intermediate state a displace + resubmit
     /// pair would expose.
     ///
-    /// Both halves share one undo log: if the fresh admission fails,
-    /// the migration unwinds to its own savepoint, reinstating the old
-    /// placement (and every BE rate, and the id counter) bitwise while
-    /// leaving the transaction's earlier operations intact; and a
+    /// Both halves share one undo log: if the fresh admission fails
+    /// (rejects or errs), the migration unwinds to its own savepoint,
+    /// reinstating the old placement (and every BE rate, and the id
+    /// counter) bitwise while leaving the transaction's earlier
+    /// operations intact; and a
     /// rollback of the enclosing transaction undoes a *successful* move
     /// just as exactly — which is what makes rollback-only migration
     /// what-if probes free. Returns `None` for an unknown id.
@@ -930,9 +911,11 @@ impl SystemTxn<'_> {
             self.displace_inner(id, false),
             "id was found in the state above"
         );
+        // An `Err` depends on the path found on the current capacities,
+        // not on the (once admitted) application: it is a failed move.
         let admission = self
             .submit_inner(app, false)
-            .expect("previously admitted apps are well-formed");
+            .unwrap_or_else(|e| Admission::Rejected(RejectReason::SubmitError(e)));
         if !admission.is_admitted() {
             self.unwind_to(savepoint);
         }
@@ -1009,7 +992,7 @@ impl SystemTxn<'_> {
         // This phase only reads system state, so rejections here leave
         // nothing to unwind.
         let want_paths = if availability_target.is_some() {
-            sys.config.max_paths_per_app
+            MAX_PATHS_PER_APP
         } else {
             1
         };
@@ -1022,7 +1005,7 @@ impl SystemTxn<'_> {
             &sys.network,
             &predicted,
             want_paths,
-            sys.config.min_path_rate,
+            MIN_PATH_RATE,
         );
         sys.state.stats.add_assign(&assign_stats);
         if all_paths.is_empty() {
@@ -1154,7 +1137,7 @@ impl SystemTxn<'_> {
         let mut paths: Vec<(AssignedPath, f64)> = Vec::new();
         let mut analyzer = PathAvailability::new();
         let mut achieved = 0.0;
-        for _ in 0..self.sys.config.max_paths_per_app {
+        for _ in 0..MAX_PATHS_PER_APP {
             let sys = &mut *self.sys;
             let path = match sys.assigner.assign_scratch_with_stats(
                 &mut sys.engine_scratch,
@@ -1162,7 +1145,7 @@ impl SystemTxn<'_> {
                 &sys.network,
                 &sys.state.gr_residual,
             ) {
-                Ok((p, s)) if p.rate > sys.config.min_path_rate && p.rate.is_finite() => {
+                Ok((p, s)) if p.rate > MIN_PATH_RATE && p.rate.is_finite() => {
                     sys.state.stats.add_assign(&s);
                     p
                 }
@@ -1733,6 +1716,60 @@ mod tests {
         assert_eq!(rates, after);
     }
 
+    /// Regression: the fresh admission of a move can *err*, not just
+    /// reject — on an 80-NCP ring whose direct source–sink link has
+    /// lost its bandwidth, the only wide path is the 159-element detour
+    /// the availability analyser refuses. That used to panic; it is a
+    /// failed move, unwound like any other.
+    #[test]
+    fn erroring_migration_is_invisible() {
+        const RING: u32 = 80;
+        let mut nb = NetworkBuilder::new();
+        for n in 0..RING {
+            nb.add_ncp(format!("n{n}"), ResourceVec::cpu(1000.0));
+        }
+        for n in 0..RING {
+            // The direct link (`ring0`) is wide enough for both apps.
+            let (next, bw) = (NcpId::new((n + 1) % RING), if n == 0 { 1e6 } else { 1e4 });
+            nb.add_link(format!("ring{n}"), NcpId::new(n), next, bw)
+                .unwrap();
+        }
+        let mut sys = SparcleSystem::new(nb.build().unwrap());
+        let app = |qoe| {
+            let mut tb = TaskGraphBuilder::new();
+            let s = tb.add_ct("s", ResourceVec::new());
+            let t = tb.add_ct("t", ResourceVec::cpu(10.0));
+            tb.add_tt("st", s, t, 50.0).unwrap();
+            let pins = [(s, NcpId::new(0)), (t, NcpId::new(1))];
+            Application::new(tb.build().unwrap(), qoe, pins).unwrap()
+        };
+        let id = sys
+            .submit(app(QoeClass::best_effort(1.0)))
+            .unwrap()
+            .id()
+            .unwrap();
+        sys.submit(app(QoeClass::best_effort(2.0))).unwrap();
+        // Starve the direct link: both apps keep their placements over
+        // it, but a fresh search goes the long way.
+        let mut caps = sys.network().capacity_map();
+        let direct = sys.network().link_ids().next().expect("ring0");
+        caps.set_link(direct, 1e-3);
+        sys.apply_capacity_fluctuation(caps);
+        let residual = sys.gr_residual().clone();
+        let rates: Vec<f64> = sys.be_apps().iter().map(|a| a.allocated_rate).collect();
+        let outcome = sys.migrate(id).expect("known id");
+        assert!(!outcome.moved(), "{outcome:?}");
+        assert!(matches!(
+            outcome.admission,
+            Admission::Rejected(RejectReason::SubmitError(_))
+        ));
+        // Bitwise no-op, as for a rejected move.
+        assert!(sys.contains(id));
+        assert_eq!(sys.gr_residual(), &residual);
+        let after: Vec<f64> = sys.be_apps().iter().map(|a| a.allocated_rate).collect();
+        assert_eq!(rates, after);
+    }
+
     #[test]
     fn rolled_back_migration_txn_is_invisible() {
         let net = star_network(0.0);
@@ -2015,7 +2052,7 @@ mod tests {
             Arc::new(simple_app(QoeClass::best_effort(1.0), 10.0, 50.0)),
             Arc::new(simple_app(QoeClass::best_effort(2.0), 20.0, 100.0)),
             Arc::new(simple_app(QoeClass::guaranteed_rate(2.0, 0.0), 10.0, 50.0)),
-            // No path clears `min_path_rate` for this monster.
+            // No path clears `MIN_PATH_RATE` for this monster.
             Arc::new(simple_app(QoeClass::best_effort(1.0), 1e12, 50.0)),
             Arc::new(simple_app(QoeClass::best_effort(3.0), 15.0, 75.0)),
         ]

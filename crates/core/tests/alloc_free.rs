@@ -1,0 +1,200 @@
+//! Allocation-count checks on the placement engine's hot paths, under a
+//! counting global allocator.
+//!
+//! Calls are counted per thread, so libtest's own threads (and the
+//! other tests of this file running next to this one) cannot perturb a
+//! count; every measured window runs the engine single-threaded.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sparcle_core::{DynamicRankingAssigner, EngineScratch, PlacementEngine};
+use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+/// System allocator wrapper counting the calling thread's allocation
+/// calls.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call (not at all once the thread's locals are
+/// being torn down — nothing measures there).
+fn count_call() {
+    let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+/// Allocator calls this thread has made so far.
+fn alloc_calls() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+// SAFETY: every call is forwarded to `System` unchanged, and counting
+// touches only a `const`-initialised thread-local `Cell` with no
+// destructor, so it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The 16-NCP, 8-stage scenario the engine-level checks drive.
+fn check_scenario(seed: u64) -> sparcle_workloads::Scenario {
+    let mut cfg = ScenarioConfig::new(
+        BottleneckCase::Balanced,
+        GraphKind::Linear { stages: 8 },
+        TopologyKind::Star,
+    );
+    cfg.ncps = 16;
+    cfg.sample(&mut StdRng::seed_from_u64(seed))
+        .expect("valid scenario")
+}
+
+/// `PlacementEngine::unplaced` returns a lazy iterator over the
+/// engine's placement bitmap; iterating it in the steady state of the
+/// ranking loop must never touch the allocator. This drives one full
+/// Algorithm-2 assignment and asserts exactly that after every commit.
+#[test]
+fn zero_alloc_check() {
+    let scenario = check_scenario(7);
+    let caps = scenario.network.capacity_map();
+    let mut engine =
+        PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
+    let mut rounds = 0u32;
+    while let Some((ct, host, _gamma)) = engine.rank_round(1).expect("rankable") {
+        engine.commit(ct, host).expect("committable");
+        rounds += 1;
+        let before = alloc_calls();
+        let n = black_box(engine.unplaced().count());
+        let after = alloc_calls();
+        assert_eq!(
+            before, after,
+            "unplaced() allocated after commit {rounds} ({n} CTs left)"
+        );
+    }
+    assert!(rounds > 0, "the check must exercise at least one commit");
+}
+
+/// The system's probe loops (γ reconcile, defrag migration what-ifs)
+/// hoist one [`EngineScratch`] across thousands of assignments. This
+/// asserts the hoist pays: a warm scratch-reusing assignment must issue
+/// strictly fewer allocator calls than the same assignment building its
+/// buffers fresh. Single-threaded cached mode keeps the counts
+/// deterministic (no worker threads to miss).
+#[test]
+fn scratch_reuse_check() {
+    let scenario = check_scenario(11);
+    let caps = scenario.network.capacity_map();
+    let assigner = DynamicRankingAssigner::with_threads(1);
+    let mut scratch = EngineScratch::default();
+    // First scratch call grows the buffers to this shape; later calls
+    // reuse them at capacity.
+    let warm_path = assigner
+        .assign_scratch_with_stats(&mut scratch, &scenario.app, &scenario.network, &caps)
+        .expect("assignable")
+        .0;
+    let before = alloc_calls();
+    let hot_path = assigner
+        .assign_scratch_with_stats(&mut scratch, &scenario.app, &scenario.network, &caps)
+        .expect("assignable")
+        .0;
+    let warm = alloc_calls() - before;
+    let before = alloc_calls();
+    let cold_path = assigner
+        .assign(&scenario.app, &scenario.network, &caps)
+        .expect("assignable");
+    let cold = alloc_calls() - before;
+    assert_eq!(black_box(warm_path).rate, black_box(&hot_path).rate);
+    assert_eq!(hot_path.rate, black_box(cold_path).rate);
+    assert!(
+        warm < cold,
+        "scratch reuse must cut allocator calls: warm {warm} vs cold {cold}"
+    );
+}
+
+/// A ranking round that finds every row cached is the merge scan and
+/// nothing else: |unplaced| × |N| host-rate evaluations against the
+/// cached network terms. It must not touch the allocator — the host
+/// term used to clone a `ResourceVec` per (CT, host) pair. Asking twice
+/// without committing in between isolates exactly that round.
+#[test]
+fn warm_merge_scan_check() {
+    let scenario = check_scenario(13);
+    let caps = scenario.network.capacity_map();
+    let mut engine =
+        PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
+    let mut rounds = 0u32;
+    while let Some(pick) = engine.rank_round(1).expect("rankable") {
+        let before = alloc_calls();
+        let again = black_box(engine.rank_round(1).expect("rankable"));
+        let after = alloc_calls();
+        assert_eq!(again, Some(pick), "a warm round must repeat the pick");
+        assert_eq!(
+            before, after,
+            "warm rank_round allocated in round {rounds} (merge scan must be allocation-free)"
+        );
+        engine.commit(pick.0, pick.1).expect("committable");
+        rounds += 1;
+    }
+    assert!(rounds > 0, "the check must exercise at least one round");
+}
+
+/// The tree store's promise in numbers: an assignment computes at most
+/// one tree per distinct `(target host, bits)` key its rounds' reach
+/// sets name (recounted here from the public graph API), and fewer
+/// whenever a tree survives a commit — so strictly fewer sweeps than
+/// the row-at-a-time evaluator's one per reach-set entry.
+#[test]
+fn tree_sharing_check() {
+    let scenario = check_scenario(17);
+    let caps = scenario.network.capacity_map();
+    let graph = scenario.app.graph();
+    let mut engine =
+        PlacementEngine::new(&scenario.app, &scenario.network, &caps).expect("engine construction");
+    let mut distinct_keys = 0u64;
+    loop {
+        let mut keys: Vec<(u32, u64)> = engine
+            .unplaced()
+            .flat_map(|ct| graph.placed_reachable(ct, |c| engine.is_placed(c)))
+            .map(|r| {
+                let host = engine.placement().ct_host(r.ct).expect("placed");
+                (host.as_u32(), r.min_bits.to_bits())
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        distinct_keys += keys.len() as u64;
+        let Some((ct, host, _)) = engine.rank_round(1).expect("rankable") else {
+            break;
+        };
+        engine.commit(ct, host).expect("committable");
+    }
+    let stats = engine.stats();
+    assert!(
+        stats.tree_misses <= distinct_keys,
+        "computed {} trees for {distinct_keys} distinct keys",
+        stats.tree_misses
+    );
+    assert!(stats.tree_hits > 0, "no tree was ever shared: {stats:?}");
+}

@@ -40,31 +40,9 @@
 //! ([`CsrNetwork::all_in_arcs_from`] / [`CsrNetwork::all_out_arcs_to`]).
 //! On access-network topologies — a routed core with degree-1 leaves —
 //! that is nearly every node.
-//!
-//! ## Generations
-//!
-//! Every [`Network`] built by [`crate::NetworkBuilder`] draws a fresh
-//! **generation** from a process-global counter, and its CSR view
-//! inherits it. Caches keyed on dense element ids (the placement
-//! engine's γ rows) stamp the generation they were computed under and
-//! refuse to cross generations — two topologies with identical shapes
-//! but different capacities would otherwise alias each other's rows
-//! (dense ids collide and bitset witness intersection silently
-//! truncates on mismatched link counts). Generations order by build
-//! sequence, so they must never leak into telemetry events or
-//! serialized artifacts compared across runs.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ids::{LinkId, NcpId};
 use crate::network::Network;
-
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// Draws the next topology generation (process-unique, monotone).
-pub(crate) fn next_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Sole-neighbour table entry: the node has no arc on that side.
 const SOLE_NONE: u32 = u32::MAX;
@@ -95,7 +73,6 @@ fn sole_neighbours(row_ptr: &[u32], col_idx: &[u32]) -> Vec<u32> {
 /// network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrNetwork {
-    generation: u64,
     ncp_count: usize,
     link_count: usize,
     /// Forward arcs: node `u`'s arcs live at `row_ptr[u]..row_ptr[u+1]`.
@@ -169,7 +146,6 @@ impl CsrNetwork {
             "node ids must stay clear of the sole-neighbour sentinels"
         );
         CsrNetwork {
-            generation: network.generation(),
             ncp_count: n,
             link_count: network.link_count(),
             sole_out: sole_neighbours(&row_ptr, &col_idx),
@@ -193,11 +169,6 @@ impl CsrNetwork {
                 .map(|l| network.link(l).failure_probability())
                 .collect(),
         }
-    }
-
-    /// The generation of the [`Network`] this view was built from.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of NCPs.
@@ -386,16 +357,6 @@ mod tests {
         let csr = CsrNetwork::build(&p.build().unwrap());
         assert!(csr.all_in_arcs_from(id(z), id(a)));
         assert!(csr.all_out_arcs_to(id(z), id(a)));
-    }
-
-    #[test]
-    fn generations_are_unique_per_build() {
-        let a = sample();
-        let b = sample();
-        assert_ne!(a.generation(), b.generation());
-        // Clones share the topology instance, hence the generation.
-        assert_eq!(a.clone().generation(), a.generation());
-        assert_eq!(a.csr().generation(), a.generation());
     }
 
     #[test]

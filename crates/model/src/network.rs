@@ -34,7 +34,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::csr::{next_generation, CsrNetwork};
+use crate::csr::CsrNetwork;
 use crate::error::ModelError;
 use crate::ids::{LinkId, NcpId, NetworkElement};
 use crate::resources::ResourceVec;
@@ -268,7 +268,6 @@ impl NetworkBuilder {
             ncps: self.ncps,
             links: self.links,
             adjacency,
-            generation: next_generation(),
             csr: OnceLock::new(),
         })
     }
@@ -282,17 +281,15 @@ pub struct Network {
     links: Vec<Link>,
     /// For each NCP, the `(link, neighbor)` pairs traversable *from* it.
     adjacency: Vec<Vec<(LinkId, NcpId)>>,
-    /// Process-unique build stamp; see [`crate::csr`] module docs.
-    generation: u64,
     /// Lazily-built flat CSR view, shared across clones.
     csr: OnceLock<Arc<CsrNetwork>>,
 }
 
 /// Equality is structural: two networks with the same elements and
-/// wiring are equal regardless of when they were built (the generation
-/// stamp and the lazy CSR cell are deliberately ignored — separately
-/// built but identical topologies must compare equal, e.g. for seeded
-/// scenario determinism checks).
+/// wiring are equal regardless of when they were built (the lazy CSR
+/// cell is deliberately ignored — separately built but identical
+/// topologies must compare equal, e.g. for seeded scenario determinism
+/// checks).
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -399,14 +396,6 @@ impl Network {
     /// (see [`crate::capacity::CapacityMap`]).
     pub fn capacity_map(&self) -> crate::capacity::CapacityMap {
         crate::capacity::CapacityMap::full(self)
-    }
-
-    /// Process-unique build stamp of this topology instance (clones
-    /// share it; separately-built networks never do). Dense-id keyed
-    /// caches use it to refuse rows from a different topology — see the
-    /// [`crate::csr`] module docs.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The flat CSR view of this network, built lazily on first use and

@@ -21,6 +21,11 @@
 //! with `defrag: None` never constructs a [`Defragmenter`] and is
 //! byte-identical to a run built before this plane existed.
 
+/// Modeled displaced-seconds of unavailability charged to the
+/// [`crate::SloLedger`] per committed move (the app is briefly off-path
+/// while its placement switches).
+pub(crate) const MOVE_COST: f64 = 0.25;
+
 /// Tunables of the background defragmentation pass.
 #[derive(Debug, Clone)]
 pub struct DefragConfig {
@@ -29,14 +34,10 @@ pub struct DefragConfig {
     /// [`Self::budget_per_epoch`] allowance.
     pub period: f64,
     /// Displaced-seconds of planned unavailability the defragmenter may
-    /// spend per epoch. Each committed move consumes
-    /// [`Self::move_cost`]; the pass stops selecting moves when the
-    /// remaining allowance cannot cover another one.
+    /// spend per epoch. Each committed move consumes a fixed 0.25; the
+    /// pass stops selecting moves when the remaining allowance cannot
+    /// cover another one.
     pub budget_per_epoch: f64,
-    /// Modeled displaced-seconds of unavailability charged to the
-    /// [`crate::SloLedger`] per committed move (the app is briefly
-    /// off-path while its placement switches).
-    pub move_cost: f64,
     /// Minimum total-BE-delivered-rate improvement a move must show (at
     /// probe time *and* again at commit time) to be worth its churn.
     pub min_gain: f64,
@@ -47,7 +48,6 @@ impl Default for DefragConfig {
         DefragConfig {
             period: 5.0,
             budget_per_epoch: 1.0,
-            move_cost: 0.25,
             min_gain: 1e-9,
         }
     }
@@ -70,8 +70,8 @@ impl Defragmenter {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive period or move cost, or a negative
-    /// budget or gain threshold.
+    /// Panics on a non-positive period, or a negative budget or gain
+    /// threshold.
     pub fn new(config: DefragConfig) -> Self {
         assert!(
             config.period.is_finite() && config.period > 0.0,
@@ -81,7 +81,6 @@ impl Defragmenter {
             config.budget_per_epoch >= 0.0,
             "defrag budget must be non-negative"
         );
-        assert!(config.move_cost > 0.0, "defrag move cost must be positive");
         assert!(
             config.min_gain >= 0.0,
             "defrag min gain must be non-negative"

@@ -13,16 +13,15 @@
 //! * **`gr_burn_rate`** — the windowed GR violation-seconds divided by
 //!   the window's SLO budget (`slo_violation_budget` violation-seconds
 //!   per simulated second). A burn of 1.0 means the run is consuming
-//!   exactly its error budget; above [`AlertRules::gr_burn_threshold`]
-//!   the rule fires.
+//!   exactly its error budget; above that the rule fires.
 //! * **`cache_hit_collapse`** — the windowed γ-cache hit rate dropped
 //!   below [`AlertRules::cache_hit_floor`] (evaluated only once the
-//!   window holds [`AlertRules::min_cache_lookups`] lookups).
+//!   window holds 50 lookups).
 //! * **`solver_iteration_blowup`** — warm-start Newton iterations per
 //!   BE solve exceeded [`AlertRules::warm_iters_ceiling`] (evaluated
 //!   only once the window holds [`AlertRules::min_solves`] solves).
 //! * **`backlog_growth`** — the displaced-application backlog grew on
-//!   [`AlertRules::backlog_growth_ticks`] consecutive ticks.
+//!   three consecutive ticks.
 //!
 //! Alerts are **edge-triggered**: one `monitor_alert` event when a rule
 //! starts firing, one when it clears. Every input is a deterministic
@@ -51,6 +50,18 @@ pub const ALERT_RULES: [&str; 4] = [
     "backlog_growth",
 ];
 
+/// `gr_burn_rate` fires when windowed burn exceeds this multiple of the
+/// SLO budget.
+const GR_BURN_THRESHOLD: f64 = 1.0;
+
+/// `cache_hit_collapse` is evaluated only once the window saw at least
+/// this many lookups (quiet windows don't alert).
+const MIN_CACHE_LOOKUPS: u64 = 50;
+
+/// `backlog_growth` fires after this many consecutive ticks of strictly
+/// growing displaced-application backlog.
+const BACKLOG_GROWTH_TICKS: u64 = 3;
+
 /// Thresholds of the degradation detectors (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlertRules {
@@ -58,35 +69,23 @@ pub struct AlertRules {
     /// (0.05 = each second of the run may carry 0.05 violation-seconds
     /// across all GR applications).
     pub slo_violation_budget: f64,
-    /// `gr_burn_rate` fires when windowed burn exceeds this multiple of
-    /// the budget.
-    pub gr_burn_threshold: f64,
     /// `cache_hit_collapse` fires when the windowed γ-cache hit rate
-    /// drops below this floor…
+    /// drops below this floor (once the window holds enough lookups).
     pub cache_hit_floor: f64,
-    /// …provided the window saw at least this many lookups (quiet
-    /// windows don't alert).
-    pub min_cache_lookups: u64,
     /// `solver_iteration_blowup` fires when windowed warm Newton
     /// iterations per solve exceed this ceiling…
     pub warm_iters_ceiling: f64,
     /// …provided the window saw at least this many solves.
     pub min_solves: u64,
-    /// `backlog_growth` fires after this many consecutive ticks of
-    /// strictly growing displaced-application backlog.
-    pub backlog_growth_ticks: u64,
 }
 
 impl Default for AlertRules {
     fn default() -> Self {
         AlertRules {
             slo_violation_budget: 0.05,
-            gr_burn_threshold: 1.0,
             cache_hit_floor: 0.10,
-            min_cache_lookups: 50,
             warm_iters_ceiling: 250.0,
             min_solves: 5,
-            backlog_growth_ticks: 3,
         }
     }
 }
@@ -390,13 +389,9 @@ impl Monitor {
         // Rule evaluation, in ALERT_RULES order.
         let rules = &self.config.rules;
         let verdicts: [(bool, f64, f64); 4] = [
+            (gr_burn > GR_BURN_THRESHOLD, gr_burn, GR_BURN_THRESHOLD),
             (
-                gr_burn > rules.gr_burn_threshold,
-                gr_burn,
-                rules.gr_burn_threshold,
-            ),
-            (
-                cache_lookups >= rules.min_cache_lookups && cache_hit_rate < rules.cache_hit_floor,
+                cache_lookups >= MIN_CACHE_LOOKUPS && cache_hit_rate < rules.cache_hit_floor,
                 cache_hit_rate,
                 rules.cache_hit_floor,
             ),
@@ -406,9 +401,9 @@ impl Monitor {
                 rules.warm_iters_ceiling,
             ),
             (
-                self.backlog_streak >= rules.backlog_growth_ticks,
+                self.backlog_streak >= BACKLOG_GROWTH_TICKS,
                 self.backlog_streak as f64,
-                rules.backlog_growth_ticks as f64,
+                BACKLOG_GROWTH_TICKS as f64,
             ),
         ];
         let mut transitions = Vec::new();
@@ -619,7 +614,7 @@ mod tests {
     fn cache_collapse_needs_volume() {
         let mut m = Monitor::new(MonitorConfig::default());
         let mut input = quiet_input();
-        // 10 lookups, all misses: under min_cache_lookups -> no alert.
+        // 10 lookups, all misses: under MIN_CACHE_LOOKUPS -> no alert.
         input.cache_misses = 10;
         let s = m.tick(5.0, &input);
         assert!(s.transitions.is_empty());

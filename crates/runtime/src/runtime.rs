@@ -24,7 +24,7 @@ use sparcle_sim::des::EventQueue;
 use sparcle_sim::{ElementStateStream, FluctuationModel};
 use sparcle_workloads::ArrivalEvent;
 
-use crate::defrag::{DefragConfig, Defragmenter};
+use crate::defrag::{DefragConfig, Defragmenter, MOVE_COST};
 use crate::ledger::SloLedger;
 use crate::monitor::{Monitor, MonitorConfig, TickInput};
 use crate::policy::ReconcilePolicy;
@@ -86,15 +86,24 @@ pub struct FluctuationConfig {
     pub period: f64,
 }
 
+/// Duration of one element-failure epoch (the failure model samples
+/// per-epoch, exactly as the Figure-10 batch study does).
+const EPOCH_LENGTH: f64 = 1.0;
+
+/// Fixed control-plane delay between a disruption and its reconcile
+/// pass.
+const RECONCILE_BASE_DELAY: f64 = 0.05;
+
+/// Additional reconcile delay per application in the displaced queue
+/// (modelling per-app re-placement work).
+const RECONCILE_PER_APP_DELAY: f64 = 0.01;
+
 /// Tunables of one churn run.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// End of simulated time; events at or before the horizon are
     /// processed, later ones are dropped.
     pub horizon: f64,
-    /// Duration of one element-failure epoch (the failure model samples
-    /// per-epoch, exactly as the Figure-10 batch study does).
-    pub epoch_length: f64,
     /// Seed of the element up/down stream.
     pub failure_seed: u64,
     /// Seed of the exponential hold-time stream.
@@ -103,12 +112,6 @@ pub struct RuntimeConfig {
     pub mean_hold: f64,
     /// Optional background capacity fluctuation.
     pub fluctuation: Option<FluctuationConfig>,
-    /// Fixed control-plane delay between a disruption and its reconcile
-    /// pass.
-    pub reconcile_base_delay: f64,
-    /// Additional reconcile delay per application in the displaced
-    /// queue (modelling per-app re-placement work).
-    pub reconcile_per_app_delay: f64,
     /// The order displaced applications are re-placed in.
     pub policy: ReconcilePolicy,
     /// Optional observability monitor (windowed health signals and
@@ -126,13 +129,10 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             horizon: 100.0,
-            epoch_length: 1.0,
             failure_seed: 0,
             hold_seed: 0,
             mean_hold: 10.0,
             fluctuation: None,
-            reconcile_base_delay: 0.05,
-            reconcile_per_app_delay: 0.01,
             policy: ReconcilePolicy::Fifo,
             monitor: None,
             defrag: None,
@@ -204,13 +204,12 @@ impl<F> std::fmt::Debug for SparcleRuntime<F> {
 impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     /// Builds the runtime: pre-schedules every arrival (within the
     /// horizon), every element up/down transition (at
-    /// `epoch × epoch_length`), and every fluctuation step. Departures
+    /// `epoch × EPOCH_LENGTH`), and every fluctuation step. Departures
     /// and reconciles are scheduled dynamically as the run unfolds.
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive horizon, epoch length, or mean hold, or
-    /// a negative reconcile delay.
+    /// Panics on a non-positive horizon or mean hold.
     pub fn new(
         network: Network,
         arrivals: impl IntoIterator<Item = ArrivalEvent>,
@@ -221,23 +220,18 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             config.horizon.is_finite() && config.horizon > 0.0,
             "horizon must be positive"
         );
-        assert!(config.epoch_length > 0.0, "epoch length must be positive");
         assert!(config.mean_hold > 0.0, "mean hold must be positive");
-        assert!(
-            config.reconcile_base_delay >= 0.0 && config.reconcile_per_app_delay >= 0.0,
-            "reconcile delays must be non-negative"
-        );
         let mut queue = EventQueue::new();
         for a in arrivals {
             if a.time < config.horizon {
                 queue.schedule(a.time, ChurnEvent::Arrival { index: a.index });
             }
         }
-        let epochs = (config.horizon / config.epoch_length).ceil() as u64;
+        let epochs = (config.horizon / EPOCH_LENGTH).ceil() as u64;
         let stream =
             ElementStateStream::new(&network, network.elements(), epochs, config.failure_seed);
         for tr in stream.collect_transitions() {
-            let t = tr.epoch as f64 * config.epoch_length;
+            let t = tr.epoch as f64 * EPOCH_LENGTH;
             if t < config.horizon {
                 queue.schedule(
                     t,
@@ -584,8 +578,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             }
         }
         if displaced_now > 0 || (up && !self.pending.is_empty()) {
-            let delay = self.config.reconcile_base_delay
-                + self.config.reconcile_per_app_delay * self.pending.len() as f64;
+            let delay = RECONCILE_BASE_DELAY + RECONCILE_PER_APP_DELAY * self.pending.len() as f64;
             self.queue
                 .schedule(t + delay, ChurnEvent::Reconcile { cause: t });
         }
@@ -653,32 +646,25 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             }
             // Full re-placement: a fresh admission pipeline run on the
             // current capacities (a new id; the arrival index stays the
-            // stable identity).
-            let fresh = self
-                .system
-                .submit(p.displaced.application_arc())
-                .expect("previously admitted apps are well-formed");
-            match fresh {
-                Admission::Admitted(id) => {
+            // stable identity). An `Err` depends on the path found, not
+            // on the application — the only detour left may cross more
+            // elements than the availability analyser accepts — so, as
+            // in `on_arrival`, it is this attempt's failure and the
+            // app waits for the next pass.
+            let cause = match self.system.submit(p.displaced.application_arc()) {
+                Ok(Admission::Admitted(id)) => {
                     replaced += 1;
                     self.register(p.index, id);
                     self.ledger.record_replacement(t - p.since);
                     self.emit_readmit(trace, t, p.index, "replaced", self.rate_of(id), None, prev);
+                    continue;
                 }
-                Admission::Rejected(reason) => {
-                    failed += 1;
-                    self.emit_readmit(
-                        trace,
-                        t,
-                        p.index,
-                        "failed",
-                        0.0,
-                        Some(reason.cause_code()),
-                        prev,
-                    );
-                    self.pending.push(p);
-                }
-            }
+                Ok(Admission::Rejected(reason)) => reason.cause_code(),
+                Err(_) => RejectCause::SubmitError.code(),
+            };
+            failed += 1;
+            self.emit_readmit(trace, t, p.index, "failed", 0.0, Some(cause), prev);
+            self.pending.push(p);
         }
         self.ledger.record_reconcile();
         trace.counter("runtime.reconciles", 1);
@@ -752,7 +738,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     ///    is fixed at R_J wherever it sits).
     /// 2. **Selects greedily**: best probed gain first (arrival index
     ///    breaks ties), bounded by the epoch's displaced-seconds budget
-    ///    (each commit consumes `move_cost`).
+    ///    (each commit consumes `MOVE_COST`).
     /// 3. **Re-validates and commits**: earlier commits shift the
     ///    allocation, so each selected move is re-probed against the
     ///    current state and committed only if still net-positive;
@@ -802,7 +788,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         // (post-earlier-commits) state, under the epoch budget.
         let mut moves = 0u64;
         for (_, index) in candidates {
-            if budget < cfg.move_cost {
+            if budget < MOVE_COST {
                 break;
             }
             let id = self.live[&index];
@@ -824,9 +810,9 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 // The move re-ran admission on the current capacities,
                 // so a previously violated guarantee is fit again.
                 self.violating.remove(&index);
-                budget -= cfg.move_cost;
+                budget -= MOVE_COST;
                 moves += 1;
-                self.ledger.record_migration(cfg.move_cost);
+                self.ledger.record_migration(MOVE_COST);
                 new_rate = self.rate_of(new_id);
             }
             if trace.is_enabled() {
@@ -1041,7 +1027,6 @@ mod tests {
     fn config(policy: ReconcilePolicy, threads: usize) -> RuntimeConfig {
         let mut c = RuntimeConfig {
             horizon: 40.0,
-            epoch_length: 1.0,
             failure_seed: 11,
             hold_seed: 7,
             mean_hold: 15.0,
@@ -1168,6 +1153,85 @@ mod tests {
             causes,
             vec![(false, Some("submit_error".to_owned())), (true, None)]
         );
+    }
+
+    /// Regression: whether `submit` errs depends on the path found, not
+    /// on the application. On an 80-NCP ring whose source and sink share
+    /// one flaky direct link, the app is admitted over the link; once
+    /// the link fails the only detour crosses 80 NCPs and 79 links —
+    /// past the availability analyser's 128 elements. Reconcile used to
+    /// panic there; the app stays pending until the link recovers.
+    #[test]
+    fn submit_error_in_reconcile_leaves_the_app_pending() {
+        const RING: u32 = 80;
+        let mut b = NetworkBuilder::new();
+        for n in 0..RING {
+            b.add_ncp(format!("n{n}"), ResourceVec::cpu(1000.0));
+        }
+        b.add_link_full(
+            "direct",
+            NcpId::new(0),
+            NcpId::new(1),
+            1e4,
+            LinkDirection::Undirected,
+            0.3,
+        )
+        .unwrap();
+        for n in 1..RING {
+            b.add_link(
+                format!("ring{n}"),
+                NcpId::new(n),
+                NcpId::new((n + 1) % RING),
+                1e4,
+            )
+            .unwrap();
+        }
+        let source = |_| {
+            let graph = linear_task_graph(&[50.0], &[1000.0, 500.0]).unwrap();
+            let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
+            Application::new(
+                graph,
+                QoeClass::best_effort(1.0),
+                [(src, NcpId::new(0)), (sink, NcpId::new(1))],
+            )
+            .unwrap()
+        };
+        let arrivals = [ArrivalEvent {
+            time: 0.5,
+            index: 0,
+        }];
+        let cfg = RuntimeConfig {
+            horizon: 30.0,
+            mean_hold: 1e6, // never departs
+            failure_seed: 3,
+            ..RuntimeConfig::default()
+        };
+        let mut rt = SparcleRuntime::new(b.build().unwrap(), arrivals, source, cfg);
+
+        let recorder = sparcle_core::telemetry::CollectRecorder::new();
+        rt.run_traced(TraceHandle::new(&recorder));
+
+        let ledger = rt.ledger();
+        assert_eq!((ledger.arrivals(), ledger.admitted()), (1, 1));
+        assert!(ledger.displacements() > 0, "the direct link must fail");
+        let pending: Vec<u64> = rt.pending().iter().map(|p| p.index).collect();
+        assert_eq!(
+            [rt.live_indices(), pending].concat(),
+            vec![0],
+            "the app is live or pending, never lost"
+        );
+        let failed_readmits = recorder
+            .events()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::RuntimeReadmit { outcome, cause, .. }
+                        if outcome == "failed" && cause.as_deref() == Some("submit_error")
+                )
+            })
+            .count();
+        assert!(failed_readmits > 0, "the detour's readmit must fail");
     }
 
     #[test]

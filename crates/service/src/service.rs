@@ -324,7 +324,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             .assign(&app, self.system.network(), &capacities)
         {
             Ok(path) => {
-                let clears = path.rate.is_finite() && path.rate > self.config.system.min_path_rate;
+                let clears = path.rate.is_finite() && path.rate > sparcle_core::MIN_PATH_RATE;
                 let feasible = match app.qoe() {
                     QoeClass::GuaranteedRate { min_rate, .. } => clears && path.rate >= *min_rate,
                     QoeClass::BestEffort { .. } => clears,
