@@ -72,8 +72,9 @@ fn assign_in_order(
             continue;
         }
         // Host by compute headroom only; skip hosts that would strand a
-        // TT (unroutable to a placed reachable CT). The batched γ probe
-        // computes routability for the whole host row at once.
+        // TT (unroutable to a placed reachable CT). The first γ probe
+        // sweeps routability for every host at once; the rest of the
+        // loop reads the stored trees.
         let mut best: Option<(f64, sparcle_model::NcpId)> = None;
         for host in network.ncp_ids() {
             if engine.gamma_batched(ct, host).is_none() {

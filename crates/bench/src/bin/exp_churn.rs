@@ -91,16 +91,13 @@ fn churn_app(index: u64) -> Application {
 /// regime accrues ~0.09 GR violation-seconds per second, so the budget
 /// is set to 0.4 viol-s/s — quiet cells stay an order of magnitude
 /// below it while the flash-crowd × stormy cells (~0.9 viol-s/s) burn
-/// through it. The γ-cache detector is disabled (floor 0): each online
-/// placement ranks with a fresh engine, so the windowed hit rate is
-/// legitimately zero here.
+/// through it.
 fn cell_monitor(metrics_out: Option<std::path::PathBuf>) -> MonitorConfig {
     MonitorConfig {
         period: 5.0,
         slots: 6,
         rules: sparcle_runtime::AlertRules {
             slo_violation_budget: 0.4,
-            cache_hit_floor: 0.0,
             ..sparcle_runtime::AlertRules::default()
         },
         metrics_out,

@@ -71,15 +71,13 @@ fn demo_app(index: u64) -> Application {
     Application::new(graph, qoe, [(src, src_host), (sink, sink_host)]).expect("valid app")
 }
 
-/// Same workload-tuned detector set as `exp_churn` (the γ-cache rule
-/// is off because online placements rank with fresh engines here).
+/// Same workload-tuned detector set as `exp_churn`.
 fn monitor_config(metrics_out: Option<PathBuf>) -> MonitorConfig {
     MonitorConfig {
         period: 5.0,
         slots: 6,
         rules: AlertRules {
             slo_violation_budget: 0.4,
-            cache_hit_floor: 0.0,
             ..AlertRules::default()
         },
         metrics_out,

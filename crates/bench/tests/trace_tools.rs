@@ -110,7 +110,7 @@ fn profile_reconstructs_the_engine_round_tree() {
         for &child in &forest.nodes[round].children {
             let name = forest.nodes[child].name.as_str();
             assert!(
-                name == "engine.row_fill" || name == "engine.rank_merge",
+                name == "engine.tree_fill" || name == "engine.rank_merge",
                 "unexpected child of rank_round: {name}"
             );
         }

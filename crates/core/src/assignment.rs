@@ -23,7 +23,7 @@ use sparcle_model::{Application, CapacityMap, Network};
 
 /// SPARCLE's polynomial-time dynamic-ranking task assigner (Algorithm 2).
 ///
-/// Every ranking round runs over the engine's γ-cache
+/// Every ranking round runs over the engine's γ-cache, the tree store
 /// ([`PlacementEngine::rank_round`]); the only setting is how many
 /// worker threads compute missing widest-path trees, and results are
 /// identical for every value. The uncached pair scan straight off

@@ -24,48 +24,46 @@
 //! scan of the dev-only `sparcle-oracle` crate does — costs one
 //! Dijkstra per placed reachable CT *per candidate host*, which
 //! dominates Algorithm 2 on large topologies. The engine therefore
-//! maintains a **γ-cache** (rows over a store of shared widest-path
-//! trees) behind its entry points: [`PlacementEngine::gamma_batched`],
+//! maintains a **γ-cache** — a store of shared widest-path trees —
+//! behind its entry points: [`PlacementEngine::gamma_batched`],
 //! [`PlacementEngine::rank_round`] (one full Algorithm-2 ranking round,
 //! optionally multi-threaded), and the invalidation hook inside
 //! [`PlacementEngine::commit_with`].
 //!
-//! ## Caching contract: trees, then rows
+//! ## Caching contract: the tree store
 //!
 //! γ splits as `γ_{i,j} = min(host_rate(i, j), net_γ(i, j))`. The host
 //! term is cheap and always computed fresh; only the network term is
-//! cached, on two levels.
+//! cached, and on one level.
 //!
-//! **Trees.** The unit that is computed is one reversed widest-path
-//! sweep ([`crate::widest_path::csr_widest_tree`]): for a *key*
-//! `(target host, TT bits)` it yields `φ[j]`, the widest `j → target`
-//! width for every host `j` at once, and a **witness**: the links of
-//! the sweep's parent tree, i.e. one optimal path per source. A tree is
-//! a pure function of its key and the link loads — it does not know
-//! which CT asked — so the engine keeps finished trees in a small
-//! **tree store** keyed that way. Two CTs whose reach sets name the same
-//! host with the same bits share one sweep, and so does one CT across
-//! rounds.
+//! The unit that is computed, shared and kept is one reversed
+//! widest-path sweep ([`crate::widest_path::csr_widest_tree`]): for a
+//! *key* `(target host, TT bits)` it yields `φ[j]`, the widest
+//! `j → target` width for every host `j` at once, and a **witness**:
+//! the links of the sweep's parent tree, i.e. one optimal path per
+//! source. A tree is a pure function of its key and the link loads — it
+//! does not know which CT asked — so the engine keeps finished trees in
+//! a small **tree store** keyed that way. Two CTs whose reach sets name
+//! the same host with the same bits share one sweep, and so does one CT
+//! across rounds.
 //!
-//! **Rows.** What the ranking scan reads is one row per unplaced CT,
-//! `net_γ(i, ·)` for every host. A row is a fold over the CT's reach
-//! set (its placed reachable CTs, [`TaskGraph::placed_reachable`]): per
-//! host the `min` of the named trees' `φ`, and the union of their
-//! witnesses — `O(|reach|)` sweeps at most for all `|N|` hosts, instead
-//! of the pair scan's `O(|reach| · |N|)`, and none at all when the
-//! trees are already stored.
+//! `net_γ(i, j)` is read straight off the store: the `min`, over the
+//! entries of CT `i`'s reach set (its placed reachable CTs,
+//! [`TaskGraph::placed_reachable`]), of the named trees' `φ[j]` —
+//! `NEG_INFINITY` as soon as one target is unreachable, which `min`
+//! propagates by itself. That is `O(|reach|)` sweeps at most for all
+//! `|N|` hosts, instead of the pair scan's `O(|reach| · |N|)`, and none
+//! at all when the trees are already stored; exact equality with the
+//! pair scan holds because both take the same `min` over the same
+//! unique widest-path widths. Reach sets are re-gathered on every
+//! evaluation, so nothing that depends on *which* CTs are placed is
+//! ever cached.
 //!
-//! Both levels stay valid under commits because element loads only ever
+//! The store stays valid under commits because element loads only ever
 //! *increase* during an engine's lifetime (commits add load, nothing
-//! subtracts it), so link widths only decrease.
-//! [`PlacementEngine::commit_with`] drops
-//!
-//! * a **tree** iff a link the commit routed load onto is in its
-//!   witness;
-//! * a **row** iff such a link is in its witness (the union of its
-//!   trees'), or its CT belongs to the just-placed CT's *unplaced
-//!   component* — the CTs connected to it through unplaced
-//!   intermediates, whose reach sets the commit may change.
+//! subtracts it), so link widths only decrease. There is one survival
+//! rule: [`PlacementEngine::commit_with`] drops a tree iff a link the
+//! commit routed load onto is in its witness.
 //!
 //! A surviving tree is **bit-identical** to a fresh sweep, in `φ` *and*
 //! in parent links. Its witness paths' links are untouched, so those
@@ -78,15 +76,15 @@
 //! label is unchanged, nobody else's grew, ties still break by node
 //! id), and each node's parent is still set by the same relaxation —
 //! the first to reach the final width, since everything earlier stayed
-//! strictly below it. Equal parents mean an equal witness, so a row
-//! folded from survivors is invalidated later by exactly the commits
-//! that would invalidate a row swept afresh: the cache's hit/miss
-//! sequence is the one a row-at-a-time evaluator produces.
+//! strictly below it. Equal parents mean an equal witness, so a
+//! survivor is invalidated later by exactly the commits that would
+//! invalidate a tree swept afresh: the store's hit/miss sequence does
+//! not depend on how long a tree has been kept.
 //!
-//! A tree is **evicted** once no unplaced CT's row names its key (a
-//! placed CT that stopped being reachable never becomes reachable
-//! again), so the store holds a handful of `φ` vectors, not one per
-//! sweep ever run.
+//! A tree is **evicted** by the first ranking round whose reach sets no
+//! longer name its key (a placed CT that stopped being reachable never
+//! becomes reachable again), so the store holds a handful of `φ`
+//! vectors, not one per sweep ever run.
 //! ([`PlacementEngine::audit_caches`], `tests/parallel_equivalence.rs`
 //! and the γ- and tree-staleness proptests enforce all of this.)
 //!
@@ -101,12 +99,13 @@
 //!
 //! Worker threads only compute missing trees — each a pure function of
 //! its key and the engine state, landing in a slot fixed before the
-//! workers start — while row folds and the ranking scan are serial, so
-//! the committed placement, the counters and the store's contents are
-//! identical for every thread count, and the placement identical to the
-//! oracle's serial uncached pair scan (`sparcle_oracle::assign_reference`;
-//! `tests/parallel_equivalence.rs` and `tests/csr_equivalence.rs`
-//! compare the two at 1, 2 and 8 threads).
+//! workers start — while the key gathering and the ranking scan are
+//! serial, so the committed placement, the counters and the store's
+//! contents are identical for every thread count, and the placement
+//! identical to the oracle's serial uncached pair scan
+//! (`sparcle_oracle::assign_reference`; `tests/parallel_equivalence.rs`
+//! and `tests/csr_equivalence.rs` compare the two at 1, 2 and 8
+//! threads).
 
 use crate::error::AssignError;
 use crate::trace::TraceHandle;
@@ -179,12 +178,6 @@ struct LinkSet {
 }
 
 impl LinkSet {
-    fn new(links: usize) -> Self {
-        LinkSet {
-            words: vec![0; links.div_ceil(64)],
-        }
-    }
-
     /// Empties the set and sizes it for `links` links, keeping the
     /// allocation.
     fn reset(&mut self, links: usize) {
@@ -196,29 +189,9 @@ impl LinkSet {
         self.words[link.index() / 64] |= 1 << (link.index() % 64);
     }
 
-    fn union_with(&mut self, other: &LinkSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     fn intersects(&self, other: &LinkSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
-}
-
-/// One cached γ row: the network term `net_γ(ct, j)` for every host `j`
-/// plus the witness links the values depend on (see module docs).
-/// `f64::NEG_INFINITY` marks hosts that cannot route every placed
-/// reachable CT ([`PlacementEngine::gamma_batched`]'s `None`). A row
-/// never outlives the engine (and so the network) it was folded for.
-#[derive(Debug, Clone, PartialEq)]
-struct GammaRow {
-    net: Vec<f64>,
-    witness: LinkSet,
-    /// The trees the row was folded from, in reach-set order — what
-    /// keeps those trees in the store while the row's CT is unplaced.
-    keys: Vec<TreeKey>,
 }
 
 /// What one widest-path tree is a function of, besides the link loads:
@@ -247,19 +220,20 @@ impl TreeKey {
 /// One stored widest-path tree: `phi[j]` is the widest `j → target`
 /// width (`NEG_INFINITY` when `j` cannot reach the target) and `witness`
 /// the links of the sweep's parent tree. The parent pointers, visited
-/// flags and queue stay in the sweep buffers the tree was cut from.
-#[derive(Debug, Clone, PartialEq)]
+/// flags and queue stay in the sweep buffers the tree was cut from. A
+/// tree never outlives the engine (and so the loads) it was swept for.
+#[derive(Debug, Clone)]
 struct StoredTree {
     key: TreeKey,
     phi: Vec<f64>,
     witness: LinkSet,
 }
 
-/// The trees the cached rows are folded from (module docs, "Caching
-/// contract"). A handful at a time — one per distinct `(target, bits)`
-/// the unplaced CTs' reach sets name — so lookup is a linear scan.
-/// Dropped trees park in `free`, which is all that survives into the
-/// next engine built over the same [`EngineScratch`].
+/// The γ-cache (module docs, "Caching contract"). A handful of trees at
+/// a time — one per distinct `(target, bits)` the unplaced CTs' reach
+/// sets name — so lookup is a linear scan. Dropped trees park in `free`,
+/// which is all that survives into the next engine built over the same
+/// [`EngineScratch`].
 #[derive(Debug, Clone, Default)]
 struct TreeStore {
     live: Vec<StoredTree>,
@@ -267,21 +241,29 @@ struct TreeStore {
 }
 
 impl TreeStore {
-    fn get(&self, key: TreeKey) -> Option<&StoredTree> {
-        self.live.iter().find(|t| t.key == key)
+    /// Where in `live` the tree for `key` sits, if stored.
+    fn position(&self, key: TreeKey) -> Option<usize> {
+        self.live.iter().position(|t| t.key == key)
     }
 
     /// A recycled (or new) buffer labelled `key`, for
     /// [`EvalView::fill_tree`] to overwrite.
     fn fresh(&mut self, key: TreeKey) -> StoredTree {
-        match self.free.pop() {
-            Some(tree) => StoredTree { key, ..tree },
-            None => StoredTree {
-                key,
-                phi: Vec::new(),
-                witness: LinkSet::default(),
-            },
-        }
+        let (phi, witness) = self
+            .free
+            .pop()
+            .map(|tree| (tree.phi, tree.witness))
+            .unwrap_or_default();
+        StoredTree { key, phi, witness }
+    }
+
+    /// `net_γ(·, host)` for a reach set whose trees sit at `slots`: the
+    /// `min` of their widths from `host` — `NEG_INFINITY` as soon as one
+    /// target is unreachable, `INFINITY` for an empty reach set.
+    fn net_gamma(&self, slots: &[usize], host: NcpId) -> f64 {
+        slots.iter().fold(f64::INFINITY, |net, &tree| {
+            net.min(self.live[tree].phi[host.index()])
+        })
     }
 
     /// Drops every live tree `stale` selects, keeping its buffers.
@@ -300,9 +282,9 @@ impl TreeStore {
 /// Reusable assignment buffers a long-lived caller hoists across engine
 /// lifetimes: the serial sweep buffers, the routing scratch, the tree
 /// store's `phi`/witness buffers, the reach-set traversal, and the
-/// per-round and per-commit work lists. A fresh engine allocates these
-/// lazily per assignment; the system's rollback-only probe paths (γ
-/// reconcile probes, defrag migration probes) run thousands of
+/// per-evaluation and per-commit work lists. A fresh engine allocates
+/// these lazily per assignment; the system's rollback-only probe paths
+/// (γ reconcile probes, defrag migration probes) run thousands of
 /// assignments over one network, so taking the buffers from — and
 /// returning them to — a hoisted `EngineScratch` keeps warm probes off
 /// the allocator for every content-independent buffer
@@ -312,19 +294,19 @@ pub struct EngineScratch {
     sweep: CsrWidestTree,
     route: CsrScratch,
     trees: TreeStore,
-    /// Ranking round: rows to fill, their reach sets' tree keys (all
-    /// rows back to back, `need_ends[i]` closing row `i`'s run), and the
-    /// distinct keys the store lacks.
-    missing: Vec<CtId>,
+    /// One evaluation (a ranking round, or a single probe): the tree
+    /// keys of the evaluated CTs' reach sets (all CTs back to back,
+    /// `need_ends[i]` closing the `i`-th unplaced CT's run), where in
+    /// the store each key's tree sits, and the distinct keys the store
+    /// lacks.
     reach: ReachScratch,
     reached: Vec<ReachablePlacedCt>,
     needs: Vec<TreeKey>,
     need_ends: Vec<usize>,
+    slots: Vec<usize>,
     compute: Vec<TreeKey>,
-    /// Commit: the placed CT's unplaced component, the links its routes
-    /// loaded, and its incident TTs in routing order.
-    affected: Vec<bool>,
-    stack: Vec<CtId>,
+    /// Commit: the links its routes loaded, and its incident TTs in
+    /// routing order.
     touched: LinkSet,
     incident: Vec<TtId>,
 }
@@ -346,9 +328,9 @@ fn timed_ns(timed: bool, f: impl FnOnce()) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The read-only engine state trees and rows are pure functions of.
-/// Borrowing it field-by-field (rather than `&self`) is what lets worker
-/// threads share it while each owns a private sweep buffer.
+/// The read-only engine state trees and reach sets are pure functions
+/// of. Borrowing it field-by-field (rather than `&self`) is what lets
+/// worker threads share it while each owns a private sweep buffer.
 struct EvalView<'e> {
     graph: &'e TaskGraph,
     placement: &'e Placement,
@@ -356,7 +338,6 @@ struct EvalView<'e> {
     capacities: &'e CapacityMap,
     load: &'e LoadMap,
     csr: &'e CsrNetwork,
-    ncp_count: usize,
     link_count: usize,
 }
 
@@ -370,30 +351,6 @@ impl EvalView<'_> {
         csr_widest_tree(self.csr, sweep, self.capacities, self.load, bits, target);
         sweep.for_each_tree_link(|l| tree.witness.insert(l));
         sweep.swap_widths(&mut tree.phi);
-    }
-
-    /// Builds one CT's γ row from stored trees, one per entry of its
-    /// reach set (`keys`, all present in `trees`): per host the `min` of
-    /// the trees' widths — `NEG_INFINITY` as soon as one target is
-    /// unreachable, which `min` propagates by itself — and the union of
-    /// their witnesses. Exact equality with the oracle's pair scan
-    /// holds because both take the same min over the same unique
-    /// widest-path widths.
-    fn fold_row(&self, keys: &[TreeKey], trees: &TreeStore) -> GammaRow {
-        let mut net = vec![f64::INFINITY; self.ncp_count];
-        let mut witness = LinkSet::new(self.link_count);
-        for &key in keys {
-            let tree = trees.get(key).expect("a row's trees are stored first");
-            for (entry, &width) in net.iter_mut().zip(&tree.phi) {
-                *entry = entry.min(width);
-            }
-            witness.union_with(&tree.witness);
-        }
-        GammaRow {
-            net,
-            witness,
-            keys: keys.to_vec(),
-        }
     }
 
     /// The tree keys of `ct`'s reach set, in reach-set order, appended
@@ -436,24 +393,19 @@ pub struct AssignedPath {
 /// recorder — these are part of the engine proper, so online consumers
 /// (the runtime's observability monitor, `SparcleSystem`'s state stats)
 /// can read cache behaviour of an untraced run. All fields are deterministic
-/// functions of the input: neither the missing-row set nor the set of
-/// trees it needs depends on the worker-thread count.
+/// functions of the input: the set of trees an evaluation lacks does not
+/// depend on the worker-thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssignStats {
     /// Ranking rounds executed ([`PlacementEngine::rank_round`]).
     pub rank_rounds: u64,
-    /// γ-cache rows served without recomputation.
+    /// Tree-store hits: reach-set entries, over every evaluation, whose
+    /// tree was already stored or computed for another entry of the same
+    /// evaluation. With [`Self::cache_misses`] this adds up to the
+    /// sweeps an evaluator without the store would have run.
     pub cache_hits: u64,
-    /// γ-cache rows (re)computed.
-    pub cache_misses: u64,
-    /// Widest-path trees a (re)computed row took from the tree store:
-    /// entries of the filled rows' reach sets whose tree was already
-    /// stored, or computed for another row of the same round. With
-    /// [`Self::tree_misses`] this adds up to the sweeps a row-at-a-time
-    /// evaluator would have run.
-    pub tree_hits: u64,
     /// Widest-path trees computed (one Algorithm-1 sweep each).
-    pub tree_misses: u64,
+    pub cache_misses: u64,
 }
 
 impl AssignStats {
@@ -462,13 +414,6 @@ impl AssignStats {
         self.rank_rounds += other.rank_rounds;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.tree_hits += other.tree_hits;
-        self.tree_misses += other.tree_misses;
-    }
-
-    /// Total cache lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
-        self.cache_hits + self.cache_misses
     }
 }
 
@@ -483,10 +428,9 @@ pub struct PlacementEngine<'a> {
     placed: Vec<bool>,
     /// The flat view the sweeps and the router traverse.
     csr: Arc<CsrNetwork>,
-    /// γ-cache: one optional row per CT (see module docs).
-    cache: Vec<Option<GammaRow>>,
-    /// The tree store and every reusable work buffer. Methods that need
-    /// it next to [`Self::eval_view`] move it out for their duration.
+    /// The γ-cache (the tree store, see module docs) and every reusable
+    /// work buffer. Methods that need it next to [`Self::eval_view`]
+    /// move it out for their duration.
     scratch: EngineScratch,
     /// Telemetry sink (possibly disconnected).
     trace: TraceHandle<'a>,
@@ -567,7 +511,6 @@ impl<'a> PlacementEngine<'a> {
             load: LoadMap::zeroed(network),
             placed: vec![false; app.graph().ct_count()],
             csr: Arc::clone(network.csr()),
-            cache: vec![None; app.graph().ct_count()],
             scratch: std::mem::take(scratch),
             trace,
             stats: AssignStats::default(),
@@ -681,69 +624,29 @@ impl<'a> PlacementEngine<'a> {
     ) -> Result<(), AssignError> {
         assert!(!self.placed[ct.index()], "{ct} is already placed");
         let commit_span = self.trace.span("engine.commit");
-        let graph = self.app.graph();
         let mut scratch = std::mem::take(&mut self.scratch);
-        // Cache rows whose `placed_reachable` set this commit may change:
-        // the CTs connected to `ct` through unplaced intermediates,
-        // gathered before `placed` is mutated (module docs, rule 1).
-        let EngineScratch {
-            affected, stack, ..
-        } = &mut scratch;
-        affected.clear();
-        affected.resize(graph.ct_count(), false);
-        affected[ct.index()] = true;
-        stack.clear();
-        stack.push(ct);
-        while let Some(u) = stack.pop() {
-            for tt in graph.incident_edges(u) {
-                let v = graph.tt(tt).other_endpoint(u).expect("incident edge");
-                if !self.placed[v.index()] && !affected[v.index()] {
-                    affected[v.index()] = true;
-                    stack.push(v);
-                }
-            }
-        }
         self.placement.place_ct(ct, host);
         self.placed[ct.index()] = true;
-        self.load.add_ct_load(host, graph.ct(ct).requirement());
+        self.load
+            .add_ct_load(host, self.app.graph().ct(ct).requirement());
         scratch.touched.reset(self.network.link_count());
         let routed = self.route_incident(ct, policy, &mut scratch);
         // Invalidate even on a routing error: loads added before the
         // failure are real, and callers may keep using the engine.
-        let EngineScratch {
-            affected,
-            touched,
-            trees,
-            ..
-        } = &mut scratch;
+        let EngineScratch { touched, trees, .. } = &mut scratch;
+        let stored = trees.live.len();
         trees.retire(|t| t.witness.intersects(touched));
-        let (mut inv_component, mut inv_witness) = (0u64, 0u64);
-        for (i, row) in self.cache.iter_mut().enumerate() {
-            let stale = affected[i] || row.as_ref().is_some_and(|r| r.witness.intersects(touched));
-            if stale {
-                if row.is_some() {
-                    if affected[i] {
-                        inv_component += 1;
-                    } else {
-                        inv_witness += 1;
-                    }
-                }
-                *row = None;
-            }
-        }
+        let invalidated_witness = (stored - trees.live.len()) as u64;
         self.scratch = scratch;
         self.trace.counter("engine.commits", 1);
         self.trace
-            .counter("gamma_cache.invalidated_component", inv_component);
-        self.trace
-            .counter("gamma_cache.invalidated_witness", inv_witness);
+            .counter("gamma_cache.invalidated_witness", invalidated_witness);
         if self.trace.is_enabled() {
             let (routed_tts, routed_hops) = routed.as_ref().ok().copied().unwrap_or((0, 0));
             self.trace.event(&Event::Commit(CommitRecord {
                 ct: ct.index() as u32,
                 host: host.index() as u32,
-                invalidated_component: inv_component,
-                invalidated_witness: inv_witness,
+                invalidated_witness,
                 routed_tts,
                 routed_hops,
             }));
@@ -823,7 +726,8 @@ impl<'a> PlacementEngine<'a> {
         Ok((routed_tts, routed_hops))
     }
 
-    /// The read-only state snapshot γ rows are computed from.
+    /// The read-only state snapshot trees and reach sets are computed
+    /// from.
     fn eval_view(&self) -> EvalView<'_> {
         EvalView {
             graph: self.app.graph(),
@@ -832,47 +736,33 @@ impl<'a> PlacementEngine<'a> {
             capacities: self.capacities,
             load: &self.load,
             csr: &self.csr,
-            ncp_count: self.network.ncp_count(),
             link_count: self.network.link_count(),
         }
     }
 
-    /// Fills the cache rows of `scratch.missing` (none of them present):
-    /// gathers the tree keys their reach sets name, computes the trees
-    /// the store lacks — the unit up to `threads` workers steal — then
-    /// folds each row from stored trees (module docs, "Caching
-    /// contract"). Takes the engine's scratch by argument because the
-    /// caller has it moved out already.
-    fn fill_rows(&mut self, scratch: &mut EngineScratch, threads: usize) {
+    /// Makes the store hold a tree for every key in `scratch.needs`:
+    /// lists the distinct keys it lacks and computes them — the unit up
+    /// to `threads` workers steal (module docs, "Caching contract") —
+    /// then records in `scratch.slots` where each key's tree sits.
+    /// Returns the evaluation's `(hits, misses)`. Takes the engine's
+    /// scratch by argument because the caller has it moved out already.
+    fn fill_trees(&mut self, scratch: &mut EngineScratch, threads: usize) -> (u64, u64) {
         let EngineScratch {
             sweep,
             trees,
-            missing,
-            reach,
-            reached,
             needs,
-            need_ends,
+            slots,
             compute,
             ..
         } = scratch;
-        // The view borrows `self`; the rows it folds go into the cache
-        // once it is done with, so the cache steps aside meanwhile.
-        let mut cache = std::mem::take(&mut self.cache);
-        let view = self.eval_view();
-        needs.clear();
-        need_ends.clear();
         compute.clear();
-        for &ct in missing.iter() {
-            let first = needs.len();
-            view.reach_keys(ct, reach, reached, needs);
-            for &key in &needs[first..] {
-                if trees.get(key).is_none() && !compute.contains(&key) {
-                    compute.push(key);
-                }
+        for &key in needs.iter() {
+            if trees.position(key).is_none() && !compute.contains(&key) {
+                compute.push(key);
             }
-            need_ends.push(needs.len());
         }
-        let (tree_hits, tree_misses) = ((needs.len() - compute.len()) as u64, compute.len() as u64);
+        let (hits, misses) = ((needs.len() - compute.len()) as u64, compute.len() as u64);
+        let view = self.eval_view();
         // Workers never touch the recorder (so `Recorder` needs no
         // `Sync` bound): fill times are collected as plain data and
         // recorded serially.
@@ -913,32 +803,17 @@ impl<'a> PlacementEngine<'a> {
                 trees.live.push(tree);
             }
         }
-        let mut first = 0;
-        for (&ct, &end) in missing.iter().zip(need_ends.iter()) {
-            let slot = &mut cache[ct.index()];
-            let ns = timed_ns(timed, || {
-                *slot = Some(view.fold_row(&needs[first..end], trees));
-            });
-            if timed {
-                self.trace.timing("engine.row_fill_ns", ns);
-            }
-            first = end;
-        }
-        self.cache = cache;
-        self.stats.tree_hits += tree_hits;
-        self.stats.tree_misses += tree_misses;
-    }
-
-    /// Fills `ct`'s cache row if missing (serial path).
-    fn ensure_row(&mut self, ct: CtId) {
-        if self.cache[ct.index()].is_some() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.missing.clear();
-        scratch.missing.push(ct);
-        self.fill_rows(&mut scratch, 1);
-        self.scratch = scratch;
+        slots.clear();
+        slots.extend(needs.iter().map(|&key| {
+            trees
+                .position(key)
+                .expect("every needed tree is stored now")
+        }));
+        self.stats.cache_hits += hits;
+        self.stats.cache_misses += misses;
+        self.trace.counter("gamma_cache.hits", hits);
+        self.trace.counter("gamma_cache.misses", misses);
+        (hits, misses)
     }
 
     /// The paper's `γ_{i,j}` (eq. (2)): the bottleneck processing rate
@@ -954,25 +829,30 @@ impl<'a> PlacementEngine<'a> {
     /// Returns `None` when some reachable placed CT cannot be routed to
     /// from `j` at all (placing `i` there would strand a TT).
     ///
-    /// Served from the γ-cache: computes (or reuses) `ct`'s whole row,
-    /// then combines the cached network term with a fresh host term.
-    /// Bit-identical to the oracle's uncached pair scan — the core
-    /// proptests hold it to that at every Algorithm-2 step.
+    /// Served from the γ-cache: computes (or reuses) the trees `ct`'s
+    /// reach set names — evicting none, so a caller's per-host loop
+    /// sweeps once — then combines their widths at `host` with a fresh
+    /// host term. Bit-identical to the oracle's uncached pair scan — the
+    /// core proptests hold it to that at every Algorithm-2 step.
     pub fn gamma_batched(&mut self, ct: CtId, host: NcpId) -> Option<f64> {
-        self.ensure_row(ct);
-        let net = self.cache[ct.index()]
-            .as_ref()
-            .expect("row just ensured")
-            .net[host.index()];
-        if net == f64::NEG_INFINITY {
-            return None;
-        }
-        Some(self.host_rate(ct, host).min(net))
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let EngineScratch {
+            reach,
+            reached,
+            needs,
+            ..
+        } = &mut scratch;
+        needs.clear();
+        self.eval_view().reach_keys(ct, reach, reached, needs);
+        self.fill_trees(&mut scratch, 1);
+        let net = scratch.trees.net_gamma(&scratch.slots, host);
+        self.scratch = scratch;
+        (net != f64::NEG_INFINITY).then(|| self.host_rate(ct, host).min(net))
     }
 
     /// One ranking round of Algorithm 2 over the γ-cache: returns the
     /// `argmin_i max_j γ_{i,j}` choice `(i*, j*, γ)` among unplaced CTs,
-    /// or `None` when everything is placed. Missing cache rows are filled
+    /// or `None` when everything is placed. Missing trees are computed
     /// by up to `threads` worker threads; the choice is identical for
     /// every `threads` value and identical to the oracle's serial pair
     /// scan (module docs describe the tie-break).
@@ -985,61 +865,58 @@ impl<'a> PlacementEngine<'a> {
         &mut self,
         threads: usize,
     ) -> Result<Option<(CtId, NcpId, f64)>, AssignError> {
-        // One pass over the graph fills the (reused) missing-row scratch
-        // and counts the unplaced set — no per-round allocation once the
-        // scratch has grown to its high-water mark.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let missing = &mut scratch.missing;
-        missing.clear();
-        let mut unplaced_count = 0usize;
-        for ct in self.app.graph().ct_ids() {
-            if self.placed[ct.index()] {
-                continue;
-            }
-            unplaced_count += 1;
-            if self.cache[ct.index()].is_none() {
-                missing.push(ct);
-            }
-        }
-        if unplaced_count == 0 {
-            self.scratch = scratch;
+        if self.unplaced().next().is_none() {
             return Ok(None);
         }
         let round_span = self.trace.span("engine.rank_round");
-        let (cache_hits, cache_misses) = (
-            (unplaced_count - missing.len()) as u64,
-            missing.len() as u64,
-        );
         self.stats.rank_rounds += 1;
-        self.stats.cache_hits += cache_hits;
-        self.stats.cache_misses += cache_misses;
-        if !missing.is_empty() {
-            let fill_span = self.trace.span("engine.row_fill");
-            self.fill_rows(&mut scratch, threads);
-            fill_span.finish();
+        // One pass over the graph gathers every unplaced CT's reach set
+        // as tree keys into the (reused) scratch — no per-round
+        // allocation once it has grown to its high-water mark.
+        let fill_span = self.trace.span("engine.tree_fill");
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let EngineScratch {
+            trees,
+            reach,
+            reached,
+            needs,
+            need_ends,
+            ..
+        } = &mut scratch;
+        needs.clear();
+        need_ends.clear();
+        let view = self.eval_view();
+        for ct in self.unplaced() {
+            view.reach_keys(ct, reach, reached, needs);
+            need_ends.push(needs.len());
         }
-        // Every unplaced CT has its row now, so a tree no row names is
-        // one no reach set names any more: evict it.
-        let rows = &self.cache;
-        scratch
-            .trees
-            .retire(|t| !rows.iter().flatten().any(|row| row.keys.contains(&t.key)));
+        // A tree no key of this round names is one no reach set names
+        // any more: evict it (its buffers serve the fill).
+        trees.retire(|t| !needs.contains(&t.key));
+        let (cache_hits, cache_misses) = self.fill_trees(&mut scratch, threads);
         self.scratch = scratch;
+        fill_span.finish();
         let merge_span = self.trace.span("engine.rank_merge");
-        // Serial merge over the (now complete) rows; the strict
+        // Serial merge straight off the stored trees — per host the
+        // `min` of the `φ` the CT's reach set names; the strict
         // comparisons are the tie-breaks of the module docs.
+        let EngineScratch {
+            trees,
+            need_ends,
+            slots,
+            ..
+        } = &self.scratch;
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut ct_tied = false;
         let mut pick: Option<(f64, CtId, NcpId)> = None;
-        for ct in self.app.graph().ct_ids() {
-            if self.placed[ct.index()] {
-                continue;
-            }
-            let row = self.cache[ct.index()].as_ref().expect("row just ensured");
+        let mut first = 0;
+        for (ct, &end) in self.unplaced().zip(need_ends) {
+            let reach = &slots[first..end];
+            first = end;
             let mut best: Option<(NcpId, f64)> = None;
             let mut host_tied = false;
             for host in self.network.ncp_ids() {
-                let net = row.net[host.index()];
+                let net = trees.net_gamma(reach, host);
                 if net == f64::NEG_INFINITY {
                     continue;
                 }
@@ -1074,8 +951,6 @@ impl<'a> PlacementEngine<'a> {
         let (g, ct, host) = pick.expect("unplaced set is non-empty");
         merge_span.finish();
         self.trace.counter("engine.rank_rounds", 1);
-        self.trace.counter("gamma_cache.hits", cache_hits);
-        self.trace.counter("gamma_cache.misses", cache_misses);
         if self.trace.is_enabled() {
             self.trace.event(&Event::Decision(PlacementDecision {
                 round: self.round,
@@ -1102,48 +977,24 @@ impl<'a> PlacementEngine<'a> {
         self.stats
     }
 
-    /// Recomputes every stored tree and every cached row from scratch —
-    /// plain sweeps under the current loads, folded one row at a time,
-    /// sharing nothing with the store — and compares them bit for bit:
-    /// widths, witness links, and a row's reach set. The check behind
+    /// Recomputes every stored tree from scratch — a plain sweep under
+    /// the current loads, sharing nothing with the store — and compares
+    /// the two bit for bit, widths and witness links. The check behind
     /// the "a survivor equals a fresh sweep" half of the caching
     /// contract (module docs); the staleness proptests run it after
     /// every commit.
     ///
     /// # Errors
     ///
-    /// Names the first tree or row that differs.
+    /// Names the first tree that differs.
     pub fn audit_caches(&self) -> Result<(), String> {
         let view = self.eval_view();
         let mut sweep = CsrWidestTree::default();
-        let mut recomputed = TreeStore::default();
-        let mut recompute = |store: &mut TreeStore, key| {
-            let mut tree = store.fresh(key);
-            view.fill_tree(&mut tree, &mut sweep);
-            store.live.push(tree);
-        };
         for tree in &self.scratch.trees.live {
-            recompute(&mut recomputed, tree.key);
-            let again = recomputed.live.last().expect("just pushed");
+            let mut again = TreeStore::default().fresh(tree.key);
+            view.fill_tree(&mut again, &mut sweep);
             if !bits_eq(&again.phi, &tree.phi) || again.witness != tree.witness {
                 return Err(format!("stored tree {:?} is stale", tree.key));
-            }
-        }
-        let (mut reach, mut reached) = Default::default();
-        let mut keys: Vec<TreeKey> = Vec::new();
-        for ct in self.unplaced() {
-            let Some(row) = self.cache[ct.index()].as_ref() else {
-                continue;
-            };
-            keys.clear();
-            view.reach_keys(ct, &mut reach, &mut reached, &mut keys);
-            recomputed.retire(|_| true);
-            for &key in &keys {
-                recompute(&mut recomputed, key);
-            }
-            let again = view.fold_row(&keys, &recomputed);
-            if keys != row.keys || !bits_eq(&again.net, &row.net) || again.witness != row.witness {
-                return Err(format!("cached row of {ct} is stale"));
             }
         }
         Ok(())

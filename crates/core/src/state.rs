@@ -74,21 +74,16 @@ pub struct StateStats {
     pub txn_commits: u64,
     /// Transactions rolled back (including what-if probes).
     pub txn_rollbacks: u64,
-    /// γ-cache rows served without recomputation across every
-    /// assignment the system ran (GR path collection and BE multipath
-    /// extraction alike). Monotone work counters: like
+    /// γ-cache (tree store) hits across every assignment the system ran
+    /// (GR path collection and BE multipath extraction alike): reach-set
+    /// entries whose widest-path tree was already stored
+    /// ([`AssignStats::cache_hits`]). Monotone work counters: like
     /// [`Self::txn_rollbacks`], rolled-back transactions keep the work
     /// they did.
     pub gamma_cache_hits: u64,
-    /// γ-cache rows (re)computed across every assignment the system
-    /// ran.
+    /// Widest-path trees computed across every assignment the system
+    /// ran — one Algorithm-1 sweep each ([`AssignStats::cache_misses`]).
     pub gamma_cache_misses: u64,
-    /// Widest-path trees those (re)computed rows took from the
-    /// engine's tree store ([`AssignStats::tree_hits`]).
-    pub tree_hits: u64,
-    /// Widest-path trees computed — one Algorithm-1 sweep each
-    /// ([`AssignStats::tree_misses`]).
-    pub tree_misses: u64,
 }
 
 impl StateStats {
@@ -97,8 +92,6 @@ impl StateStats {
     pub(crate) fn add_assign(&mut self, stats: &AssignStats) {
         self.gamma_cache_hits += stats.cache_hits;
         self.gamma_cache_misses += stats.cache_misses;
-        self.tree_hits += stats.tree_hits;
-        self.tree_misses += stats.tree_misses;
     }
 }
 

@@ -7,7 +7,7 @@
 //! signature whether or not anything listens. A `None` recorder
 //! ([`TraceHandle::none`]) short-circuits every recording path, and the
 //! expensive instrumentation inside the engine (building candidate sets
-//! for decision events, timing row fills) is gated on
+//! for decision events, timing tree fills) is gated on
 //! [`TraceHandle::is_enabled`], so an untraced run pays one branch per
 //! site.
 //!

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparcle_core::{DynamicRankingAssigner, EngineScratch, PlacementEngine};
+use sparcle_core::{DynamicRankingAssigner, EngineScratch, PlacementEngine, TraceHandle};
 use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,9 +133,9 @@ fn scratch_reuse_check() {
     );
 }
 
-/// A ranking round that finds every row cached is the merge scan and
+/// A ranking round that finds every tree stored is the merge scan and
 /// nothing else: |unplaced| × |N| host-rate evaluations against the
-/// cached network terms. It must not touch the allocator — the host
+/// stored trees' widths. It must not touch the allocator — the host
 /// term used to clone a `ResourceVec` per (CT, host) pair. Asking twice
 /// without committing in between isolates exactly that round.
 #[test]
@@ -160,11 +160,51 @@ fn warm_merge_scan_check() {
     assert!(rounds > 0, "the check must exercise at least one round");
 }
 
+/// A round that has to sweep stays off the allocator too, once the
+/// scratch is warm: after one warming assignment, every ranking round of
+/// a second engine over the same scratch — its store cold, every tree
+/// swept afresh into a recycled buffer — makes zero allocator calls.
+#[test]
+fn cold_rounds_on_a_warm_scratch_are_allocation_free() {
+    let scenario = check_scenario(13);
+    let caps = scenario.network.capacity_map();
+    let mut scratch = EngineScratch::default();
+    DynamicRankingAssigner::with_threads(1)
+        .assign_scratch_with_stats(&mut scratch, &scenario.app, &scenario.network, &caps)
+        .expect("assignable");
+    let mut engine = PlacementEngine::new_traced_with_scratch(
+        &scenario.app,
+        &scenario.network,
+        &caps,
+        TraceHandle::none(),
+        &mut scratch,
+    )
+    .expect("engine construction");
+    let mut rounds = 0u32;
+    loop {
+        let before = alloc_calls();
+        let pick = black_box(engine.rank_round(1).expect("rankable"));
+        let after = alloc_calls();
+        assert_eq!(
+            before, after,
+            "rank_round allocated in round {rounds} on a warm scratch"
+        );
+        let Some((ct, host, _gamma)) = pick else {
+            break;
+        };
+        engine.commit(ct, host).expect("committable");
+        rounds += 1;
+    }
+    assert!(rounds > 0, "the check must exercise at least one round");
+    let stats = engine.stats();
+    assert!(stats.cache_misses > 0, "no round ever swept: {stats:?}");
+}
+
 /// The tree store's promise in numbers: an assignment computes at most
 /// one tree per distinct `(target host, bits)` key its rounds' reach
 /// sets name (recounted here from the public graph API), and fewer
 /// whenever a tree survives a commit — so strictly fewer sweeps than
-/// the row-at-a-time evaluator's one per reach-set entry.
+/// a store-less evaluator's one per reach-set entry.
 #[test]
 fn tree_sharing_check() {
     let scenario = check_scenario(17);
@@ -192,9 +232,9 @@ fn tree_sharing_check() {
     }
     let stats = engine.stats();
     assert!(
-        stats.tree_misses <= distinct_keys,
+        stats.cache_misses <= distinct_keys,
         "computed {} trees for {distinct_keys} distinct keys",
-        stats.tree_misses
+        stats.cache_misses
     );
-    assert!(stats.tree_hits > 0, "no tree was ever shared: {stats:?}");
+    assert!(stats.cache_hits > 0, "no tree was ever shared: {stats:?}");
 }

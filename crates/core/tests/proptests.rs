@@ -491,57 +491,65 @@ proptest! {
     /// on every (unplaced CT, host) probe, the cached batched evaluator
     /// is bit-identical to the oracle's uncached pair scan — including
     /// agreement on unroutability — and the committed `rank_round` pick
-    /// carries the oracle's γ.
+    /// carries the oracle's γ. Pipelines and branching graphs both: only
+    /// on the latter does a commit split the unplaced set, leaving CTs
+    /// whose reach sets it did not touch.
     #[test]
     fn gamma_cache_is_never_stale(
         net in arb_network(8),
         (cpu, bits) in arb_pipeline(5),
+        (parents, branch_cpu, branch_bits) in arb_branching(5),
         probes in proptest::collection::vec((0usize..64, 0usize..64), 16),
         threads in 1usize..4,
     ) {
         let n = net.ncp_count() as u32;
-        let app = pipeline_app(&cpu, &bits, NcpId::new(0), NcpId::new(n - 1));
+        let (src, dst) = (NcpId::new(0), NcpId::new(n - 1));
         let caps = net.capacity_map();
-        let mut engine = PlacementEngine::new(&app, &net, &caps).expect("pins routable");
-        loop {
-            let unplaced: Vec<_> = engine.unplaced().collect();
-            if unplaced.is_empty() {
-                break;
-            }
-            for &(ci, hi) in &probes {
-                let ct = unplaced[ci % unplaced.len()];
-                let host = NcpId::new((hi % net.ncp_count()) as u32);
-                let fresh = gamma(&engine, ct, host);
-                let cached = engine.gamma_batched(ct, host);
-                match (fresh, cached) {
-                    (Some(f), Some(c)) => prop_assert_eq!(
-                        f.to_bits(), c.to_bits(),
-                        "stale cache for ({:?}, {:?}): {} vs fresh {}", ct, host, c, f
-                    ),
-                    (None, None) => {}
-                    other => prop_assert!(false, "routability mismatch {other:?}"),
+        for app in [
+            pipeline_app(&cpu, &bits, src, dst),
+            branching_app(&parents, &branch_cpu, &branch_bits, src, dst),
+        ] {
+            let mut engine = PlacementEngine::new(&app, &net, &caps).expect("pins routable");
+            loop {
+                let unplaced: Vec<_> = engine.unplaced().collect();
+                if unplaced.is_empty() {
+                    break;
+                }
+                for &(ci, hi) in &probes {
+                    let ct = unplaced[ci % unplaced.len()];
+                    let host = NcpId::new((hi % net.ncp_count()) as u32);
+                    let fresh = gamma(&engine, ct, host);
+                    let cached = engine.gamma_batched(ct, host);
+                    match (fresh, cached) {
+                        (Some(f), Some(c)) => prop_assert_eq!(
+                            f.to_bits(), c.to_bits(),
+                            "stale cache for ({:?}, {:?}): {} vs fresh {}", ct, host, c, f
+                        ),
+                        (None, None) => {}
+                        other => prop_assert!(false, "routability mismatch {other:?}"),
+                    }
+                }
+                match engine.rank_round(threads) {
+                    Ok(Some((ct, host, g))) => {
+                        let fresh = gamma(&engine, ct, host).expect("picked host is routable");
+                        prop_assert_eq!(fresh.to_bits(), g.to_bits());
+                        engine.commit(ct, host).expect("picked host is routable");
+                    }
+                    Ok(None) => prop_assert!(false, "rank_round saw no unplaced CTs"),
+                    Err(e) => prop_assert!(false, "rank_round failed: {e}"),
                 }
             }
-            match engine.rank_round(threads) {
-                Ok(Some((ct, host, g))) => {
-                    let fresh = gamma(&engine, ct, host).expect("picked host is routable");
-                    prop_assert_eq!(fresh.to_bits(), g.to_bits());
-                    engine.commit(ct, host).expect("picked host is routable");
-                }
-                Ok(None) => prop_assert!(false, "rank_round saw no unplaced CTs"),
-                Err(e) => prop_assert!(false, "rank_round failed: {e}"),
-            }
+            engine.finish().expect("complete placement validates");
         }
-        engine.finish().expect("complete placement validates");
     }
 
-    /// Neither cache level ever goes stale, whatever gets committed: the
+    /// The tree store never goes stale, whatever gets committed: the
     /// commits here are *arbitrary* (any unplaced CT on any host, not
     /// the ranking's pick), interleaved with ranking rounds and single
-    /// row fills that stock the tree store, and after every step the
-    /// engine's own audit recomputes every stored tree and cached row
-    /// from scratch — widths, witness links and reach keys must match
-    /// bit for bit. Work counters must not depend on the thread count.
+    /// probes that stock the store, and after every step the engine's
+    /// own audit recomputes every stored tree from scratch — widths and
+    /// witness links must match bit for bit. Work counters must not
+    /// depend on the thread count.
     #[test]
     fn tree_store_is_never_stale(
         net in arb_network(8),

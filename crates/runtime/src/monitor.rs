@@ -4,8 +4,8 @@
 //! A [`Monitor`] is driven by a periodic `MonitorTick` event on the
 //! runtime's deterministic event queue. Each tick folds the run's
 //! cumulative signals — the SLO ledger, the state core's
-//! [`StateStats`](sparcle_core::StateStats) work counters, γ-cache
-//! hits/misses, and instantaneous queue/backlog depths — into the
+//! [`StateStats`](sparcle_core::StateStats) work counters, and
+//! instantaneous queue/backlog depths — into the
 //! sim-time sliding windows of [`sparcle_telemetry::window`], then
 //! evaluates a small rule set of degradation detectors over those
 //! windows:
@@ -14,9 +14,6 @@
 //!   the window's SLO budget (`slo_violation_budget` violation-seconds
 //!   per simulated second). A burn of 1.0 means the run is consuming
 //!   exactly its error budget; above that the rule fires.
-//! * **`cache_hit_collapse`** — the windowed γ-cache hit rate dropped
-//!   below [`AlertRules::cache_hit_floor`] (evaluated only once the
-//!   window holds 50 lookups).
 //! * **`solver_iteration_blowup`** — warm-start Newton iterations per
 //!   BE solve exceeded [`AlertRules::warm_iters_ceiling`] (evaluated
 //!   only once the window holds [`AlertRules::min_solves`] solves).
@@ -30,10 +27,11 @@
 //! evaluator thread counts — the same contract the `runtime_*` events
 //! obey.
 //!
-//! The monitor itself is pure state-in/state-out (no I/O, no clock):
-//! its owner — the churn runtime or the admission service — feeds it
-//! [`TickInput`]s and turns the returned [`MonitorSample`]s into
-//! telemetry events ([`MonitorSample::emit`]) and the optional
+//! The monitor's windows are pure state-in/state-out (no I/O, no clock):
+//! its owner — the churn runtime or the admission service — feeds
+//! [`Monitor::tick`] a [`TickInput`] and hands the returned
+//! [`MonitorSample`] to [`Monitor::publish`], which emits the telemetry
+//! events ([`MonitorSample::emit`]) and rewrites the optional
 //! Prometheus-style text exposition ([`Monitor::render_prometheus`]).
 
 use std::path::PathBuf;
@@ -42,21 +40,12 @@ use sparcle_core::TraceHandle;
 use sparcle_telemetry::window::{RateEstimator, WindowedCounter, WindowedHistogram};
 use sparcle_telemetry::Event;
 
-/// Labels of the four alert rules, in evaluation order.
-pub const ALERT_RULES: [&str; 4] = [
-    "gr_burn_rate",
-    "cache_hit_collapse",
-    "solver_iteration_blowup",
-    "backlog_growth",
-];
+/// Labels of the three alert rules, in evaluation order.
+pub const ALERT_RULES: [&str; 3] = ["gr_burn_rate", "solver_iteration_blowup", "backlog_growth"];
 
 /// `gr_burn_rate` fires when windowed burn exceeds this multiple of the
 /// SLO budget.
 const GR_BURN_THRESHOLD: f64 = 1.0;
-
-/// `cache_hit_collapse` is evaluated only once the window saw at least
-/// this many lookups (quiet windows don't alert).
-const MIN_CACHE_LOOKUPS: u64 = 50;
 
 /// `backlog_growth` fires after this many consecutive ticks of strictly
 /// growing displaced-application backlog.
@@ -69,9 +58,6 @@ pub struct AlertRules {
     /// (0.05 = each second of the run may carry 0.05 violation-seconds
     /// across all GR applications).
     pub slo_violation_budget: f64,
-    /// `cache_hit_collapse` fires when the windowed γ-cache hit rate
-    /// drops below this floor (once the window holds enough lookups).
-    pub cache_hit_floor: f64,
     /// `solver_iteration_blowup` fires when windowed warm Newton
     /// iterations per solve exceed this ceiling…
     pub warm_iters_ceiling: f64,
@@ -83,7 +69,6 @@ impl Default for AlertRules {
     fn default() -> Self {
         AlertRules {
             slo_violation_budget: 0.05,
-            cache_hit_floor: 0.10,
             warm_iters_ceiling: 250.0,
             min_solves: 5,
         }
@@ -101,8 +86,9 @@ pub struct MonitorConfig {
     pub slots: usize,
     /// Alert thresholds.
     pub rules: AlertRules,
-    /// When set, the runtime rewrites this file with a Prometheus-style
-    /// text exposition of the latest sample on every tick.
+    /// When set, the monitor's owner (runtime or service) rewrites this
+    /// file with a Prometheus-style text exposition of the latest sample
+    /// on every tick ([`Monitor::publish`]).
     pub metrics_out: Option<PathBuf>,
 }
 
@@ -128,10 +114,6 @@ pub struct TickInput {
     pub arrivals: u64,
     /// Total arrivals admitted.
     pub admitted: u64,
-    /// Total γ-cache row hits (`StateStats::gamma_cache_hits`).
-    pub cache_hits: u64,
-    /// Total γ-cache row misses (`StateStats::gamma_cache_misses`).
-    pub cache_misses: u64,
     /// Total BE solves (`StateStats::solves`).
     pub solves: u64,
     /// Total warm-solve Newton iterations
@@ -182,10 +164,6 @@ pub struct MonitorSample {
     pub arrival_rate: f64,
     /// Windowed admissions per simulated second.
     pub admit_rate: f64,
-    /// Windowed γ-cache hit rate (1.0 when the window saw no lookups).
-    pub cache_hit_rate: f64,
-    /// γ-cache lookups in the window.
-    pub cache_lookups: u64,
     /// Windowed warm Newton iterations per solve (0 without solves).
     pub warm_iters_per_solve: f64,
     /// BE solves in the window.
@@ -223,8 +201,6 @@ impl MonitorSample {
             be_rate: self.be_rate,
             arrival_rate: self.arrival_rate,
             admit_rate: self.admit_rate,
-            cache_hit_rate: self.cache_hit_rate,
-            cache_lookups: self.cache_lookups,
             warm_iters_per_solve: self.warm_iters_per_solve,
             solves: self.solves,
             queue_depth: self.queue_depth,
@@ -254,15 +230,13 @@ pub struct Monitor {
     viol_s: RateEstimator,
     arrivals: RateEstimator,
     admits: RateEstimator,
-    cache_hits: WindowedCounter,
-    cache_misses: WindowedCounter,
     solves: WindowedCounter,
     warm_iters: WindowedCounter,
     migrations: WindowedCounter,
     queue_depths: WindowedHistogram,
     last: TickInput,
     /// Firing state per rule, indexed like [`ALERT_RULES`].
-    firing: [bool; 4],
+    firing: [bool; 3],
     backlog_streak: u64,
     last_backlog: Option<u64>,
     ticks: u64,
@@ -291,15 +265,13 @@ impl Monitor {
             viol_s: RateEstimator::new(w, n),
             arrivals: RateEstimator::new(w, n),
             admits: RateEstimator::new(w, n),
-            cache_hits: WindowedCounter::new(w, n),
-            cache_misses: WindowedCounter::new(w, n),
             solves: WindowedCounter::new(w, n),
             warm_iters: WindowedCounter::new(w, n),
             migrations: WindowedCounter::new(w, n),
             queue_depths: WindowedHistogram::new(w, n),
             config,
             last: TickInput::default(),
-            firing: [false; 4],
+            firing: [false; 3],
             backlog_streak: 0,
             last_backlog: None,
             ticks: 0,
@@ -342,10 +314,6 @@ impl Monitor {
             .record(t, input.arrivals.saturating_sub(self.last.arrivals) as f64);
         self.admits
             .record(t, input.admitted.saturating_sub(self.last.admitted) as f64);
-        self.cache_hits
-            .record(t, input.cache_hits.saturating_sub(self.last.cache_hits));
-        self.cache_misses
-            .record(t, input.cache_misses.saturating_sub(self.last.cache_misses));
         self.solves
             .record(t, input.solves.saturating_sub(self.last.solves));
         self.warm_iters.record(
@@ -367,12 +335,6 @@ impl Monitor {
         } else {
             0.0
         };
-        let cache_lookups = self.cache_hits.sum() + self.cache_misses.sum();
-        let cache_hit_rate = if cache_lookups == 0 {
-            1.0
-        } else {
-            self.cache_hits.sum() as f64 / cache_lookups as f64
-        };
         let solves = self.solves.sum();
         let warm_iters_per_solve = if solves == 0 {
             0.0
@@ -388,13 +350,8 @@ impl Monitor {
 
         // Rule evaluation, in ALERT_RULES order.
         let rules = &self.config.rules;
-        let verdicts: [(bool, f64, f64); 4] = [
+        let verdicts: [(bool, f64, f64); 3] = [
             (gr_burn > GR_BURN_THRESHOLD, gr_burn, GR_BURN_THRESHOLD),
-            (
-                cache_lookups >= MIN_CACHE_LOOKUPS && cache_hit_rate < rules.cache_hit_floor,
-                cache_hit_rate,
-                rules.cache_hit_floor,
-            ),
             (
                 solves >= rules.min_solves && warm_iters_per_solve > rules.warm_iters_ceiling,
                 warm_iters_per_solve,
@@ -429,8 +386,6 @@ impl Monitor {
             be_rate: input.be_rate,
             arrival_rate: self.arrivals.rate(),
             admit_rate: self.admits.rate(),
-            cache_hit_rate,
-            cache_lookups,
             warm_iters_per_solve,
             solves,
             queue_depth: input.queue_depth,
@@ -440,6 +395,23 @@ impl Monitor {
             defrag_churn: self.migrations.sum(),
             alerts_firing: self.firing.iter().filter(|&&f| f).count() as u64,
             transitions,
+        }
+    }
+
+    /// Publishes one tick's `sample`: its `monitor_*` events into
+    /// `trace` ([`MonitorSample::emit`]), then — when
+    /// [`MonitorConfig::metrics_out`] is set — the file rewritten with
+    /// the sample's exposition. A failed write warns on stderr and never
+    /// disturbs the run.
+    pub fn publish(&self, sample: &MonitorSample, trace: TraceHandle<'_>) {
+        sample.emit(trace);
+        if let Some(path) = &self.config.metrics_out {
+            if let Err(e) = std::fs::write(path, self.render_prometheus(sample)) {
+                eprintln!(
+                    "warning: failed to write metrics file {}: {e}",
+                    path.display()
+                );
+            }
         }
     }
 
@@ -488,11 +460,6 @@ impl Monitor {
             "sparcle_admit_rate",
             "Windowed admissions per simulated second",
             format!("{}", sample.admit_rate),
-        );
-        gauge(
-            "sparcle_gamma_cache_hit_rate",
-            "Windowed gamma-cache hit rate",
-            format!("{}", sample.cache_hit_rate),
         );
         gauge(
             "sparcle_warm_iters_per_solve",
@@ -569,8 +536,6 @@ mod tests {
             assert!(s.transitions.is_empty(), "tick {k}: {:?}", s.transitions);
             assert_eq!(s.alerts_firing, 0);
             assert_eq!(s.gr_burn, 0.0);
-            // No lookups -> hit rate reads healthy.
-            assert_eq!(s.cache_hit_rate, 1.0);
         }
         assert_eq!(m.alerts_total(), 0);
         assert_eq!(m.ticks(), 20);
@@ -611,24 +576,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_collapse_needs_volume() {
-        let mut m = Monitor::new(MonitorConfig::default());
-        let mut input = quiet_input();
-        // 10 lookups, all misses: under MIN_CACHE_LOOKUPS -> no alert.
-        input.cache_misses = 10;
-        let s = m.tick(5.0, &input);
-        assert!(s.transitions.is_empty());
-        assert_eq!(s.cache_hit_rate, 0.0);
-        // 100 more misses: volume reached, floor crossed -> fires.
-        input.cache_misses = 110;
-        let s = m.tick(10.0, &input);
-        assert_eq!(s.transitions.len(), 1);
-        assert_eq!(s.transitions[0].rule, "cache_hit_collapse");
-        // Healthy traffic pushes the windowed rate back up -> clears.
-        input.cache_hits = 2000;
-        let s = m.tick(15.0, &input);
-        assert_eq!(s.transitions.len(), 1);
-        assert!(!s.transitions[0].firing);
+    fn the_rule_set_is_the_remaining_three_in_order() {
+        assert_eq!(
+            ALERT_RULES,
+            ["gr_burn_rate", "solver_iteration_blowup", "backlog_growth"]
+        );
     }
 
     #[test]
@@ -679,7 +631,6 @@ mod tests {
         for series in [
             "sparcle_sim_time_seconds 5",
             "sparcle_gr_burn_ratio 0",
-            "sparcle_gamma_cache_hit_rate 1",
             "sparcle_queue_depth 10",
             "sparcle_live_apps 3",
             "sparcle_monitor_ticks_total 1",

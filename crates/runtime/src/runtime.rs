@@ -698,8 +698,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             gr_violation_seconds: self.ledger.total_gr_violation_seconds(),
             arrivals: self.ledger.arrivals(),
             admitted: self.ledger.admitted(),
-            cache_hits: stats.gamma_cache_hits,
-            cache_misses: stats.gamma_cache_misses,
             solves: stats.solves,
             warm_inner_iters: stats.inner_iters_warm,
             be_rate: self.system.be_apps().iter().map(|a| a.allocated_rate).sum(),
@@ -714,16 +712,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             self.queue.schedule(next, ChurnEvent::MonitorTick);
         }
         trace.counter("runtime.monitor_ticks", 1);
-        sample.emit(trace);
-        if let Some(path) = &monitor.config().metrics_out {
-            let text = monitor.render_prometheus(&sample);
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!(
-                    "warning: failed to write metrics file {}: {e}",
-                    path.display()
-                );
-            }
-        }
+        monitor.publish(&sample, trace);
     }
 
     /// One background defragmentation pass (DESIGN.md §15). Reconcile

@@ -553,8 +553,9 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         self.ledger.advance_to(t, [], be_rate);
     }
 
-    /// Folds the window close into the observability monitor, emitting
-    /// `monitor_*` events exactly like the churn runtime does.
+    /// Folds the window close into the observability monitor, publishing
+    /// the sample (`monitor_*` events, `metrics_out`) exactly like the
+    /// churn runtime does.
     fn tick_monitor(&mut self, t: f64, trace: TraceHandle<'_>) {
         let Some(monitor) = self.monitor.as_mut() else {
             return;
@@ -564,8 +565,6 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             gr_violation_seconds: self.ledger.total_gr_violation_seconds(),
             arrivals: self.ledger.arrivals(),
             admitted: self.ledger.admitted(),
-            cache_hits: stats.gamma_cache_hits,
-            cache_misses: stats.gamma_cache_misses,
             solves: stats.solves,
             warm_inner_iters: stats.inner_iters_warm,
             be_rate: self.system.be_apps().iter().map(|a| a.allocated_rate).sum(),
@@ -576,7 +575,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         };
         let sample = monitor.tick(t, &input);
         trace.counter("service.monitor_ticks", 1);
-        sample.emit(trace);
+        monitor.publish(&sample, trace);
     }
 
     /// The owned scheduling system (read-only).

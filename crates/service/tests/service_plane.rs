@@ -9,6 +9,7 @@ use sparcle_core::SparcleSystem;
 use sparcle_model::{
     Application, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder,
 };
+use sparcle_runtime::MonitorConfig;
 use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream, ServiceRequest};
 
@@ -388,6 +389,35 @@ fn submit_error_rejects_one_request_and_the_window_goes_on() {
     assert_eq!(ledger.rejections().get("submit_error"), Some(&1));
     assert_eq!(ledger.rejections().len(), 1);
     assert_eq!(service.system().be_apps().len(), 2);
+}
+
+/// Regression: the service used to emit its monitor sample and drop
+/// `MonitorConfig::metrics_out` on the floor; like the churn runtime it
+/// rewrites the exposition at every monitor tick.
+#[test]
+fn service_monitor_writes_metrics_out() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("service-monitor.prom");
+    let _ = std::fs::remove_file(&path);
+    let config = ServiceConfig {
+        batch_window: 1.0,
+        solve_cost: free_writer(),
+        monitor: Some(MonitorConfig {
+            metrics_out: Some(path.clone()),
+            ..MonitorConfig::default()
+        }),
+        ..ServiceConfig::default()
+    };
+    let mut service = AdmissionService::new(star_network(), config, mixed_app);
+    // One committed window.
+    service.run((0..3).map(|index| ServiceRequest {
+        time: 0.1 + 0.1 * index as f64,
+        index,
+        kind: RequestKind::Admit,
+    }));
+    assert_eq!(service.stats().batches, 1);
+    let text = std::fs::read_to_string(&path).expect("the service writes metrics_out");
+    assert!(text.contains("sparcle_live_apps 3"), "{text}");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// One step of a generated request interleaving.

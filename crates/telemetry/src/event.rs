@@ -81,9 +81,10 @@ pub struct PlacementDecision {
     pub gamma: f64,
     /// How the CT choice was resolved.
     pub tie_break: CtTieBreak,
-    /// γ-cache rows served without recomputation this round.
+    /// Tree-store hits this round: reach-set entries whose widest-path
+    /// tree was already stored (or shared within the round).
     pub cache_hits: u64,
-    /// γ-cache rows recomputed this round.
+    /// Widest-path trees computed this round.
     pub cache_misses: u64,
 }
 
@@ -94,11 +95,8 @@ pub struct CommitRecord {
     pub ct: u32,
     /// Its host.
     pub host: u32,
-    /// Cached γ rows dropped because the CT shared the committed CT's
-    /// unplaced component (invalidation rule 1).
-    pub invalidated_component: u64,
-    /// Cached γ rows dropped because a routed link intersected their
-    /// witness set (invalidation rule 2).
+    /// Stored widest-path trees dropped because a routed link is in
+    /// their witness set (the one invalidation rule).
     pub invalidated_witness: u64,
     /// Transport tasks routed by this commit.
     pub routed_tts: u64,
@@ -319,11 +317,6 @@ pub enum Event {
         arrival_rate: f64,
         /// Windowed admissions per simulated second.
         admit_rate: f64,
-        /// Windowed γ-cache hit rate (1.0 when the window saw no
-        /// lookups).
-        cache_hit_rate: f64,
-        /// γ-cache lookups in the window (hit-rate denominator).
-        cache_lookups: u64,
         /// Windowed warm-start Newton iterations per BE solve (0 when
         /// the window saw no solves).
         warm_iters_per_solve: f64,
@@ -345,8 +338,8 @@ pub enum Event {
     MonitorAlert {
         /// Simulated time of the transition.
         time: f64,
-        /// Rule label (`"gr_burn_rate"`, `"cache_hit_collapse"`,
-        /// `"solver_iteration_blowup"`, `"backlog_growth"`).
+        /// Rule label (`"gr_burn_rate"`, `"solver_iteration_blowup"`,
+        /// `"backlog_growth"`).
         rule: String,
         /// `"firing"` or `"cleared"`.
         state: String,
@@ -533,10 +526,6 @@ impl Event {
                 ("ct", Json::Num(c.ct as f64)),
                 ("host", Json::Num(c.host as f64)),
                 (
-                    "invalidated_component",
-                    Json::Num(c.invalidated_component as f64),
-                ),
-                (
                     "invalidated_witness",
                     Json::Num(c.invalidated_witness as f64),
                 ),
@@ -682,8 +671,6 @@ impl Event {
                 be_rate,
                 arrival_rate,
                 admit_rate,
-                cache_hit_rate,
-                cache_lookups,
                 warm_iters_per_solve,
                 solves,
                 queue_depth,
@@ -700,8 +687,6 @@ impl Event {
                 ("be_rate", Json::num(*be_rate)),
                 ("arrival_rate", Json::num(*arrival_rate)),
                 ("admit_rate", Json::num(*admit_rate)),
-                ("cache_hit_rate", Json::num(*cache_hit_rate)),
-                ("cache_lookups", Json::Num(*cache_lookups as f64)),
                 ("warm_iters_per_solve", Json::num(*warm_iters_per_solve)),
                 ("solves", Json::Num(*solves as f64)),
                 ("queue_depth", Json::Num(*queue_depth as f64)),
@@ -989,8 +974,6 @@ mod tests {
                 be_rate: 4.0,
                 arrival_rate: 1.1,
                 admit_rate: 0.9,
-                cache_hit_rate: 0.75,
-                cache_lookups: 200,
                 warm_iters_per_solve: 12.5,
                 solves: 8,
                 queue_depth: 17,

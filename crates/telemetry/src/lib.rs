@@ -22,9 +22,9 @@
 //! attached contain `span_open`/`span_close` lines, and `sparcle-trace
 //! diff` compares traces with the wall-clock keys stripped.
 //!
-//! Sinks implement [`Recorder`]. The instrumented crates (`sparcle-core`,
-//! `sparcle-sim`) gate every call site behind their own `telemetry`
-//! cargo feature, so with the feature off this crate is not even linked.
+//! Sinks implement [`Recorder`]. The instrumented crates reach one
+//! through `sparcle_core::TraceHandle`; an untraced run carries a
+//! disconnected handle and pays one branch per call site.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,85 +45,3 @@ pub use recorder::{
 };
 pub use span::{Span, SpanTracker};
 pub use window::{RateEstimator, WindowedCounter, WindowedHistogram};
-
-use std::time::Instant;
-
-/// A scope timer: measures monotonic elapsed time from construction and
-/// records it into the recorder's named histogram on
-/// [`ScopeTimer::finish`] or drop.
-///
-/// This is the metrics-side sibling of the event-side [`Span`]: a
-/// `ScopeTimer` feeds a histogram (aggregate, no structure), a [`Span`]
-/// emits paired `span_open`/`span_close` events (per-instance, with
-/// parent/child structure).
-///
-/// ```
-/// use sparcle_telemetry::{CollectRecorder, ScopeTimer};
-/// let recorder = CollectRecorder::new();
-/// {
-///     let _timer = ScopeTimer::start(&recorder, "work_ns");
-///     // ... timed work ...
-/// }
-/// assert_eq!(recorder.snapshot().histograms["work_ns"].count(), 1);
-/// ```
-pub struct ScopeTimer<'a> {
-    recorder: &'a dyn Recorder,
-    name: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl std::fmt::Debug for ScopeTimer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopeTimer")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl<'a> ScopeTimer<'a> {
-    /// Starts timing now.
-    pub fn start(recorder: &'a dyn Recorder, name: &'static str) -> Self {
-        ScopeTimer {
-            recorder,
-            name,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Stops the timer early and records the elapsed nanoseconds.
-    pub fn finish(mut self) {
-        self.record();
-    }
-
-    fn record(&mut self) {
-        if !self.done {
-            self.done = true;
-            let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.recorder.timing(self.name, nanos);
-        }
-    }
-}
-
-impl Drop for ScopeTimer<'_> {
-    fn drop(&mut self) {
-        self.record();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scope_timer_records_once() {
-        let r = CollectRecorder::new();
-        let timer = ScopeTimer::start(&r, "t_ns");
-        timer.finish();
-        {
-            let _implicit = ScopeTimer::start(&r, "t_ns");
-        }
-        assert_eq!(r.snapshot().histograms["t_ns"].count(), 2);
-    }
-}

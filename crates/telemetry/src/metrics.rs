@@ -359,7 +359,7 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("z.commits".into(), 3);
         s.counters.insert("a.hits".into(), 9);
-        s.histograms.insert("row_fill_ns".into(), Histogram::new());
+        s.histograms.insert("tree_fill_ns".into(), Histogram::new());
         let trace = s.to_trace_json();
         assert_eq!(trace.get("type").unwrap().as_str(), Some("snapshot"));
         assert!(trace.get("histograms").is_none());
@@ -374,11 +374,11 @@ mod tests {
         s.counters.insert("gamma_cache.hits".into(), 42);
         let mut h = Histogram::new();
         h.record(10);
-        s.histograms.insert("row_fill_ns".into(), h);
+        s.histograms.insert("tree_fill_ns".into(), h);
         let text = s.render_summary();
         assert!(text.contains("gamma_cache.hits"));
         assert!(text.contains("42"));
-        assert!(text.contains("row_fill_ns"));
+        assert!(text.contains("tree_fill_ns"));
     }
 
     #[test]

@@ -30,7 +30,6 @@ const SCHEMAS: &[(&str, &[&str])] = &[
         &[
             "ct",
             "host",
-            "invalidated_component",
             "invalidated_witness",
             "routed_tts",
             "routed_hops",
@@ -113,8 +112,6 @@ const SCHEMAS: &[(&str, &[&str])] = &[
             "be_rate",
             "arrival_rate",
             "admit_rate",
-            "cache_hit_rate",
-            "cache_lookups",
             "warm_iters_per_solve",
             "solves",
             "queue_depth",
@@ -138,10 +135,6 @@ const SCHEMAS: &[(&str, &[&str])] = &[
 /// run-dependent) samples, so they appear in the end-of-run summary and
 /// result JSON, never in the trace stream.
 pub const HISTOGRAMS: &[(&str, &str)] = &[
-    (
-        "engine.row_fill_ns",
-        "folding one γ row from stored widest-path trees, per filled row",
-    ),
     (
         "engine.tree_fill_ns",
         "one widest-path tree sweep (Algorithm 1), per tree computed",
@@ -414,8 +407,6 @@ mod tests {
             be_rate: 3.5,
             arrival_rate: 1.2,
             admit_rate: 1.0,
-            cache_hit_rate: 0.9,
-            cache_lookups: 120,
             warm_iters_per_solve: 18.0,
             solves: 6,
             queue_depth: 40,

@@ -12,7 +12,7 @@
 //!
 //! Three aggregators share the ring:
 //!
-//! * [`WindowedCounter`] — integer deltas (arrivals, cache hits);
+//! * [`WindowedCounter`] — integer deltas (solves, Newton iterations);
 //! * [`RateEstimator`] — `f64` quantities normalized to a per-simulated-
 //!   second rate over the covered span (violation-seconds, admissions);
 //! * [`WindowedHistogram`] — a [`Histogram`] per slot with a mergeable

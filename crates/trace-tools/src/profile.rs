@@ -31,7 +31,7 @@ pub const ROUND_SPAN: &str = "engine.rank_round";
 pub struct SpanNode {
     /// Trace-unique span id.
     pub id: u64,
-    /// Static span name (e.g. `engine.row_fill`).
+    /// Static span name (e.g. `engine.tree_fill`).
     pub name: String,
     /// Parent span id (`None` for roots).
     pub parent: Option<u64>,
@@ -318,14 +318,14 @@ mod tests {
     use crate::load_trace;
 
     /// A two-round engine trace shaped like the real emitter's output:
-    /// assign > rank_round > {row_fill, rank_merge}.
+    /// assign > rank_round > {tree_fill, rank_merge}.
     fn engine_trace() -> Vec<Json> {
         let lines = [
             r#"{"type":"run_start","id":1,"name":"t"}"#,
             r#"{"type":"span_open","id":2,"span":0,"parent":null,"name":"engine.assign","t_ns":0}"#,
             r#"{"type":"span_open","id":3,"span":1,"parent":0,"name":"engine.rank_round","t_ns":10}"#,
-            r#"{"type":"span_open","id":4,"span":2,"parent":1,"name":"engine.row_fill","t_ns":20}"#,
-            r#"{"type":"span_close","id":5,"span":2,"name":"engine.row_fill","dur_ns":600,"aborted":false}"#,
+            r#"{"type":"span_open","id":4,"span":2,"parent":1,"name":"engine.tree_fill","t_ns":20}"#,
+            r#"{"type":"span_close","id":5,"span":2,"name":"engine.tree_fill","dur_ns":600,"aborted":false}"#,
             r#"{"type":"span_open","id":6,"span":3,"parent":1,"name":"engine.rank_merge","t_ns":700}"#,
             r#"{"type":"span_close","id":7,"span":3,"name":"engine.rank_merge","dur_ns":200,"aborted":false}"#,
             r#"{"type":"span_close","id":8,"span":1,"name":"engine.rank_round","dur_ns":1000,"aborted":false}"#,
@@ -362,7 +362,7 @@ mod tests {
         assert_eq!(round.total_ns, 1300);
         assert_eq!(round.self_ns, 200 + 300);
         let table = render_table(&stats);
-        assert!(table.contains("engine.row_fill"));
+        assert!(table.contains("engine.tree_fill"));
         assert!(table.starts_with("span"));
     }
 
@@ -373,7 +373,7 @@ mod tests {
         assert!(lines.contains(&"engine.assign 700"));
         // Two rank_round spans under the same stack: self times merge.
         assert!(lines.contains(&"engine.assign;engine.rank_round 500"));
-        assert!(lines.contains(&"engine.assign;engine.rank_round;engine.row_fill 600"));
+        assert!(lines.contains(&"engine.assign;engine.rank_round;engine.tree_fill 600"));
         assert!(lines.contains(&"engine.assign;engine.rank_round;engine.rank_merge 200"));
         assert_eq!(lines.len(), 4);
     }
@@ -385,7 +385,7 @@ mod tests {
         let names: Vec<&str> = path.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            ["engine.assign", "engine.rank_round", "engine.row_fill"]
+            ["engine.assign", "engine.rank_round", "engine.tree_fill"]
         );
         assert_eq!(path[2].1, 600);
     }
@@ -397,7 +397,7 @@ mod tests {
         assert!(report.contains("round   0"));
         assert!(report.contains("round   1"));
         assert!(report.contains("2 round(s)"));
-        assert!(report.contains("engine.row_fill"));
+        assert!(report.contains("engine.tree_fill"));
         assert!(report.contains("(round overhead)"));
     }
 

@@ -14,8 +14,6 @@ pub struct SnapshotRow {
     pub time: f64,
     /// GR burn rate vs. the SLO budget.
     pub gr_burn: f64,
-    /// Windowed γ-cache hit rate.
-    pub cache_hit_rate: f64,
     /// Windowed warm Newton iterations per solve.
     pub warm_iters_per_solve: f64,
     /// Windowed arrivals per simulated second.
@@ -68,7 +66,6 @@ pub fn build(events: &[Json]) -> MonitorReport {
             "monitor_snapshot" => report.snapshots.push(SnapshotRow {
                 time: num(event, "time"),
                 gr_burn: num(event, "gr_burn"),
-                cache_hit_rate: num(event, "cache_hit_rate"),
                 warm_iters_per_solve: num(event, "warm_iters_per_solve"),
                 arrival_rate: num(event, "arrival_rate"),
                 admit_rate: num(event, "admit_rate"),
@@ -129,10 +126,9 @@ impl MonitorReport {
         ));
         if !self.snapshots.is_empty() {
             out.push_str(&format!(
-                "\n{:>9} {:>7} {:>6} {:>8} {:>7} {:>7} {:>6} {:>5} {:>8} {:>5} {:>7}\n",
+                "\n{:>9} {:>7} {:>8} {:>7} {:>7} {:>6} {:>5} {:>8} {:>5} {:>7}\n",
                 "time",
                 "burn",
-                "hit%",
                 "iters/s",
                 "arr/s",
                 "adm/s",
@@ -144,10 +140,9 @@ impl MonitorReport {
             ));
             for row in &self.snapshots {
                 out.push_str(&format!(
-                    "{:>9.3} {:>7.2} {:>6.1} {:>8.1} {:>7.2} {:>7.2} {:>6} {:>5} {:>8} {:>5} {:>7}\n",
+                    "{:>9.3} {:>7.2} {:>8.1} {:>7.2} {:>7.2} {:>6} {:>5} {:>8} {:>5} {:>7}\n",
                     row.time,
                     row.gr_burn,
-                    row.cache_hit_rate * 100.0,
                     row.warm_iters_per_solve,
                     row.arrival_rate,
                     row.admit_rate,
@@ -186,9 +181,9 @@ mod tests {
     fn monitor_trace() -> Vec<Json> {
         let lines = [
             r#"{"type":"run_start","name":"t"}"#,
-            r#"{"type":"monitor_snapshot","time":5,"window":30,"gr_burn":0.0,"gr_violation_s":0,"be_rate":3.5,"arrival_rate":0.8,"admit_rate":0.6,"cache_hit_rate":0.97,"cache_lookups":120,"warm_iters_per_solve":51.0,"solves":12,"queue_depth":14,"queue_p95":14,"backlog":0,"live":4,"alerts_firing":0}"#,
+            r#"{"type":"monitor_snapshot","time":5,"window":30,"gr_burn":0.0,"gr_violation_s":0,"be_rate":3.5,"arrival_rate":0.8,"admit_rate":0.6,"warm_iters_per_solve":51.0,"solves":12,"queue_depth":14,"queue_p95":14,"backlog":0,"live":4,"alerts_firing":0}"#,
             r#"{"type":"monitor_alert","time":10,"rule":"gr_burn_rate","state":"firing","value":3.42,"threshold":1.0}"#,
-            r#"{"type":"monitor_snapshot","time":10,"window":30,"gr_burn":3.42,"gr_violation_s":0.86,"be_rate":3.1,"arrival_rate":0.9,"admit_rate":0.5,"cache_hit_rate":0.91,"cache_lookups":140,"warm_iters_per_solve":60.0,"solves":15,"queue_depth":17,"queue_p95":17,"backlog":2,"live":5,"alerts_firing":1}"#,
+            r#"{"type":"monitor_snapshot","time":10,"window":30,"gr_burn":3.42,"gr_violation_s":0.86,"be_rate":3.1,"arrival_rate":0.9,"admit_rate":0.5,"warm_iters_per_solve":60.0,"solves":15,"queue_depth":17,"queue_p95":17,"backlog":2,"live":5,"alerts_firing":1}"#,
             r#"{"type":"monitor_alert","time":25,"rule":"gr_burn_rate","state":"cleared","value":0.2,"threshold":1.0}"#,
             r#"{"type":"runtime_arrival","time":11,"app":9,"class":"be","admitted":true,"rate":1.0}"#,
         ];
@@ -226,7 +221,7 @@ mod tests {
     #[test]
     fn quiet_run_reports_no_alerts() {
         let events = load_trace(
-            r#"{"type":"monitor_snapshot","time":5,"window":30,"gr_burn":0.0,"gr_violation_s":0,"be_rate":1.0,"arrival_rate":0.1,"admit_rate":0.1,"cache_hit_rate":1.0,"cache_lookups":0,"warm_iters_per_solve":0.0,"solves":0,"queue_depth":3,"queue_p95":3,"backlog":0,"live":1,"alerts_firing":0}"#,
+            r#"{"type":"monitor_snapshot","time":5,"window":30,"gr_burn":0.0,"gr_violation_s":0,"be_rate":1.0,"arrival_rate":0.1,"admit_rate":0.1,"warm_iters_per_solve":0.0,"solves":0,"queue_depth":3,"queue_p95":3,"backlog":0,"live":1,"alerts_firing":0}"#,
         )
         .unwrap();
         let text = build(&events).render();

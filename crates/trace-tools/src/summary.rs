@@ -435,7 +435,7 @@ impl TraceSummary {
             self.counter("system.gamma_cache_misses"),
         );
         out.push_str(&format!(
-            "  gamma cache: {hits} hits / {misses} misses ({:.1}% hit rate)\n",
+            "  gamma cache: {hits} tree hits / {misses} sweeps ({:.1}% hit rate)\n",
             100.0 * ratio(hits, hits + misses)
         ));
         out

@@ -74,14 +74,14 @@ fn default_assigner_is_cached_and_equivalent() {
     }
 }
 
-/// Worker threads steal *trees* now, not rows, so the determinism
-/// contract is re-proved at that level: driving the engine round by
-/// round at 1, 2 and 8 threads yields the same picks with bit-identical
-/// γ, the same always-compiled work counters — row hits/misses and tree
-/// hits/misses, which therefore cannot depend on who computed what —
-/// and caches that pass the engine's from-scratch audit after every
-/// round and commit. The grid must actually reach the stolen path (a
-/// round missing two or more distinct trees) and the sharing path.
+/// Worker threads steal *trees*, so the determinism contract is proved
+/// at that level: driving the engine round by round at 1, 2 and 8
+/// threads yields the same picks with bit-identical γ, the same
+/// always-compiled work counters — tree-store hits and misses, which
+/// therefore cannot depend on who computed what — and a store that
+/// passes the engine's from-scratch audit after every round and commit.
+/// The grid must actually reach the stolen path (a round missing two or
+/// more distinct trees) and the sharing path.
 #[test]
 fn tree_level_work_stealing_is_thread_count_independent() {
     use sparcle_core::PlacementEngine;
@@ -94,11 +94,11 @@ fn tree_level_work_stealing_is_thread_count_independent() {
             let mut picks = Vec::new();
             let mut widest_round = 0;
             loop {
-                let before = engine.stats().tree_misses;
+                let before = engine.stats().cache_misses;
                 let Ok(Some((ct, host, gamma))) = engine.rank_round(threads) else {
                     break;
                 };
-                widest_round = widest_round.max(engine.stats().tree_misses - before);
+                widest_round = widest_round.max(engine.stats().cache_misses - before);
                 assert_eq!(engine.audit_caches(), Ok(()), "{label}: ranked {ct}");
                 picks.push((ct, host, gamma.to_bits()));
                 if engine.commit(ct, host).is_err() {
@@ -120,7 +120,7 @@ fn tree_level_work_stealing_is_thread_count_independent() {
                 "{label}: counters diverged at {threads} threads"
             );
         }
-        shared += u64::from(stats_1.tree_hits > 0);
+        shared += u64::from(stats_1.cache_hits > 0);
         stolen += u64::from(widest_round >= 2);
     }
     assert!(shared > 0, "no scenario ever reused a stored tree");
@@ -129,9 +129,9 @@ fn tree_level_work_stealing_is_thread_count_independent() {
 
 /// The telemetry stream obeys the same contract as the placements: the
 /// decision trace (candidate sets, chosen host, γ, tie-break reasons)
-/// and every counter (commits, γ-cache hits/misses, both invalidation
-/// rules) must be identical whether trees are computed by one worker
-/// thread, two or eight. Only the timing histograms' *values* may
+/// and every counter (commits, γ-cache hits/misses, witness
+/// invalidations) must be identical whether trees are computed by one
+/// worker thread, two or eight. Only the timing histograms' *values* may
 /// differ — they hold wall-clock samples and never enter the trace.
 #[test]
 fn decision_traces_and_counters_identical_across_thread_counts() {
@@ -163,19 +163,17 @@ fn decision_traces_and_counters_identical_across_thread_counts() {
                 snap_1.counters, snap.counters,
                 "{label}: counters diverged at {threads} threads"
             );
-            // One fill time per row and per tree, whoever computed it.
-            for timing in ["engine.row_fill_ns", "engine.tree_fill_ns"] {
-                assert_eq!(
-                    snap_1.histograms[timing].count(),
-                    snap.histograms[timing].count(),
-                    "{label}: {timing} sample count diverged at {threads} threads"
-                );
-            }
+            // One fill time per tree, whoever computed it.
+            assert_eq!(
+                snap_1.histograms["engine.tree_fill_ns"].count(),
+                snap.histograms["engine.tree_fill_ns"].count(),
+                "{label}: tree-fill sample count diverged at {threads} threads"
+            );
         }
         assert_eq!(
-            snap_1.histograms["engine.row_fill_ns"].count(),
+            snap_1.histograms["engine.tree_fill_ns"].count(),
             snap_1.counter("gamma_cache.misses"),
-            "{label}: one row-fill time per filled row"
+            "{label}: one tree-fill time per computed tree"
         );
         for name in snap_1.histograms.keys() {
             assert!(
