@@ -86,6 +86,8 @@ fn benchmarks_dir_holds_one_file_per_registered_experiment() {
                 .to_string_lossy()
                 .into_owned()
         })
+        // `history/` (per-PR benchmark medians) lives here too.
+        .filter(|name| name.starts_with("BENCH_"))
         .collect();
     let registered: BTreeSet<String> = BASELINE_EXPERIMENTS
         .iter()

@@ -87,6 +87,31 @@ pub struct StateStats {
 }
 
 impl StateStats {
+    /// The deterministic counters as `(trace counter name, value)` pairs
+    /// — every field except the wall-clock [`Self::solve_nanos`] — the
+    /// one list both control loops export at end of run.
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("system.solves", self.solves),
+            ("system.warm_solves", self.warm_solves),
+            ("system.cold_solves", self.cold_solves),
+            ("system.warm_inner_iters", self.inner_iters_warm),
+            ("system.cold_inner_iters", self.inner_iters_cold),
+            (
+                "system.residual_element_updates",
+                self.residual_element_updates,
+            ),
+            (
+                "system.residual_full_recomputes",
+                self.residual_full_recomputes,
+            ),
+            ("system.txn_commits", self.txn_commits),
+            ("system.txn_rollbacks", self.txn_rollbacks),
+            ("system.gamma_cache_hits", self.gamma_cache_hits),
+            ("system.gamma_cache_misses", self.gamma_cache_misses),
+        ]
+    }
+
     /// Adds one assignment's (or one multipath extraction's) engine
     /// work counters.
     pub(crate) fn add_assign(&mut self, stats: &AssignStats) {

@@ -33,12 +33,17 @@
 //! [`MonitorSample`] to [`Monitor::publish`], which emits the telemetry
 //! events ([`MonitorSample::emit`]) and rewrites the optional
 //! Prometheus-style text exposition ([`Monitor::render_prometheus`]).
+//!
+//! A series is listed twice, not five times: the sample *holds* the
+//! `monitor_snapshot` payload ([`MonitorSnapshot`], defined with its
+//! keys in the telemetry event table) and the exposition walks one
+//! `GAUGES` list of series names and help texts.
 
 use std::path::PathBuf;
 
 use sparcle_core::TraceHandle;
 use sparcle_telemetry::window::{RateEstimator, WindowedCounter, WindowedHistogram};
-use sparcle_telemetry::Event;
+use sparcle_telemetry::{Event, MonitorSnapshot};
 
 /// Labels of the three alert rules, in evaluation order.
 pub const ALERT_RULES: [&str; 3] = ["gr_burn_rate", "solver_iteration_blowup", "backlog_growth"];
@@ -146,41 +151,16 @@ pub struct AlertTransition {
     pub threshold: f64,
 }
 
-/// The monitor's output for one tick: every windowed aggregate plus the
+/// The monitor's output for one tick: the windowed aggregates plus the
 /// alert transitions this tick produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorSample {
-    /// Simulated time of the tick.
-    pub time: f64,
-    /// Window span in simulated seconds.
-    pub window: f64,
-    /// GR violation-seconds burn rate vs. the SLO budget.
-    pub gr_burn: f64,
-    /// Windowed GR violation-seconds.
-    pub gr_violation_s: f64,
-    /// Instantaneous aggregate BE rate.
-    pub be_rate: f64,
-    /// Windowed arrivals per simulated second.
-    pub arrival_rate: f64,
-    /// Windowed admissions per simulated second.
-    pub admit_rate: f64,
-    /// Windowed warm Newton iterations per solve (0 without solves).
-    pub warm_iters_per_solve: f64,
-    /// BE solves in the window.
-    pub solves: u64,
-    /// Instantaneous DES queue depth.
-    pub queue_depth: u64,
-    /// p95 of the windowed queue-depth samples.
-    pub queue_p95: u64,
-    /// Instantaneous displaced backlog.
-    pub backlog: u64,
-    /// Instantaneous live application count.
-    pub live: u64,
+    /// Every windowed aggregate of the tick — the `monitor_snapshot`
+    /// event payload, held (and emitted) as-is.
+    pub snapshot: MonitorSnapshot,
     /// Planned migrations in the window (the defrag-churn gauge; 0 with
-    /// defrag off).
+    /// defrag off). In the exposition, not in the event.
     pub defrag_churn: u64,
-    /// Rules in the firing state after this tick.
-    pub alerts_firing: u64,
     /// Edge transitions produced by this tick, in rule order.
     pub transitions: Vec<AlertTransition>,
 }
@@ -193,33 +173,96 @@ impl MonitorSample {
         if !trace.is_enabled() {
             return;
         }
-        trace.event(&Event::MonitorSnapshot {
-            time: self.time,
-            window: self.window,
-            gr_burn: self.gr_burn,
-            gr_violation_s: self.gr_violation_s,
-            be_rate: self.be_rate,
-            arrival_rate: self.arrival_rate,
-            admit_rate: self.admit_rate,
-            warm_iters_per_solve: self.warm_iters_per_solve,
-            solves: self.solves,
-            queue_depth: self.queue_depth,
-            queue_p95: self.queue_p95,
-            backlog: self.backlog,
-            live: self.live,
-            alerts_firing: self.alerts_firing,
-        });
+        trace.event(&Event::MonitorSnapshot(self.snapshot.clone()));
         for tr in &self.transitions {
             trace.event(&Event::MonitorAlert {
-                time: self.time,
-                rule: tr.rule.to_owned(),
-                state: if tr.firing { "firing" } else { "cleared" }.to_owned(),
+                time: self.snapshot.time,
+                rule: tr.rule,
+                state: if tr.firing { "firing" } else { "cleared" },
                 value: tr.value,
                 threshold: tr.threshold,
             });
         }
     }
 }
+
+type Read = fn(&MonitorSample) -> f64;
+
+/// The exposition's gauges, in output order: how each is read off a
+/// sample, its series name, its help text. (`solves` is in the event but
+/// has no series; `defrag_churn` is the one series not in the event.)
+const GAUGES: &[(Read, &str, &str)] = &[
+    (
+        |s| s.snapshot.time,
+        "sparcle_sim_time_seconds",
+        "Simulated time of the latest monitor tick",
+    ),
+    (
+        |s| s.snapshot.window,
+        "sparcle_monitor_window_seconds",
+        "Window span in simulated seconds",
+    ),
+    (
+        |s| s.snapshot.gr_burn,
+        "sparcle_gr_burn_ratio",
+        "Windowed GR violation-seconds over the window SLO budget",
+    ),
+    (
+        |s| s.snapshot.gr_violation_s,
+        "sparcle_gr_violation_seconds_window",
+        "GR violation-seconds in the window",
+    ),
+    (
+        |s| s.snapshot.be_rate,
+        "sparcle_be_rate",
+        "Instantaneous aggregate BE allocated rate",
+    ),
+    (
+        |s| s.snapshot.arrival_rate,
+        "sparcle_arrival_rate",
+        "Windowed arrivals per simulated second",
+    ),
+    (
+        |s| s.snapshot.admit_rate,
+        "sparcle_admit_rate",
+        "Windowed admissions per simulated second",
+    ),
+    (
+        |s| s.snapshot.warm_iters_per_solve,
+        "sparcle_warm_iters_per_solve",
+        "Windowed warm Newton iterations per BE solve",
+    ),
+    (
+        |s| s.snapshot.queue_depth as f64,
+        "sparcle_queue_depth",
+        "DES future-event-list depth at the tick",
+    ),
+    (
+        |s| s.snapshot.queue_p95 as f64,
+        "sparcle_queue_depth_p95",
+        "p95 of windowed queue-depth samples",
+    ),
+    (
+        |s| s.snapshot.backlog as f64,
+        "sparcle_backlog",
+        "Displaced applications awaiting re-placement",
+    ),
+    (
+        |s| s.snapshot.live as f64,
+        "sparcle_live_apps",
+        "Applications currently placed",
+    ),
+    (
+        |s| s.defrag_churn as f64,
+        "sparcle_defrag_churn",
+        "Planned migrations committed in the window",
+    ),
+    (
+        |s| s.snapshot.alerts_firing as f64,
+        "sparcle_alerts_firing",
+        "Alert rules currently firing",
+    ),
+];
 
 /// Sliding-window health aggregation + edge-triggered alerting for one
 /// churn run. Construct via [`Monitor::new`], drive via
@@ -379,21 +422,23 @@ impl Monitor {
         self.ticks += 1;
 
         MonitorSample {
-            time: t,
-            window: self.viol_s.window_seconds(),
-            gr_burn,
-            gr_violation_s,
-            be_rate: input.be_rate,
-            arrival_rate: self.arrivals.rate(),
-            admit_rate: self.admits.rate(),
-            warm_iters_per_solve,
-            solves,
-            queue_depth: input.queue_depth,
-            queue_p95: self.queue_depths.quantile(0.95).unwrap_or(0),
-            backlog: input.backlog,
-            live: input.live,
+            snapshot: MonitorSnapshot {
+                time: t,
+                window: self.viol_s.window_seconds(),
+                gr_burn,
+                gr_violation_s,
+                be_rate: input.be_rate,
+                arrival_rate: self.arrivals.rate(),
+                admit_rate: self.admits.rate(),
+                warm_iters_per_solve,
+                solves,
+                queue_depth: input.queue_depth,
+                queue_p95: self.queue_depths.quantile(0.95).unwrap_or(0),
+                backlog: input.backlog,
+                live: input.live,
+                alerts_firing: self.firing.iter().filter(|&&f| f).count() as u64,
+            },
             defrag_churn: self.migrations.sum(),
-            alerts_firing: self.firing.iter().filter(|&&f| f).count() as u64,
             transitions,
         }
     }
@@ -421,81 +466,11 @@ impl Monitor {
     /// monitor's cumulative counters.
     pub fn render_prometheus(&self, sample: &MonitorSample) -> String {
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, value: String| {
+        for (value, name, help) in GAUGES {
             out.push_str(&format!("# HELP {name} {help}\n"));
             out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        };
-        gauge(
-            "sparcle_sim_time_seconds",
-            "Simulated time of the latest monitor tick",
-            format!("{}", sample.time),
-        );
-        gauge(
-            "sparcle_monitor_window_seconds",
-            "Window span in simulated seconds",
-            format!("{}", sample.window),
-        );
-        gauge(
-            "sparcle_gr_burn_ratio",
-            "Windowed GR violation-seconds over the window SLO budget",
-            format!("{}", sample.gr_burn),
-        );
-        gauge(
-            "sparcle_gr_violation_seconds_window",
-            "GR violation-seconds in the window",
-            format!("{}", sample.gr_violation_s),
-        );
-        gauge(
-            "sparcle_be_rate",
-            "Instantaneous aggregate BE allocated rate",
-            format!("{}", sample.be_rate),
-        );
-        gauge(
-            "sparcle_arrival_rate",
-            "Windowed arrivals per simulated second",
-            format!("{}", sample.arrival_rate),
-        );
-        gauge(
-            "sparcle_admit_rate",
-            "Windowed admissions per simulated second",
-            format!("{}", sample.admit_rate),
-        );
-        gauge(
-            "sparcle_warm_iters_per_solve",
-            "Windowed warm Newton iterations per BE solve",
-            format!("{}", sample.warm_iters_per_solve),
-        );
-        gauge(
-            "sparcle_queue_depth",
-            "DES future-event-list depth at the tick",
-            format!("{}", sample.queue_depth),
-        );
-        gauge(
-            "sparcle_queue_depth_p95",
-            "p95 of windowed queue-depth samples",
-            format!("{}", sample.queue_p95),
-        );
-        gauge(
-            "sparcle_backlog",
-            "Displaced applications awaiting re-placement",
-            format!("{}", sample.backlog),
-        );
-        gauge(
-            "sparcle_live_apps",
-            "Applications currently placed",
-            format!("{}", sample.live),
-        );
-        gauge(
-            "sparcle_defrag_churn",
-            "Planned migrations committed in the window",
-            format!("{}", sample.defrag_churn),
-        );
-        gauge(
-            "sparcle_alerts_firing",
-            "Alert rules currently firing",
-            format!("{}", sample.alerts_firing),
-        );
+            out.push_str(&format!("{name} {}\n", value(sample)));
+        }
         for (i, rule) in ALERT_RULES.iter().enumerate() {
             out.push_str(&format!(
                 "sparcle_alert_firing{{rule=\"{rule}\"}} {}\n",
@@ -534,8 +509,8 @@ mod tests {
         for k in 1..=20 {
             let s = m.tick(5.0 * k as f64, &quiet_input());
             assert!(s.transitions.is_empty(), "tick {k}: {:?}", s.transitions);
-            assert_eq!(s.alerts_firing, 0);
-            assert_eq!(s.gr_burn, 0.0);
+            assert_eq!(s.snapshot.alerts_firing, 0);
+            assert_eq!(s.snapshot.gr_burn, 0.0);
         }
         assert_eq!(m.alerts_total(), 0);
         assert_eq!(m.ticks(), 20);
@@ -553,12 +528,12 @@ mod tests {
         assert_eq!(s.transitions.len(), 1);
         assert_eq!(s.transitions[0].rule, "gr_burn_rate");
         assert!(s.transitions[0].firing);
-        assert!(s.gr_burn > 1.0, "burn = {}", s.gr_burn);
+        assert!(s.snapshot.gr_burn > 1.0, "burn = {}", s.snapshot.gr_burn);
         // Tick 2, no new damage: still inside the window, stays firing
         // with NO new transition (edge-triggered).
         let s = m.tick(10.0, &input);
         assert!(s.transitions.is_empty());
-        assert_eq!(s.alerts_firing, 1);
+        assert_eq!(s.snapshot.alerts_firing, 1);
         // Scroll the window far past the damage: clears with one
         // falling edge.
         let mut cleared = false;
@@ -598,7 +573,7 @@ mod tests {
         let s = m.tick(10.0, &input);
         assert_eq!(s.transitions.len(), 1);
         assert_eq!(s.transitions[0].rule, "solver_iteration_blowup");
-        assert!(s.warm_iters_per_solve > 300.0);
+        assert!(s.snapshot.warm_iters_per_solve > 300.0);
     }
 
     #[test]

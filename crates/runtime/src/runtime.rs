@@ -331,24 +331,9 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         self.accrue(self.config.horizon);
         // Deterministic state-core counters (wall-clock nanos stay out:
         // traces are compared bit-for-bit across thread counts).
-        let stats = self.system.state_stats();
-        trace.counter("system.solves", stats.solves);
-        trace.counter("system.warm_solves", stats.warm_solves);
-        trace.counter("system.cold_solves", stats.cold_solves);
-        trace.counter("system.warm_inner_iters", stats.inner_iters_warm);
-        trace.counter("system.cold_inner_iters", stats.inner_iters_cold);
-        trace.counter(
-            "system.residual_element_updates",
-            stats.residual_element_updates,
-        );
-        trace.counter(
-            "system.residual_full_recomputes",
-            stats.residual_full_recomputes,
-        );
-        trace.counter("system.txn_commits", stats.txn_commits);
-        trace.counter("system.txn_rollbacks", stats.txn_rollbacks);
-        trace.counter("system.gamma_cache_hits", stats.gamma_cache_hits);
-        trace.counter("system.gamma_cache_misses", stats.gamma_cache_misses);
+        for (name, value) in self.system.state_stats().counters() {
+            trace.counter(name, value);
+        }
         run_span.finish();
         &self.ledger
     }
@@ -466,10 +451,10 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 time: t,
                 app: index as u32,
                 lineage: index,
-                class: if is_gr { "gr" } else { "be" }.to_owned(),
+                class: if is_gr { "gr" } else { "be" },
                 admitted,
                 rate,
-                cause: cause.map(|c| c.code().to_owned()),
+                cause: cause.map(|c| c.code()),
             });
             if admitted && id != 0 {
                 self.last_event.insert(index, id);
@@ -568,7 +553,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                         app: index as u32,
                         lineage: index,
                         element: element_label(element),
-                        cause: DisplaceCause::ElementFailure.code().to_owned(),
+                        cause: DisplaceCause::ElementFailure.code(),
                     },
                     &causes,
                 );
@@ -674,7 +659,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             trace.event_caused(
                 &Event::RuntimeReconcile {
                     time: t,
-                    policy: self.config.policy.label().to_owned(),
+                    policy: self.config.policy.label(),
                     restored,
                     replaced,
                     failed,
@@ -813,10 +798,10 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                         time: t,
                         app: index as u32,
                         lineage: index,
-                        outcome: if committed { "migrated" } else { "kept" }.to_owned(),
+                        outcome: if committed { "migrated" } else { "kept" },
                         old_rate: outcome.old_rate,
                         new_rate,
-                        cause: MigrationCause::Defragmentation.code().to_owned(),
+                        cause: MigrationCause::Defragmentation.code(),
                     },
                     causes,
                 );
@@ -841,7 +826,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         trace: TraceHandle<'_>,
         t: f64,
         index: u64,
-        outcome: &str,
+        outcome: &'static str,
         rate: f64,
         cause: Option<&'static str>,
         prev: u64,
@@ -856,9 +841,9 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 time: t,
                 app: index as u32,
                 lineage: index,
-                outcome: outcome.to_owned(),
+                outcome,
                 rate,
-                cause: cause.map(str::to_owned),
+                cause,
             },
             causes,
         );
@@ -1138,10 +1123,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            causes,
-            vec![(false, Some("submit_error".to_owned())), (true, None)]
-        );
+        assert_eq!(causes, vec![(false, Some("submit_error")), (true, None)]);
     }
 
     /// Regression: whether `submit` errs depends on the path found, not
@@ -1216,7 +1198,7 @@ mod tests {
                 matches!(
                     e,
                     Event::RuntimeReadmit { outcome, cause, .. }
-                        if outcome == "failed" && cause.as_deref() == Some("submit_error")
+                        if *outcome == "failed" && *cause == Some("submit_error")
                 )
             })
             .count();

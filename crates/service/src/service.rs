@@ -211,14 +211,16 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
     /// batch window. Emits `service_*` telemetry events into `trace`.
     ///
     /// The stream may be fed in slices over several calls: the
-    /// `service.*` counters each call exports are that call's share, so
-    /// the recorder's totals always equal [`Self::stats`].
+    /// `service.*` and `system.*` counters each call exports are that
+    /// call's share, so the recorder's totals always equal
+    /// [`Self::stats`] and the system's `state_stats()`.
     pub fn run_traced(
         &mut self,
         requests: impl IntoIterator<Item = ServiceRequest>,
         trace: TraceHandle<'_>,
     ) {
         let (before, deferrals_before) = (self.stats, self.ledger.deferrals());
+        let system_before = self.system.state_stats().counters();
         for request in requests {
             self.advance_to(request.time, trace);
             match request.kind {
@@ -246,6 +248,10 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             "service.deferrals",
             self.ledger.deferrals() - deferrals_before,
         );
+        let system_now = self.system.state_stats().counters();
+        for ((name, now), (_, before)) in system_now.into_iter().zip(system_before) {
+            trace.counter(name, now - before);
+        }
     }
 
     /// Closes every window boundary at or before `t`, fast-forwarding
@@ -281,7 +287,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                 time: request.time,
                 request: request.index,
                 lineage: request.index,
-                class: class.to_owned(),
+                class,
             })
         } else {
             0
@@ -391,7 +397,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                         window: self.window_seq,
                         queue_depth: self.pending.len() as u64,
                         writer_free: self.writer_free_at,
-                        cause: DEFER_WRITER_BUSY.to_owned(),
+                        cause: DEFER_WRITER_BUSY,
                     },
                     &causes,
                 );
@@ -503,11 +509,11 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                         time: t,
                         request: p.index,
                         lineage: p.index,
-                        class: p.class.to_owned(),
-                        outcome: outcome.to_owned(),
+                        class: p.class,
+                        outcome,
                         wait,
                         rate,
-                        cause: cause.map(str::to_owned),
+                        cause,
                     },
                     &causes[..n],
                 );
@@ -536,11 +542,11 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
                     time: t,
                     request: victim.index,
                     lineage: victim.index,
-                    class: victim.class.to_owned(),
-                    outcome: "shed".to_owned(),
+                    class: victim.class,
+                    outcome: "shed",
                     wait: t - victim.arrival,
                     rate: 0.0,
-                    cause: Some(cause.code().to_owned()),
+                    cause: Some(cause.code()),
                 },
                 &causes[..n],
             );

@@ -247,7 +247,7 @@ fn sliced_stream_exports_each_counter_once() {
         },
         ..ServiceConfig::default()
     };
-    let mut service = AdmissionService::new(star_network(), config, mixed_app);
+    let mut service = AdmissionService::new(star_network(), config.clone(), mixed_app);
     let requests: Vec<ServiceRequest> =
         RequestStream::new(ArrivalTrace::Poisson { rate: 6.0 }, 20.0, 11)
             .with_probe_every(5)
@@ -274,6 +274,19 @@ fn sliced_stream_exports_each_counter_once() {
     ];
     for (name, expected) in exported {
         assert_eq!(counters.counter(name), expected, "{name}");
+    }
+
+    // The state core's `system.*` counters ride the same rule — and a
+    // whole-stream run exports the same totals as the sliced one.
+    let mut whole = AdmissionService::new(star_network(), config, mixed_app);
+    let whole_recorder = CollectRecorder::new();
+    whole.run_traced(requests.iter().copied(), TraceHandle::new(&whole_recorder));
+    let whole_counters = whole_recorder.snapshot();
+    let system = service.system().state_stats().counters();
+    assert!(system.iter().any(|&(_, v)| v > 0), "{system:?}");
+    for (name, expected) in system {
+        assert_eq!(counters.counter(name), expected, "sliced {name}");
+        assert_eq!(whole_counters.counter(name), expected, "whole {name}");
     }
 }
 

@@ -1,19 +1,77 @@
-//! The structured event model.
+//! The structured event model: **one declarative table**.
+//!
+//! The `events!` table at the bottom of this module is the event
+//! reference. Each entry names a variant, its `"type"` tag and its
+//! documented fields once; the macro generates [`Event`] itself,
+//! [`Event::kind`], [`Event::to_json`], the schema rows
+//! ([`SCHEMAS`], what [`crate::schema::validate_line`] checks) and
+//! [`WALL_CLOCK_KEYS`] from it. Adding or removing a key is a one-line
+//! edit there. A field's wire key is its name unless the entry says
+//! `name as "key"`; a type reaches the wire through its `Field`
+//! conversion.
 //!
 //! Events are the **deterministic** part of a telemetry stream: for a
 //! fixed seed and input they must be byte-identical across runs *and
 //! across worker-thread counts* (the differential suite in
 //! `tests/parallel_equivalence.rs` enforces this for the placement
 //! engine). Anything wall-clock-dependent — span durations, per-thread
-//! row-fill times — therefore never appears as an event; it flows
+//! tree-fill times — therefore never appears as an event; it flows
 //! through [`crate::Recorder::timing`] into histograms instead, and
-//! surfaces only in the [`crate::MetricsSnapshot`].
+//! surfaces only in the [`crate::MetricsSnapshot`]. The one exception,
+//! the opt-in span events, marks its wall-clock fields `[wall_clock]`.
 //!
 //! Events use plain integer ids (`u32` CT/NCP indices) rather than the
 //! model crate's typed ids so this crate stays dependency-free and the
 //! JSONL schema is self-describing.
 
 use crate::json::Json;
+
+/// How one field type appears on the wire.
+trait Field {
+    fn to_json(&self) -> Json;
+}
+
+macro_rules! field_json {
+    ($($ty:ty => |$v:ident| $json:expr;)*) => {$(
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                let $v = self;
+                $json
+            }
+        }
+    )*};
+}
+
+field_json! {
+    f64 => |v| Json::num(*v);
+    u64 => |v| Json::Num(*v as f64);
+    u32 => |v| Json::Num(f64::from(*v));
+    bool => |v| Json::Bool(*v);
+    String => |v| Json::Str(v.clone());
+    &'static str => |v| Json::Str((*v).to_owned());
+    CtTieBreak => |v| match v {
+        CtTieBreak::UniqueMin => "unique-min",
+        CtTieBreak::LowerCtId => "ct-id",
+    }
+    .to_json();
+    HostTieBreak => |v| match v {
+        HostTieBreak::UniqueMax => "unique-max",
+        HostTieBreak::LowerNcpId => "ncp-id",
+    }
+    .to_json();
+}
+
+impl<T: Field> Field for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::to_json)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Field::to_json).collect())
+    }
+}
 
 /// Why the ranking chose one CT over the rest of the candidate set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,15 +80,6 @@ pub enum CtTieBreak {
     UniqueMin,
     /// At least one other CT tied on best γ; the lowest CT id won.
     LowerCtId,
-}
-
-impl CtTieBreak {
-    fn as_str(self) -> &'static str {
-        match self {
-            CtTieBreak::UniqueMin => "unique-min",
-            CtTieBreak::LowerCtId => "ct-id",
-        }
-    }
 }
 
 /// Why a candidate's best host won over the other hosts.
@@ -42,264 +91,170 @@ pub enum HostTieBreak {
     LowerNcpId,
 }
 
-impl HostTieBreak {
-    fn as_str(self) -> &'static str {
-        match self {
-            HostTieBreak::UniqueMax => "unique-max",
-            HostTieBreak::LowerNcpId => "ncp-id",
+/// A field's wire key: its name, or the `as "key"` rename. The
+/// `[wall_clock]` marker (never combined with a rename) also lands here.
+macro_rules! wire_key {
+    ($field:ident $(wall_clock)?) => {
+        stringify!($field)
+    };
+    ($field:ident $wire:literal) => {
+        $wire
+    };
+}
+
+/// Binds a tuple variant's payload inside a `$(..)?` group, which must
+/// mention the payload type to repeat with it.
+macro_rules! bind {
+    ($name:ident: $payload:ty) => {
+        $name
+    };
+}
+
+/// A payload struct whose fields go on the wire under their own names,
+/// in declaration order: the struct, its key list and its field values.
+macro_rules! record {
+    ($(#[$meta:meta])* $name:ident { $($(#[$fmeta:meta])* $field:ident: $fty:ty,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $fty,)*
         }
+
+        impl $name {
+            #[allow(dead_code)] // a record nested in another heads no schema row
+            const KEYS: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            fn fields(&self) -> impl IntoIterator<Item = (&'static str, Json)> {
+                [$((stringify!($field), self.$field.to_json())),*]
+            }
+        }
+
+        impl Field for $name {
+            fn to_json(&self) -> Json {
+                Json::obj(self.fields())
+            }
+        }
+    };
+}
+
+/// The event table: `Variant = "type tag"` followed by either a
+/// `(Payload)` record or `{ documented fields }`.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal
+        $(($payload:ty))?
+        $({$(
+            $(#[$fmeta:meta])*
+            $field:ident $(as $wire:literal)?: $fty:ty $([$wall:ident])?,
+        )*})?
+    )*) => {
+        /// A structured telemetry event. See the module docs for the
+        /// determinism contract.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {$(
+            $(#[$vmeta])*
+            $variant $(($payload))? $({$($(#[$fmeta])* $field: $fty,)*})?,
+        )*}
+
+        impl Event {
+            /// The `type` tag the JSONL line carries.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Converts the event to its JSON representation (one trace
+            /// line): `"type"`, then the fields in table order.
+            pub fn to_json(&self) -> Json {
+                let mut out = vec![("type", self.kind().to_json())];
+                match self {$(
+                    Event::$variant $((bind!(payload: $payload)))? $({$($field,)*})? => {
+                        $(out.extend(<$payload>::fields(payload));)?
+                        $(out.extend([$((wire_key!($field $($wire)?), $field.to_json())),*]);)?
+                    }
+                )*}
+                Json::obj(out)
+            }
+        }
+
+        /// Required keys per event `type`, in wire order — generated
+        /// from the table, so it cannot drift from [`Event::to_json`].
+        pub const SCHEMAS: &[(&str, &[&str])] = &[$((
+            $kind,
+            $(<$payload>::KEYS)?
+            $(&[$(wire_key!($field $($wire)?)),*])?
+        ),)*];
+
+        /// Keys of the fields the table marks `[wall_clock]`: excluded
+        /// from the byte-identical determinism contract, stripped by
+        /// `sparcle-trace diff`.
+        pub const WALL_CLOCK_KEYS: &[&str] = &[$($($($(wire_key!($field $wall),)?)*)?)*];
+    };
+}
+
+record! {
+    /// One unplaced CT's best option in a ranking round.
+    Candidate {
+        /// The candidate CT (index into the task graph).
+        ct: u32,
+        /// Its best host (`argmax_j γ`).
+        host: u32,
+        /// The γ value that host achieves.
+        gamma: f64,
+        /// How the host choice was resolved.
+        host_tie: HostTieBreak,
     }
 }
 
-/// One unplaced CT's best option in a ranking round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Candidate {
-    /// The candidate CT (index into the task graph).
-    pub ct: u32,
-    /// Its best host (`argmax_j γ`).
-    pub host: u32,
-    /// The γ value that host achieves.
-    pub gamma: f64,
-    /// How the host choice was resolved.
-    pub host_tie: HostTieBreak,
+record! {
+    /// One full Algorithm-2 ranking round: the candidate set and the commit
+    /// choice it produced.
+    PlacementDecision {
+        /// Zero-based ranking-round number within one assignment.
+        round: u64,
+        /// The chosen CT (`argmin_i γ_{i,j*_i}`).
+        ct: u32,
+        /// The chosen host.
+        host: u32,
+        /// The chosen γ.
+        gamma: f64,
+        /// How the CT choice was resolved.
+        tie_break: CtTieBreak,
+        /// Tree-store hits this round: reach-set entries whose widest-path
+        /// tree was already stored (or shared within the round).
+        cache_hits: u64,
+        /// Widest-path trees computed this round.
+        cache_misses: u64,
+        /// Per unplaced CT, its best host and γ (the paper's `j*_i`,
+        /// `γ_{i,j*_i}`), in CT-id order.
+        candidates: Vec<Candidate>,
+    }
 }
 
-/// One full Algorithm-2 ranking round: the candidate set and the commit
-/// choice it produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementDecision {
-    /// Zero-based ranking-round number within one assignment.
-    pub round: u64,
-    /// Per unplaced CT, its best host and γ (the paper's `j*_i`,
-    /// `γ_{i,j*_i}`), in CT-id order.
-    pub candidates: Vec<Candidate>,
-    /// The chosen CT (`argmin_i γ_{i,j*_i}`).
-    pub ct: u32,
-    /// The chosen host.
-    pub host: u32,
-    /// The chosen γ.
-    pub gamma: f64,
-    /// How the CT choice was resolved.
-    pub tie_break: CtTieBreak,
-    /// Tree-store hits this round: reach-set entries whose widest-path
-    /// tree was already stored (or shared within the round).
-    pub cache_hits: u64,
-    /// Widest-path trees computed this round.
-    pub cache_misses: u64,
+record! {
+    /// One committed placement and the cache damage it caused.
+    CommitRecord {
+        /// The committed CT.
+        ct: u32,
+        /// Its host.
+        host: u32,
+        /// Stored widest-path trees dropped because a routed link is in
+        /// their witness set (the one invalidation rule).
+        invalidated_witness: u64,
+        /// Transport tasks routed by this commit.
+        routed_tts: u64,
+        /// Total link hops across those routes.
+        routed_hops: u64,
+    }
 }
 
-/// One committed placement and the cache damage it caused.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommitRecord {
-    /// The committed CT.
-    pub ct: u32,
-    /// Its host.
-    pub host: u32,
-    /// Stored widest-path trees dropped because a routed link is in
-    /// their witness set (the one invalidation rule).
-    pub invalidated_witness: u64,
-    /// Transport tasks routed by this commit.
-    pub routed_tts: u64,
-    /// Total link hops across those routes.
-    pub routed_hops: u64,
-}
-
-/// A structured telemetry event. See the module docs for the
-/// determinism contract.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A run (one experiment binary, one assignment batch, …) started.
-    RunStart {
-        /// Experiment or component name.
-        name: String,
-    },
-    /// One Algorithm-2 ranking round completed.
-    Decision(PlacementDecision),
-    /// One CT was committed.
-    Commit(CommitRecord),
-    /// Sampled DES queue depth (every N processed events).
-    SimQueueDepth {
-        /// Simulated time of the sample.
-        time: f64,
-        /// Pending events in the future-event list.
-        depth: u64,
-        /// Events processed so far.
-        processed: u64,
-    },
-    /// One bucket of an application's delivery-rate timeline.
-    SimAppRate {
-        /// Bucket end time (simulated seconds).
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Delivered units per second within the bucket.
-        rate: f64,
-    },
-    /// A network element changed failure state between epochs.
-    SimElementState {
-        /// Epoch index.
-        epoch: u64,
-        /// Element label (`"ncp:3"`, `"link:7"`).
-        element: String,
-        /// `true` when the element recovered, `false` when it failed.
-        up: bool,
-    },
-    /// The online runtime processed an application arrival.
-    RuntimeArrival {
-        /// Simulated time of the arrival.
-        time: f64,
-        /// Application index (arrival sequence number).
-        app: u32,
-        /// Provenance lineage minted at submission (the arrival index).
-        /// Every later lifecycle event for this app carries the same
-        /// value, so one key selects a full causal timeline.
-        lineage: u64,
-        /// QoE class label (`"gr"` or `"be"`).
-        class: String,
-        /// Whether admission control accepted the application.
-        admitted: bool,
-        /// Admitted rate (guaranteed for GR, allocated for BE; `0` when
-        /// rejected).
-        rate: f64,
-        /// Cause code for the binding constraint when rejected
-        /// (`RejectCause::code()`), `None` when admitted.
-        cause: Option<String>,
-    },
-    /// The online runtime processed an application departure.
-    RuntimeDeparture {
-        /// Simulated time of the departure.
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Provenance lineage (the arrival index).
-        lineage: u64,
-    },
-    /// A running application lost its placement to an element failure.
-    ///
-    /// Per-app companion to the aggregate [`Event::RuntimeElementState`]
-    /// `displaced` count: its `causes` link back to the app's previous
-    /// lifecycle event and to the element transition that evicted it.
-    RuntimeDisplace {
-        /// Simulated time of the displacement.
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Provenance lineage (the arrival index).
-        lineage: u64,
-        /// The failed element (`"ncp:3"`, `"link:7"`) — the binding
-        /// constraint at decision time.
-        element: String,
-        /// Cause code (`DisplaceCause::code()`).
-        cause: String,
-    },
-    /// A reconcile pass resolved one displaced application.
-    RuntimeReadmit {
-        /// Simulated time of the reconcile pass.
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Provenance lineage (the arrival index).
-        lineage: u64,
-        /// `"restored"` (original placement reinstated), `"replaced"`
-        /// (fresh placement found), or `"failed"` (left pending).
-        outcome: String,
-        /// Rate after readmission (0 when failed).
-        rate: f64,
-        /// Cause code for the binding constraint when the readmission
-        /// failed, `None` on success.
-        cause: Option<String>,
-    },
-    /// A background defragmentation pass moved (or tried to move) a
-    /// placed application to a fresh placement through the transactional
-    /// migrate primitive — a planned move, not a failure reaction.
-    RuntimeMigrate {
-        /// Simulated time of the migration.
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Provenance lineage (the arrival index).
-        lineage: u64,
-        /// `"migrated"` (the move committed) or `"kept"` (the probe
-        /// found no admissible placement and the txn rolled back).
-        outcome: String,
-        /// Rate before the move.
-        old_rate: f64,
-        /// Rate after the move (equals `old_rate` when kept).
-        new_rate: f64,
-        /// Cause code (`MigrationCause::code()`).
-        cause: String,
-    },
-    /// A rollback-only what-if probe run while ordering a reconcile
-    /// batch (the `GammaProbe` policy): the counterfactual rate the app
-    /// would get if readmitted right now, with no state mutated.
-    RuntimeProbe {
-        /// Simulated time of the probe.
-        time: f64,
-        /// Application index.
-        app: u32,
-        /// Provenance lineage (the arrival index).
-        lineage: u64,
-        /// Whether the probe found a feasible placement.
-        feasible: bool,
-        /// The counterfactual rate (0 when infeasible).
-        rate: f64,
-    },
-    /// A network element failed or recovered under the online runtime.
-    RuntimeElementState {
-        /// Simulated time of the transition.
-        time: f64,
-        /// Element label (`"ncp:3"`, `"link:7"`).
-        element: String,
-        /// `true` on recovery, `false` on failure.
-        up: bool,
-        /// Running applications displaced by the transition.
-        displaced: u64,
-    },
-    /// Background capacities fluctuated under the online runtime.
-    RuntimeFluctuation {
-        /// Simulated time of the capacity step.
-        time: f64,
-        /// GR reservations violated by the new capacities.
-        violated: u64,
-    },
-    /// A hierarchical timed span opened (see [`crate::span`]).
-    ///
-    /// `t_ns` is wall-clock (monotonic, relative to the
-    /// [`crate::SpanTracker`] epoch) — span events are therefore opt-in
-    /// and excluded from the byte-identical determinism contract; trace
-    /// diffing strips the wall-clock keys.
-    ///
-    /// Serialized under the `"span"` key (not `"id"`): `"id"` is the
-    /// provenance event id every stamped line carries (DESIGN.md §14).
-    SpanOpen {
-        /// Span id, unique within one tracker's trace.
-        id: u64,
-        /// Id of the enclosing open span, if any.
-        parent: Option<u64>,
-        /// Span name (`"engine.rank_round"`, `"sim.flow"`, …). Static
-        /// so span emission on hot paths never allocates (the ≤5 %
-        /// overhead budget in `bench/tests/span_overhead.rs`).
-        name: &'static str,
-        /// Nanoseconds since the tracker's epoch at open.
-        t_ns: u64,
-    },
-    /// A hierarchical timed span closed.
-    SpanClose {
-        /// Span id matching the corresponding [`Event::SpanOpen`].
-        id: u64,
-        /// Span name (repeated so a close line is self-describing).
-        name: &'static str,
-        /// Wall-clock nanoseconds the span was open.
-        dur_ns: u64,
-        /// `true` when the span was dropped without `finish()` (early
-        /// return or panic unwind).
-        aborted: bool,
-    },
-    /// One window snapshot from the runtime's observability monitor.
-    ///
-    /// Emitted on each monitor tick; every field is derived from the
-    /// deterministic sim-time windows in [`crate::window`], so snapshot
-    /// streams are byte-identical across evaluator thread counts.
+record! {
+    /// One monitor tick's windowed aggregates, each derived from the
+    /// deterministic sim-time windows in [`crate::window`] (so snapshot
+    /// streams are byte-identical across evaluator thread counts). The
+    /// runtime's `MonitorSample` holds this payload as-is.
     MonitorSnapshot {
         /// Simulated time of the monitor tick.
         time: f64,
@@ -332,29 +287,170 @@ pub enum Event {
         live: u64,
         /// Alert rules in the firing state after this tick.
         alerts_firing: u64,
-    },
-    /// A monitor alert rule changed state (edge-triggered: one event
-    /// when a rule starts firing, one when it clears).
-    MonitorAlert {
+    }
+}
+
+events! {
+    /// A run (one experiment binary, one assignment batch, …) started.
+    RunStart = "run_start" {
+        /// Experiment or component name.
+        name: String,
+    }
+    /// One Algorithm-2 ranking round completed.
+    Decision = "decision" (PlacementDecision)
+    /// One CT was committed.
+    Commit = "commit" (CommitRecord)
+    /// Sampled DES queue depth (every N processed events).
+    SimQueueDepth = "sim_queue_depth" {
+        /// Simulated time of the sample.
+        time: f64,
+        /// Pending events in the future-event list.
+        depth: u64,
+        /// Events processed so far.
+        processed: u64,
+    }
+    /// One bucket of an application's delivery-rate timeline.
+    SimAppRate = "sim_app_rate" {
+        /// Bucket end time (simulated seconds).
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Delivered units per second within the bucket.
+        rate: f64,
+    }
+    /// A network element changed failure state between epochs.
+    SimElementState = "sim_element_state" {
+        /// Epoch index.
+        epoch: u64,
+        /// Element label (`"ncp:3"`, `"link:7"`).
+        element: String,
+        /// `true` when the element recovered, `false` when it failed.
+        up: bool,
+    }
+    /// The online runtime processed an application arrival.
+    RuntimeArrival = "runtime_arrival" {
+        /// Simulated time of the arrival.
+        time: f64,
+        /// Application index (arrival sequence number).
+        app: u32,
+        /// Provenance lineage minted at submission (the arrival index).
+        /// Every later lifecycle event for this app carries the same
+        /// value, so one key selects a full causal timeline.
+        lineage: u64,
+        /// QoE class label (`"gr"` or `"be"`).
+        class: &'static str,
+        /// Whether admission control accepted the application.
+        admitted: bool,
+        /// Admitted rate (guaranteed for GR, allocated for BE; `0` when
+        /// rejected).
+        rate: f64,
+        /// Cause code for the binding constraint when rejected
+        /// (`RejectCause::code()`), `None` when admitted.
+        cause: Option<&'static str>,
+    }
+    /// The online runtime processed an application departure.
+    RuntimeDeparture = "runtime_departure" {
+        /// Simulated time of the departure.
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Provenance lineage (the arrival index).
+        lineage: u64,
+    }
+    /// A running application lost its placement to an element failure.
+    ///
+    /// Per-app companion to the aggregate [`Event::RuntimeElementState`]
+    /// `displaced` count: its `causes` link back to the app's previous
+    /// lifecycle event and to the element transition that evicted it.
+    RuntimeDisplace = "runtime_displace" {
+        /// Simulated time of the displacement.
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Provenance lineage (the arrival index).
+        lineage: u64,
+        /// The failed element (`"ncp:3"`, `"link:7"`) — the binding
+        /// constraint at decision time.
+        element: String,
+        /// Cause code (`DisplaceCause::code()`).
+        cause: &'static str,
+    }
+    /// A reconcile pass resolved one displaced application.
+    RuntimeReadmit = "runtime_readmit" {
+        /// Simulated time of the reconcile pass.
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Provenance lineage (the arrival index).
+        lineage: u64,
+        /// `"restored"` (original placement reinstated), `"replaced"`
+        /// (fresh placement found), or `"failed"` (left pending).
+        outcome: &'static str,
+        /// Rate after readmission (0 when failed).
+        rate: f64,
+        /// Cause code for the binding constraint when the readmission
+        /// failed, `None` on success.
+        cause: Option<&'static str>,
+    }
+    /// A background defragmentation pass moved (or tried to move) a
+    /// placed application to a fresh placement through the transactional
+    /// migrate primitive — a planned move, not a failure reaction.
+    RuntimeMigrate = "runtime_migrate" {
+        /// Simulated time of the migration.
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Provenance lineage (the arrival index).
+        lineage: u64,
+        /// `"migrated"` (the move committed) or `"kept"` (the probe
+        /// found no admissible placement and the txn rolled back).
+        outcome: &'static str,
+        /// Rate before the move.
+        old_rate: f64,
+        /// Rate after the move (equals `old_rate` when kept).
+        new_rate: f64,
+        /// Cause code (`MigrationCause::code()`).
+        cause: &'static str,
+    }
+    /// A rollback-only what-if probe run while ordering a reconcile
+    /// batch (the `GammaProbe` policy): the counterfactual rate the app
+    /// would get if readmitted right now, with no state mutated.
+    RuntimeProbe = "runtime_probe" {
+        /// Simulated time of the probe.
+        time: f64,
+        /// Application index.
+        app: u32,
+        /// Provenance lineage (the arrival index).
+        lineage: u64,
+        /// Whether the probe found a feasible placement.
+        feasible: bool,
+        /// The counterfactual rate (0 when infeasible).
+        rate: f64,
+    }
+    /// A network element failed or recovered under the online runtime.
+    RuntimeElementState = "runtime_element_state" {
         /// Simulated time of the transition.
         time: f64,
-        /// Rule label (`"gr_burn_rate"`, `"solver_iteration_blowup"`,
-        /// `"backlog_growth"`).
-        rule: String,
-        /// `"firing"` or `"cleared"`.
-        state: String,
-        /// The observed value that crossed (or re-crossed) the
-        /// threshold.
-        value: f64,
-        /// The rule's threshold.
-        threshold: f64,
-    },
+        /// Element label (`"ncp:3"`, `"link:7"`).
+        element: String,
+        /// `true` on recovery, `false` on failure.
+        up: bool,
+        /// Running applications displaced by the transition.
+        displaced: u64,
+    }
+    /// Background capacities fluctuated under the online runtime.
+    RuntimeFluctuation = "runtime_fluctuation" {
+        /// Simulated time of the capacity step.
+        time: f64,
+        /// GR reservations violated by the new capacities.
+        violated: u64,
+    }
     /// The runtime's reconcile pass re-placed displaced applications.
-    RuntimeReconcile {
+    RuntimeReconcile = "runtime_reconcile" {
         /// Simulated time the reconcile pass ran.
         time: f64,
         /// Reconcile-policy label (`"fifo"`, `"priority"`, `"gamma"`).
-        policy: String,
+        policy: &'static str,
         /// Applications reinstated on their original placement.
         restored: u64,
         /// Applications re-placed onto a new placement.
@@ -363,11 +459,11 @@ pub enum Event {
         failed: u64,
         /// Simulated seconds between the disruption and this pass.
         latency: f64,
-    },
+    }
     /// The admission service closed one micro-batch window: every
     /// request coalesced into it was decided through one batch
     /// transaction (one joint BE solve).
-    ServiceBatch {
+    ServiceBatch = "service_batch" {
         /// Simulated time the batch committed.
         time: f64,
         /// Monotone window sequence number.
@@ -387,9 +483,9 @@ pub enum Event {
         /// for an all-reject batch; more only on the sequential-replay
         /// fallback).
         solves: u64,
-    },
+    }
     /// One admission decision the service returned to a client.
-    ServiceDecision {
+    ServiceDecision = "service_decision" {
         /// Simulated time the decision was returned (its batch's
         /// commit time).
         time: f64,
@@ -399,9 +495,9 @@ pub enum Event {
         /// number).
         lineage: u64,
         /// `"gr"` or `"be"`.
-        class: String,
+        class: &'static str,
         /// `"admitted"`, `"rejected"`, or `"shed"`.
-        outcome: String,
+        outcome: &'static str,
         /// Simulated seconds between arrival and decision.
         wait: f64,
         /// Allocated (BE) or guaranteed (GR) rate; 0 when not admitted.
@@ -409,13 +505,13 @@ pub enum Event {
         /// Cause code for the binding constraint when rejected or shed
         /// (`RejectCause::code()` / `ShedCause::code()`), `None` when
         /// admitted.
-        cause: Option<String>,
-    },
+        cause: Option<&'static str>,
+    }
     /// A request entered the admission service's micro-batch queue.
     ///
     /// This is where the lineage is minted: every later `service_*`
     /// event for the request links back (through `causes`) to this one.
-    ServiceIngest {
+    ServiceIngest = "service_ingest" {
         /// Simulated time the request arrived.
         time: f64,
         /// Request sequence number (arrival order).
@@ -423,11 +519,11 @@ pub enum Event {
         /// Provenance lineage (the request sequence number).
         lineage: u64,
         /// `"gr"` or `"be"`.
-        class: String,
-    },
+        class: &'static str,
+    }
     /// The service deferred an entire micro-batch window because the
     /// writer was still busy committing the previous batch.
-    ServiceDefer {
+    ServiceDefer = "service_defer" {
         /// Simulated time the window would have closed.
         time: f64,
         /// The deferred window's sequence number.
@@ -437,11 +533,11 @@ pub enum Event {
         /// Simulated time the writer becomes free again.
         writer_free: f64,
         /// Cause code (`"writer_busy"`).
-        cause: String,
-    },
+        cause: &'static str,
+    }
     /// A read-only what-if probe answered from the service's immutable
     /// state snapshot (never blocks on, or observes, the writer).
-    ServiceProbe {
+    ServiceProbe = "service_probe" {
         /// Simulated time the probe was answered.
         time: f64,
         /// Probe sequence number.
@@ -454,385 +550,57 @@ pub enum Event {
         /// The standalone rate the probed placement would achieve (0
         /// when infeasible).
         rate: f64,
-    },
-}
-
-impl Event {
-    /// The `type` tag the JSONL line carries.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::Decision(_) => "decision",
-            Event::Commit(_) => "commit",
-            Event::SimQueueDepth { .. } => "sim_queue_depth",
-            Event::SimAppRate { .. } => "sim_app_rate",
-            Event::SimElementState { .. } => "sim_element_state",
-            Event::RuntimeArrival { .. } => "runtime_arrival",
-            Event::RuntimeDeparture { .. } => "runtime_departure",
-            Event::RuntimeDisplace { .. } => "runtime_displace",
-            Event::RuntimeReadmit { .. } => "runtime_readmit",
-            Event::RuntimeMigrate { .. } => "runtime_migrate",
-            Event::RuntimeProbe { .. } => "runtime_probe",
-            Event::RuntimeElementState { .. } => "runtime_element_state",
-            Event::RuntimeFluctuation { .. } => "runtime_fluctuation",
-            Event::RuntimeReconcile { .. } => "runtime_reconcile",
-            Event::ServiceBatch { .. } => "service_batch",
-            Event::ServiceDecision { .. } => "service_decision",
-            Event::ServiceIngest { .. } => "service_ingest",
-            Event::ServiceDefer { .. } => "service_defer",
-            Event::ServiceProbe { .. } => "service_probe",
-            Event::MonitorSnapshot { .. } => "monitor_snapshot",
-            Event::MonitorAlert { .. } => "monitor_alert",
-            Event::SpanOpen { .. } => "span_open",
-            Event::SpanClose { .. } => "span_close",
-        }
     }
-
-    /// Converts the event to its JSON representation (one trace line).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Event::RunStart { name } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Event::Decision(d) => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("round", Json::Num(d.round as f64)),
-                ("ct", Json::Num(d.ct as f64)),
-                ("host", Json::Num(d.host as f64)),
-                ("gamma", Json::num(d.gamma)),
-                ("tie_break", Json::Str(d.tie_break.as_str().to_owned())),
-                ("cache_hits", Json::Num(d.cache_hits as f64)),
-                ("cache_misses", Json::Num(d.cache_misses as f64)),
-                (
-                    "candidates",
-                    Json::Arr(
-                        d.candidates
-                            .iter()
-                            .map(|c| {
-                                Json::obj([
-                                    ("ct", Json::Num(c.ct as f64)),
-                                    ("host", Json::Num(c.host as f64)),
-                                    ("gamma", Json::num(c.gamma)),
-                                    ("host_tie", Json::Str(c.host_tie.as_str().to_owned())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Event::Commit(c) => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("ct", Json::Num(c.ct as f64)),
-                ("host", Json::Num(c.host as f64)),
-                (
-                    "invalidated_witness",
-                    Json::Num(c.invalidated_witness as f64),
-                ),
-                ("routed_tts", Json::Num(c.routed_tts as f64)),
-                ("routed_hops", Json::Num(c.routed_hops as f64)),
-            ]),
-            Event::SimQueueDepth {
-                time,
-                depth,
-                processed,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("depth", Json::Num(*depth as f64)),
-                ("processed", Json::Num(*processed as f64)),
-            ]),
-            Event::SimAppRate { time, app, rate } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("rate", Json::num(*rate)),
-            ]),
-            Event::SimElementState { epoch, element, up } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("epoch", Json::Num(*epoch as f64)),
-                ("element", Json::Str(element.clone())),
-                ("up", Json::Bool(*up)),
-            ]),
-            Event::RuntimeArrival {
-                time,
-                app,
-                lineage,
-                class,
-                admitted,
-                rate,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("class", Json::Str(class.clone())),
-                ("admitted", Json::Bool(*admitted)),
-                ("rate", Json::num(*rate)),
-                (
-                    "cause",
-                    cause.as_ref().map_or(Json::Null, |c| Json::Str(c.clone())),
-                ),
-            ]),
-            Event::RuntimeDeparture { time, app, lineage } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-            ]),
-            Event::RuntimeDisplace {
-                time,
-                app,
-                lineage,
-                element,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("element", Json::Str(element.clone())),
-                ("cause", Json::Str(cause.clone())),
-            ]),
-            Event::RuntimeReadmit {
-                time,
-                app,
-                lineage,
-                outcome,
-                rate,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("outcome", Json::Str(outcome.clone())),
-                ("rate", Json::num(*rate)),
-                (
-                    "cause",
-                    cause.as_ref().map_or(Json::Null, |c| Json::Str(c.clone())),
-                ),
-            ]),
-            Event::RuntimeMigrate {
-                time,
-                app,
-                lineage,
-                outcome,
-                old_rate,
-                new_rate,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("outcome", Json::Str(outcome.clone())),
-                ("old_rate", Json::num(*old_rate)),
-                ("new_rate", Json::num(*new_rate)),
-                ("cause", Json::Str(cause.clone())),
-            ]),
-            Event::RuntimeProbe {
-                time,
-                app,
-                lineage,
-                feasible,
-                rate,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("app", Json::Num(*app as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("feasible", Json::Bool(*feasible)),
-                ("rate", Json::num(*rate)),
-            ]),
-            Event::RuntimeElementState {
-                time,
-                element,
-                up,
-                displaced,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("element", Json::Str(element.clone())),
-                ("up", Json::Bool(*up)),
-                ("displaced", Json::Num(*displaced as f64)),
-            ]),
-            Event::RuntimeFluctuation { time, violated } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("violated", Json::Num(*violated as f64)),
-            ]),
-            Event::MonitorSnapshot {
-                time,
-                window,
-                gr_burn,
-                gr_violation_s,
-                be_rate,
-                arrival_rate,
-                admit_rate,
-                warm_iters_per_solve,
-                solves,
-                queue_depth,
-                queue_p95,
-                backlog,
-                live,
-                alerts_firing,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("window", Json::num(*window)),
-                ("gr_burn", Json::num(*gr_burn)),
-                ("gr_violation_s", Json::num(*gr_violation_s)),
-                ("be_rate", Json::num(*be_rate)),
-                ("arrival_rate", Json::num(*arrival_rate)),
-                ("admit_rate", Json::num(*admit_rate)),
-                ("warm_iters_per_solve", Json::num(*warm_iters_per_solve)),
-                ("solves", Json::Num(*solves as f64)),
-                ("queue_depth", Json::Num(*queue_depth as f64)),
-                ("queue_p95", Json::Num(*queue_p95 as f64)),
-                ("backlog", Json::Num(*backlog as f64)),
-                ("live", Json::Num(*live as f64)),
-                ("alerts_firing", Json::Num(*alerts_firing as f64)),
-            ]),
-            Event::MonitorAlert {
-                time,
-                rule,
-                state,
-                value,
-                threshold,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("rule", Json::Str(rule.clone())),
-                ("state", Json::Str(state.clone())),
-                ("value", Json::num(*value)),
-                ("threshold", Json::num(*threshold)),
-            ]),
-            Event::RuntimeReconcile {
-                time,
-                policy,
-                restored,
-                replaced,
-                failed,
-                latency,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("policy", Json::Str(policy.clone())),
-                ("restored", Json::Num(*restored as f64)),
-                ("replaced", Json::Num(*replaced as f64)),
-                ("failed", Json::Num(*failed as f64)),
-                ("latency", Json::num(*latency)),
-            ]),
-            Event::ServiceBatch {
-                time,
-                window,
-                size,
-                admitted,
-                rejected,
-                shed,
-                queue_depth,
-                solves,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("window", Json::Num(*window as f64)),
-                ("size", Json::Num(*size as f64)),
-                ("admitted", Json::Num(*admitted as f64)),
-                ("rejected", Json::Num(*rejected as f64)),
-                ("shed", Json::Num(*shed as f64)),
-                ("queue_depth", Json::Num(*queue_depth as f64)),
-                ("solves", Json::Num(*solves as f64)),
-            ]),
-            Event::ServiceDecision {
-                time,
-                request,
-                lineage,
-                class,
-                outcome,
-                wait,
-                rate,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("request", Json::Num(*request as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("class", Json::Str(class.clone())),
-                ("outcome", Json::Str(outcome.clone())),
-                ("wait", Json::num(*wait)),
-                ("rate", Json::num(*rate)),
-                (
-                    "cause",
-                    cause.as_ref().map_or(Json::Null, |c| Json::Str(c.clone())),
-                ),
-            ]),
-            Event::ServiceIngest {
-                time,
-                request,
-                lineage,
-                class,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("request", Json::Num(*request as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("class", Json::Str(class.clone())),
-            ]),
-            Event::ServiceDefer {
-                time,
-                window,
-                queue_depth,
-                writer_free,
-                cause,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("window", Json::Num(*window as f64)),
-                ("queue_depth", Json::Num(*queue_depth as f64)),
-                ("writer_free", Json::num(*writer_free)),
-                ("cause", Json::Str(cause.clone())),
-            ]),
-            Event::ServiceProbe {
-                time,
-                request,
-                lineage,
-                feasible,
-                rate,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("time", Json::num(*time)),
-                ("request", Json::Num(*request as f64)),
-                ("lineage", Json::Num(*lineage as f64)),
-                ("feasible", Json::Bool(*feasible)),
-                ("rate", Json::num(*rate)),
-            ]),
-            Event::SpanOpen {
-                id,
-                parent,
-                name,
-                t_ns,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("span", Json::Num(*id as f64)),
-                ("parent", parent.map_or(Json::Null, |p| Json::Num(p as f64))),
-                ("name", Json::Str((*name).to_owned())),
-                ("t_ns", Json::Num(*t_ns as f64)),
-            ]),
-            Event::SpanClose {
-                id,
-                name,
-                dur_ns,
-                aborted,
-            } => Json::obj([
-                ("type", Json::Str(self.kind().to_owned())),
-                ("span", Json::Num(*id as f64)),
-                ("name", Json::Str((*name).to_owned())),
-                ("dur_ns", Json::Num(*dur_ns as f64)),
-                ("aborted", Json::Bool(*aborted)),
-            ]),
-        }
+    /// One window snapshot from the runtime's observability monitor,
+    /// emitted on each monitor tick.
+    MonitorSnapshot = "monitor_snapshot" (MonitorSnapshot)
+    /// A monitor alert rule changed state (edge-triggered: one event
+    /// when a rule starts firing, one when it clears).
+    MonitorAlert = "monitor_alert" {
+        /// Simulated time of the transition.
+        time: f64,
+        /// Rule label (`"gr_burn_rate"`, `"solver_iteration_blowup"`,
+        /// `"backlog_growth"`).
+        rule: &'static str,
+        /// `"firing"` or `"cleared"`.
+        state: &'static str,
+        /// The observed value that crossed (or re-crossed) the
+        /// threshold.
+        value: f64,
+        /// The rule's threshold.
+        threshold: f64,
+    }
+    /// A hierarchical timed span opened (see [`crate::span`]).
+    ///
+    /// `t_ns` is wall-clock (monotonic, relative to the
+    /// [`crate::SpanTracker`] epoch) — span events are therefore opt-in
+    /// and excluded from the byte-identical determinism contract; trace
+    /// diffing strips the wall-clock keys.
+    SpanOpen = "span_open" {
+        /// Span id, unique within one tracker's trace. On the wire as
+        /// `"span"`: `"id"` is the provenance event id every stamped
+        /// line carries (DESIGN.md §14).
+        id as "span": u64,
+        /// Id of the enclosing open span, if any.
+        parent: Option<u64>,
+        /// Span name (`"engine.rank_round"`, `"sim.flow"`, …). Static
+        /// so span emission on hot paths never allocates (the ≤5 %
+        /// overhead budget in `bench/tests/span_overhead.rs`).
+        name: &'static str,
+        /// Nanoseconds since the tracker's epoch at open.
+        t_ns: u64 [wall_clock],
+    }
+    /// A hierarchical timed span closed.
+    SpanClose = "span_close" {
+        /// Span id matching the corresponding [`Event::SpanOpen`].
+        id as "span": u64,
+        /// Span name (repeated so a close line is self-describing).
+        name: &'static str,
+        /// Wall-clock nanoseconds the span was open.
+        dur_ns: u64 [wall_clock],
+        /// `true` when the span was dropped without `finish()` (early
+        /// return or panic unwind).
+        aborted: bool,
     }
 }
 
@@ -873,7 +641,7 @@ mod tests {
                 time: 1.5,
                 app: 4,
                 lineage: 4,
-                class: "gr".into(),
+                class: "gr",
                 admitted: true,
                 rate: 2.25,
                 cause: None,
@@ -882,10 +650,10 @@ mod tests {
                 time: 1.75,
                 app: 5,
                 lineage: 5,
-                class: "be".into(),
+                class: "be",
                 admitted: false,
                 rate: 0.0,
-                cause: Some("availability_unreachable".into()),
+                cause: Some("availability_unreachable"),
             },
             Event::RuntimeDeparture {
                 time: 2.0,
@@ -897,13 +665,13 @@ mod tests {
                 app: 4,
                 lineage: 4,
                 element: "ncp:1".into(),
-                cause: "element_failure".into(),
+                cause: "element_failure",
             },
             Event::RuntimeReadmit {
                 time: 2.75,
                 app: 4,
                 lineage: 4,
-                outcome: "replaced".into(),
+                outcome: "replaced",
                 rate: 1.5,
                 cause: None,
             },
@@ -911,10 +679,10 @@ mod tests {
                 time: 2.8,
                 app: 4,
                 lineage: 4,
-                outcome: "migrated".into(),
+                outcome: "migrated",
                 old_rate: 1.5,
                 new_rate: 2.0,
-                cause: "defrag_net_gain".into(),
+                cause: "defrag_net_gain",
             },
             Event::RuntimeProbe {
                 time: 2.6,
@@ -935,7 +703,7 @@ mod tests {
             },
             Event::RuntimeReconcile {
                 time: 5.0,
-                policy: "gamma".into(),
+                policy: "gamma",
                 restored: 1,
                 replaced: 1,
                 failed: 0,
@@ -955,7 +723,7 @@ mod tests {
             time: 0.0,
             app: 0,
             lineage: 0,
-            class: "be".into(),
+            class: "be",
             admitted: true,
             rate: 1.0,
             cause: None,
@@ -966,7 +734,7 @@ mod tests {
     #[test]
     fn monitor_events_round_trip() {
         let events = [
-            Event::MonitorSnapshot {
+            Event::MonitorSnapshot(MonitorSnapshot {
                 time: 30.0,
                 window: 20.0,
                 gr_burn: 1.25,
@@ -981,11 +749,11 @@ mod tests {
                 backlog: 2,
                 live: 9,
                 alerts_firing: 1,
-            },
+            }),
             Event::MonitorAlert {
                 time: 30.0,
-                rule: "backlog_growth".into(),
-                state: "cleared".into(),
+                rule: "backlog_growth",
+                state: "cleared",
                 value: 0.0,
                 threshold: 3.0,
             },
@@ -1016,24 +784,24 @@ mod tests {
                 time: 12.0,
                 request: 41,
                 lineage: 41,
-                class: "gr".into(),
-                outcome: "shed".into(),
+                class: "gr",
+                outcome: "shed",
                 wait: 1.5,
                 rate: 0.0,
-                cause: Some("queue_overflow".into()),
+                cause: Some("queue_overflow"),
             },
             Event::ServiceIngest {
                 time: 11.5,
                 request: 41,
                 lineage: 41,
-                class: "gr".into(),
+                class: "gr",
             },
             Event::ServiceDefer {
                 time: 11.75,
                 window: 3,
                 queue_depth: 4,
                 writer_free: 12.0,
-                cause: "writer_busy".into(),
+                cause: "writer_busy",
             },
             Event::ServiceProbe {
                 time: 12.5,
@@ -1098,6 +866,8 @@ mod tests {
         assert_eq!(root.to_json().get("parent"), Some(&Json::Null));
         assert_eq!(root.to_json().get("span"), Some(&Json::Num(7.0)));
         assert_eq!(root.to_json().get("id"), None);
+        // The two `[wall_clock]` fields are what trace diffing strips.
+        assert_eq!(WALL_CLOCK_KEYS, ["t_ns", "dur_ns"]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * **Events** ([`Event`]) are deterministic — pure functions of the
 //!   input and seed, bit-identical across runs and worker-thread
-//!   counts. They form the JSONL trace.
+//!   counts. They form the JSONL trace. Each kind is defined once, in
+//!   the table of the [`event`] module, which generates the enum, its
+//!   JSON and the [`schema`] rows.
 //! * **Metrics** (counters + histograms, [`MetricsSnapshot`]) may carry
 //!   wall-clock timings. Counters are deterministic and appear in the
 //!   final trace line; histograms never enter the trace.
@@ -37,7 +39,9 @@ pub mod schema;
 pub mod span;
 pub mod window;
 
-pub use event::{Candidate, CommitRecord, CtTieBreak, Event, HostTieBreak, PlacementDecision};
+pub use event::{
+    Candidate, CommitRecord, CtTieBreak, Event, HostTieBreak, MonitorSnapshot, PlacementDecision,
+};
 pub use json::{parse as parse_json, Json, ParseError};
 pub use metrics::{Histogram, MetricsSnapshot};
 pub use recorder::{

@@ -9,12 +9,12 @@
 //! turning a failed byte-identity assert into an actionable pointer at
 //! the exact decision where two runs parted ways.
 
+/// Keys excluded from comparison: the fields the event table marks
+/// `[wall_clock]` (span timestamps).
+pub use sparcle_telemetry::event::WALL_CLOCK_KEYS;
 use sparcle_telemetry::Json;
 
 use crate::kind_of;
-
-/// Keys excluded from comparison: wall-clock span timestamps.
-pub const WALL_CLOCK_KEYS: &[&str] = &["t_ns", "dur_ns"];
 
 /// Strips the wall-clock keys from an event (top level only — span
 /// timestamps never nest).

@@ -25,8 +25,9 @@
 
 use std::process::ExitCode;
 
+use sparcle_telemetry::Json;
 use sparcle_trace_tools::{
-    diff, explain, load_trace, load_trace_lenient, profile, report, summary, validate_trace_lenient,
+    diff, explain, load_trace_lenient, profile, report, summary, validate_trace_lenient,
 };
 
 const USAGE: &str =
@@ -55,6 +56,18 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))
 }
 
+/// The one loader every subcommand reads through: a final line cut
+/// short by an interrupted run is skipped with a warning on stderr, any
+/// other malformed line is an error.
+fn load(path: &str) -> Result<Vec<Json>, String> {
+    let (events, truncated) =
+        load_trace_lenient(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    if truncated {
+        eprintln!("sparcle-trace: warning: {path}: skipped truncated final line");
+    }
+    Ok(events)
+}
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let (cmd, rest) = args.split_first().ok_or(USAGE)?;
     match cmd.as_str() {
@@ -62,7 +75,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let [path] = rest else {
                 return Err(USAGE.to_owned());
             };
-            let events = load_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+            let events = load(path)?;
             print!("{}", summary::summarize(&events).render());
             Ok(ExitCode::SUCCESS)
         }
@@ -83,11 +96,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 [path, flag, _] if flag == "--pick" => (path, None),
                 _ => return Err(USAGE.to_owned()),
             };
-            let (events, truncated) =
-                load_trace_lenient(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-            if truncated {
-                eprintln!("sparcle-trace: warning: {path}: skipped truncated final line");
-            }
+            let events = load(path)?;
             let selector = match selector {
                 Some(s) => s,
                 None => {
@@ -111,7 +120,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let [path] = rest else {
                 return Err(USAGE.to_owned());
             };
-            let events = load_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+            let events = load(path)?;
             let monitor = report::build(&events);
             print!("{}", monitor.render());
             // Exit 1 on "nothing to report" so scripts notice a trace
@@ -128,7 +137,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 [path, flag, out] if flag == "--folded" => (path, Some(out)),
                 _ => return Err(USAGE.to_owned()),
             };
-            let events = load_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+            let events = load(path)?;
             let forest = profile::SpanForest::build(&events);
             if forest.nodes.is_empty() {
                 return Err(format!(
@@ -149,15 +158,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let [path_a, path_b] = rest else {
                 return Err(USAGE.to_owned());
             };
-            let (a, trunc_a) =
-                load_trace_lenient(&read(path_a)?).map_err(|e| format!("{path_a}: {e}"))?;
-            let (b, trunc_b) =
-                load_trace_lenient(&read(path_b)?).map_err(|e| format!("{path_b}: {e}"))?;
-            for (path, truncated) in [(path_a, trunc_a), (path_b, trunc_b)] {
-                if truncated {
-                    eprintln!("sparcle-trace: warning: {path}: skipped truncated final line");
-                }
-            }
+            let (a, b) = (load(path_a)?, load(path_b)?);
             match diff::diff_traces(&a, &b) {
                 None => {
                     println!(
