@@ -5,6 +5,8 @@
 //! * [`engine`] — the incremental placement engine computing the paper's
 //!   `γ_{i,j}` bottleneck metric (eq. (2)) and committing placements
 //!   with widest-path TT routing. Shared with the baseline algorithms.
+//!   One type over `engine/{trees, rank, route}.rs`: tree store, ranking
+//!   scan, route-and-commit.
 //! * [`assignment`] — Algorithm 2: the dynamic-ranking task assignment
 //!   maximizing an application's stable processing rate, plus multi-path
 //!   extraction over residual capacities.
@@ -12,6 +14,7 @@
 //!   control for Best-Effort and Guaranteed-Rate applications, capacity
 //!   prediction (eq. (6)), availability-driven path addition, GR
 //!   reservation, and proportional-fair rate allocation (problem (4)).
+//!   Laid out along the figure: `system/{txn, be, gr, repair}.rs`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

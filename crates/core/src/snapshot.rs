@@ -5,20 +5,19 @@
 //! Handing probes a `&SystemState` would expose half-applied mutations,
 //! so instead readers take a [`StateSnapshot`]: an owned copy of
 //! everything the probe path needs — BE rates, GR reservations, the
-//! GR-residual capacities, the resident-priority tracker of eq. (6),
-//! and a per-application placement index. Once taken, a snapshot never
-//! changes; in-flight transactions (committed *or* rolled back) are
-//! invisible to it.
+//! GR-residual capacities and the resident-priority tracker of eq. (6).
+//! Once taken, a snapshot never changes; in-flight transactions
+//! (committed *or* rolled back) are invisible to it.
 //!
 //! A probe then runs the public, side-effect-free pipeline front half:
 //! [`StateSnapshot::predicted_capacities`] reproduces the capacity
 //! prediction an admission would see, and the result feeds a plain
 //! [`crate::DynamicRankingAssigner::assign`] over the same network.
 
-use crate::state::{gr_touched_elements, SystemState};
+use crate::state::SystemState;
 use crate::system::SparcleSystem;
 use sparcle_alloc::predict::PriorityLoads;
-use sparcle_model::{AppId, CapacityMap, NetworkElement};
+use sparcle_model::{AppId, CapacityMap};
 
 /// One admitted Best-Effort application as captured by a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,9 +52,6 @@ pub struct StateSnapshot {
     gr: Vec<SnapshotGrApp>,
     gr_residual: CapacityMap,
     priority_loads: PriorityLoads,
-    /// Per-app sorted/deduplicated element footprint, in the same order
-    /// as `be` then `gr`.
-    placements: Vec<(AppId, Vec<NetworkElement>)>,
 }
 
 impl StateSnapshot {
@@ -78,22 +74,11 @@ impl StateSnapshot {
                 reserved_rate: a.reserved_rate(),
             })
             .collect();
-        let mut placements = Vec::with_capacity(be.len() + gr.len());
-        for entry in &state.be_apps {
-            let mut elements = entry.combined_load.loaded_elements();
-            elements.sort_unstable();
-            elements.dedup();
-            placements.push((entry.id, elements));
-        }
-        for entry in &state.gr_apps {
-            placements.push((entry.id, gr_touched_elements(entry)));
-        }
         StateSnapshot {
             be,
             gr,
             gr_residual: state.gr_residual.clone(),
             priority_loads: state.priority_loads.clone(),
-            placements,
         }
     }
 
@@ -105,13 +90,6 @@ impl StateSnapshot {
     /// Admitted Guaranteed-Rate applications in admission order.
     pub fn gr_apps(&self) -> &[SnapshotGrApp] {
         &self.gr
-    }
-
-    /// The BE `allocated_rate`s in admission order — the public face of
-    /// the rate vector the undo log snapshots before each solve (and
-    /// the arity contract `debug_assert`s guard internally).
-    pub fn be_rates(&self) -> Vec<f64> {
-        self.be.iter().map(|a| a.allocated_rate).collect()
     }
 
     /// Capacities remaining after all GR reservations.
@@ -142,26 +120,6 @@ impl StateSnapshot {
             .iter()
             .find(|a| a.id == id)
             .map(|a| a.guaranteed_rate)
-    }
-
-    /// The sorted element footprint of one application, or `None` for an
-    /// unknown id.
-    pub fn elements_of(&self, id: AppId) -> Option<&[NetworkElement]> {
-        self.placements
-            .iter()
-            .find(|(app, _)| *app == id)
-            .map(|(_, elements)| elements.as_slice())
-    }
-
-    /// Every application whose placement crosses `element`, in admission
-    /// order (BE first, then GR) — the blast-radius query a failure
-    /// handler or probe asks.
-    pub fn apps_on(&self, element: NetworkElement) -> Vec<AppId> {
-        self.placements
-            .iter()
-            .filter(|(_, elements)| elements.binary_search(&element).is_ok())
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Number of applications captured (BE + GR).
@@ -241,27 +199,12 @@ mod tests {
         assert_eq!(snapshot.be_apps().len(), 1);
         assert_eq!(snapshot.gr_apps().len(), 1);
         assert_eq!(
-            snapshot.be_rates(),
-            vec![system.be_apps()[0].allocated_rate]
-        );
-        assert_eq!(
             snapshot.rate_of(be),
             Some(system.be_apps()[0].allocated_rate)
         );
         assert_eq!(snapshot.rate_of(gr), Some(1.0));
         assert_eq!(snapshot.gr_residual(), system.gr_residual());
         assert_eq!(snapshot.rate_of(sparcle_model::AppId::new(99)), None);
-
-        // Both apps cross the single link and both hosts.
-        let elements = snapshot.elements_of(be).expect("known id");
-        assert!(!elements.is_empty());
-        assert!(
-            elements.windows(2).all(|w| w[0] < w[1]),
-            "sorted: {elements:?}"
-        );
-        for &element in elements {
-            assert!(snapshot.apps_on(element).contains(&be));
-        }
     }
 
     #[test]
@@ -275,10 +218,9 @@ mod tests {
         // predicted = residual * P/(P + resident).
         let predicted = snapshot.predicted_capacities(1.0);
         let residual = snapshot.gr_residual();
-        let loaded = snapshot
-            .elements_of(snapshot.be_apps()[0].id)
-            .expect("known id");
-        for &element in loaded {
+        let loaded = system.be_apps()[0].combined_load.loaded_elements();
+        assert!(!loaded.is_empty());
+        for element in loaded {
             let (have, full) = match element {
                 sparcle_model::NetworkElement::Ncp(id) => (
                     predicted.ncp(id).amount(sparcle_model::ResourceKind::Cpu),

@@ -41,7 +41,7 @@ use crate::engine::AssignStats;
 use crate::system::{DisplacedApp, PlacedBeApp, PlacedGrApp};
 use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, IncrementalConstraints};
 use sparcle_alloc::predict::PriorityLoads;
-use sparcle_model::{CapacityMap, LoadMap, Network, NetworkElement};
+use sparcle_model::{AppId, CapacityMap, LoadMap, Network, NetworkElement};
 
 /// Counters describing the work the state core has done. Obtain via
 /// [`crate::SparcleSystem::state_stats`].
@@ -120,6 +120,16 @@ impl StateStats {
     }
 }
 
+/// Where an admitted application sits: its position in `gr_apps` or in
+/// `be_apps` ([`SystemState::slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Index into the Guaranteed-Rate list.
+    Gr(usize),
+    /// Index into the Best-Effort list.
+    Be(usize),
+}
+
 /// The mutable state of a [`SparcleSystem`](crate::SparcleSystem):
 /// admitted applications, current capacities, and the derived state
 /// (GR residual, BE priority loads, incremental constraint matrix).
@@ -180,6 +190,15 @@ impl SystemState {
     /// Work counters (see [`StateStats`]).
     pub fn stats(&self) -> &StateStats {
         &self.stats
+    }
+
+    /// The one by-id lookup: ids are unique across both lists, GR is
+    /// scanned first.
+    pub(crate) fn slot(&self, id: AppId) -> Option<Slot> {
+        if let Some(pos) = self.gr_apps.iter().position(|a| a.id == id) {
+            return Some(Slot::Gr(pos));
+        }
+        self.be_apps.iter().position(|a| a.id == id).map(Slot::Be)
     }
 
     /// The BE `allocated_rate` vector in admission order — the exact

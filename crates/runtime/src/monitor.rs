@@ -41,9 +41,11 @@
 
 use std::path::PathBuf;
 
-use sparcle_core::TraceHandle;
+use sparcle_core::{SparcleSystem, TraceHandle};
 use sparcle_telemetry::window::{RateEstimator, WindowedCounter, WindowedHistogram};
 use sparcle_telemetry::{Event, MonitorSnapshot};
+
+use crate::ledger::SloLedger;
 
 /// Labels of the three alert rules, in evaluation order.
 pub const ALERT_RULES: [&str; 3] = ["gr_burn_rate", "solver_iteration_blowup", "backlog_growth"];
@@ -135,6 +137,26 @@ pub struct TickInput {
     /// Total planned migrations committed by the defragmenter
     /// ([`crate::SloLedger::migrations`]); 0 with defrag off.
     pub migrations: u64,
+}
+
+impl TickInput {
+    /// The signals both control loops read the same way: the ledger's
+    /// totals, the state core's solve counters and the instantaneous BE
+    /// rate. `queue_depth`, `backlog` and `live` mean something different
+    /// in each loop and are left at zero for the caller to fill.
+    pub fn observe(system: &SparcleSystem, ledger: &SloLedger) -> Self {
+        let stats = system.state_stats();
+        TickInput {
+            gr_violation_seconds: ledger.total_gr_violation_seconds(),
+            arrivals: ledger.arrivals(),
+            admitted: ledger.admitted(),
+            solves: stats.solves,
+            warm_inner_iters: stats.inner_iters_warm,
+            be_rate: system.be_rate_total(),
+            migrations: ledger.migrations(),
+            ..TickInput::default()
+        }
+    }
 }
 
 /// One alert rule crossing its threshold (either direction).

@@ -7,6 +7,10 @@
 //! iterated during event handling is ordered (`BTreeMap`/`BTreeSet`),
 //! so a run is a pure function of `(network, arrivals, source, config)`
 //! — including across γ-evaluator thread counts.
+//!
+//! This file holds the loop and the exogenous events; the reconcile pass
+//! and the defragmentation pass are `impl SparcleRuntime` blocks in
+//! `reconcile.rs` and `defrag_pass.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,20 +18,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparcle_core::telemetry::Event;
 use sparcle_core::{
-    Admission, DisplaceCause, DisplacedApp, MigrationCause, RejectCause, SparcleSystem,
-    SystemConfig, TraceHandle,
+    Admission, DisplaceCause, DisplacedApp, RejectCause, SparcleSystem, SystemConfig, TraceHandle,
 };
-use sparcle_model::{
-    AppId, Application, CapacityMap, Network, NetworkElement, Placement, QoeClass,
-};
+use sparcle_model::{AppId, Application, CapacityMap, Network, NetworkElement, QoeClass};
 use sparcle_sim::des::EventQueue;
 use sparcle_sim::{ElementStateStream, FluctuationModel};
 use sparcle_workloads::ArrivalEvent;
 
-use crate::defrag::{DefragConfig, Defragmenter, MOVE_COST};
+use crate::defrag::{DefragConfig, Defragmenter};
 use crate::ledger::SloLedger;
 use crate::monitor::{Monitor, MonitorConfig, TickInput};
 use crate::policy::ReconcilePolicy;
+
+mod defrag_pass;
+mod reconcile;
 
 /// Stable trace label of a network element (`"ncp:3"`, `"link:7"`) —
 /// same format the failure simulator emits.
@@ -343,7 +347,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     /// violation-seconds; the current BE allocation accrues delivered
     /// work.
     fn accrue(&mut self, t: f64) {
-        let be_rate: f64 = self.system.be_apps().iter().map(|a| a.allocated_rate).sum();
+        let be_rate = self.system.be_rate_total();
         let violating = self
             .violating
             .iter()
@@ -380,37 +384,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             .collect();
     }
 
-    /// `true` when any path of the displaced placement crosses a downed
-    /// element — exact reinstatement is pointless, go straight to a
-    /// fresh placement search.
-    fn placement_touches_down(&self, displaced: &DisplacedApp) -> bool {
-        if self.down.is_empty() {
-            return false;
-        }
-        let network = self.system.network();
-        let crosses = |placement: &Placement| {
-            placement
-                .elements_used(network)
-                .iter()
-                .any(|e| self.down.contains(e))
-        };
-        match displaced {
-            DisplacedApp::Gr(a) => a.paths.iter().any(|(p, _)| crosses(&p.placement)),
-            DisplacedApp::Be(a) => a.paths.iter().any(|p| crosses(&p.placement)),
-        }
-    }
-
-    fn rate_of(&self, id: AppId) -> f64 {
-        if let Some(gr) = self.system.gr_apps().iter().find(|a| a.id == id) {
-            return gr.guaranteed_rate();
-        }
-        self.system
-            .be_apps()
-            .iter()
-            .find(|a| a.id == id)
-            .map_or(0.0, |a| a.allocated_rate)
-    }
-
     fn register(&mut self, index: u64, id: AppId) {
         self.live.insert(index, id);
         self.index_of.insert(id, index);
@@ -431,7 +404,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         let mut rate = 0.0;
         if let Some(id) = id {
             self.register(index, id);
-            rate = self.rate_of(id);
+            rate = self.system.rate_of(id).unwrap_or(0.0);
             let u: f64 = self.hold_rng.gen_range(f64::MIN_POSITIVE..1.0);
             self.queue.schedule(
                 t + -u.ln() * self.config.mean_hold,
@@ -581,96 +554,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         }
     }
 
-    fn on_reconcile(&mut self, t: f64, cause: f64, trace: TraceHandle<'_>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let reconcile_span = trace.span("runtime.reconcile");
-        let mut batch = std::mem::take(&mut self.pending);
-        if self.config.policy == ReconcilePolicy::GammaProbe {
-            self.order_by_probe(&mut batch, t, trace);
-        } else {
-            self.config.policy.order(&mut batch);
-        }
-        let (mut restored, mut replaced, mut failed) = (0u64, 0u64, 0u64);
-        // Provenance ids of the lifecycle events (displacements) this
-        // pass is resolving — the aggregate reconcile event links back
-        // to all of them.
-        let mut pass_causes: Vec<u64> = Vec::new();
-        for mut p in batch {
-            let prev = {
-                let prev = self.last_event.get(&p.index).copied().unwrap_or(0);
-                if prev != 0 {
-                    pass_causes.push(prev);
-                }
-                prev
-            };
-            // Cheap path first: reinstate the preserved placement (no γ
-            // evaluation) unless it crosses a still-downed element.
-            if !self.placement_touches_down(&p.displaced) {
-                match self.system.try_readmit(p.displaced) {
-                    Ok(id) => {
-                        restored += 1;
-                        self.register(p.index, id);
-                        self.ledger.record_restore(t - p.since);
-                        self.emit_readmit(
-                            trace,
-                            t,
-                            p.index,
-                            "restored",
-                            self.rate_of(id),
-                            None,
-                            prev,
-                        );
-                        continue;
-                    }
-                    // Ownership comes back on rejection; fall through to
-                    // the fresh-placement path.
-                    Err((displaced, _)) => p.displaced = displaced,
-                }
-            }
-            // Full re-placement: a fresh admission pipeline run on the
-            // current capacities (a new id; the arrival index stays the
-            // stable identity). An `Err` depends on the path found, not
-            // on the application — the only detour left may cross more
-            // elements than the availability analyser accepts — so, as
-            // in `on_arrival`, it is this attempt's failure and the
-            // app waits for the next pass.
-            let cause = match self.system.submit(p.displaced.application_arc()) {
-                Ok(Admission::Admitted(id)) => {
-                    replaced += 1;
-                    self.register(p.index, id);
-                    self.ledger.record_replacement(t - p.since);
-                    self.emit_readmit(trace, t, p.index, "replaced", self.rate_of(id), None, prev);
-                    continue;
-                }
-                Ok(Admission::Rejected(reason)) => reason.cause_code(),
-                Err(_) => RejectCause::SubmitError.code(),
-            };
-            failed += 1;
-            self.emit_readmit(trace, t, p.index, "failed", 0.0, Some(cause), prev);
-            self.pending.push(p);
-        }
-        self.ledger.record_reconcile();
-        trace.counter("runtime.reconciles", 1);
-        if trace.is_enabled() {
-            pass_causes.sort_unstable();
-            pass_causes.dedup();
-            trace.event_caused(
-                &Event::RuntimeReconcile {
-                    time: t,
-                    policy: self.config.policy.label(),
-                    restored,
-                    replaced,
-                    failed,
-                    latency: t - cause,
-                },
-                &pass_causes,
-            );
-        }
-        reconcile_span.finish();
-    }
-
     fn on_monitor_tick(&mut self, t: f64, trace: TraceHandle<'_>) {
         let Some(monitor) = self.monitor.as_mut() else {
             return;
@@ -678,19 +561,10 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         // `accrue(t)` already ran, so the ledger's integrals cover the
         // timeline up to this tick (the extra integration points only
         // move the float rounding, never the measured behaviour).
-        let stats = self.system.state_stats();
-        let input = TickInput {
-            gr_violation_seconds: self.ledger.total_gr_violation_seconds(),
-            arrivals: self.ledger.arrivals(),
-            admitted: self.ledger.admitted(),
-            solves: stats.solves,
-            warm_inner_iters: stats.inner_iters_warm,
-            be_rate: self.system.be_apps().iter().map(|a| a.allocated_rate).sum(),
-            queue_depth: self.queue.len() as u64,
-            backlog: self.pending.len() as u64,
-            live: self.live.len() as u64,
-            migrations: self.ledger.migrations(),
-        };
+        let mut input = TickInput::observe(&self.system, &self.ledger);
+        input.queue_depth = self.queue.len() as u64;
+        input.backlog = self.pending.len() as u64;
+        input.live = self.live.len() as u64;
         let sample = monitor.tick(t, &input);
         let next = t + monitor.config().period;
         if next <= self.config.horizon {
@@ -698,212 +572,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         }
         trace.counter("runtime.monitor_ticks", 1);
         monitor.publish(&sample, trace);
-    }
-
-    /// One background defragmentation pass (DESIGN.md §15). Reconcile
-    /// repair always outranks optimization churn: the pass is skipped
-    /// outright while displaced applications wait. A pass that does run:
-    ///
-    /// 1. **Probes** every live application with a rollback-only
-    ///    [`sparcle_core::SystemTxn::migrate`] and scores the move by
-    ///    the *system-wide* BE delivered-rate delta — per-app deltas
-    ///    would miss moves whose value is the capacity they free for
-    ///    everyone else (and would never move a GR app, whose own rate
-    ///    is fixed at R_J wherever it sits).
-    /// 2. **Selects greedily**: best probed gain first (arrival index
-    ///    breaks ties), bounded by the epoch's displaced-seconds budget
-    ///    (each commit consumes `MOVE_COST`).
-    /// 3. **Re-validates and commits**: earlier commits shift the
-    ///    allocation, so each selected move is re-probed against the
-    ///    current state and committed only if still net-positive;
-    ///    otherwise its transaction rolls back (outcome `"kept"`).
-    ///
-    /// Committed moves are charged to the [`SloLedger`] as planned
-    /// churn (`record_migration`), re-keyed in the arrival-index maps
-    /// (the index stays the stable identity across the new [`AppId`]),
-    /// and emitted as `runtime_migrate` lifecycle events chained to the
-    /// app's previous lifecycle hop.
-    fn on_defrag_tick(&mut self, t: f64, trace: TraceHandle<'_>) {
-        let Some(d) = &self.defrag else {
-            return;
-        };
-        let cfg = d.config().clone();
-        let next = t + cfg.period;
-        if next <= self.config.horizon {
-            self.queue.schedule(next, ChurnEvent::DefragTick);
-        }
-        trace.counter("runtime.defrag_ticks", 1);
-        if !self.pending.is_empty() {
-            self.defrag.as_mut().expect("checked above").note_skip();
-            return;
-        }
-        let pass_span = trace.span("runtime.defrag");
-        let mut budget = self.defrag.as_mut().expect("checked above").begin_pass();
-        let be_total =
-            |sys: &SparcleSystem| -> f64 { sys.be_apps().iter().map(|a| a.allocated_rate).sum() };
-        // Probe phase (rollback-only; the system is bitwise untouched).
-        let before = be_total(&self.system);
-        let mut probes = 0u64;
-        let mut candidates: Vec<(f64, u64)> = Vec::new();
-        for (&index, &id) in &self.live {
-            let mut txn = self.system.begin();
-            let gain = match txn.migrate(id) {
-                Some(o) if o.moved() => be_total(txn.system()) - before,
-                _ => f64::NEG_INFINITY,
-            };
-            txn.rollback();
-            probes += 1;
-            if gain > cfg.min_gain {
-                candidates.push((gain, index));
-            }
-        }
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        // Commit phase: re-validate each selected move on the current
-        // (post-earlier-commits) state, under the epoch budget.
-        let mut moves = 0u64;
-        for (_, index) in candidates {
-            if budget < MOVE_COST {
-                break;
-            }
-            let id = self.live[&index];
-            let current = be_total(&self.system);
-            let mut txn = self.system.begin();
-            let outcome = txn.migrate(id).expect("live apps are placed");
-            let committed = outcome.moved() && be_total(txn.system()) - current > cfg.min_gain;
-            if committed {
-                txn.commit();
-            } else {
-                txn.rollback();
-            }
-            let mut new_rate = outcome.old_rate;
-            if committed {
-                let new_id = outcome.new_id().expect("committed moves were admitted");
-                self.live.insert(index, new_id);
-                self.index_of.remove(&outcome.old_id);
-                self.index_of.insert(new_id, index);
-                // The move re-ran admission on the current capacities,
-                // so a previously violated guarantee is fit again.
-                self.violating.remove(&index);
-                budget -= MOVE_COST;
-                moves += 1;
-                self.ledger.record_migration(MOVE_COST);
-                new_rate = self.rate_of(new_id);
-            }
-            if trace.is_enabled() {
-                let prev = self.last_event.get(&index).copied().unwrap_or(0);
-                let buf = [prev];
-                let causes: &[u64] = if prev != 0 { &buf } else { &[] };
-                let eid = trace.event_caused(
-                    &Event::RuntimeMigrate {
-                        time: t,
-                        app: index as u32,
-                        lineage: index,
-                        outcome: if committed { "migrated" } else { "kept" },
-                        old_rate: outcome.old_rate,
-                        new_rate,
-                        cause: MigrationCause::Defragmentation.code(),
-                    },
-                    causes,
-                );
-                if committed && eid != 0 {
-                    self.last_event.insert(index, eid);
-                }
-            }
-        }
-        let d = self.defrag.as_mut().expect("checked above");
-        d.note_probes(probes);
-        d.note_moves(moves);
-        trace.counter("runtime.defrag_passes", 1);
-        trace.counter("runtime.defrag_moves", moves);
-        pass_span.finish();
-    }
-
-    /// Emits one `runtime_readmit` lifecycle event linking back to the
-    /// app's previous lifecycle hop, and advances the lineage cursor.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_readmit(
-        &mut self,
-        trace: TraceHandle<'_>,
-        t: f64,
-        index: u64,
-        outcome: &'static str,
-        rate: f64,
-        cause: Option<&'static str>,
-        prev: u64,
-    ) {
-        if !trace.is_enabled() {
-            return;
-        }
-        let buf = [prev];
-        let causes: &[u64] = if prev != 0 { &buf } else { &[] };
-        let id = trace.event_caused(
-            &Event::RuntimeReadmit {
-                time: t,
-                app: index as u32,
-                lineage: index,
-                outcome,
-                rate,
-                cause,
-            },
-            causes,
-        );
-        if id != 0 {
-            self.last_event.insert(index, id);
-        }
-    }
-
-    /// Orders the displaced batch by what-if probes: each application is
-    /// submitted inside a rollback-only transaction and the rate it
-    /// would get *on the current capacities* is read before the
-    /// transaction unwinds — the system (rates, residuals, and the id
-    /// counter included) is left bitwise untouched. Highest probed rate
-    /// first; failed probes last; ties fall back to the arrival index.
-    ///
-    /// With a recorder attached, each probe's counterfactual answer
-    /// is emitted as a `runtime_probe` event linked to the app's latest
-    /// lifecycle event — the what-if results `sparcle-trace explain`
-    /// attaches to the timeline.
-    fn order_by_probe(&mut self, batch: &mut Vec<PendingApp>, t: f64, trace: TraceHandle<'_>) {
-        let mut keyed: Vec<(f64, PendingApp)> = batch
-            .drain(..)
-            .map(|p| {
-                let mut txn = self.system.begin();
-                let probed = match txn.submit(p.displaced.application_arc()) {
-                    Ok(Admission::Admitted(_)) => {
-                        if p.displaced.is_gr() {
-                            // A GR admission guarantees exactly R_J.
-                            p.displaced.displaced_rate()
-                        } else {
-                            txn.system()
-                                .be_apps()
-                                .last()
-                                .map_or(f64::NEG_INFINITY, |a| a.allocated_rate)
-                        }
-                    }
-                    _ => f64::NEG_INFINITY,
-                };
-                txn.rollback();
-                if trace.is_enabled() {
-                    let feasible = probed > f64::NEG_INFINITY;
-                    let prev = self.last_event.get(&p.index).copied().unwrap_or(0);
-                    let buf = [prev];
-                    let causes: &[u64] = if prev != 0 { &buf } else { &[] };
-                    trace.event_caused(
-                        &Event::RuntimeProbe {
-                            time: t,
-                            app: p.index as u32,
-                            lineage: p.index,
-                            feasible,
-                            rate: if feasible { probed } else { 0.0 },
-                        },
-                        causes,
-                    );
-                }
-                (probed, p)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.index.cmp(&b.1.index)));
-        batch.extend(keyed.into_iter().map(|(_, p)| p));
     }
 
     /// The owned scheduling system (final state after [`Self::run`]).
@@ -971,7 +639,7 @@ mod tests {
     /// Four NCPs, two disjoint source→sink routes: via a big `hub` over
     /// two flaky links, or via `alt` over two reliable ones — so element
     /// failures always leave a repair path.
-    fn two_route_network(flaky: f64) -> Network {
+    pub(super) fn two_route_network(flaky: f64) -> Network {
         let mut b = NetworkBuilder::new();
         let src = b.add_ncp("src-host", ResourceVec::cpu(10.0));
         let hub = b.add_ncp("hub", ResourceVec::cpu(1000.0));
@@ -987,7 +655,7 @@ mod tests {
     }
 
     /// Every third arrival is Guaranteed-Rate; priorities cycle.
-    fn app_source(index: u64) -> Application {
+    pub(super) fn app_source(index: u64) -> Application {
         let graph = linear_task_graph(&[50.0], &[1000.0, 500.0]).unwrap();
         let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
         let qoe = if index.is_multiple_of(3) {
@@ -998,7 +666,17 @@ mod tests {
         Application::new(graph, qoe, [(src, NcpId::new(0)), (sink, NcpId::new(2))]).unwrap()
     }
 
-    fn config(policy: ReconcilePolicy, threads: usize) -> RuntimeConfig {
+    /// A BE class with an availability target low enough for any single
+    /// path here: only targeted applications run the availability
+    /// analysis, whose element limit the submit-error regressions need.
+    pub(super) fn targeted_be() -> QoeClass {
+        QoeClass::BestEffort {
+            priority: 1.0,
+            availability: Some(0.5),
+        }
+    }
+
+    pub(super) fn config(policy: ReconcilePolicy, threads: usize) -> RuntimeConfig {
         let mut c = RuntimeConfig {
             horizon: 40.0,
             failure_seed: 11,
@@ -1011,7 +689,7 @@ mod tests {
         c
     }
 
-    fn run_once(policy: ReconcilePolicy, threads: usize) -> SloLedger {
+    pub(super) fn run_once(policy: ReconcilePolicy, threads: usize) -> SloLedger {
         let cfg = config(policy, threads);
         let arrivals = ArrivalTrace::Poisson { rate: 1.0 }.events(cfg.horizon, 42);
         let mut rt = SparcleRuntime::new(two_route_network(0.15), arrivals, app_source, cfg);
@@ -1034,33 +712,11 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    #[test]
-    fn policies_share_the_same_timeline_volume() {
-        // Policies reorder re-placement, never the exogenous events.
-        let a = run_once(ReconcilePolicy::Fifo, 1);
-        let b = run_once(ReconcilePolicy::Priority, 1);
-        assert_eq!(a.arrivals(), b.arrivals());
-        assert_eq!(a.displacements(), b.displacements());
-    }
-
-    #[test]
-    fn gamma_probe_policy_is_deterministic_across_threads() {
-        // The probe transactions must roll back exactly: a probing run
-        // is a pure function of the timeline, including across γ
-        // evaluator thread counts.
-        let a = run_once(ReconcilePolicy::GammaProbe, 1);
-        let b = run_once(ReconcilePolicy::GammaProbe, 8);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        // And probing never changes the exogenous event volume.
-        let c = run_once(ReconcilePolicy::GammaImpact, 1);
-        assert_eq!(a.arrivals(), c.arrivals());
-        assert_eq!(a.displacements(), c.displacements());
-    }
-
-    /// Regression: an application whose path crosses more distinct
-    /// elements than the availability analyser accepts (128) makes
-    /// `submit` return `Err`. That used to panic the whole timeline; it
-    /// is that arrival's rejection, and later arrivals still run.
+    /// Regression: an application that asks for an availability and
+    /// whose path crosses more distinct elements than the analyser
+    /// accepts (128) makes `submit` return `Err`. That used to panic the
+    /// whole timeline; it is that arrival's rejection, and later arrivals
+    /// still run.
     #[test]
     fn submit_error_rejects_the_arrival_and_the_timeline_goes_on() {
         // 70 hubs in a chain, a leaf on each: end to end is 70 NCPs and
@@ -1086,7 +742,7 @@ mod tests {
             let far = if index == 0 { HUBS - 1 } else { 1 };
             Application::new(
                 graph,
-                QoeClass::best_effort(1.0),
+                targeted_be(),
                 [(src, NcpId::new(0)), (sink, NcpId::new(far))],
             )
             .unwrap()
@@ -1124,128 +780,6 @@ mod tests {
             })
             .collect();
         assert_eq!(causes, vec![(false, Some("submit_error")), (true, None)]);
-    }
-
-    /// Regression: whether `submit` errs depends on the path found, not
-    /// on the application. On an 80-NCP ring whose source and sink share
-    /// one flaky direct link, the app is admitted over the link; once
-    /// the link fails the only detour crosses 80 NCPs and 79 links —
-    /// past the availability analyser's 128 elements. Reconcile used to
-    /// panic there; the app stays pending until the link recovers.
-    #[test]
-    fn submit_error_in_reconcile_leaves_the_app_pending() {
-        const RING: u32 = 80;
-        let mut b = NetworkBuilder::new();
-        for n in 0..RING {
-            b.add_ncp(format!("n{n}"), ResourceVec::cpu(1000.0));
-        }
-        b.add_link_full(
-            "direct",
-            NcpId::new(0),
-            NcpId::new(1),
-            1e4,
-            LinkDirection::Undirected,
-            0.3,
-        )
-        .unwrap();
-        for n in 1..RING {
-            b.add_link(
-                format!("ring{n}"),
-                NcpId::new(n),
-                NcpId::new((n + 1) % RING),
-                1e4,
-            )
-            .unwrap();
-        }
-        let source = |_| {
-            let graph = linear_task_graph(&[50.0], &[1000.0, 500.0]).unwrap();
-            let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
-            Application::new(
-                graph,
-                QoeClass::best_effort(1.0),
-                [(src, NcpId::new(0)), (sink, NcpId::new(1))],
-            )
-            .unwrap()
-        };
-        let arrivals = [ArrivalEvent {
-            time: 0.5,
-            index: 0,
-        }];
-        let cfg = RuntimeConfig {
-            horizon: 30.0,
-            mean_hold: 1e6, // never departs
-            failure_seed: 3,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = SparcleRuntime::new(b.build().unwrap(), arrivals, source, cfg);
-
-        let recorder = sparcle_core::telemetry::CollectRecorder::new();
-        rt.run_traced(TraceHandle::new(&recorder));
-
-        let ledger = rt.ledger();
-        assert_eq!((ledger.arrivals(), ledger.admitted()), (1, 1));
-        assert!(ledger.displacements() > 0, "the direct link must fail");
-        let pending: Vec<u64> = rt.pending().iter().map(|p| p.index).collect();
-        assert_eq!(
-            [rt.live_indices(), pending].concat(),
-            vec![0],
-            "the app is live or pending, never lost"
-        );
-        let failed_readmits = recorder
-            .events()
-            .into_iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::RuntimeReadmit { outcome, cause, .. }
-                        if *outcome == "failed" && *cause == Some("submit_error")
-                )
-            })
-            .count();
-        assert!(failed_readmits > 0, "the detour's readmit must fail");
-    }
-
-    #[test]
-    fn failure_displaces_and_reconcile_repairs() {
-        // One app, one permanently failing hub route: the app must end up
-        // re-placed on the alt route.
-        let mut net = NetworkBuilder::new();
-        let src = net.add_ncp("src", ResourceVec::cpu(10.0));
-        let hub = net.add_ncp("hub", ResourceVec::cpu(1000.0));
-        let sink = net.add_ncp("sink", ResourceVec::cpu(10.0));
-        let alt = net.add_ncp("alt", ResourceVec::cpu(1000.0));
-        net.add_link_full("l0", src, hub, 1e6, LinkDirection::Undirected, 0.25)
-            .unwrap();
-        net.add_link_full("l1", hub, sink, 1e6, LinkDirection::Undirected, 0.25)
-            .unwrap();
-        net.add_link("l2", src, alt, 1e4).unwrap();
-        net.add_link("l3", alt, sink, 1e4).unwrap();
-        let net = net.build().unwrap();
-
-        let cfg = RuntimeConfig {
-            horizon: 20.0,
-            mean_hold: 1e6, // never departs
-            failure_seed: 3,
-            ..RuntimeConfig::default()
-        };
-        let arrivals = vec![ArrivalEvent {
-            time: 0.5,
-            index: 0,
-        }];
-        let mut rt = SparcleRuntime::new(net, arrivals, |_| app_source(1), cfg);
-        let ledger = rt.run().clone();
-        assert_eq!(ledger.arrivals(), 1);
-        assert_eq!(ledger.admitted(), 1);
-        assert!(ledger.displacements() >= 1, "hub route must fail");
-        assert!(
-            ledger.restores() + ledger.placement_churn() >= 1,
-            "the app must be repaired at least once"
-        );
-        assert!(
-            rt.live_indices() == vec![0] || !rt.pending().is_empty(),
-            "the app is either live or awaiting a reconcile"
-        );
-        assert!(ledger.mean_reaction_latency() > 0.0);
     }
 
     #[test]
@@ -1310,70 +844,6 @@ mod tests {
             on.events_processed(),
             off.events_processed() + monitor.ticks()
         );
-    }
-
-    #[test]
-    fn defrag_commits_budgeted_net_positive_moves() {
-        // A churny run fragments placements across the two routes; the
-        // defragmenter must find net-positive moves and stay inside its
-        // displaced-seconds budget (asserted from the ledger alone).
-        let run = |defrag: Option<DefragConfig>, threads: usize| {
-            let mut cfg = config(ReconcilePolicy::Fifo, threads);
-            cfg.horizon = 80.0;
-            cfg.defrag = defrag;
-            let arrivals = ArrivalTrace::Poisson { rate: 1.0 }.events(cfg.horizon, 42);
-            let mut rt = SparcleRuntime::new(two_route_network(0.15), arrivals, app_source, cfg);
-            rt.run();
-            rt
-        };
-        let on = run(Some(DefragConfig::default()), 1);
-        let d = on.defrag().expect("defrag was enabled");
-        assert!(d.passes() > 0, "an 80 s run must fit several passes");
-        assert!(d.probes() > 0, "passes must probe live apps");
-        assert!(
-            on.ledger().migrations() > 0,
-            "a fragmented run must yield at least one net-positive move"
-        );
-        assert_eq!(on.ledger().migrations(), d.moves());
-        // The budget invariant, from the ledger alone: every pass spends
-        // at most one epoch's allowance.
-        let budget = DefragConfig::default().budget_per_epoch;
-        assert!(
-            on.ledger().migration_displaced_seconds() <= d.passes() as f64 * budget + 1e-12,
-            "displaced-seconds {} exceed {} passes × {} budget",
-            on.ledger().migration_displaced_seconds(),
-            d.passes(),
-            budget
-        );
-        // Migrated apps stay fully registered: the system and the
-        // arrival-index maps agree.
-        assert_eq!(on.system().app_ids().len(), on.live_indices().len());
-        // Planned moves never change the exogenous arrival volume
-        // (displacement counts *may* differ: migrated apps sit on
-        // different paths, so failure blast radii shift).
-        let off = run(None, 1);
-        assert_eq!(off.ledger().arrivals(), on.ledger().arrivals());
-        assert_eq!(off.ledger().migrations(), 0);
-    }
-
-    #[test]
-    fn defrag_is_deterministic_across_threads() {
-        // Migration probes and commits go through the same transactional
-        // core as admission: a defragmenting run stays a pure function
-        // of the timeline across γ-evaluator thread counts.
-        let run = |threads: usize| {
-            let mut cfg = config(ReconcilePolicy::GammaProbe, threads);
-            cfg.horizon = 60.0;
-            cfg.defrag = Some(DefragConfig::default());
-            let arrivals = ArrivalTrace::Poisson { rate: 1.0 }.events(cfg.horizon, 42);
-            let mut rt = SparcleRuntime::new(two_route_network(0.15), arrivals, app_source, cfg);
-            rt.run();
-            (format!("{:?}", rt.ledger()), rt.ledger().migrations())
-        };
-        let (a, moves_a) = run(1);
-        let (b, moves_b) = run(8);
-        assert_eq!(a, b);
-        assert_eq!(moves_a, moves_b);
     }
 
     #[test]

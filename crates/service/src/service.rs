@@ -555,8 +555,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
 
     /// Accrues the ledger's integrals up to `t` at the current rates.
     fn accrue(&mut self, t: f64) {
-        let be_rate: f64 = self.system.be_apps().iter().map(|a| a.allocated_rate).sum();
-        self.ledger.advance_to(t, [], be_rate);
+        self.ledger.advance_to(t, [], self.system.be_rate_total());
     }
 
     /// Folds the window close into the observability monitor, publishing
@@ -566,19 +565,10 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         let Some(monitor) = self.monitor.as_mut() else {
             return;
         };
-        let stats = self.system.state_stats();
-        let input = TickInput {
-            gr_violation_seconds: self.ledger.total_gr_violation_seconds(),
-            arrivals: self.ledger.arrivals(),
-            admitted: self.ledger.admitted(),
-            solves: stats.solves,
-            warm_inner_iters: stats.inner_iters_warm,
-            be_rate: self.system.be_apps().iter().map(|a| a.allocated_rate).sum(),
-            queue_depth: self.pending.len() as u64,
-            backlog: self.pending.iter().filter(|p| p.deferred > 0).count() as u64,
-            live: (self.system.be_apps().len() + self.system.gr_apps().len()) as u64,
-            migrations: self.ledger.migrations(),
-        };
+        let mut input = TickInput::observe(&self.system, &self.ledger);
+        input.queue_depth = self.pending.len() as u64;
+        input.backlog = self.pending.iter().filter(|p| p.deferred > 0).count() as u64;
+        input.live = (self.system.be_apps().len() + self.system.gr_apps().len()) as u64;
         let sample = monitor.tick(t, &input);
         trace.counter("service.monitor_ticks", 1);
         monitor.publish(&sample, trace);

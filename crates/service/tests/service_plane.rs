@@ -339,8 +339,9 @@ fn rejected_batch_leaves_snapshot_readers_unperturbed() {
     );
 }
 
-/// Regression: a request whose path crosses more distinct elements than
-/// the availability analyser accepts (128) makes `submit_all` return
+/// Regression: a request that asks for an availability and whose path
+/// crosses more distinct elements than the analyser accepts (128) makes
+/// `submit_all` return
 /// `Err` for the whole batch. That used to panic the service; it is
 /// that request's rejection, and the rest of its window is decided as
 /// if it had never been queued.
@@ -372,7 +373,11 @@ fn submit_error_rejects_one_request_and_the_window_goes_on() {
         tb.add_tt("wt", w, t, 500.0).unwrap();
         let far = if index == 1 { HUBS - 1 } else { 1 };
         let pins = [(s, NcpId::new(0)), (t, NcpId::new(far))];
-        Application::new(tb.build().unwrap(), QoeClass::best_effort(1.0), pins).unwrap()
+        let qoe = QoeClass::BestEffort {
+            priority: 1.0,
+            availability: Some(0.5),
+        };
+        Application::new(tb.build().unwrap(), qoe, pins).unwrap()
     };
     let config = ServiceConfig {
         batch_window: 1.0,
@@ -507,12 +512,10 @@ proptest! {
             reference.gr_apps().iter().map(|a| a.id.index()).collect();
         prop_assert_eq!(service_gr, reference_gr, "admitted GR ids must match");
         prop_assert_eq!(service.system().gr_residual(), reference.gr_residual());
-        let service_snapshot = service.system().snapshot();
-        let reference_snapshot = reference.snapshot();
-        for app in service.system().be_apps() {
+        for (app, twin) in service.system().be_apps().iter().zip(reference.be_apps()) {
             prop_assert_eq!(
-                service_snapshot.elements_of(app.id),
-                reference_snapshot.elements_of(app.id),
+                &app.paths,
+                &twin.paths,
                 "placement of app {} must be bitwise identical",
                 app.id.index()
             );

@@ -48,6 +48,59 @@ fn near_optimal_in_bottleneck_regimes() {
     }
 }
 
+/// Figure 8 in full, as a tripwire: `exp_fig8`'s loop (same seeds, 100
+/// scenarios per cell, 8 NCPs) with the quartiles of `SPARCLE rate /
+/// optimal rate` pinned to the three decimals the binary prints. Speed
+/// work on the engine or the solver must not move placement quality; a
+/// deliberate change re-pins the table here and in EXPERIMENTS.md.
+#[test]
+fn fig8_quartiles_are_pinned() {
+    // The interpolating quantile of `sparcle_bench::percentile`.
+    fn percentile(sorted: &[f64], p: f64) -> f64 {
+        let idx = p * (sorted.len() - 1) as f64;
+        let (lo, hi) = (idx.floor() as usize, idx.ceil() as usize);
+        let frac = idx - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+    let sparcle = DynamicRankingAssigner::new();
+    let mut table = Vec::new();
+    for topology in [TopologyKind::Linear, TopologyKind::FullyConnected] {
+        for case in BottleneckCase::SINGLE_RESOURCE {
+            let mut cfg = ScenarioConfig::new(case, GraphKind::Linear { stages: 2 }, topology);
+            cfg.ncps = 8;
+            let mut rng = StdRng::seed_from_u64(0x8f1u64 ^ topology as u64 ^ (case as u64) << 8);
+            let mut ratios = Vec::new();
+            for _ in 0..100 {
+                let s = cfg.sample(&mut rng).unwrap();
+                let caps = s.network.capacity_map();
+                let Ok(opt) = optimal_assignment(&s.app, &s.network, &caps) else {
+                    continue;
+                };
+                let Ok(ours) = sparcle.assign(&s.app, &s.network, &caps) else {
+                    continue;
+                };
+                if opt.rate > 0.0 {
+                    ratios.push((ours.rate / opt.rate).min(1.0));
+                }
+            }
+            ratios.sort_by(f64::total_cmp);
+            let quartiles = [0.25, 0.50, 0.75].map(|p| format!("{:.3}", percentile(&ratios, p)));
+            table.push(format!("{topology}/{case} {}", quartiles.join(" ")));
+        }
+    }
+    assert_eq!(
+        table,
+        [
+            "linear/ncp-bottleneck 1.000 1.000 1.000",
+            "linear/balanced 0.785 0.922 1.000",
+            "linear/link-bottleneck 1.000 1.000 1.000",
+            "fully-connected/ncp-bottleneck 1.000 1.000 1.000",
+            "fully-connected/balanced 0.924 1.000 1.000",
+            "fully-connected/link-bottleneck 1.000 1.000 1.000",
+        ]
+    );
+}
+
 /// Figure 11(a): in the NCP-bottleneck case SPARCLE and GS coincide (γ
 /// reduces to the compute term).
 #[test]

@@ -101,7 +101,6 @@ fn batched_service_matches_sequential_admission_bitwise() {
     let mut reference = SparcleSystem::with_config(service_network(), SystemConfig::default());
     let mut ref_admitted = 0u64;
     let mut ref_rejected = 0u64;
-    let mut ref_ids = Vec::new();
     let mut total_admits = 0u64;
     for request in request_stream() {
         if request.kind != RequestKind::Admit {
@@ -112,10 +111,7 @@ fn batched_service_matches_sequential_admission_bitwise() {
             .submit(service_app(request.index))
             .expect("factory apps are valid")
         {
-            sparcle_core::Admission::Admitted(id) => {
-                ref_admitted += 1;
-                ref_ids.push(id);
-            }
+            sparcle_core::Admission::Admitted(_) => ref_admitted += 1,
             sparcle_core::Admission::Rejected(_) => ref_rejected += 1,
         }
     }
@@ -145,13 +141,23 @@ fn batched_service_matches_sequential_admission_bitwise() {
         )
     };
     assert_eq!(ids(snap), ids(&ref_snap), "admitted id sequences diverged");
-    // ...on the same hosts and routes...
-    for &id in &ref_ids {
+    // ...on the same hosts and routes (the live task assignment paths,
+    // standalone rates and GR reservations included)...
+    let live = service.system();
+    for (a, b) in live.be_apps().iter().zip(reference.be_apps()) {
         assert_eq!(
-            snap.elements_of(id),
-            ref_snap.elements_of(id),
+            a.paths,
+            b.paths,
             "placement of app {} diverged",
-            id.index()
+            a.id.index()
+        );
+    }
+    for (a, b) in live.gr_apps().iter().zip(reference.gr_apps()) {
+        assert_eq!(
+            a.paths,
+            b.paths,
+            "placement of app {} diverged",
+            a.id.index()
         );
     }
     // ...leaving the same GR reservations behind, bit for bit.
