@@ -31,6 +31,6 @@ pub use availability::{AvailabilityError, PathAvailability};
 pub use maxmin::{max_min_allocation, MaxMinAllocation};
 pub use num::{
     AllocError, Allocation, ConstraintRow, ConstraintSystem, IncrementalConstraints,
-    ProportionalFairSolver, SolveStats,
+    ProportionalFairSolver, SolveStats, SolverScratch,
 };
 pub use predict::PriorityLoads;

@@ -13,7 +13,7 @@
 //! deployment can choose per §IV-C's QoE goals; the system pipeline
 //! defaults to the paper's proportional fairness.
 
-use crate::num::{AllocError, ConstraintSystem};
+use crate::num::{check_len, column_bottlenecks, AllocError, ConstraintRow, ConstraintSystem};
 
 /// The result of a max-min fair allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +33,8 @@ pub struct MaxMinAllocation {
 ///
 /// # Errors
 ///
-/// Mirrors the proportional-fair solver: [`AllocError::Unbounded`] when
+/// Mirrors the proportional-fair solver: [`AllocError::LengthMismatch`]
+/// unless there is one weight per column, [`AllocError::Unbounded`] when
 /// some application is never constrained, [`AllocError::Infeasible`]
 /// when an application loads a zero-capacity row, and
 /// [`AllocError::BadPriority`] for non-positive weights.
@@ -50,7 +51,7 @@ pub struct MaxMinAllocation {
 ///
 /// # fn main() -> Result<(), sparcle_alloc::num::AllocError> {
 /// let mut sys = ConstraintSystem::new(2);
-/// sys.push_row(ConstraintRow { element: None, capacity: 1.0, coeffs: vec![1.0, 3.0] });
+/// sys.push_row(ConstraintRow { element: None, capacity: 1.0, entries: vec![(0, 1.0), (1, 3.0)] })?;
 /// let alloc = max_min_allocation(&sys, &[1.0, 1.0])?;
 /// assert!((alloc.rates[0] - 0.25).abs() < 1e-9);
 /// assert!((alloc.rates[1] - 0.25).abs() < 1e-9);
@@ -62,34 +63,29 @@ pub fn max_min_allocation(
     weights: &[f64],
 ) -> Result<MaxMinAllocation, AllocError> {
     let n = system.app_count();
-    assert_eq!(weights.len(), n, "one weight per application");
+    check_len("weights", weights, system)?;
     for &w in weights {
         if !w.is_finite() || w <= 0.0 {
             return Err(AllocError::BadPriority(w));
         }
     }
+    column_bottlenecks(system, &mut Vec::new())?;
     let rows = system.rows();
-    for i in 0..n {
-        let mut constrained = false;
-        for row in rows {
-            if row.coeffs[i] > 0.0 {
-                if row.capacity <= 0.0 {
-                    return Err(AllocError::Infeasible { app: i });
-                }
-                constrained = true;
-            }
-        }
-        if !constrained {
-            return Err(AllocError::Unbounded { app: i });
-        }
-    }
 
     let mut frozen = vec![false; n];
     let mut rates = vec![0.0; n];
     let mut levels = vec![0.0; n];
     let mut used: Vec<f64> = vec![0.0; rows.len()];
-    let mut row_open: Vec<bool> = rows.iter().map(|_| true).collect();
+    let mut row_open: Vec<bool> = vec![true; rows.len()];
     let mut level = 0.0f64;
+    // How fast a row's load grows with the level: the weights of its
+    // unfrozen applications times their coefficients.
+    let growth = |row: &ConstraintRow, frozen: &[bool]| -> f64 {
+        row.entries
+            .iter()
+            .map(|&(i, c)| if frozen[i] { 0.0 } else { c * weights[i] })
+            .sum()
+    };
     while frozen.iter().any(|&f| !f) {
         // How much can the common level still grow before some open row
         // with growing (unfrozen) load saturates?
@@ -98,13 +94,7 @@ pub fn max_min_allocation(
             if !row_open[j] {
                 continue;
             }
-            let growth: f64 = row
-                .coeffs
-                .iter()
-                .zip(weights)
-                .zip(&frozen)
-                .map(|((&c, &w), &fr)| if fr { 0.0 } else { c * w })
-                .sum();
+            let growth = growth(row, &frozen);
             if growth <= 0.0 {
                 continue;
             }
@@ -130,14 +120,7 @@ pub fn max_min_allocation(
         level += delta;
         // Advance all unfrozen rates and row usages.
         for (j, row) in rows.iter().enumerate() {
-            let growth: f64 = row
-                .coeffs
-                .iter()
-                .zip(weights)
-                .zip(&frozen)
-                .map(|((&c, &w), &fr)| if fr { 0.0 } else { c * w })
-                .sum();
-            used[j] += growth * delta;
+            used[j] += growth(row, &frozen) * delta;
         }
         for i in 0..n {
             if !frozen[i] {
@@ -146,8 +129,8 @@ pub fn max_min_allocation(
         }
         // Freeze the apps loading the saturated row.
         row_open[saturating] = false;
-        for i in 0..n {
-            if !frozen[i] && rows[saturating].coeffs[i] > 0.0 {
+        for &(i, _) in &rows[saturating].entries {
+            if !frozen[i] {
                 frozen[i] = true;
                 levels[i] = level;
             }
@@ -159,23 +142,35 @@ pub fn max_min_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::num::{ConstraintRow, ProportionalFairSolver};
+    use crate::num::ProportionalFairSolver;
 
-    fn system(rows: Vec<(f64, Vec<f64>)>, apps: usize) -> ConstraintSystem {
+    /// Rows from dense coefficients; zeros get no entry.
+    fn system(rows: &[(f64, &[f64])], apps: usize) -> ConstraintSystem {
         let mut sys = ConstraintSystem::new(apps);
-        for (capacity, coeffs) in rows {
+        for &(capacity, coeffs) in rows {
+            let entries = coeffs
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, c)| c != 0.0)
+                .collect();
             sys.push_row(ConstraintRow {
                 element: None,
                 capacity,
-                coeffs,
-            });
+                entries,
+            })
+            .unwrap();
         }
         sys
     }
 
+    fn used(row: &ConstraintRow, rates: &[f64]) -> f64 {
+        row.entries.iter().map(|&(i, c)| c * rates[i]).sum()
+    }
+
     #[test]
     fn equal_apps_split_evenly() {
-        let sys = system(vec![(2.0, vec![1.0, 1.0])], 2);
+        let sys = system(&[(2.0, &[1.0, 1.0])], 2);
         let a = max_min_allocation(&sys, &[1.0, 1.0]).unwrap();
         assert!((a.rates[0] - 1.0).abs() < 1e-12);
         assert!((a.rates[1] - 1.0).abs() < 1e-12);
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn weights_scale_shares() {
-        let sys = system(vec![(3.0, vec![1.0, 1.0])], 2);
+        let sys = system(&[(3.0, &[1.0, 1.0])], 2);
         let a = max_min_allocation(&sys, &[2.0, 1.0]).unwrap();
         assert!((a.rates[0] - 2.0).abs() < 1e-12);
         assert!((a.rates[1] - 1.0).abs() < 1e-12);
@@ -193,10 +188,7 @@ mod tests {
     fn classic_line_network_protects_the_long_flow() {
         // Flow 0 crosses both links; flows 1, 2 one each. Max-min gives
         // everyone 0.5 (proportional fairness gives the long flow 1/3).
-        let sys = system(
-            vec![(1.0, vec![1.0, 1.0, 0.0]), (1.0, vec![1.0, 0.0, 1.0])],
-            3,
-        );
+        let sys = system(&[(1.0, &[1.0, 1.0, 0.0]), (1.0, &[1.0, 0.0, 1.0])], 3);
         let mm = max_min_allocation(&sys, &[1.0, 1.0, 1.0]).unwrap();
         assert!((mm.rates[0] - 0.5).abs() < 1e-9, "{:?}", mm.rates);
         assert!((mm.rates[1] - 0.5).abs() < 1e-9);
@@ -216,7 +208,7 @@ mod tests {
     fn second_stage_fills_the_leftover() {
         // App 0 saturates a private tight row; app 1 keeps filling its
         // looser one.
-        let sys = system(vec![(1.0, vec![1.0, 0.0]), (5.0, vec![0.0, 1.0])], 2);
+        let sys = system(&[(1.0, &[1.0, 0.0]), (5.0, &[0.0, 1.0])], 2);
         let a = max_min_allocation(&sys, &[1.0, 1.0]).unwrap();
         assert!((a.rates[0] - 1.0).abs() < 1e-12);
         assert!((a.rates[1] - 5.0).abs() < 1e-12);
@@ -226,25 +218,22 @@ mod tests {
     #[test]
     fn allocation_is_feasible_and_maximal() {
         let sys = system(
-            vec![
-                (4.0, vec![1.0, 2.0, 0.0]),
-                (3.0, vec![0.0, 1.0, 1.0]),
-                (10.0, vec![3.0, 0.0, 1.0]),
+            &[
+                (4.0, &[1.0, 2.0, 0.0]),
+                (3.0, &[0.0, 1.0, 1.0]),
+                (10.0, &[3.0, 0.0, 1.0]),
             ],
             3,
         );
         let a = max_min_allocation(&sys, &[1.0, 2.0, 0.5]).unwrap();
         for row in sys.rows() {
-            let used: f64 = row.coeffs.iter().zip(&a.rates).map(|(&c, &x)| c * x).sum();
-            assert!(used <= row.capacity + 1e-9);
+            assert!(used(row, &a.rates) <= row.capacity + 1e-9);
         }
         // Max-min maximality: every app is blocked by some saturated row.
         for i in 0..3 {
             let blocked = sys.rows().iter().any(|row| {
-                row.coeffs[i] > 0.0 && {
-                    let used: f64 = row.coeffs.iter().zip(&a.rates).map(|(&c, &x)| c * x).sum();
-                    (row.capacity - used).abs() < 1e-9
-                }
+                row.entries.iter().any(|&(c, _)| c == i)
+                    && (row.capacity - used(row, &a.rates)).abs() < 1e-9
             });
             assert!(blocked, "app {i} could still grow");
         }
@@ -252,20 +241,34 @@ mod tests {
 
     #[test]
     fn errors_match_proportional_solver() {
-        let sys = system(vec![(1.0, vec![1.0, 0.0])], 2);
+        let sys = system(&[(1.0, &[1.0, 0.0])], 2);
         assert_eq!(
             max_min_allocation(&sys, &[1.0, 1.0]),
             Err(AllocError::Unbounded { app: 1 })
         );
-        let sys = system(vec![(0.0, vec![1.0])], 1);
+        let sys = system(&[(0.0, &[1.0])], 1);
         assert_eq!(
             max_min_allocation(&sys, &[1.0]),
             Err(AllocError::Infeasible { app: 0 })
         );
-        let sys = system(vec![(1.0, vec![1.0])], 1);
+        let sys = system(&[(1.0, &[1.0])], 1);
         assert_eq!(
             max_min_allocation(&sys, &[0.0]),
             Err(AllocError::BadPriority(0.0))
+        );
+    }
+
+    /// Used to `assert_eq!` on the weight count.
+    #[test]
+    fn weight_count_mismatch_is_an_error() {
+        let sys = system(&[(1.0, &[1.0, 1.0])], 2);
+        assert_eq!(
+            max_min_allocation(&sys, &[1.0]),
+            Err(AllocError::LengthMismatch {
+                what: "weights",
+                expected: 2,
+                got: 1
+            })
         );
     }
 }

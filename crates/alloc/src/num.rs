@@ -16,26 +16,49 @@
 //! [`ProportionalFairSolver`] solves the problem with a log-barrier
 //! path-following method in the variables `u_i = log x_i` (a geometric
 //! program: the objective is linear in `u` and each constraint
-//! `Σ_i R_ji e^{u_i} ≤ C_j` is convex), which is robust for the small,
-//! dense systems that arise here (tens of applications, hundreds of
-//! constraint rows). The KKT conditions of the original problem are
+//! `Σ_i R_ji e^{u_i} ≤ C_j` is convex): damped Newton steps with a
+//! backtracking line search per barrier weight μ. `R` is sparse —
+//! applications couple only through the elements they share — so each
+//! [`ConstraintRow`] lists only its positive coefficients, and every
+//! gradient, Hessian and slack is accumulated over those entries; the
+//! Hessian couples most of the small number of columns (tens of
+//! applications) and is factored densely, in place, in a reusable
+//! [`SolverScratch`]. The KKT conditions of the original problem are
 //! checked by [`Allocation::kkt_residual`].
 
 use sparcle_model::{CapacityMap, LoadMap, Network, NetworkElement, ResourceKind};
 use std::error::Error;
 use std::fmt;
 
-/// One capacity constraint row: `Σ_i coeffs[i] · x_i ≤ capacity`.
+/// Initial barrier weight μ₀, relative to the largest priority.
+const MU0: f64 = 1.0;
+/// Barrier reduction factor per outer round.
+const MU_SHRINK: f64 = 0.15;
+/// Outer (barrier-shrink) rounds of a cold solve.
+const OUTER_ITERS: usize = 11;
+/// Outer rounds of a warm solve: the **tail** of the cold μ schedule
+/// (the early high-μ rounds exist to walk a bad start onto the central
+/// path, which a warm start is already near), landing on the same final
+/// μ as a cold solve so duals and accuracy match.
+const WARM_OUTER_ITERS: usize = 3;
+/// Damped-Newton steps per outer round, at most.
+const INNER_ITERS: usize = 60;
+/// Step halvings per backtracking line search, at most.
+const LINE_SEARCH_STEPS: usize = 60;
+
+/// One capacity constraint row: `Σ_(i, c) ∈ entries c · x_i ≤ capacity`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstraintRow {
     /// Which network element and resource kind this row models (for
     /// diagnostics; not used by the solver).
     pub element: Option<(NetworkElement, ResourceKind)>,
     /// Available capacity `C_j` (must be positive; zero-capacity rows
-    /// with any positive coefficient make the problem infeasible).
+    /// with any entry make the problem infeasible).
     pub capacity: f64,
-    /// Per-application load coefficients `R_ji` (non-negative).
-    pub coeffs: Vec<f64>,
+    /// `(column, R_ji)` for every application with a positive load on
+    /// the row, strictly increasing in column. Applications without load
+    /// here have no entry.
+    pub entries: Vec<(usize, f64)>,
 }
 
 /// The constraint system `R X ≤ C` for a set of applications.
@@ -64,36 +87,48 @@ impl ConstraintSystem {
         &self.rows
     }
 
-    /// Adds a raw constraint row.
+    /// Adds a raw constraint row; a row without entries never binds and
+    /// is dropped.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `coeffs` length differs from the app count or any value
-    /// is negative/non-finite.
-    pub fn push_row(&mut self, row: ConstraintRow) {
-        assert_eq!(row.coeffs.len(), self.app_count, "coefficient arity");
-        assert!(
-            row.capacity.is_finite() && row.capacity >= 0.0,
-            "capacity must be finite and non-negative"
-        );
-        assert!(
-            row.coeffs.iter().all(|&c| c.is_finite() && c >= 0.0),
-            "coefficients must be finite and non-negative"
-        );
-        // Rows with no load never bind.
-        if row.coeffs.iter().any(|&c| c > 0.0) {
+    /// [`AllocError::BadCapacity`] unless the capacity is finite and
+    /// non-negative; [`AllocError::ColumnOutOfRange`],
+    /// [`AllocError::UnsortedColumns`] or [`AllocError::BadCoefficient`]
+    /// for the first entry whose column is not below
+    /// [`Self::app_count`], not above its predecessor's, or whose
+    /// coefficient is not finite and positive. The system is unchanged
+    /// on error.
+    pub fn push_row(&mut self, row: ConstraintRow) -> Result<(), AllocError> {
+        if !(row.capacity.is_finite() && row.capacity >= 0.0) {
+            return Err(AllocError::BadCapacity(row.capacity));
+        }
+        let mut next = 0;
+        for &(column, value) in &row.entries {
+            if column >= self.app_count {
+                return Err(AllocError::ColumnOutOfRange {
+                    column,
+                    app_count: self.app_count,
+                });
+            }
+            if column < next {
+                return Err(AllocError::UnsortedColumns { column });
+            }
+            if !(value.is_finite() && value > 0.0) {
+                return Err(AllocError::BadCoefficient { column, value });
+            }
+            next = column + 1;
+        }
+        if !row.entries.is_empty() {
             self.rows.push(row);
         }
+        Ok(())
     }
 
     /// Builds the system from per-application [`LoadMap`]s over a network
     /// with the given available capacities: one row per (NCP, resource
     /// kind) with any load, one per link with any load.
-    pub fn from_loads(
-        network: &Network,
-        capacities: &sparcle_model::CapacityMap,
-        loads: &[&LoadMap],
-    ) -> Self {
+    pub fn from_loads(network: &Network, capacities: &CapacityMap, loads: &[&LoadMap]) -> Self {
         let mut sys = ConstraintSystem::new(loads.len());
         for ncp in network.ncp_ids() {
             // Collect every resource kind any app loads on this NCP.
@@ -107,23 +142,40 @@ impl ConstraintSystem {
             }
             kinds.sort();
             for kind in kinds {
-                let coeffs: Vec<f64> = loads.iter().map(|l| l.ncp(ncp).amount(kind)).collect();
-                sys.push_row(ConstraintRow {
-                    element: Some((NetworkElement::Ncp(ncp), kind)),
-                    capacity: capacities.ncp(ncp).amount(kind),
-                    coeffs,
-                });
+                sys.push_loads(
+                    (NetworkElement::Ncp(ncp), kind),
+                    capacities.ncp(ncp).amount(kind),
+                    loads.iter().map(|l| l.ncp(ncp).amount(kind)),
+                );
             }
         }
         for link in network.link_ids() {
-            let coeffs: Vec<f64> = loads.iter().map(|l| l.link(link)).collect();
-            sys.push_row(ConstraintRow {
-                element: Some((NetworkElement::Link(link), ResourceKind::Bandwidth)),
-                capacity: capacities.link(link),
-                coeffs,
-            });
+            sys.push_loads(
+                (NetworkElement::Link(link), ResourceKind::Bandwidth),
+                capacities.link(link),
+                loads.iter().map(|l| l.link(link)),
+            );
         }
         sys
+    }
+
+    /// Adds a row from one load per column, keeping the positive ones.
+    /// Unchecked: `LoadMap` amounts are finite and non-negative and
+    /// `CapacityMap` entries clamp at zero.
+    fn push_loads(
+        &mut self,
+        element: (NetworkElement, ResourceKind),
+        capacity: f64,
+        loads: impl Iterator<Item = f64>,
+    ) {
+        let entries: Vec<(usize, f64)> = loads.enumerate().filter(|&(_, c)| c > 0.0).collect();
+        if !entries.is_empty() {
+            self.rows.push(ConstraintRow {
+                element: Some(element),
+                capacity,
+                entries,
+            });
+        }
     }
 }
 
@@ -134,12 +186,12 @@ impl ConstraintSystem {
 /// order of [`ConstraintSystem::from_loads`] (NCP rows ascending by id,
 /// kinds sorted within each NCP, then link rows ascending) — and a row
 /// is present iff at least one application has a strictly positive
-/// coefficient on it (matching `from_loads`, whose all-zero rows are
-/// dropped by [`ConstraintSystem::push_row`]). The wrapped system is
-/// therefore **structurally identical** to a scratch `from_loads` over
-/// the same load list: same rows in the same order, and each
-/// coefficient is read through the same [`LoadMap`] accessor
-/// `from_loads` uses, so no arithmetic drift is possible.
+/// coefficient on it (matching `from_loads`, which drops rows without
+/// entries). The wrapped system is therefore **structurally identical**
+/// to a scratch `from_loads` over the same load list: same rows in the
+/// same order with the same entries, each coefficient the value of the
+/// [`LoadMap`] accessor `from_loads` reads, so no arithmetic drift is
+/// possible.
 ///
 /// Row capacities are *not* tracked incrementally; call
 /// [`Self::refresh_capacities`] with the live residual before each
@@ -147,9 +199,9 @@ impl ConstraintSystem {
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalConstraints {
     system: ConstraintSystem,
-    /// Per-row count of strictly positive coefficients; the row is
-    /// dropped when this reaches zero.
-    nonzero: Vec<usize>,
+    /// `(element, kind)` of each row of `system`, in row order — the
+    /// sort key.
+    keys: Vec<(NetworkElement, ResourceKind)>,
 }
 
 impl IncrementalConstraints {
@@ -168,18 +220,6 @@ impl IncrementalConstraints {
         self.system.app_count
     }
 
-    fn row_key(row: &ConstraintRow) -> (NetworkElement, ResourceKind) {
-        row.element
-            .expect("incremental rows always carry their element key")
-    }
-
-    fn coeff(load: &LoadMap, element: NetworkElement, kind: ResourceKind) -> f64 {
-        match element {
-            NetworkElement::Ncp(id) => load.ncp(id).amount(kind),
-            NetworkElement::Link(id) => load.link(id),
-        }
-    }
-
     /// Appends a new application column at the end.
     pub fn push_app(&mut self, load: &LoadMap) {
         self.insert_app(self.system.app_count, load);
@@ -194,38 +234,33 @@ impl IncrementalConstraints {
     pub fn insert_app(&mut self, col: usize, load: &LoadMap) {
         assert!(col <= self.system.app_count, "column index in range");
         self.system.app_count += 1;
-        for (row, nz) in self.system.rows.iter_mut().zip(&mut self.nonzero) {
-            let (element, kind) = row
-                .element
-                .expect("incremental rows always carry their element key");
-            let c = Self::coeff(load, element, kind);
-            row.coeffs.insert(col, c);
-            if c > 0.0 {
-                *nz += 1;
+        for row in &mut self.system.rows {
+            let at = row.entries.partition_point(|&(c, _)| c < col);
+            for entry in &mut row.entries[at..] {
+                entry.0 += 1;
             }
         }
-        // Create the rows this load binds that no resident app binds yet,
-        // at their sorted position.
         for (element, kind, amount) in load.positive_entries() {
             let key = (element, kind);
-            if let Err(pos) = self
-                .system
-                .rows
-                .binary_search_by(|r| Self::row_key(r).cmp(&key))
-            {
-                let mut coeffs = vec![0.0; self.system.app_count];
-                coeffs[col] = amount;
-                self.system.rows.insert(
-                    pos,
-                    ConstraintRow {
-                        element: Some(key),
-                        // Placeholder; refresh_capacities runs before
-                        // every solve.
-                        capacity: 0.0,
-                        coeffs,
-                    },
-                );
-                self.nonzero.insert(pos, 1);
+            match self.keys.binary_search(&key) {
+                Ok(r) => {
+                    let entries = &mut self.system.rows[r].entries;
+                    let at = entries.partition_point(|&(c, _)| c < col);
+                    entries.insert(at, (col, amount));
+                }
+                Err(r) => {
+                    self.keys.insert(r, key);
+                    self.system.rows.insert(
+                        r,
+                        ConstraintRow {
+                            element: Some(key),
+                            // Placeholder; refresh_capacities runs before
+                            // every solve.
+                            capacity: 0.0,
+                            entries: vec![(col, amount)],
+                        },
+                    );
+                }
             }
         }
     }
@@ -239,29 +274,29 @@ impl IncrementalConstraints {
     pub fn remove_app(&mut self, col: usize) {
         assert!(col < self.system.app_count, "column index in range");
         self.system.app_count -= 1;
-        let mut i = 0;
-        while i < self.system.rows.len() {
-            let c = self.system.rows[i].coeffs.remove(col);
-            if c > 0.0 {
-                self.nonzero[i] -= 1;
+        for row in &mut self.system.rows {
+            let at = row.entries.partition_point(|&(c, _)| c < col);
+            if row.entries.get(at).is_some_and(|&(c, _)| c == col) {
+                row.entries.remove(at);
             }
-            if self.nonzero[i] == 0 {
-                self.system.rows.remove(i);
-                self.nonzero.remove(i);
-            } else {
-                i += 1;
+            for entry in &mut row.entries[at..] {
+                entry.0 -= 1;
             }
         }
+        let rows = &self.system.rows;
+        let mut r = 0;
+        self.keys.retain(|_| {
+            r += 1;
+            !rows[r - 1].entries.is_empty()
+        });
+        self.system.rows.retain(|row| !row.entries.is_empty());
     }
 
     /// Copies the current capacity of every row's element out of `caps`,
     /// through the same accessors [`ConstraintSystem::from_loads`] uses.
     /// Call once before each solve so the rows see the live GR residual.
     pub fn refresh_capacities(&mut self, caps: &CapacityMap) {
-        for row in &mut self.system.rows {
-            let (element, kind) = row
-                .element
-                .expect("incremental rows always carry their element key");
+        for (row, &(element, kind)) in self.system.rows.iter_mut().zip(&self.keys) {
             row.capacity = match element {
                 NetworkElement::Ncp(id) => caps.ncp(id).amount(kind),
                 NetworkElement::Link(id) => caps.link(id),
@@ -288,6 +323,37 @@ pub enum AllocError {
     },
     /// A priority was non-positive or non-finite.
     BadPriority(f64),
+    /// A row's capacity was negative or non-finite.
+    BadCapacity(f64),
+    /// A row entry named a column the system does not have.
+    ColumnOutOfRange {
+        /// The offending column.
+        column: usize,
+        /// The system's number of columns.
+        app_count: usize,
+    },
+    /// A row entry's column was not above the previous entry's (the
+    /// entries were unsorted or repeated a column).
+    UnsortedColumns {
+        /// The offending column.
+        column: usize,
+    },
+    /// A row entry's coefficient was zero, negative or non-finite.
+    BadCoefficient {
+        /// The entry's column.
+        column: usize,
+        /// The rejected coefficient.
+        value: f64,
+    },
+    /// A per-application input did not have one value per column.
+    LengthMismatch {
+        /// Which input (`"priorities"`, `"start rates"`, `"weights"`).
+        what: &'static str,
+        /// The system's number of columns.
+        expected: usize,
+        /// The input's length.
+        got: usize,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -304,6 +370,34 @@ impl fmt::Display for AllocError {
             }
             AllocError::BadPriority(p) => {
                 write!(f, "priority must be positive and finite, got {p}")
+            }
+            AllocError::BadCapacity(c) => {
+                write!(f, "capacity must be finite and non-negative, got {c}")
+            }
+            AllocError::ColumnOutOfRange { column, app_count } => {
+                write!(
+                    f,
+                    "row entry names column {column} of a {app_count}-column system"
+                )
+            }
+            AllocError::UnsortedColumns { column } => {
+                write!(
+                    f,
+                    "row entries must be strictly increasing in column, got {column} out of order"
+                )
+            }
+            AllocError::BadCoefficient { column, value } => {
+                write!(
+                    f,
+                    "coefficient of column {column} must be positive and finite, got {value}"
+                )
+            }
+            AllocError::LengthMismatch {
+                what,
+                expected,
+                got,
+            } => {
+                write!(f, "expected {expected} {what}, one per column, got {got}")
             }
         }
     }
@@ -327,15 +421,15 @@ impl Allocation {
     /// relative to `P_i / x_i`, over all applications. Near-zero means
     /// the allocation is (numerically) optimal.
     pub fn kkt_residual(&self, system: &ConstraintSystem, priorities: &[f64]) -> f64 {
+        let mut price = vec![0.0; system.app_count()];
+        for (row, &lambda) in system.rows().iter().zip(&self.duals) {
+            for &(i, c) in &row.entries {
+                price[i] += lambda * c;
+            }
+        }
         let mut worst: f64 = 0.0;
-        for (i, (&rate, &priority)) in self.rates.iter().zip(priorities).enumerate() {
+        for ((&rate, &priority), &price) in self.rates.iter().zip(priorities).zip(&price) {
             let grad = priority / rate;
-            let price: f64 = system
-                .rows()
-                .iter()
-                .zip(&self.duals)
-                .map(|(row, &lambda)| lambda * row.coeffs[i])
-                .sum();
             worst = worst.max((grad - price).abs() / grad.max(1e-300));
         }
         worst
@@ -347,10 +441,9 @@ impl Allocation {
         let mut worst: f64 = 0.0;
         for row in system.rows() {
             let used: f64 = row
-                .coeffs
+                .entries
                 .iter()
-                .zip(&self.rates)
-                .map(|(&c, &x)| c * x)
+                .filter_map(|&(i, c)| self.rates.get(i).map(|&x| c * x))
                 .sum();
             if row.capacity > 0.0 {
                 worst = worst.max((used - row.capacity) / row.capacity);
@@ -377,6 +470,307 @@ pub struct SolveStats {
     pub warm_started: bool,
 }
 
+/// Every buffer a [`ProportionalFairSolver`] run needs, kept between
+/// runs: once they have grown to a system's shape, a
+/// [`ProportionalFairSolver::solve_into`] of that shape makes no
+/// allocator call.
+///
+/// The caller puts one priority per column in with
+/// [`Self::set_priorities`]; after a successful solve
+/// [`Self::rates`] holds the allocation.
+#[derive(Debug, Default)]
+pub struct SolverScratch {
+    /// `P_i`, one per column.
+    priorities: Vec<f64>,
+    /// The iterate `u = log x`.
+    u: Vec<f64>,
+    /// `x = e^u` at the iterate; the rates once a solve returns.
+    x: Vec<f64>,
+    /// Row slacks `C_j − Σ_i R_ji x_i` at `x`.
+    slacks: Vec<f64>,
+    /// Gradient of the barrier objective at `u`.
+    grad: Vec<f64>,
+    /// `−H`'s lower triangle packed column by column (column `k` holds
+    /// rows `k..n` from `col_start(k, n)`), factored in place into `L`.
+    hess: Vec<f64>,
+    /// Newton direction.
+    dir: Vec<f64>,
+    /// Line-search trial point and its `e^u` and slacks.
+    trial: Vec<f64>,
+    trial_x: Vec<f64>,
+    trial_slacks: Vec<f64>,
+    /// One row's `(column, R_ji x_i)` pairs with a non-zero product.
+    rx: Vec<(usize, f64)>,
+}
+
+impl SolverScratch {
+    /// An empty scratch; the first solve sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the priorities `P_i` of the next solve, one per column.
+    pub fn set_priorities(&mut self, priorities: impl IntoIterator<Item = f64>) {
+        self.priorities.clear();
+        self.priorities.extend(priorities);
+    }
+
+    /// The priorities of the next (or last) solve.
+    pub fn priorities(&self) -> &[f64] {
+        &self.priorities
+    }
+
+    /// The rates `x_i` of the last successful solve.
+    pub fn rates(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// Damped Newton maximization of
+    /// `F(u) = Σ P_i u_i + μ Σ_j log(C_j − Σ_i R_ji e^{u_i})`.
+    ///
+    /// With `x_i = e^{u_i}` and `w_j = μ / s_j`:
+    ///
+    /// * gradient `g_i = P_i − Σ_j w_j R_ji x_i`;
+    /// * Hessian `H_ik = −[δ_ik Σ_j w_j R_ji x_i
+    ///   + Σ_j (w_j / s_j)(R_ji x_i)(R_jk x_k)]` (negative definite).
+    ///
+    /// Returns the number of Newton steps attempted.
+    fn maximize_barrier(&mut self, rows: &[ConstraintRow], mu: f64) -> usize {
+        let n = self.u.len();
+        for (x, &u) in self.x.iter_mut().zip(&self.u) {
+            *x = u.exp();
+        }
+        compute_slacks(rows, &self.x, &mut self.slacks);
+        let mut value = barrier_value(&self.priorities, mu, &self.u, &self.slacks);
+        let pscale = self.priorities.iter().cloned().fold(f64::MIN, f64::max);
+        let mut steps = 0usize;
+        for _ in 0..INNER_ITERS {
+            self.assemble(rows, mu);
+            let gnorm: f64 = self.grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+            if gnorm < 1e-11 * pscale {
+                break;
+            }
+            steps += 1;
+            // Newton direction d solves (−H) d = g; plain ascent if −H
+            // is not numerically positive definite.
+            if cholesky_in_place(&mut self.hess, n) {
+                cholesky_solve(&self.hess, &self.grad, &mut self.dir);
+            } else {
+                self.dir.copy_from_slice(&self.grad);
+            }
+            // Backtracking line search with feasibility guard.
+            let mut t = 1.0;
+            let mut improved = false;
+            for _ in 0..LINE_SEARCH_STEPS {
+                let mut moved = false;
+                for ((trial, &u), &d) in self.trial.iter_mut().zip(&self.u).zip(&self.dir) {
+                    *trial = u + t * d;
+                    moved |= trial.to_bits() != u.to_bits();
+                }
+                // The step has rounded away: this trial is the current
+                // point (so it cannot beat `value`), and by monotone
+                // rounding so is every shorter one.
+                if !moved {
+                    break;
+                }
+                for (x, &u) in self.trial_x.iter_mut().zip(&self.trial) {
+                    *x = u.exp();
+                }
+                if slacks_positive(rows, &self.trial_x, &mut self.trial_slacks) {
+                    let v = barrier_value(&self.priorities, mu, &self.trial, &self.trial_slacks);
+                    if v > value {
+                        std::mem::swap(&mut self.u, &mut self.trial);
+                        std::mem::swap(&mut self.x, &mut self.trial_x);
+                        std::mem::swap(&mut self.slacks, &mut self.trial_slacks);
+                        value = v;
+                        improved = true;
+                        break;
+                    }
+                }
+                t *= 0.5;
+            }
+            if !improved {
+                break;
+            }
+        }
+        steps
+    }
+
+    /// The gradient and `−H`'s lower triangle at `x`, accumulated row by
+    /// row over each row's entries. Every entry of `−H` receives its row
+    /// contributions in row order (the diagonal its `w·r_i` before its
+    /// `(w/s)·r_i·r_i`), the order the dense assembly used.
+    fn assemble(&mut self, rows: &[ConstraintRow], mu: f64) {
+        let n = self.x.len();
+        self.grad.copy_from_slice(&self.priorities);
+        self.hess.fill(0.0);
+        for (row, &s) in rows.iter().zip(&self.slacks) {
+            let s = s.max(1e-300);
+            let w = mu / s;
+            let ws = w / s;
+            self.rx.clear();
+            self.rx.extend(row.entries.iter().filter_map(|&(i, c)| {
+                let ri = c * self.x[i];
+                (ri != 0.0).then_some((i, ri))
+            }));
+            for (a, &(k, rk)) in self.rx.iter().enumerate() {
+                self.grad[k] -= w * rk;
+                let col = col_start(k, n) - k;
+                self.hess[col + k] += w * rk;
+                for &(i, ri) in &self.rx[a..] {
+                    self.hess[col + i] += ws * ri * rk;
+                }
+            }
+        }
+    }
+}
+
+/// Where column `k` of an `n`-column packed lower triangle starts; it
+/// holds rows `k..n`.
+fn col_start(k: usize, n: usize) -> usize {
+    k * (2 * n - k + 1) / 2
+}
+
+/// Factors the packed lower triangle `a` (see [`SolverScratch`]) of a
+/// symmetric matrix into `L` with `A = L Lᵀ`, in place, column by column.
+/// Column `j` takes off every earlier column's term as one sweep over its
+/// rows, so the rows of a column advance together while each entry's
+/// `a_ij − Σ_k l_ik l_jk` still runs `k` upward. Returns `false` if `A`
+/// is not numerically positive definite (a diagonal ≤ 0).
+fn cholesky_in_place(a: &mut [f64], n: usize) -> bool {
+    for j in 0..n {
+        let (done, rest) = a.split_at_mut(col_start(j, n));
+        let col = &mut rest[..n - j];
+        for k in 0..j {
+            let start = col_start(k, n) - k;
+            let lk = &done[start + j..start + n];
+            let ljk = lk[0];
+            for (c, &l) in col.iter_mut().zip(lk) {
+                *c -= l * ljk;
+            }
+        }
+        if col[0] <= 0.0 {
+            return false;
+        }
+        let d = col[0].sqrt();
+        col[0] = d;
+        for c in &mut col[1..] {
+            *c /= d;
+        }
+    }
+    true
+}
+
+/// Solves `L Lᵀ d = b` for the factor [`cholesky_in_place`] left in `l`:
+/// forward column by column (each `y_i` takes its `l_ik y_k` terms `k`
+/// upward), then backward down each column.
+fn cholesky_solve(l: &[f64], b: &[f64], d: &mut [f64]) {
+    let n = b.len();
+    d.copy_from_slice(b);
+    for k in 0..n {
+        let col = &l[col_start(k, n)..col_start(k, n) + n - k];
+        let yk = d[k] / col[0];
+        d[k] = yk;
+        for (di, &lik) in d[k + 1..].iter_mut().zip(&col[1..]) {
+            *di -= lik * yk;
+        }
+    }
+    for i in (0..n).rev() {
+        let col = &l[col_start(i, n)..col_start(i, n) + n - i];
+        let mut sum = d[i];
+        for (&lki, &dk) in col[1..].iter().zip(&d[i + 1..]) {
+            sum -= lki * dk;
+        }
+        d[i] = sum / col[0];
+    }
+}
+
+fn row_load(row: &ConstraintRow, x: &[f64]) -> f64 {
+    row.entries.iter().map(|&(i, c)| c * x[i]).sum()
+}
+
+fn compute_slacks(rows: &[ConstraintRow], x: &[f64], slacks: &mut [f64]) {
+    for (row, s) in rows.iter().zip(slacks.iter_mut()) {
+        *s = row.capacity - row_load(row, x);
+    }
+}
+
+/// [`compute_slacks`] that stops at the first row without positive
+/// slack and reports whether it got through all of them.
+fn slacks_positive(rows: &[ConstraintRow], x: &[f64], slacks: &mut [f64]) -> bool {
+    rows.iter().zip(slacks.iter_mut()).all(|(row, s)| {
+        *s = row.capacity - row_load(row, x);
+        *s > 0.0
+    })
+}
+
+fn barrier_value(priorities: &[f64], mu: f64, u: &[f64], slacks: &[f64]) -> f64 {
+    let mut v: f64 = priorities.iter().zip(u).map(|(&p, &ui)| p * ui).sum();
+    for &s in slacks {
+        if s <= 0.0 {
+            return f64::NEG_INFINITY;
+        }
+        v += mu * s.ln();
+    }
+    v
+}
+
+/// The check both allocators run before solving: every column must be
+/// bound by some row, and by no zero-capacity one. Leaves
+/// `min_j C_j / R_ji` over column `i`'s rows in `cap[i]`.
+///
+/// # Errors
+///
+/// [`AllocError::Infeasible`] or [`AllocError::Unbounded`] for the
+/// lowest offending column.
+pub(crate) fn column_bottlenecks(
+    system: &ConstraintSystem,
+    cap: &mut Vec<f64>,
+) -> Result<(), AllocError> {
+    // NaN marks "no positive-capacity row yet": `f64::min` returns its
+    // other operand, and the ratios themselves are never NaN.
+    cap.clear();
+    cap.resize(system.app_count, f64::NAN);
+    let mut infeasible = usize::MAX;
+    for row in &system.rows {
+        for &(i, c) in &row.entries {
+            if row.capacity <= 0.0 {
+                infeasible = infeasible.min(i);
+            } else {
+                cap[i] = cap[i].min(row.capacity / c);
+            }
+        }
+    }
+    // A column bound only by zero-capacity rows is NaN too, but it is
+    // never below `infeasible`: the first NaN column is unbound only if
+    // it comes first.
+    let unbound = cap.iter().position(|c| c.is_nan()).unwrap_or(usize::MAX);
+    if infeasible != usize::MAX && infeasible <= unbound {
+        Err(AllocError::Infeasible { app: infeasible })
+    } else if unbound != usize::MAX {
+        Err(AllocError::Unbounded { app: unbound })
+    } else {
+        Ok(())
+    }
+}
+
+/// Checks that `values` has one entry per column of `system`.
+pub(crate) fn check_len(
+    what: &'static str,
+    values: &[f64],
+    system: &ConstraintSystem,
+) -> Result<(), AllocError> {
+    if values.len() == system.app_count {
+        Ok(())
+    } else {
+        Err(AllocError::LengthMismatch {
+            what,
+            expected: system.app_count,
+            got: values.len(),
+        })
+    }
+}
+
 /// Log-barrier path-following solver for the weighted proportional-fair
 /// allocation problem (4).
 ///
@@ -391,64 +785,37 @@ pub struct SolveStats {
 ///
 /// # fn main() -> Result<(), sparcle_alloc::num::AllocError> {
 /// let mut sys = ConstraintSystem::new(2);
-/// sys.push_row(ConstraintRow { element: None, capacity: 1.0, coeffs: vec![1.0, 1.0] });
+/// sys.push_row(ConstraintRow { element: None, capacity: 1.0, entries: vec![(0, 1.0), (1, 1.0)] })?;
 /// let alloc = ProportionalFairSolver::new().solve(&sys, &[2.0, 1.0])?;
 /// assert!((alloc.rates[0] - 2.0 / 3.0).abs() < 1e-6);
 /// assert!((alloc.rates[1] - 1.0 / 3.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct ProportionalFairSolver {
-    /// Initial barrier weight.
-    mu0: f64,
-    /// Barrier reduction factor per outer iteration.
-    mu_shrink: f64,
-    /// Outer iterations (final μ = mu0 · mu_shrink^outer).
-    outer_iters: usize,
-    /// Gradient-ascent steps per outer iteration.
-    inner_iters: usize,
-    /// Outer iterations used when warm-started: the run executes only
-    /// the **tail** of the cold μ schedule (the early high-μ rounds
-    /// exist to walk a bad start onto the central path, which a warm
-    /// start is already near), landing on the same final μ as a cold
-    /// solve so duals and accuracy match.
-    warm_outer_iters: usize,
-}
-
-impl Default for ProportionalFairSolver {
-    fn default() -> Self {
-        ProportionalFairSolver {
-            mu0: 1.0,
-            mu_shrink: 0.15,
-            outer_iters: 11,
-            inner_iters: 60,
-            warm_outer_iters: 3,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProportionalFairSolver;
 
 impl ProportionalFairSolver {
-    /// Creates a solver with default accuracy (KKT residual ≲ 1e-6 on
-    /// well-scaled problems).
+    /// Creates a solver (KKT residual ≲ 1e-6 on well-scaled problems).
     pub fn new() -> Self {
-        Self::default()
+        ProportionalFairSolver
     }
 
     /// Solves problem (4).
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::BadPriority`] for non-positive priorities,
-    /// [`AllocError::Unbounded`] when an application has no constraint,
-    /// and [`AllocError::Infeasible`] when an application can never get a
-    /// positive rate.
+    /// Returns [`AllocError::LengthMismatch`] unless there is one
+    /// priority per column, [`AllocError::BadPriority`] for
+    /// non-positive priorities, [`AllocError::Unbounded`] when an
+    /// application has no constraint, and [`AllocError::Infeasible`]
+    /// when an application can never get a positive rate.
     pub fn solve(
         &self,
         system: &ConstraintSystem,
         priorities: &[f64],
     ) -> Result<Allocation, AllocError> {
-        Ok(self.solve_impl(system, priorities, None)?.0)
+        Ok(self.solve_alloc(system, priorities, None)?.0)
     }
 
     /// Like [`Self::solve`], additionally returning iteration counts.
@@ -461,7 +828,7 @@ impl ProportionalFairSolver {
         system: &ConstraintSystem,
         priorities: &[f64],
     ) -> Result<(Allocation, SolveStats), AllocError> {
-        self.solve_impl(system, priorities, None)
+        self.solve_alloc(system, priorities, None)
     }
 
     /// Like [`Self::solve`] but warm-started from a previous allocation
@@ -473,7 +840,7 @@ impl ProportionalFairSolver {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::solve`].
+    /// Same as [`Self::solve_warm_with_stats`].
     pub fn solve_warm(
         &self,
         system: &ConstraintSystem,
@@ -497,348 +864,223 @@ impl ProportionalFairSolver {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::solve`].
+    /// Same as [`Self::solve`], and [`AllocError::LengthMismatch`]
+    /// unless there is one start rate per column.
     pub fn solve_warm_with_stats(
         &self,
         system: &ConstraintSystem,
         priorities: &[f64],
         start: &[f64],
     ) -> Result<(Allocation, SolveStats), AllocError> {
-        assert_eq!(start.len(), system.app_count(), "one start rate per app");
-        self.solve_impl(system, priorities, Some(start))
+        self.solve_alloc(system, priorities, Some(start))
     }
 
-    fn solve_impl(
+    /// The solve every other entry point wraps: problem (4) over
+    /// `system` with the priorities in `scratch`, warm-started from
+    /// `start` when given (see [`Self::solve_warm_with_stats`]), leaving
+    /// the rates in [`SolverScratch::rates`]. Allocation-free once
+    /// `scratch` has seen a system of this shape.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::solve_warm_with_stats`].
+    pub fn solve_into(
+        &self,
+        system: &ConstraintSystem,
+        start: Option<&[f64]>,
+        scratch: &mut SolverScratch,
+    ) -> Result<SolveStats, AllocError> {
+        Ok(self.solve_body(system, start, scratch)?.0)
+    }
+
+    /// [`Self::solve_into`] on a fresh scratch, with the duals and the
+    /// utility the allocating entry points report.
+    fn solve_alloc(
         &self,
         system: &ConstraintSystem,
         priorities: &[f64],
         start: Option<&[f64]>,
     ) -> Result<(Allocation, SolveStats), AllocError> {
+        let mut scratch = SolverScratch::new();
+        scratch.set_priorities(priorities.iter().copied());
+        let (stats, mu) = self.solve_body(system, start, &mut scratch)?;
+        // Dual estimate from the barrier: λ_j = μ / slack_j.
+        let duals = scratch.slacks.iter().map(|&s| mu / s.max(1e-300)).collect();
+        let utility = priorities
+            .iter()
+            .zip(&scratch.x)
+            .map(|(&p, &x)| p * x.ln())
+            .sum();
+        let allocation = Allocation {
+            rates: scratch.x,
+            duals,
+            utility,
+        };
+        Ok((allocation, stats))
+    }
+
+    /// The solve; also returns the μ of the last barrier round, and
+    /// leaves the slacks at the rates in `scratch.slacks`.
+    fn solve_body(
+        &self,
+        system: &ConstraintSystem,
+        start: Option<&[f64]>,
+        s: &mut SolverScratch,
+    ) -> Result<(SolveStats, f64), AllocError> {
         let n = system.app_count();
-        assert_eq!(priorities.len(), n, "one priority per application");
-        for &p in priorities {
+        check_len("priorities", &s.priorities, system)?;
+        if let Some(start) = start {
+            check_len("start rates", start, system)?;
+        }
+        for &p in &s.priorities {
             if !p.is_finite() || p <= 0.0 {
                 return Err(AllocError::BadPriority(p));
             }
         }
         let rows = system.rows();
-        // Sanity: every app must be constrained by a positive-capacity
-        // row, and never by a zero-capacity one.
-        for i in 0..n {
-            let mut constrained = false;
-            for row in rows {
-                if row.coeffs[i] > 0.0 {
-                    if row.capacity <= 0.0 {
-                        return Err(AllocError::Infeasible { app: i });
-                    }
-                    constrained = true;
-                }
-            }
-            if !constrained {
-                return Err(AllocError::Unbounded { app: i });
-            }
+        let m = rows.len();
+        for v in [
+            &mut s.u,
+            &mut s.grad,
+            &mut s.dir,
+            &mut s.trial,
+            &mut s.trial_x,
+        ] {
+            v.resize(n, 0.0);
         }
-
-        // A warm start with no usable (positive, finite) entry carries
-        // no information — demote it to a cold solve so the result is
-        // bitwise identical to `solve` (readmission of a lone BE app
-        // with a zeroed rate relies on this exactness).
-        let start = start.filter(|warm| warm.iter().any(|&w| w.is_finite() && w > 0.0));
+        s.slacks.resize(m, 0.0);
+        s.trial_slacks.resize(m, 0.0);
+        s.hess.resize(n * (n + 1) / 2, 0.0);
 
         // Strictly feasible start: x_i = (1/2n) · min over binding rows
         // of C_j / R_ji — or the caller's warm start pulled into the
         // interior.
-        let cold: Vec<f64> = (0..n)
-            .map(|i| {
-                let cap = rows
-                    .iter()
-                    .filter(|r| r.coeffs[i] > 0.0)
-                    .map(|r| r.capacity / r.coeffs[i])
-                    .fold(f64::INFINITY, f64::min);
-                (cap / (2.0 * n as f64)).max(1e-12)
-            })
-            .collect();
-        let (x0, warm_started): (Vec<f64>, bool) = match start {
-            None => (cold, false),
-            Some(warm) => {
-                // Replace non-positive entries, then shrink uniformly
-                // until every row has at least 10 % slack.
-                let mut x: Vec<f64> = warm
-                    .iter()
-                    .zip(&cold)
-                    .map(|(&w, &c)| if w.is_finite() && w > 0.0 { w } else { c })
-                    .collect();
-                let mut worst = 0.0f64;
-                for row in rows {
-                    let used: f64 = row.coeffs.iter().zip(&x).map(|(&c, &xi)| c * xi).sum();
-                    if row.capacity > 0.0 {
-                        worst = worst.max(used / row.capacity);
-                    }
+        column_bottlenecks(system, &mut s.x)?;
+        for x in &mut s.x {
+            *x = (*x / (2.0 * n as f64)).max(1e-12);
+        }
+        // A warm start with no usable (positive, finite) entry carries
+        // no information — demote it to a cold solve so the result is
+        // bitwise identical to `solve` (readmission of a lone BE app
+        // with a zeroed rate relies on this exactness).
+        let usable = |w: f64| w.is_finite() && w > 0.0;
+        let mut warm_started = false;
+        if let Some(warm) = start.filter(|warm| warm.iter().any(|&w| usable(w))) {
+            // Replace non-positive entries, then shrink uniformly until
+            // every row has at least 10 % slack.
+            for (x, &w) in s.x.iter_mut().zip(warm) {
+                if usable(w) {
+                    *x = w;
                 }
-                if worst > 0.9 {
-                    let shrink = 0.9 / worst;
-                    for xi in &mut x {
-                        *xi *= shrink;
-                    }
-                }
-                // The fast tail-only schedule is safe only for a start
-                // that is already near-feasible (the previous optimum
-                // after a bounded capacity change, or one new app next
-                // to incumbents). A wildly overloaded start needs the
-                // early high-μ rounds to walk back to the central path,
-                // so it runs the full schedule instead.
-                (x, worst <= 10.0)
             }
-        };
-        let mut u: Vec<f64> = x0.iter().map(|&x| x.max(1e-300).ln()).collect();
+            let mut worst = 0.0f64;
+            for row in rows {
+                let used = row_load(row, &s.x);
+                if row.capacity > 0.0 {
+                    worst = worst.max(used / row.capacity);
+                }
+            }
+            if worst > 0.9 {
+                let shrink = 0.9 / worst;
+                for x in &mut s.x {
+                    *x *= shrink;
+                }
+            }
+            // The fast tail-only schedule is safe only for a start that
+            // is already near-feasible (the previous optimum after a
+            // bounded capacity change, or one new app next to
+            // incumbents). A wildly overloaded start needs the early
+            // high-μ rounds to walk back to the central path, so it runs
+            // the full schedule instead.
+            warm_started = worst <= 10.0;
+        }
+        for (u, &x) in s.u.iter_mut().zip(&s.x) {
+            *u = x.max(1e-300).ln();
+        }
 
-        let pscale = priorities.iter().cloned().fold(f64::MIN, f64::max);
+        let pscale = s.priorities.iter().cloned().fold(f64::MIN, f64::max);
         // Warm runs execute only the tail of the cold μ schedule; μ is
         // advanced to the tail's start by the same repeated
         // multiplication a cold run performs, so the μ sequence (and the
         // final μ the duals are scaled by) matches bitwise.
         let outer = if warm_started {
-            self.warm_outer_iters.min(self.outer_iters)
+            WARM_OUTER_ITERS
         } else {
-            self.outer_iters
+            OUTER_ITERS
         };
-        let mut mu = self.mu0 * pscale;
-        for _ in 0..self.outer_iters - outer {
-            mu *= self.mu_shrink;
+        let mut mu = MU0 * pscale;
+        for _ in 0..OUTER_ITERS - outer {
+            mu *= MU_SHRINK;
         }
-        let mut slacks = vec![0.0; rows.len()];
         let mut inner_total = 0usize;
         for _ in 0..outer {
-            inner_total += self.maximize_barrier(rows, priorities, mu, &mut u, &mut slacks);
-            mu *= self.mu_shrink;
+            inner_total += s.maximize_barrier(rows, mu);
+            mu *= MU_SHRINK;
         }
-        mu /= self.mu_shrink; // μ of the last completed solve
+        mu /= MU_SHRINK; // μ of the last completed solve
 
-        let rates: Vec<f64> = u.iter().map(|&ui| ui.exp()).collect();
-        // Dual estimate from the barrier: λ_j = μ / slack_j.
-        compute_slacks(rows, &rates, &mut slacks);
-        let duals: Vec<f64> = slacks.iter().map(|&s| mu / s.max(1e-300)).collect();
-        let utility = priorities
-            .iter()
-            .zip(&rates)
-            .map(|(&p, &x)| p * x.ln())
-            .sum();
-        Ok((
-            Allocation {
-                rates,
-                duals,
-                utility,
-            },
-            SolveStats {
-                outer_iters: outer,
-                inner_iters: inner_total,
-                warm_started,
-            },
-        ))
-    }
-
-    /// Damped Newton maximization of
-    /// `F(u) = Σ P_i u_i + μ Σ_j log(C_j − Σ_i R_ji e^{u_i})`.
-    ///
-    /// With `x_i = e^{u_i}` and `w_j = μ / s_j`:
-    ///
-    /// * gradient `g_i = P_i − Σ_j w_j R_ji x_i`;
-    /// * Hessian `H_ik = −[δ_ik Σ_j w_j R_ji x_i
-    ///   + Σ_j (w_j / s_j)(R_ji x_i)(R_jk x_k)]` (negative definite).
-    ///
-    /// Returns the number of Newton steps attempted.
-    fn maximize_barrier(
-        &self,
-        rows: &[ConstraintRow],
-        priorities: &[f64],
-        mu: f64,
-        u: &mut [f64],
-        slacks: &mut [f64],
-    ) -> usize {
-        let n = u.len();
-        let mut x: Vec<f64> = u.iter().map(|&ui| ui.exp()).collect();
-        compute_slacks(rows, &x, slacks);
-        let mut value = barrier_value(rows, priorities, mu, u, slacks);
-        let mut grad = vec![0.0; n];
-        let mut hess = vec![0.0; n * n]; // stores −H (positive definite)
-        let mut trial = vec![0.0; n];
-        let mut trial_x = vec![0.0; n];
-        let mut trial_slacks = vec![0.0; rows.len()];
-        // Per-row sparse scratch: the (index, R_ji·x_i) pairs with a
-        // nonzero product. Rebuilt each Newton step; index order matches
-        // the dense loop, so every float is accumulated in the same
-        // order and the result stays bitwise identical.
-        let mut rx: Vec<(usize, f64)> = Vec::with_capacity(n);
-        let pscale = priorities.iter().cloned().fold(f64::MIN, f64::max);
-        let mut steps = 0usize;
-        for _ in 0..self.inner_iters {
-            for (g, &p) in grad.iter_mut().zip(priorities) {
-                *g = p;
-            }
-            hess.iter_mut().for_each(|h| *h = 0.0);
-            for (row, &s) in rows.iter().zip(slacks.iter()) {
-                let s = s.max(1e-300);
-                let w = mu / s;
-                rx.clear();
-                rx.extend(
-                    row.coeffs
-                        .iter()
-                        .zip(&x)
-                        .enumerate()
-                        .filter_map(|(i, (&c, &xi))| {
-                            let ri = c * xi;
-                            (ri != 0.0).then_some((i, ri))
-                        }),
-                );
-                for &(i, ri) in &rx {
-                    grad[i] -= w * ri;
-                    hess[i * n + i] += w * ri;
-                    let hrow = &mut hess[i * n..(i + 1) * n];
-                    for &(k, rk) in &rx {
-                        hrow[k] += (w / s) * ri * rk;
-                    }
-                }
-            }
-            let gnorm: f64 = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-            if gnorm < 1e-11 * pscale {
-                break;
-            }
-            steps += 1;
-            // Newton direction d solves (−H) d = g.
-            let dir = match cholesky_solve(&hess, &grad, n) {
-                Some(d) => d,
-                None => grad.clone(), // fall back to plain ascent
-            };
-            // Backtracking line search with feasibility guard.
-            let mut t = 1.0;
-            let mut improved = false;
-            for _ in 0..60 {
-                for i in 0..n {
-                    trial[i] = u[i] + t * dir[i];
-                    trial_x[i] = trial[i].exp();
-                }
-                compute_slacks(rows, &trial_x, &mut trial_slacks);
-                if trial_slacks.iter().all(|&s| s > 0.0) {
-                    let v = barrier_value(rows, priorities, mu, &trial, &trial_slacks);
-                    if v > value {
-                        u.copy_from_slice(&trial);
-                        x.copy_from_slice(&trial_x);
-                        slacks.copy_from_slice(&trial_slacks);
-                        value = v;
-                        improved = true;
-                        break;
-                    }
-                }
-                t *= 0.5;
-            }
-            if !improved {
-                break;
-            }
+        for (x, &u) in s.x.iter_mut().zip(&s.u) {
+            *x = u.exp();
         }
-        steps
+        compute_slacks(rows, &s.x, &mut s.slacks);
+        let stats = SolveStats {
+            outer_iters: outer,
+            inner_iters: inner_total,
+            warm_started,
+        };
+        Ok((stats, mu))
     }
-}
-
-/// Solves `A d = b` for symmetric positive-definite `A` (row-major,
-/// `n × n`) by Cholesky factorization. Returns `None` if `A` is not
-/// numerically positive definite.
-fn cholesky_solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
-    // Factor A = L Lᵀ.
-    let mut l = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[i * n + j];
-            for k in 0..j {
-                sum -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return None;
-                }
-                l[i * n + i] = sum.sqrt();
-            } else {
-                l[i * n + j] = sum / l[j * n + j];
-            }
-        }
-    }
-    // Forward substitution: L y = b.
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut sum = b[i];
-        for k in 0..i {
-            sum -= l[i * n + k] * y[k];
-        }
-        y[i] = sum / l[i * n + i];
-    }
-    // Back substitution: Lᵀ d = y.
-    let mut d = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut sum = y[i];
-        for k in i + 1..n {
-            sum -= l[k * n + i] * d[k];
-        }
-        d[i] = sum / l[i * n + i];
-    }
-    Some(d)
-}
-
-fn compute_slacks(rows: &[ConstraintRow], x: &[f64], slacks: &mut [f64]) {
-    for (row, s) in rows.iter().zip(slacks.iter_mut()) {
-        let used: f64 = row.coeffs.iter().zip(x).map(|(&c, &xi)| c * xi).sum();
-        *s = row.capacity - used;
-    }
-}
-
-fn barrier_value(
-    rows: &[ConstraintRow],
-    priorities: &[f64],
-    mu: f64,
-    u: &[f64],
-    slacks: &[f64],
-) -> f64 {
-    let mut v: f64 = priorities.iter().zip(u).map(|(&p, &ui)| p * ui).sum();
-    for (_, &s) in rows.iter().zip(slacks) {
-        if s <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        v += mu * s.ln();
-    }
-    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn solve(rows: Vec<(f64, Vec<f64>)>, prios: &[f64]) -> Allocation {
-        let mut sys = ConstraintSystem::new(prios.len());
-        for (capacity, coeffs) in rows {
-            sys.push_row(ConstraintRow {
-                element: None,
-                capacity,
-                coeffs,
-            });
+    /// A row from dense coefficients; zeros get no entry.
+    fn row(capacity: f64, dense: &[f64]) -> ConstraintRow {
+        ConstraintRow {
+            element: None,
+            capacity,
+            entries: dense
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, c)| c != 0.0)
+                .collect(),
         }
-        ProportionalFairSolver::new().solve(&sys, prios).unwrap()
+    }
+
+    fn system(apps: usize, rows: &[(f64, &[f64])]) -> ConstraintSystem {
+        let mut sys = ConstraintSystem::new(apps);
+        for &(capacity, coeffs) in rows {
+            sys.push_row(row(capacity, coeffs)).unwrap();
+        }
+        sys
+    }
+
+    fn solve(rows: &[(f64, &[f64])], prios: &[f64]) -> Allocation {
+        ProportionalFairSolver::new()
+            .solve(&system(prios.len(), rows), prios)
+            .unwrap()
     }
 
     #[test]
     fn single_app_fills_its_bottleneck() {
-        let a = solve(vec![(10.0, vec![2.0]), (6.0, vec![1.0])], &[1.0]);
+        let a = solve(&[(10.0, &[2.0]), (6.0, &[1.0])], &[1.0]);
         // min(10/2, 6/1) = 5.
         assert!((a.rates[0] - 5.0).abs() < 1e-5, "rate = {}", a.rates[0]);
     }
 
     #[test]
     fn equal_priorities_split_evenly() {
-        let a = solve(vec![(1.0, vec![1.0, 1.0])], &[1.0, 1.0]);
+        let a = solve(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
         assert!((a.rates[0] - 0.5).abs() < 1e-6);
         assert!((a.rates[1] - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn priorities_give_proportional_shares() {
-        let a = solve(vec![(3.0, vec![1.0, 1.0, 1.0])], &[1.0, 2.0, 3.0]);
+        let a = solve(&[(3.0, &[1.0, 1.0, 1.0])], &[1.0, 2.0, 3.0]);
         assert!((a.rates[0] - 0.5).abs() < 1e-5);
         assert!((a.rates[1] - 1.0).abs() < 1e-5);
         assert!((a.rates[2] - 1.5).abs() < 1e-5);
@@ -846,10 +1088,7 @@ mod tests {
 
     #[test]
     fn independent_constraints_decouple() {
-        let a = solve(
-            vec![(4.0, vec![1.0, 0.0]), (10.0, vec![0.0, 5.0])],
-            &[1.0, 7.0],
-        );
+        let a = solve(&[(4.0, &[1.0, 0.0]), (10.0, &[0.0, 5.0])], &[1.0, 7.0]);
         assert!((a.rates[0] - 4.0).abs() < 1e-5);
         assert!((a.rates[1] - 2.0).abs() < 1e-5);
     }
@@ -860,7 +1099,7 @@ mod tests {
         // (capacity 1). Proportional fairness gives x0 = 1/3, x1 = x2 =
         // 2/3 for equal priorities.
         let a = solve(
-            vec![(1.0, vec![1.0, 1.0, 0.0]), (1.0, vec![1.0, 0.0, 1.0])],
+            &[(1.0, &[1.0, 1.0, 0.0]), (1.0, &[1.0, 0.0, 1.0])],
             &[1.0, 1.0, 1.0],
         );
         assert!((a.rates[0] - 1.0 / 3.0).abs() < 1e-4, "{:?}", a.rates);
@@ -870,17 +1109,7 @@ mod tests {
 
     #[test]
     fn kkt_residual_is_small() {
-        let mut sys = ConstraintSystem::new(3);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 2.0,
-            coeffs: vec![1.0, 2.0, 0.5],
-        });
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 5.0,
-            coeffs: vec![0.0, 1.0, 4.0],
-        });
+        let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.0, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
         let a = ProportionalFairSolver::new().solve(&sys, &prios).unwrap();
         assert!(a.feasibility_violation(&sys) <= 1e-9, "feasible");
@@ -893,53 +1122,45 @@ mod tests {
 
     #[test]
     fn unconstrained_app_is_rejected() {
-        let mut sys = ConstraintSystem::new(2);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 1.0,
-            coeffs: vec![1.0, 0.0],
-        });
+        let sys = system(2, &[(1.0, &[1.0, 0.0])]);
         let err = ProportionalFairSolver::new().solve(&sys, &[1.0, 1.0]);
         assert_eq!(err, Err(AllocError::Unbounded { app: 1 }));
     }
 
     #[test]
     fn zero_capacity_with_load_is_infeasible() {
-        let mut sys = ConstraintSystem::new(1);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 0.0,
-            coeffs: vec![1.0],
-        });
+        let sys = system(1, &[(0.0, &[1.0])]);
         let err = ProportionalFairSolver::new().solve(&sys, &[1.0]);
         assert_eq!(err, Err(AllocError::Infeasible { app: 0 }));
     }
 
+    /// The lowest offending column is reported, whichever kind it is.
+    #[test]
+    fn lowest_bad_column_is_reported() {
+        // Column 0 bound only by a zero-capacity row; column 1 unbound.
+        let sys = system(3, &[(0.0, &[1.0, 0.0, 0.0]), (1.0, &[0.0, 0.0, 1.0])]);
+        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 3]);
+        assert_eq!(err, Err(AllocError::Infeasible { app: 0 }));
+        // Column 0 unbound; column 1 infeasible next to a feasible row.
+        let sys = system(3, &[(0.0, &[0.0, 1.0, 0.0]), (1.0, &[0.0, 1.0, 1.0])]);
+        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 3]);
+        assert_eq!(err, Err(AllocError::Unbounded { app: 0 }));
+        // Column 0 fine; column 1 infeasible despite a feasible row.
+        let sys = system(2, &[(1.0, &[1.0, 1.0]), (0.0, &[0.0, 1.0])]);
+        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 2]);
+        assert_eq!(err, Err(AllocError::Infeasible { app: 1 }));
+    }
+
     #[test]
     fn bad_priority_is_rejected() {
-        let mut sys = ConstraintSystem::new(1);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 1.0,
-            coeffs: vec![1.0],
-        });
+        let sys = system(1, &[(1.0, &[1.0])]);
         let err = ProportionalFairSolver::new().solve(&sys, &[-1.0]);
         assert_eq!(err, Err(AllocError::BadPriority(-1.0)));
     }
 
     #[test]
     fn warm_start_reaches_the_same_optimum() {
-        let mut sys = ConstraintSystem::new(3);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 2.0,
-            coeffs: vec![1.0, 2.0, 0.5],
-        });
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 5.0,
-            coeffs: vec![0.5, 1.0, 4.0],
-        });
+        let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
         let solver = ProportionalFairSolver::new();
         let cold = solver.solve(&sys, &prios).unwrap();
@@ -958,7 +1179,7 @@ mod tests {
 
     #[test]
     fn utility_matches_rates() {
-        let a = solve(vec![(1.0, vec![1.0, 1.0])], &[1.0, 1.0]);
+        let a = solve(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
         let expect = a.rates[0].ln() + a.rates[1].ln();
         assert!((a.utility - expect).abs() < 1e-12);
     }
@@ -982,34 +1203,25 @@ mod tests {
         let sys = ConstraintSystem::from_loads(&net, &caps, &[&load_a, &load_b]);
         // Rows: x/cpu, x/memory, y/cpu, link — 4 binding rows.
         assert_eq!(sys.rows().len(), 4);
-        let cpu_row = sys
-            .rows()
-            .iter()
-            .find(|r| r.element == Some((sparcle_model::NetworkElement::Ncp(x), ResourceKind::Cpu)))
-            .expect("x cpu row");
+        let row_of = |element| {
+            sys.rows()
+                .iter()
+                .find(|r| r.element == Some(element))
+                .expect("row present")
+        };
+        let cpu_row = row_of((NetworkElement::Ncp(x), ResourceKind::Cpu));
         assert_eq!(cpu_row.capacity, 100.0);
-        assert_eq!(cpu_row.coeffs, vec![10.0, 0.0]);
-        let mem_row = sys
-            .rows()
-            .iter()
-            .find(|r| {
-                r.element == Some((sparcle_model::NetworkElement::Ncp(x), ResourceKind::Memory))
-            })
-            .expect("x memory row");
+        assert_eq!(cpu_row.entries, vec![(0, 10.0)]);
+        let mem_row = row_of((NetworkElement::Ncp(x), ResourceKind::Memory));
         assert_eq!(mem_row.capacity, 50.0);
-        assert_eq!(mem_row.coeffs, vec![5.0, 0.0]);
-        let link_row = sys
-            .rows()
-            .iter()
-            .find(|r| {
-                r.element
-                    == Some((
-                        sparcle_model::NetworkElement::Link(LinkId::new(0)),
-                        ResourceKind::Bandwidth,
-                    ))
-            })
-            .expect("link row");
-        assert_eq!(link_row.coeffs, vec![8.0, 0.0]);
+        assert_eq!(mem_row.entries, vec![(0, 5.0)]);
+        let link_row = row_of((
+            NetworkElement::Link(LinkId::new(0)),
+            ResourceKind::Bandwidth,
+        ));
+        assert_eq!(link_row.entries, vec![(0, 8.0)]);
+        let y_row = row_of((NetworkElement::Ncp(y), ResourceKind::Cpu));
+        assert_eq!(y_row.entries, vec![(1, 4.0)]);
 
         // Solving the system matches the hand-derived optimum: app A is
         // bound by the link (40/8 = 5), app B by y's cpu (80/4 = 20).
@@ -1022,17 +1234,7 @@ mod tests {
 
     #[test]
     fn warm_start_stats_show_iteration_savings() {
-        let mut sys = ConstraintSystem::new(3);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 2.0,
-            coeffs: vec![1.0, 2.0, 0.5],
-        });
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 5.0,
-            coeffs: vec![0.5, 1.0, 4.0],
-        });
+        let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
         let solver = ProportionalFairSolver::new();
         let (cold, cold_stats) = solver.solve_with_stats(&sys, &prios).unwrap();
@@ -1059,12 +1261,7 @@ mod tests {
         // No positive finite entry ⇒ the warm path must degrade to the
         // exact cold solve (the system layer relies on this when a BE
         // app is readmitted with a zeroed rate as the only resident).
-        let mut sys = ConstraintSystem::new(2);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 3.0,
-            coeffs: vec![1.0, 2.0],
-        });
+        let sys = system(2, &[(3.0, &[1.0, 2.0])]);
         let prios = [1.0, 4.0];
         let solver = ProportionalFairSolver::new();
         let cold = solver.solve(&sys, &prios).unwrap();
@@ -1075,6 +1272,30 @@ mod tests {
             assert_eq!(cold.duals, warm.duals);
             assert_eq!(cold.utility, warm.utility);
         }
+    }
+
+    /// The scratch path and the allocating path are one body: same
+    /// rates, bit for bit, on a reused scratch of a different shape.
+    #[test]
+    fn scratch_solve_matches_the_allocating_solve() {
+        let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
+        let prios = [1.0, 2.0, 0.5];
+        let solver = ProportionalFairSolver::new();
+        let mut scratch = SolverScratch::new();
+        scratch.set_priorities([3.0]);
+        solver
+            .solve_into(&system(1, &[(1.0, &[1.0])]), None, &mut scratch)
+            .unwrap();
+        scratch.set_priorities(prios);
+        let stats = solver.solve_into(&sys, None, &mut scratch).unwrap();
+        let (cold, cold_stats) = solver.solve_with_stats(&sys, &prios).unwrap();
+        assert_eq!(stats, cold_stats);
+        assert_eq!(scratch.rates(), &cold.rates[..]);
+        let start = [0.5, 0.25, 1.0];
+        let stats = solver.solve_into(&sys, Some(&start), &mut scratch).unwrap();
+        let (warm, warm_stats) = solver.solve_warm_with_stats(&sys, &prios, &start).unwrap();
+        assert_eq!(stats, warm_stats);
+        assert_eq!(scratch.rates(), &warm.rates[..]);
     }
 
     #[test]
@@ -1121,6 +1342,11 @@ mod tests {
         // Re-insert at the original position.
         inc.insert_app(1, &load_b);
         check(&inc, &[&load_a, &load_b, &load_c]);
+        // Insert in front; every column shifts right.
+        inc.insert_app(0, &load_c);
+        check(&inc, &[&load_c, &load_a, &load_b, &load_c]);
+        inc.remove_app(0);
+        check(&inc, &[&load_a, &load_b, &load_c]);
         // Drain completely; rows must vanish with their last binder.
         inc.remove_app(0);
         check(&inc, &[&load_b, &load_c]);
@@ -1132,13 +1358,133 @@ mod tests {
     }
 
     #[test]
-    fn all_zero_coeff_rows_are_dropped() {
+    fn rows_without_entries_are_dropped() {
         let mut sys = ConstraintSystem::new(1);
-        sys.push_row(ConstraintRow {
-            element: None,
-            capacity: 1.0,
-            coeffs: vec![0.0],
-        });
+        sys.push_row(row(1.0, &[0.0])).unwrap();
         assert!(sys.rows().is_empty());
+    }
+
+    // Public input that used to panic (`assert!` in `push_row`,
+    // `assert_eq!` in the solver) is an error now: one test per case.
+
+    fn push(apps: usize, capacity: f64, entries: Vec<(usize, f64)>) -> Result<(), AllocError> {
+        let mut sys = ConstraintSystem::new(apps);
+        let outcome = sys.push_row(ConstraintRow {
+            element: None,
+            capacity,
+            entries,
+        });
+        if outcome.is_err() {
+            assert!(sys.rows().is_empty(), "a rejected row is not kept");
+        }
+        outcome
+    }
+
+    #[test]
+    fn push_row_rejects_a_column_past_the_arity() {
+        assert_eq!(
+            push(2, 1.0, vec![(0, 1.0), (2, 1.0)]),
+            Err(AllocError::ColumnOutOfRange {
+                column: 2,
+                app_count: 2
+            })
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_a_nan_coefficient() {
+        let err = push(2, 1.0, vec![(1, f64::NAN)]).unwrap_err();
+        assert!(
+            matches!(err, AllocError::BadCoefficient { column: 1, value } if value.is_nan()),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_a_negative_coefficient() {
+        assert_eq!(
+            push(2, 1.0, vec![(0, 1.0), (1, -2.0)]),
+            Err(AllocError::BadCoefficient {
+                column: 1,
+                value: -2.0
+            })
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_an_infinite_coefficient() {
+        assert_eq!(
+            push(1, 1.0, vec![(0, f64::INFINITY)]),
+            Err(AllocError::BadCoefficient {
+                column: 0,
+                value: f64::INFINITY
+            })
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_a_negative_capacity() {
+        assert_eq!(
+            push(1, -1.0, vec![(0, 1.0)]),
+            Err(AllocError::BadCapacity(-1.0))
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_a_nan_capacity() {
+        let err = push(1, f64::NAN, vec![(0, 1.0)]).unwrap_err();
+        assert!(
+            matches!(err, AllocError::BadCapacity(c) if c.is_nan()),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_a_zero_coefficient_entry() {
+        assert_eq!(
+            push(2, 1.0, vec![(0, 0.0)]),
+            Err(AllocError::BadCoefficient {
+                column: 0,
+                value: 0.0
+            })
+        );
+    }
+
+    #[test]
+    fn push_row_rejects_unsorted_and_repeated_columns() {
+        assert_eq!(
+            push(3, 1.0, vec![(2, 1.0), (1, 1.0)]),
+            Err(AllocError::UnsortedColumns { column: 1 })
+        );
+        assert_eq!(
+            push(3, 1.0, vec![(1, 1.0), (1, 1.0)]),
+            Err(AllocError::UnsortedColumns { column: 1 })
+        );
+    }
+
+    #[test]
+    fn solve_rejects_a_priority_count_mismatch() {
+        let sys = system(2, &[(1.0, &[1.0, 1.0])]);
+        let expect = Err(AllocError::LengthMismatch {
+            what: "priorities",
+            expected: 2,
+            got: 1,
+        });
+        let solver = ProportionalFairSolver::new();
+        assert_eq!(solver.solve(&sys, &[1.0]), expect);
+        assert_eq!(solver.solve_warm(&sys, &[1.0], &[1.0, 1.0]), expect);
+    }
+
+    #[test]
+    fn solve_warm_rejects_a_start_count_mismatch() {
+        let sys = system(2, &[(1.0, &[1.0, 1.0])]);
+        assert_eq!(
+            ProportionalFairSolver::new().solve_warm_with_stats(&sys, &[1.0, 1.0], &[0.5]),
+            Err(AllocError::LengthMismatch {
+                what: "start rates",
+                expected: 2,
+                got: 1
+            })
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the allocation crate: NUM solver optimality
-//! conditions and availability-analysis consistency.
+//! conditions, the single-bottleneck closed form, and availability-
+//! analysis consistency.
 
 use proptest::prelude::*;
 use sparcle_alloc::availability::PathAvailability;
@@ -22,20 +23,21 @@ fn arb_system(
         .prop_map(|(apps, all_rows, prios, diag_caps)| {
             let mut sys = ConstraintSystem::new(apps);
             for (coeffs, capacity) in all_rows {
+                let entries = coeffs.into_iter().enumerate().filter(|&(_, c)| c > 0.0);
                 sys.push_row(ConstraintRow {
                     element: None,
                     capacity,
-                    coeffs,
-                });
+                    entries: entries.collect(),
+                })
+                .expect("valid row");
             }
             for (i, &cap) in diag_caps.iter().enumerate() {
-                let mut coeffs = vec![0.0; apps];
-                coeffs[i] = 1.0;
                 sys.push_row(ConstraintRow {
                     element: None,
                     capacity: cap,
-                    coeffs,
-                });
+                    entries: vec![(i, 1.0)],
+                })
+                .expect("valid row");
             }
             (sys, prios)
         })
@@ -74,7 +76,7 @@ proptest! {
         perturbed[i] *= 1.0 + delta;
         // Feasible?
         let feasible = sys.rows().iter().all(|row| {
-            let used: f64 = row.coeffs.iter().zip(&perturbed).map(|(&c, &x)| c * x).sum();
+            let used: f64 = row.entries.iter().map(|&(i, c)| c * perturbed[i]).sum();
             used <= row.capacity
         });
         if feasible {
@@ -100,6 +102,46 @@ proptest! {
         let b = ProportionalFairSolver::new().solve(&sys, &doubled).unwrap();
         for (x, y) in a.rates.iter().zip(&b.rates) {
             prop_assert!((x - y).abs() / x.max(*y) < 1e-4, "{x} vs {y}");
+        }
+    }
+
+    /// One row shared by every application has the closed form
+    /// `x_i = P_i · C / (R_i · Σ P)` — the cross-check DESIGN.md §3
+    /// names. Reached cold, and warm from the optimum moved by up to
+    /// 20 % per application (a bounded capacity change). A start much
+    /// further off — e.g. a newcomer at rate 0 next to incumbents at the
+    /// old optimum — can exhaust the tail schedule's 3 × 60 Newton
+    /// steps about 1 % short of the optimum (ROADMAP item 1(d)).
+    #[test]
+    fn single_shared_row_matches_the_closed_form(
+        (coeffs, prios, jitter) in (1usize..=8).prop_flat_map(|apps| (
+            proptest::collection::vec(0.1f64..10.0, apps),
+            proptest::collection::vec(0.1f64..5.0, apps),
+            proptest::collection::vec(0.8f64..1.2, apps),
+        )),
+        capacity in 1.0f64..100.0,
+    ) {
+        let mut sys = ConstraintSystem::new(coeffs.len());
+        sys.push_row(ConstraintRow {
+            element: None,
+            capacity,
+            entries: coeffs.iter().copied().enumerate().collect(),
+        })
+        .expect("valid row");
+        let total: f64 = prios.iter().sum();
+        let exact: Vec<f64> = prios
+            .iter()
+            .zip(&coeffs)
+            .map(|(&p, &r)| p * capacity / (r * total))
+            .collect();
+        let start: Vec<f64> = exact.iter().zip(&jitter).map(|(x, j)| x * j).collect();
+        let solver = ProportionalFairSolver::new();
+        let cold = solver.solve(&sys, &prios).unwrap();
+        let warm = solver.solve_warm(&sys, &prios, &start).unwrap();
+        for rates in [&cold.rates, &warm.rates] {
+            for (x, e) in rates.iter().zip(&exact) {
+                prop_assert!((x - e).abs() <= 1e-6 * e, "{x} vs closed form {e}");
+            }
         }
     }
 

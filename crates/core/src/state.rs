@@ -39,7 +39,7 @@
 
 use crate::engine::AssignStats;
 use crate::system::{DisplacedApp, PlacedBeApp, PlacedGrApp};
-use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, IncrementalConstraints};
+use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, IncrementalConstraints, SolverScratch};
 use sparcle_alloc::predict::PriorityLoads;
 use sparcle_model::{AppId, CapacityMap, LoadMap, Network, NetworkElement};
 
@@ -146,6 +146,9 @@ pub struct SystemState {
     pub(crate) gr_apps: Vec<PlacedGrApp>,
     pub(crate) priority_loads: PriorityLoads,
     pub(crate) constraints: IncrementalConstraints,
+    /// The BE solve's buffers, kept across solves so a warm re-solve
+    /// makes no allocator call.
+    pub(crate) solver: SolverScratch,
     pub(crate) next_id: u32,
     pub(crate) stats: StateStats,
 }
@@ -161,6 +164,7 @@ impl SystemState {
             gr_apps: Vec::new(),
             priority_loads: PriorityLoads::zeroed(network),
             constraints: IncrementalConstraints::new(),
+            solver: SolverScratch::new(),
             next_id: 0,
             stats: StateStats::default(),
         }
@@ -333,9 +337,11 @@ impl SystemState {
         if maintained.app_count() != loads.len() || maintained.rows() != canonical.rows() {
             // A column is the rows it binds and its coefficients there.
             let column = |system: &ConstraintSystem, col: usize| -> Vec<_> {
-                let coeff = |r: &ConstraintRow| r.coeffs.get(col).copied().unwrap_or(0.0);
-                let bound = system.rows().iter().filter(|r| coeff(r) > 0.0);
-                bound.map(|r| (r.element, coeff(r).to_bits())).collect()
+                let entry = |r: &ConstraintRow| {
+                    let at = r.entries.binary_search_by_key(&col, |e| e.0).ok()?;
+                    Some((r.element, r.entries[at].1.to_bits()))
+                };
+                system.rows().iter().filter_map(entry).collect()
             };
             let col = (0..loads.len()).find(|&c| column(maintained, c) != column(&canonical, c));
             return Err(match col {

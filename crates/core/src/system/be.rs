@@ -156,19 +156,21 @@ impl SparcleSystem {
     pub(super) fn solve_be_internal(&mut self, incumbent: &[f64]) -> Result<(), AllocError> {
         let t0 = std::time::Instant::now();
         let state = &mut self.state;
-        let priorities: Vec<f64> = state.be_apps.iter().map(|a| a.priority).collect();
+        let solver = &mut state.solver;
+        solver.set_priorities(state.be_apps.iter().map(|a| a.priority));
         state.constraints.refresh_capacities(&state.gr_residual);
         let system = state.constraints.system();
+        let max_min;
         let (rates, solve_stats) = match self.config.allocation_policy {
             AllocationPolicy::ProportionalFair => {
-                let (allocation, stats) = ProportionalFairSolver::new().solve_warm_with_stats(
-                    system,
-                    &priorities,
-                    incumbent,
-                )?;
-                (allocation.rates, Some(stats))
+                let stats =
+                    ProportionalFairSolver::new().solve_into(system, Some(incumbent), solver)?;
+                (solver.rates(), Some(stats))
             }
-            AllocationPolicy::MaxMin => (max_min_allocation(system, &priorities)?.rates, None),
+            AllocationPolicy::MaxMin => {
+                max_min = max_min_allocation(system, solver.priorities())?;
+                (&max_min.rates[..], None)
+            }
         };
         state.stats.solves += 1;
         match solve_stats {
@@ -183,7 +185,7 @@ impl SparcleSystem {
             None => {}
         }
         state.stats.solve_nanos += t0.elapsed().as_nanos() as u64;
-        for (entry, rate) in state.be_apps.iter_mut().zip(rates) {
+        for (entry, &rate) in state.be_apps.iter_mut().zip(rates) {
             entry.allocated_rate = rate;
         }
         Ok(())

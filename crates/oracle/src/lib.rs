@@ -8,10 +8,14 @@
 //!   [`sparcle_model::Network`]'s nested adjacency, and exhaustively.
 //! * [`mod@reference`] — eq. (2) one `(CT, host)` pair at a time ([`gamma`],
 //!   [`best_host`]) and Algorithm 2 on top of it ([`assign_reference`]).
+//! * [`mod@num`] — problem (4) and max-min over dense coefficient rows,
+//!   the solver `sparcle_alloc::num`'s sparse kernel must match bit for
+//!   bit.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod num;
 pub mod reference;
 pub mod widest_path;
 
