@@ -1,17 +1,17 @@
 //! Behaviour-regression baseline harness.
 //!
-//! Five pinned, deterministic workloads (compact cuts of `exp_fig6`,
-//! `exp_churn`, `exp_service` and `exp_defrag`, plus the
+//! Five pinned, deterministic workloads (compact cuts of the `fig6`,
+//! `churn`, `service` and `defrag` experiments, plus the
 //! incremental-state solver timeline and the monitor-overhead ratio)
 //! each produce a [`BenchResult`] — peak event-queue depth, warm-start
 //! Newton steps, sim-time decision latency, the defragmenter's
 //! delivered-rate uplift and the observability plane's on/off wall-time
 //! ratio — serialized to `BENCH_<experiment>.json`, which carries only
 //! the metrics its workload produced. The committed copies under
-//! `benchmarks/` are the baseline; `exp_baseline compare` re-runs the
-//! workloads and exits nonzero when a metric moves past its tolerance
-//! in the wrong direction, which is how the nightly CI gate catches
-//! behavioural drift before it lands.
+//! `benchmarks/` are the baseline; `sparcle-exp baseline compare`
+//! re-runs the workloads and exits nonzero when a metric moves past its
+//! tolerance in the wrong direction, which is how the nightly CI gate
+//! catches behavioural drift before it lands.
 //!
 //! Every metric here is machine-independent: four are identical on
 //! every run by the determinism contract (a tight 2 % band, float
@@ -27,14 +27,12 @@ use std::time::Instant;
 
 use sparcle_baselines::{Assigner, CloudAssigner, HeftAssigner, TStormAssigner, VneAssigner};
 use sparcle_core::{DynamicRankingAssigner, TraceHandle};
-use sparcle_model::{
-    Application, LinkDirection, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
-};
+use sparcle_model::QoeClass;
 use sparcle_runtime::{ReconcilePolicy, RuntimeConfig, SparcleRuntime};
 use sparcle_sim::{simulate_flows_traced, ArrivalProcess, FlowSimConfig, SimApp};
 use sparcle_telemetry::{CollectRecorder, Event, Json};
+use sparcle_workloads::edge_hub::{churn_app, network};
 use sparcle_workloads::face_detection::{face_detection_app, testbed_network, CLOUD};
-use sparcle_workloads::graphs::linear_task_graph;
 use sparcle_workloads::ArrivalTrace;
 
 /// One metric of a [`BenchResult`] and how to judge a change in it.
@@ -327,56 +325,6 @@ fn run_fig6_placement() -> BenchResult {
     }
 }
 
-/// Compact `exp_churn` network: four edge hosts, a fast flaky hub and a
-/// slower reliable one.
-fn churn_network(flaky: f64) -> Network {
-    let mut b = NetworkBuilder::new();
-    let edges: Vec<NcpId> = (0..4)
-        .map(|i| b.add_ncp(format!("edge{i}"), ResourceVec::cpu(20.0)))
-        .collect();
-    let fast = b.add_ncp("hub-fast", ResourceVec::cpu(2000.0));
-    let slow = b.add_ncp("hub-slow", ResourceVec::cpu(1500.0));
-    for (i, &e) in edges.iter().enumerate() {
-        b.add_link_full(
-            format!("fast{i}"),
-            e,
-            fast,
-            2e4,
-            LinkDirection::Undirected,
-            flaky,
-        )
-        .expect("valid link");
-        b.add_link_full(
-            format!("slow{i}"),
-            e,
-            slow,
-            8e3,
-            LinkDirection::Undirected,
-            flaky / 4.0,
-        )
-        .expect("valid link");
-    }
-    b.build().expect("valid network")
-}
-
-fn churn_app(index: u64) -> Application {
-    let graph = if index.is_multiple_of(2) {
-        linear_task_graph(&[60.0], &[1200.0, 600.0])
-    } else {
-        linear_task_graph(&[40.0, 40.0], &[1000.0, 800.0, 400.0])
-    }
-    .expect("valid graph");
-    let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
-    let qoe = if index.is_multiple_of(3) {
-        QoeClass::guaranteed_rate(1.5, 0.5)
-    } else {
-        QoeClass::best_effort(1.0 + (index % 4) as f64)
-    };
-    let src_host = NcpId::new((index % 4) as u32);
-    let sink_host = NcpId::new(((index + 1) % 4) as u32);
-    Application::new(graph, qoe, [(src, src_host), (sink, sink_host)]).expect("valid app")
-}
-
 /// One rep of the churn-runtime workload, with or without the
 /// observability plane, returning its wall seconds. The horizon is
 /// stretched to 600 sim-s (≈0.5 s of wall per rep) so the rep rises
@@ -397,7 +345,7 @@ fn churn_monitor_rep(monitor: bool) -> f64 {
         ..RuntimeConfig::default()
     };
     let arrivals = ArrivalTrace::Poisson { rate: 1.2 }.events(config.horizon, 0xa11);
-    let mut rt = SparcleRuntime::new(churn_network(0.05), arrivals, churn_app, config);
+    let mut rt = SparcleRuntime::new(network(0.05), arrivals, churn_app, config);
     let start = Instant::now();
     rt.run();
     start.elapsed().as_secs_f64()
@@ -434,9 +382,9 @@ fn run_churn_monitor() -> BenchResult {
     }
 }
 
-/// One timeline of the defrag workload — the `exp_defrag` churn
-/// timeline at the stormier 0.08 flake rate — returning the ledger's BE
-/// delivered-work integral.
+/// One timeline of the defrag workload — the `defrag` experiment's
+/// churn timeline at the stormier 0.08 flake rate — returning the
+/// ledger's BE delivered-work integral.
 fn churn_defrag_delivered(defrag: bool) -> f64 {
     let config = RuntimeConfig {
         horizon: 300.0,
@@ -448,7 +396,7 @@ fn churn_defrag_delivered(defrag: bool) -> f64 {
         ..RuntimeConfig::default()
     };
     let arrivals = ArrivalTrace::Poisson { rate: 1.2 }.events(config.horizon, 0xa11);
-    let mut rt = SparcleRuntime::new(churn_network(0.08), arrivals, churn_app, config);
+    let mut rt = SparcleRuntime::new(network(0.08), arrivals, churn_app, config);
     rt.run().be_rate_integral()
 }
 
@@ -471,8 +419,8 @@ fn run_churn_defrag() -> BenchResult {
     }
 }
 
-/// Incremental-state solver cut: the `exp_churn` determinism timeline
-/// (high-rate Poisson arrivals, flaky links, fast capacity
+/// Incremental-state solver cut: the `churn` experiment's determinism
+/// timeline (high-rate Poisson arrivals, flaky links, fast capacity
 /// fluctuation) with the warm-start schedule's Newton-step budget
 /// pulled from the system's state counters.
 /// `warm_inner_iters_per_solve` is deterministic, so the gate pins the
@@ -496,7 +444,7 @@ fn run_churn_solver() -> BenchResult {
         ..RuntimeConfig::default()
     };
     let arrivals = ArrivalTrace::Poisson { rate: 10.0 }.events(config.horizon, 0xbeef);
-    let mut rt = SparcleRuntime::new(churn_network(0.08), arrivals, churn_app, config);
+    let mut rt = SparcleRuntime::new(network(0.08), arrivals, churn_app, config);
     rt.run();
     BenchResult {
         experiment: "churn_solver".to_owned(),
@@ -530,8 +478,7 @@ fn run_service_admission() -> BenchResult {
         0x5eed,
     )
     .with_probe_every(8);
-    let mut service =
-        sparcle_service::AdmissionService::new(churn_network(0.05), config, churn_app);
+    let mut service = sparcle_service::AdmissionService::new(network(0.05), config, churn_app);
     service.run(requests);
     BenchResult {
         experiment: "service_admission".to_owned(),

@@ -1,6 +1,7 @@
-//! Shared CLI arguments and telemetry plumbing for the `exp_*` binaries.
+//! The one flag parser and the telemetry plumbing of `sparcle-exp`.
 //!
-//! Every experiment binary accepts the same two flags:
+//! Every experiment accepts the same four shared flags, which
+//! [`ExpFlags::new`] declares:
 //!
 //! * `--trace-out <path>` — stream a JSONL telemetry trace (placement
 //!   decisions, commits, sim samples, final counter snapshot) to
@@ -18,189 +19,192 @@
 //!   (via [`ExpHarness::metrics_out`]), so the file is rewritten on
 //!   every monitor tick during the run and finalized at `finish()`.
 //!
+//! An experiment declares its own flags and operands on top of those;
+//! anything undeclared is an error, reported with [`ExpFlags::usage`].
+//!
 //! Usage pattern:
 //!
-//! ```no_run
-//! let harness = sparcle_bench::ExpHarness::new("exp_example");
+//! ```
+//! use sparcle_bench::{ExpFlags, ExpHarness};
+//!
+//! let mut flags = ExpFlags::new();
+//! flags.value("horizon", "simulated seconds per run", "300");
+//! let parsed = flags.parse_from(["--horizon=60"]).expect("declared flag");
+//! assert_eq!(parsed.f64("horizon"), 60.0);
+//! let harness = ExpHarness::with_args("exp_example", &parsed);
 //! // ... pass `harness.trace()` into assign_traced / simulate_flows_traced ...
 //! harness.finish();
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use sparcle_core::TraceHandle;
 
-/// The experiment flags shared by all `exp_*` binaries.
-#[derive(Debug, Clone, Default)]
-pub struct ExpArgs {
-    /// Target of the JSONL trace (`--trace-out <path>`).
-    pub trace_out: Option<PathBuf>,
-    /// Whether to emit hierarchical span events (`--trace-spans`).
-    pub trace_spans: bool,
-    /// Whether to print the end-of-run metrics table (`--summary`).
-    pub summary: bool,
-    /// Target of the Prometheus-style metrics exposition
-    /// (`--metrics-out <path>`).
-    pub metrics_out: Option<PathBuf>,
+/// One declared flag: a value flag carries its default, a switch none.
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    help: &'static str,
+    default: Option<String>,
 }
 
-impl ExpArgs {
-    /// Parses the process arguments. Unknown flags are reported to
-    /// stderr and skipped so experiment-specific extensions stay
-    /// possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--trace-out` lacks its path operand.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parses from an explicit argument list (testable core of
-    /// [`ExpArgs::parse`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--trace-out` lacks its path operand.
-    pub fn parse_from<I, S>(args: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut out = ExpArgs::default();
-        let mut it = args.into_iter().map(Into::into);
-        while let Some(arg) = it.next() {
-            if arg == "--trace-out" {
-                let path = it.next().expect("--trace-out requires a path");
-                out.trace_out = Some(PathBuf::from(path));
-            } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-                out.trace_out = Some(PathBuf::from(path));
-            } else if arg == "--trace-spans" {
-                out.trace_spans = true;
-            } else if arg == "--summary" {
-                out.summary = true;
-            } else if arg == "--metrics-out" {
-                let path = it.next().expect("--metrics-out requires a path");
-                out.metrics_out = Some(PathBuf::from(path));
-            } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
-                out.metrics_out = Some(PathBuf::from(path));
-            } else {
-                eprintln!("note: ignoring unknown argument {arg:?}");
-            }
-        }
-        out
-    }
-}
-
-/// Declarative experiment-specific flags layered over the shared
-/// [`ExpArgs`] set, so `exp_*` binaries declare what they accept instead
-/// of hand-rolling an argument loop each:
+/// The flags (and positional operands) one experiment accepts.
 ///
-/// ```no_run
-/// use sparcle_bench::{ExpFlags, ExpHarness};
-///
-/// let mut flags = ExpFlags::new();
-/// flags.value("ncps", "largest topology size", "5000");
-/// flags.switch("fast", "skip the large sweep");
-/// let parsed = flags.parse();
-/// let ncps: usize = parsed.usize("ncps");
-/// let harness = ExpHarness::with_args("exp_example", parsed.shared());
-/// ```
-///
-/// Declared flags accept both `--name value` and `--name=value`
-/// spellings; anything undeclared falls through to the shared
-/// [`ExpArgs`] parser (which warns on true unknowns), so every
-/// experiment keeps `--trace-out`/`--summary`/`--metrics-out` for free.
-#[derive(Debug, Default)]
+/// Value flags take `--name value` or `--name=value`; switches take
+/// `--name`. [`ExpFlags::new`] starts from the four shared flags of the
+/// module docs.
+#[derive(Debug)]
 pub struct ExpFlags {
-    values: Vec<(&'static str, &'static str, String)>,
-    switches: Vec<(&'static str, &'static str)>,
+    flags: Vec<Flag>,
+    operands: Option<(&'static str, Vec<&'static str>)>,
+}
+
+impl Default for ExpFlags {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ExpFlags {
-    /// An empty declaration set (shared harness flags only).
+    /// The shared flags every experiment accepts.
     pub fn new() -> Self {
-        Self::default()
+        let mut flags = ExpFlags {
+            flags: Vec::new(),
+            operands: None,
+        };
+        flags
+            .value(
+                "trace-out",
+                "stream a JSONL telemetry trace to this path",
+                "",
+            )
+            .switch("trace-spans", "also emit wall-clock span events")
+            .switch("summary", "print the end-of-run metrics table")
+            .value(
+                "metrics-out",
+                "write a Prometheus-style exposition of the final counters to this path",
+                "",
+            );
+        flags
     }
 
     /// Declares a value-carrying flag `--name <v>` with its default.
     pub fn value(&mut self, name: &'static str, help: &'static str, default: &str) -> &mut Self {
-        self.values.push((name, help, default.to_owned()));
+        self.flags.push(Flag {
+            name,
+            help,
+            default: Some(default.to_owned()),
+        });
         self
     }
 
     /// Declares a boolean switch `--name`.
     pub fn switch(&mut self, name: &'static str, help: &'static str) -> &mut Self {
-        self.switches.push((name, help));
+        self.flags.push(Flag {
+            name,
+            help,
+            default: None,
+        });
         self
     }
 
-    /// Parses the process arguments against the declarations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a declared value flag is given without its operand.
-    pub fn parse(&self) -> ParsedFlags {
-        self.parse_from(std::env::args().skip(1))
+    /// Accepts positional operands, each one of `choices`.
+    pub(crate) fn operands(&mut self, help: &'static str, choices: Vec<&'static str>) -> &mut Self {
+        self.operands = Some((help, choices));
+        self
     }
 
-    /// Parses an explicit argument list (testable core of
-    /// [`Self::parse`]).
+    /// Parses an argument list against the declarations.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a declared value flag is given without its operand.
-    pub fn parse_from<I, S>(&self, args: I) -> ParsedFlags
+    /// An undeclared flag, a value flag without its value, a switch
+    /// given a value, or an operand that is undeclared or not one of the
+    /// declared choices.
+    pub fn parse_from<I, S>(&self, args: I) -> Result<ParsedFlags, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut values: std::collections::BTreeMap<&'static str, String> = self
-            .values
-            .iter()
-            .map(|(name, _, default)| (*name, default.clone()))
-            .collect();
-        let mut on: std::collections::BTreeSet<&'static str> = std::collections::BTreeSet::new();
-        let mut rest: Vec<String> = Vec::new();
+        let mut parsed = ParsedFlags {
+            values: self
+                .flags
+                .iter()
+                .filter_map(|f| Some((f.name, f.default.clone()?)))
+                .collect(),
+            on: BTreeSet::new(),
+            operands: Vec::new(),
+        };
         let mut it = args.into_iter().map(Into::into);
-        'args: while let Some(arg) = it.next() {
-            for (name, _, _) in &self.values {
-                let flag = format!("--{name}");
-                if arg == flag {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| panic!("{flag} requires a value"));
-                    values.insert(name, v);
-                    continue 'args;
+        while let Some(arg) = it.next() {
+            let Some(spelled) = arg.strip_prefix("--") else {
+                match &self.operands {
+                    Some((_, choices)) if choices.contains(&arg.as_str()) => {
+                        parsed.operands.push(arg);
+                        continue;
+                    }
+                    _ => return Err(format!("unexpected argument {arg:?}")),
                 }
-                if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                    values.insert(name, v.to_owned());
-                    continue 'args;
+            };
+            let (name, inline) = match spelled.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (spelled, None),
+            };
+            let flag = self
+                .flags
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown flag {arg:?}"))?;
+            match (&flag.default, inline) {
+                (None, None) => {
+                    parsed.on.insert(flag.name);
+                }
+                (None, Some(_)) => return Err(format!("--{name} takes no value")),
+                (Some(_), value) => {
+                    let value = value
+                        .or_else(|| it.next())
+                        .ok_or_else(|| format!("--{name} requires a value"))?;
+                    parsed.values.insert(flag.name, value);
                 }
             }
-            for (name, _) in &self.switches {
-                if arg == format!("--{name}") {
-                    on.insert(name);
-                    continue 'args;
-                }
+        }
+        Ok(parsed)
+    }
+
+    /// The usage text of `sparcle-exp <command>`: every declared flag
+    /// with its help string and default, then the operand choices.
+    pub fn usage(&self, command: &str) -> String {
+        let spell = |f: &Flag| match f.default {
+            Some(_) => format!("--{} <value>", f.name),
+            None => format!("--{}", f.name),
+        };
+        let width = self.flags.iter().map(|f| spell(f).len()).max().unwrap_or(0);
+        let mut out = format!("usage: sparcle-exp {command} [flags]");
+        if self.operands.is_some() {
+            out.push_str(" [operands]");
+        }
+        out.push_str("\nflags:");
+        for f in &self.flags {
+            out.push_str(&format!("\n  {:<width$}  {}", spell(f), f.help));
+            if let Some(default) = f.default.as_deref().filter(|d| !d.is_empty()) {
+                out.push_str(&format!(" (default {default})"));
             }
-            rest.push(arg);
         }
-        ParsedFlags {
-            values,
-            on,
-            shared: ExpArgs::parse_from(rest),
+        if let Some((help, choices)) = &self.operands {
+            out.push_str(&format!("\noperands: {help}: {}", choices.join(" | ")));
         }
+        out
     }
 }
 
-/// The result of [`ExpFlags::parse`]: typed access to the declared
-/// flags plus the shared [`ExpArgs`] for [`ExpHarness::with_args`].
+/// The result of [`ExpFlags::parse_from`]: typed access to the declared
+/// flags and the collected operands.
 #[derive(Debug)]
 pub struct ParsedFlags {
-    values: std::collections::BTreeMap<&'static str, String>,
-    on: std::collections::BTreeSet<&'static str>,
-    shared: ExpArgs,
+    values: BTreeMap<&'static str, String>,
+    on: BTreeSet<&'static str>,
+    operands: Vec<String>,
 }
 
 impl ParsedFlags {
@@ -209,22 +213,11 @@ impl ParsedFlags {
     ///
     /// # Panics
     ///
-    /// Panics when `name` was never declared — a bug in the binary.
+    /// Panics when `name` was never declared — a bug in the experiment.
     pub fn str(&self, name: &str) -> &str {
         self.values
             .get(name)
             .unwrap_or_else(|| panic!("flag --{name} was not declared"))
-    }
-
-    /// A declared value flag parsed as `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undeclared flag or a non-integer value.
-    pub fn usize(&self, name: &str) -> usize {
-        self.str(name)
-            .parse()
-            .unwrap_or_else(|e| panic!("--{name} must be an integer: {e}"))
     }
 
     /// A declared value flag parsed as `f64`.
@@ -243,10 +236,16 @@ impl ParsedFlags {
         self.on.contains(name)
     }
 
-    /// The shared harness arguments parsed from everything the declared
-    /// flags did not consume.
-    pub fn shared(&self) -> ExpArgs {
-        self.shared.clone()
+    /// The positional operands, in the order given.
+    pub(crate) fn operands(&self) -> &[String] {
+        &self.operands
+    }
+
+    /// A path-valued flag whose empty default means "not given".
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        Some(self.str(name))
+            .filter(|p| !p.is_empty())
+            .map(PathBuf::from)
     }
 }
 
@@ -259,12 +258,13 @@ enum Sink {
     Collect(sparcle_telemetry::CollectRecorder),
 }
 
-/// Per-binary harness owning the trace sink for one experiment run.
+/// The harness owning the trace sink for one experiment run.
 ///
-/// Create it first thing in `main`, thread [`ExpHarness::trace`] into
-/// the instrumented entry points, and call [`ExpHarness::finish`] last.
+/// `sparcle-exp` creates it before the experiment runs, the experiment
+/// threads [`ExpHarness::trace`] into the instrumented entry points,
+/// and `sparcle-exp` calls [`ExpHarness::finish`] once it returns.
 pub struct ExpHarness {
-    name: &'static str,
+    name: String,
     summary: bool,
     metrics_out: Option<PathBuf>,
     sink: Sink,
@@ -281,49 +281,36 @@ impl std::fmt::Debug for ExpHarness {
 }
 
 impl ExpHarness {
-    /// Builds the harness from the process arguments.
+    /// Builds the harness from the shared flags of a parsed command line.
     ///
     /// # Panics
     ///
     /// Panics when `--trace-out` names an uncreatable file.
-    pub fn new(name: &'static str) -> Self {
-        Self::with_args(name, ExpArgs::parse())
-    }
-
-    /// Builds the harness from pre-parsed arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--trace-out` names an uncreatable file.
-    pub fn with_args(name: &'static str, args: ExpArgs) -> Self {
-        use sparcle_telemetry::{CollectRecorder, Event, JsonlRecorder, Recorder};
-        let sink = match &args.trace_out {
+    pub fn with_args(name: &str, flags: &ParsedFlags) -> Self {
+        use sparcle_telemetry::{CollectRecorder, Event, JsonlRecorder};
+        let summary = flags.on("summary");
+        let metrics_out = flags.path("metrics-out");
+        let sink = match flags.path("trace-out") {
             Some(path) => Sink::Jsonl(
-                JsonlRecorder::create(path)
+                JsonlRecorder::create(&path)
                     .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display())),
             ),
-            None if args.summary || args.metrics_out.is_some() => {
-                Sink::Collect(CollectRecorder::new())
-            }
+            None if summary || metrics_out.is_some() => Sink::Collect(CollectRecorder::new()),
             None => Sink::None,
         };
-        let run_start = Event::RunStart {
-            name: name.to_owned(),
-        };
-        match &sink {
-            Sink::None => {}
-            Sink::Jsonl(r) => r.event(&run_start),
-            Sink::Collect(r) => r.event(&run_start),
-        }
-        let spans = (args.trace_spans && !matches!(sink, Sink::None))
+        let spans = (flags.on("trace-spans") && !matches!(sink, Sink::None))
             .then(sparcle_telemetry::SpanTracker::new);
-        ExpHarness {
-            name,
-            summary: args.summary,
-            metrics_out: args.metrics_out,
+        let harness = ExpHarness {
+            name: name.to_owned(),
+            summary,
+            metrics_out,
             sink,
             spans,
-        }
+        };
+        harness.trace().event(&Event::RunStart {
+            name: name.to_owned(),
+        });
+        harness
     }
 
     /// The `--metrics-out` path, when given — experiments hand this to
@@ -355,8 +342,8 @@ impl ExpHarness {
     ///
     /// # Panics
     ///
-    /// Panics when a trace or metrics write fails (experiment binaries
-    /// want loud failures).
+    /// Panics when a trace or metrics write fails (experiments want
+    /// loud failures).
     pub fn finish(self) {
         use sparcle_telemetry::Json;
         let snapshot = match self.sink {
@@ -391,7 +378,7 @@ impl ExpHarness {
             println!("{}", snapshot.render_summary());
         }
         let result = Json::obj([
-            ("experiment", Json::Str(self.name.to_owned())),
+            ("experiment", Json::Str(self.name.clone())),
             ("metrics", snapshot.to_json()),
         ]);
         let dir = crate::experiments_dir();
@@ -406,86 +393,88 @@ impl ExpHarness {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parses_both_flags() {
-        let a = ExpArgs::parse_from(["--summary", "--trace-out", "/tmp/t.jsonl"]);
-        assert!(a.summary);
-        assert_eq!(
-            a.trace_out.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
-        );
-        let b = ExpArgs::parse_from(["--trace-out=/tmp/u.jsonl"]);
-        assert!(!b.summary);
-        assert_eq!(
-            b.trace_out.as_deref(),
-            Some(std::path::Path::new("/tmp/u.jsonl"))
-        );
+    fn shared(args: &[&str]) -> ParsedFlags {
+        ExpFlags::new()
+            .parse_from(args.iter().copied())
+            .expect("valid flags")
     }
 
     #[test]
-    fn declared_flags_parse_with_defaults_and_both_spellings() {
+    fn shared_flags_parse_in_both_spellings() {
+        let a = shared(&["--summary", "--trace-out", "/tmp/t.jsonl", "--trace-spans"]);
+        assert!(a.on("summary") && a.on("trace-spans"));
+        assert_eq!(a.path("trace-out"), Some(PathBuf::from("/tmp/t.jsonl")));
+        assert_eq!(a.path("metrics-out"), None);
+        let b = shared(&["--trace-out=/tmp/u.jsonl", "--metrics-out=/tmp/m.prom"]);
+        assert!(!b.on("summary"));
+        assert_eq!(b.path("trace-out"), Some(PathBuf::from("/tmp/u.jsonl")));
+        assert_eq!(b.path("metrics-out"), Some(PathBuf::from("/tmp/m.prom")));
+        let none = shared(&[]);
+        assert!(!none.on("summary") && !none.on("trace-spans"));
+        assert_eq!(none.path("trace-out"), None);
+    }
+
+    #[test]
+    fn declared_flags_parse_with_defaults_next_to_the_shared_ones() {
         let mut flags = ExpFlags::new();
-        flags.value("ncps", "size", "5000").switch("fast", "quick");
-        let p = flags.parse_from(["--ncps", "128", "--fast", "--summary"]);
-        assert_eq!(p.usize("ncps"), 128);
-        assert!(p.on("fast"));
-        assert!(p.shared().summary);
-        let q = flags.parse_from(["--ncps=64"]);
-        assert_eq!(q.usize("ncps"), 64);
+        flags.value("budget", "size", "1.0").switch("fast", "quick");
+        let p = flags
+            .parse_from(["--budget", "0.5", "--fast", "--summary"])
+            .unwrap();
+        assert_eq!(p.f64("budget"), 0.5);
+        assert!(p.on("fast") && p.on("summary"));
+        let q = flags.parse_from(["--budget=4"]).unwrap();
+        assert_eq!(q.f64("budget"), 4.0);
         assert!(!q.on("fast"));
-        let d = flags.parse_from(Vec::<String>::new());
-        assert_eq!(d.usize("ncps"), 5000);
+        assert_eq!(
+            flags
+                .parse_from(Vec::<String>::new())
+                .unwrap()
+                .str("budget"),
+            "1.0"
+        );
     }
 
     #[test]
-    fn undeclared_flags_fall_through_to_shared_args() {
+    fn bad_arguments_are_errors() {
         let mut flags = ExpFlags::new();
-        flags.value("budget", "displaced-seconds", "1.0");
-        let p = flags.parse_from(["--budget", "0.5", "--trace-out", "/tmp/x.jsonl"]);
-        assert!((p.f64("budget") - 0.5).abs() < 1e-12);
-        assert_eq!(
-            p.shared().trace_out.as_deref(),
-            Some(std::path::Path::new("/tmp/x.jsonl"))
-        );
+        flags.value("budget", "size", "1.0");
+        let err = |args: &[&str]| flags.parse_from(args.iter().copied()).unwrap_err();
+        assert!(err(&["--bogus"]).contains("unknown flag"));
+        assert!(err(&["--budget"]).contains("--budget requires a value"));
+        assert!(err(&["--trace-out"]).contains("--trace-out requires a value"));
+        assert!(err(&["--summary=yes"]).contains("takes no value"));
+        assert!(err(&["stray"]).contains("unexpected argument"));
     }
 
     #[test]
-    #[should_panic(expected = "--ncps requires a value")]
-    fn declared_value_flag_needs_operand() {
+    fn operands_are_collected_against_their_choices() {
         let mut flags = ExpFlags::new();
-        flags.value("ncps", "size", "5000");
-        let _ = flags.parse_from(["--ncps"]);
+        flags.operands("mode", vec!["run", "compare"]);
+        let p = flags.parse_from(["compare", "--summary", "run"]).unwrap();
+        assert_eq!(p.operands(), ["compare", "run"]);
+        assert!(flags.parse_from(["rerun"]).is_err());
     }
 
     #[test]
-    fn defaults_are_off() {
-        let a = ExpArgs::parse_from(Vec::<String>::new());
-        assert!(!a.summary);
-        assert!(a.trace_out.is_none());
-        assert!(!a.trace_spans);
-    }
-
-    #[test]
-    fn parses_trace_spans() {
-        let a = ExpArgs::parse_from(["--trace-spans"]);
-        assert!(a.trace_spans);
-    }
-
-    #[test]
-    fn parses_metrics_out_in_both_spellings() {
-        let a = ExpArgs::parse_from(["--metrics-out", "/tmp/m.prom"]);
-        assert_eq!(
-            a.metrics_out.as_deref(),
-            Some(std::path::Path::new("/tmp/m.prom"))
-        );
-        let b = ExpArgs::parse_from(["--metrics-out=/tmp/n.prom"]);
-        assert_eq!(
-            b.metrics_out.as_deref(),
-            Some(std::path::Path::new("/tmp/n.prom"))
-        );
-        assert!(ExpArgs::parse_from(Vec::<String>::new())
-            .metrics_out
-            .is_none());
+    fn usage_names_every_declared_flag_and_choice() {
+        let mut flags = ExpFlags::new();
+        flags
+            .value("horizon", "simulated seconds per run", "300")
+            .operands("mode", vec!["run", "compare"]);
+        let usage = flags.usage("defrag");
+        assert!(usage.starts_with("usage: sparcle-exp defrag"), "{usage}");
+        for needle in [
+            "--horizon <value>",
+            "simulated seconds per run (default 300)",
+            "--trace-out <value>",
+            "--trace-spans",
+            "--summary",
+            "--metrics-out <value>",
+            "run | compare",
+        ] {
+            assert!(usage.contains(needle), "{needle} missing from:\n{usage}");
+        }
     }
 
     #[test]
@@ -496,10 +485,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let h = ExpHarness::with_args(
             "unit-test-metrics-out",
-            ExpArgs {
-                metrics_out: Some(path.clone()),
-                ..ExpArgs::default()
-            },
+            &shared(&["--metrics-out", path.to_str().unwrap()]),
         );
         // --metrics-out alone must enable a collecting sink.
         assert!(h.trace().is_enabled());
@@ -514,37 +500,17 @@ mod tests {
 
     #[test]
     fn trace_spans_flag_enables_span_emission() {
-        let spanned = ExpHarness::with_args(
-            "unit-test-spans",
-            ExpArgs {
-                trace_spans: true,
-                summary: true,
-                ..ExpArgs::default()
-            },
-        );
+        let spanned =
+            ExpHarness::with_args("unit-test-spans", &shared(&["--trace-spans", "--summary"]));
         assert!(spanned.trace().spans_enabled());
         spanned.trace().span("unit.work").finish();
 
-        let plain = ExpHarness::with_args(
-            "unit-test-nospans",
-            ExpArgs {
-                trace_spans: false,
-                summary: true,
-                ..ExpArgs::default()
-            },
-        );
+        let plain = ExpHarness::with_args("unit-test-nospans", &shared(&["--summary"]));
         assert!(plain.trace().is_enabled());
         assert!(!plain.trace().spans_enabled());
 
         // --trace-spans without any sink stays fully disabled.
-        let no_sink = ExpHarness::with_args(
-            "unit-test-spans-nosink",
-            ExpArgs {
-                trace_spans: true,
-                summary: false,
-                ..ExpArgs::default()
-            },
-        );
+        let no_sink = ExpHarness::with_args("unit-test-spans-nosink", &shared(&["--trace-spans"]));
         assert!(!no_sink.trace().is_enabled());
         assert!(!no_sink.trace().spans_enabled());
         // Drop harnesses without finish(): no files to clean up except
@@ -552,19 +518,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a path")]
-    fn trace_out_needs_operand() {
-        let _ = ExpArgs::parse_from(["--trace-out"]);
-    }
-
-    #[test]
     fn harness_records_run_start_and_counters() {
-        let args = ExpArgs {
-            trace_spans: false,
-            summary: true,
-            ..ExpArgs::default()
-        };
-        let h = ExpHarness::with_args("unit-test-harness", args);
+        let h = ExpHarness::with_args("unit-test-harness", &shared(&["--summary"]));
         h.trace().counter("test.counter", 3);
         assert!(h.trace().is_enabled());
         // finish() prints the summary and writes the metrics JSON.
@@ -581,7 +536,7 @@ mod tests {
 
     #[test]
     fn disabled_harness_hands_out_inert_handles() {
-        let h = ExpHarness::with_args("unit-test-none", ExpArgs::default());
+        let h = ExpHarness::with_args("unit-test-none", &shared(&[]));
         assert!(!h.trace().is_enabled());
         h.finish();
     }

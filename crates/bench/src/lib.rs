@@ -1,79 +1,86 @@
-//! Shared harness utilities for the SPARCLE experiment binaries.
+//! The SPARCLE experiments and the pieces they share.
 //!
-//! Every figure and table of the paper's evaluation section has a
-//! dedicated `exp_*` binary in this crate (see `src/bin/`); each prints
-//! the paper's rows/series as an ASCII table and writes a CSV under
-//! `target/experiments/`. This library holds the pieces they share:
-//! table rendering, order statistics, CDF extraction, and CSV output.
+//! Every figure and table of the paper's evaluation section, and every
+//! extension this repository adds, is one entry of [`EXPERIMENTS`], run
+//! as `sparcle-exp <name>`; each prints the paper's rows/series as an
+//! ASCII table and writes a CSV under `target/experiments/`. This
+//! library holds the experiments, the one flag parser and trace harness
+//! they run under ([`harness`]), the behaviour-baseline gate
+//! ([`baseline`]), and table rendering, order statistics, CDF
+//! extraction and CSV output.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;
 pub mod harness;
-pub mod svg;
 
-pub use harness::{ExpArgs, ExpFlags, ExpHarness, ParsedFlags};
+pub use harness::{ExpFlags, ExpHarness, ParsedFlags};
 
-/// The experiment registry: every `exp_*` binary of this crate (except
-/// the `exp_all` driver itself) with a one-line description.
-///
-/// `exp_all` iterates this list, and `tests/exp_list.rs` asserts it
-/// stays in sync with the binaries actually present in `src/bin/` — add
-/// new experiments here.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    (
-        "exp_fig6",
-        "Tables I/II + Figure 6: face-detection testbed sweep",
-    ),
-    (
-        "exp_fig8",
-        "Figure 8: SPARCLE vs exhaustive optimum percentiles",
-    ),
-    ("exp_fig9", "Figure 9: energy efficiency"),
-    ("exp_fig10", "Figure 10: BE/GR availability vs #paths"),
-    ("exp_fig11", "Figure 11: rate CDFs across bottleneck cases"),
-    ("exp_fig12", "Figure 12: multi-resource percentiles"),
-    (
-        "exp_fig13",
-        "Figure 13: two-app proportional-fair utility CDF",
-    ),
-    ("exp_fig14", "Figure 14: total admitted GR rate"),
-    ("exp_ablation", "Ablations: routing / ranking / prediction"),
-    ("exp_fluctuation", "Extension: capacity fluctuation (§VI)"),
-    ("exp_latency", "Extension: end-to-end latency analysis"),
-    ("exp_diversity", "Extension: diverse multipath extraction"),
-    ("exp_admission", "Extension: GR admission under churn"),
-    (
-        "exp_policy",
-        "Extension: proportional-fair vs max-min allocation",
-    ),
-    (
-        "exp_aimd",
-        "Extension: AIMD rate control vs analytic bottleneck",
-    ),
-    ("exp_scaling", "Theorem 2: running-time scaling table"),
-    (
-        "exp_churn",
-        "Online runtime: SLO ledger under churn, per reconcile policy",
-    ),
-    (
-        "exp_monitor",
-        "Observability plane: monitor ticks, burn rates, alert edges",
-    ),
-    (
-        "exp_service",
-        "Service plane: batched admission vs per-request under flash crowds",
-    ),
-    (
-        "exp_defrag",
-        "Defrag plane: planned-migration uplift under a budget sweep",
-    ),
-    (
-        "exp_baseline",
-        "Perf baselines: pinned workloads + regression compare gate",
-    ),
-];
+/// One registered experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The `sparcle-exp` subcommand.
+    pub command: &'static str,
+    /// One-line description.
+    pub what: &'static str,
+    /// Declares the experiment's own flags on top of the shared ones.
+    pub flags: fn(&mut ExpFlags),
+    /// Runs the experiment under the harness `sparcle-exp` created.
+    pub run: fn(&ParsedFlags, &ExpHarness),
+}
+
+fn no_flags(_: &mut ExpFlags) {}
+
+/// Declares every experiment once. Each row names a module of
+/// `src/exp/`, which exposes `run` (and `flags`, when the row says
+/// `[flags]`), and its one-line description; the rows generate the
+/// module tree and [`EXPERIMENTS`].
+macro_rules! experiments {
+    ($($module:ident $([$flags:ident])? = $what:literal,)*) => {
+        /// One module per experiment.
+        mod exp {
+            $(pub mod $module;)*
+        }
+
+        /// The experiment registry, in the order `sparcle-exp all` runs
+        /// it.
+        ///
+        /// `tests/exp_list.rs` holds it to DESIGN.md §4 and
+        /// EXPERIMENTS.md: every entry must have its row in both.
+        pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
+            command: stringify!($module),
+            what: $what,
+            flags: experiments!(@flags $module $($flags)?),
+            run: exp::$module::run,
+        },)*];
+    };
+    (@flags $module:ident) => { no_flags };
+    (@flags $module:ident $flags:ident) => { exp::$module::$flags };
+}
+
+experiments! {
+    fig6 = "Tables I/II + Figure 6: face-detection testbed sweep",
+    fig8 = "Figure 8: SPARCLE vs exhaustive optimum percentiles",
+    fig9 = "Figure 9: energy efficiency",
+    fig10 = "Figure 10: BE/GR availability vs #paths",
+    fig11 = "Figure 11: rate CDFs across bottleneck cases",
+    fig12 = "Figure 12: multi-resource percentiles",
+    fig13 = "Figure 13: two-app proportional-fair utility CDF",
+    fig14 = "Figure 14: total admitted GR rate",
+    ablation = "Ablations: routing / ranking / prediction",
+    fluctuation = "Extension: capacity fluctuation (§VI)",
+    latency = "Extension: end-to-end latency analysis",
+    diversity = "Extension: diverse multipath extraction",
+    admission = "Extension: GR admission under churn",
+    policy = "Extension: proportional-fair vs max-min allocation",
+    aimd = "Extension: AIMD rate control vs analytic bottleneck",
+    scaling = "Theorem 2: running-time scaling table",
+    churn = "Online runtime: SLO ledger under churn, per reconcile policy",
+    service = "Service plane: batched admission vs per-request under flash crowds",
+    defrag [flags] = "Defrag plane: planned-migration uplift under a budget sweep",
+    baseline [flags] = "Perf baselines: pinned workloads + regression compare gate",
+}
 
 use std::fs;
 use std::io::Write as _;

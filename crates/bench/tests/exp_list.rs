@@ -1,95 +1,114 @@
-//! Guards the experiment registry: `sparcle_bench::EXPERIMENTS` must
-//! list exactly the `exp_*` binaries present in `src/bin/` (minus the
-//! `exp_all` driver itself), so `exp_all` can never silently skip a
-//! newly added experiment.
+//! Guards the experiment registry and the `sparcle-exp` command line:
+//! every registered experiment has its row in DESIGN.md §4 and in
+//! EXPERIMENTS.md, and the binary turns an unknown experiment or flag
+//! into a usage error instead of running anything.
 
-use std::collections::BTreeSet;
 use std::path::Path;
+use std::process::{Command, Output};
 
-#[test]
-fn registry_matches_binaries_on_disk() {
-    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let on_disk: BTreeSet<String> = std::fs::read_dir(&bin_dir)
-        .expect("read src/bin")
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-        .map(|p| {
-            p.file_stem()
-                .expect("file stem")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
+use sparcle_bench::EXPERIMENTS;
 
-    let mut registered: BTreeSet<String> = sparcle_bench::EXPERIMENTS
-        .iter()
-        .map(|(name, _)| (*name).to_owned())
-        .collect();
-    assert_eq!(
-        registered.len(),
-        sparcle_bench::EXPERIMENTS.len(),
-        "duplicate names in EXPERIMENTS"
-    );
-    registered.insert("exp_all".to_owned()); // the driver runs the list
-
-    assert_eq!(
-        registered, on_disk,
-        "EXPERIMENTS registry out of sync with src/bin/ \
-         (add new binaries to sparcle_bench::EXPERIMENTS)"
-    );
+fn doc(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The perf-baseline entry points ride the same registry: `exp_all`
-/// (and anything else iterating `EXPERIMENTS`) must reach the baseline
-/// runner, and every pinned baseline workload must be resolvable by
-/// name so `exp_baseline run <name>` / `compare <name>` cannot drift
-/// from the registered list.
+/// The `sparcle-exp <command>` invocations a document cites.
+fn cited(text: &str, command: &str) -> bool {
+    text.contains(&format!("`sparcle-exp {command}`"))
+}
+
 #[test]
-fn registry_covers_baseline_entry_points() {
+fn every_experiment_has_its_row_in_design_and_experiments() {
+    let design = doc("DESIGN.md");
+    let start = design.find("## 4. Experiment index").expect("DESIGN.md §4");
+    let len = design[start..].find("\n## 5.").expect("DESIGN.md §5");
+    let index: String = design[start..start + len]
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let experiments = doc("EXPERIMENTS.md");
+    for e in EXPERIMENTS {
+        let command = e.command;
+        assert!(!e.what.is_empty(), "{command} needs a description");
+        assert!(
+            cited(&index, command),
+            "DESIGN.md §4 has no table row citing `sparcle-exp {command}`"
+        );
+        assert!(
+            cited(&experiments, command),
+            "EXPERIMENTS.md does not cite `sparcle-exp {command}`"
+        );
+    }
+}
+
+fn sparcle_exp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sparcle-exp"))
+        .args(args)
+        .output()
+        .expect("run sparcle-exp")
+}
+
+#[track_caller]
+fn assert_usage_error(out: &Output, expect_on_stderr: &[&str]) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(out.stdout.is_empty(), "nothing may run on a usage error");
+    for needle in expect_on_stderr {
+        assert!(
+            stderr.contains(needle),
+            "{needle:?} missing from:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn unknown_experiment_is_a_usage_error_naming_the_choices() {
+    // The `experiments!` table makes names unique; `all` must stay the
+    // driver's.
+    let mut choices: Vec<&str> = EXPERIMENTS.iter().map(|e| e.command).collect();
     assert!(
-        sparcle_bench::EXPERIMENTS
-            .iter()
-            .any(|(name, _)| *name == "exp_baseline"),
-        "exp_baseline must be in the experiment registry"
+        !choices.contains(&"all"),
+        "`all` is the driver, not an entry"
     );
-    let baselines = &sparcle_bench::baseline::BASELINE_EXPERIMENTS;
-    assert!(baselines.len() >= 3, "need at least three pinned workloads");
-    let mut names: Vec<&str> = baselines.iter().map(|(name, _)| *name).collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(
-        names.len(),
-        baselines.len(),
-        "baseline workload names must be unique (they key BENCH_<name>.json)"
-    );
-}
-
-/// Every registered binary must accept `--metrics-out` so operators
-/// can point any experiment at a Prometheus scrape file. Binaries get
-/// that by going through `ExpHarness` (which parses the flag); the one
-/// holdout with a bespoke CLI (`exp_baseline`) must at least tolerate
-/// unknown flags instead of dying on them.
-#[test]
-fn every_registered_binary_accepts_metrics_out() {
-    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    for (name, _) in sparcle_bench::EXPERIMENTS {
-        let source = std::fs::read_to_string(bin_dir.join(format!("{name}.rs")))
-            .unwrap_or_else(|e| panic!("read {name}.rs: {e}"));
-        assert!(
-            source.contains("ExpHarness") || source.contains("ignoring unknown argument"),
-            "{name} must parse --metrics-out via ExpHarness \
-             (or explicitly tolerate unknown flags)"
-        );
-    }
+    let out = sparcle_exp(&["fig7"]);
+    choices.extend(["unknown experiment \"fig7\"", "all"]);
+    assert_usage_error(&out, &choices);
+    assert_usage_error(&sparcle_exp(&[]), &["usage: sparcle-exp <experiment>"]);
 }
 
 #[test]
-fn registry_descriptions_are_nonempty() {
-    for (name, what) in sparcle_bench::EXPERIMENTS {
-        assert!(
-            name.starts_with("exp_"),
-            "experiment binaries are exp_*: {name}"
-        );
-        assert!(!what.is_empty(), "{name} needs a description");
-    }
+fn unknown_flag_is_a_usage_error_naming_the_declared_flags() {
+    assert_usage_error(
+        &sparcle_exp(&["defrag", "--budget", "1"]),
+        &[
+            "unknown flag \"--budget\"",
+            "usage: sparcle-exp defrag",
+            "--budgets <value>",
+            "--horizon <value>",
+            "--trace-out <value>",
+            "--trace-spans",
+            "--summary",
+            "--metrics-out <value>",
+        ],
+    );
+    assert_usage_error(
+        &sparcle_exp(&["baseline", "comapre"]),
+        &[
+            "unexpected argument \"comapre\"",
+            "run | compare",
+            "churn_solver",
+        ],
+    );
+    assert_usage_error(
+        &sparcle_exp(&["fig6", "--trace-out"]),
+        &["--trace-out requires a value"],
+    );
+    assert_usage_error(
+        &sparcle_exp(&["all", "--summary"]),
+        &["`all` takes no arguments, got \"--summary\""],
+    );
 }

@@ -6,15 +6,15 @@
 //! `sparcle_telemetry::schema`.
 //!
 //! CI mode: when the `TRACE_FILE` env var is set, validate that file
-//! instead. The nightly workflow runs `exp_fig6 --trace-out <path>` and
-//! then this test, so the shipped binaries and the schema cannot drift
-//! apart without a red build.
+//! instead. The nightly workflow runs `sparcle-exp fig6 --trace-out
+//! <path>` and then this test, so the shipped binary and the schema
+//! cannot drift apart without a red build.
 //!
 //! By default the trace must carry placement-decision events and the
-//! γ-cache counters. Traces from binaries that exercise other
+//! γ-cache counters. Traces from experiments that exercise other
 //! subsystems set `EXPECT_KINDS` to a comma-separated list of event
-//! types that must appear instead (the nightly `exp_churn` step uses
-//! this for the `runtime_*` kinds).
+//! types that must appear instead (the nightly `sparcle-exp churn` step
+//! uses this for the `runtime_*` kinds).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

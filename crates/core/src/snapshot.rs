@@ -44,8 +44,7 @@ pub struct SnapshotGrApp {
 /// An immutable, owned view of a [`SystemState`] at one instant.
 ///
 /// Everything a read-only probe needs, detached from the live state:
-/// see the module docs. Obtain one with [`SparcleSystem::snapshot`] or
-/// [`SystemState::snapshot`].
+/// see the module docs. Obtain one with [`SparcleSystem::snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateSnapshot {
     be: Vec<SnapshotBeApp>,
@@ -121,23 +120,6 @@ impl StateSnapshot {
             .find(|a| a.id == id)
             .map(|a| a.guaranteed_rate)
     }
-
-    /// Number of applications captured (BE + GR).
-    pub fn len(&self) -> usize {
-        self.be.len() + self.gr.len()
-    }
-
-    /// `true` when no applications were admitted at capture time.
-    pub fn is_empty(&self) -> bool {
-        self.be.is_empty() && self.gr.is_empty()
-    }
-}
-
-impl SystemState {
-    /// Captures an immutable [`StateSnapshot`] of this state.
-    pub fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot::capture(self)
-    }
 }
 
 impl SparcleSystem {
@@ -194,8 +176,6 @@ mod tests {
             .expect("admitted");
 
         let snapshot = system.snapshot();
-        assert_eq!(snapshot.len(), 2);
-        assert!(!snapshot.is_empty());
         assert_eq!(snapshot.be_apps().len(), 1);
         assert_eq!(snapshot.gr_apps().len(), 1);
         assert_eq!(

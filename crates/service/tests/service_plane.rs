@@ -73,7 +73,8 @@ fn probe_only_stream_commits_nothing() {
     // Empty windows are a no-op right down to the state core.
     assert_eq!(service.system().state_stats().solves, 0);
     assert!(service.system().be_apps().is_empty());
-    assert!(service.snapshot().is_empty());
+    assert!(service.snapshot().be_apps().is_empty());
+    assert!(service.snapshot().gr_apps().is_empty());
 }
 
 #[test]
@@ -315,7 +316,10 @@ fn rejected_batch_leaves_snapshot_readers_unperturbed() {
         kind: RequestKind::Admit,
     }]);
     let snapshot_before = service.snapshot().clone();
-    assert_eq!(snapshot_before.len(), 1);
+    assert_eq!(
+        snapshot_before.be_apps().len() + snapshot_before.gr_apps().len(),
+        1
+    );
 
     let mut requests: Vec<ServiceRequest> = (1..4)
         .map(|i| ServiceRequest {

@@ -1,6 +1,8 @@
 //! Workload and topology generators for the SPARCLE evaluation.
 //!
 //! * [`graphs`] — the linear and diamond task graphs of Figure 7;
+//! * [`edge_hub`] — the four-edge, two-hub network and the per-index
+//!   application mixes the online experiments replay;
 //! * [`topologies`] — the star / linear / fully-connected networks of
 //!   §V-B-1;
 //! * [`scenarios`] — seeded samplers for the NCP-bottleneck,
@@ -20,6 +22,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod edge_hub;
 pub mod face_detection;
 pub mod graphs;
 pub mod requests;

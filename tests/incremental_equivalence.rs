@@ -15,74 +15,12 @@
 //! audits the final state explicitly in every build.
 
 use sparcle_core::SparcleSystem;
-use sparcle_model::{
-    Application, LinkDirection, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
-};
 use sparcle_runtime::{
     FluctuationConfig, ReconcilePolicy, RuntimeConfig, SloLedger, SparcleRuntime,
 };
 use sparcle_sim::FluctuationModel;
-use sparcle_workloads::graphs::linear_task_graph;
+use sparcle_workloads::edge_hub::{churn_app, network};
 use sparcle_workloads::ArrivalTrace;
-
-/// Four edge hosts and two hubs with flaky hub links — the same shape
-/// as the churn experiment, small enough that a full history runs in
-/// well under a second.
-fn grid_network(flaky: f64) -> Network {
-    let mut b = NetworkBuilder::new();
-    let edges: Vec<NcpId> = (0..4)
-        .map(|i| b.add_ncp(format!("edge{i}"), ResourceVec::cpu(20.0)))
-        .collect();
-    let fast = b.add_ncp("hub-fast", ResourceVec::cpu(2000.0));
-    let slow = b.add_ncp("hub-slow", ResourceVec::cpu(1500.0));
-    for (i, &e) in edges.iter().enumerate() {
-        b.add_link_full(
-            format!("fast{i}"),
-            e,
-            fast,
-            2e4,
-            LinkDirection::Undirected,
-            flaky,
-        )
-        .expect("valid link");
-        b.add_link_full(
-            format!("slow{i}"),
-            e,
-            slow,
-            8e3,
-            LinkDirection::Undirected,
-            flaky / 4.0,
-        )
-        .expect("valid link");
-    }
-    b.build().expect("valid network")
-}
-
-/// Deterministic application mix: every third arrival Guaranteed-Rate,
-/// BE priorities cycling 1..=4, endpoints walking the edge hosts.
-fn grid_app(index: u64) -> Application {
-    let graph = if index.is_multiple_of(2) {
-        linear_task_graph(&[60.0], &[1200.0, 600.0])
-    } else {
-        linear_task_graph(&[40.0, 40.0], &[1000.0, 800.0, 400.0])
-    }
-    .expect("valid graph");
-    let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
-    let qoe = if index.is_multiple_of(3) {
-        QoeClass::guaranteed_rate(1.5, 0.5)
-    } else {
-        QoeClass::best_effort(1.0 + (index % 4) as f64)
-    };
-    Application::new(
-        graph,
-        qoe,
-        [
-            (src, NcpId::new((index % 4) as u32)),
-            (sink, NcpId::new(((index + 1) % 4) as u32)),
-        ],
-    )
-    .expect("valid app")
-}
 
 /// The trace × regime grid: 3 arrival shapes × calm/stormy failures.
 fn grid() -> Vec<(String, ArrivalTrace, f64)> {
@@ -135,7 +73,7 @@ fn run(trace: &ArrivalTrace, flaky: f64) -> (SloLedger, SparcleSystem) {
         ..RuntimeConfig::default()
     };
     let arrivals = trace.events(config.horizon, 0x5eed);
-    let mut rt = SparcleRuntime::new(grid_network(flaky), arrivals, grid_app, config);
+    let mut rt = SparcleRuntime::new(network(flaky), arrivals, churn_app, config);
     let ledger = rt.run().clone();
     (ledger, rt.into_system())
 }
@@ -176,7 +114,7 @@ fn gamma_probe_rollbacks_pass_the_per_transaction_audit() {
         ..RuntimeConfig::default()
     };
     let arrivals = trace.events(config.horizon, 0xcafe);
-    let mut rt = SparcleRuntime::new(grid_network(0.1), arrivals, grid_app, config);
+    let mut rt = SparcleRuntime::new(network(0.1), arrivals, churn_app, config);
     rt.run();
     let system = rt.into_system();
     assert!(

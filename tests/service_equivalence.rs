@@ -14,9 +14,9 @@
 //! log must not change with the evaluator thread count.
 
 use sparcle_core::{SparcleSystem, SystemConfig};
-use sparcle_model::{Application, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec};
+use sparcle_model::{NcpId, Network, NetworkBuilder, ResourceVec};
 use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
-use sparcle_workloads::graphs::linear_task_graph;
+use sparcle_workloads::edge_hub::service_app;
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream};
 
 /// Four edge hosts behind two hubs — enough capacity contrast that the
@@ -35,22 +35,6 @@ fn service_network() -> Network {
             .expect("valid link");
     }
     b.build().expect("valid network")
-}
-
-/// Deterministic request-index → application factory shared by the
-/// service under test and the sequential reference; every third request
-/// is Guaranteed-Rate, endpoints walk the edge hosts.
-fn service_app(index: u64) -> Application {
-    let graph = linear_task_graph(&[50.0], &[1100.0, 500.0]).expect("valid graph");
-    let (src, sink) = (graph.sources()[0], graph.sinks()[0]);
-    let qoe = if index.is_multiple_of(3) {
-        QoeClass::guaranteed_rate(1.5, 0.5)
-    } else {
-        QoeClass::best_effort(1.0 + (index % 4) as f64)
-    };
-    let src_host = NcpId::new((index % 4) as u32);
-    let sink_host = NcpId::new(((index + 1) % 4) as u32);
-    Application::new(graph, qoe, [(src, src_host), (sink, sink_host)]).expect("valid app")
 }
 
 /// The pinned flash-crowd stream: steady trickle, 20-second burst, a
