@@ -21,7 +21,7 @@
 //! ```
 
 use crate::{ExpHarness, ParsedFlags, Table};
-use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
+use sparcle_service::{AdmissionService, ServiceConfig};
 use sparcle_workloads::edge_hub::{network, service_app};
 use sparcle_workloads::{ArrivalTrace, RequestStream};
 use std::time::Instant;
@@ -75,13 +75,6 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
             max_batch: 64,
             queue_capacity: 128,
             max_defer_windows: 4,
-            // The writer cost scales with batch size, so per-request
-            // admission feels backpressure first — exactly the regime
-            // the batch window exists to absorb.
-            solve_cost: SolveCostModel {
-                fixed: 0.004,
-                per_request: 0.001,
-            },
             ..ServiceConfig::default()
         };
         let mut service = AdmissionService::new(network(0.02), config, service_app);
@@ -98,6 +91,13 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
         };
         if *label == "per-req" {
             per_request_solves_per_app = solves_per_app;
+            // One solve's counted work outlasts a 1 ms window, so
+            // per-request admission feels backpressure: the shed the
+            // trace's `explain --pick shed` walks back to its ingest.
+            assert!(
+                stats.windows_deferred > 0 && stats.shed > 0,
+                "per-request windows must defer and shed: {stats:?}"
+            );
         }
         widest_solves_per_app = solves_per_app;
         let p99_ms = 1000.0 * service.decision_wait_quantile(0.99);

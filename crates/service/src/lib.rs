@@ -15,21 +15,23 @@
 //!   from an immutable [`sparcle_core::StateSnapshot`] (rates, GR
 //!   residuals, predicted capacities), so probes never wait on the
 //!   writer — even while a commit is in flight.
-//! * **Backpressure + SLO-aware shedding** — when arrivals outrun solve
-//!   capacity the ingest queue defers whole windows (charged to the
-//!   [`sparcle_runtime::SloLedger`] as deferrals) and sheds
-//!   lowest-priority requests first (Guaranteed-Rate requests are
-//!   protected; ties shed the youngest), charged as sheds.
+//! * **Backpressure + SLO-aware shedding** — each commit holds the
+//!   writer for the work it counted: its Newton steps and its
+//!   widest-path tree sweeps, each at a fixed sim-time price. A window
+//!   boundary that falls inside that busy time is deferred whole
+//!   (charged to the [`sparcle_runtime::SloLedger`] as deferrals), and
+//!   requests deferred too often are shed lowest-priority first
+//!   (Guaranteed-Rate requests are protected; ties shed the youngest),
+//!   charged as sheds.
 //!
 //! Everything runs in simulated time: the same request stream produces a
 //! byte-identical `service_*` telemetry log across runs and across
-//! γ-evaluator thread counts (`SystemConfig::assigner_threads`).
+//! γ-evaluator thread counts (`SystemConfig::assigner_threads`), because
+//! the work counts behind the writer clock are themselves deterministic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cost;
 pub mod service;
 
-pub use cost::SolveCostModel;
 pub use service::{AdmissionService, ProbeAnswer, ServiceConfig, ServiceStats};

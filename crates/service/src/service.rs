@@ -9,8 +9,9 @@
 //! while the writer is still busy with a previous solve, which is
 //! exactly the snapshot-read protocol the plane exists for.
 //!
-//! Time is simulated: the writer's solve cost is modeled by
-//! [`SolveCostModel`] and advances `writer_free_at`; a window whose
+//! Time is simulated: each commit holds the writer for the work the
+//! state core counted while it ran (`writer_busy_s` over the batch's
+//! [`StateStats`] delta), which advances `writer_free_at`; a window whose
 //! boundary falls while the writer is busy is *deferred* wholesale
 //! (every queued request is charged one deferral) and re-examined at the
 //! next boundary. Requests deferred past `max_defer_windows`, or pushed
@@ -22,15 +23,13 @@ use sparcle_core::trace::TraceHandle;
 use sparcle_core::DEFER_WRITER_BUSY;
 use sparcle_core::{
     Admission, AssignError, DynamicRankingAssigner, RejectCause, ShedCause, SparcleSystem,
-    StateSnapshot, SystemConfig,
+    StateSnapshot, StateStats, SystemConfig,
 };
 use sparcle_model::{Application, Network, QoeClass};
 use sparcle_runtime::{Monitor, MonitorConfig, SloLedger, TickInput};
 use sparcle_workloads::{RequestKind, ServiceRequest};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-use crate::cost::SolveCostModel;
 
 /// Tunables of the admission service plane.
 #[derive(Debug, Clone)]
@@ -47,8 +46,6 @@ pub struct ServiceConfig {
     /// A request deferred past this many windows by backpressure is
     /// shed instead of deferred again.
     pub max_defer_windows: u64,
-    /// Simulated writer-busy time per batched solve.
-    pub solve_cost: SolveCostModel,
     /// Optional observability monitor ticked at every window close.
     pub monitor: Option<MonitorConfig>,
     /// Configuration of the owned [`SparcleSystem`].
@@ -62,7 +59,6 @@ impl Default for ServiceConfig {
             max_batch: 64,
             queue_capacity: 256,
             max_defer_windows: 4,
-            solve_cost: SolveCostModel::default(),
             monitor: None,
             system: SystemConfig::default(),
         }
@@ -89,6 +85,45 @@ pub struct ServiceStats {
     pub probes: u64,
     /// Probes whose what-if assignment was feasible.
     pub probes_feasible: u64,
+    /// Per-request deferral charges: every request queued in a deferred
+    /// window counts one (the ledger's `deferrals`).
+    pub deferrals: u64,
+}
+
+impl ServiceStats {
+    /// The exported counters as `(trace counter name, value)` pairs —
+    /// the one `service.*` list [`AdmissionService::run_traced`] exports.
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("service.batches", self.batches),
+            ("service.decisions", self.decisions),
+            ("service.admitted", self.admitted),
+            ("service.rejected", self.rejected),
+            ("service.shed", self.shed),
+            ("service.probes", self.probes),
+            ("service.deferrals", self.deferrals),
+        ]
+    }
+}
+
+/// Sim-seconds the writer is held per Newton step of a BE solve (warm
+/// or cold) and per widest-path tree sweep (a γ-cache miss). Fitted once
+/// from one traced `service_burst` benchmark run (seed 1, 20 s) at commit
+/// ea81867 on a 2-vCPU Intel Xeon Linux container: `alloc.num.solve_ms_p50`
+/// 5.840 ms ÷ `alloc.num.warm_iters_per_solve` 47.51 = 0.123 ms per step,
+/// and `core.widest_path.tree_us_p50` 15.35 µs per sweep.
+const STEP_S: f64 = 1.23e-4;
+const SWEEP_S: f64 = 1.54e-5;
+
+/// Sim-seconds of writer time for the work the state core counted
+/// between `before` and `after`: every Newton step and every tree sweep,
+/// rolled-back work included. Each count is a deterministic function of
+/// the input, so the clock is thread- and run-invariant.
+fn writer_busy_s(before: &StateStats, after: &StateStats) -> f64 {
+    let steps = (after.inner_iters_warm + after.inner_iters_cold)
+        - (before.inner_iters_warm + before.inner_iters_cold);
+    let sweeps = after.gamma_cache_misses - before.gamma_cache_misses;
+    STEP_S * steps as f64 + SWEEP_S * sweeps as f64
 }
 
 /// The answer to a read-only what-if probe.
@@ -219,8 +254,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         requests: impl IntoIterator<Item = ServiceRequest>,
         trace: TraceHandle<'_>,
     ) {
-        let (before, deferrals_before) = (self.stats, self.ledger.deferrals());
-        let system_before = self.system.state_stats().counters();
+        let before = (self.stats.counters(), self.system.state_stats().counters());
         for request in requests {
             self.advance_to(request.time, trace);
             match request.kind {
@@ -237,19 +271,9 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             self.close_window(boundary, trace);
             self.window_seq += 1;
         }
-        let now = self.stats;
-        trace.counter("service.batches", now.batches - before.batches);
-        trace.counter("service.decisions", now.decisions - before.decisions);
-        trace.counter("service.admitted", now.admitted - before.admitted);
-        trace.counter("service.rejected", now.rejected - before.rejected);
-        trace.counter("service.shed", now.shed - before.shed);
-        trace.counter("service.probes", now.probes - before.probes);
-        trace.counter(
-            "service.deferrals",
-            self.ledger.deferrals() - deferrals_before,
-        );
-        let system_now = self.system.state_stats().counters();
-        for ((name, now), (_, before)) in system_now.into_iter().zip(system_before) {
+        let now = (self.stats.counters(), self.system.state_stats().counters());
+        let service = now.0.into_iter().zip(before.0);
+        for ((name, now), (_, before)) in service.chain(now.1.into_iter().zip(before.1)) {
             trace.counter(name, now - before);
         }
     }
@@ -369,6 +393,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             // queued request is charged one deferral; requests past
             // their deferral budget are shed rather than parked again.
             self.stats.windows_deferred += 1;
+            self.stats.deferrals += self.pending.len() as u64;
             self.ledger.record_deferrals(self.pending.len() as u64);
             // The deferral is caused by the batch whose writer-busy tail
             // covers this boundary; it in turn becomes the latest
@@ -437,7 +462,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         // batch changes them.
         self.accrue(t);
 
-        let solves_before = self.system.state_stats().solves;
+        let work_before = self.system.state_stats().clone();
         let outcomes: Vec<Result<Admission, AssignError>> = {
             let mut txn = self.system.begin();
             let outcomes = match txn.submit_all(&apps) {
@@ -451,7 +476,9 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             txn.commit();
             outcomes
         };
-        let batch_solves = self.system.state_stats().solves - solves_before;
+        let work = self.system.state_stats();
+        let batch_solves = work.solves - work_before.solves;
+        let busy = writer_busy_s(&work_before, work);
         // Publish the post-commit state to the read path.
         self.snapshot = self.system.snapshot();
 
@@ -522,7 +549,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         self.stats.batches += 1;
         self.stats.admitted += admitted;
         self.stats.rejected += rejected;
-        self.writer_free_at = t + self.config.solve_cost.batch_cost(take);
+        self.writer_free_at = t + busy;
         self.last_batch_id = batch_id;
         self.shed_since_batch = 0;
         self.tick_monitor(t, trace);
@@ -619,5 +646,77 @@ fn class_and_rank(app: &Application) -> (&'static str, f64) {
     match app.qoe() {
         QoeClass::GuaranteedRate { .. } => ("gr", f64::INFINITY),
         QoeClass::BestEffort { priority, .. } => ("be", *priority),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sparcle_model::{NcpId, NetworkBuilder, ResourceVec, TaskGraphBuilder};
+
+    fn work(warm: u64, cold: u64, sweeps: u64) -> StateStats {
+        StateStats {
+            inner_iters_warm: warm,
+            inner_iters_cold: cold,
+            gamma_cache_misses: sweeps,
+            ..StateStats::default()
+        }
+    }
+
+    #[test]
+    fn zero_work_charges_nothing() {
+        for stats in [StateStats::default(), work(40, 7, 12)] {
+            assert_eq!(writer_busy_s(&stats, &stats), 0.0);
+        }
+    }
+
+    #[test]
+    fn charge_is_monotone_in_each_count() {
+        let base = work(40, 7, 12);
+        let charge = writer_busy_s(&StateStats::default(), &base);
+        for more in [work(41, 7, 12), work(40, 8, 12), work(40, 7, 13)] {
+            assert!(writer_busy_s(&StateStats::default(), &more) > charge);
+        }
+        // Work the clock does not price leaves the charge unchanged.
+        let other = StateStats {
+            solves: 3,
+            gamma_cache_hits: 9,
+            ..base.clone()
+        };
+        assert_eq!(writer_busy_s(&StateStats::default(), &other), charge);
+    }
+
+    #[test]
+    fn a_batch_holds_the_writer_for_its_counted_work() {
+        let mut nb = NetworkBuilder::new();
+        let hub = nb.add_ncp("hub", ResourceVec::cpu(50.0));
+        let leaf = nb.add_ncp("leaf", ResourceVec::cpu(100.0));
+        nb.add_link("l", hub, leaf, 500.0).unwrap();
+        let source = |_| {
+            let mut tb = TaskGraphBuilder::new();
+            let s = tb.add_ct("s", ResourceVec::new());
+            let w = tb.add_ct("w", ResourceVec::cpu(10.0));
+            let t = tb.add_ct("t", ResourceVec::new());
+            tb.add_tt("sw", s, w, 50.0).unwrap();
+            tb.add_tt("wt", w, t, 5.0).unwrap();
+            let pins = [(s, NcpId::new(0)), (t, NcpId::new(0))];
+            Application::new(tb.build().unwrap(), QoeClass::best_effort(1.0), pins).unwrap()
+        };
+        let mut service =
+            AdmissionService::new(nb.build().unwrap(), ServiceConfig::default(), source);
+        service.run((0..2).map(|index| ServiceRequest {
+            time: 0.5,
+            index,
+            kind: RequestKind::Admit,
+        }));
+        assert_eq!(service.stats().batches, 1);
+        let stats = service.system().state_stats();
+        assert!(
+            stats.inner_iters_warm + stats.inner_iters_cold > 0 && stats.gamma_cache_misses > 0
+        );
+        let formula = STEP_S * (stats.inner_iters_warm + stats.inner_iters_cold) as f64
+            + SWEEP_S * stats.gamma_cache_misses as f64;
+        // The one batch commits at the first boundary, t = 1.
+        assert_eq!(service.writer_free_at, 1.0 + formula);
     }
 }

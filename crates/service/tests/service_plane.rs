@@ -10,7 +10,7 @@ use sparcle_model::{
     Application, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder,
 };
 use sparcle_runtime::MonitorConfig;
-use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
+use sparcle_service::{AdmissionService, ServiceConfig};
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream, ServiceRequest};
 
 fn star_network() -> Network {
@@ -45,13 +45,6 @@ fn mixed_app(index: u64) -> Application {
     }
 }
 
-fn free_writer() -> SolveCostModel {
-    SolveCostModel {
-        fixed: 0.0,
-        per_request: 0.0,
-    }
-}
-
 #[test]
 fn probe_only_stream_commits_nothing() {
     let config = ServiceConfig::default();
@@ -81,7 +74,6 @@ fn probe_only_stream_commits_nothing() {
 fn windows_of_one_match_sequential_submission_bitwise() {
     let config = ServiceConfig {
         batch_window: 1.0,
-        solve_cost: free_writer(),
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(star_network(), config.clone(), mixed_app);
@@ -126,7 +118,6 @@ fn windows_of_one_match_sequential_submission_bitwise() {
 fn flash_crowd_batches_share_solves() {
     let config = ServiceConfig {
         batch_window: 2.0,
-        solve_cost: free_writer(),
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(star_network(), config, mixed_app);
@@ -165,7 +156,6 @@ fn overflow_sheds_lowest_priority_first_and_protects_gr() {
     let config = ServiceConfig {
         batch_window: 10.0,
         queue_capacity: 2,
-        solve_cost: free_writer(),
         ..ServiceConfig::default()
     };
     let factory = |index: u64| match index {
@@ -195,27 +185,26 @@ fn overflow_sheds_lowest_priority_first_and_protects_gr() {
 
 #[test]
 fn busy_writer_defers_windows_then_sheds_over_budget() {
+    // A 2 ms window: the first commit into an empty system runs a cold
+    // solve whose counted Newton steps hold the writer for well over two
+    // windows.
     let config = ServiceConfig {
-        batch_window: 1.0,
+        batch_window: 0.002,
         max_defer_windows: 1,
-        solve_cost: SolveCostModel {
-            fixed: 5.0,
-            per_request: 0.0,
-        },
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(star_network(), config, mixed_app);
-    // First submission commits at t=1 and occupies the writer until
-    // t=6; the second (arriving at 1.5) sees its windows at 2.0 and 3.0
-    // deferred, exhausting a budget of one deferral — it is shed.
+    // First submission commits at t=2 ms and occupies the writer past
+    // t=6 ms; the second (arriving at 3 ms) sees its windows at 4 ms and
+    // 6 ms deferred, exhausting a budget of one deferral — it is shed.
     let requests = [
         ServiceRequest {
-            time: 0.5,
+            time: 0.001,
             index: 0,
             kind: RequestKind::Admit,
         },
         ServiceRequest {
-            time: 1.5,
+            time: 0.003,
             index: 1,
             kind: RequestKind::Admit,
         },
@@ -238,14 +227,12 @@ fn sliced_stream_exports_each_counter_once() {
     use sparcle_core::telemetry::CollectRecorder;
     use sparcle_core::TraceHandle;
 
+    // Windows shorter than one batch's counted work: backpressure
+    // defers and sheds.
     let config = ServiceConfig {
-        batch_window: 0.5,
+        batch_window: 0.003,
         queue_capacity: 8,
         max_defer_windows: 1,
-        solve_cost: SolveCostModel {
-            fixed: 1.2,
-            per_request: 0.05,
-        },
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(star_network(), config.clone(), mixed_app);
@@ -263,17 +250,9 @@ fn sliced_stream_exports_each_counter_once() {
         stats.batches > 1 && stats.shed > 0 && stats.probes > 0,
         "the stream must exercise every counter: {stats:?}"
     );
+    assert_eq!(stats.deferrals, service.ledger().deferrals());
     let counters = recorder.snapshot();
-    let exported = [
-        ("service.batches", stats.batches),
-        ("service.decisions", stats.decisions),
-        ("service.admitted", stats.admitted),
-        ("service.rejected", stats.rejected),
-        ("service.shed", stats.shed),
-        ("service.probes", stats.probes),
-        ("service.deferrals", service.ledger().deferrals()),
-    ];
-    for (name, expected) in exported {
+    for (name, expected) in stats.counters() {
         assert_eq!(counters.counter(name), expected, "{name}");
     }
 
@@ -306,7 +285,6 @@ fn rejected_batch_leaves_snapshot_readers_unperturbed() {
     };
     let config = ServiceConfig {
         batch_window: 1.0,
-        solve_cost: free_writer(),
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(star_network(), config, factory);
@@ -385,7 +363,6 @@ fn submit_error_rejects_one_request_and_the_window_goes_on() {
     };
     let config = ServiceConfig {
         batch_window: 1.0,
-        solve_cost: free_writer(),
         ..ServiceConfig::default()
     };
     let mut service = AdmissionService::new(b.build().unwrap(), config, source);
@@ -422,7 +399,6 @@ fn service_monitor_writes_metrics_out() {
     let _ = std::fs::remove_file(&path);
     let config = ServiceConfig {
         batch_window: 1.0,
-        solve_cost: free_writer(),
         monitor: Some(MonitorConfig {
             metrics_out: Some(path.clone()),
             ..MonitorConfig::default()
@@ -462,21 +438,21 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// With a free writer and an unbounded queue (no sheds, no
-    /// deferrals), ANY interleaving of submissions and probes reaches
-    /// the same *decisions* as sequentially submitting the same
-    /// applications in arrival order: identical admitted ids,
-    /// placements, and GR residual, bitwise. Probes are pure reads —
-    /// they must never perturb the outcome. Final BE rates are NOT
-    /// compared bitwise here: both schedules run warm solves with a
-    /// truncated barrier schedule, so each carries its own truncation
-    /// error toward the same proportional-fair optimum (exact rate
-    /// equality for size-1 batches is covered above).
+    /// With 1 s windows (far longer than any batch's counted work) and
+    /// an unbounded queue (no sheds, no deferrals), ANY interleaving
+    /// of submissions and probes reaches the same *decisions* as
+    /// sequentially submitting the same applications in arrival order:
+    /// identical admitted ids, placements, and GR residual, bitwise.
+    /// Probes are pure reads — they must never perturb the outcome.
+    /// Final BE rates are NOT compared bitwise here: both schedules run
+    /// warm solves with a truncated barrier schedule, so each carries
+    /// its own truncation error toward the same proportional-fair
+    /// optimum (exact rate equality for size-1 batches is covered
+    /// above).
     #[test]
     fn any_interleaving_matches_sequential_admission(steps in arb_steps()) {
         let config = ServiceConfig {
             batch_window: 1.0,
-            solve_cost: free_writer(),
             queue_capacity: usize::MAX,
             max_batch: usize::MAX,
             ..ServiceConfig::default()

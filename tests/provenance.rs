@@ -17,7 +17,7 @@ use sparcle_model::{
     Application, LinkDirection, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
 };
 use sparcle_runtime::{FluctuationConfig, ReconcilePolicy, RuntimeConfig, SparcleRuntime};
-use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
+use sparcle_service::{AdmissionService, ServiceConfig};
 use sparcle_sim::FluctuationModel;
 use sparcle_telemetry::{CollectRecorder, StampedEvent};
 use sparcle_trace_tools::explain::{explain, pick_lineage, Selector};
@@ -80,18 +80,15 @@ fn runtime_events(threads: usize, failure_seed: u64, arrival_seed: u64) -> Colle
     recorder
 }
 
-/// One traced service run under a lossy config (real solve cost,
-/// bounded queue, one defer window) so the stream produces admissions,
-/// rejections, deferrals, *and* sheds.
+/// One traced service run under a lossy config (windows shorter than one
+/// batch's counted work, bounded queue, one defer window) and a sharp
+/// burst, so the stream produces admissions, rejections, deferrals, *and*
+/// sheds.
 fn service_events(threads: usize, stream_seed: u64) -> CollectRecorder {
     let config = ServiceConfig {
-        batch_window: 0.5,
+        batch_window: 0.0001,
         queue_capacity: 16,
         max_defer_windows: 1,
-        solve_cost: SolveCostModel {
-            fixed: 1.2,
-            per_request: 0.05,
-        },
         system: SystemConfig {
             assigner_threads: threads,
             ..SystemConfig::default()
@@ -101,11 +98,11 @@ fn service_events(threads: usize, stream_seed: u64) -> CollectRecorder {
     let stream = RequestStream::new(
         ArrivalTrace::FlashCrowd {
             rate: 1.0,
-            burst_rate: 10.0,
+            burst_rate: 100.0,
             burst_start: 10.0,
-            burst_end: 30.0,
+            burst_end: 14.0,
         },
-        45.0,
+        30.0,
         stream_seed,
     )
     .with_probe_every(7);

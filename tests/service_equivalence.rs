@@ -15,7 +15,7 @@
 
 use sparcle_core::{SparcleSystem, SystemConfig};
 use sparcle_model::{NcpId, Network, NetworkBuilder, ResourceVec};
-use sparcle_service::{AdmissionService, ServiceConfig, SolveCostModel};
+use sparcle_service::{AdmissionService, ServiceConfig};
 use sparcle_workloads::edge_hub::service_app;
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream};
 
@@ -53,19 +53,15 @@ fn request_stream() -> RequestStream {
     .with_probe_every(7)
 }
 
-/// A config whose writer never exerts backpressure: zero solve cost and
-/// effectively unbounded queue/batch, so every admit request reaches a
-/// batched transaction and the decision sequence is directly comparable
-/// to a sequential replay.
+/// A config whose writer never exerts backpressure: a window far longer
+/// than any batch's counted work and an effectively unbounded
+/// queue/batch, so every admit request reaches a batched transaction and
+/// the decision sequence is directly comparable to a sequential replay.
 fn lossless_config(threads: usize) -> ServiceConfig {
     ServiceConfig {
         batch_window: 0.5,
         max_batch: usize::MAX,
         queue_capacity: usize::MAX,
-        solve_cost: SolveCostModel {
-            fixed: 0.0,
-            per_request: 0.0,
-        },
         system: SystemConfig {
             assigner_threads: threads,
             ..SystemConfig::default()
@@ -152,21 +148,17 @@ fn batched_service_matches_sequential_admission_bitwise() {
     );
 }
 
-/// Replay determinism with the *lossy* default config (real solve cost,
-/// bounded queue): deferrals and sheds are part of the contract too —
+/// Replay determinism with a *lossy* config (windows shorter than one
+/// batch's counted work, bounded queue): deferrals and sheds are part of the contract too —
 /// two runs of the same stream must agree on every counter, every
 /// decision wait, and the final snapshot.
 #[test]
 fn lossy_service_replay_is_deterministic() {
     let run = || {
         let config = ServiceConfig {
-            batch_window: 0.5,
+            batch_window: 0.0002,
             queue_capacity: 16,
             max_defer_windows: 1,
-            solve_cost: SolveCostModel {
-                fixed: 1.2,
-                per_request: 0.05,
-            },
             ..ServiceConfig::default()
         };
         let mut service = AdmissionService::new(service_network(), config, service_app);
@@ -218,12 +210,9 @@ fn service_logs_byte_identical_across_thread_counts() {
                 },
                 ..MonitorConfig::default()
             }),
+            batch_window: 0.0002,
             queue_capacity: 16,
             max_defer_windows: 1,
-            solve_cost: SolveCostModel {
-                fixed: 1.2,
-                per_request: 0.05,
-            },
             ..lossless_config(threads)
         };
         let recorder = CollectRecorder::new();
@@ -253,6 +242,9 @@ fn service_logs_byte_identical_across_thread_counts() {
         "service_batch",
         "service_decision",
         "service_probe",
+        // Backpressure fires, so the work-counted `writer_free` of each
+        // deferral is compared across thread counts too.
+        "service_defer",
         "monitor_snapshot",
         "monitor_alert",
     ] {
