@@ -19,8 +19,8 @@
 //!   (via [`ExpHarness::metrics_out`]), so the file is rewritten on
 //!   every monitor tick during the run and finalized at `finish()`.
 //!
-//! An experiment declares its own flags and operands on top of those;
-//! anything undeclared is an error, reported with [`ExpFlags::usage`].
+//! An experiment declares its own flags on top of those; anything
+//! undeclared is an error, reported with [`ExpFlags::usage`].
 //!
 //! Usage pattern:
 //!
@@ -49,15 +49,15 @@ struct Flag {
     default: Option<String>,
 }
 
-/// The flags (and positional operands) one experiment accepts.
+/// The flags one experiment accepts.
 ///
-/// Value flags take `--name value` or `--name=value`; switches take
+/// Value flags take `--name value` or `--name=value` (a value that
+/// starts with `--` only in the second spelling); switches take
 /// `--name`. [`ExpFlags::new`] starts from the four shared flags of the
 /// module docs.
 #[derive(Debug)]
 pub struct ExpFlags {
     flags: Vec<Flag>,
-    operands: Option<(&'static str, Vec<&'static str>)>,
 }
 
 impl Default for ExpFlags {
@@ -69,10 +69,7 @@ impl Default for ExpFlags {
 impl ExpFlags {
     /// The shared flags every experiment accepts.
     pub fn new() -> Self {
-        let mut flags = ExpFlags {
-            flags: Vec::new(),
-            operands: None,
-        };
+        let mut flags = ExpFlags { flags: Vec::new() };
         flags
             .value(
                 "trace-out",
@@ -109,19 +106,13 @@ impl ExpFlags {
         self
     }
 
-    /// Accepts positional operands, each one of `choices`.
-    pub(crate) fn operands(&mut self, help: &'static str, choices: Vec<&'static str>) -> &mut Self {
-        self.operands = Some((help, choices));
-        self
-    }
-
     /// Parses an argument list against the declarations.
     ///
     /// # Errors
     ///
-    /// An undeclared flag, a value flag without its value, a switch
-    /// given a value, or an operand that is undeclared or not one of the
-    /// declared choices.
+    /// An undeclared flag, a value flag without its value (or followed
+    /// by another flag), a switch given a value, or any argument that is
+    /// not a flag.
     pub fn parse_from<I, S>(&self, args: I) -> Result<ParsedFlags, String>
     where
         I: IntoIterator<Item = S>,
@@ -134,18 +125,11 @@ impl ExpFlags {
                 .filter_map(|f| Some((f.name, f.default.clone()?)))
                 .collect(),
             on: BTreeSet::new(),
-            operands: Vec::new(),
         };
-        let mut it = args.into_iter().map(Into::into);
+        let mut it = args.into_iter().map(Into::into).peekable();
         while let Some(arg) = it.next() {
             let Some(spelled) = arg.strip_prefix("--") else {
-                match &self.operands {
-                    Some((_, choices)) if choices.contains(&arg.as_str()) => {
-                        parsed.operands.push(arg);
-                        continue;
-                    }
-                    _ => return Err(format!("unexpected argument {arg:?}")),
-                }
+                return Err(format!("unexpected argument {arg:?}"));
             };
             let (name, inline) = match spelled.split_once('=') {
                 Some((name, value)) => (name, Some(value.to_owned())),
@@ -163,7 +147,7 @@ impl ExpFlags {
                 (None, Some(_)) => return Err(format!("--{name} takes no value")),
                 (Some(_), value) => {
                     let value = value
-                        .or_else(|| it.next())
+                        .or_else(|| it.next_if(|next| !next.starts_with("--")))
                         .ok_or_else(|| format!("--{name} requires a value"))?;
                     parsed.values.insert(flag.name, value);
                 }
@@ -173,38 +157,30 @@ impl ExpFlags {
     }
 
     /// The usage text of `sparcle-exp <command>`: every declared flag
-    /// with its help string and default, then the operand choices.
+    /// with its help string and default.
     pub fn usage(&self, command: &str) -> String {
         let spell = |f: &Flag| match f.default {
             Some(_) => format!("--{} <value>", f.name),
             None => format!("--{}", f.name),
         };
         let width = self.flags.iter().map(|f| spell(f).len()).max().unwrap_or(0);
-        let mut out = format!("usage: sparcle-exp {command} [flags]");
-        if self.operands.is_some() {
-            out.push_str(" [operands]");
-        }
-        out.push_str("\nflags:");
+        let mut out = format!("usage: sparcle-exp {command} [flags]\nflags:");
         for f in &self.flags {
             out.push_str(&format!("\n  {:<width$}  {}", spell(f), f.help));
             if let Some(default) = f.default.as_deref().filter(|d| !d.is_empty()) {
                 out.push_str(&format!(" (default {default})"));
             }
         }
-        if let Some((help, choices)) = &self.operands {
-            out.push_str(&format!("\noperands: {help}: {}", choices.join(" | ")));
-        }
         out
     }
 }
 
 /// The result of [`ExpFlags::parse_from`]: typed access to the declared
-/// flags and the collected operands.
+/// flags.
 #[derive(Debug)]
 pub struct ParsedFlags {
     values: BTreeMap<&'static str, String>,
     on: BTreeSet<&'static str>,
-    operands: Vec<String>,
 }
 
 impl ParsedFlags {
@@ -234,11 +210,6 @@ impl ParsedFlags {
     /// Whether a declared switch was given.
     pub fn on(&self, name: &str) -> bool {
         self.on.contains(name)
-    }
-
-    /// The positional operands, in the order given.
-    pub(crate) fn operands(&self) -> &[String] {
-        &self.operands
     }
 
     /// A path-valued flag whose empty default means "not given".
@@ -445,23 +416,18 @@ mod tests {
         assert!(err(&["--trace-out"]).contains("--trace-out requires a value"));
         assert!(err(&["--summary=yes"]).contains("takes no value"));
         assert!(err(&["stray"]).contains("unexpected argument"));
+        // A value flag never takes the next flag as its value, but an
+        // inline value may start with `--`.
+        assert_eq!(
+            flags.parse_from(["--budget=--x"]).unwrap().str("budget"),
+            "--x"
+        );
     }
 
     #[test]
-    fn operands_are_collected_against_their_choices() {
+    fn usage_names_every_declared_flag() {
         let mut flags = ExpFlags::new();
-        flags.operands("mode", vec!["run", "compare"]);
-        let p = flags.parse_from(["compare", "--summary", "run"]).unwrap();
-        assert_eq!(p.operands(), ["compare", "run"]);
-        assert!(flags.parse_from(["rerun"]).is_err());
-    }
-
-    #[test]
-    fn usage_names_every_declared_flag_and_choice() {
-        let mut flags = ExpFlags::new();
-        flags
-            .value("horizon", "simulated seconds per run", "300")
-            .operands("mode", vec!["run", "compare"]);
+        flags.value("horizon", "simulated seconds per run", "300");
         let usage = flags.usage("defrag");
         assert!(usage.starts_with("usage: sparcle-exp defrag"), "{usage}");
         for needle in [
@@ -471,7 +437,6 @@ mod tests {
             "--trace-spans",
             "--summary",
             "--metrics-out <value>",
-            "run | compare",
         ] {
             assert!(usage.contains(needle), "{needle} missing from:\n{usage}");
         }

@@ -5,14 +5,12 @@
 //! as `sparcle-exp <name>`; each prints the paper's rows/series as an
 //! ASCII table and writes a CSV under `target/experiments/`. This
 //! library holds the experiments, the one flag parser and trace harness
-//! they run under ([`harness`]), the behaviour-baseline gate
-//! ([`baseline`]), and table rendering, order statistics, CDF
-//! extraction and CSV output.
+//! they run under ([`harness`]), and table rendering, order statistics,
+//! CDF extraction and CSV output.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 pub mod harness;
 
 pub use harness::{ExpFlags, ExpHarness, ParsedFlags};
@@ -79,7 +77,6 @@ experiments! {
     churn = "Online runtime: SLO ledger under churn, per reconcile policy",
     service = "Service plane: batched admission vs per-request under flash crowds",
     defrag [flags] = "Defrag plane: planned-migration uplift under a budget sweep",
-    baseline [flags] = "Perf baselines: pinned workloads + regression compare gate",
 }
 
 use std::fs;

@@ -96,15 +96,16 @@ fn unknown_flag_is_a_usage_error_naming_the_declared_flags() {
         ],
     );
     assert_usage_error(
-        &sparcle_exp(&["baseline", "comapre"]),
-        &[
-            "unexpected argument \"comapre\"",
-            "run | compare",
-            "churn_solver",
-        ],
+        &sparcle_exp(&["fig6", "extra"]),
+        &["unexpected argument \"extra\"", "usage: sparcle-exp fig6"],
     );
     assert_usage_error(
         &sparcle_exp(&["fig6", "--trace-out"]),
+        &["--trace-out requires a value"],
+    );
+    // A value flag does not swallow the next flag as its value.
+    assert_usage_error(
+        &sparcle_exp(&["fig8", "--trace-out", "--summary"]),
         &["--trace-out requires a value"],
     );
     assert_usage_error(
