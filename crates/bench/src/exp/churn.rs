@@ -232,7 +232,7 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
     println!("determinism: OK ({events1} events, 1 vs 8 threads, identical logs)");
     println!(
         "solver: {} solves ({} warm / {} cold), {:.2} warm iters/solve, \
-         {:.3} ms/solve, {} element updates, {} full rebuilds, \
+         {:.3} ms/solve, {} element updates, \
          {} commits, {} rollbacks",
         stats.solves,
         stats.warm_solves,
@@ -240,7 +240,6 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
         stats.inner_iters_warm as f64 / (stats.warm_solves.max(1)) as f64,
         stats.solve_nanos as f64 / 1e6 / (stats.solves.max(1)) as f64,
         stats.residual_element_updates,
-        stats.residual_full_recomputes,
         stats.txn_commits,
         stats.txn_rollbacks,
     );

@@ -90,7 +90,9 @@ pub fn run(_: &ParsedFlags, _: &ExpHarness) {
             static_infeasible_epochs += 1;
         }
 
-        let violated = system.apply_capacity_fluctuation(caps);
+        let violated = system
+            .apply_capacity_fluctuation(&caps)
+            .expect("the fluctuation series keeps capacities valid");
         if violated.contains(&gr_id) {
             gr_violation_epochs += 1;
         }

@@ -22,7 +22,8 @@
 //!
 //! * admissions extend the fold (subtract the new loads in path order —
 //!   exactly the operations the canonical fold would append);
-//! * removals and undos re-derive each *touched* element by replaying
+//! * removals, undos and capacity changes re-derive each *touched*
+//!   (or changed) element by replaying
 //!   the canonical fold restricted to that element, using the
 //!   per-element ops of [`CapacityMap`] that are bitwise identical to
 //!   the dense ones;
@@ -37,11 +38,11 @@
 //! `tests/incremental_equivalence.rs` drives full runtime histories
 //! through it.
 
-use crate::engine::AssignStats;
+use crate::engine::{AssignStats, AssignedPath};
 use crate::system::{DisplacedApp, PlacedBeApp, PlacedGrApp};
 use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, IncrementalConstraints, SolverScratch};
 use sparcle_alloc::predict::PriorityLoads;
-use sparcle_model::{AppId, CapacityMap, LoadMap, Network, NetworkElement};
+use sparcle_model::{AppId, CapacityMap, LoadMap, Network, NetworkElement, ResourceVec};
 
 /// Counters describing the work the state core has done. Obtain via
 /// [`crate::SparcleSystem::state_stats`].
@@ -68,8 +69,6 @@ pub struct StateStats {
     /// Individual residual elements re-derived by the canonical
     /// per-element replay.
     pub residual_element_updates: u64,
-    /// Full residual rebuilds (fluctuations, capacity restores).
-    pub residual_full_recomputes: u64,
     /// Transactions committed.
     pub txn_commits: u64,
     /// Transactions rolled back (including what-if probes).
@@ -90,7 +89,7 @@ impl StateStats {
     /// The deterministic counters as `(trace counter name, value)` pairs
     /// — every field except the wall-clock [`Self::solve_nanos`] — the
     /// one list both control loops export at end of run.
-    pub fn counters(&self) -> [(&'static str, u64); 11] {
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
         [
             ("system.solves", self.solves),
             ("system.warm_solves", self.warm_solves),
@@ -100,10 +99,6 @@ impl StateStats {
             (
                 "system.residual_element_updates",
                 self.residual_element_updates,
-            ),
-            (
-                "system.residual_full_recomputes",
-                self.residual_full_recomputes,
             ),
             ("system.txn_commits", self.txn_commits),
             ("system.txn_rollbacks", self.txn_rollbacks),
@@ -149,6 +144,11 @@ pub struct SystemState {
     /// The BE solve's buffers, kept across solves so a warm re-solve
     /// makes no allocator call.
     pub(crate) solver: SolverScratch,
+    /// The running residual of the GR fit re-check
+    /// ([`Self::violated_gr`]). Only elements some GR application loads
+    /// are written, each seeded from `current_capacities` before the
+    /// fold reads it, so between re-checks its contents mean nothing.
+    fit_scratch: CapacityMap,
     pub(crate) next_id: u32,
     pub(crate) stats: StateStats,
 }
@@ -165,6 +165,7 @@ impl SystemState {
             priority_loads: PriorityLoads::zeroed(network),
             constraints: IncrementalConstraints::new(),
             solver: SolverScratch::new(),
+            fit_scratch: CapacityMap::zeroed(network),
             next_id: 0,
             stats: StateStats::default(),
         }
@@ -250,18 +251,50 @@ impl SystemState {
         residual
     }
 
-    pub(crate) fn rebuild_residual_full(&mut self) {
-        self.gr_residual = self.canonical_residual();
-        self.stats.residual_full_recomputes += 1;
-    }
-
     /// Restores the canonical residual value of `elements` after a
-    /// structural change, replaying the fold per element.
+    /// structural or capacity change, replaying the fold per element.
     pub(crate) fn refresh_residual(&mut self, elements: &[NetworkElement]) {
         for &e in elements {
             self.recompute_residual_element(e);
         }
         self.stats.residual_element_updates += elements.len() as u64;
+    }
+
+    /// The GR applications whose reservations no longer fit
+    /// `current_capacities`, sorted by id: each path is checked against
+    /// the running fold of the paths before it (in `gr_apps` order)
+    /// before its own load comes off. The fold runs in `fit_scratch`
+    /// over each application's own touched elements only. `min` does
+    /// not depend on visiting order, and each element still sees its
+    /// subtractions in `gr_apps` order, so the list is the dense fold's
+    /// (`sparcle_oracle::dense_residual_fold`).
+    pub(crate) fn violated_gr(&mut self) -> Vec<AppId> {
+        let SystemState {
+            current_capacities,
+            gr_apps,
+            fit_scratch,
+            ..
+        } = self;
+        for gr in gr_apps.iter() {
+            for &e in &gr.touched {
+                fit_scratch.copy_element_from(current_capacities, e);
+            }
+        }
+        let mut violated = Vec::new();
+        for gr in gr_apps.iter() {
+            for (path, rate) in &gr.paths {
+                // Check fit before subtracting (subtraction clamps).
+                if fit_scratch.bottleneck_rate_on(&path.load, &gr.touched) + 1e-9 < *rate {
+                    violated.push(gr.id);
+                }
+                for &e in &gr.touched {
+                    fit_scratch.subtract_load_element(e, &path.load, *rate);
+                }
+            }
+        }
+        violated.sort_unstable_by_key(|id| id.as_u32());
+        violated.dedup();
+        violated
     }
 
     /// Re-derives one priority-load element from the canonical fold:
@@ -359,14 +392,14 @@ impl SystemState {
         match op {
             UndoOp::PopGr => {
                 let entry = self.gr_apps.pop().expect("undo log matches state");
-                let touched = gr_touched_elements(&entry);
-                self.refresh_residual(&touched);
+                self.refresh_residual(&entry.touched);
                 Some(DisplacedApp::Gr(entry))
             }
-            UndoOp::InsertGr(pos, entry) => {
-                let touched = gr_touched_elements(&entry);
+            UndoOp::InsertGr(pos, mut entry) => {
+                let touched = std::mem::take(&mut entry.touched);
                 self.gr_apps.insert(pos, entry);
                 self.refresh_residual(&touched);
+                self.gr_apps[pos].touched = touched;
                 None
             }
             UndoOp::PopBe => {
@@ -392,9 +425,11 @@ impl SystemState {
                 self.next_id = id;
                 None
             }
-            UndoOp::RestoreCaps(old) => {
-                self.current_capacities = old;
-                self.rebuild_residual_full();
+            UndoOp::RestoreCapacities(elements, old) => {
+                for (&e, capacity) in elements.iter().zip(&old) {
+                    self.current_capacities.set_element(e, capacity);
+                }
+                self.refresh_residual(&elements);
                 None
             }
             UndoOp::RecomputeResidual(elements) => {
@@ -407,9 +442,8 @@ impl SystemState {
 
 /// Union of the residual elements a GR entry's paths load, sorted and
 /// deduplicated.
-pub(crate) fn gr_touched_elements(entry: &PlacedGrApp) -> Vec<NetworkElement> {
-    let mut out: Vec<NetworkElement> = entry
-        .paths
+pub(crate) fn gr_touched_elements(paths: &[(AssignedPath, f64)]) -> Vec<NetworkElement> {
+    let mut out: Vec<NetworkElement> = paths
         .iter()
         .flat_map(|(path, _)| path.load.loaded_elements())
         .collect();
@@ -442,9 +476,9 @@ pub(crate) enum UndoOp {
     RestoreRates(Vec<f64>),
     /// Restore the id counter (undoes `fresh_id` / readmit id bumps).
     RestoreNextId(u32),
-    /// Restore the previous capacity map wholesale (fluctuation undo);
-    /// forces a full residual rebuild.
-    RestoreCaps(CapacityMap),
+    /// Undo a capacity change: put back each listed element's old
+    /// capacity, then re-derive those residual elements.
+    RestoreCapacities(Vec<NetworkElement>, Vec<ResourceVec>),
     /// Re-derive the given residual elements from the canonical fold
     /// (undoes raw sparse subtractions made during GR path search and
     /// readmission before the entry exists in `gr_apps`).

@@ -9,7 +9,7 @@ use super::{
 };
 use crate::engine::AssignedPath;
 use crate::error::AssignError;
-use crate::state::UndoOp;
+use crate::state::{gr_touched_elements, UndoOp};
 use sparcle_alloc::availability::PathAvailability;
 use sparcle_model::{Application, LoadMap};
 use std::sync::Arc;
@@ -47,6 +47,7 @@ impl SystemTxn<'_> {
             paths,
             min_rate_availability: achieved,
             min_rate,
+            touched: Vec::new(),
         };
         self.install_gr(entry, defer_solve);
         Ok(Admission::Admitted(id))
@@ -105,8 +106,10 @@ impl SystemTxn<'_> {
     /// Puts a GR entry whose reservations are already off the residual
     /// into the state; the reservations shrank what BE applications
     /// share, so their rates are re-solved (unless deferred to a batch
-    /// epilogue). Fresh admission and exact readmission share it.
-    pub(super) fn install_gr(&mut self, entry: PlacedGrApp, defer_solve: bool) {
+    /// epilogue). Fresh admission and exact readmission share it; both
+    /// (re)derive the entry's touched elements from its paths here.
+    pub(super) fn install_gr(&mut self, mut entry: PlacedGrApp, defer_solve: bool) {
+        entry.touched = gr_touched_elements(&entry.paths);
         self.sys.state.gr_apps.push(entry);
         self.log.push(UndoOp::PopGr);
         if !defer_solve {

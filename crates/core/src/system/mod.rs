@@ -61,7 +61,9 @@ use crate::error::AssignError;
 use crate::state::{Slot, StateStats, SystemState, TxnLog};
 use sparcle_alloc::availability::PathAvailability;
 use sparcle_alloc::AvailabilityError;
-use sparcle_model::{AppId, Application, CapacityMap, LoadMap, ModelError, Network};
+use sparcle_model::{
+    AppId, Application, CapacityMap, LoadMap, ModelError, Network, NetworkElement,
+};
 use std::sync::Arc;
 
 /// How Best-Effort rates are shared (§IV-C; the paper uses weighted
@@ -233,6 +235,10 @@ pub struct PlacedGrApp {
     pub min_rate_availability: f64,
     /// The requested minimum rate `R_J`.
     pub min_rate: f64,
+    /// The residual elements `paths` load, sorted — derived when the
+    /// entry is installed, so residual refreshes and the GR fit re-check
+    /// never scan the network.
+    pub(crate) touched: Vec<NetworkElement>,
 }
 
 impl PlacedGrApp {
@@ -620,41 +626,52 @@ impl SparcleSystem {
         gr.chain(be).collect()
     }
 
-    /// Reacts to a computing-network capacity fluctuation (the paper's
-    /// stated future-work direction): replaces the base capacities with
-    /// `new_capacities` (same shape as the network), re-derives the
-    /// GR-residual by subtracting the existing GR reservations, and
-    /// re-solves the BE allocation. Placements are *not* migrated — only
-    /// rates adapt, consistent with the no-migration constraint.
+    /// Sets the capacity of each listed element to its value in
+    /// `capacities`, in one transaction (see
+    /// [`SystemTxn::change_capacities`]). This is how an element failure
+    /// or recovery reaches the system: the caller keeps its capacity map
+    /// and names the element that flipped. Only the listed elements are
+    /// validated.
     ///
     /// Returns the ids of GR applications whose reservations no longer
-    /// fit the new capacities (sorted by id, deduplicated); their
-    /// guarantee is violated until capacity recovers or the caller
-    /// removes and resubmits them.
+    /// fit (sorted by id, deduplicated); their guarantee is violated
+    /// until capacity recovers or the caller moves or removes them.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `new_capacities` does not match the network shape or
-    /// contains negative / non-finite entries.
-    pub fn apply_capacity_fluctuation(&mut self, new_capacities: CapacityMap) -> Vec<AppId> {
-        assert_eq!(
-            new_capacities.ncp_count(),
-            self.network.ncp_count(),
-            "capacity map must match the network"
-        );
-        assert_eq!(
-            new_capacities.link_count(),
-            self.network.link_count(),
-            "capacity map must match the network"
-        );
-        assert!(
-            new_capacities.is_finite_non_negative(),
-            "capacities must be finite and non-negative"
-        );
+    /// As [`SystemTxn::change_capacities`]; the system is unchanged then.
+    pub fn change_capacities(
+        &mut self,
+        capacities: &CapacityMap,
+        elements: &[NetworkElement],
+    ) -> Result<Vec<AppId>, ModelError> {
         let mut txn = self.begin();
-        let violated = txn.apply_fluctuation(new_capacities);
+        let violated = txn.change_capacities(capacities, elements)?;
         txn.commit();
-        violated
+        Ok(violated)
+    }
+
+    /// Reacts to a computing-network capacity fluctuation (the paper's
+    /// stated future-work direction): [`Self::change_capacities`] over
+    /// every element whose capacity in `new_capacities` differs from the
+    /// current one in any bit. Placements are *not* migrated — only
+    /// rates adapt, consistent with the no-migration constraint.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::UnknownNcp`] / [`ModelError::UnknownLink`] when
+    /// `new_capacities` does not match the network's shape, and
+    /// [`ModelError::InvalidQuantity`] for a NaN, negative or infinite
+    /// capacity; the system is unchanged then.
+    pub fn apply_capacity_fluctuation(
+        &mut self,
+        new_capacities: &CapacityMap,
+    ) -> Result<Vec<AppId>, ModelError> {
+        let changed = self
+            .state
+            .current_capacities
+            .changed_elements(new_capacities)?;
+        self.change_capacities(new_capacities, &changed)
     }
 
     /// Migrates an admitted application to a fresh placement in one

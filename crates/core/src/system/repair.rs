@@ -8,8 +8,8 @@
 //! one allocation problem.
 
 use super::{Admission, DisplacedApp, MigrationOutcome, RejectReason, SystemTxn};
-use crate::state::{gr_touched_elements, Slot, UndoOp};
-use sparcle_model::{AppId, CapacityMap};
+use crate::state::{Slot, UndoOp};
+use sparcle_model::{AppId, CapacityMap, ModelError, NetworkElement};
 
 impl SystemTxn<'_> {
     /// Displaces an admitted application inside this transaction. The
@@ -61,7 +61,7 @@ impl SystemTxn<'_> {
         match slot {
             Slot::Gr(pos) => {
                 let entry = state.gr_apps.remove(pos);
-                state.refresh_residual(&gr_touched_elements(&entry));
+                state.refresh_residual(&entry.touched);
                 self.log.push(UndoOp::InsertGr(pos, entry));
             }
             Slot::Be(pos) => {
@@ -170,31 +170,47 @@ impl SystemTxn<'_> {
         }
     }
 
-    /// Replaces the base capacities (see
-    /// [`super::SparcleSystem::apply_capacity_fluctuation`]). The
-    /// residual rebuild below *is* the canonical fold, interleaved with
-    /// the per-path fit checks that flag violated GR guarantees.
-    pub(super) fn apply_fluctuation(&mut self, new_capacities: CapacityMap) -> Vec<AppId> {
+    /// Sets the capacity of each listed element to its value in
+    /// `capacities` inside this transaction — one element for a failure
+    /// or a recovery, the changed ones for a fluctuation step (see
+    /// [`super::SparcleSystem::apply_capacity_fluctuation`]). Only those
+    /// elements of the current capacities are replaced, and the undo
+    /// record keeps just their old values. Only their residual elements
+    /// are re-derived (the canonical per-element fold); the GR fits are
+    /// re-checked along the GR paths; the BE allocation is re-solved.
+    ///
+    /// Returns the ids of GR applications whose reservations no longer
+    /// fit (sorted by id, deduplicated).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::UnknownNcp`] / [`ModelError::UnknownLink`] for a
+    /// listed element outside the network or `capacities`, and
+    /// [`ModelError::InvalidQuantity`] for a NaN, negative or infinite
+    /// capacity on one. Nothing has changed then.
+    pub fn change_capacities(
+        &mut self,
+        capacities: &CapacityMap,
+        elements: &[NetworkElement],
+    ) -> Result<Vec<AppId>, ModelError> {
         let state = &mut self.sys.state;
-        let old = std::mem::replace(&mut state.current_capacities, new_capacities);
-        self.log.push(UndoOp::RestoreCaps(old));
-        let mut residual = state.current_capacities.clone();
-        let mut violated = Vec::new();
-        for gr in &state.gr_apps {
-            for (path, rate) in &gr.paths {
-                // Check fit before subtracting (subtraction clamps).
-                if residual.bottleneck_rate(&path.load) + 1e-9 < *rate {
-                    violated.push(gr.id);
-                }
-                residual.subtract_load(&path.load, *rate);
-            }
+        for &e in elements {
+            state.current_capacities.check_element(e)?;
+            capacities.check_element(e)?;
         }
-        violated.sort_unstable_by_key(|id| id.as_u32());
-        violated.dedup();
-        state.gr_residual = residual;
-        state.stats.residual_full_recomputes += 1;
+        let old = elements
+            .iter()
+            .map(|&e| state.current_capacities.element(e))
+            .collect();
+        for &e in elements {
+            state.current_capacities.copy_element_from(capacities, e);
+        }
+        self.log
+            .push(UndoOp::RestoreCapacities(elements.to_vec(), old));
+        state.refresh_residual(elements);
+        let violated = state.violated_gr();
         let _ = self.resolve();
-        violated
+        Ok(violated)
     }
 }
 
@@ -266,7 +282,7 @@ mod tests {
             let bw = halved.link(link);
             halved.set_link(link, bw * 0.5);
         }
-        let violated = sys.apply_capacity_fluctuation(halved);
+        let violated = sys.apply_capacity_fluctuation(&halved).unwrap();
         assert!(violated.is_empty());
         let after = sys.be_apps()[0].allocated_rate;
         assert!(
@@ -293,8 +309,78 @@ mod tests {
             let bw = tiny.link(link);
             tiny.set_link(link, bw * 0.01);
         }
-        let violated = sys.apply_capacity_fluctuation(tiny);
+        let violated = sys.apply_capacity_fluctuation(&tiny).unwrap();
         assert_eq!(violated, vec![id]);
+    }
+
+    /// Regression: a capacity map of the wrong shape, or with a NaN,
+    /// negative or infinite capacity, used to panic. It is a typed error
+    /// now, and the system is bitwise as it was. The per-element entry
+    /// point validates only the elements it is given.
+    #[test]
+    fn invalid_capacities_are_errors_that_change_nothing() {
+        let net = star_network(0.0);
+        let mut sys = SparcleSystem::new(net.clone());
+        sys.submit(simple_app(QoeClass::guaranteed_rate(2.0, 0.9), 10.0, 50.0))
+            .unwrap();
+        sys.submit(simple_app(QoeClass::best_effort(1.0), 10.0, 50.0))
+            .unwrap();
+        let link = NetworkElement::Link(net.link_ids().next().expect("a link"));
+        let hub = NetworkElement::Ncp(NcpId::new(0));
+        let with = |edit: &dyn Fn(&mut CapacityMap)| {
+            let mut caps = net.capacity_map();
+            edit(&mut caps);
+            caps
+        };
+        let nan = with(&|c| c.scale_element(link, f64::NAN));
+        let negative = with(&|c| c.scale_element(link, -1.0));
+        let infinite = with(&|c| c.ncp_mut(NcpId::new(0)).scale(f64::MAX));
+        let mut nb = NetworkBuilder::new();
+        nb.add_ncp("solo", ResourceVec::cpu(1.0));
+        let short = nb.build().unwrap().capacity_map();
+
+        let bits = |sys: &SparcleSystem| {
+            let caps = |m: &CapacityMap| -> Vec<u64> {
+                let ncps = net
+                    .ncp_ids()
+                    .flat_map(|n| m.ncp(n).iter().map(|(_, a)| a.to_bits()));
+                ncps.chain(net.link_ids().map(|l| m.link(l).to_bits()))
+                    .collect()
+            };
+            let rates: Vec<u64> = sys
+                .state()
+                .snapshot_rates()
+                .iter()
+                .map(|r| r.to_bits())
+                .collect();
+            (
+                caps(sys.gr_residual()),
+                caps(sys.state().current_capacities()),
+                rates,
+                sys.state_stats().clone(),
+            )
+        };
+        let before = bits(&sys);
+        let invalid = |e: Result<Vec<AppId>, ModelError>| {
+            matches!(e, Err(ModelError::InvalidQuantity { .. }))
+        };
+        assert!(invalid(sys.apply_capacity_fluctuation(&nan)));
+        assert!(invalid(sys.apply_capacity_fluctuation(&negative)));
+        assert!(invalid(sys.apply_capacity_fluctuation(&infinite)));
+        assert!(invalid(sys.change_capacities(&nan, &[link])));
+        assert!(invalid(sys.change_capacities(&infinite, &[link, hub])));
+        assert_eq!(
+            sys.apply_capacity_fluctuation(&short),
+            Err(ModelError::UnknownNcp(NcpId::new(1)))
+        );
+        assert_eq!(
+            sys.change_capacities(&short, &[NetworkElement::Ncp(NcpId::new(1))]),
+            Err(ModelError::UnknownNcp(NcpId::new(1)))
+        );
+        assert_eq!(bits(&sys), before, "a refused change left a trace");
+        assert_eq!(sys.state().audit(sys.network()), Ok(()));
+        // The bad link is not the hub's business.
+        assert!(sys.change_capacities(&nan, &[hub]).is_ok());
     }
 
     #[test]
@@ -317,7 +403,7 @@ mod tests {
             let bw = caps.link(link);
             caps.set_link(link, bw * 0.1);
         }
-        let violated = sys.apply_capacity_fluctuation(caps);
+        let violated = sys.apply_capacity_fluctuation(&caps).unwrap();
         assert_eq!(violated, vec![id]);
         let outcome = sys.migrate(id).expect("known id");
         assert!(outcome.moved(), "{outcome:?}");
@@ -373,7 +459,7 @@ mod tests {
             let bw = caps.link(link);
             caps.set_link(link, bw * 1e-6);
         }
-        sys.apply_capacity_fluctuation(caps);
+        sys.apply_capacity_fluctuation(&caps).unwrap();
         let residual = sys.gr_residual().clone();
         let rates: Vec<f64> = sys.be_apps().iter().map(|a| a.allocated_rate).collect();
         let outcome = sys.migrate(id).expect("known id");
@@ -426,7 +512,7 @@ mod tests {
         let mut caps = sys.network().capacity_map();
         let direct = sys.network().link_ids().next().expect("ring0");
         caps.set_link(direct, 1e-3);
-        sys.apply_capacity_fluctuation(caps);
+        sys.apply_capacity_fluctuation(&caps).unwrap();
         let residual = sys.gr_residual().clone();
         let rates: Vec<f64> = sys.be_apps().iter().map(|a| a.allocated_rate).collect();
         let outcome = sys.migrate(id).expect("known id");
@@ -545,7 +631,7 @@ mod tests {
             let bw = tiny.link(link);
             tiny.set_link(link, bw * 1e-6);
         }
-        sys.apply_capacity_fluctuation(tiny);
+        sys.apply_capacity_fluctuation(&tiny).unwrap();
         let before = sys.gr_residual().clone();
         let adm = sys.readmit(displaced);
         assert!(matches!(

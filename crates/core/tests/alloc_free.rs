@@ -1,5 +1,5 @@
-//! Allocation-count checks on the placement engine's hot paths, under a
-//! counting global allocator.
+//! Allocation-count checks on the placement engine's hot paths and on a
+//! single-element capacity change, under a counting global allocator.
 //!
 //! Calls are counted per thread, so libtest's own threads (and the
 //! other tests of this file running next to this one) cannot perturb a
@@ -7,7 +7,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparcle_core::{DynamicRankingAssigner, EngineScratch, PlacementEngine, TraceHandle};
+use sparcle_core::{
+    DynamicRankingAssigner, EngineScratch, PlacementEngine, SparcleSystem, TraceHandle,
+};
+use sparcle_model::{
+    Application, LinkId, NcpId, NetworkBuilder, NetworkElement, QoeClass, ResourceVec,
+    TaskGraphBuilder,
+};
 use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,6 +64,71 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// A chain of `n` NCPs (CPU 1000 each, 1000-bit links) carrying the
+/// same GR and BE pipelines whatever `n` is, both pinned to its first
+/// three NCPs.
+fn chain_system(n: u32) -> SparcleSystem {
+    let mut nb = NetworkBuilder::new();
+    for i in 0..n {
+        nb.add_ncp(format!("n{i}"), ResourceVec::cpu(1000.0));
+    }
+    for i in 1..n {
+        nb.add_link(format!("l{i}"), NcpId::new(i - 1), NcpId::new(i), 1000.0)
+            .expect("valid link");
+    }
+    let mut sys = SparcleSystem::new(nb.build().expect("valid chain"));
+    for qoe in [
+        QoeClass::guaranteed_rate(1.0, 0.0),
+        QoeClass::best_effort(1.0),
+    ] {
+        let mut tb = TaskGraphBuilder::new();
+        let s = tb.add_ct("s", ResourceVec::new());
+        let w = tb.add_ct("w", ResourceVec::cpu(10.0));
+        let t = tb.add_ct("t", ResourceVec::new());
+        tb.add_tt("sw", s, w, 50.0).expect("valid tt");
+        tb.add_tt("wt", w, t, 50.0).expect("valid tt");
+        let pins = [(s, NcpId::new(0)), (t, NcpId::new(2))];
+        let app = Application::new(tb.build().expect("valid graph"), qoe, pins).expect("valid app");
+        assert!(sys.submit(app).expect("assignable").is_admitted());
+    }
+    sys
+}
+
+/// A single-element capacity change (a link failing, fading or coming
+/// back) re-derives that residual element, re-checks the GR fits along
+/// the GR paths and re-solves the BE rates — nothing network-sized. So
+/// once one change has warmed the buffers, the next costs the same
+/// allocator calls on a 100-NCP chain as on a 1,000-NCP one. (The whole-map
+/// fold it replaced cloned the capacity map: one `ResourceVec` per NCP.)
+/// The window closes before the commit, whose debug-build audit refolds
+/// the whole network.
+#[test]
+fn single_element_change_allocations_do_not_grow_with_the_network() {
+    let calls = |n: u32| {
+        let mut sys = chain_system(n);
+        let link = NetworkElement::Link(LinkId::new(0));
+        let mut caps = sys.network().capacity_map();
+        caps.scale_element(link, 0.9);
+        sys.change_capacities(&caps, &[link])
+            .expect("valid capacities");
+        caps.scale_element(link, 0.9);
+        let mut txn = sys.begin();
+        let before = alloc_calls();
+        let violated = txn
+            .change_capacities(&caps, &[link])
+            .expect("valid capacities");
+        let calls = alloc_calls() - before;
+        assert!(black_box(violated).is_empty());
+        txn.commit();
+        calls
+    };
+    let (small, large) = (calls(100), calls(1000));
+    assert_eq!(
+        small, large,
+        "a one-link change made {small} allocator calls on 100 NCPs, {large} on 1,000"
+    );
+}
 
 /// The 16-NCP, 8-stage scenario the engine-level checks drive.
 fn check_scenario(seed: u64) -> sparcle_workloads::Scenario {

@@ -5,10 +5,11 @@ use sparcle_core::widest_path::{csr_widest_path, csr_widest_tree, BucketQueue, C
 use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
 use sparcle_model::{
     Application, CapacityMap, CsrNetwork, CtId, LinkDirection, LoadMap, NcpId, Network,
-    NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder,
+    NetworkBuilder, NetworkElement, QoeClass, ResourceKind, ResourceVec, TaskGraphBuilder,
 };
 use sparcle_oracle::{
-    gamma, widest_path, widest_path_brute_force, widest_tree, ReverseAdjacency, WidestTree,
+    dense_residual_fold, gamma, widest_path, widest_path_brute_force, widest_tree,
+    ReverseAdjacency, WidestTree,
 };
 
 /// Strategy: a random connected network of `n` NCPs — a spanning spine
@@ -798,6 +799,8 @@ enum ReplayOp {
     Bounce(sparcle_model::AppId),
     Migrate(sparcle_model::AppId),
     Fluctuate(CapacityMap),
+    /// One element takes its capacity in the map.
+    Change(CapacityMap, NetworkElement),
 }
 
 proptest! {
@@ -812,13 +815,14 @@ proptest! {
     /// canonical replay, because undo restores exact rate snapshots and
     /// re-derives residual elements through the same canonical fold the
     /// fresh admission path uses. And every step — submit, remove,
-    /// displace, readmit, migrate, fluctuation, committed or rolled
-    /// back — ends on state that passes `SystemState::audit`.
+    /// displace, readmit, migrate, single-element capacity change,
+    /// fluctuation, committed or rolled back — ends on state that passes
+    /// `SystemState::audit`.
     #[test]
     fn rolled_back_transactions_are_invisible(
         net in arb_network(6),
         ops in proptest::collection::vec(
-            (0u8..7, 0usize..64, 1.0f64..20.0, 1.0f64..20.0, 0.1f64..1.5, 0u8..2),
+            (0u8..8, 0usize..64, 1.0f64..20.0, 1.0f64..20.0, 0.1f64..1.5, 0u8..2),
             1..36,
         ),
     ) {
@@ -915,13 +919,36 @@ proptest! {
                         }
                     }
                 }
+                6 => {
+                    // One element fails, fades or recovers (0, 1/3, 2/3
+                    // or all of its nominal capacity), committed or
+                    // rolled back.
+                    let elements: Vec<NetworkElement> = net.elements().collect();
+                    let element = elements[pick % elements.len()];
+                    let mut caps = sys.state().current_capacities().clone();
+                    caps.copy_element_from(&net.capacity_map(), element);
+                    caps.scale_element(element, (pick % 4) as f64 / 3.0);
+                    let mut txn = sys.begin();
+                    let violated =
+                        txn.change_capacities(&caps, &[element]).expect("valid capacities");
+                    let state = txn.system().state();
+                    let (_, expected) =
+                        dense_residual_fold(state.current_capacities(), state.gr_apps());
+                    prop_assert_eq!(violated, expected, "violated list off the dense fold");
+                    if commit {
+                        txn.commit();
+                        committed.push(ReplayOp::Change(caps, element));
+                    } else {
+                        txn.rollback();
+                    }
+                }
                 _ => {
                     // Capacity fluctuation: every NCP scaled to 50–99 %.
                     let mut caps = net.capacity_map();
                     for ncp in net.ncp_ids() {
                         caps.ncp_mut(ncp).scale(0.5 + (pick % 50) as f64 / 100.0);
                     }
-                    sys.apply_capacity_fluctuation(caps.clone());
+                    sys.apply_capacity_fluctuation(&caps).expect("valid capacities");
                     committed.push(ReplayOp::Fluctuate(caps));
                 }
             }
@@ -948,7 +975,10 @@ proptest! {
                     prop_assert!(fresh.migrate(id).is_some(), "replay lost id {id:?}");
                 }
                 ReplayOp::Fluctuate(caps) => {
-                    fresh.apply_capacity_fluctuation(caps);
+                    fresh.apply_capacity_fluctuation(&caps).expect("valid capacities");
+                }
+                ReplayOp::Change(caps, element) => {
+                    fresh.change_capacities(&caps, &[element]).expect("valid capacities");
                 }
             }
         }
@@ -962,5 +992,128 @@ proptest! {
         let fresh_rates: Vec<u64> =
             fresh.be_apps().iter().map(|a| a.allocated_rate.to_bits()).collect();
         prop_assert_eq!(rates, fresh_rates, "BE rates diverged from the canonical replay");
+    }
+}
+
+/// Every capacity of `caps` as `(kind, bits)` pairs, NCPs then links —
+/// `CapacityMap`'s `==` compares floats, not bits.
+fn capacity_bits(caps: &CapacityMap, net: &Network) -> Vec<(ResourceKind, u64)> {
+    let ncps = net
+        .ncp_ids()
+        .flat_map(|n| caps.ncp(n).iter().map(|(kind, a)| (kind, a.to_bits())));
+    let links = net
+        .link_ids()
+        .map(|l| (ResourceKind::Bandwidth, caps.link(l).to_bits()));
+    ncps.chain(links).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A capacity change re-derives only the changed residual elements
+    /// and re-checks the GR fits along each GR application's own
+    /// elements. The dense fold it replaced
+    /// (`sparcle_oracle::dense_residual_fold`) is the reference: over
+    /// random GR/BE histories with single-element and whole-map changes,
+    /// committed or rolled back, the GR residual stays bitwise the
+    /// oracle's fold of the current capacities, a change's violated list
+    /// is the oracle's, a rollback restores the state bitwise, and every
+    /// step passes `SystemState::audit`. GR pipelines share their pinned
+    /// ends, so the fit check's `gr_apps` order decides which of them a
+    /// cut flags.
+    #[test]
+    fn capacity_changes_match_the_dense_fold(
+        net in arb_network(6),
+        ops in proptest::collection::vec(
+            (
+                0u8..6,
+                0usize..64,
+                1.0f64..20.0,
+                prop_oneof![Just(0.0f64), 0.0f64..1.2],
+                0.1f64..3.0,
+                0u8..2,
+            ),
+            1..40,
+        ),
+    ) {
+        use std::sync::Arc;
+        let n = net.ncp_count() as u32;
+        let elements: Vec<NetworkElement> = net.elements().collect();
+        let nominal = net.capacity_map();
+        let mut sys = SparcleSystem::new(net.clone());
+        let state_bits = |sys: &SparcleSystem| {
+            let rates: Vec<u64> =
+                sys.be_apps().iter().map(|a| a.allocated_rate.to_bits()).collect();
+            (
+                capacity_bits(sys.gr_residual(), &net),
+                capacity_bits(sys.state().current_capacities(), &net),
+                rates,
+            )
+        };
+        for (kind, pick, cpu, factor, min_rate, commit) in ops {
+            match kind {
+                0 | 1 => {
+                    let app = pipeline_app(&[cpu], &[cpu, cpu], NcpId::new(0), NcpId::new(n - 1));
+                    let app = if kind == 0 {
+                        app.with_qoe(QoeClass::guaranteed_rate(min_rate, 0.0)).expect("valid qoe")
+                    } else {
+                        app
+                    };
+                    let _ = sys.submit(Arc::new(app)).expect("well-formed app");
+                }
+                2 => {
+                    let ids = sys.app_ids();
+                    if !ids.is_empty() {
+                        prop_assert!(sys.displace(ids[pick % ids.len()]).is_some());
+                    }
+                }
+                _ => {
+                    // 3: one element to `factor` × nominal; 4 and 5: every
+                    // element to its own fraction of nominal (0 to 1).
+                    let mut caps = sys.state().current_capacities().clone();
+                    let changed = if kind == 3 {
+                        let element = elements[pick % elements.len()];
+                        caps.copy_element_from(&nominal, element);
+                        caps.scale_element(element, factor);
+                        vec![element]
+                    } else {
+                        for (i, &e) in elements.iter().enumerate() {
+                            caps.copy_element_from(&nominal, e);
+                            caps.scale_element(e, ((pick + 3 * i) % 11) as f64 / 10.0);
+                        }
+                        sys.state().current_capacities().changed_elements(&caps).expect("same shape")
+                    };
+                    let before = state_bits(&sys);
+                    let mut txn = sys.begin();
+                    let violated = txn.change_capacities(&caps, &changed).expect("valid capacities");
+                    let state = txn.system().state();
+                    let (residual, expected) =
+                        dense_residual_fold(state.current_capacities(), state.gr_apps());
+                    prop_assert_eq!(
+                        capacity_bits(state.current_capacities(), &net),
+                        capacity_bits(&caps, &net)
+                    );
+                    prop_assert_eq!(
+                        capacity_bits(state.gr_residual(), &net),
+                        capacity_bits(&residual, &net),
+                        "residual off the dense fold"
+                    );
+                    prop_assert_eq!(violated, expected, "violated list off the dense fold");
+                    if commit == 1 {
+                        txn.commit();
+                    } else {
+                        txn.rollback();
+                        prop_assert_eq!(state_bits(&sys), before, "rollback left a trace");
+                    }
+                }
+            }
+            let (residual, _) =
+                dense_residual_fold(sys.state().current_capacities(), sys.gr_apps());
+            prop_assert_eq!(
+                capacity_bits(sys.gr_residual(), &net),
+                capacity_bits(&residual, &net)
+            );
+            prop_assert_eq!(sys.state().audit(sys.network()), Ok(()));
+        }
     }
 }

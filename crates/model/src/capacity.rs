@@ -10,6 +10,7 @@
 //! or more placements. Both are dense, indexed by [`NcpId`]/[`LinkId`],
 //! because every algorithm in SPARCLE touches most elements.
 
+use crate::error::ModelError;
 use crate::ids::{LinkId, NcpId, NetworkElement};
 use crate::network::Network;
 use crate::resources::{ResourceKind, ResourceVec};
@@ -168,7 +169,7 @@ impl CapacityMap {
     pub fn copy_element_from(&mut self, other: &CapacityMap, element: NetworkElement) {
         match element {
             NetworkElement::Ncp(id) => {
-                self.ncps[id.index()] = other.ncps[id.index()].clone();
+                self.ncps[id.index()].clone_from(&other.ncps[id.index()]);
             }
             NetworkElement::Link(id) => {
                 self.links[id.index()] = other.links[id.index()];
@@ -176,14 +177,84 @@ impl CapacityMap {
         }
     }
 
-    /// `true` when every entry is finite and non-negative — the
-    /// precondition under which the sparse delta ops above are bitwise
-    /// equivalent to their dense counterparts.
-    pub fn is_finite_non_negative(&self) -> bool {
-        self.ncps
-            .iter()
-            .all(|v| v.iter().all(|(_, a)| a.is_finite() && a >= 0.0))
-            && self.links.iter().all(|&b| b.is_finite() && b >= 0.0)
+    /// Puts back one element's capacity as [`Self::element`] returned it
+    /// — unclamped, so the round trip is bit-exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `element` is out of range.
+    pub fn set_element(&mut self, element: NetworkElement, capacity: &ResourceVec) {
+        match element {
+            NetworkElement::Ncp(id) => self.ncps[id.index()].clone_from(capacity),
+            NetworkElement::Link(id) => {
+                self.links[id.index()] = capacity.amount(ResourceKind::Bandwidth);
+            }
+        }
+    }
+
+    /// Checks one element's capacity: the element exists in this map and
+    /// every amount on it is finite and non-negative — the precondition
+    /// under which the sparse delta ops above are bitwise equivalent to
+    /// their dense counterparts.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::UnknownNcp`] / [`ModelError::UnknownLink`] for an
+    /// element outside the map, [`ModelError::InvalidQuantity`] for a
+    /// NaN, negative or infinite amount.
+    pub fn check_element(&self, element: NetworkElement) -> Result<(), ModelError> {
+        let valid = |a: f64| a.is_finite() && a >= 0.0;
+        let bad = match element {
+            NetworkElement::Ncp(id) => {
+                let capacity = self
+                    .ncps
+                    .get(id.index())
+                    .ok_or(ModelError::UnknownNcp(id))?;
+                capacity.iter().map(|(_, a)| a).find(|&a| !valid(a))
+            }
+            NetworkElement::Link(id) => {
+                let &b = self
+                    .links
+                    .get(id.index())
+                    .ok_or(ModelError::UnknownLink(id))?;
+                (!valid(b)).then_some(b)
+            }
+        };
+        match bad {
+            Some(value) => Err(ModelError::InvalidQuantity {
+                what: "element capacity",
+                value,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The elements whose capacity differs from `other`'s in any bit
+    /// (kinds included), NCPs then links.
+    ///
+    /// # Errors
+    ///
+    /// When the shapes differ, [`ModelError::UnknownNcp`] /
+    /// [`ModelError::UnknownLink`] names the first index only one of the
+    /// two maps has.
+    pub fn changed_elements(&self, other: &CapacityMap) -> Result<Vec<NetworkElement>, ModelError> {
+        let first_unmatched = |a: usize, b: usize| a.min(b) as u32;
+        if self.ncps.len() != other.ncps.len() {
+            let id = first_unmatched(self.ncps.len(), other.ncps.len());
+            return Err(ModelError::UnknownNcp(NcpId::new(id)));
+        }
+        if self.links.len() != other.links.len() {
+            let id = first_unmatched(self.links.len(), other.links.len());
+            return Err(ModelError::UnknownLink(LinkId::new(id)));
+        }
+        let bits = |(kind, a): (ResourceKind, f64)| (kind, a.to_bits());
+        let ncps = (self.ncps.iter().zip(&other.ncps).enumerate())
+            .filter(|(_, (a, b))| a.iter().map(bits).ne(b.iter().map(bits)))
+            .map(|(i, _)| NetworkElement::Ncp(NcpId::new(i as u32)));
+        let links = (self.links.iter().zip(&other.links).enumerate())
+            .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
+            .map(|(i, _)| NetworkElement::Link(LinkId::new(i as u32)));
+        Ok(ncps.chain(links).collect())
     }
 
     /// Scales the capacity of one element by `factor` — used by the
@@ -210,6 +281,30 @@ impl CapacityMap {
         for (i, &bits) in load.links.iter().enumerate() {
             if bits > 0.0 {
                 rate = rate.min(self.links[i] / bits);
+            }
+        }
+        rate
+    }
+
+    /// [`Self::bottleneck_rate`] visiting only `elements`: the same rate
+    /// whenever `elements` covers every element `load` loads, because the
+    /// minimum depends neither on visiting order nor on repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is out of range for either map.
+    pub fn bottleneck_rate_on(&self, load: &LoadMap, elements: &[NetworkElement]) -> f64 {
+        let mut rate = f64::INFINITY;
+        for &element in elements {
+            let supported = match element {
+                NetworkElement::Ncp(id) => self.ncps[id.index()].rate_supported(load.ncp(id)),
+                NetworkElement::Link(id) => {
+                    let bits = load.link(id);
+                    (bits > 0.0).then(|| self.links[id.index()] / bits)
+                }
+            };
+            if let Some(r) = supported {
+                rate = rate.min(r);
             }
         }
         rate
@@ -550,7 +645,81 @@ mod tests {
         restored.copy_element_from(&full, NetworkElement::Ncp(NcpId::new(0)));
         restored.copy_element_from(&full, NetworkElement::Link(LinkId::new(0)));
         assert_eq!(restored, full);
-        assert!(full.is_finite_non_negative());
+
+        // The per-element bottleneck over the loaded elements (here
+        // repeated and out of order) is the dense one.
+        let on = [
+            NetworkElement::Link(LinkId::new(0)),
+            NetworkElement::Ncp(NcpId::new(0)),
+            NetworkElement::Link(LinkId::new(0)),
+        ];
+        let rate = dense.bottleneck_rate(&load);
+        assert_eq!(
+            dense.bottleneck_rate_on(&load, &on).to_bits(),
+            rate.to_bits()
+        );
+    }
+
+    #[test]
+    fn element_capacities_round_trip_and_diff_bitwise() {
+        let net = net2();
+        let full = CapacityMap::full(&net);
+        let (x, xy) = (
+            NetworkElement::Ncp(NcpId::new(0)),
+            NetworkElement::Link(LinkId::new(0)),
+        );
+        let mut changed = full.clone();
+        changed.scale_element(xy, 0.5);
+        changed.set_element(x, &ResourceVec::cpu_memory(1.0, 2.0));
+        assert_eq!(full.changed_elements(&changed), Ok(vec![x, xy]));
+        assert_eq!(full.changed_elements(&full), Ok(vec![]));
+        // A sign flip on zero is a change in bits.
+        let mut zero = full.clone();
+        zero.scale_element(xy, 0.0);
+        let mut negative_zero = zero.clone();
+        negative_zero.scale_element(xy, -1.0);
+        assert_eq!(zero.changed_elements(&negative_zero), Ok(vec![xy]));
+        for e in [x, xy] {
+            changed.set_element(e, &full.element(e));
+        }
+        assert_eq!(full.changed_elements(&changed), Ok(vec![]));
+
+        let mut b = NetworkBuilder::new();
+        b.add_ncp("solo", ResourceVec::cpu(1.0));
+        let solo = CapacityMap::full(&b.build().unwrap());
+        assert_eq!(
+            full.changed_elements(&solo),
+            Err(ModelError::UnknownNcp(NcpId::new(1)))
+        );
+    }
+
+    #[test]
+    fn check_element_names_range_and_value_faults() {
+        let net = net2();
+        let mut caps = CapacityMap::full(&net);
+        let (x, xy) = (
+            NetworkElement::Ncp(NcpId::new(0)),
+            NetworkElement::Link(LinkId::new(0)),
+        );
+        assert_eq!(caps.check_element(x), Ok(()));
+        assert_eq!(
+            caps.check_element(NetworkElement::Ncp(NcpId::new(2))),
+            Err(ModelError::UnknownNcp(NcpId::new(2)))
+        );
+        assert_eq!(
+            caps.check_element(NetworkElement::Link(LinkId::new(1))),
+            Err(ModelError::UnknownLink(LinkId::new(1)))
+        );
+        caps.scale_element(xy, -1.0);
+        assert!(matches!(
+            caps.check_element(xy),
+            Err(ModelError::InvalidQuantity { value, .. }) if value == -1000.0
+        ));
+        caps.ncp_mut(NcpId::new(0)).scale(f64::MAX);
+        assert!(matches!(
+            caps.check_element(x),
+            Err(ModelError::InvalidQuantity { value, .. }) if value == f64::INFINITY
+        ));
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //! * [`mod@num`] — problem (4) and max-min over dense coefficient rows,
 //!   the solver `sparcle_alloc::num`'s sparse kernel must match bit for
 //!   bit.
+//! * [`mod@fluctuation`] — the whole-network residual rebuild with its
+//!   interleaved GR fit check, the fold a capacity change's per-element
+//!   re-derivation must match bit for bit.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod fluctuation;
 pub mod num;
 pub mod reference;
 pub mod widest_path;
 
+pub use fluctuation::dense_residual_fold;
 pub use reference::{assign_reference, best_host, gamma};
 pub use widest_path::{
     widest_path, widest_path_brute_force, widest_path_with, widest_tree, DijkstraScratch,

@@ -20,7 +20,9 @@ use sparcle_core::telemetry::Event;
 use sparcle_core::{
     Admission, DisplaceCause, DisplacedApp, RejectCause, SparcleSystem, SystemConfig, TraceHandle,
 };
-use sparcle_model::{AppId, Application, CapacityMap, Network, NetworkElement, QoeClass};
+use sparcle_model::{
+    AppId, Application, CapacityMap, ModelError, Network, NetworkElement, QoeClass,
+};
 use sparcle_sim::des::EventQueue;
 use sparcle_sim::{ElementStateStream, FluctuationModel};
 use sparcle_workloads::ArrivalEvent;
@@ -174,6 +176,9 @@ pub struct SparcleRuntime<F> {
     fluct_steps: Vec<CapacityMap>,
     /// Latest fluctuated capacities, before zeroing downed elements.
     base_caps: CapacityMap,
+    /// The capacities the system runs on: `base_caps` with every downed
+    /// element zeroed, kept in place element by element.
+    caps: CapacityMap,
     down: BTreeSet<NetworkElement>,
     /// Arrival index → current id of the live application.
     live: BTreeMap<u64, AppId>,
@@ -292,6 +297,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             source,
             hold_rng,
             fluct_steps,
+            caps: base_caps.clone(),
             base_caps,
             down: BTreeSet::new(),
             live: BTreeMap::new(),
@@ -362,22 +368,11 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         self.ledger.advance_to(t, violating, be_rate);
     }
 
-    /// Current capacities: the latest fluctuation step with every downed
-    /// element zeroed.
-    fn effective_caps(&self) -> CapacityMap {
-        let mut caps = self.base_caps.clone();
-        for &e in &self.down {
-            caps.scale_element(e, 0.0);
-        }
-        caps
-    }
-
-    /// Pushes the effective capacities into the system and refreshes the
-    /// violated-GR set from the system's verdict.
-    fn apply_caps(&mut self) {
-        let violated = self
-            .system
-            .apply_capacity_fluctuation(self.effective_caps());
+    /// Refreshes the violated-GR set from the system's verdict on a
+    /// capacity change.
+    fn set_violating(&mut self, violated: Result<Vec<AppId>, ModelError>) {
+        let violated =
+            violated.expect("runtime capacities are the network's, fluctuated or zeroed");
         self.violating = violated
             .iter()
             .filter_map(|id| self.index_of.get(id).copied())
@@ -499,7 +494,13 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 displaced_now += 1;
             }
         }
-        self.apply_caps();
+        // Only the flipped element changed: hand the system just that one.
+        self.caps.copy_element_from(&self.base_caps, element);
+        if !up {
+            self.caps.scale_element(element, 0.0);
+        }
+        let violated = self.system.change_capacities(&self.caps, &[element]);
+        self.set_violating(violated);
         self.ledger.record_displacements(displaced_now);
         trace.counter("runtime.element_transitions", 1);
         if trace.is_enabled() {
@@ -544,7 +545,12 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     fn on_fluctuation(&mut self, t: f64, step: usize, trace: TraceHandle<'_>) {
         self.base_caps = self.fluct_steps[step].clone();
-        self.apply_caps();
+        self.caps.clone_from(&self.base_caps);
+        for &e in &self.down {
+            self.caps.scale_element(e, 0.0);
+        }
+        let violated = self.system.apply_capacity_fluctuation(&self.caps);
+        self.set_violating(violated);
         trace.counter("runtime.fluctuations", 1);
         if trace.is_enabled() {
             trace.event(&Event::RuntimeFluctuation {

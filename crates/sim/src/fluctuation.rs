@@ -7,7 +7,9 @@
 //! `[floor, 1] × nominal`; each epoch yields a full
 //! [`CapacityMap`] that can be fed to
 //! `SparcleSystem::apply_capacity_fluctuation` to study how allocations
-//! adapt without migrating placements.
+//! adapt without migrating placements. The system takes only the
+//! elements whose capacity changed from the map, so a step costs what
+//! it changes, not the size of the network.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -418,9 +418,8 @@ impl TraceSummary {
             ratio(self.counter("system.cold_inner_iters"), cold),
         ));
         out.push_str(&format!(
-            "  residual maintenance: {} element updates, {} full recomputes\n",
+            "  residual maintenance: {} element updates\n",
             self.counter("system.residual_element_updates"),
-            self.counter("system.residual_full_recomputes"),
         ));
         let (commits, rollbacks) = (
             self.counter("system.txn_commits"),
@@ -512,12 +511,13 @@ mod tests {
     #[test]
     fn system_counters_get_a_rollup_section() {
         let lines = [
-            r#"{"type":"snapshot","counters":{"system.solves":40,"system.warm_solves":30,"system.cold_solves":10,"system.warm_inner_iters":1500,"system.cold_inner_iters":2100,"system.residual_element_updates":12,"system.residual_full_recomputes":1,"system.txn_commits":36,"system.txn_rollbacks":4,"system.gamma_cache_hits":95,"system.gamma_cache_misses":5}}"#,
+            r#"{"type":"snapshot","counters":{"system.solves":40,"system.warm_solves":30,"system.cold_solves":10,"system.warm_inner_iters":1500,"system.cold_inner_iters":2100,"system.residual_element_updates":12,"system.txn_commits":36,"system.txn_rollbacks":4,"system.gamma_cache_hits":95,"system.gamma_cache_misses":5}}"#,
         ];
         let report = summarize(&load_trace(&lines.join("\n")).unwrap()).render();
         assert!(report.contains("state core (system.* rollup):"));
         assert!(report.contains("warm share 75.0%"));
         assert!(report.contains("warm 50.0, cold 210.0"));
+        assert!(report.contains("residual maintenance: 12 element updates\n"));
         assert!(report.contains("10.0% rolled back"));
         assert!(report.contains("95.0% hit rate"));
     }

@@ -97,7 +97,7 @@ fn fluctuating_capacities_stay_feasible() {
     let mut series = model.series(&scenario.network);
     for _ in 0..50 {
         let caps = series.step();
-        system.apply_capacity_fluctuation(caps.clone());
+        system.apply_capacity_fluctuation(&caps).unwrap();
         // Joint demand of all BE apps at their allocated rates fits.
         let mut demand = sparcle::model::LoadMap::zeroed(&scenario.network);
         for be in system.be_apps() {
