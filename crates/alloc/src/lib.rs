@@ -6,7 +6,8 @@
 //!   problem (4) `max Σ P_i log x_i s.t. R X ≤ C` for all present
 //!   Best-Effort applications, with KKT verification.
 //! * [`maxmin`] — a weighted max-min fair allocator (progressive
-//!   filling) as an alternative policy.
+//!   filling), an analysis to compare with problem (4) over the same
+//!   placements.
 //! * [`predict`] — the priority-share capacity prediction of eq. (6),
 //!   which lets the task assignment of a newly arriving BE application
 //!   anticipate the share it will receive next to already-placed ones.
@@ -30,7 +31,7 @@ pub mod predict;
 pub use availability::{AvailabilityError, PathAvailability};
 pub use maxmin::{max_min_allocation, MaxMinAllocation};
 pub use num::{
-    AllocError, Allocation, ConstraintRow, ConstraintSystem, IncrementalConstraints,
-    ProportionalFairSolver, SolveStats, SolverScratch,
+    AllocError, Allocation, ConstraintRow, ConstraintSystem, IncrementalConstraints, SolveStats,
+    SolverScratch,
 };
 pub use predict::PriorityLoads;

@@ -1,4 +1,4 @@
-//! Weighted max-min fair rate allocation — an alternative policy to the
+//! Weighted max-min fair rate allocation — an analysis to set beside the
 //! paper's weighted proportional fairness.
 //!
 //! Max-min fairness raises every application's rate together (scaled by
@@ -9,9 +9,10 @@
 //!
 //! Compared to proportional fairness (problem (4)): max-min protects the
 //! weakest flow absolutely — no application can gain by starving the
-//! minimum — at the cost of total utility. Both are exposed so a
-//! deployment can choose per §IV-C's QoE goals; the system pipeline
-//! defaults to the paper's proportional fairness.
+//! minimum — at the cost of total utility. The system allocates by
+//! proportional fairness only; max-min is computed over the same
+//! constraint system (e.g. [`ConstraintSystem::from_loads`] of the live
+//! placements) to compare the two.
 
 use crate::num::{check_len, column_bottlenecks, AllocError, ConstraintRow, ConstraintSystem};
 
@@ -142,7 +143,7 @@ pub fn max_min_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::num::ProportionalFairSolver;
+    use crate::num::solve;
 
     /// Rows from dense coefficients; zeros get no entry.
     fn system(rows: &[(f64, &[f64])], apps: usize) -> ConstraintSystem {
@@ -193,9 +194,7 @@ mod tests {
         assert!((mm.rates[0] - 0.5).abs() < 1e-9, "{:?}", mm.rates);
         assert!((mm.rates[1] - 0.5).abs() < 1e-9);
         assert!((mm.rates[2] - 0.5).abs() < 1e-9);
-        let pf = ProportionalFairSolver::new()
-            .solve(&sys, &[1.0, 1.0, 1.0])
-            .unwrap();
+        let (pf, _) = solve(&sys, &[1.0, 1.0, 1.0], None).unwrap();
         assert!(
             mm.rates[0] > pf.rates[0],
             "max-min protects the long flow: {} vs {}",

@@ -13,7 +13,7 @@
 //! capacities. The objective is strictly concave and the feasible set is
 //! a polytope, so the optimum is unique.
 //!
-//! [`ProportionalFairSolver`] solves the problem with a log-barrier
+//! [`solve`] and [`solve_into`] solve the problem with a log-barrier
 //! path-following method in the variables `u_i = log x_i` (a geometric
 //! program: the objective is linear in `u` and each constraint
 //! `Σ_i R_ji e^{u_i} ≤ C_j` is convex): damped Newton steps with a
@@ -455,7 +455,7 @@ impl Allocation {
     }
 }
 
-/// Iteration accounting for one [`ProportionalFairSolver`] run.
+/// Iteration accounting for one [`solve`] or [`solve_into`] run.
 ///
 /// Exposed so callers can report warm-start savings (a warm run executes
 /// only the tail of the cold barrier schedule, so `outer_iters` and
@@ -470,9 +470,8 @@ pub struct SolveStats {
     pub warm_started: bool,
 }
 
-/// Every buffer a [`ProportionalFairSolver`] run needs, kept between
-/// runs: once they have grown to a system's shape, a
-/// [`ProportionalFairSolver::solve_into`] of that shape makes no
+/// Every buffer a solve needs, kept between runs: once they have
+/// grown to a system's shape, a [`solve_into`] of that shape makes no
 /// allocator call.
 ///
 /// The caller puts one priority per column in with
@@ -513,11 +512,6 @@ impl SolverScratch {
     pub fn set_priorities(&mut self, priorities: impl IntoIterator<Item = f64>) {
         self.priorities.clear();
         self.priorities.extend(priorities);
-    }
-
-    /// The priorities of the next (or last) solve.
-    pub fn priorities(&self) -> &[f64] {
-        &self.priorities
     }
 
     /// The rates `x_i` of the last successful solve.
@@ -771,8 +765,26 @@ pub(crate) fn check_len(
     }
 }
 
-/// Log-barrier path-following solver for the weighted proportional-fair
-/// allocation problem (4).
+/// Solves the weighted proportional-fair allocation problem (4) with the
+/// log-barrier path-following method, returning the rates, the barrier's
+/// dual estimates, the utility and the iteration counts (KKT residual
+/// ≲ 1e-6 on well-scaled problems).
+///
+/// With `start`, the solve is warm-started from a previous allocation
+/// (e.g. the last epoch's rates during capacity fluctuation). The start
+/// is scaled into the strictly feasible interior before the barrier
+/// iteration begins, so an infeasible or stale start is safe. Only the
+/// tail of the cold μ schedule then runs: near the optimum it ends there
+/// in fewer inner iterations, but from a start far from it (a newcomer
+/// at rate 0 next to incumbents) it can stop measurably short. A
+/// start with no usable entry (nothing positive and finite) carries no
+/// information; such runs degrade to a cold solve whose result is
+/// **bitwise identical** to `start: None` and report
+/// `warm_started: false`. A start that is usable but wildly infeasible
+/// (worst row overloaded more than 10×) also reports
+/// `warm_started: false` and runs the full barrier schedule from the
+/// repaired start, since the fast tail-only schedule cannot recover
+/// from it.
 ///
 /// # Examples
 ///
@@ -781,255 +793,175 @@ pub(crate) fn check_len(
 /// proportionality):
 ///
 /// ```
-/// use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, ProportionalFairSolver};
+/// use sparcle_alloc::num::{self, ConstraintRow, ConstraintSystem};
 ///
 /// # fn main() -> Result<(), sparcle_alloc::num::AllocError> {
 /// let mut sys = ConstraintSystem::new(2);
 /// sys.push_row(ConstraintRow { element: None, capacity: 1.0, entries: vec![(0, 1.0), (1, 1.0)] })?;
-/// let alloc = ProportionalFairSolver::new().solve(&sys, &[2.0, 1.0])?;
+/// let (alloc, _stats) = num::solve(&sys, &[2.0, 1.0], None)?;
 /// assert!((alloc.rates[0] - 2.0 / 3.0).abs() < 1e-6);
 /// assert!((alloc.rates[1] - 1.0 / 3.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProportionalFairSolver;
+///
+/// # Errors
+///
+/// Returns [`AllocError::LengthMismatch`] unless there is one priority
+/// (and, with `start`, one start rate) per column,
+/// [`AllocError::BadPriority`] for non-positive priorities,
+/// [`AllocError::Unbounded`] when an application has no constraint, and
+/// [`AllocError::Infeasible`] when an application can never get a
+/// positive rate.
+pub fn solve(
+    system: &ConstraintSystem,
+    priorities: &[f64],
+    start: Option<&[f64]>,
+) -> Result<(Allocation, SolveStats), AllocError> {
+    let mut scratch = SolverScratch::new();
+    scratch.set_priorities(priorities.iter().copied());
+    let (stats, mu) = solve_body(system, start, &mut scratch)?;
+    // Dual estimate from the barrier: λ_j = μ / slack_j.
+    let duals = scratch.slacks.iter().map(|&s| mu / s.max(1e-300)).collect();
+    let utility = priorities
+        .iter()
+        .zip(&scratch.x)
+        .map(|(&p, &x)| p * x.ln())
+        .sum();
+    let allocation = Allocation {
+        rates: scratch.x,
+        duals,
+        utility,
+    };
+    Ok((allocation, stats))
+}
 
-impl ProportionalFairSolver {
-    /// Creates a solver (KKT residual ≲ 1e-6 on well-scaled problems).
-    pub fn new() -> Self {
-        ProportionalFairSolver
+/// [`solve`] without the duals and the utility: problem (4) over
+/// `system` with the priorities in `scratch`, warm-started from `start`
+/// when given, leaving the rates in [`SolverScratch::rates`].
+/// Allocation-free once `scratch` has seen a system of this shape; the
+/// rates and stats are bitwise those of [`solve`].
+///
+/// # Errors
+///
+/// Same as [`solve`].
+pub fn solve_into(
+    system: &ConstraintSystem,
+    start: Option<&[f64]>,
+    scratch: &mut SolverScratch,
+) -> Result<SolveStats, AllocError> {
+    Ok(solve_body(system, start, scratch)?.0)
+}
+
+/// The solve; also returns the μ of the last barrier round, and leaves
+/// the slacks at the rates in `s.slacks`.
+fn solve_body(
+    system: &ConstraintSystem,
+    start: Option<&[f64]>,
+    s: &mut SolverScratch,
+) -> Result<(SolveStats, f64), AllocError> {
+    let n = system.app_count();
+    check_len("priorities", &s.priorities, system)?;
+    if let Some(start) = start {
+        check_len("start rates", start, system)?;
     }
-
-    /// Solves problem (4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::LengthMismatch`] unless there is one
-    /// priority per column, [`AllocError::BadPriority`] for
-    /// non-positive priorities, [`AllocError::Unbounded`] when an
-    /// application has no constraint, and [`AllocError::Infeasible`]
-    /// when an application can never get a positive rate.
-    pub fn solve(
-        &self,
-        system: &ConstraintSystem,
-        priorities: &[f64],
-    ) -> Result<Allocation, AllocError> {
-        Ok(self.solve_alloc(system, priorities, None)?.0)
-    }
-
-    /// Like [`Self::solve`], additionally returning iteration counts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`].
-    pub fn solve_with_stats(
-        &self,
-        system: &ConstraintSystem,
-        priorities: &[f64],
-    ) -> Result<(Allocation, SolveStats), AllocError> {
-        self.solve_alloc(system, priorities, None)
-    }
-
-    /// Like [`Self::solve`] but warm-started from a previous allocation
-    /// (e.g. the last epoch's rates during capacity fluctuation). The
-    /// start is scaled into the strictly feasible interior before the
-    /// barrier iteration begins, so an infeasible or stale start is
-    /// safe; the answer is the same optimum, typically reached in fewer
-    /// inner iterations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_warm_with_stats`].
-    pub fn solve_warm(
-        &self,
-        system: &ConstraintSystem,
-        priorities: &[f64],
-        start: &[f64],
-    ) -> Result<Allocation, AllocError> {
-        Ok(self.solve_warm_with_stats(system, priorities, start)?.0)
-    }
-
-    /// Like [`Self::solve_warm`], additionally returning iteration
-    /// counts.
-    ///
-    /// A `start` with no usable entry (nothing positive and finite)
-    /// carries no information; such runs degrade to a cold solve whose
-    /// result is **bitwise identical** to [`Self::solve`] and report
-    /// `warm_started: false`. A start that is usable but wildly
-    /// infeasible (worst row overloaded more than 10×) also reports
-    /// `warm_started: false` and runs the full barrier schedule from
-    /// the repaired start, since the fast tail-only schedule cannot
-    /// recover from it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`], and [`AllocError::LengthMismatch`]
-    /// unless there is one start rate per column.
-    pub fn solve_warm_with_stats(
-        &self,
-        system: &ConstraintSystem,
-        priorities: &[f64],
-        start: &[f64],
-    ) -> Result<(Allocation, SolveStats), AllocError> {
-        self.solve_alloc(system, priorities, Some(start))
-    }
-
-    /// The solve every other entry point wraps: problem (4) over
-    /// `system` with the priorities in `scratch`, warm-started from
-    /// `start` when given (see [`Self::solve_warm_with_stats`]), leaving
-    /// the rates in [`SolverScratch::rates`]. Allocation-free once
-    /// `scratch` has seen a system of this shape.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_warm_with_stats`].
-    pub fn solve_into(
-        &self,
-        system: &ConstraintSystem,
-        start: Option<&[f64]>,
-        scratch: &mut SolverScratch,
-    ) -> Result<SolveStats, AllocError> {
-        Ok(self.solve_body(system, start, scratch)?.0)
-    }
-
-    /// [`Self::solve_into`] on a fresh scratch, with the duals and the
-    /// utility the allocating entry points report.
-    fn solve_alloc(
-        &self,
-        system: &ConstraintSystem,
-        priorities: &[f64],
-        start: Option<&[f64]>,
-    ) -> Result<(Allocation, SolveStats), AllocError> {
-        let mut scratch = SolverScratch::new();
-        scratch.set_priorities(priorities.iter().copied());
-        let (stats, mu) = self.solve_body(system, start, &mut scratch)?;
-        // Dual estimate from the barrier: λ_j = μ / slack_j.
-        let duals = scratch.slacks.iter().map(|&s| mu / s.max(1e-300)).collect();
-        let utility = priorities
-            .iter()
-            .zip(&scratch.x)
-            .map(|(&p, &x)| p * x.ln())
-            .sum();
-        let allocation = Allocation {
-            rates: scratch.x,
-            duals,
-            utility,
-        };
-        Ok((allocation, stats))
-    }
-
-    /// The solve; also returns the μ of the last barrier round, and
-    /// leaves the slacks at the rates in `scratch.slacks`.
-    fn solve_body(
-        &self,
-        system: &ConstraintSystem,
-        start: Option<&[f64]>,
-        s: &mut SolverScratch,
-    ) -> Result<(SolveStats, f64), AllocError> {
-        let n = system.app_count();
-        check_len("priorities", &s.priorities, system)?;
-        if let Some(start) = start {
-            check_len("start rates", start, system)?;
+    for &p in &s.priorities {
+        if !p.is_finite() || p <= 0.0 {
+            return Err(AllocError::BadPriority(p));
         }
-        for &p in &s.priorities {
-            if !p.is_finite() || p <= 0.0 {
-                return Err(AllocError::BadPriority(p));
+    }
+    let rows = system.rows();
+    let m = rows.len();
+    for v in [
+        &mut s.u,
+        &mut s.grad,
+        &mut s.dir,
+        &mut s.trial,
+        &mut s.trial_x,
+    ] {
+        v.resize(n, 0.0);
+    }
+    s.slacks.resize(m, 0.0);
+    s.trial_slacks.resize(m, 0.0);
+    s.hess.resize(n * (n + 1) / 2, 0.0);
+
+    // Strictly feasible start: x_i = (1/2n) · min over binding rows
+    // of C_j / R_ji — or the caller's warm start pulled into the
+    // interior.
+    column_bottlenecks(system, &mut s.x)?;
+    for x in &mut s.x {
+        *x = (*x / (2.0 * n as f64)).max(1e-12);
+    }
+    // A warm start with no usable (positive, finite) entry carries
+    // no information — demote it to a cold solve so the result is
+    // bitwise identical to a cold solve (readmission of a lone BE app
+    // with a zeroed rate relies on this exactness).
+    let usable = |w: f64| w.is_finite() && w > 0.0;
+    let mut warm_started = false;
+    if let Some(warm) = start.filter(|warm| warm.iter().any(|&w| usable(w))) {
+        // Replace non-positive entries, then shrink uniformly until
+        // every row has at least 10 % slack.
+        for (x, &w) in s.x.iter_mut().zip(warm) {
+            if usable(w) {
+                *x = w;
             }
         }
-        let rows = system.rows();
-        let m = rows.len();
-        for v in [
-            &mut s.u,
-            &mut s.grad,
-            &mut s.dir,
-            &mut s.trial,
-            &mut s.trial_x,
-        ] {
-            v.resize(n, 0.0);
-        }
-        s.slacks.resize(m, 0.0);
-        s.trial_slacks.resize(m, 0.0);
-        s.hess.resize(n * (n + 1) / 2, 0.0);
-
-        // Strictly feasible start: x_i = (1/2n) · min over binding rows
-        // of C_j / R_ji — or the caller's warm start pulled into the
-        // interior.
-        column_bottlenecks(system, &mut s.x)?;
-        for x in &mut s.x {
-            *x = (*x / (2.0 * n as f64)).max(1e-12);
-        }
-        // A warm start with no usable (positive, finite) entry carries
-        // no information — demote it to a cold solve so the result is
-        // bitwise identical to `solve` (readmission of a lone BE app
-        // with a zeroed rate relies on this exactness).
-        let usable = |w: f64| w.is_finite() && w > 0.0;
-        let mut warm_started = false;
-        if let Some(warm) = start.filter(|warm| warm.iter().any(|&w| usable(w))) {
-            // Replace non-positive entries, then shrink uniformly until
-            // every row has at least 10 % slack.
-            for (x, &w) in s.x.iter_mut().zip(warm) {
-                if usable(w) {
-                    *x = w;
-                }
+        let mut worst = 0.0f64;
+        for row in rows {
+            let used = row_load(row, &s.x);
+            if row.capacity > 0.0 {
+                worst = worst.max(used / row.capacity);
             }
-            let mut worst = 0.0f64;
-            for row in rows {
-                let used = row_load(row, &s.x);
-                if row.capacity > 0.0 {
-                    worst = worst.max(used / row.capacity);
-                }
+        }
+        if worst > 0.9 {
+            let shrink = 0.9 / worst;
+            for x in &mut s.x {
+                *x *= shrink;
             }
-            if worst > 0.9 {
-                let shrink = 0.9 / worst;
-                for x in &mut s.x {
-                    *x *= shrink;
-                }
-            }
-            // The fast tail-only schedule is safe only for a start that
-            // is already near-feasible (the previous optimum after a
-            // bounded capacity change, or one new app next to
-            // incumbents). A wildly overloaded start needs the early
-            // high-μ rounds to walk back to the central path, so it runs
-            // the full schedule instead.
-            warm_started = worst <= 10.0;
         }
-        for (u, &x) in s.u.iter_mut().zip(&s.x) {
-            *u = x.max(1e-300).ln();
-        }
-
-        let pscale = s.priorities.iter().cloned().fold(f64::MIN, f64::max);
-        // Warm runs execute only the tail of the cold μ schedule; μ is
-        // advanced to the tail's start by the same repeated
-        // multiplication a cold run performs, so the μ sequence (and the
-        // final μ the duals are scaled by) matches bitwise.
-        let outer = if warm_started {
-            WARM_OUTER_ITERS
-        } else {
-            OUTER_ITERS
-        };
-        let mut mu = MU0 * pscale;
-        for _ in 0..OUTER_ITERS - outer {
-            mu *= MU_SHRINK;
-        }
-        let mut inner_total = 0usize;
-        for _ in 0..outer {
-            inner_total += s.maximize_barrier(rows, mu);
-            mu *= MU_SHRINK;
-        }
-        mu /= MU_SHRINK; // μ of the last completed solve
-
-        for (x, &u) in s.x.iter_mut().zip(&s.u) {
-            *x = u.exp();
-        }
-        compute_slacks(rows, &s.x, &mut s.slacks);
-        let stats = SolveStats {
-            outer_iters: outer,
-            inner_iters: inner_total,
-            warm_started,
-        };
-        Ok((stats, mu))
+        // The fast tail-only schedule is safe only for a start that
+        // is already near-feasible (the previous optimum after a
+        // bounded capacity change, or one new app next to
+        // incumbents). A wildly overloaded start needs the early
+        // high-μ rounds to walk back to the central path, so it runs
+        // the full schedule instead.
+        warm_started = worst <= 10.0;
     }
+    for (u, &x) in s.u.iter_mut().zip(&s.x) {
+        *u = x.max(1e-300).ln();
+    }
+
+    let pscale = s.priorities.iter().cloned().fold(f64::MIN, f64::max);
+    // Warm runs execute only the tail of the cold μ schedule; μ is
+    // advanced to the tail's start by the same repeated
+    // multiplication a cold run performs, so the μ sequence (and the
+    // final μ the duals are scaled by) matches bitwise.
+    let outer = if warm_started {
+        WARM_OUTER_ITERS
+    } else {
+        OUTER_ITERS
+    };
+    let mut mu = MU0 * pscale;
+    for _ in 0..OUTER_ITERS - outer {
+        mu *= MU_SHRINK;
+    }
+    let mut inner_total = 0usize;
+    for _ in 0..outer {
+        inner_total += s.maximize_barrier(rows, mu);
+        mu *= MU_SHRINK;
+    }
+    mu /= MU_SHRINK; // μ of the last completed solve
+
+    for (x, &u) in s.x.iter_mut().zip(&s.u) {
+        *x = u.exp();
+    }
+    compute_slacks(rows, &s.x, &mut s.slacks);
+    let stats = SolveStats {
+        outer_iters: outer,
+        inner_iters: inner_total,
+        warm_started,
+    };
+    Ok((stats, mu))
 }
 
 #[cfg(test)]
@@ -1058,29 +990,27 @@ mod tests {
         sys
     }
 
-    fn solve(rows: &[(f64, &[f64])], prios: &[f64]) -> Allocation {
-        ProportionalFairSolver::new()
-            .solve(&system(prios.len(), rows), prios)
-            .unwrap()
+    fn optimum(rows: &[(f64, &[f64])], prios: &[f64]) -> Allocation {
+        solve(&system(prios.len(), rows), prios, None).unwrap().0
     }
 
     #[test]
     fn single_app_fills_its_bottleneck() {
-        let a = solve(&[(10.0, &[2.0]), (6.0, &[1.0])], &[1.0]);
+        let a = optimum(&[(10.0, &[2.0]), (6.0, &[1.0])], &[1.0]);
         // min(10/2, 6/1) = 5.
         assert!((a.rates[0] - 5.0).abs() < 1e-5, "rate = {}", a.rates[0]);
     }
 
     #[test]
     fn equal_priorities_split_evenly() {
-        let a = solve(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
+        let a = optimum(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
         assert!((a.rates[0] - 0.5).abs() < 1e-6);
         assert!((a.rates[1] - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn priorities_give_proportional_shares() {
-        let a = solve(&[(3.0, &[1.0, 1.0, 1.0])], &[1.0, 2.0, 3.0]);
+        let a = optimum(&[(3.0, &[1.0, 1.0, 1.0])], &[1.0, 2.0, 3.0]);
         assert!((a.rates[0] - 0.5).abs() < 1e-5);
         assert!((a.rates[1] - 1.0).abs() < 1e-5);
         assert!((a.rates[2] - 1.5).abs() < 1e-5);
@@ -1088,7 +1018,7 @@ mod tests {
 
     #[test]
     fn independent_constraints_decouple() {
-        let a = solve(&[(4.0, &[1.0, 0.0]), (10.0, &[0.0, 5.0])], &[1.0, 7.0]);
+        let a = optimum(&[(4.0, &[1.0, 0.0]), (10.0, &[0.0, 5.0])], &[1.0, 7.0]);
         assert!((a.rates[0] - 4.0).abs() < 1e-5);
         assert!((a.rates[1] - 2.0).abs() < 1e-5);
     }
@@ -1098,7 +1028,7 @@ mod tests {
         // Flow 0 crosses both links; flows 1 and 2 cross one each
         // (capacity 1). Proportional fairness gives x0 = 1/3, x1 = x2 =
         // 2/3 for equal priorities.
-        let a = solve(
+        let a = optimum(
             &[(1.0, &[1.0, 1.0, 0.0]), (1.0, &[1.0, 0.0, 1.0])],
             &[1.0, 1.0, 1.0],
         );
@@ -1111,7 +1041,7 @@ mod tests {
     fn kkt_residual_is_small() {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.0, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
-        let a = ProportionalFairSolver::new().solve(&sys, &prios).unwrap();
+        let (a, _) = solve(&sys, &prios, None).unwrap();
         assert!(a.feasibility_violation(&sys) <= 1e-9, "feasible");
         assert!(
             a.kkt_residual(&sys, &prios) < 1e-3,
@@ -1123,14 +1053,14 @@ mod tests {
     #[test]
     fn unconstrained_app_is_rejected() {
         let sys = system(2, &[(1.0, &[1.0, 0.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[1.0, 1.0]);
+        let err = solve(&sys, &[1.0, 1.0], None);
         assert_eq!(err, Err(AllocError::Unbounded { app: 1 }));
     }
 
     #[test]
     fn zero_capacity_with_load_is_infeasible() {
         let sys = system(1, &[(0.0, &[1.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[1.0]);
+        let err = solve(&sys, &[1.0], None);
         assert_eq!(err, Err(AllocError::Infeasible { app: 0 }));
     }
 
@@ -1139,22 +1069,22 @@ mod tests {
     fn lowest_bad_column_is_reported() {
         // Column 0 bound only by a zero-capacity row; column 1 unbound.
         let sys = system(3, &[(0.0, &[1.0, 0.0, 0.0]), (1.0, &[0.0, 0.0, 1.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 3]);
+        let err = solve(&sys, &[1.0; 3], None);
         assert_eq!(err, Err(AllocError::Infeasible { app: 0 }));
         // Column 0 unbound; column 1 infeasible next to a feasible row.
         let sys = system(3, &[(0.0, &[0.0, 1.0, 0.0]), (1.0, &[0.0, 1.0, 1.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 3]);
+        let err = solve(&sys, &[1.0; 3], None);
         assert_eq!(err, Err(AllocError::Unbounded { app: 0 }));
         // Column 0 fine; column 1 infeasible despite a feasible row.
         let sys = system(2, &[(1.0, &[1.0, 1.0]), (0.0, &[0.0, 1.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[1.0; 2]);
+        let err = solve(&sys, &[1.0; 2], None);
         assert_eq!(err, Err(AllocError::Infeasible { app: 1 }));
     }
 
     #[test]
     fn bad_priority_is_rejected() {
         let sys = system(1, &[(1.0, &[1.0])]);
-        let err = ProportionalFairSolver::new().solve(&sys, &[-1.0]);
+        let err = solve(&sys, &[-1.0], None);
         assert_eq!(err, Err(AllocError::BadPriority(-1.0)));
     }
 
@@ -1162,16 +1092,15 @@ mod tests {
     fn warm_start_reaches_the_same_optimum() {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
-        let solver = ProportionalFairSolver::new();
-        let cold = solver.solve(&sys, &prios).unwrap();
+        let (cold, _) = solve(&sys, &prios, None).unwrap();
         // Warm start from the optimum itself.
-        let warm = solver.solve_warm(&sys, &prios, &cold.rates).unwrap();
+        let (warm, _) = solve(&sys, &prios, Some(&cold.rates)).unwrap();
         for (a, b) in cold.rates.iter().zip(&warm.rates) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
         // Warm start from garbage (infeasible and non-positive entries).
         let garbage = [1e9, -3.0, f64::NAN];
-        let fixed = solver.solve_warm(&sys, &prios, &garbage).unwrap();
+        let (fixed, _) = solve(&sys, &prios, Some(&garbage)).unwrap();
         for (a, b) in cold.rates.iter().zip(&fixed.rates) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -1179,7 +1108,7 @@ mod tests {
 
     #[test]
     fn utility_matches_rates() {
-        let a = solve(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
+        let a = optimum(&[(1.0, &[1.0, 1.0])], &[1.0, 1.0]);
         let expect = a.rates[0].ln() + a.rates[1].ln();
         assert!((a.utility - expect).abs() < 1e-12);
     }
@@ -1225,9 +1154,7 @@ mod tests {
 
         // Solving the system matches the hand-derived optimum: app A is
         // bound by the link (40/8 = 5), app B by y's cpu (80/4 = 20).
-        let alloc = ProportionalFairSolver::new()
-            .solve(&sys, &[1.0, 1.0])
-            .unwrap();
+        let (alloc, _) = solve(&sys, &[1.0, 1.0], None).unwrap();
         assert!((alloc.rates[0] - 5.0).abs() < 1e-4, "{:?}", alloc.rates);
         assert!((alloc.rates[1] - 20.0).abs() < 1e-3, "{:?}", alloc.rates);
     }
@@ -1236,13 +1163,10 @@ mod tests {
     fn warm_start_stats_show_iteration_savings() {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
-        let solver = ProportionalFairSolver::new();
-        let (cold, cold_stats) = solver.solve_with_stats(&sys, &prios).unwrap();
+        let (cold, cold_stats) = solve(&sys, &prios, None).unwrap();
         assert!(!cold_stats.warm_started);
         assert_eq!(cold_stats.outer_iters, 11);
-        let (warm, warm_stats) = solver
-            .solve_warm_with_stats(&sys, &prios, &cold.rates)
-            .unwrap();
+        let (warm, warm_stats) = solve(&sys, &prios, Some(&cold.rates)).unwrap();
         assert!(warm_stats.warm_started);
         assert_eq!(warm_stats.outer_iters, 3);
         assert!(
@@ -1263,10 +1187,9 @@ mod tests {
         // app is readmitted with a zeroed rate as the only resident).
         let sys = system(2, &[(3.0, &[1.0, 2.0])]);
         let prios = [1.0, 4.0];
-        let solver = ProportionalFairSolver::new();
-        let cold = solver.solve(&sys, &prios).unwrap();
+        let (cold, _) = solve(&sys, &prios, None).unwrap();
         for start in [[0.0, 0.0], [0.0, -1.0], [f64::NAN, f64::INFINITY]] {
-            let (warm, stats) = solver.solve_warm_with_stats(&sys, &prios, &start).unwrap();
+            let (warm, stats) = solve(&sys, &prios, Some(&start)).unwrap();
             assert!(!stats.warm_started);
             assert_eq!(cold.rates, warm.rates);
             assert_eq!(cold.duals, warm.duals);
@@ -1280,20 +1203,17 @@ mod tests {
     fn scratch_solve_matches_the_allocating_solve() {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
-        let solver = ProportionalFairSolver::new();
         let mut scratch = SolverScratch::new();
         scratch.set_priorities([3.0]);
-        solver
-            .solve_into(&system(1, &[(1.0, &[1.0])]), None, &mut scratch)
-            .unwrap();
+        solve_into(&system(1, &[(1.0, &[1.0])]), None, &mut scratch).unwrap();
         scratch.set_priorities(prios);
-        let stats = solver.solve_into(&sys, None, &mut scratch).unwrap();
-        let (cold, cold_stats) = solver.solve_with_stats(&sys, &prios).unwrap();
+        let stats = solve_into(&sys, None, &mut scratch).unwrap();
+        let (cold, cold_stats) = solve(&sys, &prios, None).unwrap();
         assert_eq!(stats, cold_stats);
         assert_eq!(scratch.rates(), &cold.rates[..]);
         let start = [0.5, 0.25, 1.0];
-        let stats = solver.solve_into(&sys, Some(&start), &mut scratch).unwrap();
-        let (warm, warm_stats) = solver.solve_warm_with_stats(&sys, &prios, &start).unwrap();
+        let stats = solve_into(&sys, Some(&start), &mut scratch).unwrap();
+        let (warm, warm_stats) = solve(&sys, &prios, Some(&start)).unwrap();
         assert_eq!(stats, warm_stats);
         assert_eq!(scratch.rates(), &warm.rates[..]);
     }
@@ -1470,16 +1390,15 @@ mod tests {
             expected: 2,
             got: 1,
         });
-        let solver = ProportionalFairSolver::new();
-        assert_eq!(solver.solve(&sys, &[1.0]), expect);
-        assert_eq!(solver.solve_warm(&sys, &[1.0], &[1.0, 1.0]), expect);
+        assert_eq!(solve(&sys, &[1.0], None), expect);
+        assert_eq!(solve(&sys, &[1.0], Some(&[1.0, 1.0])), expect);
     }
 
     #[test]
-    fn solve_warm_rejects_a_start_count_mismatch() {
+    fn warm_solve_rejects_a_start_count_mismatch() {
         let sys = system(2, &[(1.0, &[1.0, 1.0])]);
         assert_eq!(
-            ProportionalFairSolver::new().solve_warm_with_stats(&sys, &[1.0, 1.0], &[0.5]),
+            solve(&sys, &[1.0, 1.0], Some(&[0.5])),
             Err(AllocError::LengthMismatch {
                 what: "start rates",
                 expected: 2,

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, ProportionalFairSolver, SolverScratch};
+use sparcle_alloc::num::{self, ConstraintRow, ConstraintSystem, SolverScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -95,24 +95,18 @@ fn system(seed: u64) -> (ConstraintSystem, Vec<f64>) {
 #[test]
 fn warm_solve_on_a_warmed_scratch_is_allocation_free() {
     let (sys, priorities) = system(3);
-    let solver = ProportionalFairSolver::new();
     let mut scratch = SolverScratch::new();
     scratch.set_priorities(priorities.iter().copied());
-    solver
-        .solve_into(&sys, None, &mut scratch)
-        .expect("solvable");
+    num::solve_into(&sys, None, &mut scratch).expect("solvable");
     let mut start = scratch.rates().to_vec();
     start[0] *= 0.5;
-    let first = solver
-        .solve_into(&sys, Some(&start), &mut scratch)
-        .expect("solvable");
+    let first = num::solve_into(&sys, Some(&start), &mut scratch).expect("solvable");
     let first_rates = scratch.rates().to_vec();
 
     let before = alloc_calls();
     scratch.set_priorities(priorities.iter().copied());
-    let second = solver
-        .solve_into(black_box(&sys), Some(black_box(&start)), &mut scratch)
-        .expect("solvable");
+    let second =
+        num::solve_into(black_box(&sys), Some(black_box(&start)), &mut scratch).expect("solvable");
     let calls = alloc_calls() - before;
 
     assert!(second.warm_started && second.inner_iters > 0, "{second:?}");

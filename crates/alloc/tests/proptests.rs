@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sparcle_alloc::availability::PathAvailability;
-use sparcle_alloc::num::{ConstraintRow, ConstraintSystem, ProportionalFairSolver};
+use sparcle_alloc::num::{solve, ConstraintRow, ConstraintSystem};
 
 /// Strategy: a feasible random constraint system where every app is
 /// constrained (diagonal safety rows guarantee it).
@@ -49,9 +49,7 @@ proptest! {
     /// Solutions are strictly feasible and satisfy the KKT conditions.
     #[test]
     fn solver_is_feasible_and_stationary((sys, prios) in arb_system(6, 8)) {
-        let alloc = ProportionalFairSolver::new()
-            .solve(&sys, &prios)
-            .expect("diagonal rows make it solvable");
+        let (alloc, _) = solve(&sys, &prios, None).expect("diagonal rows make it solvable");
         prop_assert!(alloc.rates.iter().all(|&x| x > 0.0));
         prop_assert!(alloc.feasibility_violation(&sys) <= 1e-9);
         prop_assert!(
@@ -70,7 +68,7 @@ proptest! {
         bump in 0usize..4,
         delta in -0.2f64..0.2,
     ) {
-        let alloc = ProportionalFairSolver::new().solve(&sys, &prios).unwrap();
+        let (alloc, _) = solve(&sys, &prios, None).unwrap();
         let i = bump % alloc.rates.len();
         let mut perturbed = alloc.rates.clone();
         perturbed[i] *= 1.0 + delta;
@@ -97,9 +95,9 @@ proptest! {
     /// (scale invariance of weighted proportional fairness).
     #[test]
     fn priority_scale_invariance((sys, prios) in arb_system(5, 6)) {
-        let a = ProportionalFairSolver::new().solve(&sys, &prios).unwrap();
+        let (a, _) = solve(&sys, &prios, None).unwrap();
         let doubled: Vec<f64> = prios.iter().map(|p| 2.0 * p).collect();
-        let b = ProportionalFairSolver::new().solve(&sys, &doubled).unwrap();
+        let (b, _) = solve(&sys, &doubled, None).unwrap();
         for (x, y) in a.rates.iter().zip(&b.rates) {
             prop_assert!((x - y).abs() / x.max(*y) < 1e-4, "{x} vs {y}");
         }
@@ -135,9 +133,8 @@ proptest! {
             .map(|(&p, &r)| p * capacity / (r * total))
             .collect();
         let start: Vec<f64> = exact.iter().zip(&jitter).map(|(x, j)| x * j).collect();
-        let solver = ProportionalFairSolver::new();
-        let cold = solver.solve(&sys, &prios).unwrap();
-        let warm = solver.solve_warm(&sys, &prios, &start).unwrap();
+        let (cold, _) = solve(&sys, &prios, None).unwrap();
+        let (warm, _) = solve(&sys, &prios, Some(&start)).unwrap();
         for rates in [&cold.rates, &warm.rates] {
             for (x, e) in rates.iter().zip(&exact) {
                 prop_assert!((x - e).abs() <= 1e-6 * e, "{x} vs closed form {e}");

@@ -18,7 +18,7 @@
 use crate::{improvement, mean, ExpHarness, ParsedFlags, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparcle_alloc::{ConstraintSystem, PriorityLoads, ProportionalFairSolver};
+use sparcle_alloc::{num, ConstraintSystem, PriorityLoads};
 use sparcle_baselines::{Assigner, GreedySorted};
 use sparcle_core::{
     AssignError, AssignedPath, DynamicRankingAssigner, PlacementEngine, RoutePolicy, TraceHandle,
@@ -126,7 +126,6 @@ fn prediction_ablation() {
         TopologyKind::Star,
     );
     let sparcle = DynamicRankingAssigner::new();
-    let solver = ProportionalFairSolver::new();
     let mut rng = StdRng::seed_from_u64(0xab3);
     let mut sensitivity_with = Vec::new();
     let mut sensitivity_without = Vec::new();
@@ -155,7 +154,7 @@ fn prediction_ablation() {
                 };
                 let p2 = Assigner::assign(&sparcle, second, &network, &caps2).ok()?;
                 let sys = ConstraintSystem::from_loads(&network, &caps, &[&p1.load, &p2.load]);
-                let alloc = solver.solve(&sys, &[1.0, 1.0]).ok()?;
+                let (alloc, _) = num::solve(&sys, &[1.0, 1.0], None).ok()?;
                 Some((alloc.rates[0], alloc.rates[1]))
             };
 

@@ -14,7 +14,7 @@
 use crate::{empirical_cdf, mean, ExpHarness, ParsedFlags, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sparcle_alloc::{ConstraintSystem, PriorityLoads, ProportionalFairSolver};
+use sparcle_alloc::{num, ConstraintSystem, PriorityLoads};
 use sparcle_baselines::standard_roster;
 use sparcle_model::QoeClass;
 use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind};
@@ -30,7 +30,6 @@ pub fn run(_: &ParsedFlags, _: &ExpHarness) {
         GraphKind::Diamond,
         TopologyKind::Star,
     );
-    let solver = ProportionalFairSolver::new();
     let roster = standard_roster(0x13);
     let mut utilities: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x13_13);
@@ -64,7 +63,7 @@ pub fn run(_: &ParsedFlags, _: &ExpHarness) {
             };
             // Exact rates from (4) on the *true* capacities.
             let system = ConstraintSystem::from_loads(&network, &caps, &[&path1.load, &path2.load]);
-            if let Ok(alloc) = solver.solve(&system, &[P1, P2]) {
+            if let Ok((alloc, _)) = num::solve(&system, &[P1, P2], None) {
                 utilities
                     .entry(algo.name().to_owned())
                     .or_default()

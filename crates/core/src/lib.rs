@@ -42,8 +42,8 @@ pub use snapshot::{SnapshotBeApp, SnapshotGrApp, StateSnapshot};
 pub use sparcle_telemetry as telemetry;
 pub use state::{StateStats, SystemState};
 pub use system::{
-    Admission, AllocationPolicy, DisplacedApp, MigrationOutcome, PlacedBeApp, PlacedGrApp,
-    RejectReason, SparcleSystem, SystemConfig, SystemTxn, MIN_PATH_RATE,
+    Admission, DisplacedApp, MigrationOutcome, PlacedBeApp, PlacedGrApp, RejectReason,
+    SparcleSystem, SystemConfig, SystemTxn, MIN_PATH_RATE,
 };
 pub use trace::{SpanGuard, TraceHandle};
 pub use widest_path::{

@@ -52,7 +52,7 @@ use sparcle_model::{AppId, CapacityMap, LoadMap, Network, NetworkElement, Resour
 /// never be exported into determinism-checked telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateStats {
-    /// BE allocations solved (problem (4) or max-min).
+    /// BE allocations solved (problem (4)).
     pub solves: u64,
     /// Solves that reused the previous rates via the solver's fast
     /// warm-start schedule.

@@ -5,16 +5,15 @@
 //! the placement and re-solve problem (4) for every BE application.
 
 use super::{
-    extend_availability, Admission, AllocationPolicy, PlacedBeApp, RejectReason, SparcleSystem,
-    SystemTxn, MAX_PATHS_PER_APP, MIN_PATH_RATE,
+    extend_availability, Admission, PlacedBeApp, RejectReason, SparcleSystem, SystemTxn,
+    MAX_PATHS_PER_APP, MIN_PATH_RATE,
 };
 use crate::assignment::assign_multipath_scratch_stats;
 use crate::engine::AssignedPath;
 use crate::error::AssignError;
 use crate::state::UndoOp;
 use sparcle_alloc::availability::PathAvailability;
-use sparcle_alloc::maxmin::max_min_allocation;
-use sparcle_alloc::num::ProportionalFairSolver;
+use sparcle_alloc::num;
 use sparcle_alloc::AllocError;
 use sparcle_model::{Application, LoadMap, Network};
 use std::sync::Arc;
@@ -159,33 +158,17 @@ impl SparcleSystem {
         let solver = &mut state.solver;
         solver.set_priorities(state.be_apps.iter().map(|a| a.priority));
         state.constraints.refresh_capacities(&state.gr_residual);
-        let system = state.constraints.system();
-        let max_min;
-        let (rates, solve_stats) = match self.config.allocation_policy {
-            AllocationPolicy::ProportionalFair => {
-                let stats =
-                    ProportionalFairSolver::new().solve_into(system, Some(incumbent), solver)?;
-                (solver.rates(), Some(stats))
-            }
-            AllocationPolicy::MaxMin => {
-                max_min = max_min_allocation(system, solver.priorities())?;
-                (&max_min.rates[..], None)
-            }
-        };
+        let s = num::solve_into(state.constraints.system(), Some(incumbent), solver)?;
         state.stats.solves += 1;
-        match solve_stats {
-            Some(s) if s.warm_started => {
-                state.stats.warm_solves += 1;
-                state.stats.inner_iters_warm += s.inner_iters as u64;
-            }
-            Some(s) => {
-                state.stats.cold_solves += 1;
-                state.stats.inner_iters_cold += s.inner_iters as u64;
-            }
-            None => {}
+        if s.warm_started {
+            state.stats.warm_solves += 1;
+            state.stats.inner_iters_warm += s.inner_iters as u64;
+        } else {
+            state.stats.cold_solves += 1;
+            state.stats.inner_iters_cold += s.inner_iters as u64;
         }
         state.stats.solve_nanos += t0.elapsed().as_nanos() as u64;
-        for (entry, &rate) in state.be_apps.iter_mut().zip(rates) {
+        for (entry, &rate) in state.be_apps.iter_mut().zip(solver.rates()) {
             entry.allocated_rate = rate;
         }
         Ok(())
@@ -210,7 +193,7 @@ fn combine_loads(network: &Network, paths: &[AssignedPath]) -> LoadMap {
 mod tests {
     use super::*;
     use crate::system::fixtures::{simple_app, star_network};
-    use crate::system::SystemConfig;
+    use sparcle_alloc::{max_min_allocation, ConstraintSystem};
     use sparcle_model::{NcpId, NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder};
 
     #[test]
@@ -357,26 +340,34 @@ mod tests {
         assert!(placed.allocated_rate > 0.0);
     }
 
+    /// Max-min is an analysis over the live placements, not a mode: run
+    /// on the constraint system the allocation solves, its rates fit
+    /// jointly, and the system's own rates stay the proportional-fair
+    /// solve's, bit for bit.
     #[test]
-    fn max_min_policy_is_selectable() {
+    fn max_min_over_live_placements_fits_beside_the_pf_rates() {
         let net = star_network(0.0);
-        let config = SystemConfig {
-            allocation_policy: AllocationPolicy::MaxMin,
-            ..SystemConfig::default()
-        };
-        let mut sys = SparcleSystem::with_config(net, config);
+        let mut sys = SparcleSystem::new(net);
         sys.submit(simple_app(QoeClass::best_effort(1.0), 100.0, 5000.0))
             .unwrap();
-        sys.submit(simple_app(QoeClass::best_effort(1.0), 100.0, 5000.0))
+        let alone = sys.be_apps()[0].allocated_rate;
+        sys.submit(simple_app(QoeClass::best_effort(2.0), 100.0, 5000.0))
             .unwrap();
-        for be in sys.be_apps() {
-            assert!(be.allocated_rate > 0.0);
-        }
+        let loads: Vec<&LoadMap> = sys.be_apps().iter().map(|be| &be.combined_load).collect();
+        let priorities: Vec<f64> = sys.be_apps().iter().map(|be| be.priority).collect();
+        let system = ConstraintSystem::from_loads(sys.network(), sys.gr_residual(), &loads);
+        let max_min = max_min_allocation(&system, &priorities).unwrap();
+        assert!(max_min.rates.iter().all(|&x| x > 0.0), "{max_min:?}");
         // Joint feasibility under the max-min rates.
         let mut demand = LoadMap::zeroed(sys.network());
-        for be in sys.be_apps() {
-            demand.merge_scaled(&be.combined_load, be.allocated_rate);
+        for (be, &rate) in sys.be_apps().iter().zip(&max_min.rates) {
+            demand.merge_scaled(&be.combined_load, rate);
         }
         assert!(sys.gr_residual().bottleneck_rate(&demand) >= 1.0 - 1e-9);
+        // The system's rates are problem (4)'s, warm-started from the
+        // incumbents the second submit re-solved from (the newcomer at 0).
+        let (pf, _) = num::solve(&system, &priorities, Some(&[alone, 0.0])).unwrap();
+        let rates: Vec<f64> = sys.be_apps().iter().map(|be| be.allocated_rate).collect();
+        assert_eq!(rates, pf.rates);
     }
 }

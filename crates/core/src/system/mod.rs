@@ -66,19 +66,6 @@ use sparcle_model::{
 };
 use std::sync::Arc;
 
-/// How Best-Effort rates are shared (§IV-C; the paper uses weighted
-/// proportional fairness, problem (4)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocationPolicy {
-    /// Weighted proportional fairness — the paper's objective
-    /// `max Σ P_i log x_i`.
-    #[default]
-    ProportionalFair,
-    /// Weighted max-min fairness (progressive filling): protects the
-    /// weakest application absolutely.
-    MaxMin,
-}
-
 /// Maximum task assignment paths per application (the paper keeps this
 /// small; path extraction has diminishing returns).
 const MAX_PATHS_PER_APP: usize = 8;
@@ -89,8 +76,6 @@ pub const MIN_PATH_RATE: f64 = 1e-9;
 /// Tunables of the system pipeline.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// How Best-Effort rates are shared.
-    pub allocation_policy: AllocationPolicy,
     /// Worker threads of the γ evaluator
     /// ([`DynamicRankingAssigner::with_threads`]); results are
     /// bit-identical for every thread count.
@@ -100,7 +85,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            allocation_policy: AllocationPolicy::ProportionalFair,
             assigner_threads: 1,
         }
     }
@@ -344,7 +328,6 @@ impl Admission {
 #[derive(Debug)]
 pub struct SparcleSystem {
     network: Network,
-    config: SystemConfig,
     assigner: DynamicRankingAssigner,
     state: SystemState,
     /// Hoisted placement-engine buffers, reused by every assignment the
@@ -366,7 +349,6 @@ impl SparcleSystem {
         let state = SystemState::new(&network);
         SparcleSystem {
             network,
-            config,
             assigner,
             state,
             engine_scratch: EngineScratch::default(),

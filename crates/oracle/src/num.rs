@@ -126,7 +126,7 @@ impl DenseSolver {
     ///
     /// # Errors
     ///
-    /// As [`sparcle_alloc::ProportionalFairSolver::solve`].
+    /// As [`sparcle_alloc::num::solve`].
     pub fn solve_with_stats(
         &self,
         system: &DenseSystem,
@@ -139,7 +139,7 @@ impl DenseSolver {
     ///
     /// # Errors
     ///
-    /// As [`sparcle_alloc::ProportionalFairSolver::solve`].
+    /// As [`sparcle_alloc::num::solve`].
     pub fn solve_warm_with_stats(
         &self,
         system: &DenseSystem,

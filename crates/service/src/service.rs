@@ -289,8 +289,17 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             if self.pending.is_empty() {
                 // Nothing queued: no boundary up to `t` forms a batch or
                 // defers anything, so skipping them is behaviourally
-                // identical (the empty-window no-op).
-                let skip = (t / self.config.batch_window).floor() as u64;
+                // identical (the empty-window no-op). The quotient and
+                // the boundary product round separately, so step to the
+                // last `k` whose boundary `k · w` is at or before `t`.
+                let w = self.config.batch_window;
+                let mut skip = (t / w).floor() as u64;
+                while skip > 0 && skip as f64 * w > t {
+                    skip -= 1;
+                }
+                while (skip + 1) as f64 * w <= t {
+                    skip += 1;
+                }
                 self.window_seq = self.window_seq.max(skip);
                 return;
             }

@@ -114,6 +114,27 @@ fn windows_of_one_match_sequential_submission_bitwise() {
     assert_eq!(service.system().gr_residual(), reference.gr_residual());
 }
 
+/// Regression: the idle fast-forward used to take `floor(t / w)` as the
+/// last closed boundary, but `57.9 / 0.1` is `579.0` while
+/// `579 × 0.1 = 57.900000000000006 > 57.9`. A lone request at 57.9 s was
+/// then decided at 58.0 s instead of at the boundary just past it.
+#[test]
+fn idle_fast_forward_stops_before_a_boundary_past_the_request() {
+    let config = ServiceConfig {
+        batch_window: 0.1,
+        ..ServiceConfig::default()
+    };
+    let mut service = AdmissionService::new(star_network(), config, mixed_app);
+    service.run([ServiceRequest {
+        time: 57.9,
+        index: 0,
+        kind: RequestKind::Admit,
+    }]);
+    assert_eq!(service.stats().decisions, 1);
+    let wait = service.decision_waits()[0];
+    assert!(wait < 1e-9, "decided {wait} s after arrival");
+}
+
 #[test]
 fn flash_crowd_batches_share_solves() {
     let config = ServiceConfig {

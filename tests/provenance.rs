@@ -91,7 +91,6 @@ fn service_events(threads: usize, stream_seed: u64) -> CollectRecorder {
         max_defer_windows: 1,
         system: SystemConfig {
             assigner_threads: threads,
-            ..SystemConfig::default()
         },
         ..ServiceConfig::default()
     };

@@ -64,7 +64,6 @@ fn lossless_config(threads: usize) -> ServiceConfig {
         queue_capacity: usize::MAX,
         system: SystemConfig {
             assigner_threads: threads,
-            ..SystemConfig::default()
         },
         ..ServiceConfig::default()
     }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sparcle_alloc::num::{
-    AllocError, Allocation, ConstraintRow, ConstraintSystem, ProportionalFairSolver, SolveStats,
+    self, AllocError, Allocation, ConstraintRow, ConstraintSystem, SolveStats,
 };
 use sparcle_alloc::{max_min_allocation, MaxMinAllocation};
 use sparcle_oracle::num::{self as dense, DenseSolver, DenseSystem};
@@ -147,10 +147,9 @@ proptest! {
     ) {
         let n = sys.app_count();
         let oracle = DenseSystem::from_sparse(&sys);
-        let sparse = ProportionalFairSolver::new();
         let reference = DenseSolver::new();
 
-        let cold = sparse.solve_with_stats(&sys, &prios);
+        let cold = num::solve(&sys, &prios, None);
         same(&cold, &reference.solve_with_stats(&oracle, &prios))?;
 
         let optimum = match &cold {
@@ -167,7 +166,7 @@ proptest! {
         ];
         for start in &starts {
             same(
-                &sparse.solve_warm_with_stats(&sys, &prios, start),
+                &num::solve(&sys, &prios, Some(start)),
                 &reference.solve_warm_with_stats(&oracle, &prios, start),
             )?;
         }
