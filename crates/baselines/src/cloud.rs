@@ -32,15 +32,6 @@ impl Assigner for CloudAssigner {
         "Cloud"
     }
 
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
-    }
-
     fn assign_traced(
         &self,
         app: &Application,

@@ -96,15 +96,6 @@ impl Assigner for GreedySorted {
         "GS"
     }
 
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
-    }
-
     fn assign_traced(
         &self,
         app: &Application,
@@ -131,15 +122,6 @@ impl Assigner for GreedySorted {
 impl Assigner for GreedyRandom {
     fn name(&self) -> &str {
         "GRand"
-    }
-
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
     }
 
     fn assign_traced(

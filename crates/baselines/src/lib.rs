@@ -55,52 +55,39 @@ pub trait Assigner: std::fmt::Debug {
     fn name(&self) -> &str;
 
     /// Produces one task assignment path for `app` on `network` under
-    /// `capacities`.
+    /// `capacities`, threading `trace` through to the placement engine
+    /// so commit events and γ-cache counters are recorded.
     ///
     /// # Errors
     ///
     /// Returns an [`AssignError`] when no complete placement exists
     /// (disconnected pins, unroutable TTs).
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError>;
-
-    /// Like [`Assigner::assign`], threading a telemetry handle through
-    /// to the placement engine so commit events and γ-cache counters
-    /// are recorded. With [`TraceHandle::none`] this is equivalent to
-    /// [`Assigner::assign`]; every roster member overrides the default
-    /// to actually thread the handle through.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Assigner::assign`].
     fn assign_traced(
         &self,
         app: &Application,
         network: &Network,
         capacities: &CapacityMap,
         trace: TraceHandle<'_>,
-    ) -> Result<AssignedPath, AssignError> {
-        let _ = trace;
-        self.assign(app, network, capacities)
-    }
-}
+    ) -> Result<AssignedPath, AssignError>;
 
-impl Assigner for DynamicRankingAssigner {
-    fn name(&self) -> &str {
-        "SPARCLE"
-    }
-
+    /// [`Assigner::assign_traced`] with [`TraceHandle::none`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Assigner::assign_traced`].
     fn assign(
         &self,
         app: &Application,
         network: &Network,
         capacities: &CapacityMap,
     ) -> Result<AssignedPath, AssignError> {
-        DynamicRankingAssigner::assign(self, app, network, capacities)
+        self.assign_traced(app, network, capacities, TraceHandle::none())
+    }
+}
+
+impl Assigner for DynamicRankingAssigner {
+    fn name(&self) -> &str {
+        "SPARCLE"
     }
 
     fn assign_traced(

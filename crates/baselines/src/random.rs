@@ -31,15 +31,6 @@ impl Assigner for RandomAssigner {
         "Random"
     }
 
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
-    }
-
     fn assign_traced(
         &self,
         app: &Application,

@@ -37,15 +37,6 @@ impl Assigner for TStormAssigner {
         "T-Storm"
     }
 
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
-    }
-
     fn assign_traced(
         &self,
         app: &Application,

@@ -68,15 +68,6 @@ impl Assigner for VneAssigner {
         "VNE"
     }
 
-    fn assign(
-        &self,
-        app: &Application,
-        network: &Network,
-        capacities: &CapacityMap,
-    ) -> Result<AssignedPath, AssignError> {
-        self.assign_traced(app, network, capacities, TraceHandle::none())
-    }
-
     fn assign_traced(
         &self,
         app: &Application,

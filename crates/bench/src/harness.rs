@@ -10,14 +10,18 @@
 //!   `span_open`/`span_close` events (wall-clock timed; see DESIGN.md
 //!   §9 — span-bearing traces are compared semantically, not
 //!   byte-for-byte);
-//! * `--summary` — print the end-of-run metrics table (counters and
-//!   timing histograms) to stdout;
+//! * `--summary` — print the end-of-run counter table to stdout;
 //! * `--metrics-out <path>` — write a Prometheus-style text exposition
-//!   of the final counters to `path`. Experiments that run the churn
-//!   runtime's observability monitor also hand this path to
+//!   of the final counters to `path`, truncating whatever was there.
+//!   Experiments that run the churn runtime's observability monitor
+//!   also hand this path to
 //!   [`sparcle_runtime::MonitorConfig::metrics_out`]
 //!   (via [`ExpHarness::metrics_out`]), so the file is rewritten on
 //!   every monitor tick during the run and finalized at `finish()`.
+//!
+//! The trace and the counters are the whole record of a run: wall-clock
+//! numbers come only from the opt-in span events and the benchmark
+//! package.
 //!
 //! An experiment declares its own flags on top of those; anything
 //! undeclared is an error, reported with [`ExpFlags::usage`].
@@ -256,11 +260,18 @@ impl ExpHarness {
     ///
     /// # Panics
     ///
-    /// Panics when `--trace-out` names an uncreatable file.
+    /// Panics when `--trace-out` or `--metrics-out` names an uncreatable
+    /// file.
     pub fn with_args(name: &str, flags: &ParsedFlags) -> Self {
         use sparcle_telemetry::{CollectRecorder, Event, JsonlRecorder};
         let summary = flags.on("summary");
         let metrics_out = flags.path("metrics-out");
+        if let Some(path) = &metrics_out {
+            // Start empty: the monitor's ticks rewrite the file and
+            // `finish` appends the final counters.
+            std::fs::File::create(path)
+                .unwrap_or_else(|e| panic!("create metrics file {}: {e}", path.display()));
+        }
         let sink = match flags.path("trace-out") {
             Some(path) => Sink::Jsonl(
                 JsonlRecorder::create(&path)
@@ -306,17 +317,15 @@ impl ExpHarness {
         }
     }
 
-    /// Flushes the trace (appending the final counters-only snapshot
-    /// line), prints the `--summary` table, and writes the full
-    /// [`sparcle_telemetry::MetricsSnapshot`] — counters *and* timing
-    /// histograms — to `target/experiments/<name>_metrics.json`.
+    /// Flushes the trace (appending the final counter snapshot line),
+    /// appends the counters to the `--metrics-out` file and prints the
+    /// `--summary` table.
     ///
     /// # Panics
     ///
     /// Panics when a trace or metrics write fails (experiments want
     /// loud failures).
     pub fn finish(self) {
-        use sparcle_telemetry::Json;
         let snapshot = match self.sink {
             Sink::None => return,
             Sink::Jsonl(r) => r.finish().expect("flush trace file"),
@@ -348,15 +357,6 @@ impl ExpHarness {
             println!("\n=== telemetry summary: {} ===", self.name);
             println!("{}", snapshot.render_summary());
         }
-        let result = Json::obj([
-            ("experiment", Json::Str(self.name.clone())),
-            ("metrics", snapshot.to_json()),
-        ]);
-        let dir = crate::experiments_dir();
-        std::fs::create_dir_all(&dir).expect("create experiments dir");
-        let path = dir.join(format!("{}_metrics.json", self.name));
-        std::fs::write(&path, result.render() + "\n").expect("write metrics json");
-        println!("wrote {}", path.display());
     }
 }
 
@@ -460,7 +460,28 @@ mod tests {
         assert!(text.contains("# TYPE sparcle_counter_total counter"));
         assert!(text.contains("sparcle_counter_total{name=\"unit.widgets\"} 7"));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(dir.join("unit-test-metrics-out_metrics.json"));
+    }
+
+    #[test]
+    fn metrics_out_replaces_the_previous_run() {
+        let dir = crate::experiments_dir();
+        std::fs::create_dir_all(&dir).expect("create experiments dir");
+        let path = dir.join("unit-test-metrics-rerun.prom");
+        let flags = shared(&["--metrics-out", path.to_str().unwrap()]);
+        for widgets in [7, 9] {
+            let h = ExpHarness::with_args("unit-test-metrics-rerun", &flags);
+            h.trace().counter("unit.widgets", widgets);
+            h.finish();
+        }
+        let text = std::fs::read_to_string(&path).expect("exposition written");
+        assert_eq!(
+            text.matches("# TYPE sparcle_counter_total counter").count(),
+            1,
+            "{text}"
+        );
+        assert!(text.contains("} 9"), "{text}");
+        assert!(!text.contains("} 7"), "{text}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -478,25 +499,22 @@ mod tests {
         let no_sink = ExpHarness::with_args("unit-test-spans-nosink", &shared(&["--trace-spans"]));
         assert!(!no_sink.trace().is_enabled());
         assert!(!no_sink.trace().spans_enabled());
-        // Drop harnesses without finish(): no files to clean up except
-        // the two summary collectors, which finish() would write.
     }
 
     #[test]
     fn harness_records_run_start_and_counters() {
         let h = ExpHarness::with_args("unit-test-harness", &shared(&["--summary"]));
         h.trace().counter("test.counter", 3);
-        assert!(h.trace().is_enabled());
-        // finish() prints the summary and writes the metrics JSON.
+        let Sink::Collect(r) = &h.sink else {
+            panic!("--summary alone collects in memory");
+        };
+        assert!(matches!(
+            &r.events()[..],
+            [sparcle_telemetry::Event::RunStart { name }] if name == "unit-test-harness"
+        ));
+        assert_eq!(r.snapshot().counter("test.counter"), 3);
+        // finish() prints the summary table.
         h.finish();
-        let path = crate::experiments_dir().join("unit-test-harness_metrics.json");
-        let contents = std::fs::read_to_string(&path).expect("metrics json written");
-        let json = sparcle_telemetry::parse_json(contents.trim()).expect("valid json");
-        assert_eq!(
-            json.get("experiment").and_then(|j| j.as_str()),
-            Some("unit-test-harness")
-        );
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

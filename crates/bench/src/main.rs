@@ -8,8 +8,7 @@
 //! ```
 //!
 //! The experiments are `sparcle_bench::EXPERIMENTS`; each runs under a
-//! harness named `exp_<experiment>`, which tags its trace's `run_start`
-//! and names `target/experiments/exp_<experiment>_metrics.json`.
+//! harness named `exp_<experiment>`, which tags its trace's `run_start`.
 
 use std::process::{exit, Command};
 

@@ -125,18 +125,6 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Runs `f`, returning the wall-clock nanoseconds it took — or 0,
-/// without reading the clock, when `timed` is off.
-fn timed_ns(timed: bool, f: impl FnOnce()) -> u64 {
-    if !timed {
-        f();
-        return 0;
-    }
-    let started = std::time::Instant::now();
-    f();
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// The read-only engine state trees and reach sets are pure functions
 /// of. Borrowing it field-by-field (rather than `&self`) is what lets
 /// worker threads share it while each owns a private sweep buffer.
@@ -221,15 +209,11 @@ impl PlacementEngine<'_> {
         }
         let (hits, misses) = ((needs.len() - compute.len()) as u64, compute.len() as u64);
         let view = self.eval_view();
-        // Workers never touch the recorder (so `Recorder` needs no
-        // `Sync` bound): fill times are collected as plain data and
-        // recorded serially.
-        let timed = self.trace.is_enabled();
         let workers = threads.max(1).min(compute.len());
         if workers > 1 {
-            let slots: Vec<Mutex<(StoredTree, u64)>> = compute
+            let slots: Vec<Mutex<StoredTree>> = compute
                 .iter()
-                .map(|&key| Mutex::new((trees.fresh(key), 0)))
+                .map(|&key| Mutex::new(trees.fresh(key)))
                 .collect();
             let next = AtomicUsize::new(0);
             std::thread::scope(|s| {
@@ -237,27 +221,21 @@ impl PlacementEngine<'_> {
                     s.spawn(|| {
                         let mut sweep = CsrWidestTree::default();
                         while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let mut slot = slot.lock().expect("one worker per tree slot");
-                            let (tree, ns) = &mut *slot;
-                            *ns = timed_ns(timed, || view.fill_tree(tree, &mut sweep));
+                            let mut tree = slot.lock().expect("one worker per tree slot");
+                            view.fill_tree(&mut tree, &mut sweep);
                         }
                     });
                 }
             });
-            for slot in slots {
-                let (tree, ns) = slot.into_inner().expect("workers have joined");
-                if timed {
-                    self.trace.timing("engine.tree_fill_ns", ns);
-                }
-                trees.live.push(tree);
-            }
+            trees.live.extend(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.into_inner().expect("workers have joined")),
+            );
         } else {
             for &key in compute.iter() {
                 let mut tree = trees.fresh(key);
-                let ns = timed_ns(timed, || view.fill_tree(&mut tree, sweep));
-                if timed {
-                    self.trace.timing("engine.tree_fill_ns", ns);
-                }
+                view.fill_tree(&mut tree, sweep);
                 trees.live.push(tree);
             }
         }

@@ -7,7 +7,7 @@
 //! signature whether or not anything listens. A `None` recorder
 //! ([`TraceHandle::none`]) short-circuits every recording path, and the
 //! expensive instrumentation inside the engine (building candidate sets
-//! for decision events, timing tree fills) is gated on
+//! for decision events) is gated on
 //! [`TraceHandle::is_enabled`], so an untraced run pays one branch per
 //! site.
 //!
@@ -79,16 +79,6 @@ impl<'a> TraceHandle<'a> {
         self.recorder.is_some() && self.spans.is_some()
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&'a dyn Recorder> {
-        self.recorder
-    }
-
-    /// The attached span tracker, if any.
-    pub fn span_tracker(&self) -> Option<&'a SpanTracker> {
-        self.spans
-    }
-
     /// Records a structured event and returns the provenance id the
     /// sink assigned (`0` when no recorder is attached or the sink does
     /// not track provenance).
@@ -113,14 +103,6 @@ impl<'a> TraceHandle<'a> {
     pub fn counter(&self, name: &str, delta: u64) {
         if let Some(r) = self.recorder {
             r.counter(name, delta);
-        }
-    }
-
-    /// Records a duration (nanoseconds) into a named histogram.
-    #[inline]
-    pub fn timing(&self, name: &str, nanos: u64) {
-        if let Some(r) = self.recorder {
-            r.timing(name, nanos);
         }
     }
 
@@ -181,7 +163,6 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(!t.spans_enabled());
         t.counter("x", 1);
-        t.timing("y", 2);
         let guard = t.span("inert");
         assert!(!guard.is_active());
         guard.finish();

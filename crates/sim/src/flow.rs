@@ -434,8 +434,6 @@ impl<'a> FlowSim<'a> {
             depth: self.queue.len() as u64,
             processed: self.processed,
         });
-        self.trace
-            .timing("sim.queue_depth", self.queue.len() as u64);
         let every = (self.config.duration / f64::from(QUEUE_SAMPLES)).max(f64::MIN_POSITIVE);
         while self.next_sample <= now {
             self.next_sample += every;

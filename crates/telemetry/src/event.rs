@@ -14,11 +14,10 @@
 //! fixed seed and input they must be byte-identical across runs *and
 //! across worker-thread counts* (the differential suite in
 //! `tests/parallel_equivalence.rs` enforces this for the placement
-//! engine). Anything wall-clock-dependent — span durations, per-thread
-//! tree-fill times — therefore never appears as an event; it flows
-//! through [`crate::Recorder::timing`] into histograms instead, and
-//! surfaces only in the [`crate::MetricsSnapshot`]. The one exception,
-//! the opt-in span events, marks its wall-clock fields `[wall_clock]`.
+//! engine). Wall-clock readings therefore stay out of events, with one
+//! exception: the opt-in span events, which mark their wall-clock
+//! fields `[wall_clock]`. They are the program's only wall-clock
+//! channel; absolute timings are the benchmark package's job.
 //!
 //! Events use plain integer ids (`u32` CT/NCP indices) rather than the
 //! model crate's typed ids so this crate stays dependency-free and the

@@ -1,11 +1,12 @@
-//! Counters, fixed-bucket histograms, and the end-of-run snapshot.
+//! The fixed-bucket histogram behind the monitor's windows, and the
+//! end-of-run counter snapshot.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 
-/// Number of log2 buckets: values up to `2^63` nanoseconds (~292 years)
-/// land in a bucket; everything larger saturates into the last one.
+/// Number of log2 buckets: values up to `2^63` land in a bucket;
+/// everything larger saturates into the last one.
 pub const BUCKETS: usize = 64;
 
 /// A fixed-bucket power-of-two histogram.
@@ -13,13 +14,11 @@ pub const BUCKETS: usize = 64;
 /// Bucket `k` holds values `v` with `ceil(log2(v + 1)) == k`, i.e.
 /// bucket 0 is exactly `0`, bucket 1 is `1`, bucket 2 is `2..=3`, bucket
 /// 3 is `4..=7`, and so on. Recording is branch-light (`leading_zeros`)
-/// and allocation-free, so it is safe to call from hot paths when
-/// telemetry is enabled.
+/// and allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -29,7 +28,6 @@ impl Default for Histogram {
         Histogram {
             buckets: [0; BUCKETS],
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -47,7 +45,6 @@ impl Histogram {
         let bucket = (64 - value.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[bucket] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -55,11 +52,6 @@ impl Histogram {
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Smallest recorded value (`None` when empty).
@@ -70,11 +62,6 @@ impl Histogram {
     /// Largest recorded value (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of recorded values (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// Estimate of the q-quantile (0 ≤ q ≤ 1) by linear interpolation
@@ -122,67 +109,26 @@ impl Histogram {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::Num(self.count as f64)),
-            ("sum", Json::Num(self.sum as f64)),
-            ("min", Json::Num(self.min().unwrap_or(0) as f64)),
-            ("max", Json::Num(self.max().unwrap_or(0) as f64)),
-            ("mean", Json::num(self.mean().unwrap_or(0.0))),
-            ("p50", Json::Num(self.quantile(0.50).unwrap_or(0) as f64)),
-            ("p99", Json::Num(self.quantile(0.99).unwrap_or(0) as f64)),
-        ])
-    }
 }
 
-/// A frozen view of all counters and histograms at the end of a run.
+/// A frozen view of all counters at the end of a run.
 ///
-/// The bench harness embeds this in its result JSON; the JSONL sink
-/// writes it as the final `snapshot` trace line (counters only — see
-/// [`MetricsSnapshot::to_trace_json`]).
+/// The JSONL sink writes it as the final `snapshot` trace line (see
+/// [`MetricsSnapshot::to_trace_json`]); `--summary` renders it with
+/// [`MetricsSnapshot::render_summary`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Named monotonic counters, sorted by name.
     pub counters: BTreeMap<String, u64>,
-    /// Named histograms (timings in nanoseconds by convention).
-    pub histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsSnapshot {
     /// Value of a counter, zero when absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Full JSON form: counters plus histogram summaries. This goes
-    /// into result JSON files, **not** the trace stream (histograms
-    /// carry wall-clock data and would break trace determinism).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 
     /// Deterministic trace-line form: `type: "snapshot"` plus counters
@@ -204,48 +150,23 @@ impl MetricsSnapshot {
         ])
     }
 
-    /// Renders a human-readable summary table (for `--summary`).
+    /// Renders the counter table printed by `--summary`.
     pub fn render_summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== telemetry summary ==\n");
-        if !self.counters.is_empty() {
-            let width = self
-                .counters
-                .keys()
-                .map(|k| k.len())
-                .max()
-                .unwrap_or(0)
-                .max(7);
-            out.push_str(&format!("{:<width$}  {:>12}\n", "counter", "value"));
-            for (name, value) in &self.counters {
-                out.push_str(&format!("{name:<width$}  {value:>12}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            let width = self
-                .histograms
-                .keys()
-                .map(|k| k.len())
-                .max()
-                .unwrap_or(0)
-                .max(9);
-            out.push_str(&format!(
-                "{:<width$}  {:>8} {:>12} {:>12} {:>12} {:>12}\n",
-                "histogram", "count", "mean", "p50<=", "p99<=", "max"
-            ));
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "{name:<width$}  {:>8} {:>12.1} {:>12} {:>12} {:>12}\n",
-                    h.count(),
-                    h.mean().unwrap_or(0.0),
-                    h.quantile(0.50).unwrap_or(0),
-                    h.quantile(0.99).unwrap_or(0),
-                    h.max().unwrap_or(0),
-                ));
-            }
-        }
-        if self.counters.is_empty() && self.histograms.is_empty() {
+        let mut out = String::from("== telemetry summary ==\n");
+        if self.counters.is_empty() {
             out.push_str("(no metrics recorded)\n");
+            return out;
+        }
+        let width = self
+            .counters
+            .keys()
+            .map(String::len)
+            .max()
+            .unwrap_or(0)
+            .max(7);
+        out.push_str(&format!("{:<width$}  {:>12}\n", "counter", "value"));
+        for (name, value) in &self.counters {
+            out.push_str(&format!("{name:<width$}  {value:>12}\n"));
         }
         out
     }
@@ -262,7 +183,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 1025);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));
         // p50 of 8 values -> 4th smallest (3): rank 4 tops out bucket
@@ -345,7 +265,6 @@ mod tests {
         b.record(2000);
         a.merge(&b);
         assert_eq!(a.count(), 6);
-        assert_eq!(a.sum(), 3006);
         assert_eq!(a.min(), Some(0));
         assert_eq!(a.max(), Some(2000));
         // rank 3 of 6 -> bucket [2,3] upper half.
@@ -359,31 +278,25 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("z.commits".into(), 3);
         s.counters.insert("a.hits".into(), 9);
-        s.histograms.insert("tree_fill_ns".into(), Histogram::new());
         let trace = s.to_trace_json();
         assert_eq!(trace.get("type").unwrap().as_str(), Some("snapshot"));
-        assert!(trace.get("histograms").is_none());
         // BTreeMap ordering: "a.hits" before "z.commits".
         let rendered = trace.render();
         assert!(rendered.find("a.hits").unwrap() < rendered.find("z.commits").unwrap());
     }
 
     #[test]
-    fn summary_renders_counters_and_histograms() {
+    fn summary_renders_the_counter_table() {
         let mut s = MetricsSnapshot::default();
+        assert!(s.render_summary().contains("(no metrics recorded)"));
         s.counters.insert("gamma_cache.hits".into(), 42);
-        let mut h = Histogram::new();
-        h.record(10);
-        s.histograms.insert("tree_fill_ns".into(), h);
         let text = s.render_summary();
         assert!(text.contains("gamma_cache.hits"));
         assert!(text.contains("42"));
-        assert!(text.contains("tree_fill_ns"));
     }
 
     #[test]
     fn empty_quantile_is_none() {
         assert_eq!(Histogram::new().quantile(0.5), None);
-        assert_eq!(Histogram::new().mean(), None);
     }
 }

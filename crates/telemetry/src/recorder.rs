@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use crate::event::Event;
 use crate::json::Json;
-use crate::metrics::{Histogram, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 
 /// One recorded event plus its provenance stamp: the monotonic event
 /// `id` the recorder assigned and the ids of the earlier events that
@@ -85,50 +85,14 @@ pub trait Recorder {
 
     /// Increments a named monotonic counter.
     fn counter(&self, _name: &str, _delta: u64) {}
-
-    /// Records a duration (nanoseconds) into a named histogram.
-    ///
-    /// Timings are wall-clock dependent and therefore never appear in
-    /// the event/trace stream — only in the end-of-run snapshot.
-    fn timing(&self, _name: &str, _nanos: u64) {}
 }
 
-/// The do-nothing sink. Useful as an explicit default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
-#[derive(Debug, Default)]
-struct Accum {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Accum {
-    fn counter(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
-    }
-
-    fn timing(&mut self, name: &str, nanos: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(nanos);
-        } else {
-            let mut h = Histogram::new();
-            h.record(nanos);
-            self.histograms.insert(name.to_owned(), h);
-        }
-    }
-
-    fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
-        }
+/// Adds `delta` to counter `name`, allocating the key only on first use.
+fn bump(counters: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
+    if let Some(v) = counters.get_mut(name) {
+        *v += delta;
+    } else {
+        counters.insert(name.to_owned(), delta);
     }
 }
 
@@ -137,7 +101,7 @@ impl Accum {
 /// suite).
 #[derive(Debug, Default)]
 pub struct CollectRecorder {
-    inner: Mutex<(Vec<StampedEvent>, Accum)>,
+    inner: Mutex<(Vec<StampedEvent>, MetricsSnapshot)>,
 }
 
 impl CollectRecorder {
@@ -177,9 +141,9 @@ impl CollectRecorder {
         out
     }
 
-    /// A snapshot of the counters/histograms recorded so far.
+    /// A snapshot of the counters recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().expect("telemetry poisoned").1.snapshot()
+        self.inner.lock().expect("telemetry poisoned").1.clone()
     }
 }
 
@@ -196,31 +160,20 @@ impl Recorder for CollectRecorder {
     }
 
     fn counter(&self, name: &str, delta: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry poisoned")
-            .1
-            .counter(name, delta);
-    }
-
-    fn timing(&self, name: &str, nanos: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry poisoned")
-            .1
-            .timing(name, nanos);
+        let mut inner = self.inner.lock().expect("telemetry poisoned");
+        bump(&mut inner.1.counters, name, delta);
     }
 }
 
 struct JsonlInner {
     writer: BufWriter<File>,
-    accum: Accum,
+    snapshot: MetricsSnapshot,
     error: Option<io::Error>,
     next_id: u64,
 }
 
 /// A sink that streams events as JSON Lines to a file and accumulates
-/// counters/histograms for the final snapshot.
+/// counters for the final snapshot.
 ///
 /// Write errors are latched and surfaced by [`JsonlRecorder::finish`];
 /// recording itself never panics or returns `Result`, so hot paths stay
@@ -246,17 +199,16 @@ impl JsonlRecorder {
         Ok(JsonlRecorder {
             inner: Mutex::new(JsonlInner {
                 writer: BufWriter::new(file),
-                accum: Accum::default(),
+                snapshot: MetricsSnapshot::default(),
                 error: None,
                 next_id: 1,
             }),
         })
     }
 
-    /// Writes the final counters-only `snapshot` line (stamped with the
-    /// last event id, so every line in the file carries `id`), flushes,
-    /// and returns the full [`MetricsSnapshot`] (counters *and*
-    /// histograms).
+    /// Writes the final `snapshot` line (stamped with the next event
+    /// id, one past the last event's, so every line in the file carries
+    /// a distinct `id`), flushes, and returns the [`MetricsSnapshot`].
     ///
     /// # Errors
     ///
@@ -266,12 +218,11 @@ impl JsonlRecorder {
         if let Some(e) = inner.error.take() {
             return Err(e);
         }
-        let snapshot = inner.accum.snapshot();
-        let line = stamp_json(snapshot.to_trace_json(), inner.next_id, &[]).render();
+        let line = stamp_json(inner.snapshot.to_trace_json(), inner.next_id, &[]).render();
         inner.writer.write_all(line.as_bytes())?;
         inner.writer.write_all(b"\n")?;
         inner.writer.flush()?;
-        Ok(snapshot)
+        Ok(inner.snapshot)
     }
 }
 
@@ -295,19 +246,8 @@ impl Recorder for JsonlRecorder {
     }
 
     fn counter(&self, name: &str, delta: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry poisoned")
-            .accum
-            .counter(name, delta);
-    }
-
-    fn timing(&self, name: &str, nanos: u64) {
-        self.inner
-            .lock()
-            .expect("telemetry poisoned")
-            .accum
-            .timing(name, nanos);
+        let mut inner = self.inner.lock().expect("telemetry poisoned");
+        bump(&mut inner.snapshot.counters, name, delta);
     }
 }
 
@@ -321,11 +261,8 @@ mod tests {
         r.event(&Event::RunStart { name: "t".into() });
         r.counter("hits", 2);
         r.counter("hits", 3);
-        r.timing("ns", 128);
         assert_eq!(r.events().len(), 1);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("hits"), 5);
-        assert_eq!(snap.histograms["ns"].count(), 1);
+        assert_eq!(r.snapshot().counter("hits"), 5);
     }
 
     #[test]

@@ -18,26 +18,6 @@ pub use crate::event::SCHEMAS;
 /// [`crate::MetricsSnapshot::to_trace_json`] line.
 const SNAPSHOT: (&str, &[&str]) = ("snapshot", &["counters"]);
 
-/// The histograms emitters record through [`crate::Recorder::timing`],
-/// with what one sample measures. They hold wall-clock (or otherwise
-/// run-dependent) samples, so they appear in the end-of-run summary and
-/// result JSON, never in the trace stream.
-pub const HISTOGRAMS: &[(&str, &str)] = &[
-    (
-        "engine.tree_fill_ns",
-        "one widest-path tree sweep (Algorithm 1), per tree computed",
-    ),
-    (
-        "sim.queue_depth",
-        "DES event-queue depth, per processed event",
-    ),
-];
-
-/// Whether `name` is a histogram the schema documents.
-pub fn is_known_histogram(name: &str) -> bool {
-    HISTOGRAMS.iter().any(|(n, _)| *n == name)
-}
-
 /// Validates one JSONL trace line. Returns the event's `type` tag.
 ///
 /// Beyond the per-kind required keys, every line must carry the

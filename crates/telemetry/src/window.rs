@@ -7,20 +7,15 @@
 //! `slots * slot_width` simulated seconds. Because the runtime's event
 //! timeline is deterministic, every aggregate derived here is a pure
 //! function of the input and seed — windowed snapshots stay
-//! byte-identical across evaluator thread counts, unlike the wall-clock
-//! histograms in [`crate::MetricsSnapshot`].
+//! byte-identical across evaluator thread counts.
 //!
 //! Three aggregators share the ring:
 //!
 //! * [`WindowedCounter`] — integer deltas (solves, Newton iterations);
 //! * [`RateEstimator`] — `f64` quantities normalized to a per-simulated-
 //!   second rate over the covered span (violation-seconds, admissions);
-//! * [`WindowedHistogram`] — a [`Histogram`] per slot with a mergeable
+//! * [`WindowedHistogram`] — a [`Histogram`] per slot with a merged
 //!   windowed view for p50/p95/p99 (queue depths, reaction latencies).
-//!
-//! Windowed histograms additionally [`merge`](WindowedHistogram::merge)
-//! across instances **aligned by absolute slot index**, so per-shard
-//! windows combine associatively into one fleet-wide window.
 
 use crate::metrics::Histogram;
 
@@ -104,32 +99,6 @@ impl<T: Clone + Default> Ring<T> {
         match self.head {
             None => 0,
             Some(h) => (h + 1).min(self.slots.len() as u64),
-        }
-    }
-
-    /// Merges `other`'s live slots into `self`, aligned by absolute
-    /// slot index (`combine` folds one aligned pair).
-    fn merge_from(&mut self, other: &Ring<T>, mut combine: impl FnMut(&mut T, &T)) {
-        assert!(
-            self.slot_width == other.slot_width && self.slots.len() == other.slots.len(),
-            "windows with different slot widths or lengths cannot merge"
-        );
-        let Some(other_head) = other.head else {
-            return;
-        };
-        let len = self.slots.len() as u64;
-        let target = self.head.map_or(other_head, |h| h.max(other_head));
-        self.advance_to_slot(target);
-        // Only slots inside both the merged window and other's live
-        // range contribute; everything older is already evicted.
-        let start = target
-            .saturating_sub(len - 1)
-            .max(other_head.saturating_sub(len - 1));
-        for s in start..=other_head {
-            combine(
-                &mut self.slots[(s % len) as usize],
-                &other.slots[(s % len) as usize],
-            );
         }
     }
 }
@@ -292,8 +261,7 @@ impl RateEstimator {
 
 /// A sliding window of [`Histogram`]s over simulated time: one
 /// fixed-bucket histogram per slot, with a merged windowed view for
-/// quantiles and cross-instance [`merge`](WindowedHistogram::merge)
-/// aligned by absolute slot index.
+/// quantiles.
 ///
 /// ```
 /// use sparcle_telemetry::window::WindowedHistogram;
@@ -358,20 +326,6 @@ impl WindowedHistogram {
     /// The q-quantile of the trailing window (`None` when empty).
     pub fn quantile(&self, q: f64) -> Option<u64> {
         self.merged().quantile(q)
-    }
-
-    /// Merges another windowed histogram into this one, **aligned by
-    /// absolute slot index**: slot `k` of `other` folds into slot `k`
-    /// of `self`, the merged head is the later of the two heads, and
-    /// slots that fall out of the merged window are evicted. The
-    /// operation is associative and commutative over the merged window,
-    /// so per-shard windows combine in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two windows differ in slot width or slot count.
-    pub fn merge(&mut self, other: &WindowedHistogram) {
-        self.ring.merge_from(&other.ring, |a, b| a.merge(b));
     }
 
     /// The window span in simulated seconds (`slot_width * slots`).
@@ -487,64 +441,6 @@ mod tests {
         assert_eq!(h.count(), 10);
         assert_eq!(h.merged().min(), Some(1000));
         assert_eq!(h.merged().max(), Some(1900));
-    }
-
-    #[test]
-    fn merge_aligns_on_absolute_slots() {
-        let mut a = WindowedHistogram::new(1.0, 4);
-        let mut b = WindowedHistogram::new(1.0, 4);
-        a.record(0.5, 10);
-        b.record(3.5, 1000); // b's head is 3 slots ahead
-        a.merge(&b);
-        // Merged head is slot 3; slot 0 (the 10) is still live.
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.merged().min(), Some(10));
-        assert_eq!(a.merged().max(), Some(1000));
-        // Advance one slot: exactly the slot-0 sample leaves.
-        a.advance(4.5);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.merged().min(), Some(1000));
-    }
-
-    #[test]
-    fn merge_evicts_slots_behind_the_merged_head() {
-        let mut a = WindowedHistogram::new(1.0, 4);
-        let mut b = WindowedHistogram::new(1.0, 4);
-        a.record(0.5, 10); // slot 0
-        b.record(7.5, 1000); // slot 7: window becomes slots 4-7
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.merged().min(), Some(1000));
-        // Symmetric direction: merging the stale window into the fresh
-        // one contributes nothing.
-        let mut b2 = WindowedHistogram::new(1.0, 4);
-        b2.record(7.5, 1000);
-        let mut stale = WindowedHistogram::new(1.0, 4);
-        stale.record(0.5, 10);
-        b2.merge(&stale);
-        assert_eq!(b2.count(), 1);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = WindowedHistogram::new(1.0, 4);
-        a.record(1.5, 5);
-        let before = a.clone();
-        a.merge(&WindowedHistogram::new(1.0, 4));
-        assert_eq!(a, before);
-
-        let mut empty = WindowedHistogram::new(1.0, 4);
-        empty.merge(&before);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.quantile(0.5), Some(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot merge")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = WindowedHistogram::new(1.0, 4);
-        let b = WindowedHistogram::new(2.0, 4);
-        a.merge(&b);
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Property tests for `telemetry::window`: windowed-histogram merge is
-//! associative and commutative over the merged window, agrees with
-//! replaying all samples into one instance, and the windowed counter
-//! matches a brute-force sum over the live span.
+//! Property tests for `telemetry::window`: the windowed counter matches
+//! a brute-force sum over the live span.
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use sparcle_telemetry::window::{WindowedCounter, WindowedHistogram};
+use sparcle_telemetry::window::WindowedCounter;
 
 const SLOT_WIDTH: f64 = 2.0;
 const SLOTS: usize = 5;
@@ -24,80 +22,7 @@ fn arb_samples() -> BoxedStrategy<Vec<(f64, u64)>> {
     .boxed()
 }
 
-fn build(samples: &[(f64, u64)]) -> WindowedHistogram {
-    let mut h = WindowedHistogram::new(SLOT_WIDTH, SLOTS);
-    // Feed in time order, the way a monitor would; interleavings across
-    // instances are then modelled by `merge`.
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for &(t, v) in &sorted {
-        h.record(t, v);
-    }
-    h
-}
-
 proptest! {
-    /// (a ⊔ b) ⊔ c == a ⊔ (b ⊔ c) for windowed histograms.
-    #[test]
-    fn windowed_histogram_merge_is_associative(
-        a in arb_samples(),
-        b in arb_samples(),
-        c in arb_samples(),
-    ) {
-        let (ha, hb, hc) = (build(&a), build(&b), build(&c));
-
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-
-        prop_assert_eq!(left, right);
-    }
-
-    /// a ⊔ b == b ⊔ a.
-    #[test]
-    fn windowed_histogram_merge_is_commutative(
-        a in arb_samples(),
-        b in arb_samples(),
-    ) {
-        let (ha, hb) = (build(&a), build(&b));
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Sharding samples across two instances and merging matches
-    /// feeding everything into one instance, as long as both shards
-    /// observed the full time range (same head -> same evictions).
-    #[test]
-    fn merge_of_shards_matches_single_instance(
-        samples in arb_samples(),
-        split in 0usize..40,
-    ) {
-        let mut all = samples.clone();
-        all.sort_by(|x, y| x.0.total_cmp(&y.0));
-        let split = split.min(all.len());
-
-        let reference = build(&all);
-
-        let mut shard_a = build(&all[..split]);
-        let mut shard_b = build(&all[split..]);
-        // Align both shards to the global head before merging, exactly
-        // what a monitor does by advancing every window at each tick.
-        if let Some(&(last_t, _)) = all.last() {
-            shard_a.advance(last_t);
-            shard_b.advance(last_t);
-        }
-        shard_a.merge(&shard_b);
-        prop_assert_eq!(shard_a, reference);
-    }
-
     /// The windowed counter's sum equals a brute-force sum over the
     /// samples that remain inside the trailing window.
     #[test]

@@ -131,8 +131,7 @@ fn tree_level_work_stealing_is_thread_count_independent() {
 /// decision trace (candidate sets, chosen host, γ, tie-break reasons)
 /// and every counter (commits, γ-cache hits/misses, witness
 /// invalidations) must be identical whether trees are computed by one
-/// worker thread, two or eight. Only the timing histograms' *values* may
-/// differ — they hold wall-clock samples and never enter the trace.
+/// worker thread, two or eight.
 #[test]
 fn decision_traces_and_counters_identical_across_thread_counts() {
     use sparcle_core::TraceHandle;
@@ -162,23 +161,6 @@ fn decision_traces_and_counters_identical_across_thread_counts() {
             assert_eq!(
                 snap_1.counters, snap.counters,
                 "{label}: counters diverged at {threads} threads"
-            );
-            // One fill time per tree, whoever computed it.
-            assert_eq!(
-                snap_1.histograms["engine.tree_fill_ns"].count(),
-                snap.histograms["engine.tree_fill_ns"].count(),
-                "{label}: tree-fill sample count diverged at {threads} threads"
-            );
-        }
-        assert_eq!(
-            snap_1.histograms["engine.tree_fill_ns"].count(),
-            snap_1.counter("gamma_cache.misses"),
-            "{label}: one tree-fill time per computed tree"
-        );
-        for name in snap_1.histograms.keys() {
-            assert!(
-                sparcle_telemetry::schema::is_known_histogram(name),
-                "{label}: histogram {name} is missing from the schema"
             );
         }
         // The streams must actually carry the assignment: one decision
