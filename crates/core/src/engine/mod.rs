@@ -115,7 +115,7 @@ pub use route::fewest_hops_path;
 
 use crate::error::AssignError;
 use crate::trace::TraceHandle;
-use crate::widest_path::{CsrScratch, CsrWidestTree};
+use crate::widest_path::CsrWidestTree;
 use sparcle_model::{
     Application, CapacityMap, CsrNetwork, CtId, LoadMap, NcpId, Network, Placement, ReachScratch,
     ReachablePlacedCt, TtId,
@@ -147,7 +147,7 @@ pub enum RoutePolicy {
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     sweep: CsrWidestTree,
-    route: CsrScratch,
+    route: CsrWidestTree,
     trees: TreeStore,
     /// One evaluation (a ranking round, or a single probe): the tree
     /// keys of the evaluated CTs' reach sets (all CTs back to back,

@@ -47,6 +47,5 @@ pub use system::{
 };
 pub use trace::{SpanGuard, TraceHandle};
 pub use widest_path::{
-    csr_widest_path, csr_widest_path_with, csr_widest_tree, BucketQueue, CsrScratch, CsrWidestTree,
-    WidestPath,
+    csr_widest_path, csr_widest_path_with, csr_widest_tree, CsrWidestTree, WidestPath,
 };

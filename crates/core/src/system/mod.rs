@@ -440,27 +440,6 @@ impl SparcleSystem {
         Ok(admission)
     }
 
-    /// Submits a batch of applications in one transaction with a single
-    /// BE re-solve at the end (see [`SystemTxn::submit_all`]): decisions
-    /// are bitwise identical to sequential submission, at one solve per
-    /// batch instead of one per admission. An error unwinds the whole
-    /// batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AssignError`] only for malformed inputs (bad pins);
-    /// feasibility failures are per-application [`Admission::Rejected`]
-    /// entries.
-    pub fn submit_batch(
-        &mut self,
-        apps: &[Arc<Application>],
-    ) -> Result<Vec<Admission>, AssignError> {
-        let mut txn = self.begin();
-        let admissions = txn.submit_all(apps)?;
-        txn.commit();
-        Ok(admissions)
-    }
-
     /// Removes an admitted application (departure). GR departures
     /// release their reserved capacity; BE departures trigger a
     /// re-allocation of the remaining BE applications. Returns `false`
@@ -763,7 +742,7 @@ mod fixtures {
 mod tests {
     use super::fixtures::{simple_app, star_network};
     use super::*;
-    use sparcle_model::{NcpId, QoeClass};
+    use sparcle_model::{NcpId, NetworkBuilder, QoeClass, ResourceVec, TaskGraphBuilder};
 
     #[test]
     fn ids_are_unique_and_increasing() {
@@ -807,5 +786,25 @@ mod tests {
             .unwrap();
         let expect = 2.0 * sys.be_apps()[0].allocated_rate.ln();
         assert!((sys.be_utility() - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn negative_zero_bandwidth_is_a_rejection_not_a_panic() {
+        // `-0.0` passes the builder's `bandwidth < 0.0` check; the
+        // widest-path search must treat it as the zero-width link it is.
+        let mut nb = NetworkBuilder::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| nb.add_ncp(n, ResourceVec::cpu(100.0)));
+        nb.add_link("ab", a, b, 100.0).unwrap();
+        nb.add_link("bc", b, c, -0.0).unwrap();
+        let mut tb = TaskGraphBuilder::new();
+        let s = tb.add_ct("s", ResourceVec::new());
+        let w = tb.add_ct("w", ResourceVec::cpu(10.0));
+        let t = tb.add_ct("t", ResourceVec::new());
+        tb.add_tt("sw", s, w, 5.0).unwrap();
+        tb.add_tt("wt", w, t, 5.0).unwrap();
+        let qoe = QoeClass::best_effort(1.0);
+        let app = Application::new(tb.build().unwrap(), qoe, [(s, a), (t, c)]).unwrap();
+        let mut sys = SparcleSystem::new(nb.build().unwrap());
+        assert!(matches!(sys.submit(app), Ok(Admission::Rejected(_))));
     }
 }

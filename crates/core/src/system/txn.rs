@@ -335,7 +335,9 @@ mod tests {
 
         let mut batched = SparcleSystem::new(star_network(0.0));
         let solves_before = batched.state_stats().solves;
-        let batch_admissions = batched.submit_batch(&apps).unwrap();
+        let mut txn = batched.begin();
+        let batch_admissions = txn.submit_all(&apps).unwrap();
+        txn.commit();
         let batch_solves = batched.state_stats().solves - solves_before;
 
         assert_eq!(batch_admissions, seq_admissions, "decisions bitwise equal");
@@ -378,7 +380,9 @@ mod tests {
             .collect();
 
         let mut batched = SparcleSystem::new(star_network(0.0));
-        let batch_admissions = batched.submit_batch(&apps).unwrap();
+        let mut txn = batched.begin();
+        let batch_admissions = txn.submit_all(&apps).unwrap();
+        txn.commit();
 
         assert_eq!(batch_admissions, seq_admissions, "decisions bitwise equal");
         assert_eq!(batched.gr_residual(), sequential.gr_residual());
@@ -405,7 +409,9 @@ mod tests {
             .unwrap();
 
         let seq = sequential.submit(Arc::clone(&app)).unwrap();
-        let batch = batched.submit_batch(std::slice::from_ref(&app)).unwrap();
+        let mut txn = batched.begin();
+        let batch = txn.submit_all(std::slice::from_ref(&app)).unwrap();
+        txn.commit();
         assert_eq!(batch, vec![seq]);
         let seq_rates: Vec<f64> = sequential
             .be_apps()
@@ -427,7 +433,9 @@ mod tests {
             .unwrap();
         let before = sys.snapshot();
         let solves = sys.state_stats().solves;
-        let admissions = sys.submit_batch(&[]).unwrap();
+        let mut txn = sys.begin();
+        let admissions = txn.submit_all(&[]).unwrap();
+        txn.commit();
         assert!(admissions.is_empty());
         assert_eq!(sys.state_stats().solves, solves, "no solve for no work");
         assert_eq!(sys.snapshot(), before);

@@ -14,19 +14,20 @@
 //! minimum width is the classic widest-path (bottleneck shortest path)
 //! problem, solved by a modified Dijkstra in `O(|L| log |N|)`.
 //!
-//! There is one implementation: a bucketed (dial-style) queue over the
-//! flat [`CsrNetwork`] arrays ([`csr_widest_path_with`] for one route,
-//! [`csr_widest_tree`] for every source of one target at once). The
-//! queue quantizes widths by their f64 *exponent* into 256 buckets and
-//! keeps an exact max-heap inside each bucket, so the pop order —
-//! including every tie-break — is that of a single binary heap over
-//! `(width, node)` (see [`BucketQueue`]).
+//! There is one implementation over the flat [`CsrNetwork`] arrays
+//! ([`csr_widest_path_with`] for one route, [`csr_widest_tree`] for
+//! every source of one target at once), and both run in one buffer type,
+//! [`CsrWidestTree`]. Their queue is one [`BinaryHeap`] ordered by
+//! `(width, node)`, the oracle's queue: the widest entry pops first, and
+//! on equal widths the larger node id. `-0.0` and `0.0` tie, so a
+//! negative-zero link bandwidth routes like a zero one.
 //!
 //! Ground truth is a single-heap Dijkstra over
 //! [`sparcle_model::Network`]'s nested adjacency, kept in the dev-only
 //! `sparcle-oracle` crate next to an exhaustive search;
 //! `crates/core/tests/` and `tests/csr_equivalence.rs` compare the
-//! searches here against both, bit for bit.
+//! searches here against the heap search bit for bit, and against the
+//! exhaustive one by optimum width.
 //!
 //! ## The stub short-circuit
 //!
@@ -76,12 +77,9 @@ pub fn link_width(capacities: &CapacityMap, load: &LoadMap, link: LinkId, tt_bit
     }
 }
 
-/// Heap entry ordered by width (max-heap).
+/// Heap entry `(width, node)`, ordered by width, then node id (max-heap).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Candidate {
-    width: f64,
-    node: NcpId,
-}
+struct Candidate(f64, NcpId);
 
 impl Eq for Candidate {}
 
@@ -89,10 +87,10 @@ impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
         // Widths are never NaN (capacities and loads are finite,
         // denominators positive or the width is +inf).
-        self.width
-            .partial_cmp(&other.width)
+        self.0
+            .partial_cmp(&other.0)
             .expect("path widths are never NaN")
-            .then_with(|| self.node.cmp(&other.node))
+            .then_with(|| self.1.cmp(&other.1))
     }
 }
 
@@ -102,152 +100,39 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Number of width buckets: one per group of 8 biased f64 exponents.
-const WIDTH_BUCKETS: usize = 1 << 8;
-
-/// Quantizes a non-negative width to its bucket: the top 8 bits of the
-/// f64's 11-bit biased exponent. For non-negative finite values this is
-/// monotone in the width (IEEE-754 bit patterns of same-sign floats
-/// order like the floats, and dropping low bits preserves that
-/// non-strictly), `+∞` lands in the top bucket (0xff), and `0.0` in
-/// bucket 0. Eight exponents per bucket keeps the queue's fixed costs
-/// (allocation, cursor scan from the `+∞` bucket down to working
-/// widths) small enough not to hurt tiny networks, while still
-/// splitting the frontier across far more buckets than any one sweep
-/// touches. Widths are never negative here: capacities are non-negative
-/// and [`link_width`] returns `+∞` whenever its denominator is not
-/// positive.
-#[inline]
-fn width_bucket(width: f64) -> usize {
-    debug_assert!(width >= 0.0, "path widths are never negative: {width}");
-    (width.to_bits() >> 55) as usize
-}
-
-/// A bucketed (dial-style) max-priority queue over path widths.
-///
-/// Entries are spread across `WIDTH_BUCKETS` buckets by
-/// `width_bucket` — a *monotone* quantization, so the globally widest
-/// entry always sits in the highest non-empty bucket. Each bucket is a
-/// small exact max-heap on the `Candidate` ordering (width, then node
-/// id), which makes the overall pop sequence **identical** to that of
-/// one binary heap holding every entry: quantization only decides
-/// *which* heap an entry waits in, never who pops first. This keeps
-/// routes and rates byte-identical to the oracle's single-heap search
-/// while shrinking the hot heap from all frontier nodes to one
-/// exponent's worth.
-///
-/// A monotone-decreasing cursor tracks the highest occupied bucket
-/// (widest-path relaxations never push wider than the entry being
-/// popped), and a touched-list makes [`BucketQueue::clear`] proportional
-/// to the buckets actually used, not all of them.
-#[derive(Debug, Clone)]
-pub struct BucketQueue {
-    buckets: Vec<BinaryHeap<Candidate>>,
-    touched: Vec<u16>,
-    cursor: usize,
-    len: usize,
-}
-
-impl Default for BucketQueue {
-    fn default() -> Self {
-        BucketQueue::new()
-    }
-}
-
-impl BucketQueue {
-    /// Creates an empty queue. The buckets are allocated by the first
-    /// [`Self::push`], so an idle queue — every `Default` scratch that
-    /// embeds one — costs nothing.
-    pub fn new() -> Self {
-        BucketQueue {
-            buckets: Vec::new(),
-            touched: Vec::new(),
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queues `node` at `width` (must be non-negative, possibly `+∞`).
-    pub fn push(&mut self, width: f64, node: NcpId) {
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(WIDTH_BUCKETS, BinaryHeap::new);
-        }
-        let b = width_bucket(width);
-        if self.buckets[b].is_empty() {
-            self.touched.push(b as u16);
-        }
-        self.buckets[b].push(Candidate { width, node });
-        if b > self.cursor {
-            self.cursor = b;
-        }
-        self.len += 1;
-    }
-
-    /// Pops the widest entry (ties: the larger node id, exactly like one
-    /// `BinaryHeap<Candidate>` would).
-    pub fn pop(&mut self) -> Option<(f64, NcpId)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor -= 1;
-        }
-        let c = self.buckets[self.cursor]
-            .pop()
-            .expect("cursor rests on a non-empty bucket");
-        self.len -= 1;
-        Some((c.width, c.node))
-    }
-
-    /// Empties the queue, draining only the buckets that were used.
-    pub fn clear(&mut self) {
-        for &b in &self.touched {
-            self.buckets[b as usize].clear();
-        }
-        self.touched.clear();
-        self.cursor = 0;
-        self.len = 0;
-    }
-}
-
-/// Parent-pointer sentinel in the flat scratch arrays: "no predecessor".
+/// Parent-pointer sentinel in the flat search arrays: "no predecessor".
 const NO_PREV: u32 = u32::MAX;
 
-/// Reusable buffers for the CSR widest-path sweep: SoA parent pointers
-/// (`u32` + sentinel instead of `Option<(NcpId, LinkId)>`) and the
-/// bucketed queue.
+/// The reusable buffers of both CSR searches — per-node widths `φ`, SoA
+/// parent pointers (`u32` + sentinel instead of `Option<(NcpId,
+/// LinkId)>`), settled flags and the heap — and, after a
+/// [`csr_widest_tree`] run, its result: per-source widths and the
+/// witness tree.
+///
+/// `width_from(j)` is bit-identical to
+/// `csr_widest_path(…, j, target).map(|p| p.width)`: both compute the
+/// exact maximum over paths of the minimum per-link width, and no
+/// arithmetic accumulation is involved, so the optimum is a unique
+/// `f64` — up to the sign of a zero optimum, which over `-0.0` links
+/// depends on which equal-width path a search meets first.
 #[derive(Debug, Clone, Default)]
-pub struct CsrScratch {
+pub struct CsrWidestTree {
     phi: Vec<f64>,
     prev_node: Vec<u32>,
     prev_link: Vec<u32>,
     done: Vec<bool>,
-    queue: BucketQueue,
+    queue: BinaryHeap<Candidate>,
 }
 
-impl CsrScratch {
+impl CsrWidestTree {
     /// Creates buffers sized for an `n`-NCP network.
     pub fn new(n: usize) -> Self {
-        CsrScratch {
-            phi: vec![f64::NEG_INFINITY; n],
-            prev_node: vec![NO_PREV; n],
-            prev_link: vec![NO_PREV; n],
-            done: vec![false; n],
-            queue: BucketQueue::new(),
-        }
+        let mut tree = CsrWidestTree::default();
+        tree.reset(n);
+        tree
     }
 
-    /// Clears all buffers, resizing to `n` nodes if the network grew.
+    /// Clears all buffers, resizing them to `n` nodes.
     fn reset(&mut self, n: usize) {
         self.phi.clear();
         self.phi.resize(n, f64::NEG_INFINITY);
@@ -258,144 +143,6 @@ impl CsrScratch {
         self.done.clear();
         self.done.resize(n, false);
         self.queue.clear();
-    }
-}
-
-/// [`csr_widest_path_with`] over freshly-allocated buffers; convenience
-/// for tests and one-shot callers.
-pub fn csr_widest_path(
-    csr: &CsrNetwork,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    from: NcpId,
-    to: NcpId,
-) -> Option<WidestPath> {
-    let mut scratch = CsrScratch::new(csr.ncp_count());
-    csr_widest_path_with(&mut scratch, csr, capacities, load, tt_bits, from, to)
-}
-
-/// Algorithm 1 over the flat CSR arrays with the bucketed queue.
-///
-/// Returns `None` when no path exists (topologically disconnected — a
-/// zero-width path is still returned, since a zero rate may be the best
-/// achievable). `from == to` yields the empty path with infinite width.
-///
-/// Byte-identical to the oracle's heap search over
-/// [`sparcle_model::Network`]: the CSR arc order equals the
-/// [`sparcle_model::Network::neighbors`] order (so equal-width `prev`
-/// choices match), the [`BucketQueue`] pops in single-heap order (so
-/// the label-setting sequence matches), and the stub short-circuit
-/// (module docs) only drops pops that relax nothing.
-///
-/// # Examples
-///
-/// ```
-/// use sparcle_core::widest_path::csr_widest_path;
-/// use sparcle_model::{LoadMap, NetworkBuilder, ResourceVec};
-///
-/// let mut b = NetworkBuilder::new();
-/// let [s, m, t] = ["s", "m", "t"].map(|n| b.add_ncp(n, ResourceVec::new()));
-/// b.add_link("narrow", s, t, 10.0).unwrap(); // direct but narrow
-/// b.add_link("wide1", s, m, 100.0).unwrap();
-/// b.add_link("wide2", m, t, 80.0).unwrap();
-/// let net = b.build().unwrap();
-/// let (caps, load) = (net.capacity_map(), LoadMap::zeroed(&net));
-/// let path = csr_widest_path(net.csr(), &caps, &load, 1.0, s, t).unwrap();
-/// assert_eq!((path.links.len(), path.width), (2, 80.0)); // the wide detour wins
-/// ```
-pub fn csr_widest_path_with(
-    scratch: &mut CsrScratch,
-    csr: &CsrNetwork,
-    capacities: &CapacityMap,
-    load: &LoadMap,
-    tt_bits: f64,
-    from: NcpId,
-    to: NcpId,
-) -> Option<WidestPath> {
-    if from == to {
-        return Some(WidestPath {
-            links: Vec::new(),
-            width: f64::INFINITY,
-        });
-    }
-    scratch.reset(csr.ncp_count());
-    let CsrScratch {
-        phi,
-        prev_node,
-        prev_link,
-        done,
-        queue,
-    } = scratch;
-    phi[from.index()] = f64::INFINITY;
-    queue.push(f64::INFINITY, from);
-    while let Some((width, node)) = queue.pop() {
-        if done[node.index()] {
-            continue;
-        }
-        done[node.index()] = true;
-        if node == to {
-            // Reconstruct the link sequence.
-            let mut links = Vec::new();
-            let mut at = to.index();
-            while prev_node[at] != NO_PREV {
-                links.push(LinkId::new(prev_link[at]));
-                at = prev_node[at] as usize;
-            }
-            links.reverse();
-            queue.clear();
-            return Some(WidestPath { links, width });
-        }
-        let (heads, links) = csr.out_arcs(node);
-        for (&head, &arc_link) in heads.iter().zip(links) {
-            let neighbor = head as usize;
-            if done[neighbor] {
-                continue;
-            }
-            let link = LinkId::new(arc_link);
-            let w = width.min(link_width(capacities, load, link, tt_bits));
-            if w > phi[neighbor] {
-                phi[neighbor] = w;
-                prev_node[neighbor] = node.as_u32();
-                prev_link[neighbor] = arc_link;
-                // Stub short-circuit (module docs); `to` must still pop.
-                if neighbor == to.index() || !csr.all_out_arcs_to(head, node.as_u32()) {
-                    queue.push(w, NcpId::new(head));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// A completed single-target widest-path sweep (see
-/// [`csr_widest_tree`]) over the flat reverse arcs: per-source widths
-/// and the witness tree, with SoA parent pointers.
-///
-/// `width_from(j)` is bit-identical to
-/// `csr_widest_path(…, j, target).map(|p| p.width)`: both compute the
-/// exact maximum over paths of the minimum per-link width, and no
-/// arithmetic accumulation is involved, so the optimum is a unique
-/// `f64`.
-#[derive(Debug, Clone, Default)]
-pub struct CsrWidestTree {
-    phi: Vec<f64>,
-    prev_node: Vec<u32>,
-    prev_link: Vec<u32>,
-    done: Vec<bool>,
-    queue: BucketQueue,
-}
-
-impl CsrWidestTree {
-    /// Creates buffers sized for an `n`-NCP network.
-    pub fn new(n: usize) -> Self {
-        CsrWidestTree {
-            phi: vec![f64::NEG_INFINITY; n],
-            prev_node: vec![NO_PREV; n],
-            prev_link: vec![NO_PREV; n],
-            done: vec![false; n],
-            queue: BucketQueue::new(),
-        }
     }
 
     /// The widest `from → target` width computed by the last
@@ -431,6 +178,112 @@ impl CsrWidestTree {
     }
 }
 
+/// [`csr_widest_path_with`] over freshly-allocated buffers; convenience
+/// for tests and one-shot callers.
+pub fn csr_widest_path(
+    csr: &CsrNetwork,
+    capacities: &CapacityMap,
+    load: &LoadMap,
+    tt_bits: f64,
+    from: NcpId,
+    to: NcpId,
+) -> Option<WidestPath> {
+    let mut buffers = CsrWidestTree::default();
+    csr_widest_path_with(&mut buffers, csr, capacities, load, tt_bits, from, to)
+}
+
+/// Algorithm 1 over the flat CSR arrays, in the buffers `scratch`.
+///
+/// Returns `None` when no path exists (topologically disconnected — a
+/// zero-width path is still returned, since a zero rate may be the best
+/// achievable). `from == to` yields the empty path with infinite width.
+///
+/// Byte-identical to the oracle's heap search over
+/// [`sparcle_model::Network`]: the CSR arc order equals the
+/// [`sparcle_model::Network::neighbors`] order (so equal-width `prev`
+/// choices match), both pop one heap on `(width, node)` (so the
+/// label-setting sequence matches), and the stub short-circuit (module
+/// docs) only drops pops that relax nothing.
+///
+/// # Examples
+///
+/// ```
+/// use sparcle_core::widest_path::csr_widest_path;
+/// use sparcle_model::{LoadMap, NetworkBuilder, ResourceVec};
+///
+/// let mut b = NetworkBuilder::new();
+/// let [s, m, t] = ["s", "m", "t"].map(|n| b.add_ncp(n, ResourceVec::new()));
+/// b.add_link("narrow", s, t, 10.0).unwrap(); // direct but narrow
+/// b.add_link("wide1", s, m, 100.0).unwrap();
+/// b.add_link("wide2", m, t, 80.0).unwrap();
+/// let net = b.build().unwrap();
+/// let (caps, load) = (net.capacity_map(), LoadMap::zeroed(&net));
+/// let path = csr_widest_path(net.csr(), &caps, &load, 1.0, s, t).unwrap();
+/// assert_eq!((path.links.len(), path.width), (2, 80.0)); // the wide detour wins
+/// ```
+pub fn csr_widest_path_with(
+    scratch: &mut CsrWidestTree,
+    csr: &CsrNetwork,
+    capacities: &CapacityMap,
+    load: &LoadMap,
+    tt_bits: f64,
+    from: NcpId,
+    to: NcpId,
+) -> Option<WidestPath> {
+    if from == to {
+        return Some(WidestPath {
+            links: Vec::new(),
+            width: f64::INFINITY,
+        });
+    }
+    scratch.reset(csr.ncp_count());
+    let CsrWidestTree {
+        phi,
+        prev_node,
+        prev_link,
+        done,
+        queue,
+    } = scratch;
+    phi[from.index()] = f64::INFINITY;
+    queue.push(Candidate(f64::INFINITY, from));
+    while let Some(Candidate(width, node)) = queue.pop() {
+        if done[node.index()] {
+            continue;
+        }
+        done[node.index()] = true;
+        if node == to {
+            // Reconstruct the link sequence.
+            let mut links = Vec::new();
+            let mut at = to.index();
+            while prev_node[at] != NO_PREV {
+                links.push(LinkId::new(prev_link[at]));
+                at = prev_node[at] as usize;
+            }
+            links.reverse();
+            return Some(WidestPath { links, width });
+        }
+        let (heads, links) = csr.out_arcs(node);
+        for (&head, &arc_link) in heads.iter().zip(links) {
+            let neighbor = head as usize;
+            if done[neighbor] {
+                continue;
+            }
+            let link = LinkId::new(arc_link);
+            let w = width.min(link_width(capacities, load, link, tt_bits));
+            if w > phi[neighbor] {
+                phi[neighbor] = w;
+                prev_node[neighbor] = node.as_u32();
+                prev_link[neighbor] = arc_link;
+                // Stub short-circuit (module docs); `to` must still pop.
+                if neighbor == to.index() || !csr.all_out_arcs_to(head, node.as_u32()) {
+                    queue.push(Candidate(w, NcpId::new(head)));
+                }
+            }
+        }
+    }
+    None
+}
+
 /// Runs the full (no early exit) reversed widest-path sweep from
 /// `target` over the CSR reverse arcs, filling `tree` with `φ[j] =`
 /// widest `j → target` width for every node `j` at once, plus the
@@ -447,19 +300,10 @@ pub fn csr_widest_tree(
     tt_bits: f64,
     target: NcpId,
 ) {
-    let n = csr.ncp_count();
-    tree.phi.clear();
-    tree.phi.resize(n, f64::NEG_INFINITY);
-    tree.prev_node.clear();
-    tree.prev_node.resize(n, NO_PREV);
-    tree.prev_link.clear();
-    tree.prev_link.resize(n, NO_PREV);
-    tree.done.clear();
-    tree.done.resize(n, false);
-    tree.queue.clear();
+    tree.reset(csr.ncp_count());
     tree.phi[target.index()] = f64::INFINITY;
-    tree.queue.push(f64::INFINITY, target);
-    while let Some((width, node)) = tree.queue.pop() {
+    tree.queue.push(Candidate(f64::INFINITY, target));
+    while let Some(Candidate(width, node)) = tree.queue.pop() {
         if tree.done[node.index()] {
             continue;
         }
@@ -478,7 +322,7 @@ pub fn csr_widest_tree(
                 tree.prev_link[neighbor] = arc_link;
                 // Stub short-circuit (module docs).
                 if !csr.all_in_arcs_from(tail, node.as_u32()) {
-                    tree.queue.push(w, NcpId::new(tail));
+                    tree.queue.push(Candidate(w, NcpId::new(tail)));
                 }
             }
         }
@@ -571,49 +415,5 @@ mod tests {
         let p = route(&net, &LoadMap::zeroed(&net), 1.0, 0, 1).unwrap();
         assert_eq!(p.width, 0.0);
         assert_eq!(p.links.len(), 1);
-    }
-
-    #[test]
-    fn bucket_queue_pops_in_single_heap_order() {
-        // Mixed magnitudes (different exponents), same-exponent
-        // neighbors (1.25 vs 1.5), exact ties (two 4.0s differing only
-        // by node), zero, and +∞.
-        let entries = [
-            (1.25, 7u32),
-            (f64::INFINITY, 0),
-            (0.0, 5),
-            (4.0, 2),
-            (1.5, 1),
-            (4.0, 9),
-            (1e-300, 3),
-            (1024.0, 4),
-        ];
-        let mut single = BinaryHeap::new();
-        let mut bucketed = BucketQueue::new();
-        for &(w, n) in &entries {
-            single.push(Candidate {
-                width: w,
-                node: NcpId::new(n),
-            });
-            bucketed.push(w, NcpId::new(n));
-        }
-        assert_eq!(bucketed.len(), entries.len());
-        while let Some(c) = single.pop() {
-            let (w, n) = bucketed.pop().expect("same number of entries");
-            assert_eq!((w.to_bits(), n), (c.width.to_bits(), c.node));
-        }
-        assert!(bucketed.is_empty());
-        assert_eq!(bucketed.pop(), None);
-    }
-
-    #[test]
-    fn bucket_queue_clear_resets_cursor() {
-        let mut q = BucketQueue::new();
-        q.push(f64::INFINITY, NcpId::new(0));
-        q.push(2.0, NcpId::new(1));
-        q.clear();
-        assert!(q.is_empty());
-        q.push(3.0, NcpId::new(2));
-        assert_eq!(q.pop(), Some((3.0, NcpId::new(2))));
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for SPARCLE's core algorithms.
 
 use proptest::prelude::*;
-use sparcle_core::widest_path::{csr_widest_path, csr_widest_tree, BucketQueue, CsrWidestTree};
+use sparcle_core::widest_path::{
+    csr_widest_path, csr_widest_path_with, csr_widest_tree, CsrWidestTree, WidestPath,
+};
 use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
 use sparcle_model::{
     Application, CapacityMap, CsrNetwork, CtId, LinkDirection, LoadMap, NcpId, Network,
@@ -44,8 +46,9 @@ fn arb_network(max_n: usize) -> impl Strategy<Value = Network> {
 }
 
 /// Strategy: like [`arb_network`] but larger (up to 12 NCPs) and with a
-/// slice of zero-capacity links mixed in — the degenerate widths the
-/// width formula maps to 0 must round-trip through every evaluator path.
+/// slice of zero-capacity links (`0.0` and `-0.0`) mixed in — the
+/// degenerate widths the width formula maps to 0 must round-trip through
+/// every evaluator path.
 fn arb_network_degenerate(max_n: usize) -> impl Strategy<Value = Network> {
     (4..=max_n)
         .prop_flat_map(|n| {
@@ -54,6 +57,7 @@ fn arb_network_degenerate(max_n: usize) -> impl Strategy<Value = Network> {
             let spine_bw = proptest::collection::vec(
                 prop_oneof![
                     Just(0.0f64),
+                    Just(-0.0f64),
                     5.0f64..500.0,
                     5.0f64..500.0,
                     5.0f64..500.0,
@@ -62,7 +66,11 @@ fn arb_network_degenerate(max_n: usize) -> impl Strategy<Value = Network> {
                 n - 1,
             );
             let extra = proptest::collection::vec(
-                (0..n, 0..n, prop_oneof![Just(0.0f64), 5.0f64..500.0]),
+                (
+                    0..n,
+                    0..n,
+                    prop_oneof![Just(0.0f64), Just(-0.0f64), 5.0f64..500.0],
+                ),
                 0..n,
             );
             (Just(n), cpus, spine_bw, extra)
@@ -453,12 +461,15 @@ proptest! {
         );
     }
 
-    /// The bucketed search agrees with the exhaustive widest path on
-    /// bigger (up to 12-NCP) graphs carrying nonzero pre-existing load
-    /// and zero-capacity links — the degenerate widths must not confuse
+    /// The CSR search agrees with the exhaustive widest path on bigger
+    /// (up to 12-NCP) graphs carrying nonzero pre-existing load and
+    /// zero-capacity links — the degenerate widths must not confuse
     /// either search, and the returned optimum must be *exactly* equal
     /// (both are pure max-min folds over the same link widths, so no
-    /// tolerance is needed).
+    /// tolerance is needed). Equal as numbers, not as bits: a zero
+    /// optimum over `0.0` and `-0.0` links takes its sign from whichever
+    /// equal-width path a search meets first, and the two searches break
+    /// such ties differently (which is also why routes are not compared).
     #[test]
     fn widest_path_matches_brute_force_with_degenerate_links(
         net in arb_network_degenerate(12),
@@ -478,8 +489,8 @@ proptest! {
         let slow = widest_path_brute_force(&net, &caps, &load, bits, from, to);
         match (fast, slow) {
             (Some(f), Some(s)) => {
-                prop_assert_eq!(
-                    f.width.to_bits(), s.width.to_bits(),
+                prop_assert!(
+                    f.width == s.width,
                     "width {} vs brute-force {}", f.width, s.width
                 );
             }
@@ -645,13 +656,11 @@ proptest! {
         }
     }
 
-    /// The bucketed CSR Dijkstra is **exactly** the legacy heap Dijkstra:
-    /// on random loaded graphs — including parallel edges (`arb_network`
+    /// The CSR Dijkstra is **exactly** the legacy heap Dijkstra: on
+    /// random loaded graphs — including parallel edges (`arb_network`
     /// freely duplicates endpoint pairs) — both searches return the same
     /// reachability verdict, a bit-identical width, and the *same link
-    /// sequence*. Width quantization spreads entries across buckets but
-    /// each bucket is an exact heap, so the argmax path choice can never
-    /// change.
+    /// sequence*.
     #[test]
     fn csr_widest_path_is_exactly_the_legacy_search(
         net in arb_network(10),
@@ -682,9 +691,9 @@ proptest! {
         }
     }
 
-    /// Same exactness on degenerate graphs: zero-capacity links produce
-    /// zero-width path candidates, which quantize into bucket 0 and must
-    /// still pop in legacy heap order.
+    /// Same exactness on degenerate graphs: zero-capacity links (`0.0`
+    /// and `-0.0`) produce zero-width path candidates, which must still
+    /// pop in legacy heap order.
     #[test]
     fn csr_widest_path_is_exact_with_zero_width_links(
         net in arb_network_degenerate(12),
@@ -710,37 +719,6 @@ proptest! {
             (None, None) => {}
             other => prop_assert!(false, "reachability mismatch {other:?}"),
         }
-    }
-
-    /// The bucketed queue pops exactly the legacy `BinaryHeap` order:
-    /// width descending, node id descending on width ties — even with
-    /// duplicate widths, zeros, and infinities, and with pushes
-    /// interleaved between pops (monotone non-increasing, as Dijkstra
-    /// produces them).
-    #[test]
-    fn bucket_queue_pop_order_is_the_legacy_heap_order(
-        entries in proptest::collection::vec(
-            (prop_oneof![Just(0.0f64), Just(f64::INFINITY), 1e-300f64..1e300], 0u32..32),
-            1..64,
-        ),
-    ) {
-        let mut queue = BucketQueue::new();
-        for &(w, node) in &entries {
-            queue.push(w, NcpId::new(node));
-        }
-        let mut expected: Vec<(u64, u32)> = entries
-            .iter()
-            .map(|&(w, node)| (w.to_bits(), node))
-            .collect();
-        // Non-negative f64 bit patterns order like the floats, so this
-        // is exactly (width desc, node desc) — the legacy heap order.
-        expected.sort_unstable_by(|a, b| b.cmp(a));
-        let mut popped = Vec::new();
-        while let Some((w, node)) = queue.pop() {
-            popped.push((w.to_bits(), node.as_u32()));
-        }
-        prop_assert_eq!(popped, expected);
-        prop_assert!(queue.is_empty());
     }
 
     /// CSR construction round-trips arbitrary topologies: element counts
@@ -780,12 +758,45 @@ proptest! {
             reverse_arcs += tails.len();
         }
         prop_assert_eq!(reverse_arcs, csr.arc_count());
-        for link in net.link_ids() {
-            prop_assert_eq!(
-                csr.link_bandwidth(link).to_bits(),
-                net.link(link).bandwidth().to_bits(),
-                "bandwidth mirror diverged for {:?}", link
-            );
+    }
+
+    /// One [`CsrWidestTree`] serves both searches, across network sizes:
+    /// used alternately for a route and a tree sweep on a larger
+    /// network, then a smaller one, then the larger again, it reports
+    /// bitwise the same routes, `φ` and witness links as fresh buffers.
+    #[test]
+    fn one_buffer_serves_both_searches_across_sizes(
+        (large, small) in arb_network_degenerate(12).prop_flat_map(|large| {
+            let smaller = arb_network(large.ncp_count() - 1);
+            (Just(large), smaller)
+        }),
+        bits in prop_oneof![Just(0.0f64), 0.5f64..50.0],
+        picks in proptest::collection::vec(0usize..64, 9),
+    ) {
+        let bitwise = |p: Option<WidestPath>| p.map(|p| (p.links, p.width.to_bits()));
+        let mut shared = CsrWidestTree::default();
+        for (stage, net) in [&large, &small, &large].into_iter().enumerate() {
+            let (caps, load) = (net.capacity_map(), LoadMap::zeroed(net));
+            let n = net.ncp_count();
+            let [from, to, target] = [0, 1, 2].map(|k| NcpId::new((picks[3 * stage + k] % n) as u32));
+            let route = csr_widest_path_with(&mut shared, net.csr(), &caps, &load, bits, from, to);
+            let fresh_route = csr_widest_path(net.csr(), &caps, &load, bits, from, to);
+            prop_assert_eq!(bitwise(route), bitwise(fresh_route), "route diverged at stage {}", stage);
+
+            let mut fresh = CsrWidestTree::new(n);
+            csr_widest_tree(net.csr(), &mut shared, &caps, &load, bits, target);
+            csr_widest_tree(net.csr(), &mut fresh, &caps, &load, bits, target);
+            for j in net.ncp_ids() {
+                prop_assert_eq!(
+                    shared.width_from(j).map(f64::to_bits),
+                    fresh.width_from(j).map(f64::to_bits),
+                    "φ diverged at {} in stage {}", j, stage
+                );
+            }
+            let (mut shared_links, mut fresh_links) = (Vec::new(), Vec::new());
+            shared.for_each_tree_link(|l| shared_links.push(l));
+            fresh.for_each_tree_link(|l| fresh_links.push(l));
+            prop_assert_eq!(shared_links, fresh_links, "witness diverged at stage {}", stage);
         }
     }
 }

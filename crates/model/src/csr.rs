@@ -6,9 +6,8 @@
 //! placed reachable CT, and at thousands of NCPs the nested-`Vec`
 //! layout turns each neighbor scan into a cache miss per node.
 //! [`CsrNetwork`] stores the same arcs as three flat arrays per
-//! direction (`row_ptr`, `col_idx`, `arc_link`) plus SoA copies of the
-//! static per-element attributes, so a widest-path sweep streams
-//! linearly through memory.
+//! direction (`row_ptr`, `col_idx`, `arc_link`), so a widest-path sweep
+//! streams linearly through memory.
 //!
 //! ## Ordering contract
 //!
@@ -65,8 +64,8 @@ fn sole_neighbours(row_ptr: &[u32], col_idx: &[u32]) -> Vec<u32> {
         .collect()
 }
 
-/// Flat CSR adjacency (forward and reverse) plus SoA attribute arrays
-/// for one immutable [`Network`].
+/// Flat CSR adjacency (forward and reverse) for one immutable
+/// [`Network`].
 ///
 /// Obtained from [`Network::csr`], which builds it lazily once and
 /// shares it behind an `Arc` across engine instances and clones of the
@@ -92,12 +91,6 @@ pub struct CsrNetwork {
     sole_out: Vec<u32>,
     /// Per node, the sole tail of its reverse arcs.
     sole_in: Vec<u32>,
-    /// Nominal bandwidth per link (dense by `LinkId`).
-    link_bandwidth: Vec<f64>,
-    /// Failure probability per NCP (dense by `NcpId`).
-    ncp_failure: Vec<f64>,
-    /// Failure probability per link (dense by `LinkId`).
-    link_failure: Vec<f64>,
 }
 
 impl CsrNetwork {
@@ -156,18 +149,6 @@ impl CsrNetwork {
             rev_row_ptr,
             rev_col_idx,
             rev_arc_link,
-            link_bandwidth: network
-                .link_ids()
-                .map(|l| network.link(l).bandwidth())
-                .collect(),
-            ncp_failure: network
-                .ncp_ids()
-                .map(|p| network.ncp(p).failure_probability())
-                .collect(),
-            link_failure: network
-                .link_ids()
-                .map(|l| network.link(l).failure_probability())
-                .collect(),
         }
     }
 
@@ -231,24 +212,6 @@ impl CsrNetwork {
             .zip(heads)
             .map(|(&l, &v)| (LinkId::new(l), NcpId::new(v)))
     }
-
-    /// Nominal bandwidth of `link`.
-    #[inline]
-    pub fn link_bandwidth(&self, link: LinkId) -> f64 {
-        self.link_bandwidth[link.index()]
-    }
-
-    /// Failure probability of `ncp`.
-    #[inline]
-    pub fn ncp_failure(&self, ncp: NcpId) -> f64 {
-        self.ncp_failure[ncp.index()]
-    }
-
-    /// Failure probability of `link`.
-    #[inline]
-    pub fn link_failure(&self, link: LinkId) -> f64 {
-        self.link_failure[link.index()]
-    }
 }
 
 #[cfg(test)]
@@ -306,16 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn soa_attributes_round_trip() {
-        let net = sample();
-        let csr = CsrNetwork::build(&net);
-        for l in net.link_ids() {
-            assert_eq!(csr.link_bandwidth(l), net.link(l).bandwidth());
-            assert_eq!(csr.link_failure(l), net.link(l).failure_probability());
-        }
-        for p in net.ncp_ids() {
-            assert_eq!(csr.ncp_failure(p), net.ncp(p).failure_probability());
-        }
+    fn directed_links_contribute_one_arc() {
+        let csr = CsrNetwork::build(&sample());
         // Directed yz contributes one arc; the undirected links two.
         assert_eq!(csr.arc_count(), 5);
     }

@@ -1,7 +1,7 @@
 //! The heap-based widest-path searches — Algorithm 1 as first written,
 //! kept as ground truth. They walk [`Network`]'s nested-`Vec` adjacency
-//! with one `BinaryHeap` and share nothing with the bucketed CSR
-//! searches of `sparcle_core::widest_path` but the eq. (3) width formula
+//! with one `BinaryHeap` and share nothing with the CSR searches of
+//! `sparcle_core::widest_path` but the eq. (3) width formula
 //! ([`link_width`]) and the [`WidestPath`] result type; those promise
 //! the same `φ`, parent links and routes bit for bit.
 

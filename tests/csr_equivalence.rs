@@ -1,7 +1,7 @@
 //! CSR-versus-oracle differential suite.
 //!
-//! The CSR graph core (`sparcle_model::CsrNetwork` + the bucketed
-//! widest-path queue + the stub short-circuit) is the only graph the
+//! The CSR graph core (`sparcle_model::CsrNetwork` + the widest-path
+//! searches + the stub short-circuit) is the only graph the
 //! placement engine traverses. Its ground truth — *legacy* in this
 //! file's test names — is
 //! `sparcle_oracle::assign_reference`: the eq. (2) pair scan over heap
