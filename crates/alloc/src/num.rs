@@ -13,18 +13,40 @@
 //! capacities. The objective is strictly concave and the feasible set is
 //! a polytope, so the optimum is unique.
 //!
-//! [`solve`] and [`solve_into`] solve the problem with a log-barrier
-//! path-following method in the variables `u_i = log x_i` (a geometric
-//! program: the objective is linear in `u` and each constraint
-//! `Σ_i R_ji e^{u_i} ≤ C_j` is convex): damped Newton steps with a
-//! backtracking line search per barrier weight μ. `R` is sparse —
-//! applications couple only through the elements they share — so each
-//! [`ConstraintRow`] lists only its positive coefficients, and every
-//! gradient, Hessian and slack is accumulated over those entries; the
-//! Hessian couples most of the small number of columns (tens of
-//! applications) and is factored densely, in place, in a reusable
-//! [`SolverScratch`]. The KKT conditions of the original problem are
-//! checked by [`Allocation::kkt_residual`].
+//! [`solve`] and [`solve_into`] solve it on its *binding rows*. The
+//! dual of problem (4) is
+//!
+//! ```text
+//! minimize over λ ≥ 0   D(λ) = Σ_j λ_j C_j − Σ_i P_i log q_i,   q = Rᵀλ
+//! ```
+//!
+//! whose gradient is the slack `C − R x` at `x_i = P_i / q_i` and whose
+//! Hessian is `R diag(x² / P) Rᵀ`. Only the rows with a positive price
+//! (plus the overloaded ones at price zero) are *free*; projected Newton
+//! steps on those rows alone — one `|F|×|F|` positive definite solve each
+//! — with a projected Armijo line search drive every free row tight and
+//! keep every other row feasible. Stationarity `x_i = P_i / q_i` holds by
+//! construction, so the answer is the optimum to the stopping tolerance,
+//! not an interior approximation of it.
+//!
+//! The prices are the warm start: a re-solve starts from the last solve's
+//! λ (the system layer keeps them with the constraint rows and undoes
+//! them with the rates), and a re-solve of unchanged inputs takes no
+//! step at all. A cold solve has no prices, so it first runs a
+//! log-barrier path-following method in the variables `u_i = log x_i` (a
+//! geometric program: the objective is linear in `u` and each constraint
+//! `Σ_i R_ji e^{u_i} ≤ C_j` is convex) and hands its near-tight rows'
+//! prices `μ / s_j` to the dual phase. The barrier is also the fallback
+//! when the dual phase fails: a failed factorization, a non-finite value
+//! or the step cap.
+//!
+//! `R` is sparse — applications couple only through the elements they
+//! share — so each [`ConstraintRow`] lists only its positive
+//! coefficients, and every price, gradient, Hessian and slack is
+//! accumulated over those entries. Both Hessians are factored densely,
+//! in place, in a reusable [`SolverScratch`]. The KKT conditions of the
+//! original problem are checked by [`Allocation::kkt_residual`] and
+//! [`Allocation::feasibility_violation`].
 
 use sparcle_model::{CapacityMap, LoadMap, Network, NetworkElement, ResourceKind};
 use std::error::Error;
@@ -34,17 +56,40 @@ use std::fmt;
 const MU0: f64 = 1.0;
 /// Barrier reduction factor per outer round.
 const MU_SHRINK: f64 = 0.15;
-/// Outer (barrier-shrink) rounds of a cold solve.
+/// Outer (barrier-shrink) rounds of a barrier solve.
 const OUTER_ITERS: usize = 11;
-/// Outer rounds of a warm solve: the **tail** of the cold μ schedule
-/// (the early high-μ rounds exist to walk a bad start onto the central
-/// path, which a warm start is already near), landing on the same final
-/// μ as a cold solve so duals and accuracy match.
-const WARM_OUTER_ITERS: usize = 3;
 /// Damped-Newton steps per outer round, at most.
 const INNER_ITERS: usize = 60;
 /// Step halvings per backtracking line search, at most.
 const LINE_SEARCH_STEPS: usize = 60;
+/// Projected Newton steps of one dual phase, at most; past them the
+/// solve falls back to the barrier.
+const DUAL_STEPS: usize = 50;
+/// Stopping tolerance of the dual phase, relative to each row's
+/// capacity: a priced row within it of tight, every other row within it
+/// of feasible.
+const DUAL_TOL: f64 = 1e-10;
+/// Sufficient-decrease fraction of the dual line search (Armijo).
+const ARMIJO: f64 = 1e-4;
+/// A full dual step whose predicted decrease is below this fraction of
+/// `|D|` is taken without the Armijo test: that close to the optimum the
+/// decrease is below the rounding of `D` itself, and judging the step
+/// by `D` would reject every step.
+const STALL: f64 = 1e-11;
+/// Relative ridge on `H_FF`'s diagonal. Free rows can be linearly
+/// dependent — two rows loaded by the same columns in proportion (a
+/// multipath application's parallel links), or more free rows than
+/// columns — which leaves `H_FF` singular; the ridge keeps it positive
+/// definite, and a step along a dependent direction is clipped by the
+/// projection instead of failing the factorization.
+const DUAL_RIDGE: f64 = 1e-10;
+/// A cold solve prices the rows whose barrier slack is under this
+/// fraction of their capacity. The barrier is what makes a cold solve
+/// converge: run from no prices at all (every column priced at its
+/// bottleneck row alone), the dual phase hit [`DUAL_STEPS`] in 302 of
+/// the 721 cold solves of 1,000 cases of `tests/solver_equivalence.rs`'s
+/// random systems.
+const NEAR_TIGHT: f64 = 0.01;
 
 /// One capacity constraint row: `Σ_(i, c) ∈ entries c · x_i ≤ capacity`.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,12 +241,19 @@ impl ConstraintSystem {
 /// Row capacities are *not* tracked incrementally; call
 /// [`Self::refresh_capacities`] with the live residual before each
 /// solve.
+///
+/// Each row also carries its price `λ_j` from the last solve — the warm
+/// start of the next one ([`solve_into`]). A row enters at price zero and
+/// leaves with its price; whoever removes a column and may put it back
+/// keeps [`Self::duals`] to restore with [`Self::set_duals`].
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalConstraints {
     system: ConstraintSystem,
     /// `(element, kind)` of each row of `system`, in row order — the
     /// sort key.
     keys: Vec<(NetworkElement, ResourceKind)>,
+    /// `λ_j` of each row of `system`, in row order.
+    duals: Vec<f64>,
 }
 
 impl IncrementalConstraints {
@@ -218,6 +270,22 @@ impl IncrementalConstraints {
     /// Number of application columns.
     pub fn app_count(&self) -> usize {
         self.system.app_count
+    }
+
+    /// Each row's price from the last solve, in row order (zero for a
+    /// row no solve has seen).
+    pub fn duals(&self) -> &[f64] {
+        &self.duals
+    }
+
+    /// Replaces every row's price, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one price per row.
+    pub fn set_duals(&mut self, duals: &[f64]) {
+        assert_eq!(duals.len(), self.duals.len(), "one price per row");
+        self.duals.copy_from_slice(duals);
     }
 
     /// Appends a new application column at the end.
@@ -250,6 +318,7 @@ impl IncrementalConstraints {
                 }
                 Err(r) => {
                     self.keys.insert(r, key);
+                    self.duals.insert(r, 0.0);
                     self.system.rows.insert(
                         r,
                         ConstraintRow {
@@ -266,7 +335,8 @@ impl IncrementalConstraints {
     }
 
     /// Removes the application column at `col`, shifting later columns
-    /// left and dropping rows no surviving application binds.
+    /// left and dropping rows no surviving application binds (and their
+    /// prices).
     ///
     /// # Panics
     ///
@@ -286,6 +356,11 @@ impl IncrementalConstraints {
         let rows = &self.system.rows;
         let mut r = 0;
         self.keys.retain(|_| {
+            r += 1;
+            !rows[r - 1].entries.is_empty()
+        });
+        let mut r = 0;
+        self.duals.retain(|_| {
             r += 1;
             !rows[r - 1].entries.is_empty()
         });
@@ -419,7 +494,8 @@ pub struct Allocation {
 impl Allocation {
     /// Maximum KKT stationarity residual `|P_i / x_i − Σ_j λ_j R_ji|`
     /// relative to `P_i / x_i`, over all applications. Near-zero means
-    /// the allocation is (numerically) optimal.
+    /// the allocation is (numerically) optimal; a zero, NaN or infinite
+    /// rate makes it infinite.
     pub fn kkt_residual(&self, system: &ConstraintSystem, priorities: &[f64]) -> f64 {
         let mut price = vec![0.0; system.app_count()];
         for (row, &lambda) in system.rows().iter().zip(&self.duals) {
@@ -430,13 +506,14 @@ impl Allocation {
         let mut worst: f64 = 0.0;
         for ((&rate, &priority), &price) in self.rates.iter().zip(priorities).zip(&price) {
             let grad = priority / rate;
-            worst = worst.max((grad - price).abs() / grad.max(1e-300));
+            worst = worst_of(worst, (grad - price).abs() / grad.max(1e-300));
         }
         worst
     }
 
     /// Maximum relative constraint violation `max_j (R X − C)_j / C_j`
-    /// (zero when strictly feasible).
+    /// (zero when strictly feasible). A NaN or infinite rate on a row
+    /// makes the violation infinite.
     pub fn feasibility_violation(&self, system: &ConstraintSystem) -> f64 {
         let mut worst: f64 = 0.0;
         for row in system.rows() {
@@ -445,28 +522,43 @@ impl Allocation {
                 .iter()
                 .filter_map(|&(i, c)| self.rates.get(i).map(|&x| c * x))
                 .sum();
-            if row.capacity > 0.0 {
-                worst = worst.max((used - row.capacity) / row.capacity);
-            } else if used > 0.0 {
-                worst = f64::INFINITY;
-            }
+            let over = if row.capacity > 0.0 {
+                (used - row.capacity) / row.capacity
+            } else if used <= 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+            worst = worst_of(worst, over);
         }
         worst
     }
 }
 
+/// The larger of a running worst term and a new one, a non-finite term
+/// (a zero rate's `inf / inf`, a NaN rate) counting as `∞` — where
+/// `f64::max` would drop a NaN and pass the answer.
+fn worst_of(worst: f64, term: f64) -> f64 {
+    if term.is_finite() {
+        worst.max(term)
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// Iteration accounting for one [`solve`] or [`solve_into`] run.
 ///
-/// Exposed so callers can report warm-start savings (a warm run executes
-/// only the tail of the cold barrier schedule, so `outer_iters` and
-/// `inner_iters` drop well below their cold counterparts).
+/// Exposed so callers can report warm-start savings: a warm run that the
+/// dual phase finishes runs no barrier round and a few Newton steps, a
+/// re-solve of unchanged inputs none.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Outer (barrier-shrink) rounds executed.
+    /// Outer (barrier-shrink) rounds executed: `0` unless the solve was
+    /// cold or fell back to the barrier.
     pub outer_iters: usize,
-    /// Total damped-Newton steps taken across all rounds.
+    /// Newton steps taken, barrier and dual phase together.
     pub inner_iters: usize,
-    /// Whether the run reused a previous allocation as its start.
+    /// Whether the run started from a previous solve's prices.
     pub warm_started: bool,
 }
 
@@ -476,21 +568,24 @@ pub struct SolveStats {
 ///
 /// The caller puts one priority per column in with
 /// [`Self::set_priorities`]; after a successful solve
-/// [`Self::rates`] holds the allocation.
+/// [`Self::rates`] holds the allocation and [`Self::duals`] its prices.
 #[derive(Debug, Default)]
 pub struct SolverScratch {
     /// `P_i`, one per column.
     priorities: Vec<f64>,
-    /// The iterate `u = log x`.
+    /// The barrier iterate `u = log x`.
     u: Vec<f64>,
-    /// `x = e^u` at the iterate; the rates once a solve returns.
+    /// The rates at the iterate (`e^u`, or `P / q` in the dual phase);
+    /// the allocation once a solve returns.
     x: Vec<f64>,
     /// Row slacks `C_j − Σ_i R_ji x_i` at `x`.
     slacks: Vec<f64>,
     /// Gradient of the barrier objective at `u`.
     grad: Vec<f64>,
-    /// `−H`'s lower triangle packed column by column (column `k` holds
-    /// rows `k..n` from `col_start(k, n)`), factored in place into `L`.
+    /// The Newton system's matrix — the barrier's `−H` or the dual
+    /// phase's `H_FF` — as its lower triangle packed column by column
+    /// (column `k` holds rows `k..n` from `col_start(k, n)`), factored in
+    /// place into `L`.
     hess: Vec<f64>,
     /// Newton direction.
     dir: Vec<f64>,
@@ -500,6 +595,22 @@ pub struct SolverScratch {
     trial_slacks: Vec<f64>,
     /// One row's `(column, R_ji x_i)` pairs with a non-zero product.
     rx: Vec<(usize, f64)>,
+    /// The dual iterate `λ`, one price per row; the duals once a solve
+    /// returns.
+    lambda: Vec<f64>,
+    /// Column prices `q = Rᵀλ` at `lambda`.
+    q: Vec<f64>,
+    /// Line-search trial prices and their column prices.
+    trial_lambda: Vec<f64>,
+    trial_q: Vec<f64>,
+    /// The free rows, ascending.
+    free: Vec<usize>,
+    /// Per column, its free rows' `(position, R_ji x_i)`: column `i`'s
+    /// run is `col_free[col_ends[i - 1]..col_ends[i]]`.
+    col_ends: Vec<usize>,
+    col_free: Vec<(usize, f64)>,
+    /// Each column's bottleneck ratio `min_j C_j / R_ji`.
+    bottleneck: Vec<f64>,
 }
 
 impl SolverScratch {
@@ -517,6 +628,12 @@ impl SolverScratch {
     /// The rates `x_i` of the last successful solve.
     pub fn rates(&self) -> &[f64] {
         &self.x
+    }
+
+    /// The prices `λ_j` of the last successful solve, one per row — the
+    /// warm start of the next solve over the same rows.
+    pub fn duals(&self) -> &[f64] {
+        &self.lambda
     }
 
     /// Damped Newton maximization of
@@ -617,6 +734,202 @@ impl SolverScratch {
             }
         }
     }
+
+    /// Projected Newton on the dual `D(λ)` (module docs) from the prices
+    /// in `self.lambda`, each step on the free rows only: `H_FF d =
+    /// −slack_F`, then the projected line search. Stops when every
+    /// priced row is tight and every other row feasible, to [`DUAL_TOL`]
+    /// of its capacity, leaving `x = P / q` at the final prices in
+    /// `self.x`.
+    ///
+    /// Returns the steps taken; `Err` with them when the phase gives up
+    /// (a non-finite value, a failed factorization, a line search that
+    /// finds no decrease, or [`DUAL_STEPS`]).
+    fn dual_newton(&mut self, rows: &[ConstraintRow]) -> Result<usize, usize> {
+        column_prices(rows, &self.lambda, &mut self.q);
+        let mut value = dual_value(rows, &self.priorities, &self.lambda, &self.q);
+        let mut steps = 0;
+        loop {
+            if !value.is_finite() {
+                return Err(steps);
+            }
+            for ((x, &p), &q) in self.x.iter_mut().zip(&self.priorities).zip(&self.q) {
+                *x = p / q;
+            }
+            compute_slacks(rows, &self.x, &mut self.slacks);
+            if self.select_free(rows) {
+                return Ok(steps);
+            }
+            if steps == DUAL_STEPS {
+                return Err(steps);
+            }
+            steps += 1;
+            let k = self.free.len();
+            self.assemble_dual(rows);
+            if !cholesky_in_place(&mut self.hess, k) {
+                return Err(steps);
+            }
+            self.grad.clear();
+            self.grad.extend(self.free.iter().map(|&j| -self.slacks[j]));
+            self.dir.resize(k, 0.0);
+            cholesky_solve(&self.hess, &self.grad, &mut self.dir);
+            let searched = self.line_search(rows, value).or_else(|| {
+                // Through a dependent direction the projected Newton step
+                // can point uphill: retry along the diagonally scaled
+                // gradient, `d_j = −slack_j / H_jj`, which descends.
+                for (d, &j) in self.dir.iter_mut().zip(&self.free) {
+                    let x = &self.x;
+                    let p = &self.priorities;
+                    let h: f64 = (rows[j].entries.iter())
+                        .map(|&(i, c)| (c * x[i]) * (c * x[i]) / p[i])
+                        .sum();
+                    *d = -self.slacks[j] / h;
+                }
+                self.line_search(rows, value)
+            });
+            match searched {
+                Some(v) => value = v,
+                None => return Err(steps),
+            }
+        }
+    }
+
+    /// The projected Armijo line search along `self.dir` from the prices
+    /// in `self.lambda`, whose dual value is `value`: `λ_F ← max(0, λ_F +
+    /// t d)` with `t` halved until the decrease is at least [`ARMIJO`] of
+    /// the one the gradient predicts (or, for the full step, the
+    /// predicted decrease is below [`STALL`] of `|D|`). Moves to the
+    /// accepted prices and returns their value; `None` if no `t` passes.
+    fn line_search(&mut self, rows: &[ConstraintRow], value: f64) -> Option<f64> {
+        let mut t = 1.0;
+        for _ in 0..LINE_SEARCH_STEPS {
+            self.trial_lambda.copy_from_slice(&self.lambda);
+            // The decrease the gradient predicts for the projected step,
+            // `−slack · (λ_t − λ)`.
+            let mut predicted = 0.0;
+            for (&j, &d) in self.free.iter().zip(&self.dir) {
+                let l = (self.lambda[j] + t * d).max(0.0);
+                self.trial_lambda[j] = l;
+                predicted -= self.slacks[j] * (l - self.lambda[j]);
+            }
+            column_prices(rows, &self.trial_lambda, &mut self.trial_q);
+            let v = dual_value(rows, &self.priorities, &self.trial_lambda, &self.trial_q);
+            let stalled = t == 1.0 && predicted.abs() <= STALL * value.abs();
+            let sufficient = predicted > 0.0 && v <= value - ARMIJO * predicted;
+            if v.is_finite() && (stalled || sufficient) {
+                std::mem::swap(&mut self.lambda, &mut self.trial_lambda);
+                std::mem::swap(&mut self.q, &mut self.trial_q);
+                return Some(v);
+            }
+            t *= 0.5;
+        }
+        None
+    }
+
+    /// Lists the free rows — priced, or unpriced and overloaded — in
+    /// `self.free`, and reports whether the prices are optimal: every
+    /// priced row tight and every other row feasible, to [`DUAL_TOL`] of
+    /// its capacity.
+    fn select_free(&mut self, rows: &[ConstraintRow]) -> bool {
+        self.free.clear();
+        let mut optimal = true;
+        for (j, ((row, &l), &s)) in rows.iter().zip(&self.lambda).zip(&self.slacks).enumerate() {
+            let tol = DUAL_TOL * row.capacity;
+            optimal &= if l > 0.0 { s.abs() <= tol } else { s >= -tol };
+            if l > 0.0 || s < 0.0 {
+                self.free.push(j);
+            }
+        }
+        optimal
+    }
+
+    /// `H_FF = (R diag(x² / P) Rᵀ)_FF` into `self.hess`, packed: column
+    /// by column of `R`, every pair of its free rows gets
+    /// `(R_ji x_i)(R_ki x_i) / P_i`; then the [`DUAL_RIDGE`] on the
+    /// diagonal.
+    fn assemble_dual(&mut self, rows: &[ConstraintRow]) {
+        let n = self.x.len();
+        let k = self.free.len();
+        self.col_ends.clear();
+        self.col_ends.resize(n, 0);
+        for &j in &self.free {
+            for &(i, _) in &rows[j].entries {
+                self.col_ends[i] += 1;
+            }
+        }
+        let mut end = 0;
+        for e in &mut self.col_ends {
+            end += *e;
+            *e = end - *e; // the run's start for now; the fill moves it to its end
+        }
+        self.col_free.clear();
+        self.col_free.resize(end, (0, 0.0));
+        for (at, &j) in self.free.iter().enumerate() {
+            for &(i, c) in &rows[j].entries {
+                self.col_free[self.col_ends[i]] = (at, c * self.x[i]);
+                self.col_ends[i] += 1;
+            }
+        }
+        self.hess.clear();
+        self.hess.resize(k * (k + 1) / 2, 0.0);
+        let mut start = 0;
+        for (&end, &p) in self.col_ends.iter().zip(&self.priorities) {
+            let run = &self.col_free[start..end];
+            for (a, &(ja, ra)) in run.iter().enumerate() {
+                let wa = ra / p;
+                let col = col_start(ja, k) - ja;
+                for &(jb, rb) in &run[a..] {
+                    self.hess[col + jb] += wa * rb;
+                }
+            }
+            start = end;
+        }
+        for at in 0..k {
+            self.hess[col_start(at, k)] *= 1.0 + DUAL_RIDGE;
+        }
+    }
+
+    /// Prices every column no priced row binds: its bottleneck row (the
+    /// first attaining `min_j C_j / R_ji`) gets `λ_j = Σ_i∈row P_i / C_j`,
+    /// the price at which that row alone would be exactly full.
+    fn price_orphans(&mut self, rows: &[ConstraintRow]) {
+        column_prices(rows, &self.lambda, &mut self.q);
+        for (row, l) in rows.iter().zip(self.lambda.iter_mut()) {
+            let orphaned = |&(i, c): &(usize, f64)| {
+                self.q[i] == 0.0 && (row.capacity / c).to_bits() == self.bottleneck[i].to_bits()
+            };
+            if row.entries.iter().any(orphaned) {
+                let total: f64 = row.entries.iter().map(|&(i, _)| self.priorities[i]).sum();
+                *l = total / row.capacity;
+                for &(i, _) in &row.entries {
+                    // Marks the column as priced: its first bottleneck
+                    // row wins.
+                    self.q[i] = f64::INFINITY;
+                }
+            }
+        }
+    }
+}
+
+/// `q = Rᵀλ`: each column's price, summed over its priced rows in row
+/// order.
+fn column_prices(rows: &[ConstraintRow], lambda: &[f64], q: &mut [f64]) {
+    q.fill(0.0);
+    for (row, &l) in rows.iter().zip(lambda) {
+        if l != 0.0 {
+            for &(i, c) in &row.entries {
+                q[i] += c * l;
+            }
+        }
+    }
+}
+
+/// The dual objective `Σ_j λ_j C_j − Σ_i P_i log q_i`; `+∞` (or NaN)
+/// when a column has no price.
+fn dual_value(rows: &[ConstraintRow], priorities: &[f64], lambda: &[f64], q: &[f64]) -> f64 {
+    let cost: f64 = rows.iter().zip(lambda).map(|(r, &l)| l * r.capacity).sum();
+    let utility: f64 = priorities.iter().zip(q).map(|(&p, &q)| p * q.ln()).sum();
+    cost - utility
 }
 
 /// Where column `k` of an `n`-column packed lower triangle starts; it
@@ -765,32 +1078,29 @@ pub(crate) fn check_len(
     }
 }
 
-/// Solves the weighted proportional-fair allocation problem (4) with the
-/// log-barrier path-following method, returning the rates, the barrier's
-/// dual estimates, the utility and the iteration counts (KKT residual
-/// ≲ 1e-6 on well-scaled problems).
+/// Solves the weighted proportional-fair allocation problem (4),
+/// returning the rates, their prices (the dual optimum, one per row), the
+/// utility and the iteration counts. The answer satisfies
+/// `R x ≤ C` as computed and the KKT conditions to rounding
+/// ([`Allocation::kkt_residual`] ≲ 1e-10 on well-scaled problems).
 ///
-/// With `start`, the solve is warm-started from a previous allocation
-/// (e.g. the last epoch's rates during capacity fluctuation). The start
-/// is scaled into the strictly feasible interior before the barrier
-/// iteration begins, so an infeasible or stale start is safe. Only the
-/// tail of the cold μ schedule then runs: near the optimum it ends there
-/// in fewer inner iterations, but from a start far from it (a newcomer
-/// at rate 0 next to incumbents) it can stop measurably short. A
-/// start with no usable entry (nothing positive and finite) carries no
-/// information; such runs degrade to a cold solve whose result is
-/// **bitwise identical** to `start: None` and report
-/// `warm_started: false`. A start that is usable but wildly infeasible
-/// (worst row overloaded more than 10×) also reports
-/// `warm_started: false` and runs the full barrier schedule from the
-/// repaired start, since the fast tail-only schedule cannot recover
-/// from it.
+/// With `start`, the solve is warm-started from a previous solve's
+/// prices over the same rows (its [`Allocation::duals`]): the dual phase
+/// (module docs) runs from them, every column no priced row binds first
+/// getting its bottleneck row priced. A start with no usable entry
+/// (nothing positive and finite) carries no information; such runs are
+/// cold solves, bitwise identical to `start: None`, and report
+/// `warm_started: false`. A cold solve, and a warm one whose dual phase
+/// fails, runs the barrier from a strictly feasible start and then the
+/// dual phase from the barrier's near-tight rows; when that fails too,
+/// the barrier's answer is returned. A failed warm solve therefore
+/// answers bitwise what the cold solve does.
 ///
 /// # Examples
 ///
 /// Two applications sharing one unit-capacity link, one with twice the
 /// priority of the other, split the capacity 2:1 (Theorem 3's
-/// proportionality):
+/// proportionality); re-solving from the answer's prices takes no step:
 ///
 /// ```
 /// use sparcle_alloc::num::{self, ConstraintRow, ConstraintSystem};
@@ -799,8 +1109,10 @@ pub(crate) fn check_len(
 /// let mut sys = ConstraintSystem::new(2);
 /// sys.push_row(ConstraintRow { element: None, capacity: 1.0, entries: vec![(0, 1.0), (1, 1.0)] })?;
 /// let (alloc, _stats) = num::solve(&sys, &[2.0, 1.0], None)?;
-/// assert!((alloc.rates[0] - 2.0 / 3.0).abs() < 1e-6);
-/// assert!((alloc.rates[1] - 1.0 / 3.0).abs() < 1e-6);
+/// assert!((alloc.rates[0] - 2.0 / 3.0).abs() < 1e-12);
+/// assert!((alloc.rates[1] - 1.0 / 3.0).abs() < 1e-12);
+/// let (again, stats) = num::solve(&sys, &[2.0, 1.0], Some(&alloc.duals))?;
+/// assert_eq!((stats.inner_iters, again.rates), (0, alloc.rates));
 /// # Ok(())
 /// # }
 /// ```
@@ -808,7 +1120,7 @@ pub(crate) fn check_len(
 /// # Errors
 ///
 /// Returns [`AllocError::LengthMismatch`] unless there is one priority
-/// (and, with `start`, one start rate) per column,
+/// per column (and, with `start`, one start price per row),
 /// [`AllocError::BadPriority`] for non-positive priorities,
 /// [`AllocError::Unbounded`] when an application has no constraint, and
 /// [`AllocError::Infeasible`] when an application can never get a
@@ -820,9 +1132,7 @@ pub fn solve(
 ) -> Result<(Allocation, SolveStats), AllocError> {
     let mut scratch = SolverScratch::new();
     scratch.set_priorities(priorities.iter().copied());
-    let (stats, mu) = solve_body(system, start, &mut scratch)?;
-    // Dual estimate from the barrier: λ_j = μ / slack_j.
-    let duals = scratch.slacks.iter().map(|&s| mu / s.max(1e-300)).collect();
+    let stats = solve_into(system, start, &mut scratch)?;
     let utility = priorities
         .iter()
         .zip(&scratch.x)
@@ -830,17 +1140,18 @@ pub fn solve(
         .sum();
     let allocation = Allocation {
         rates: scratch.x,
-        duals,
+        duals: scratch.lambda,
         utility,
     };
     Ok((allocation, stats))
 }
 
-/// [`solve`] without the duals and the utility: problem (4) over
-/// `system` with the priorities in `scratch`, warm-started from `start`
-/// when given, leaving the rates in [`SolverScratch::rates`].
-/// Allocation-free once `scratch` has seen a system of this shape; the
-/// rates and stats are bitwise those of [`solve`].
+/// [`solve`] without the utility: problem (4) over `system` with the
+/// priorities in `scratch`, warm-started from the prices `start` when
+/// given, leaving the rates in [`SolverScratch::rates`] and the prices in
+/// [`SolverScratch::duals`]. Allocation-free once `scratch` has seen a
+/// system of this shape; the rates, prices and stats are bitwise those
+/// of [`solve`].
 ///
 /// # Errors
 ///
@@ -848,120 +1159,130 @@ pub fn solve(
 pub fn solve_into(
     system: &ConstraintSystem,
     start: Option<&[f64]>,
-    scratch: &mut SolverScratch,
-) -> Result<SolveStats, AllocError> {
-    Ok(solve_body(system, start, scratch)?.0)
-}
-
-/// The solve; also returns the μ of the last barrier round, and leaves
-/// the slacks at the rates in `s.slacks`.
-fn solve_body(
-    system: &ConstraintSystem,
-    start: Option<&[f64]>,
     s: &mut SolverScratch,
-) -> Result<(SolveStats, f64), AllocError> {
+) -> Result<SolveStats, AllocError> {
     let n = system.app_count();
+    let rows = system.rows();
+    let m = rows.len();
     check_len("priorities", &s.priorities, system)?;
     if let Some(start) = start {
-        check_len("start rates", start, system)?;
+        if start.len() != m {
+            return Err(AllocError::LengthMismatch {
+                what: "start prices",
+                expected: m,
+                got: start.len(),
+            });
+        }
     }
     for &p in &s.priorities {
         if !p.is_finite() || p <= 0.0 {
             return Err(AllocError::BadPriority(p));
         }
     }
-    let rows = system.rows();
-    let m = rows.len();
+    column_bottlenecks(system, &mut s.bottleneck)?;
     for v in [
         &mut s.u,
-        &mut s.grad,
-        &mut s.dir,
+        &mut s.x,
         &mut s.trial,
         &mut s.trial_x,
+        &mut s.q,
+        &mut s.trial_q,
     ] {
         v.resize(n, 0.0);
     }
-    s.slacks.resize(m, 0.0);
-    s.trial_slacks.resize(m, 0.0);
-    s.hess.resize(n * (n + 1) / 2, 0.0);
-
-    // Strictly feasible start: x_i = (1/2n) · min over binding rows
-    // of C_j / R_ji — or the caller's warm start pulled into the
-    // interior.
-    column_bottlenecks(system, &mut s.x)?;
-    for x in &mut s.x {
-        *x = (*x / (2.0 * n as f64)).max(1e-12);
+    for v in [
+        &mut s.slacks,
+        &mut s.trial_slacks,
+        &mut s.lambda,
+        &mut s.trial_lambda,
+    ] {
+        v.resize(m, 0.0);
     }
-    // A warm start with no usable (positive, finite) entry carries
-    // no information — demote it to a cold solve so the result is
-    // bitwise identical to a cold solve (readmission of a lone BE app
-    // with a zeroed rate relies on this exactness).
+
     let usable = |w: f64| w.is_finite() && w > 0.0;
-    let mut warm_started = false;
+    let mut stats = SolveStats::default();
     if let Some(warm) = start.filter(|warm| warm.iter().any(|&w| usable(w))) {
-        // Replace non-positive entries, then shrink uniformly until
-        // every row has at least 10 % slack.
-        for (x, &w) in s.x.iter_mut().zip(warm) {
-            if usable(w) {
-                *x = w;
-            }
+        stats.warm_started = true;
+        for (l, &w) in s.lambda.iter_mut().zip(warm) {
+            *l = if usable(w) { w } else { 0.0 };
         }
-        let mut worst = 0.0f64;
-        for row in rows {
-            let used = row_load(row, &s.x);
-            if row.capacity > 0.0 {
-                worst = worst.max(used / row.capacity);
+        s.price_orphans(rows);
+        match s.dual_newton(rows) {
+            Ok(steps) => {
+                stats.inner_iters = steps;
+                fit_capacities(rows, &mut s.x);
+                return Ok(stats);
             }
+            Err(steps) => stats.inner_iters = steps,
         }
-        if worst > 0.9 {
-            let shrink = 0.9 / worst;
-            for x in &mut s.x {
-                *x *= shrink;
-            }
-        }
-        // The fast tail-only schedule is safe only for a start that
-        // is already near-feasible (the previous optimum after a
-        // bounded capacity change, or one new app next to
-        // incumbents). A wildly overloaded start needs the early
-        // high-μ rounds to walk back to the central path, so it runs
-        // the full schedule instead.
-        warm_started = worst <= 10.0;
     }
-    for (u, &x) in s.u.iter_mut().zip(&s.x) {
-        *u = x.max(1e-300).ln();
+    // Cold, or a warm solve whose dual phase failed: the barrier from the
+    // strictly feasible `x_i = (1/2n) · min_j C_j / R_ji` (a failed
+    // start's own rates can sit anywhere — a row priced orders of
+    // magnitude off puts its columns near zero).
+    for (u, &b) in s.u.iter_mut().zip(&s.bottleneck) {
+        *u = (b / (2.0 * n as f64)).max(1e-12).ln();
     }
 
+    for v in [&mut s.grad, &mut s.dir] {
+        v.resize(n, 0.0);
+    }
+    s.hess.resize(n * (n + 1) / 2, 0.0);
     let pscale = s.priorities.iter().cloned().fold(f64::MIN, f64::max);
-    // Warm runs execute only the tail of the cold μ schedule; μ is
-    // advanced to the tail's start by the same repeated
-    // multiplication a cold run performs, so the μ sequence (and the
-    // final μ the duals are scaled by) matches bitwise.
-    let outer = if warm_started {
-        WARM_OUTER_ITERS
-    } else {
-        OUTER_ITERS
-    };
     let mut mu = MU0 * pscale;
-    for _ in 0..OUTER_ITERS - outer {
+    for _ in 0..OUTER_ITERS {
+        stats.inner_iters += s.maximize_barrier(rows, mu);
         mu *= MU_SHRINK;
     }
-    let mut inner_total = 0usize;
-    for _ in 0..outer {
-        inner_total += s.maximize_barrier(rows, mu);
-        mu *= MU_SHRINK;
-    }
-    mu /= MU_SHRINK; // μ of the last completed solve
+    mu /= MU_SHRINK; // μ of the last completed round
+    stats.outer_iters = OUTER_ITERS;
 
+    // The dual phase from the barrier's near-tight rows.
     for (x, &u) in s.x.iter_mut().zip(&s.u) {
         *x = u.exp();
     }
     compute_slacks(rows, &s.x, &mut s.slacks);
-    let stats = SolveStats {
-        outer_iters: outer,
-        inner_iters: inner_total,
-        warm_started,
-    };
-    Ok((stats, mu))
+    for ((l, &slack), row) in s.lambda.iter_mut().zip(&s.slacks).zip(rows) {
+        *l = if slack < NEAR_TIGHT * row.capacity {
+            mu / slack.max(1e-300)
+        } else {
+            0.0
+        };
+    }
+    s.price_orphans(rows);
+    match s.dual_newton(rows) {
+        Ok(steps) => {
+            stats.inner_iters += steps;
+            fit_capacities(rows, &mut s.x);
+        }
+        Err(steps) => {
+            // The barrier's answer, with its dual estimates λ_j = μ / s_j.
+            stats.inner_iters += steps;
+            for (x, &u) in s.x.iter_mut().zip(&s.u) {
+                *x = u.exp();
+            }
+            compute_slacks(rows, &s.x, &mut s.slacks);
+            for (l, &slack) in s.lambda.iter_mut().zip(&s.slacks) {
+                *l = mu / slack.max(1e-300);
+            }
+        }
+    }
+    Ok(stats)
+}
+
+/// Makes `R x ≤ C` hold as computed: divides the rates by the worst row's
+/// `(R x)_j / C_j` when it exceeds 1 (the dual phase stops within
+/// [`DUAL_TOL`] of tight, on either side).
+fn fit_capacities(rows: &[ConstraintRow], x: &mut [f64]) {
+    let worst = rows
+        .iter()
+        .map(|row| row_load(row, x) / row.capacity)
+        .fold(1.0, f64::max);
+    if worst > 1.0 {
+        for x in x.iter_mut() {
+            *x /= worst;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1042,12 +1363,33 @@ mod tests {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.0, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
         let (a, _) = solve(&sys, &prios, None).unwrap();
-        assert!(a.feasibility_violation(&sys) <= 1e-9, "feasible");
+        assert!(a.feasibility_violation(&sys) <= 0.0, "feasible");
         assert!(
-            a.kkt_residual(&sys, &prios) < 1e-3,
+            a.kkt_residual(&sys, &prios) < 1e-9,
             "kkt = {}",
             a.kkt_residual(&sys, &prios)
         );
+    }
+
+    /// A zero rate (`inf / inf` in the residual) or a NaN one fails both
+    /// checks instead of slipping through `f64::max`.
+    #[test]
+    fn kkt_checks_fail_a_zero_or_nan_rate() {
+        let sys = system(2, &[(1.0, &[1.0, 1.0])]);
+        let prios = [1.0, 1.0];
+        let answer = |rates: Vec<f64>| Allocation {
+            rates,
+            duals: vec![2.0],
+            utility: 0.0,
+        };
+        let zero = answer(vec![0.0, 0.5]);
+        assert_eq!(zero.kkt_residual(&sys, &prios), f64::INFINITY);
+        let nan = answer(vec![f64::NAN, 0.5]);
+        assert_eq!(nan.kkt_residual(&sys, &prios), f64::INFINITY);
+        assert_eq!(nan.feasibility_violation(&sys), f64::INFINITY);
+        let optimum = answer(vec![0.5, 0.5]);
+        assert_eq!(optimum.kkt_residual(&sys, &prios), 0.0);
+        assert_eq!(optimum.feasibility_violation(&sys), 0.0);
     }
 
     #[test]
@@ -1093,17 +1435,34 @@ mod tests {
         let sys = system(3, &[(2.0, &[1.0, 2.0, 0.5]), (5.0, &[0.5, 1.0, 4.0])]);
         let prios = [1.0, 2.0, 0.5];
         let (cold, _) = solve(&sys, &prios, None).unwrap();
-        // Warm start from the optimum itself.
-        let (warm, _) = solve(&sys, &prios, Some(&cold.rates)).unwrap();
-        for (a, b) in cold.rates.iter().zip(&warm.rates) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        // Warm starts from far-off prices, with unusable entries too.
+        for garbage in [[1e9, -3.0], [f64::NAN, 1e-9], [0.0, 7.0]] {
+            let (fixed, stats) = solve(&sys, &prios, Some(&garbage)).unwrap();
+            assert!(stats.warm_started);
+            for (a, b) in cold.rates.iter().zip(&fixed.rates) {
+                assert!((a - b).abs() < 1e-9 * a, "{a} vs {b}");
+            }
         }
-        // Warm start from garbage (infeasible and non-positive entries).
-        let garbage = [1e9, -3.0, f64::NAN];
-        let (fixed, _) = solve(&sys, &prios, Some(&garbage)).unwrap();
-        for (a, b) in cold.rates.iter().zip(&fixed.rates) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+    }
+
+    /// Proportional fairness on a shared row and a private one: the
+    /// answer is the optimum, tight where priced and feasible as
+    /// computed, not an interior point near it.
+    #[test]
+    fn the_answer_is_the_exact_optimum() {
+        // x0 + x1 ≤ 1/2, x1 ≤ 1/3: P = (1, 2) wants x1 = 1/3, which its
+        // private row allows exactly; x0 gets the remaining 1/6.
+        let sys = system(2, &[(0.5, &[1.0, 1.0]), (1.0 / 3.0, &[0.0, 1.0])]);
+        let prios = [1.0, 2.0];
+        let (a, stats) = solve(&sys, &prios, None).unwrap();
+        assert!((a.rates[0] - 1.0 / 6.0).abs() < 1e-12, "{:?}", a.rates);
+        assert!((a.rates[1] - 1.0 / 3.0).abs() < 1e-12, "{:?}", a.rates);
+        assert!(a.kkt_residual(&sys, &prios) <= 1e-9);
+        assert!(a.feasibility_violation(&sys) <= 0.0);
+        assert_eq!(
+            stats.outer_iters, OUTER_ITERS,
+            "a cold solve runs the barrier"
+        );
     }
 
     #[test]
@@ -1166,18 +1525,46 @@ mod tests {
         let (cold, cold_stats) = solve(&sys, &prios, None).unwrap();
         assert!(!cold_stats.warm_started);
         assert_eq!(cold_stats.outer_iters, 11);
-        let (warm, warm_stats) = solve(&sys, &prios, Some(&cold.rates)).unwrap();
+        // Half the prices: a few dual steps, no barrier round.
+        let start: Vec<f64> = cold.duals.iter().map(|l| l * 0.5).collect();
+        let (warm, warm_stats) = solve(&sys, &prios, Some(&start)).unwrap();
         assert!(warm_stats.warm_started);
-        assert_eq!(warm_stats.outer_iters, 3);
+        assert_eq!(warm_stats.outer_iters, 0);
         assert!(
-            warm_stats.inner_iters < cold_stats.inner_iters,
+            0 < warm_stats.inner_iters && warm_stats.inner_iters < cold_stats.inner_iters,
             "warm {} vs cold {}",
             warm_stats.inner_iters,
             cold_stats.inner_iters
         );
         for (a, b) in cold.rates.iter().zip(&warm.rates) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-9 * a, "{a} vs {b}");
         }
+    }
+
+    /// A re-solve of unchanged inputs from the last solve's prices is a
+    /// fixed point: no step, and the incumbent rates and prices bit for
+    /// bit — through the scratch path too.
+    #[test]
+    fn resolving_unchanged_inputs_takes_no_step() {
+        let sys = system(
+            3,
+            &[
+                (2.0, &[1.0, 2.0, 0.5]),
+                (5.0, &[0.5, 1.0, 4.0]),
+                (9.0, &[1.0, 0.0, 0.0]),
+            ],
+        );
+        let prios = [1.0, 2.0, 0.5];
+        let (first, _) = solve(&sys, &prios, None).unwrap();
+        let (again, stats) = solve(&sys, &prios, Some(&first.duals)).unwrap();
+        assert_eq!((stats.outer_iters, stats.inner_iters), (0, 0));
+        assert_eq!(again, first);
+        let mut scratch = SolverScratch::new();
+        scratch.set_priorities(prios);
+        let stats = solve_into(&sys, Some(&first.duals), &mut scratch).unwrap();
+        assert_eq!(stats.inner_iters, 0);
+        assert_eq!(scratch.rates(), &first.rates[..]);
+        assert_eq!(scratch.duals(), &first.duals[..]);
     }
 
     #[test]
@@ -1188,7 +1575,7 @@ mod tests {
         let sys = system(2, &[(3.0, &[1.0, 2.0])]);
         let prios = [1.0, 4.0];
         let (cold, _) = solve(&sys, &prios, None).unwrap();
-        for start in [[0.0, 0.0], [0.0, -1.0], [f64::NAN, f64::INFINITY]] {
+        for start in [[0.0], [-1.0], [f64::NAN], [f64::INFINITY]] {
             let (warm, stats) = solve(&sys, &prios, Some(&start)).unwrap();
             assert!(!stats.warm_started);
             assert_eq!(cold.rates, warm.rates);
@@ -1211,11 +1598,12 @@ mod tests {
         let (cold, cold_stats) = solve(&sys, &prios, None).unwrap();
         assert_eq!(stats, cold_stats);
         assert_eq!(scratch.rates(), &cold.rates[..]);
-        let start = [0.5, 0.25, 1.0];
+        let start = [0.5, 0.25];
         let stats = solve_into(&sys, Some(&start), &mut scratch).unwrap();
         let (warm, warm_stats) = solve(&sys, &prios, Some(&start)).unwrap();
         assert_eq!(stats, warm_stats);
         assert_eq!(scratch.rates(), &warm.rates[..]);
+        assert_eq!(scratch.duals(), &warm.duals[..]);
     }
 
     #[test]
@@ -1398,11 +1786,11 @@ mod tests {
     fn warm_solve_rejects_a_start_count_mismatch() {
         let sys = system(2, &[(1.0, &[1.0, 1.0])]);
         assert_eq!(
-            solve(&sys, &[1.0, 1.0], Some(&[0.5])),
+            solve(&sys, &[1.0, 1.0], Some(&[0.5, 0.5])),
             Err(AllocError::LengthMismatch {
-                what: "start rates",
-                expected: 2,
-                got: 1
+                what: "start prices",
+                expected: 1,
+                got: 2
             })
         );
     }

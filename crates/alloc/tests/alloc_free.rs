@@ -90,16 +90,18 @@ fn system(seed: u64) -> (ConstraintSystem, Vec<f64>) {
 }
 
 /// The system layer's re-solve: priorities refilled, a warm start from
-/// the incumbent rates, the answer read out of the scratch. Once the
-/// scratch has seen the shape, none of it touches the allocator.
+/// the rows' last prices (one of them halved, so the dual phase has
+/// steps to take), the answer read out of the scratch. Once the scratch
+/// has seen the shape, none of it touches the allocator.
 #[test]
 fn warm_solve_on_a_warmed_scratch_is_allocation_free() {
     let (sys, priorities) = system(3);
     let mut scratch = SolverScratch::new();
     scratch.set_priorities(priorities.iter().copied());
     num::solve_into(&sys, None, &mut scratch).expect("solvable");
-    let mut start = scratch.rates().to_vec();
-    start[0] *= 0.5;
+    let mut start = scratch.duals().to_vec();
+    let priced = start.iter().position(|&l| l > 0.0).expect("a binding row");
+    start[priced] *= 0.5;
     let first = num::solve_into(&sys, Some(&start), &mut scratch).expect("solvable");
     let first_rates = scratch.rates().to_vec();
 
@@ -109,7 +111,10 @@ fn warm_solve_on_a_warmed_scratch_is_allocation_free() {
         num::solve_into(black_box(&sys), Some(black_box(&start)), &mut scratch).expect("solvable");
     let calls = alloc_calls() - before;
 
-    assert!(second.warm_started && second.inner_iters > 0, "{second:?}");
+    assert!(
+        second.warm_started && second.outer_iters == 0 && second.inner_iters > 0,
+        "{second:?}"
+    );
     assert_eq!(first, second);
     assert_eq!(first_rates, scratch.rates());
     assert_eq!(calls, 0, "a warm solve on a warmed scratch allocated");

@@ -125,7 +125,9 @@ fn branch_and_bound(
         if child.commit(ct, host).is_err() {
             continue;
         }
-        let upper_bound = child.capacities().bottleneck_rate(child.load());
+        let upper_bound = child
+            .capacities()
+            .bottleneck_rate(&child.load().to_load_map());
         if let Some(b) = best.as_ref() {
             if upper_bound <= b.rate {
                 continue;

@@ -47,7 +47,7 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
     // admission: a window far below the minimum arrival spacing, so
     // every batch has size 1 and each admitted app pays its own solve.
     let windows = [
-        ("per-req", 1e-3),
+        ("per-req", 1e-5),
         ("0.25s", 0.25),
         ("0.5s", 0.5),
         ("1s", 1.0),
@@ -91,7 +91,7 @@ pub fn run(_: &ParsedFlags, harness: &ExpHarness) {
         };
         if *label == "per-req" {
             per_request_solves_per_app = solves_per_app;
-            // One solve's counted work outlasts a 1 ms window, so
+            // One solve's counted work outlasts a 10 µs window, so
             // per-request admission feels backpressure: the shed the
             // trace's `explain --pick shed` walks back to its ingest.
             assert!(

@@ -117,8 +117,8 @@ use crate::error::AssignError;
 use crate::trace::TraceHandle;
 use crate::widest_path::CsrWidestTree;
 use sparcle_model::{
-    Application, CapacityMap, CsrNetwork, CtId, LoadMap, NcpId, Network, Placement, ReachScratch,
-    ReachablePlacedCt, TtId,
+    Application, CapacityMap, CsrNetwork, CtId, DenseLoad, LoadMap, NcpId, Network, Placement,
+    ReachScratch, ReachablePlacedCt, TtId,
 };
 use std::sync::Arc;
 use trees::{LinkSet, TreeKey, TreeStore};
@@ -147,6 +147,8 @@ pub enum RoutePolicy {
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     sweep: CsrWidestTree,
+    /// One sweep buffer per worker of a parallel evaluation.
+    worker_sweeps: Vec<CsrWidestTree>,
     route: CsrWidestTree,
     trees: TreeStore,
     /// One evaluation (a ranking round, or a single probe): the tree
@@ -216,7 +218,9 @@ pub struct PlacementEngine<'a> {
     network: &'a Network,
     capacities: &'a CapacityMap,
     placement: Placement,
-    load: LoadMap,
+    /// The loads committed so far, dense while the application is being
+    /// placed; [`Self::finish`] compacts them into the path's [`LoadMap`].
+    load: DenseLoad,
     placed: Vec<bool>,
     /// The flat view the sweeps and the router traverse.
     csr: Arc<CsrNetwork>,
@@ -300,7 +304,7 @@ impl<'a> PlacementEngine<'a> {
             network,
             capacities,
             placement: Placement::empty(app.graph()),
-            load: LoadMap::zeroed(network),
+            load: DenseLoad::zeroed(network),
             placed: vec![false; app.graph().ct_count()],
             csr: Arc::clone(network.csr()),
             scratch: std::mem::take(scratch),
@@ -346,7 +350,7 @@ impl<'a> PlacementEngine<'a> {
     }
 
     /// The loads accumulated so far.
-    pub fn load(&self) -> &LoadMap {
+    pub fn load(&self) -> &DenseLoad {
         &self.load
     }
 
@@ -409,10 +413,11 @@ impl<'a> PlacementEngine<'a> {
         self.placement
             .validate(self.app.graph(), self.network)
             .map_err(AssignError::Model)?;
-        let rate = self.capacities.bottleneck_rate(&self.load);
+        let load = self.load.to_load_map();
+        let rate = self.capacities.bottleneck_rate(&load);
         Ok(AssignedPath {
             placement: self.placement,
-            load: self.load,
+            load,
             rate,
         })
     }

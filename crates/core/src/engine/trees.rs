@@ -6,7 +6,7 @@
 use super::{EngineScratch, PlacementEngine};
 use crate::widest_path::{csr_widest_tree, CsrWidestTree};
 use sparcle_model::{
-    CapacityMap, CsrNetwork, CtId, LinkId, LoadMap, NcpId, Placement, ReachScratch,
+    CapacityMap, CsrNetwork, CtId, DenseLoad, LinkId, NcpId, Placement, ReachScratch,
     ReachablePlacedCt, TaskGraph,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,7 +133,7 @@ pub(super) struct EvalView<'e> {
     placement: &'e Placement,
     placed: &'e [bool],
     capacities: &'e CapacityMap,
-    load: &'e LoadMap,
+    load: &'e DenseLoad,
     csr: &'e CsrNetwork,
     link_count: usize,
 }
@@ -171,6 +171,15 @@ impl EvalView<'_> {
     }
 }
 
+/// Network elements (NCPs plus links) a worker of a parallel evaluation
+/// must sweep at least, summed over its trees. Spawning and joining a
+/// scoped worker took 28–42 µs (p50) on a 2-vCPU Xeon, and a sweep about
+/// 9.7 ns per element on 256 NCPs with 510 links (7.4 µs a tree) and
+/// 6.3 ns on 5,000 NCPs with 5,000 links (63 µs): a worker pays for
+/// itself from about this many. So two trees of a 5,000-NCP network get
+/// two workers, and a round on 256 NCPs needs eleven.
+const MIN_WORKER_SWEEP: usize = 4096;
+
 impl PlacementEngine<'_> {
     /// The read-only state snapshot trees and reach sets are computed
     /// from.
@@ -188,13 +197,16 @@ impl PlacementEngine<'_> {
 
     /// Makes the store hold a tree for every key in `scratch.needs`:
     /// lists the distinct keys it lacks and computes them — the unit up
-    /// to `threads` workers steal (module docs, "Caching contract") —
-    /// then records in `scratch.slots` where each key's tree sits.
+    /// to `threads` workers steal (module docs, "Caching contract"), the
+    /// calling thread among them, each sweeping at least
+    /// [`MIN_WORKER_SWEEP`] elements — then records in `scratch.slots`
+    /// where each key's tree sits.
     /// Returns the evaluation's `(hits, misses)`. Takes the engine's
     /// scratch by argument because the caller has it moved out already.
     pub(super) fn fill_trees(&mut self, scratch: &mut EngineScratch, threads: usize) -> (u64, u64) {
         let EngineScratch {
             sweep,
+            worker_sweeps,
             trees,
             needs,
             slots,
@@ -209,23 +221,44 @@ impl PlacementEngine<'_> {
         }
         let (hits, misses) = ((needs.len() - compute.len()) as u64, compute.len() as u64);
         let view = self.eval_view();
-        let workers = threads.max(1).min(compute.len());
+        let sweep_size = view.csr.ncp_count() + view.link_count;
+        let workers = threads
+            .min(compute.len())
+            .min(compute.len() * sweep_size / MIN_WORKER_SWEEP)
+            .max(1);
         if workers > 1 {
+            // Workers only write into buffers sized here: what a worker
+            // allocated would stay resident in its thread's allocator
+            // arena after the evaluation. The calling thread is a worker
+            // too, on the serial sweep buffer.
             let slots: Vec<Mutex<StoredTree>> = compute
                 .iter()
-                .map(|&key| Mutex::new(trees.fresh(key)))
+                .map(|&key| {
+                    let mut tree = trees.fresh(key);
+                    tree.phi.resize(view.csr.ncp_count(), 0.0);
+                    tree.witness.reset(view.link_count);
+                    Mutex::new(tree)
+                })
                 .collect();
+            if worker_sweeps.len() < workers - 1 {
+                worker_sweeps.resize_with(workers - 1, CsrWidestTree::default);
+            }
+            for sweep in worker_sweeps.iter_mut() {
+                sweep.presize(view.csr);
+            }
             let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let mut sweep = CsrWidestTree::default();
-                        while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let mut tree = slot.lock().expect("one worker per tree slot");
-                            view.fill_tree(&mut tree, &mut sweep);
-                        }
-                    });
+            let work = |sweep: &mut CsrWidestTree| {
+                while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let mut tree = slot.lock().expect("one worker per tree slot");
+                    view.fill_tree(&mut tree, sweep);
                 }
+            };
+            std::thread::scope(|s| {
+                let work = &work;
+                for sweep in worker_sweeps.iter_mut().take(workers - 1) {
+                    s.spawn(move || work(sweep));
+                }
+                work(sweep);
             });
             trees.live.extend(
                 slots

@@ -15,7 +15,13 @@
 //!   accumulated in `be_apps` vector order;
 //! * the incremental constraint matrix equals
 //!   `ConstraintSystem::from_loads` over the `be_apps` loads
-//!   (maintained by [`sparcle_alloc::IncrementalConstraints`]).
+//!   (maintained by [`sparcle_alloc::IncrementalConstraints`]), with one
+//!   price per row.
+//!
+//! The row prices are primary state like the rates: the last solve's
+//! dual answer and the next solve's warm start. The undo log restores
+//! them bitwise with the rates, so a rolled-back probe leaves the next
+//! solve exactly as if it had never run.
 //!
 //! Incremental maintenance preserves these equalities **bitwise**, not
 //! just approximately:
@@ -366,6 +372,9 @@ impl SystemState {
         let canonical = ConstraintSystem::from_loads(network, &self.gr_residual, &loads);
         let mut maintained = self.constraints.clone();
         maintained.refresh_capacities(&self.gr_residual);
+        if self.constraints.duals().len() != maintained.system().rows().len() {
+            return Err("constraint rows and their prices are misaligned".to_owned());
+        }
         let maintained = maintained.system();
         if maintained.app_count() != loads.len() || maintained.rows() != canonical.rows() {
             // A column is the rows it binds and its coefficients there.
@@ -409,16 +418,18 @@ impl SystemState {
                 self.refresh_priorities(&touched);
                 Some(DisplacedApp::Be(entry))
             }
-            UndoOp::InsertBe(pos, entry) => {
+            UndoOp::InsertBe(pos, entry, duals) => {
                 let touched = entry.combined_load.loaded_elements();
                 self.be_apps.insert(pos, entry);
                 self.constraints
                     .insert_app(pos, &self.be_apps[pos].combined_load);
+                self.constraints.set_duals(&duals);
                 self.refresh_priorities(&touched);
                 None
             }
-            UndoOp::RestoreRates(rates) => {
+            UndoOp::RestoreRates { rates, duals } => {
                 self.restore_rates(&rates);
+                self.constraints.set_duals(&duals);
                 None
             }
             UndoOp::RestoreNextId(id) => {
@@ -469,11 +480,19 @@ pub(crate) enum UndoOp {
     /// Undo a `be_apps.push` (and its constraint column / priority
     /// fold-append).
     PopBe,
-    /// Undo a `be_apps.remove(pos)` (see [`UndoOp::InsertGr`]).
-    InsertBe(usize, PlacedBeApp),
-    /// Restore every BE `allocated_rate` from a snapshot taken before
-    /// the transaction's first solve.
-    RestoreRates(Vec<f64>),
+    /// Undo a `be_apps.remove(pos)` (see [`UndoOp::InsertGr`]), and put
+    /// back every row's price as it was before the removal — the rows
+    /// only this entry loaded come back with theirs.
+    InsertBe(usize, PlacedBeApp, Vec<f64>),
+    /// Restore every BE `allocated_rate`, and every constraint row's
+    /// price (the next solve's warm start), from the snapshot taken
+    /// before a solve.
+    RestoreRates {
+        /// The BE rates in admission order.
+        rates: Vec<f64>,
+        /// The row prices in row order.
+        duals: Vec<f64>,
+    },
     /// Restore the id counter (undoes `fresh_id` / readmit id bumps).
     RestoreNextId(u32),
     /// Undo a capacity change: put back each listed element's old

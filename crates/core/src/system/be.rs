@@ -147,18 +147,20 @@ impl SystemTxn<'_> {
 impl SparcleSystem {
     /// Solves problem (4) over all admitted BE applications (at least
     /// one — [`SystemTxn::resolve`] is the only caller) against the
-    /// GR-residual capacities and stores each `allocated_rate`: refresh
-    /// the incrementally-maintained constraint system to the live
-    /// residual and run the solver warm-started from the `incumbent`
-    /// rates. The solver demotes itself to a bitwise-cold start when no
-    /// incumbent rate is usable (first admission, lone readmit).
-    pub(super) fn solve_be_internal(&mut self, incumbent: &[f64]) -> Result<(), AllocError> {
+    /// GR-residual capacities and stores each `allocated_rate` and each
+    /// row's price: refresh the incrementally-maintained constraint
+    /// system to the live residual and run the solver warm-started from
+    /// the rows' last prices. The solve is cold when no row has a price
+    /// (first admission, lone readmit).
+    pub(super) fn solve_be_internal(&mut self) -> Result<(), AllocError> {
         let t0 = std::time::Instant::now();
         let state = &mut self.state;
         let solver = &mut state.solver;
         solver.set_priorities(state.be_apps.iter().map(|a| a.priority));
         state.constraints.refresh_capacities(&state.gr_residual);
-        let s = num::solve_into(state.constraints.system(), Some(incumbent), solver)?;
+        let constraints = &state.constraints;
+        let s = num::solve_into(constraints.system(), Some(constraints.duals()), solver)?;
+        state.constraints.set_duals(solver.duals());
         state.stats.solves += 1;
         if s.warm_started {
             state.stats.warm_solves += 1;
@@ -350,7 +352,6 @@ mod tests {
         let mut sys = SparcleSystem::new(net);
         sys.submit(simple_app(QoeClass::best_effort(1.0), 100.0, 5000.0))
             .unwrap();
-        let alone = sys.be_apps()[0].allocated_rate;
         sys.submit(simple_app(QoeClass::best_effort(2.0), 100.0, 5000.0))
             .unwrap();
         let loads: Vec<&LoadMap> = sys.be_apps().iter().map(|be| &be.combined_load).collect();
@@ -364,10 +365,21 @@ mod tests {
             demand.merge_scaled(&be.combined_load, rate);
         }
         assert!(sys.gr_residual().bottleneck_rate(&demand) >= 1.0 - 1e-9);
-        // The system's rates are problem (4)'s, warm-started from the
-        // incumbents the second submit re-solved from (the newcomer at 0).
-        let (pf, _) = num::solve(&system, &priorities, Some(&[alone, 0.0])).unwrap();
+        // The system's rates are problem (4)'s optimum, and its row
+        // prices that optimum's fixed point: a solve from them takes no
+        // step and returns the rates bit for bit.
         let rates: Vec<f64> = sys.be_apps().iter().map(|be| be.allocated_rate).collect();
+        let (cold, _) = num::solve(&system, &priorities, None).unwrap();
+        for (x, y) in rates.iter().zip(&cold.rates) {
+            assert!((x - y).abs() <= 1e-9 * y, "{rates:?} vs {:?}", cold.rates);
+        }
+        // The fixture's optimum: [1/6, 1/3].
+        for (x, y) in rates.iter().zip([1.0 / 6.0, 1.0 / 3.0]) {
+            assert!((x - y).abs() <= 1e-12, "{rates:?}");
+        }
+        let prices = sys.state.constraints.duals();
+        let (pf, stats) = num::solve(&system, &priorities, Some(prices)).unwrap();
+        assert_eq!(stats.inner_iters, 0);
         assert_eq!(rates, pf.rates);
     }
 }

@@ -99,7 +99,7 @@ impl SystemTxn<'_> {
     /// while the entry is not yet in `gr_apps`.
     pub(super) fn reserve(&mut self, load: &LoadMap, rate: f64) {
         let touched = load.loaded_elements();
-        self.sys.state.gr_residual.subtract_load_sparse(load, rate);
+        self.sys.state.gr_residual.subtract_load(load, rate);
         self.log.push(UndoOp::RecomputeResidual(touched));
     }
 

@@ -65,10 +65,11 @@ impl SystemTxn<'_> {
                 self.log.push(UndoOp::InsertGr(pos, entry));
             }
             Slot::Be(pos) => {
+                let duals = state.constraints.duals().to_vec();
                 let entry = state.be_apps.remove(pos);
                 state.constraints.remove_app(pos);
                 state.refresh_priorities(&entry.combined_load.loaded_elements());
-                self.log.push(UndoOp::InsertBe(pos, entry));
+                self.log.push(UndoOp::InsertBe(pos, entry, duals));
             }
         }
     }

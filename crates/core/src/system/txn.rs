@@ -120,17 +120,19 @@ impl SystemTxn<'_> {
 
     /// Figure 3, step 4 — and the epilogue of every other structural
     /// change (departure, reservation, reinstatement, fluctuation): logs
-    /// the incumbent BE rates for exact undo, then re-solves problem (4)
-    /// over the current membership and residual. A no-op without BE
-    /// applications. Callers that batch (`defer_solve`, `solve: false`)
-    /// skip the call and make it once at the end.
+    /// the incumbent BE rates and row prices for exact undo, then
+    /// re-solves problem (4) over the current membership and residual. A
+    /// no-op without BE applications. Callers that batch (`defer_solve`,
+    /// `solve: false`) skip the call and make it once at the end.
     pub(super) fn resolve(&mut self) -> Result<(), AllocError> {
-        if self.sys.state.be_apps.is_empty() {
+        let state = &self.sys.state;
+        if state.be_apps.is_empty() {
             return Ok(());
         }
-        let incumbent = self.sys.state.snapshot_rates();
-        let solved = self.sys.solve_be_internal(&incumbent);
-        self.log.push(UndoOp::RestoreRates(incumbent));
+        let rates = state.snapshot_rates();
+        let duals = state.constraints.duals().to_vec();
+        let solved = self.sys.solve_be_internal();
+        self.log.push(UndoOp::RestoreRates { rates, duals });
         solved
     }
 
@@ -142,7 +144,7 @@ impl SystemTxn<'_> {
         for op in self.log.ops.drain(..) {
             match op {
                 UndoOp::InsertGr(_, entry) => displaced.push(DisplacedApp::Gr(entry)),
-                UndoOp::InsertBe(_, entry) => displaced.push(DisplacedApp::Be(entry)),
+                UndoOp::InsertBe(_, entry, _) => displaced.push(DisplacedApp::Be(entry)),
                 _ => {}
             }
         }
@@ -424,6 +426,55 @@ mod tests {
             batched.state_stats().solves,
             sequential.state_stats().solves
         );
+    }
+
+    /// Rolled-back probes restore the row prices with the rates — a
+    /// migration (whose lift drops the rows only the probed application
+    /// loaded), a submission and a capacity change — so the next solve
+    /// is bitwise that of a system that never probed.
+    #[test]
+    fn rolled_back_probes_leave_the_next_solve_bitwise_unchanged() {
+        let build = || {
+            let mut sys = SparcleSystem::new(star_network(0.0));
+            for (priority, cycles, bits) in
+                [(1.0, 10.0, 50.0), (2.0, 40.0, 300.0), (3.0, 15.0, 75.0)]
+            {
+                let app = simple_app(QoeClass::best_effort(priority), cycles, bits);
+                assert!(sys.submit(app).unwrap().is_admitted());
+            }
+            sys
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut probed, mut plain) = (build(), build());
+        let ids: Vec<_> = probed.be_apps().iter().map(|a| a.id).collect();
+        for id in ids {
+            let mut txn = probed.begin();
+            assert!(txn.migrate(id).is_some());
+            txn.rollback();
+        }
+        let mut txn = probed.begin();
+        let newcomer = simple_app(QoeClass::best_effort(4.0), 25.0, 200.0);
+        assert!(txn.submit(newcomer).unwrap().is_admitted());
+        txn.rollback();
+        // Halve every element the first application loads: its rows
+        // re-price.
+        let loaded = probed.be_apps()[0].combined_load.loaded_elements();
+        let mut shrunk = probed.state().current_capacities().clone();
+        for &e in &loaded {
+            shrunk.scale_element(e, 0.5);
+        }
+        let mut txn = probed.begin();
+        txn.change_capacities(&shrunk, &loaded).unwrap();
+        txn.rollback();
+
+        let duals = |sys: &SparcleSystem| bits(sys.state.constraints.duals());
+        assert_eq!(duals(&probed), duals(&plain), "prices restored");
+        let next = simple_app(QoeClass::best_effort(2.0), 30.0, 120.0);
+        probed.submit(next.clone()).unwrap();
+        plain.submit(next).unwrap();
+        let rates = |sys: &SparcleSystem| bits(&sys.state().snapshot_rates());
+        assert_eq!(rates(&probed), rates(&plain), "the next solve");
+        assert_eq!(duals(&probed), duals(&plain));
     }
 
     #[test]

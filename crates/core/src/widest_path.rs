@@ -48,7 +48,7 @@
 //! searches stay plain, and the core proptests prove the short-circuit
 //! against them.
 
-use sparcle_model::{CapacityMap, CsrNetwork, LinkId, LoadMap, NcpId};
+use sparcle_model::{CapacityMap, CsrNetwork, LinkId, LinkLoads, NcpId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -68,7 +68,12 @@ pub struct WidestPath {
 /// `C_l / (a_k + current load)`, or `f64::INFINITY` when the denominator
 /// is zero (a zero-bit TT on an unloaded link imposes no constraint).
 #[inline]
-pub fn link_width(capacities: &CapacityMap, load: &LoadMap, link: LinkId, tt_bits: f64) -> f64 {
+pub fn link_width<L: LinkLoads + ?Sized>(
+    capacities: &CapacityMap,
+    load: &L,
+    link: LinkId,
+    tt_bits: f64,
+) -> f64 {
     let denom = tt_bits + load.link(link);
     if denom <= 0.0 {
         f64::INFINITY
@@ -132,6 +137,16 @@ impl CsrWidestTree {
         tree
     }
 
+    /// Sizes every buffer for a sweep over `csr`, the queue for one
+    /// entry per node (the stub short-circuit keeps it far below that),
+    /// so the sweeps it runs make no allocator call — the parallel γ
+    /// evaluator sizes its workers' buffers on the calling thread this
+    /// way.
+    pub fn presize(&mut self, csr: &CsrNetwork) {
+        self.reset(csr.ncp_count());
+        self.queue.reserve(csr.ncp_count());
+    }
+
     /// Clears all buffers, resizing them to `n` nodes.
     fn reset(&mut self, n: usize) {
         self.phi.clear();
@@ -180,10 +195,10 @@ impl CsrWidestTree {
 
 /// [`csr_widest_path_with`] over freshly-allocated buffers; convenience
 /// for tests and one-shot callers.
-pub fn csr_widest_path(
+pub fn csr_widest_path<L: LinkLoads + ?Sized>(
     csr: &CsrNetwork,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     from: NcpId,
     to: NcpId,
@@ -221,11 +236,11 @@ pub fn csr_widest_path(
 /// let path = csr_widest_path(net.csr(), &caps, &load, 1.0, s, t).unwrap();
 /// assert_eq!((path.links.len(), path.width), (2, 80.0)); // the wide detour wins
 /// ```
-pub fn csr_widest_path_with(
+pub fn csr_widest_path_with<L: LinkLoads + ?Sized>(
     scratch: &mut CsrWidestTree,
     csr: &CsrNetwork,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     from: NcpId,
     to: NcpId,
@@ -292,11 +307,11 @@ pub fn csr_widest_path_with(
 /// undirected links the reversal is a no-op; for directed links it is
 /// what makes the sharing correct). Buffers are reused across calls;
 /// nothing is allocated once the tree has warmed up.
-pub fn csr_widest_tree(
+pub fn csr_widest_tree<L: LinkLoads + ?Sized>(
     csr: &CsrNetwork,
     tree: &mut CsrWidestTree,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     target: NcpId,
 ) {
@@ -332,7 +347,7 @@ pub fn csr_widest_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparcle_model::{Network, NetworkBuilder, ResourceVec};
+    use sparcle_model::{LoadMap, Network, NetworkBuilder, ResourceVec};
 
     fn diamond() -> Network {
         // s - a - t (widths 10, 10) and s - b - t (widths 4, 100).

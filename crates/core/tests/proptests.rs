@@ -328,7 +328,7 @@ proptest! {
         let host = NcpId::new(host % n);
         if let Some(gamma) = engine.gamma_batched(ct, host) {
             engine.commit(ct, host).expect("gamma says routable");
-            let rate_now = engine.capacities().bottleneck_rate(engine.load());
+            let rate_now = engine.capacities().bottleneck_rate(&engine.load().to_load_map());
             // γ can be optimistic when the two TTs contend for the same
             // link (eq. (2) evaluates each path in isolation), so the
             // committed rate never exceeds γ but may fall below it.

@@ -6,9 +6,15 @@
 //! vector `C`.
 //!
 //! [`CapacityMap`] holds the (possibly residual or predicted) capacities
-//! `C`; [`LoadMap`] holds the per-data-unit loads `R` contributed by one
-//! or more placements. Both are dense, indexed by [`NcpId`]/[`LinkId`],
-//! because every algorithm in SPARCLE touches most elements.
+//! `C`, dense and indexed by [`NcpId`]/[`LinkId`], because every
+//! algorithm in SPARCLE reads capacities all over the network.
+//! [`LoadMap`] holds the per-data-unit loads `R` contributed by one or
+//! more placements, compact: an application loads a few elements, and
+//! every admitted one keeps its loads for as long as it lives. While an
+//! application is being placed the engine accumulates into a
+//! [`DenseLoad`] instead, whose per-element lookups are O(1), and
+//! compacts it when the placement is done; [`LinkLoads`] lets the
+//! widest-path search read either.
 
 use crate::error::ModelError;
 use crate::ids::{LinkId, NcpId, NetworkElement};
@@ -101,45 +107,33 @@ impl CapacityMap {
         }
     }
 
-    /// Subtracts `rate × load` from every element — the residual update
-    /// applied between multi-path assignment iterations (§IV-D: after a
-    /// path with rate `r1` is found, the available capacity becomes
-    /// `C_j^(r) − r1 Σ y a^(r)`). Entries clamp at zero.
+    /// Subtracts `rate × load` from every element the load touches —
+    /// the residual update applied between multi-path assignment
+    /// iterations (§IV-D: after a path with rate `r1` is found, the
+    /// available capacity becomes `C_j^(r) − r1 Σ y a^(r)`). Entries
+    /// clamp at zero. An untouched element keeps its value, which is what
+    /// subtracting its zero load would leave on a non-negative capacity —
+    /// the delta op the incremental residual maintenance in
+    /// `sparcle-core` relies on.
     pub fn subtract_load(&mut self, load: &LoadMap, rate: f64) {
-        for (i, l) in load.ncps.iter().enumerate() {
-            self.ncps[i].sub_scaled(l, rate);
+        for (id, l) in &load.ncps {
+            self.ncps[id.index()].sub_scaled(l, rate);
         }
-        for (i, &bits) in load.links.iter().enumerate() {
+        for &(id, bits) in &load.links {
+            let i = id.index();
             self.links[i] = (self.links[i] - bits * rate).max(0.0);
         }
     }
 
-    /// Adds `rate × load` back to every element (undoing
-    /// [`Self::subtract_load`], e.g. when an application departs).
+    /// Adds `rate × load` back to every element the load touches
+    /// (undoing [`Self::subtract_load`], e.g. when an application
+    /// departs).
     pub fn add_load(&mut self, load: &LoadMap, rate: f64) {
-        for (i, l) in load.ncps.iter().enumerate() {
-            self.ncps[i].add_vec(&l.scaled(rate));
+        for (id, l) in &load.ncps {
+            self.ncps[id.index()].add_vec(&l.scaled(rate));
         }
-        for (i, &bits) in load.links.iter().enumerate() {
-            self.links[i] += bits * rate;
-        }
-    }
-
-    /// Like [`Self::subtract_load`] but skips elements the load leaves
-    /// untouched. For non-negative capacities a zero-amount subtraction
-    /// is the identity, so the result is **bitwise identical** to the
-    /// dense subtraction — this is the delta op the incremental residual
-    /// maintenance in `sparcle-core` relies on.
-    pub fn subtract_load_sparse(&mut self, load: &LoadMap, rate: f64) {
-        for (i, l) in load.ncps.iter().enumerate() {
-            if !l.is_zero() {
-                self.ncps[i].sub_scaled(l, rate);
-            }
-        }
-        for (i, &bits) in load.links.iter().enumerate() {
-            if bits != 0.0 {
-                self.links[i] = (self.links[i] - bits * rate).max(0.0);
-            }
+        for &(id, bits) in &load.links {
+            self.links[id.index()] += bits * rate;
         }
     }
 
@@ -155,7 +149,7 @@ impl CapacityMap {
             }
             NetworkElement::Link(id) => {
                 let i = id.index();
-                self.links[i] = (self.links[i] - load.links[i] * rate).max(0.0);
+                self.links[i] = (self.links[i] - load.link(id) * rate).max(0.0);
             }
         }
     }
@@ -273,14 +267,14 @@ impl CapacityMap {
     /// constraint).
     pub fn bottleneck_rate(&self, load: &LoadMap) -> f64 {
         let mut rate = f64::INFINITY;
-        for (i, l) in load.ncps.iter().enumerate() {
-            if let Some(r) = self.ncps[i].rate_supported(l) {
+        for (id, l) in &load.ncps {
+            if let Some(r) = self.ncps[id.index()].rate_supported(l) {
                 rate = rate.min(r);
             }
         }
-        for (i, &bits) in load.links.iter().enumerate() {
+        for &(id, bits) in &load.links {
             if bits > 0.0 {
-                rate = rate.min(self.links[i] / bits);
+                rate = rate.min(self.links[id.index()] / bits);
             }
         }
         rate
@@ -316,22 +310,23 @@ impl CapacityMap {
     /// elements; `0.0` for unloaded ones). Returned in NCPs-then-links
     /// order, aligned with [`Network::elements`](crate::Network::elements).
     pub fn utilization(&self, load: &LoadMap, rate: f64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.ncps.len() + self.links.len());
-        for (i, l) in load.ncps.iter().enumerate() {
-            out.push(match self.ncps[i].rate_supported(l) {
+        let mut out = vec![0.0; self.ncps.len() + self.links.len()];
+        for (id, l) in &load.ncps {
+            out[id.index()] = match self.ncps[id.index()].rate_supported(l) {
                 Some(max) if max > 0.0 => rate / max,
                 Some(_) => f64::INFINITY,
                 None => 0.0,
-            });
+            };
         }
-        for (i, &bits) in load.links.iter().enumerate() {
-            out.push(if bits <= 0.0 {
+        for &(id, bits) in &load.links {
+            let i = id.index();
+            out[self.ncps.len() + i] = if bits <= 0.0 {
                 0.0
             } else if self.links[i] > 0.0 {
                 rate * bits / self.links[i]
             } else {
                 f64::INFINITY
-            });
+            };
         }
         out
     }
@@ -340,18 +335,18 @@ impl CapacityMap {
     /// element carries load.
     pub fn bottleneck_element(&self, load: &LoadMap) -> Option<(NetworkElement, f64)> {
         let mut best: Option<(NetworkElement, f64)> = None;
-        for (i, l) in load.ncps.iter().enumerate() {
-            if let Some(r) = self.ncps[i].rate_supported(l) {
+        for (id, l) in &load.ncps {
+            if let Some(r) = self.ncps[id.index()].rate_supported(l) {
                 if best.is_none_or(|(_, b)| r < b) {
-                    best = Some((NetworkElement::Ncp(NcpId::new(i as u32)), r));
+                    best = Some((NetworkElement::Ncp(*id), r));
                 }
             }
         }
-        for (i, &bits) in load.links.iter().enumerate() {
+        for &(id, bits) in &load.links {
             if bits > 0.0 {
-                let r = self.links[i] / bits;
+                let r = self.links[id.index()] / bits;
                 if best.is_none_or(|(_, b)| r < b) {
-                    best = Some((NetworkElement::Link(LinkId::new(i as u32)), r));
+                    best = Some((NetworkElement::Link(id), r));
                 }
             }
         }
@@ -359,27 +354,57 @@ impl CapacityMap {
     }
 }
 
-/// Per-element, per-data-unit loads `R` contributed by placed tasks.
+/// The placeholder [`LoadMap::ncp`] hands out for an unloaded NCP.
+static NO_LOAD: ResourceVec = ResourceVec::new();
+
+/// Per-element, per-data-unit loads `R` contributed by placed tasks,
+/// stored compactly: only the loaded elements, sorted by id, next to the
+/// network's shape as two counts. An application loads a handful of the
+/// network's elements, and every admitted one keeps its loads for life.
+///
+/// An NCP is stored iff its load vector has a kind (zero amounts
+/// included, as a dense map would hold them), a link iff its bits are
+/// non-zero; every accessor answers for an unstored element exactly what
+/// a dense map would hold there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadMap {
-    ncps: Vec<ResourceVec>,
-    links: Vec<f64>,
+    ncps: Vec<(NcpId, ResourceVec)>,
+    links: Vec<(LinkId, f64)>,
+    ncp_count: usize,
+    link_count: usize,
 }
 
 impl LoadMap {
     /// An empty load map shaped like `network`.
     pub fn zeroed(network: &Network) -> Self {
         LoadMap {
-            ncps: vec![ResourceVec::new(); network.ncp_count()],
-            links: vec![0.0; network.link_count()],
+            ncps: Vec::new(),
+            links: Vec::new(),
+            ncp_count: network.ncp_count(),
+            link_count: network.link_count(),
         }
     }
 
-    /// An empty load map with explicit dimensions.
-    pub fn with_shape(ncp_count: usize, link_count: usize) -> Self {
-        LoadMap {
-            ncps: vec![ResourceVec::new(); ncp_count],
-            links: vec![0.0; link_count],
+    /// The stored load vector of `ncp`, inserted empty if absent.
+    fn ncp_entry(&mut self, ncp: NcpId) -> &mut ResourceVec {
+        assert!(ncp.index() < self.ncp_count, "{ncp:?} out of range");
+        let at = match self.ncps.binary_search_by_key(&ncp, |e| e.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.ncps.insert(at, (ncp, ResourceVec::new()));
+                at
+            }
+        };
+        &mut self.ncps[at].1
+    }
+
+    /// Adds `bits` onto `link`'s stored bits (`0.0` if absent).
+    fn add_link_bits(&mut self, link: LinkId, bits: f64) {
+        assert!(link.index() < self.link_count, "{link:?} out of range");
+        match self.links.binary_search_by_key(&link, |e| e.0) {
+            Ok(at) => self.links[at].1 += bits,
+            Err(at) if bits != 0.0 => self.links.insert(at, (link, bits)),
+            Err(_) => {}
         }
     }
 
@@ -389,7 +414,9 @@ impl LoadMap {
     ///
     /// Panics if `ncp` is out of range.
     pub fn add_ct_load(&mut self, ncp: NcpId, requirement: &ResourceVec) {
-        self.ncps[ncp.index()].add_vec(requirement);
+        if !requirement.is_empty() {
+            self.ncp_entry(ncp).add_vec(requirement);
+        }
     }
 
     /// Adds a TT's per-data-unit bits onto a link it traverses.
@@ -398,17 +425,23 @@ impl LoadMap {
     ///
     /// Panics if `link` is out of range.
     pub fn add_tt_load(&mut self, link: LinkId, bits_per_unit: f64) {
-        self.links[link.index()] += bits_per_unit;
+        self.add_link_bits(link, bits_per_unit);
     }
 
     /// Load vector on an NCP.
     pub fn ncp(&self, id: NcpId) -> &ResourceVec {
-        &self.ncps[id.index()]
+        match self.ncps.binary_search_by_key(&id, |e| e.0) {
+            Ok(at) => &self.ncps[at].1,
+            Err(_) => &NO_LOAD,
+        }
     }
 
     /// Bits per data unit on a link.
     pub fn link(&self, id: LinkId) -> f64 {
-        self.links[id.index()]
+        match self.links.binary_search_by_key(&id, |e| e.0) {
+            Ok(at) => self.links[at].1,
+            Err(_) => 0.0,
+        }
     }
 
     /// Load of an arbitrary element as a [`ResourceVec`].
@@ -426,24 +459,24 @@ impl LoadMap {
     ///
     /// Panics if the shapes differ.
     pub fn merge_scaled(&mut self, other: &LoadMap, scale: f64) {
-        assert_eq!(self.ncps.len(), other.ncps.len(), "NCP shape mismatch");
-        assert_eq!(self.links.len(), other.links.len(), "link shape mismatch");
-        for (i, l) in other.ncps.iter().enumerate() {
-            self.ncps[i].add_vec(&l.scaled(scale));
+        assert_eq!(self.ncp_count, other.ncp_count, "NCP shape mismatch");
+        assert_eq!(self.link_count, other.link_count, "link shape mismatch");
+        for (id, l) in &other.ncps {
+            self.ncp_entry(*id).add_vec(&l.scaled(scale));
         }
-        for (i, &bits) in other.links.iter().enumerate() {
-            self.links[i] += bits * scale;
+        for &(id, bits) in &other.links {
+            self.add_link_bits(id, bits * scale);
         }
     }
 
     /// Number of NCP entries.
     pub fn ncp_count(&self) -> usize {
-        self.ncps.len()
+        self.ncp_count
     }
 
     /// Number of link entries.
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.link_count
     }
 
     /// Strictly positive `(element, kind, amount)` entries in
@@ -453,57 +486,126 @@ impl LoadMap {
     pub fn positive_entries(
         &self,
     ) -> impl Iterator<Item = (NetworkElement, ResourceKind, f64)> + '_ {
-        let ncps = self.ncps.iter().enumerate().flat_map(|(i, v)| {
+        let ncps = self.ncps.iter().flat_map(|(id, v)| {
             v.iter()
                 .filter(|&(_, a)| a > 0.0)
-                .map(move |(kind, a)| (NetworkElement::Ncp(NcpId::new(i as u32)), kind, a))
+                .map(move |(kind, a)| (NetworkElement::Ncp(*id), kind, a))
         });
-        let links = self
-            .links
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b > 0.0)
-            .map(|(i, &b)| {
-                (
-                    NetworkElement::Link(LinkId::new(i as u32)),
-                    ResourceKind::Bandwidth,
-                    b,
-                )
-            });
+        let links = (self.links.iter())
+            .filter(|&&(_, b)| b > 0.0)
+            .map(|&(id, b)| (NetworkElement::Link(id), ResourceKind::Bandwidth, b));
         ncps.chain(links)
     }
 
     /// Elements carrying non-zero load, in NCPs-then-links order.
     pub fn loaded_elements(&self) -> Vec<NetworkElement> {
-        let mut out = Vec::new();
-        for (i, l) in self.ncps.iter().enumerate() {
-            if !l.is_zero() {
-                out.push(NetworkElement::Ncp(NcpId::new(i as u32)));
-            }
-        }
-        for (i, &bits) in self.links.iter().enumerate() {
-            if bits > 0.0 {
-                out.push(NetworkElement::Link(LinkId::new(i as u32)));
-            }
-        }
-        out
+        let ncps = (self.ncps.iter())
+            .filter(|(_, l)| !l.is_zero())
+            .map(|&(id, _)| NetworkElement::Ncp(id));
+        let links = (self.links.iter())
+            .filter(|&&(_, bits)| bits > 0.0)
+            .map(|&(id, _)| NetworkElement::Link(id));
+        ncps.chain(links).collect()
     }
 
     /// Returns `true` if nothing is loaded.
     pub fn is_zero(&self) -> bool {
-        self.ncps.iter().all(ResourceVec::is_zero) && self.links.iter().all(|&b| b == 0.0)
+        self.ncps.iter().all(|(_, l)| l.is_zero()) && self.links.iter().all(|&(_, b)| b == 0.0)
+    }
+}
+
+/// The dense working form of a [`LoadMap`]: one entry per element, so
+/// the placement engine's inner loops (a host's load per candidate, a
+/// link's bits per arc) look a load up in O(1) while an application is
+/// being placed. [`Self::to_load_map`] compacts it once the placement is
+/// done; the per-element arithmetic is the same in both forms.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DenseLoad {
+    ncps: Vec<ResourceVec>,
+    links: Vec<f64>,
+}
+
+impl DenseLoad {
+    /// An empty load shaped like `network`.
+    pub fn zeroed(network: &Network) -> Self {
+        DenseLoad {
+            ncps: vec![ResourceVec::new(); network.ncp_count()],
+            links: vec![0.0; network.link_count()],
+        }
     }
 
-    /// Total CPU cycles per data unit across all NCPs (used by the energy
-    /// model).
-    pub fn total_cpu_load(&self) -> f64 {
-        self.ncps.iter().map(|v| v.amount(ResourceKind::Cpu)).sum()
+    /// As [`LoadMap::add_ct_load`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ncp` is out of range.
+    pub fn add_ct_load(&mut self, ncp: NcpId, requirement: &ResourceVec) {
+        self.ncps[ncp.index()].add_vec(requirement);
     }
 
-    /// Total bits per data unit across all links (used by the energy
-    /// model).
-    pub fn total_link_bits(&self) -> f64 {
-        self.links.iter().sum()
+    /// As [`LoadMap::add_tt_load`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range.
+    pub fn add_tt_load(&mut self, link: LinkId, bits_per_unit: f64) {
+        self.links[link.index()] += bits_per_unit;
+    }
+
+    /// Load vector on an NCP.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn ncp(&self, id: NcpId) -> &ResourceVec {
+        &self.ncps[id.index()]
+    }
+
+    /// Bits per data unit on a link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn link(&self, id: LinkId) -> f64 {
+        self.links[id.index()]
+    }
+
+    /// The compact [`LoadMap`] holding the same loads.
+    pub fn to_load_map(&self) -> LoadMap {
+        let ids = (0u32..).map(NcpId::new);
+        let ncps = (ids.zip(&self.ncps))
+            .filter(|(_, l)| !l.is_empty())
+            .map(|(id, l)| (id, l.clone()));
+        let ids = (0u32..).map(LinkId::new);
+        let links = (ids.zip(&self.links))
+            .filter(|&(_, &bits)| bits != 0.0)
+            .map(|(id, &bits)| (id, bits));
+        LoadMap {
+            ncps: ncps.collect(),
+            links: links.collect(),
+            ncp_count: self.ncps.len(),
+            link_count: self.links.len(),
+        }
+    }
+}
+
+/// Read access to the bits per data unit a load puts on each link —
+/// all the widest-path search reads of it, once per arc — so the search
+/// runs over the engine's [`DenseLoad`] and a stored [`LoadMap`] alike.
+pub trait LinkLoads {
+    /// Bits per data unit on `id`.
+    fn link(&self, id: LinkId) -> f64;
+}
+
+impl LinkLoads for LoadMap {
+    fn link(&self, id: LinkId) -> f64 {
+        LoadMap::link(self, id)
+    }
+}
+
+impl LinkLoads for DenseLoad {
+    fn link(&self, id: LinkId) -> f64 {
+        DenseLoad::link(self, id)
     }
 }
 
@@ -577,6 +679,27 @@ mod tests {
         assert_eq!(cap.link(LinkId::new(0)), 0.0);
     }
 
+    /// The compact map and the dense working form hold the same loads,
+    /// and an unstored element reads as the dense map's zero.
+    #[test]
+    fn dense_load_compacts_to_the_same_map() {
+        let net = net2();
+        let mut dense = DenseLoad::zeroed(&net);
+        let mut sparse = LoadMap::zeroed(&net);
+        dense.add_ct_load(NcpId::new(1), &ResourceVec::cpu(4.0));
+        dense.add_ct_load(NcpId::new(0), &ResourceVec::new());
+        dense.add_tt_load(LinkId::new(0), 8.0);
+        sparse.add_tt_load(LinkId::new(0), 8.0);
+        sparse.add_ct_load(NcpId::new(0), &ResourceVec::new());
+        sparse.add_ct_load(NcpId::new(1), &ResourceVec::cpu(4.0));
+        assert_eq!(dense.to_load_map(), sparse);
+        assert!(sparse.ncp(NcpId::new(0)).is_empty());
+        assert_eq!(sparse.ncp(NcpId::new(1)), dense.ncp(NcpId::new(1)));
+        assert_eq!(LinkLoads::link(&sparse, LinkId::new(0)), 8.0);
+        assert_eq!(sparse.loaded_elements().len(), 2);
+        assert!(LoadMap::zeroed(&net).is_zero());
+    }
+
     #[test]
     fn scale_element_for_prediction() {
         let net = net2();
@@ -617,17 +740,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_delta_ops_match_dense_subtraction_bitwise() {
+    fn per_element_replay_matches_the_whole_subtraction_bitwise() {
         let net = net2();
         let mut load = LoadMap::zeroed(&net);
         load.add_ct_load(NcpId::new(0), &ResourceVec::cpu(7.3));
         load.add_tt_load(LinkId::new(0), 11.1);
 
         let mut dense = CapacityMap::full(&net);
-        let mut sparse = CapacityMap::full(&net);
         dense.subtract_load(&load, 1.7);
-        sparse.subtract_load_sparse(&load, 1.7);
-        assert_eq!(dense, sparse);
 
         // Per-element replay over every element reproduces the dense fold.
         let mut replayed = CapacityMap::full(&net);
@@ -742,16 +862,5 @@ mod tests {
         );
         assert_eq!(load.ncp_count(), 2);
         assert_eq!(load.link_count(), 1);
-    }
-
-    #[test]
-    fn totals_for_energy_model() {
-        let net = net2();
-        let mut load = LoadMap::zeroed(&net);
-        load.add_ct_load(NcpId::new(0), &ResourceVec::cpu(3.0));
-        load.add_ct_load(NcpId::new(1), &ResourceVec::cpu(4.0));
-        load.add_tt_load(LinkId::new(0), 9.0);
-        assert_eq!(load.total_cpu_load(), 7.0);
-        assert_eq!(load.total_link_bits(), 9.0);
     }
 }

@@ -11,7 +11,8 @@
 //!   links, each with capacities and failure probabilities;
 //! * [`Placement`] — one *task assignment path*: CT → NCP hosts and
 //!   TT → link routes, with bottleneck-rate scoring and validation;
-//! * [`CapacityMap`] / [`LoadMap`] — the capacity vector `C` and load
+//! * [`CapacityMap`] / [`LoadMap`] (and its dense working form
+//!   [`DenseLoad`]) — the capacity vector `C` and load
 //!   vector `R` of the paper's rate constraint `R x ≤ C`;
 //! * [`Application`] — a task graph plus QoE class (Best-Effort or
 //!   Guaranteed-Rate) and source/sink pinning.
@@ -66,7 +67,7 @@ pub mod resources;
 pub mod taskgraph;
 
 pub use app::{Application, QoeClass};
-pub use capacity::{CapacityMap, LoadMap};
+pub use capacity::{CapacityMap, DenseLoad, LinkLoads, LoadMap};
 pub use csr::CsrNetwork;
 pub use error::{ModelError, RouteError};
 pub use ids::{AppId, CtId, LinkId, NcpId, NetworkElement, TtId};

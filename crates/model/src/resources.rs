@@ -73,8 +73,10 @@ pub struct ResourceVec {
 
 impl ResourceVec {
     /// Creates an empty resource vector (all quantities zero).
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        ResourceVec {
+            entries: Vec::new(),
+        }
     }
 
     /// Creates a vector with a single CPU entry.
@@ -219,6 +221,11 @@ impl ResourceVec {
     /// Returns the set of kinds present in this vector.
     pub fn kinds(&self) -> impl Iterator<Item = ResourceKind> + '_ {
         self.entries.iter().map(|e| e.0)
+    }
+
+    /// Returns `true` if no kind is present, not even at a zero amount.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// Returns `true` if no kind is present (or all amounts are zero).

@@ -11,7 +11,7 @@
 use crate::widest_path::{widest_path, widest_path_with, DijkstraScratch};
 use sparcle_core::{AssignError, AssignedPath, PlacementEngine};
 use sparcle_model::{
-    Application, CapacityMap, CtId, LoadMap, NcpId, Network, Placement, TaskGraph, TtId,
+    Application, CapacityMap, CtId, DenseLoad, NcpId, Network, Placement, TaskGraph, TtId,
 };
 
 /// The paper's `γ_{i,j}` (eq. (2)) straight off the definition: the
@@ -65,7 +65,7 @@ struct Mirror<'a> {
     network: &'a Network,
     capacities: &'a CapacityMap,
     placement: Placement,
-    load: LoadMap,
+    load: DenseLoad,
     route: DijkstraScratch,
 }
 
@@ -144,7 +144,7 @@ pub fn assign_reference(
         network,
         capacities,
         placement: Placement::empty(app.graph()),
-        load: LoadMap::zeroed(network),
+        load: DenseLoad::zeroed(network),
         route: DijkstraScratch::default(),
     };
     let pinned = app

@@ -6,7 +6,7 @@
 //! the same `φ`, parent links and routes bit for bit.
 
 use sparcle_core::widest_path::{link_width, WidestPath};
-use sparcle_model::{CapacityMap, LinkId, LoadMap, NcpId, Network};
+use sparcle_model::{CapacityMap, LinkId, LinkLoads, NcpId, Network};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -43,10 +43,10 @@ impl PartialOrd for Candidate {
 /// Returns `None` when no path exists (topologically disconnected — a
 /// zero-width path is still returned, since a zero rate may be the best
 /// achievable). `from == to` yields the empty path with infinite width.
-pub fn widest_path(
+pub fn widest_path<L: LinkLoads + ?Sized>(
     network: &Network,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     from: NcpId,
     to: NcpId,
@@ -61,11 +61,11 @@ pub fn widest_path(
 ///
 /// The algorithm, tie-breaking, and returned value are identical to
 /// [`widest_path`] — that function is a thin wrapper over this one.
-pub fn widest_path_with(
+pub fn widest_path_with<L: LinkLoads + ?Sized>(
     scratch: &mut DijkstraScratch,
     network: &Network,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     from: NcpId,
     to: NcpId,
@@ -236,11 +236,11 @@ impl WidestTree {
 /// `target`, filling `tree` with `φ[j] =` widest `j → target` width for
 /// every node `j`, plus the witness tree. Buffers are reused across
 /// calls; nothing is allocated once the tree has warmed up.
-pub fn widest_tree(
+pub fn widest_tree<L: LinkLoads + ?Sized>(
     rev: &ReverseAdjacency,
     tree: &mut WidestTree,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     target: NcpId,
 ) {
@@ -281,10 +281,10 @@ pub fn widest_tree(
 
 /// Brute-force widest path by exhaustive DFS over simple paths. Only for
 /// verification on small networks (exponential time).
-pub fn widest_path_brute_force(
+pub fn widest_path_brute_force<L: LinkLoads + ?Sized>(
     network: &Network,
     capacities: &CapacityMap,
-    load: &LoadMap,
+    load: &L,
     tt_bits: f64,
     from: NcpId,
     to: NcpId,
@@ -296,10 +296,10 @@ pub fn widest_path_brute_force(
         });
     }
     #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    fn dfs<L: LinkLoads + ?Sized>(
         network: &Network,
         capacities: &CapacityMap,
-        load: &LoadMap,
+        load: &L,
         tt_bits: f64,
         at: NcpId,
         to: NcpId,

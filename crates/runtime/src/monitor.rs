@@ -76,7 +76,7 @@ impl Default for AlertRules {
     fn default() -> Self {
         AlertRules {
             slo_violation_budget: 0.05,
-            warm_iters_ceiling: 250.0,
+            warm_iters_ceiling: 25.0,
             min_solves: 5,
         }
     }
@@ -585,17 +585,17 @@ mod tests {
         let mut m = Monitor::new(MonitorConfig::default());
         let mut input = quiet_input();
         input.solves = 10;
-        input.warm_inner_iters = 500; // 50 iters/solve: healthy
+        input.warm_inner_iters = 50; // 5 iters/solve: healthy
         let s = m.tick(5.0, &input);
         assert!(s.transitions.is_empty());
         input.solves = 20;
-        // 600-iters/solve burst: the window now averages
-        // (500 + 6000) / 20 = 325 iters/solve, past the 250 ceiling.
-        input.warm_inner_iters = 500 + 10 * 600;
+        // 60-iters/solve burst: the window now averages
+        // (50 + 600) / 20 = 32.5 iters/solve, past the 25 ceiling.
+        input.warm_inner_iters = 50 + 10 * 60;
         let s = m.tick(10.0, &input);
         assert_eq!(s.transitions.len(), 1);
         assert_eq!(s.transitions[0].rule, "solver_iteration_blowup");
-        assert!(s.snapshot.warm_iters_per_solve > 300.0);
+        assert!(s.snapshot.warm_iters_per_solve > 30.0);
     }
 
     #[test]

@@ -66,6 +66,11 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             }
         }
         candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        if !candidates.is_empty() {
+            // A move may commit: integrate the ledger up to now on the
+            // pre-move state.
+            self.accrue(t);
+        }
         // Commit phase: re-validate each selected move on the current
         // (post-earlier-commits) state, under the epoch budget.
         let mut moves = 0u64;

@@ -325,7 +325,13 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             if t > self.config.horizon {
                 break;
             }
-            self.accrue(t);
+            // A defrag tick accrues only once its pass may commit a move
+            // (`on_defrag_tick`): a rollback-only pass changes no state,
+            // and splitting the ledger's interval at it would move the
+            // integrals' rounding, not their value.
+            if !matches!(event, ChurnEvent::DefragTick) {
+                self.accrue(t);
+            }
             self.events_processed += 1;
             trace.counter("runtime.events", 1);
             match event {

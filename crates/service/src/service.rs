@@ -107,12 +107,14 @@ impl ServiceStats {
 }
 
 /// Sim-seconds the writer is held per Newton step of a BE solve (warm
-/// or cold) and per widest-path tree sweep (a γ-cache miss). Fitted once
-/// from one traced `service_burst` benchmark run (seed 1, 20 s) at commit
-/// ea81867 on a 2-vCPU Intel Xeon Linux container: `alloc.num.solve_ms_p50`
-/// 5.840 ms ÷ `alloc.num.warm_iters_per_solve` 47.51 = 0.123 ms per step,
-/// and `core.widest_path.tree_us_p50` 15.35 µs per sweep.
-const STEP_S: f64 = 1.23e-4;
+/// or cold, barrier or dual phase) and per widest-path tree sweep (a
+/// γ-cache miss). Fitted from traced `service_burst` benchmark runs
+/// (seed 1, 20 s) on a 2-vCPU Intel Xeon Linux container: per step,
+/// `alloc.num.solve_ms_p50` 0.1427 ms ÷ `alloc.num.warm_iters_per_solve`
+/// 5.395 = 26.4 µs, once the active-set dual phase replaced the warm
+/// barrier tail; per sweep, `core.widest_path.tree_us_p50` 15.35 µs at
+/// commit ea81867.
+const STEP_S: f64 = 2.64e-5;
 const SWEEP_S: f64 = 1.54e-5;
 
 /// Sim-seconds of writer time for the work the state core counted

@@ -66,8 +66,8 @@ fn fig6_placement() {
 
 /// Incremental-state solver cut: the `churn` experiment's determinism
 /// timeline (high-rate Poisson arrivals, flaky links, fast capacity
-/// fluctuation). Newton steps per warm solve pin the warm-start
-/// schedule itself.
+/// fluctuation). Newton steps per warm solve pin the dual phase's warm
+/// start from the last prices.
 #[test]
 fn churn_solver() {
     let config = RuntimeConfig {
@@ -90,8 +90,8 @@ fn churn_solver() {
     let mut rt = SparcleRuntime::new(network(0.08), arrivals, churn_app, config);
     rt.run();
     let (iters, solves) = warm_iters(rt.system().state_stats());
-    assert_eq!((iters, solves), (247_374, 4_748));
-    assert_eq!(iters as f64 / solves as f64, 52.10067396798652);
+    assert_eq!((iters, solves), (23_730, 4_785));
+    assert_eq!(iters as f64 / solves as f64, 4.959247648902822);
 }
 
 /// Admission-service cut: a flash-crowd request stream (every 8th
@@ -121,8 +121,8 @@ fn service_admission() {
     let mut service = AdmissionService::new(network(0.05), config, churn_app);
     service.run(requests);
     let (iters, solves) = warm_iters(service.system().state_stats());
-    assert_eq!((iters, solves), (3_908, 60));
-    assert_eq!(iters as f64 / solves as f64, 65.13333333333334);
+    assert_eq!((iters, solves), (328, 60));
+    assert_eq!(iters as f64 / solves as f64, 5.466666666666667);
     assert_eq!(
         1000.0 * service.decision_wait_quantile(0.99),
         494.04178376576624
@@ -151,5 +151,5 @@ fn churn_defrag_delivered(defrag: bool) -> f64 {
 #[test]
 fn churn_defrag() {
     let uplift = churn_defrag_delivered(true) / churn_defrag_delivered(false);
-    assert_eq!(uplift, 1.0958428952087576);
+    assert_eq!(uplift, 1.091870572504986);
 }

@@ -22,6 +22,31 @@ fn scenario_grid() -> Vec<(String, Scenario)> {
     common::scenario_grid(0x5bac1e)
 }
 
+/// One scenario per task-graph family on a 60-NCP fully connected
+/// network (1,830 elements a sweep): rounds there miss enough trees for
+/// the evaluator to start a second worker, which the 10-NCP grid's
+/// rounds never do.
+fn wide_scenarios() -> Vec<(String, Scenario)> {
+    use rand::{rngs::StdRng, SeedableRng};
+    use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind};
+    let graphs = [
+        GraphKind::Linear { stages: 5 },
+        GraphKind::Diamond,
+        GraphKind::Random { cts: 7 },
+    ];
+    (graphs.into_iter().zip(1u64..))
+        .map(|(graph, seed)| {
+            let case = BottleneckCase::SINGLE_RESOURCE[0];
+            let mut cfg = ScenarioConfig::new(case, graph, TopologyKind::FullyConnected);
+            cfg.ncps = 60;
+            let scenario = cfg
+                .sample(&mut StdRng::seed_from_u64(seed))
+                .expect("valid scenario config");
+            (format!("{case}/{graph}/wide/seed{seed}"), scenario)
+        })
+        .collect()
+}
+
 #[test]
 fn cached_engine_matches_reference_at_every_thread_count() {
     let mut compared = 0;
@@ -80,13 +105,15 @@ fn default_assigner_is_cached_and_equivalent() {
 /// always-compiled work counters — tree-store hits and misses, which
 /// therefore cannot depend on who computed what — and a store that
 /// passes the engine's from-scratch audit after every round and commit.
-/// The grid must actually reach the stolen path (a round missing two or
-/// more distinct trees) and the sharing path.
+/// The scenarios must actually reach the stolen path (a round whose
+/// missing trees sweep 8,192 or more network elements: two workers'
+/// worth, `MIN_WORKER_SWEEP` each) and the sharing path.
 #[test]
 fn tree_level_work_stealing_is_thread_count_independent() {
     use sparcle_core::PlacementEngine;
     let (mut shared, mut stolen) = (0, 0);
-    for (label, scenario) in scenario_grid().into_iter().step_by(2) {
+    let scenarios = scenario_grid().into_iter().step_by(2);
+    for (label, scenario) in scenarios.chain(wide_scenarios()) {
         let caps = scenario.network.capacity_map();
         let drive = |threads: usize| {
             let mut engine = PlacementEngine::new(&scenario.app, &scenario.network, &caps)
@@ -121,10 +148,11 @@ fn tree_level_work_stealing_is_thread_count_independent() {
             );
         }
         shared += u64::from(stats_1.cache_hits > 0);
-        stolen += u64::from(widest_round >= 2);
+        let sweep_size = scenario.network.ncp_count() + scenario.network.link_count();
+        stolen += u64::from(widest_round as usize * sweep_size >= 2 * 4096);
     }
     assert!(shared > 0, "no scenario ever reused a stored tree");
-    assert!(stolen > 0, "no round ever had two trees to steal");
+    assert!(stolen > 0, "no round ever had two workers' trees to steal");
 }
 
 /// The telemetry stream obeys the same contract as the placements: the

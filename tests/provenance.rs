@@ -86,7 +86,7 @@ fn runtime_events(threads: usize, failure_seed: u64, arrival_seed: u64) -> Colle
 /// sheds.
 fn service_events(threads: usize, stream_seed: u64) -> CollectRecorder {
     let config = ServiceConfig {
-        batch_window: 0.0001,
+        batch_window: 0.00002,
         queue_capacity: 16,
         max_defer_windows: 1,
         system: SystemConfig {
@@ -97,9 +97,9 @@ fn service_events(threads: usize, stream_seed: u64) -> CollectRecorder {
     let stream = RequestStream::new(
         ArrivalTrace::FlashCrowd {
             rate: 1.0,
-            burst_rate: 100.0,
+            burst_rate: 1000.0,
             burst_start: 10.0,
-            burst_end: 14.0,
+            burst_end: 10.5,
         },
         30.0,
         stream_seed,
