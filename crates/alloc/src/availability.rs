@@ -114,11 +114,6 @@ impl PathAvailability {
         Self::default()
     }
 
-    /// Number of paths added so far.
-    pub fn path_count(&self) -> usize {
-        self.masks.len()
-    }
-
     /// Rates of the added paths, in insertion order.
     pub fn rates(&self) -> &[f64] {
         &self.rates
@@ -337,22 +332,6 @@ impl PathAvailability {
         Ok(total.clamp(0.0, 1.0))
     }
 
-    /// The subsets of paths whose rates sum to at least `min_rate` — the
-    /// subset-sum step of §IV-D, exposed for inspection. Each entry is a
-    /// bitmask over path indices.
-    pub fn sufficient_subsets(&self, min_rate: f64) -> Vec<u32> {
-        let n = self.masks.len().min(31);
-        (0u32..(1u32 << n))
-            .filter(|subset| {
-                let rate: f64 = (0..n)
-                    .filter(|&k| subset & (1 << k) != 0)
-                    .map(|k| self.rates[k])
-                    .sum();
-                rate + 1e-12 >= min_rate
-            })
-            .collect()
-    }
-
     /// Monte-Carlo estimate of [`Self::any_working`], sampling element
     /// failures independently. Deterministic for a fixed `seed`.
     pub fn monte_carlo_any(&self, samples: usize, seed: u64) -> f64 {
@@ -481,14 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn sufficient_subsets_enumerates_masks() {
-        let pa = two_disjoint();
-        let subsets = pa.sufficient_subsets(2.0);
-        assert_eq!(subsets, vec![0b01, 0b11]);
-        assert_eq!(pa.sufficient_subsets(0.0).len(), 4);
-    }
-
-    #[test]
     fn monte_carlo_agrees_with_exact() {
         let mut pa = PathAvailability::new();
         pa.add_path_raw(vec![(0, 0.1), (1, 0.2), (2, 0.05)], 2.0)
@@ -514,7 +485,7 @@ mod tests {
         let pa = PathAvailability::new();
         assert_eq!(pa.any_working().unwrap(), 0.0);
         assert_eq!(pa.monte_carlo_any(100, 1), 0.0);
-        assert_eq!(pa.path_count(), 0);
+        assert!(pa.rates().is_empty());
     }
 
     #[test]
@@ -543,8 +514,6 @@ mod tests {
         pa.add_path_raw(vec![(0, 0.05), (1, 0.05)], 2.67).unwrap();
         pa.add_path_raw(vec![(2, 0.05), (3, 0.05)], 1.2).unwrap();
         pa.add_path_raw(vec![(4, 0.05), (5, 0.05)], 0.42).unwrap();
-        let subsets = pa.sufficient_subsets(2.7);
-        assert_eq!(subsets, vec![0b011, 0b101, 0b111]);
         let p = 0.95f64 * 0.95; // per-path availability
         let expect = p * (1.0 - (1.0 - p) * (1.0 - p)); // path0 and (1 or 2)
         assert!((pa.min_rate(2.7).unwrap() - expect).abs() < 1e-12);

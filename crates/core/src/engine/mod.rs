@@ -117,10 +117,9 @@ use crate::error::AssignError;
 use crate::trace::TraceHandle;
 use crate::widest_path::CsrWidestTree;
 use sparcle_model::{
-    Application, CapacityMap, CsrNetwork, CtId, DenseLoad, LoadMap, NcpId, Network, Placement,
-    ReachScratch, ReachablePlacedCt, TtId,
+    Application, CapacityMap, CtId, DenseLoad, LoadMap, NcpId, Network, Placement, ReachScratch,
+    ReachablePlacedCt, TtId,
 };
-use std::sync::Arc;
 use trees::{LinkSet, TreeKey, TreeStore};
 
 /// How [`PlacementEngine::commit_with`] routes transport tasks.
@@ -222,8 +221,6 @@ pub struct PlacementEngine<'a> {
     /// placed; [`Self::finish`] compacts them into the path's [`LoadMap`].
     load: DenseLoad,
     placed: Vec<bool>,
-    /// The flat view the sweeps and the router traverse.
-    csr: Arc<CsrNetwork>,
     /// The γ-cache (the tree store, see module docs) and every reusable
     /// work buffer. Methods that need it next to [`Self::eval_view`]
     /// move it out for their duration.
@@ -306,7 +303,6 @@ impl<'a> PlacementEngine<'a> {
             placement: Placement::empty(app.graph()),
             load: DenseLoad::zeroed(network),
             placed: vec![false; app.graph().ct_count()],
-            csr: Arc::clone(network.csr()),
             scratch: std::mem::take(scratch),
             trace,
             stats: AssignStats::default(),

@@ -160,7 +160,7 @@ impl PlacementEngine<'_> {
             let links = match policy {
                 RoutePolicy::Widest => csr_widest_path_with(
                     route,
-                    &self.csr,
+                    self.network.csr(),
                     self.capacities,
                     &self.load,
                     t.bits_per_unit(),

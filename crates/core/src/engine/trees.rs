@@ -190,7 +190,7 @@ impl PlacementEngine<'_> {
             placed: &self.placed,
             capacities: self.capacities,
             load: &self.load,
-            csr: &self.csr,
+            csr: self.network.csr(),
             link_count: self.network.link_count(),
         }
     }

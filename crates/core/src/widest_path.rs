@@ -22,9 +22,9 @@
 //! on equal widths the larger node id. `-0.0` and `0.0` tie, so a
 //! negative-zero link bandwidth routes like a zero one.
 //!
-//! Ground truth is a single-heap Dijkstra over
-//! [`sparcle_model::Network`]'s nested adjacency, kept in the dev-only
-//! `sparcle-oracle` crate next to an exhaustive search;
+//! Ground truth is a single-heap Dijkstra over a nested adjacency built
+//! from the network's link list, kept in the dev-only `sparcle-oracle`
+//! crate next to an exhaustive search;
 //! `crates/core/tests/` and `tests/csr_equivalence.rs` compare the
 //! searches here against the heap search bit for bit, and against the
 //! exhaustive one by optimum width.

@@ -6,11 +6,11 @@ use sparcle_core::widest_path::{
 };
 use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
 use sparcle_model::{
-    Application, CapacityMap, CsrNetwork, CtId, LinkDirection, LoadMap, NcpId, Network,
-    NetworkBuilder, NetworkElement, QoeClass, ResourceKind, ResourceVec, TaskGraphBuilder,
+    Application, CapacityMap, CtId, LinkDirection, LinkId, LoadMap, NcpId, Network, NetworkBuilder,
+    NetworkElement, QoeClass, ResourceKind, ResourceVec, TaskGraphBuilder,
 };
 use sparcle_oracle::{
-    dense_residual_fold, gamma, widest_path, widest_path_brute_force, widest_tree,
+    adjacency, dense_residual_fold, gamma, widest_path, widest_path_brute_force, widest_tree,
     ReverseAdjacency, WidestTree,
 };
 
@@ -721,43 +721,30 @@ proptest! {
         }
     }
 
-    /// CSR construction round-trips arbitrary topologies: element counts
-    /// match, every forward arc list is the legacy `neighbors` order,
-    /// every reverse arc is a real forward arc, and the SoA bandwidth
-    /// mirror is bit-exact.
+    /// The CSR round-trips arbitrary topologies: element counts match,
+    /// and both arc orders are the oracle's arc for arc — forward arcs as
+    /// its `adjacency` (built from the link list) lists them, reverse
+    /// arcs as its `ReverseAdjacency` does.
     #[test]
     fn csr_round_trips_arbitrary_topologies(net in arb_network_degenerate(12)) {
-        let csr = CsrNetwork::build(&net);
+        let csr = net.csr();
         prop_assert_eq!(csr.ncp_count(), net.ncp_count());
         prop_assert_eq!(csr.link_count(), net.link_count());
-        let mut forward_arcs = 0;
+        let (forward, reverse) = (adjacency(&net), ReverseAdjacency::new(&net));
+        let mut arcs = 0;
         for ncp in net.ncp_ids() {
-            let (heads, links) = csr.out_arcs(ncp);
-            let legacy: Vec<(u32, u32)> = net
-                .neighbors(ncp)
-                .map(|(link, peer)| (peer.as_u32(), link.as_u32()))
-                .collect();
-            let flat: Vec<(u32, u32)> = heads.iter().copied().zip(links.iter().copied()).collect();
-            prop_assert_eq!(flat, legacy, "forward arcs of {:?} diverged", ncp);
-            forward_arcs += heads.len();
-        }
-        prop_assert_eq!(forward_arcs, csr.arc_count());
-        // Reverse arcs: grouped by head, each (tail, link) a real
-        // forward arc, and the total count matches.
-        let mut reverse_arcs = 0;
-        for ncp in net.ncp_ids() {
+            let out: Vec<(LinkId, NcpId)> = csr.neighbors(ncp).collect();
+            prop_assert_eq!(&out, &forward[ncp.index()], "forward arcs of {:?} diverged", ncp);
             let (tails, links) = csr.in_arcs(ncp);
-            for (&tail, &link) in tails.iter().zip(links) {
-                let (heads, out_links) = csr.out_arcs(NcpId::new(tail));
-                let found = heads
-                    .iter()
-                    .zip(out_links)
-                    .any(|(&h, &l)| h == ncp.as_u32() && l == link);
-                prop_assert!(found, "reverse arc {tail}->{:?} via {link} has no forward twin", ncp);
-            }
-            reverse_arcs += tails.len();
+            let into: Vec<(LinkId, NcpId)> = links
+                .iter()
+                .zip(tails)
+                .map(|(&l, &u)| (LinkId::new(l), NcpId::new(u)))
+                .collect();
+            prop_assert_eq!(into.as_slice(), reverse.arcs_into(ncp), "reverse arcs of {:?} diverged", ncp);
+            arcs += out.len();
         }
-        prop_assert_eq!(reverse_arcs, csr.arc_count());
+        prop_assert_eq!(arcs, csr.arc_count());
     }
 
     /// One [`CsrWidestTree`] serves both searches, across network sizes:

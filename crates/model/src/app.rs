@@ -81,7 +81,7 @@ impl QoeClass {
                 availability,
             } => {
                 if !priority.is_finite() || priority <= 0.0 {
-                    return Err(ModelError::InvalidQuantity {
+                    return Err(ModelError::NonPositiveQuantity {
                         what: "BE priority",
                         value: priority,
                     });
@@ -97,7 +97,7 @@ impl QoeClass {
                 min_rate_availability,
             } => {
                 if !min_rate.is_finite() || min_rate <= 0.0 {
-                    return Err(ModelError::InvalidQuantity {
+                    return Err(ModelError::NonPositiveQuantity {
                         what: "GR minimum rate",
                         value: min_rate,
                     });
@@ -274,7 +274,24 @@ mod tests {
             QoeClass::best_effort(0.0),
             [(s, NcpId::new(0)), (t, NcpId::new(1))],
         );
-        assert!(matches!(err, Err(ModelError::InvalidQuantity { .. })));
+        assert!(matches!(err, Err(ModelError::NonPositiveQuantity { .. })));
+    }
+
+    /// The message states the rule that was broken: zero is
+    /// non-negative, so it must say "positive".
+    #[test]
+    fn nonpositive_messages_state_the_rule() {
+        for (qoe, what) in [
+            (QoeClass::best_effort(0.0), "BE priority"),
+            (QoeClass::guaranteed_rate(0.0, 0.9), "GR minimum rate"),
+        ] {
+            let (g, s, _, t) = graph3();
+            let e = Application::new(g, qoe, [(s, NcpId::new(0)), (t, NcpId::new(1))]).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("{what} must be finite and positive, got 0")
+            );
+        }
     }
 
     #[test]

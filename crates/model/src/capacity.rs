@@ -330,28 +330,6 @@ impl CapacityMap {
         }
         out
     }
-
-    /// The element attaining the bottleneck for the given load, if any
-    /// element carries load.
-    pub fn bottleneck_element(&self, load: &LoadMap) -> Option<(NetworkElement, f64)> {
-        let mut best: Option<(NetworkElement, f64)> = None;
-        for (id, l) in &load.ncps {
-            if let Some(r) = self.ncps[id.index()].rate_supported(l) {
-                if best.is_none_or(|(_, b)| r < b) {
-                    best = Some((NetworkElement::Ncp(*id), r));
-                }
-            }
-        }
-        for &(id, bits) in &load.links {
-            if bits > 0.0 {
-                let r = self.links[id.index()] / bits;
-                if best.is_none_or(|(_, b)| r < b) {
-                    best = Some((NetworkElement::Link(id), r));
-                }
-            }
-        }
-        best
-    }
 }
 
 /// The placeholder [`LoadMap::ncp`] hands out for an unloaded NCP.
@@ -639,9 +617,6 @@ mod tests {
         load.add_ct_load(NcpId::new(1), &ResourceVec::cpu(1.0)); // 50/1 = 50
         load.add_tt_load(LinkId::new(0), 250.0); // 1000/250 = 4  <- bottleneck
         assert_eq!(cap.bottleneck_rate(&load), 4.0);
-        let (el, r) = cap.bottleneck_element(&load).unwrap();
-        assert_eq!(el, NetworkElement::Link(LinkId::new(0)));
-        assert_eq!(r, 4.0);
     }
 
     #[test]
@@ -650,7 +625,6 @@ mod tests {
         let cap = CapacityMap::full(&net);
         let load = LoadMap::zeroed(&net);
         assert_eq!(cap.bottleneck_rate(&load), f64::INFINITY);
-        assert_eq!(cap.bottleneck_element(&load), None);
         assert!(load.is_zero());
     }
 

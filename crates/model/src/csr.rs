@@ -1,37 +1,37 @@
-//! Flat CSR (compressed sparse row) view of a [`Network`].
+//! Flat CSR (compressed sparse row) adjacency of a [`Network`].
 //!
-//! The pointer-chasing `Vec<Vec<(LinkId, NcpId)>>` adjacency inside
-//! [`Network`] is convenient to build but hostile to the placement
-//! engine's hot loop: every γ-row fill walks the whole graph once per
-//! placed reachable CT, and at thousands of NCPs the nested-`Vec`
-//! layout turns each neighbor scan into a cache miss per node.
-//! [`CsrNetwork`] stores the same arcs as three flat arrays per
-//! direction (`row_ptr`, `col_idx`, `arc_link`), so a widest-path sweep
-//! streams linearly through memory.
+//! [`CsrNetwork`] is the network's one adjacency: [`NetworkBuilder::build`]
+//! lays it out once from the link list and the [`Network`] owns it. It
+//! stores the arcs as three flat arrays per direction (`row_ptr`,
+//! `col_idx`, `arc_link`), so a widest-path sweep streams linearly
+//! through memory instead of taking a cache miss per node scanned.
 //!
 //! ## Ordering contract
 //!
-//! The CSR arc order is **exactly** the order [`Network`]'s own
-//! adjacency is walked in — this is load-bearing, not cosmetic.
-//! Widest-path parents update only on *strict* width improvement, so
-//! among equal-width alternatives the iteration order decides the
-//! witness route, and routes are part of placement equality. Concretely:
+//! The arc order is load-bearing, not cosmetic. Widest-path parents
+//! update only on *strict* width improvement, so among equal-width
+//! alternatives the iteration order decides the witness route, and
+//! routes are part of placement equality. Concretely:
 //!
-//! * forward arcs of node `u` appear in the order
-//!   [`Network::neighbors`] yields them (links in insertion order);
+//! * forward arcs of node `u` are the links traversable from `u`, in
+//!   link-insertion order (a stable counting sort of the links by tail,
+//!   an undirected link counting once from each end) — the order
+//!   [`Network::neighbors`] yields;
 //! * reverse arcs of node `v` appear ordered by source node ascending,
 //!   then by that source's forward-arc order — what visiting every
 //!   node `u` in id order and appending `(link, u)` to the list of each
-//!   `v` that [`Network::neighbors`]`(u)` yields produces.
+//!   `v` that [`Network::neighbors`]`(u)` yields produces (a stable
+//!   counting sort of the forward arcs by head).
 //!
-//! The heap searches of the dev-only `sparcle-oracle` crate walk
-//! [`Network`] directly; `tests/csr_equivalence.rs` holds the engine to
-//! byte-identical placements, routes and rates against them on the
-//! strength of this contract.
+//! The heap searches of the dev-only `sparcle-oracle` crate walk a
+//! nested adjacency they build from the link list themselves;
+//! `tests/csr_equivalence.rs` holds the engine to byte-identical
+//! placements, routes and rates against them on the strength of this
+//! contract, and the oracle suites check both orders arc for arc.
 //!
 //! ## Sole-neighbour tables
 //!
-//! [`CsrNetwork::build`] also records, per node, whether all of its
+//! The constructor also records, per node, whether all of its
 //! in-arcs (and, separately, all of its out-arcs) come from **one**
 //! neighbour — parallel links to that neighbour included. A widest-path
 //! sweep that has just relaxed `u → v` can then tell in one load that
@@ -41,7 +41,9 @@
 //! that is nearly every node.
 
 use crate::ids::{LinkId, NcpId};
-use crate::network::Network;
+use crate::network::{Link, LinkDirection};
+#[cfg(doc)]
+use crate::network::{Network, NetworkBuilder};
 
 /// Sole-neighbour table entry: the node has no arc on that side.
 const SOLE_NONE: u32 = u32::MAX;
@@ -64,12 +66,35 @@ fn sole_neighbours(row_ptr: &[u32], col_idx: &[u32]) -> Vec<u32> {
         .collect()
 }
 
+/// Stable counting sort of `(key, other, link)` arcs by `key` over `n`
+/// nodes into CSR arrays `(row_ptr, other per arc, link per arc)`: the
+/// arcs of one key keep the order `arcs` yields them in. `arcs` is
+/// walked twice, once to count and once to place.
+fn bucket_by_key<I>(n: usize, arcs: impl Fn() -> I) -> (Vec<u32>, Vec<u32>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32, u32)>,
+{
+    let mut row_ptr = vec![0u32; n + 1];
+    for (key, _, _) in arcs() {
+        row_ptr[key as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let total = row_ptr[n] as usize;
+    let mut cursor = row_ptr[..n].to_vec();
+    let (mut other, mut link) = (vec![0u32; total], vec![0u32; total]);
+    for (key, to, via) in arcs() {
+        let slot = cursor[key as usize] as usize;
+        other[slot] = to;
+        link[slot] = via;
+        cursor[key as usize] += 1;
+    }
+    (row_ptr, other, link)
+}
+
 /// Flat CSR adjacency (forward and reverse) for one immutable
-/// [`Network`].
-///
-/// Obtained from [`Network::csr`], which builds it lazily once and
-/// shares it behind an `Arc` across engine instances and clones of the
-/// network.
+/// [`Network`], read through [`Network::csr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrNetwork {
     ncp_count: usize,
@@ -94,53 +119,32 @@ pub struct CsrNetwork {
 }
 
 impl CsrNetwork {
-    /// Builds the CSR view of `network`, preserving its adjacency's
-    /// traversal order exactly (see the module docs).
-    pub fn build(network: &Network) -> Self {
-        let n = network.ncp_count();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0u32);
-        let mut col_idx = Vec::new();
-        let mut arc_link = Vec::new();
-        for u in network.ncp_ids() {
-            for (link, v) in network.neighbors(u) {
-                col_idx.push(v.as_u32());
-                arc_link.push(link.as_u32());
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-
-        // Counting sort of the forward arcs by head node. Enumerating
-        // them in (tail asc, forward order) and appending per head
-        // bucket reproduces the reverse-adjacency insertion order.
-        let arcs = col_idx.len();
-        let mut rev_row_ptr = vec![0u32; n + 1];
-        for &v in &col_idx {
-            rev_row_ptr[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            rev_row_ptr[i + 1] += rev_row_ptr[i];
-        }
-        let mut cursor: Vec<u32> = rev_row_ptr[..n].to_vec();
-        let mut rev_col_idx = vec![0u32; arcs];
-        let mut rev_arc_link = vec![0u32; arcs];
-        for u in 0..n {
-            for a in row_ptr[u] as usize..row_ptr[u + 1] as usize {
-                let v = col_idx[a] as usize;
-                let slot = cursor[v] as usize;
-                rev_col_idx[slot] = u as u32;
-                rev_arc_link[slot] = arc_link[a];
-                cursor[v] += 1;
-            }
-        }
-
+    /// Lays out the arcs of `links` over `ncp_count` nodes in the order
+    /// of the module docs' ordering contract.
+    pub(crate) fn from_links(ncp_count: usize, links: &[Link]) -> Self {
+        let n = ncp_count;
         assert!(
             n < SOLE_SEVERAL as usize,
             "node ids must stay clear of the sole-neighbour sentinels"
         );
+        let forward = || {
+            links.iter().zip(0u32..).flat_map(|(link, id)| {
+                let (a, b) = (link.a().as_u32(), link.b().as_u32());
+                let back = (link.direction() == LinkDirection::Undirected).then_some((b, a, id));
+                std::iter::once((a, b, id)).chain(back)
+            })
+        };
+        let (row_ptr, col_idx, arc_link) = bucket_by_key(n, forward);
+        let (heads, via) = (&col_idx, &arc_link);
+        let reverse = || {
+            row_ptr.windows(2).zip(0u32..).flat_map(|(w, u)| {
+                (w[0] as usize..w[1] as usize).map(move |a| (heads[a], u, via[a]))
+            })
+        };
+        let (rev_row_ptr, rev_col_idx, rev_arc_link) = bucket_by_key(n, reverse);
         CsrNetwork {
             ncp_count: n,
-            link_count: network.link_count(),
+            link_count: links.len(),
             sole_out: sole_neighbours(&row_ptr, &col_idx),
             sole_in: sole_neighbours(&rev_row_ptr, &rev_col_idx),
             row_ptr,
@@ -203,8 +207,8 @@ impl CsrNetwork {
         sole == to || sole == SOLE_NONE
     }
 
-    /// `(link, neighbor)` pairs traversable from `node` — the CSR
-    /// mirror of [`Network::neighbors`], identical order.
+    /// `(link, neighbor)` pairs traversable from `node`, in forward-arc
+    /// order ([`Network::neighbors`] forwards here).
     pub fn neighbors(&self, node: NcpId) -> impl Iterator<Item = (LinkId, NcpId)> + '_ {
         let (heads, links) = self.out_arcs(node);
         links
@@ -217,7 +221,7 @@ impl CsrNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{LinkDirection, NetworkBuilder};
+    use crate::network::{Network, NetworkBuilder};
     use crate::resources::ResourceVec;
 
     fn sample() -> Network {
@@ -233,44 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn forward_arcs_match_legacy_neighbor_order() {
-        let net = sample();
-        let csr = CsrNetwork::build(&net);
-        assert_eq!(csr.ncp_count(), net.ncp_count());
-        assert_eq!(csr.link_count(), net.link_count());
-        for u in net.ncp_ids() {
-            let legacy: Vec<_> = net.neighbors(u).collect();
-            let flat: Vec<_> = csr.neighbors(u).collect();
-            assert_eq!(legacy, flat, "forward order diverged at {u}");
-        }
-    }
-
-    #[test]
-    fn reverse_arcs_match_reverse_adjacency_order() {
-        let net = sample();
-        let csr = CsrNetwork::build(&net);
-        // Reference: the ordering contract of the module docs, spelled
-        // out on the nested adjacency.
-        let mut adj: Vec<Vec<(LinkId, NcpId)>> = vec![Vec::new(); net.ncp_count()];
-        for u in net.ncp_ids() {
-            for (link, v) in net.neighbors(u) {
-                adj[v.index()].push((link, u));
-            }
-        }
-        for v in net.ncp_ids() {
-            let (tails, links) = csr.in_arcs(v);
-            let flat: Vec<_> = links
-                .iter()
-                .zip(tails)
-                .map(|(&l, &u)| (LinkId::new(l), NcpId::new(u)))
-                .collect();
-            assert_eq!(adj[v.index()], flat, "reverse order diverged at {v}");
-        }
-    }
-
-    #[test]
     fn directed_links_contribute_one_arc() {
-        let csr = CsrNetwork::build(&sample());
+        let net = sample();
+        let csr = net.csr();
         // Directed yz contributes one arc; the undirected links two.
         assert_eq!(csr.arc_count(), 5);
     }
@@ -291,7 +260,8 @@ mod tests {
             .unwrap();
         b.add_link("ho", hub, other, 1.0).unwrap();
         b.add_link("ot", other, twin, 1.0).unwrap();
-        let csr = CsrNetwork::build(&b.build().unwrap());
+        let net = b.build().unwrap();
+        let csr = net.csr();
         let id = |n: NcpId| n.as_u32();
         // A degree-1 leaf and a send-only node relay nothing back.
         assert!(csr.all_in_arcs_from(id(leaf), id(hub)));
@@ -309,16 +279,9 @@ mod tests {
         let z = p.add_ncp("z", ResourceVec::new());
         p.add_link("az1", a, z, 1.0).unwrap();
         p.add_link("az2", z, a, 2.0).unwrap();
-        let csr = CsrNetwork::build(&p.build().unwrap());
+        let net = p.build().unwrap();
+        let csr = net.csr();
         assert!(csr.all_in_arcs_from(id(z), id(a)));
         assert!(csr.all_out_arcs_to(id(z), id(a)));
-    }
-
-    #[test]
-    fn csr_view_is_shared_across_clones() {
-        let net = sample();
-        let csr = std::sync::Arc::clone(net.csr());
-        let cloned = net.clone();
-        assert!(std::sync::Arc::ptr_eq(&csr, cloned.csr()));
     }
 }

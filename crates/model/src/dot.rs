@@ -1,9 +1,9 @@
-//! Graphviz DOT export for task graphs, networks, and placements.
+//! Graphviz DOT export for task graphs and placements.
 //!
 //! Feed the returned strings to `dot -Tsvg` to visualize an
-//! application's DAG, a computing network, or — most usefully — a
-//! finished placement: hosts carry the CTs placed on them and every TT
-//! route is drawn along its links.
+//! application's DAG or — most usefully — a finished placement: the
+//! computing network with hosts carrying the CTs placed on them and
+//! every TT route drawn along its links.
 //!
 //! Names are escaped, so arbitrary user-provided names are safe.
 
@@ -65,43 +65,6 @@ pub fn task_graph_dot(graph: &TaskGraph) -> String {
             escape(graph.ct(t.to()).name()),
             escape(t.name()),
             t.bits_per_unit()
-        )
-        .expect("string write");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders a computing network as a DOT graph: NCPs as ellipses with
-/// their capacities, links as (un)directed edges with bandwidths.
-pub fn network_dot(network: &Network) -> String {
-    let mut out = String::new();
-    writeln!(out, "graph \"{}\" {{", escape(network.name())).expect("string write");
-    out.push_str("  node [shape=ellipse];\n");
-    for id in network.ncp_ids() {
-        let ncp = network.ncp(id);
-        writeln!(
-            out,
-            "  \"{}\" [label=\"{}\\n{}\"];",
-            escape(ncp.name()),
-            escape(ncp.name()),
-            ncp.capacity()
-        )
-        .expect("string write");
-    }
-    for id in network.link_ids() {
-        let link = network.link(id);
-        let arrow = match link.direction() {
-            crate::network::LinkDirection::Undirected => "",
-            crate::network::LinkDirection::Directed => " dir=forward",
-        };
-        writeln!(
-            out,
-            "  \"{}\" -- \"{}\" [label=\"{} ({})\"{arrow}];",
-            escape(network.ncp(link.a()).name()),
-            escape(network.ncp(link.b()).name()),
-            escape(link.name()),
-            link.bandwidth()
         )
         .expect("string write");
     }
@@ -212,15 +175,6 @@ mod tests {
         assert!(dot.contains("\"work\" -> \"out\" [label=\"res (1)\"]"));
         // Source/sink shaded, inner CT not.
         assert_eq!(dot.matches("fillcolor=lightgray").count(), 2);
-    }
-
-    #[test]
-    fn network_dot_structure() {
-        let (_, net, _) = fixture();
-        let dot = network_dot(&net);
-        assert!(dot.starts_with("graph \"net\""));
-        assert!(dot.contains("\"alpha\" -- \"beta\" [label=\"wire (7)\"]"));
-        assert!(dot.contains("{cpu: 20}"));
     }
 
     #[test]

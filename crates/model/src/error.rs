@@ -32,6 +32,14 @@ pub enum ModelError {
         /// The offending value.
         value: f64,
     },
+    /// A quantity that must be strictly positive was zero, negative or
+    /// not finite.
+    NonPositiveQuantity {
+        /// What the quantity measures.
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// A probability was outside `[0, 1]`.
     InvalidProbability(f64),
     /// A placement left a CT without a host (violates constraint (1b)).
@@ -90,6 +98,9 @@ impl fmt::Display for ModelError {
             ModelError::SelfLink(id) => write!(f, "link connects {id} to itself"),
             ModelError::InvalidQuantity { what, value } => {
                 write!(f, "{what} must be finite and non-negative, got {value}")
+            }
+            ModelError::NonPositiveQuantity { what, value } => {
+                write!(f, "{what} must be finite and positive, got {value}")
             }
             ModelError::InvalidProbability(p) => {
                 write!(f, "probability must lie in [0, 1], got {p}")

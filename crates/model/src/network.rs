@@ -12,6 +12,10 @@
 //! a directed network by adding one [`LinkDirection::Directed`] link per
 //! direction.
 //!
+//! The adjacency is stored once, as the flat [`CsrNetwork`] that
+//! [`NetworkBuilder::build`] lays out from the link list;
+//! [`Network::neighbors`] and the widest-path searches both read it.
+//!
 //! # Examples
 //!
 //! A three-node chain:
@@ -31,8 +35,6 @@
 //! # Ok(())
 //! # }
 //! ```
-
-use std::sync::{Arc, OnceLock};
 
 use crate::csr::CsrNetwork;
 use crate::error::ModelError;
@@ -246,7 +248,8 @@ impl NetworkBuilder {
         Ok(id)
     }
 
-    /// Validates and produces an immutable [`Network`].
+    /// Validates and produces an immutable [`Network`], building its
+    /// CSR adjacency from the links.
     ///
     /// # Errors
     ///
@@ -255,48 +258,24 @@ impl NetworkBuilder {
         if self.ncps.is_empty() {
             return Err(ModelError::EmptyNetwork);
         }
-        let mut adjacency = vec![Vec::new(); self.ncps.len()];
-        for (idx, link) in self.links.iter().enumerate() {
-            let id = LinkId::new(idx as u32);
-            adjacency[link.a.index()].push((id, link.b));
-            if link.direction == LinkDirection::Undirected {
-                adjacency[link.b.index()].push((id, link.a));
-            }
-        }
+        let csr = CsrNetwork::from_links(self.ncps.len(), &self.links);
         Ok(Network {
             name: self.name,
             ncps: self.ncps,
             links: self.links,
-            adjacency,
-            csr: OnceLock::new(),
+            csr,
         })
     }
 }
 
 /// An immutable dispersed computing network of NCPs and links.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     name: String,
     ncps: Vec<Ncp>,
     links: Vec<Link>,
-    /// For each NCP, the `(link, neighbor)` pairs traversable *from* it.
-    adjacency: Vec<Vec<(LinkId, NcpId)>>,
-    /// Lazily-built flat CSR view, shared across clones.
-    csr: OnceLock<Arc<CsrNetwork>>,
-}
-
-/// Equality is structural: two networks with the same elements and
-/// wiring are equal regardless of when they were built (the lazy CSR
-/// cell is deliberately ignored — separately built but identical
-/// topologies must compare equal, e.g. for seeded scenario determinism
-/// checks).
-impl PartialEq for Network {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.ncps == other.ncps
-            && self.links == other.links
-            && self.adjacency == other.adjacency
-    }
+    /// Every traversable arc, forward and reverse.
+    csr: CsrNetwork,
 }
 
 impl Network {
@@ -353,15 +332,7 @@ impl Network {
     /// `(link, neighbor)` pairs traversable from `ncp`, honoring link
     /// direction.
     pub fn neighbors(&self, ncp: NcpId) -> impl Iterator<Item = (LinkId, NcpId)> + '_ {
-        self.adjacency[ncp.index()].iter().copied()
-    }
-
-    /// Capacity vector of an arbitrary element (bandwidth for links).
-    pub fn element_capacity(&self, element: NetworkElement) -> ResourceVec {
-        match element {
-            NetworkElement::Ncp(id) => self.ncp(id).capacity().clone(),
-            NetworkElement::Link(id) => self.link(id).capacity(),
-        }
+        self.csr.neighbors(ncp)
     }
 
     /// Failure probability of an arbitrary element.
@@ -398,10 +369,9 @@ impl Network {
         crate::capacity::CapacityMap::full(self)
     }
 
-    /// The flat CSR view of this network, built lazily on first use and
-    /// shared (behind an `Arc`) across clones made after that point.
-    pub fn csr(&self) -> &Arc<CsrNetwork> {
-        self.csr.get_or_init(|| Arc::new(CsrNetwork::build(self)))
+    /// The flat CSR adjacency the widest-path searches traverse.
+    pub fn csr(&self) -> &CsrNetwork {
+        &self.csr
     }
 }
 
@@ -416,7 +386,6 @@ fn check_probability(p: f64) -> Result<(), ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::ResourceKind;
 
     fn triangle() -> Network {
         let mut b = NetworkBuilder::new();
@@ -490,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn element_capacity_and_failure() {
+    fn element_failure_probability() {
         let mut b = NetworkBuilder::new();
         let x = b
             .add_ncp_with_failure("x", ResourceVec::cpu(5.0), 0.1)
@@ -500,16 +469,6 @@ mod tests {
             .add_link_full("xy", x, y, 7.0, LinkDirection::Undirected, 0.02)
             .unwrap();
         let net = b.build().unwrap();
-        assert_eq!(
-            net.element_capacity(NetworkElement::Ncp(x))
-                .amount(ResourceKind::Cpu),
-            5.0
-        );
-        assert_eq!(
-            net.element_capacity(NetworkElement::Link(l))
-                .amount(ResourceKind::Bandwidth),
-            7.0
-        );
         assert_eq!(net.element_failure_probability(NetworkElement::Ncp(x)), 0.1);
         assert_eq!(
             net.element_failure_probability(NetworkElement::Link(l)),

@@ -463,20 +463,6 @@ impl TaskGraph {
             }
         }
     }
-
-    /// Sum of all CT requirements (useful for sizing scenarios).
-    pub fn total_ct_requirement(&self) -> ResourceVec {
-        let mut total = ResourceVec::new();
-        for ct in &self.cts {
-            total.add_vec(&ct.requirement);
-        }
-        total
-    }
-
-    /// Sum of all TT bits per data unit.
-    pub fn total_tt_bits(&self) -> f64 {
-        self.tts.iter().map(|t| t.bits_per_unit).sum()
-    }
 }
 
 /// Reusable traversal buffers for [`TaskGraph::placed_reachable_into`].
@@ -665,15 +651,5 @@ mod tests {
         assert_eq!(g.tts_between(x, y).len(), 2);
         let r = g.placed_reachable(y, |ct| ct == x);
         assert_eq!(r[0].min_bits, 5.0, "min-bits TT should be picked");
-    }
-
-    #[test]
-    fn total_requirements_sum() {
-        let g = linear3();
-        assert_eq!(
-            g.total_ct_requirement().amount(crate::ResourceKind::Cpu),
-            6.0
-        );
-        assert_eq!(g.total_tt_bits(), 30.0);
     }
 }

@@ -2,10 +2,12 @@
 //! differenced against. **Dev-only**: nothing outside
 //! `[dev-dependencies]` may depend on this crate (CI checks the normal
 //! dependency graph), so none of it can be selected at run time, and
-//! none of it touches `sparcle_model::CsrNetwork`, for γ or for routing.
+//! none of it touches `sparcle_model::CsrNetwork` (nor
+//! `Network::neighbors`, which reads it), for γ or for routing.
 //!
-//! * [`mod@widest_path`] — Algorithm 1 as a single-heap Dijkstra over
-//!   [`sparcle_model::Network`]'s nested adjacency, and exhaustively.
+//! * [`mod@widest_path`] — Algorithm 1 as a single-heap Dijkstra over a
+//!   nested adjacency built from the network's link list
+//!   ([`adjacency`]), and exhaustively.
 //! * [`mod@reference`] — eq. (2) one `(CT, host)` pair at a time ([`gamma`],
 //!   [`best_host`]) and Algorithm 2 on top of it ([`assign_reference`]).
 //! * [`mod@num`] — problem (4) and max-min over dense coefficient rows,
@@ -26,6 +28,6 @@ pub mod widest_path;
 pub use fluctuation::dense_residual_fold;
 pub use reference::{assign_reference, best_host, gamma};
 pub use widest_path::{
-    widest_path, widest_path_brute_force, widest_path_with, widest_tree, DijkstraScratch,
-    ReverseAdjacency, WidestTree,
+    adjacency, widest_path, widest_path_brute_force, widest_path_with, widest_tree,
+    DijkstraScratch, ReverseAdjacency, WidestTree,
 };

@@ -8,10 +8,10 @@
 //! re-derives every commit's routes with the heap search on a load map
 //! of its own and asserts that both agree.
 
-use crate::widest_path::{widest_path, widest_path_with, DijkstraScratch};
+use crate::widest_path::{adjacency, widest_path_with, DijkstraScratch};
 use sparcle_core::{AssignError, AssignedPath, PlacementEngine};
 use sparcle_model::{
-    Application, CapacityMap, CtId, DenseLoad, NcpId, Network, Placement, TaskGraph, TtId,
+    Application, CapacityMap, CtId, DenseLoad, LinkId, NcpId, Network, Placement, TaskGraph, TtId,
 };
 
 /// The paper's `γ_{i,j}` (eq. (2)) straight off the definition: the
@@ -22,6 +22,18 @@ use sparcle_model::{
 /// Returns `None` when some reachable placed CT cannot be routed to
 /// from `host` at all (placing `ct` there would strand a TT).
 pub fn gamma(engine: &PlacementEngine<'_>, ct: CtId, host: NcpId) -> Option<f64> {
+    let adj = adjacency(engine.network());
+    gamma_on(&adj, &mut DijkstraScratch::default(), engine, ct, host)
+}
+
+/// [`gamma`] over a prebuilt adjacency and search buffers.
+fn gamma_on(
+    adj: &[Vec<(LinkId, NcpId)>],
+    route: &mut DijkstraScratch,
+    engine: &PlacementEngine<'_>,
+    ct: CtId,
+    host: NcpId,
+) -> Option<f64> {
     let graph = engine.app().graph();
     let mut gamma = engine.host_rate(ct, host);
     for reach in graph.placed_reachable(ct, |c| engine.is_placed(c)) {
@@ -29,8 +41,9 @@ pub fn gamma(engine: &PlacementEngine<'_>, ct: CtId, host: NcpId) -> Option<f64>
             .placement()
             .ct_host(reach.ct)
             .expect("reachable CTs are placed");
-        let path = widest_path(
-            engine.network(),
+        let path = widest_path_with(
+            route,
+            adj,
             engine.capacities(),
             engine.load(),
             reach.min_bits,
@@ -47,9 +60,20 @@ pub fn gamma(engine: &PlacementEngine<'_>, ct: CtId, host: NcpId) -> Option<f64>
 /// determinism. Returns `None` if no host can route all of `ct`'s
 /// placed reachable CTs.
 pub fn best_host(engine: &PlacementEngine<'_>, ct: CtId) -> Option<(NcpId, f64)> {
+    let adj = adjacency(engine.network());
+    best_host_on(&adj, &mut DijkstraScratch::default(), engine, ct)
+}
+
+/// [`best_host`] over a prebuilt adjacency and search buffers.
+fn best_host_on(
+    adj: &[Vec<(LinkId, NcpId)>],
+    route: &mut DijkstraScratch,
+    engine: &PlacementEngine<'_>,
+    ct: CtId,
+) -> Option<(NcpId, f64)> {
     let mut best: Option<(NcpId, f64)> = None;
     for host in engine.network().ncp_ids() {
-        if let Some(g) = gamma(engine, ct, host) {
+        if let Some(g) = gamma_on(adj, route, engine, ct, host) {
             if best.is_none_or(|(_, bg)| g > bg) {
                 best = Some((host, g));
             }
@@ -62,7 +86,7 @@ pub fn best_host(engine: &PlacementEngine<'_>, ct: CtId) -> Option<(NcpId, f64)>
 /// routes and loads, derived with the heap search only.
 struct Mirror<'a> {
     graph: &'a TaskGraph,
-    network: &'a Network,
+    adj: Vec<Vec<(LinkId, NcpId)>>,
     capacities: &'a CapacityMap,
     placement: Placement,
     load: DenseLoad,
@@ -91,7 +115,7 @@ impl Mirror<'_> {
             };
             let path = widest_path_with(
                 &mut self.route,
-                self.network,
+                &self.adj,
                 self.capacities,
                 &self.load,
                 t.bits_per_unit(),
@@ -141,7 +165,7 @@ pub fn assign_reference(
     app.check_against_network(network)?;
     let mut mirror = Mirror {
         graph: app.graph(),
-        network,
+        adj: adjacency(network),
         capacities,
         placement: Placement::empty(app.graph()),
         load: DenseLoad::zeroed(network),
@@ -159,7 +183,8 @@ pub fn assign_reference(
     loop {
         let mut pick: Option<(f64, CtId, NcpId)> = None;
         for ct in engine.unplaced() {
-            let (host, g) = best_host(&engine, ct).ok_or(AssignError::NoHostForCt(ct))?;
+            let (host, g) = best_host_on(&mirror.adj, &mut mirror.route, &engine, ct)
+                .ok_or(AssignError::NoHostForCt(ct))?;
             if pick.is_none_or(|(bg, _, _)| g < bg) {
                 pick = Some((g, ct, host));
             }

@@ -1,12 +1,14 @@
 //! The heap-based widest-path searches — Algorithm 1 as first written,
-//! kept as ground truth. They walk [`Network`]'s nested-`Vec` adjacency
-//! with one `BinaryHeap` and share nothing with the CSR searches of
-//! `sparcle_core::widest_path` but the eq. (3) width formula
-//! ([`link_width`]) and the [`WidestPath`] result type; those promise
-//! the same `φ`, parent links and routes bit for bit.
+//! kept as ground truth. They walk a nested-`Vec` adjacency that
+//! [`adjacency`] builds from the network's link list alone, with one
+//! `BinaryHeap`, and share nothing with the CSR searches of
+//! `sparcle_core::widest_path` (nor with the [`Network`]'s own CSR
+//! adjacency) but the eq. (3) width formula ([`link_width`]) and the
+//! [`WidestPath`] result type; those promise the same `φ`, parent links
+//! and routes bit for bit.
 
 use sparcle_core::widest_path::{link_width, WidestPath};
-use sparcle_model::{CapacityMap, LinkId, LinkLoads, NcpId, Network};
+use sparcle_model::{CapacityMap, LinkDirection, LinkId, LinkLoads, NcpId, Network};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -36,6 +38,22 @@ impl PartialOrd for Candidate {
     }
 }
 
+/// For each NCP, the `(link, neighbor)` pairs traversable *from* it,
+/// links in insertion order — built from [`Network::link`] alone, so
+/// the differential suites compare the CSR against a graph it did not
+/// produce.
+pub fn adjacency(network: &Network) -> Vec<Vec<(LinkId, NcpId)>> {
+    let mut adj = vec![Vec::new(); network.ncp_count()];
+    for id in network.link_ids() {
+        let link = network.link(id);
+        adj[link.a().index()].push((id, link.b()));
+        if link.direction() == LinkDirection::Undirected {
+            adj[link.b().index()].push((id, link.a()));
+        }
+    }
+    adj
+}
+
 /// Algorithm 1: finds the best path `P*_k(from, to)` for a TT carrying
 /// `tt_bits` bits per data unit, given current residual `capacities` and
 /// the bits already routed per link (`load`).
@@ -52,18 +70,19 @@ pub fn widest_path<L: LinkLoads + ?Sized>(
     to: NcpId,
 ) -> Option<WidestPath> {
     let mut scratch = DijkstraScratch::new(network.ncp_count());
-    widest_path_with(&mut scratch, network, capacities, load, tt_bits, from, to)
+    let adj = adjacency(network);
+    widest_path_with(&mut scratch, &adj, capacities, load, tt_bits, from, to)
 }
 
-/// [`widest_path`] over caller-owned buffers: the modified Dijkstra runs
-/// entirely inside `scratch`, so repeated calls (the placement engine's
-/// hot loop) allocate only the returned link vector.
+/// [`widest_path`] over a prebuilt [`adjacency`] and caller-owned
+/// buffers: the modified Dijkstra runs entirely inside `scratch`, so
+/// repeated calls allocate only the returned link vector.
 ///
 /// The algorithm, tie-breaking, and returned value are identical to
 /// [`widest_path`] — that function is a thin wrapper over this one.
 pub fn widest_path_with<L: LinkLoads + ?Sized>(
     scratch: &mut DijkstraScratch,
-    network: &Network,
+    adj: &[Vec<(LinkId, NcpId)>],
     capacities: &CapacityMap,
     load: &L,
     tt_bits: f64,
@@ -76,7 +95,7 @@ pub fn widest_path_with<L: LinkLoads + ?Sized>(
             width: f64::INFINITY,
         });
     }
-    scratch.reset(network.ncp_count());
+    scratch.reset(adj.len());
     let DijkstraScratch {
         phi,
         prev,
@@ -105,7 +124,7 @@ pub fn widest_path_with<L: LinkLoads + ?Sized>(
             heap.clear();
             return Some(WidestPath { links, width });
         }
-        for (link, neighbor) in network.neighbors(node) {
+        for &(link, neighbor) in &adj[node.index()] {
             if done[neighbor.index()] {
                 continue;
             }
@@ -158,7 +177,7 @@ impl DijkstraScratch {
     }
 }
 
-/// The network's adjacency with every traversable arc reversed.
+/// The network's [`adjacency`] with every traversable arc reversed.
 ///
 /// The batched γ evaluator wants, for one already-placed CT on host
 /// `t`, the widest-path width *from every candidate host `j` to `t`* in
@@ -172,15 +191,23 @@ pub struct ReverseAdjacency {
 }
 
 impl ReverseAdjacency {
-    /// Builds the reversed adjacency for `network`.
+    /// Builds the reversed adjacency for `network`: visiting every node
+    /// `u` in id order, `(link, u)` joins the list of each `v` that `u`'s
+    /// [`adjacency`] list reaches.
     pub fn new(network: &Network) -> Self {
         let mut adj = vec![Vec::new(); network.ncp_count()];
-        for u in network.ncp_ids() {
-            for (link, v) in network.neighbors(u) {
+        for (u, arcs) in network.ncp_ids().zip(adjacency(network)) {
+            for (link, v) in arcs {
                 adj[v.index()].push((link, u));
             }
         }
         ReverseAdjacency { adj }
+    }
+
+    /// The `(link, tail)` pairs of the arcs into `node`, in the order
+    /// [`widest_tree`] relaxes them.
+    pub fn arcs_into(&self, node: NcpId) -> &[(LinkId, NcpId)] {
+        &self.adj[node.index()]
     }
 }
 
@@ -297,7 +324,7 @@ pub fn widest_path_brute_force<L: LinkLoads + ?Sized>(
     }
     #[allow(clippy::too_many_arguments)]
     fn dfs<L: LinkLoads + ?Sized>(
-        network: &Network,
+        adj: &[Vec<(LinkId, NcpId)>],
         capacities: &CapacityMap,
         load: &L,
         tt_bits: f64,
@@ -317,7 +344,7 @@ pub fn widest_path_brute_force<L: LinkLoads + ?Sized>(
             }
             return;
         }
-        for (link, neighbor) in network.neighbors(at) {
+        for &(link, neighbor) in &adj[at.index()] {
             if visited[neighbor.index()] {
                 continue;
             }
@@ -325,7 +352,7 @@ pub fn widest_path_brute_force<L: LinkLoads + ?Sized>(
             stack.push(link);
             let w = width.min(link_width(capacities, load, link, tt_bits));
             dfs(
-                network, capacities, load, tt_bits, neighbor, to, visited, stack, w, best,
+                adj, capacities, load, tt_bits, neighbor, to, visited, stack, w, best,
             );
             stack.pop();
             visited[neighbor.index()] = false;
@@ -335,7 +362,7 @@ pub fn widest_path_brute_force<L: LinkLoads + ?Sized>(
     visited[from.index()] = true;
     let mut best = None;
     dfs(
-        network,
+        &adjacency(network),
         capacities,
         load,
         tt_bits,

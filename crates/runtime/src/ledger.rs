@@ -147,11 +147,6 @@ impl SloLedger {
         self.gr_violation.get(&index).copied().unwrap_or(0.0)
     }
 
-    /// Per-application violation map (arrival index → seconds).
-    pub fn gr_violations(&self) -> &BTreeMap<u64, f64> {
-        &self.gr_violation
-    }
-
     /// `∫ Σ_BE allocated_rate dt` over the run.
     pub fn be_rate_integral(&self) -> f64 {
         self.be_rate_integral
@@ -165,12 +160,6 @@ impl SloLedger {
         } else {
             self.reaction_latencies.iter().sum::<f64>() / self.reaction_latencies.len() as f64
         }
-    }
-
-    /// Worst disruption-to-re-placement latency (`0.0` when nothing was
-    /// re-placed).
-    pub fn max_reaction_latency(&self) -> f64 {
-        self.reaction_latencies.iter().fold(0.0, |m, &l| m.max(l))
     }
 
     /// All recorded reaction latencies, in re-placement order.
@@ -269,11 +258,9 @@ mod tests {
     fn latency_stats() {
         let mut l = SloLedger::default();
         assert!(l.mean_reaction_latency().is_nan());
-        assert_eq!(l.max_reaction_latency(), 0.0);
         l.record_restore(0.2);
         l.record_replacement(0.6);
         assert!((l.mean_reaction_latency() - 0.4).abs() < 1e-12);
-        assert_eq!(l.max_reaction_latency(), 0.6);
         assert_eq!(l.restores(), 1);
         assert_eq!(l.placement_churn(), 1);
         assert_eq!(l.reaction_latencies(), &[0.2, 0.6]);

@@ -620,11 +620,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         &self.pending
     }
 
-    /// Elements currently down.
-    pub fn down_elements(&self) -> &BTreeSet<NetworkElement> {
-        &self.down
-    }
-
     /// Arrival indices of the currently live applications.
     pub fn live_indices(&self) -> Vec<u64> {
         self.live.keys().copied().collect()

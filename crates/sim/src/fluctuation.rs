@@ -112,16 +112,6 @@ impl CapacitySeries<'_> {
         }
         caps
     }
-
-    /// The current per-NCP fractions of nominal capacity.
-    pub fn ncp_fractions(&self) -> &[f64] {
-        &self.ncp_frac
-    }
-
-    /// The current per-link fractions of nominal capacity.
-    pub fn link_fractions(&self) -> &[f64] {
-        &self.link_frac
-    }
 }
 
 #[cfg(test)]
@@ -148,12 +138,11 @@ mod tests {
         let mut series = model.series(&network);
         for _ in 0..500 {
             let caps = series.step();
-            for (i, ncp) in network.ncp_ids().enumerate() {
+            for ncp in network.ncp_ids() {
                 let nominal = network.ncp(ncp).capacity().amount(ResourceKind::Cpu);
                 let now = caps.ncp(ncp).amount(ResourceKind::Cpu);
                 assert!(now <= nominal + 1e-9, "above nominal");
                 assert!(now >= 0.4 * nominal - 1e-9, "below floor");
-                assert!((series.ncp_fractions()[i] - now / nominal).abs() < 1e-9);
             }
             for link in network.link_ids() {
                 let nominal = network.link(link).bandwidth();

@@ -11,8 +11,8 @@
 //! which *are* published in the paper.
 
 use sparcle_model::{
-    Application, CtId, ModelError, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
-    TaskGraph, TaskGraphBuilder,
+    Application, ModelError, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec, TaskGraph,
+    TaskGraphBuilder,
 };
 
 /// Cloud CPU capacity: 4 cores × 3.8 GHz (Table I), in MHz.
@@ -124,25 +124,10 @@ pub fn testbed_network(field_bw_mbps: f64) -> Network {
     b.build().expect("testbed network is well-formed")
 }
 
-/// The cloud-computing reference placement: every compute CT on the
-/// cloud NCP. Returns the CT → NCP map (TT routing is up to the caller,
-/// e.g. `sparcle-baselines`' cloud assigner).
-pub fn cloud_placement_hosts(graph: &TaskGraph) -> Vec<(CtId, NcpId)> {
-    graph
-        .ct_ids()
-        .map(|ct| {
-            if graph.in_edges(ct).is_empty() || graph.out_edges(ct).is_empty() {
-                (ct, CAMERA)
-            } else {
-                (ct, CLOUD)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparcle_model::CtId;
     use sparcle_model::ResourceKind;
 
     #[test]
@@ -182,16 +167,5 @@ mod tests {
         let app = face_detection_app(QoeClass::best_effort(1.0)).unwrap();
         assert_eq!(app.pinned_host(CtId::new(0)), Some(CAMERA));
         assert_eq!(app.pinned_host(CtId::new(5)), Some(CAMERA));
-    }
-
-    #[test]
-    fn cloud_hosts_put_compute_on_cloud() {
-        let g = face_detection_graph().unwrap();
-        let hosts = cloud_placement_hosts(&g);
-        assert_eq!(hosts.len(), 6);
-        assert_eq!(hosts[0].1, CAMERA);
-        assert_eq!(hosts[1].1, CLOUD);
-        assert_eq!(hosts[4].1, CLOUD);
-        assert_eq!(hosts[5].1, CAMERA);
     }
 }

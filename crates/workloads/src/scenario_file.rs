@@ -22,7 +22,9 @@
 //! ```
 //!
 //! `ct`/`tt` lines belong to the most recent `app` line. `host=` pins a
-//! CT to an NCP (sources and sinks must be pinned).
+//! CT to an NCP (sources and sinks must be pinned). A key or flag a
+//! directive does not list above is an error, and so is a `cpu=` or
+//! `memory=` amount that is negative or not finite.
 //!
 //! # Examples
 //!
@@ -90,24 +92,36 @@ fn model_err(line: usize, e: ModelError) -> ScenarioParseError {
     err(line, e.to_string())
 }
 
-/// Splits `key=value` tokens and flags out of a token stream.
+/// Splits `key=value` tokens and flags out of a token stream, rejecting
+/// any key not in `keys` and any flag not in `flags`.
 fn parse_kv<'a>(
     tokens: &[&'a str],
     line: usize,
+    keys: &[&str],
+    flags: &[&str],
 ) -> Result<(BTreeMap<&'a str, &'a str>, Vec<&'a str>), ScenarioParseError> {
     let mut kv = BTreeMap::new();
-    let mut flags = Vec::new();
+    let mut found = Vec::new();
     for &tok in tokens {
         match tok.split_once('=') {
+            Some((k, _)) if !keys.contains(&k) => {
+                return Err(err(line, format!("unknown key `{k}`")));
+            }
             Some((k, v)) => {
                 if kv.insert(k, v).is_some() {
                     return Err(err(line, format!("duplicate key `{k}`")));
                 }
             }
-            None => flags.push(tok),
+            None if !flags.contains(&tok) => {
+                return Err(err(line, format!("unknown flag `{tok}`")));
+            }
+            None if found.contains(&tok) => {
+                return Err(err(line, format!("duplicate flag `{tok}`")));
+            }
+            None => found.push(tok),
         }
     }
-    Ok((kv, flags))
+    Ok((kv, found))
 }
 
 fn parse_f64(
@@ -121,6 +135,21 @@ fn parse_f64(
             .parse::<f64>()
             .map(Some)
             .map_err(|_| err(line, format!("`{key}` is not a number: {v}"))),
+    }
+}
+
+/// Parses a resource amount, which must be finite and non-negative.
+fn parse_amount(
+    kv: &BTreeMap<&str, &str>,
+    key: &str,
+    line: usize,
+) -> Result<Option<f64>, ScenarioParseError> {
+    match parse_f64(kv, key, line)? {
+        Some(v) if !v.is_finite() || v < 0.0 => Err(err(
+            line,
+            format!("`{key}` must be finite and non-negative, got {v}"),
+        )),
+        amount => Ok(amount),
     }
 }
 
@@ -172,6 +201,7 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                 let name = *tokens
                     .get(1)
                     .ok_or_else(|| err(line, "network needs a name"))?;
+                parse_kv(&tokens[2..], line, &[], &[])?;
                 nb.name(name);
             }
             "ncp" => {
@@ -179,14 +209,11 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                     return Err(err(line, "ncp lines must precede app lines"));
                 }
                 let name = *tokens.get(1).ok_or_else(|| err(line, "ncp needs a name"))?;
-                let (kv, flags) = parse_kv(&tokens[2..], line)?;
-                if !flags.is_empty() {
-                    return Err(err(line, format!("unknown flag `{}`", flags[0])));
-                }
-                let cpu =
-                    parse_f64(&kv, "cpu", line)?.ok_or_else(|| err(line, "ncp needs cpu=<MHz>"))?;
+                let (kv, _) = parse_kv(&tokens[2..], line, &["cpu", "memory", "failure"], &[])?;
+                let cpu = parse_amount(&kv, "cpu", line)?
+                    .ok_or_else(|| err(line, "ncp needs cpu=<MHz>"))?;
                 let mut cap = ResourceVec::cpu(cpu);
-                if let Some(mem) = parse_f64(&kv, "memory", line)? {
+                if let Some(mem) = parse_amount(&kv, "memory", line)? {
                     cap.set(sparcle_model::ResourceKind::Memory, mem);
                 }
                 let failure = parse_f64(&kv, "failure", line)?.unwrap_or(0.0);
@@ -210,11 +237,11 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                 let b = *tokens
                     .get(3)
                     .ok_or_else(|| err(line, "link needs two NCPs"))?;
-                let (kv, flags) = parse_kv(&tokens[4..], line)?;
-                let direction = match flags.as_slice() {
-                    [] => LinkDirection::Undirected,
-                    ["directed"] => LinkDirection::Directed,
-                    other => return Err(err(line, format!("unknown flag `{}`", other[0]))),
+                let (kv, flags) = parse_kv(&tokens[4..], line, &["bw", "failure"], &["directed"])?;
+                let direction = if flags.is_empty() {
+                    LinkDirection::Undirected
+                } else {
+                    LinkDirection::Directed
                 };
                 let bw =
                     parse_f64(&kv, "bw", line)?.ok_or_else(|| err(line, "link needs bw=<Mbps>"))?;
@@ -243,20 +270,25 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                 let kind = *tokens
                     .get(2)
                     .ok_or_else(|| err(line, "app needs best-effort|guaranteed"))?;
-                let (kv, _) = parse_kv(&tokens[3..], line)?;
-                let qoe = match kind {
-                    "best-effort" => QoeClass::BestEffort {
+                let keys: &[&str] = match kind {
+                    "best-effort" => &["priority", "availability"],
+                    "guaranteed" => &["rate", "availability"],
+                    other => {
+                        return Err(err(line, format!("unknown app kind `{other}`")));
+                    }
+                };
+                let (kv, _) = parse_kv(&tokens[3..], line, keys, &[])?;
+                let qoe = if kind == "best-effort" {
+                    QoeClass::BestEffort {
                         priority: parse_f64(&kv, "priority", line)?.unwrap_or(1.0),
                         availability: parse_f64(&kv, "availability", line)?,
-                    },
-                    "guaranteed" => QoeClass::GuaranteedRate {
+                    }
+                } else {
+                    QoeClass::GuaranteedRate {
                         min_rate: parse_f64(&kv, "rate", line)?
                             .ok_or_else(|| err(line, "guaranteed needs rate=<f>"))?,
                         min_rate_availability: parse_f64(&kv, "availability", line)?
                             .ok_or_else(|| err(line, "guaranteed needs availability=<p>"))?,
-                    },
-                    other => {
-                        return Err(err(line, format!("unknown app kind `{other}`")));
                     }
                 };
                 let mut builder = TaskGraphBuilder::new();
@@ -275,12 +307,12 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                     .as_mut()
                     .ok_or_else(|| err(line, "ct outside of an app block"))?;
                 let name = *tokens.get(1).ok_or_else(|| err(line, "ct needs a name"))?;
-                let (kv, _) = parse_kv(&tokens[2..], line)?;
+                let (kv, _) = parse_kv(&tokens[2..], line, &["cpu", "memory", "host"], &[])?;
                 let mut req = ResourceVec::new();
-                if let Some(cpu) = parse_f64(&kv, "cpu", line)? {
+                if let Some(cpu) = parse_amount(&kv, "cpu", line)? {
                     req.set(sparcle_model::ResourceKind::Cpu, cpu);
                 }
-                if let Some(mem) = parse_f64(&kv, "memory", line)? {
+                if let Some(mem) = parse_amount(&kv, "memory", line)? {
                     req.set(sparcle_model::ResourceKind::Memory, mem);
                 }
                 let id = d.builder.add_ct(name, req);
@@ -301,7 +333,7 @@ pub fn parse_scenario(text: &str) -> Result<FileScenario, ScenarioParseError> {
                 let name = *tokens.get(1).ok_or_else(|| err(line, "tt needs a name"))?;
                 let from = *tokens.get(2).ok_or_else(|| err(line, "tt needs two CTs"))?;
                 let to = *tokens.get(3).ok_or_else(|| err(line, "tt needs two CTs"))?;
-                let (kv, _) = parse_kv(&tokens[4..], line)?;
+                let (kv, _) = parse_kv(&tokens[4..], line, &["bits"], &[])?;
                 let bits =
                     parse_f64(&kv, "bits", line)?.ok_or_else(|| err(line, "tt needs bits=<f>"))?;
                 let from = *d
@@ -529,6 +561,88 @@ tt outt crunch dst bits=1
         assert!(e.message.contains("duplicate key"));
         let e = parse_scenario("ncp a cpu=1\nncp a cpu=2\n").unwrap_err();
         assert!(e.message.contains("duplicate ncp"));
+    }
+
+    /// A `cpu=`/`memory=` amount `ResourceVec` would refuse is a parse
+    /// error on its own line, on both `ncp` and `ct` lines.
+    #[test]
+    fn rejects_bad_resource_amounts() {
+        let app = "ncp a cpu=10\napp x best-effort\n";
+        for (text, line, key) in [
+            ("ncp a cpu=nan\n".to_owned(), 1, "cpu"),
+            ("ncp a cpu=10 memory=inf\n".to_owned(), 1, "memory"),
+            (format!("{app}ct m cpu=-3\n"), 3, "cpu"),
+            (format!("{app}ct m cpu=1 memory=nan\n"), 3, "memory"),
+        ] {
+            let e = parse_scenario(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            let rule = format!("`{key}` must be finite and non-negative");
+            assert!(e.message.contains(&rule), "{}", e.message);
+        }
+    }
+
+    /// Every directive rejects a key or flag it does not know, naming it
+    /// and the line.
+    #[test]
+    fn rejects_unknown_keys_and_flags() {
+        let net = "ncp a cpu=10\nncp b cpu=10\n";
+        let app = format!("{net}app x best-effort\nct s host=a\nct t host=b\n");
+        for (text, line, what) in [
+            ("network n extra=1\n".to_owned(), 1, "unknown key `extra`"),
+            ("network n loud\n".to_owned(), 1, "unknown flag `loud`"),
+            ("ncp a cpu=10 mem=64\n".to_owned(), 1, "unknown key `mem`"),
+            ("ncp a cpu=10 fast\n".to_owned(), 1, "unknown flag `fast`"),
+            (
+                format!("{net}link l a b bw=1 lat=2\n"),
+                3,
+                "unknown key `lat`",
+            ),
+            (
+                format!("{net}link l a b bw=1 twoway\n"),
+                3,
+                "unknown flag `twoway`",
+            ),
+            (
+                format!("{net}link l a b bw=1 directed directed\n"),
+                3,
+                "duplicate flag `directed`",
+            ),
+            (
+                format!("{net}app x best-effort rate=1\n"),
+                3,
+                "unknown key `rate`",
+            ),
+            (
+                format!("{net}app x guaranteed rate=1 availability=0.9 priority=2\n"),
+                3,
+                "unknown key `priority`",
+            ),
+            (
+                format!("{net}app x best-effort urgent\n"),
+                3,
+                "unknown flag `urgent`",
+            ),
+            (format!("{app}ct w cpu=1 pin=a\n"), 6, "unknown key `pin`"),
+            (
+                format!("{app}ct w cpu=1 pinned\n"),
+                6,
+                "unknown flag `pinned`",
+            ),
+            (
+                format!("{app}tt e s t bits=1 size=2\n"),
+                6,
+                "unknown key `size`",
+            ),
+            (
+                format!("{app}tt e s t bits=1 lossy\n"),
+                6,
+                "unknown flag `lossy`",
+            ),
+        ] {
+            let e = parse_scenario(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert!(e.message.contains(what), "{text}: {}", e.message);
+        }
     }
 
     #[test]
