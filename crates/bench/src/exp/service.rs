@@ -1,7 +1,7 @@
 //! Admission service plane under sustained flash-crowd load.
 //!
 //! Drives the same pinned flash-crowd request stream (submissions plus
-//! snapshot probes) through [`sparcle_service::AdmissionService`] at a
+//! snapshot probes) through [`sparcle_runtime::service::AdmissionService`] at a
 //! sweep of micro-batch window sizes — from an effectively per-request
 //! window up to coarse coalescing — over the edge/hub network of
 //! [`sparcle_workloads::edge_hub`]. The point of the plane shows up in
@@ -21,7 +21,7 @@
 //! ```
 
 use crate::{ExpHarness, ParsedFlags, Table};
-use sparcle_service::{AdmissionService, ServiceConfig};
+use sparcle_runtime::service::{AdmissionService, ServiceConfig};
 use sparcle_workloads::edge_hub::{network, service_app};
 use sparcle_workloads::{ArrivalTrace, RequestStream};
 use std::time::Instant;

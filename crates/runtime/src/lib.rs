@@ -39,6 +39,9 @@
 //! burn-rate/degradation detectors, and emits `monitor_*` telemetry
 //! events (and an optional Prometheus-style metrics file) with the same
 //! byte-identical determinism guarantee.
+//!
+//! The admission [`service`] is a plane on the same loop: its runtime's
+//! queue carries no churn, only the plane's batch-window closes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -48,6 +51,7 @@ pub mod ledger;
 pub mod monitor;
 pub mod policy;
 pub mod runtime;
+pub mod service;
 
 pub use defrag::{DefragConfig, Defragmenter};
 pub use ledger::SloLedger;

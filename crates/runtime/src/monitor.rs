@@ -28,8 +28,9 @@
 //! obey.
 //!
 //! The monitor's windows are pure state-in/state-out (no I/O, no clock):
-//! its owner — the churn runtime or the admission service — feeds
-//! [`Monitor::tick`] a [`TickInput`] and hands the returned
+//! its owner, the runtime, feeds [`Monitor::tick`] a [`TickInput`] —
+//! from a periodic `MonitorTick` on a churn timeline, from every batch-window
+//! close in the admission service — and hands the returned
 //! [`MonitorSample`] to [`Monitor::publish`], which emits the telemetry
 //! events ([`MonitorSample::emit`]) and rewrites the optional
 //! Prometheus-style text exposition ([`Monitor::render_prometheus`]).
@@ -41,11 +42,9 @@
 
 use std::path::PathBuf;
 
-use sparcle_core::{SparcleSystem, TraceHandle};
+use sparcle_core::TraceHandle;
 use sparcle_telemetry::window::{RateEstimator, WindowedCounter, WindowedHistogram};
 use sparcle_telemetry::{Event, MonitorSnapshot};
-
-use crate::ledger::SloLedger;
 
 /// Labels of the three alert rules, in evaluation order.
 pub const ALERT_RULES: [&str; 3] = ["gr_burn_rate", "solver_iteration_blowup", "backlog_growth"];
@@ -85,8 +84,10 @@ impl Default for AlertRules {
 /// Configuration of the runtime's observability monitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
-    /// Simulated seconds between monitor ticks (also the window slot
-    /// width, so every tick lands in its own slot).
+    /// Width of one window slot in simulated seconds. The churn runtime
+    /// also ticks every `period` (one tick per slot); the admission
+    /// service ticks at every batch-window close instead, so for it this
+    /// is only the slot width.
     pub period: f64,
     /// Ring slots per window; the window spans `period × slots`
     /// simulated seconds.
@@ -137,26 +138,6 @@ pub struct TickInput {
     /// Total planned migrations committed by the defragmenter
     /// ([`crate::SloLedger::migrations`]); 0 with defrag off.
     pub migrations: u64,
-}
-
-impl TickInput {
-    /// The signals both control loops read the same way: the ledger's
-    /// totals, the state core's solve counters and the instantaneous BE
-    /// rate. `queue_depth`, `backlog` and `live` mean something different
-    /// in each loop and are left at zero for the caller to fill.
-    pub fn observe(system: &SparcleSystem, ledger: &SloLedger) -> Self {
-        let stats = system.state_stats();
-        TickInput {
-            gr_violation_seconds: ledger.total_gr_violation_seconds(),
-            arrivals: ledger.arrivals(),
-            admitted: ledger.admitted(),
-            solves: stats.solves,
-            warm_inner_iters: stats.inner_iters_warm,
-            be_rate: system.be_rate_total(),
-            migrations: ledger.migrations(),
-            ..TickInput::default()
-        }
-    }
 }
 
 /// One alert rule crossing its threshold (either direction).

@@ -8,9 +8,10 @@
 //! so a run is a pure function of `(network, arrivals, source, config)`
 //! — including across γ-evaluator thread counts.
 //!
-//! This file holds the loop and the exogenous events; the reconcile pass
-//! and the defragmentation pass are `impl SparcleRuntime` blocks in
-//! `reconcile.rs` and `defrag_pass.rs`.
+//! This file holds the loop and the exogenous events; the reconcile pass,
+//! the defragmentation pass and the admission service plane are
+//! `impl SparcleRuntime` blocks in `reconcile.rs`, `defrag_pass.rs` and
+//! `admission.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,6 +25,7 @@ use sparcle_model::{
     AppId, Application, CapacityMap, ModelError, Network, NetworkElement, QoeClass,
 };
 use sparcle_sim::des::EventQueue;
+use sparcle_sim::failure::element_label;
 use sparcle_sim::{ElementStateStream, FluctuationModel};
 use sparcle_workloads::ArrivalEvent;
 
@@ -31,18 +33,11 @@ use crate::defrag::{DefragConfig, Defragmenter};
 use crate::ledger::SloLedger;
 use crate::monitor::{Monitor, MonitorConfig, TickInput};
 use crate::policy::ReconcilePolicy;
+use admission::ServicePlane;
 
+pub(crate) mod admission;
 mod defrag_pass;
 mod reconcile;
-
-/// Stable trace label of a network element (`"ncp:3"`, `"link:7"`) —
-/// same format the failure simulator emits.
-fn element_label(e: NetworkElement) -> String {
-    match e {
-        NetworkElement::Ncp(id) => format!("ncp:{}", id.index()),
-        NetworkElement::Link(id) => format!("link:{}", id.index()),
-    }
-}
 
 /// One timeline event the control plane reacts to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +76,12 @@ pub enum ChurnEvent {
     /// (periodic, consumes no randomness; with `defrag: None` the event
     /// is never scheduled and the timeline is bitwise pre-defrag).
     DefragTick,
+    /// The admission service closes batch window `window` (0-based, at
+    /// `(window + 1) × batch_window`; only [`crate::service::AdmissionService`]).
+    WindowClose {
+        /// Index of the window being closed.
+        window: u64,
+    },
 }
 
 /// Capacity-fluctuation configuration of the runtime timeline.
@@ -190,6 +191,8 @@ pub struct SparcleRuntime<F> {
     ledger: SloLedger,
     monitor: Option<Monitor>,
     defrag: Option<Defragmenter>,
+    /// The admission service plane; `Some` only in a serving runtime.
+    service: Option<ServicePlane>,
     events_processed: u64,
     /// Arrival index → provenance id of the app's latest lifecycle
     /// event (arrival/displace/readmit), so the next hop can link back
@@ -230,19 +233,21 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             "horizon must be positive"
         );
         assert!(config.mean_hold > 0.0, "mean hold must be positive");
-        let mut queue = EventQueue::new();
+        let mut rt = Self::assemble(network, source, config);
+        let (horizon, network) = (rt.config.horizon, rt.system.network());
         for a in arrivals {
-            if a.time < config.horizon {
-                queue.schedule(a.time, ChurnEvent::Arrival { index: a.index });
+            if a.time < horizon {
+                rt.queue
+                    .schedule(a.time, ChurnEvent::Arrival { index: a.index });
             }
         }
-        let epochs = (config.horizon / EPOCH_LENGTH).ceil() as u64;
+        let epochs = (horizon / EPOCH_LENGTH).ceil() as u64;
         let stream =
-            ElementStateStream::new(&network, network.elements(), epochs, config.failure_seed);
+            ElementStateStream::new(network, network.elements(), epochs, rt.config.failure_seed);
         for tr in stream.collect_transitions() {
             let t = tr.epoch as f64 * EPOCH_LENGTH;
-            if t < config.horizon {
-                queue.schedule(
+            if t < horizon {
+                rt.queue.schedule(
                     t,
                     ChurnEvent::Element {
                         element: tr.element,
@@ -251,52 +256,54 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 );
             }
         }
-        let mut fluct_steps = Vec::new();
-        if let Some(f) = &config.fluctuation {
+        if let Some(f) = &rt.config.fluctuation {
             assert!(f.period > 0.0, "fluctuation period must be positive");
-            let mut series = f.model.series(&network);
+            let mut series = f.model.series(network);
             let mut step = 0usize;
             loop {
                 let t = (step + 1) as f64 * f.period;
-                if t >= config.horizon {
+                if t >= horizon {
                     break;
                 }
-                fluct_steps.push(series.step());
-                queue.schedule(t, ChurnEvent::Fluctuation { step });
+                rt.fluct_steps.push(series.step());
+                rt.queue.schedule(t, ChurnEvent::Fluctuation { step });
                 step += 1;
             }
         }
+        // Monitor and defrag ticks: the first lands one period in, the
+        // handler reschedules the rest. Scheduled last so a tick sorts
+        // after same-time exogenous events — deterministic either way,
+        // but "observe after the world moved" reads better. With
+        // `defrag: None` nothing is scheduled and the timeline is
+        // bitwise pre-defrag.
+        if let Some(period) = rt.monitor.as_ref().map(|m| m.config().period) {
+            if period <= horizon {
+                rt.queue.schedule(period, ChurnEvent::MonitorTick);
+            }
+        }
+        if let Some(period) = rt.defrag.as_ref().map(|d| d.config().period) {
+            if period <= horizon {
+                rt.queue.schedule(period, ChurnEvent::DefragTick);
+            }
+        }
+        rt
+    }
+
+    /// The runtime over `network` with an empty timeline: builds the
+    /// system and the configured (not yet scheduled) planes.
+    fn assemble(network: Network, source: F, config: RuntimeConfig) -> Self {
         let base_caps = network.capacity_map();
-        // Monitor ticks are pre-validated here; the first tick lands one
-        // period in, the handler reschedules the rest. Scheduled last so
-        // a tick sorts after same-time exogenous events — deterministic
-        // either way, but "observe after the world moved" reads better.
-        let monitor = config.monitor.clone().map(|m| {
-            let mon = Monitor::new(m);
-            if mon.config().period <= config.horizon {
-                queue.schedule(mon.config().period, ChurnEvent::MonitorTick);
-            }
-            mon
-        });
-        // Same pattern for the defragmenter: first tick one period in,
-        // the handler reschedules the rest. With `defrag: None` nothing
-        // is scheduled and the timeline is bitwise pre-defrag.
-        let defrag = config.defrag.clone().map(|d| {
-            let df = Defragmenter::new(d);
-            if df.config().period <= config.horizon {
-                queue.schedule(df.config().period, ChurnEvent::DefragTick);
-            }
-            df
-        });
+        let monitor = config.monitor.clone().map(Monitor::new);
+        let defrag = config.defrag.clone().map(Defragmenter::new);
         let hold_rng = StdRng::seed_from_u64(config.hold_seed);
         let system = SparcleSystem::with_config(network, config.system.clone());
         SparcleRuntime {
             config,
             system,
-            queue,
+            queue: EventQueue::new(),
             source,
             hold_rng,
-            fluct_steps,
+            fluct_steps: Vec::new(),
             caps: base_caps.clone(),
             base_caps,
             down: BTreeSet::new(),
@@ -307,6 +314,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             ledger: SloLedger::default(),
             monitor,
             defrag,
+            service: None,
             events_processed: 0,
             last_event: BTreeMap::new(),
         }
@@ -321,10 +329,30 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     /// telemetry event per processed churn event into `trace`.
     pub fn run_traced(&mut self, trace: TraceHandle<'_>) -> &SloLedger {
         let run_span = trace.span("runtime.run");
-        while let Some((t, event)) = self.queue.pop() {
-            if t > self.config.horizon {
-                break;
-            }
+        let before = self.events_processed;
+        self.run_until(self.config.horizon, trace);
+        self.accrue(self.config.horizon);
+        // Exported once per call, and not at all by a call that
+        // processed nothing, so a trace names the counter only when it
+        // counted something.
+        let events = self.events_processed - before;
+        if events > 0 {
+            trace.counter("runtime.events", events);
+        }
+        // Deterministic state-core counters (wall-clock nanos stay out:
+        // traces are compared bit-for-bit across thread counts).
+        for (name, value) in self.system.state_stats().counters() {
+            trace.counter(name, value);
+        }
+        run_span.finish();
+        &self.ledger
+    }
+
+    /// The loop: pops and handles every queued event due at or before
+    /// `until`, in `(time, insertion)` order.
+    fn run_until(&mut self, until: f64, trace: TraceHandle<'_>) {
+        while self.queue.peek_time().is_some_and(|t| t <= until) {
+            let (t, event) = self.queue.pop().expect("peeked");
             // A defrag tick accrues only once its pass may commit a move
             // (`on_defrag_tick`): a rollback-only pass changes no state,
             // and splitting the ledger's interval at it would move the
@@ -333,7 +361,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 self.accrue(t);
             }
             self.events_processed += 1;
-            trace.counter("runtime.events", 1);
             match event {
                 ChurnEvent::Arrival { index } => self.on_arrival(t, index, trace),
                 ChurnEvent::Departure { index } => self.on_departure(t, index, trace),
@@ -342,16 +369,9 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 ChurnEvent::Reconcile { cause } => self.on_reconcile(t, cause, trace),
                 ChurnEvent::MonitorTick => self.on_monitor_tick(t, trace),
                 ChurnEvent::DefragTick => self.on_defrag_tick(t, trace),
+                ChurnEvent::WindowClose { window } => self.on_window_close(t, window, trace),
             }
         }
-        self.accrue(self.config.horizon);
-        // Deterministic state-core counters (wall-clock nanos stay out:
-        // traces are compared bit-for-bit across thread counts).
-        for (name, value) in self.system.state_stats().counters() {
-            trace.counter(name, value);
-        }
-        run_span.finish();
-        &self.ledger
     }
 
     /// Integrates the SLO ledger up to `t` using the pre-event state:
@@ -567,22 +587,34 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     }
 
     fn on_monitor_tick(&mut self, t: f64, trace: TraceHandle<'_>) {
-        let Some(monitor) = self.monitor.as_mut() else {
-            return;
-        };
-        // `accrue(t)` already ran, so the ledger's integrals cover the
-        // timeline up to this tick (the extra integration points only
-        // move the float rounding, never the measured behaviour).
-        let mut input = TickInput::observe(&self.system, &self.ledger);
-        input.queue_depth = self.queue.len() as u64;
-        input.backlog = self.pending.len() as u64;
-        input.live = self.live.len() as u64;
-        let sample = monitor.tick(t, &input);
-        let next = t + monitor.config().period;
-        if next <= self.config.horizon {
-            self.queue.schedule(next, ChurnEvent::MonitorTick);
-        }
+        self.tick_monitor(t, self.queue.len() as u64, self.pending.len() as u64, trace);
         trace.counter("runtime.monitor_ticks", 1);
+        let period = self.monitor.as_ref().expect("ticked above").config().period;
+        if t + period <= self.config.horizon {
+            self.queue.schedule(t + period, ChurnEvent::MonitorTick);
+        }
+    }
+
+    /// Folds the run into the monitor at `t` (the loop's `accrue(t)`
+    /// already ran) and publishes the sample. `queue_depth` and `backlog`
+    /// are the DES queue and the displaced apps for a `MonitorTick`, the
+    /// queued and the deferred requests for a window close.
+    fn tick_monitor(&mut self, t: f64, queue_depth: u64, backlog: u64, trace: TraceHandle<'_>) {
+        let monitor = self.monitor.as_mut().expect("ticked only with a monitor");
+        let stats = self.system.state_stats();
+        let input = TickInput {
+            gr_violation_seconds: self.ledger.total_gr_violation_seconds(),
+            arrivals: self.ledger.arrivals(),
+            admitted: self.ledger.admitted(),
+            solves: stats.solves,
+            warm_inner_iters: stats.inner_iters_warm,
+            be_rate: self.system.be_rate_total(),
+            queue_depth,
+            backlog,
+            live: (self.system.be_apps().len() + self.system.gr_apps().len()) as u64,
+            migrations: self.ledger.migrations(),
+        };
+        let sample = monitor.tick(t, &input);
         monitor.publish(&sample, trace);
     }
 
@@ -818,7 +850,13 @@ mod tests {
             cfg.monitor = monitor;
             let arrivals = ArrivalTrace::Poisson { rate: 1.0 }.events(cfg.horizon, 42);
             let mut rt = SparcleRuntime::new(two_route_network(0.15), arrivals, app_source, cfg);
-            rt.run();
+            let recorder = sparcle_core::telemetry::CollectRecorder::new();
+            rt.run_traced(TraceHandle::new(&recorder));
+            // The loop's event count is exported once, whole.
+            assert_eq!(
+                recorder.snapshot().counter("runtime.events"),
+                rt.events_processed()
+            );
             rt
         };
         let off = run(None);

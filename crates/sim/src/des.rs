@@ -112,6 +112,11 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
+    /// The time of the earliest pending event, without popping it.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|s| s.time)
+    }
+
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         let s = self.heap.pop()?;
@@ -172,6 +177,18 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(run(), first);
         }
+    }
+
+    #[test]
+    fn peek_time_leaves_the_queue_and_clock_alone() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(2.0, 'b');
+        q.schedule(1.0, 'a');
+        assert_eq!(q.peek_time(), Some(1.0));
+        assert_eq!((q.len(), q.now()), (2, 0.0));
+        assert_eq!(q.pop(), Some((1.0, 'a')));
+        assert_eq!(q.peek_time(), Some(2.0));
     }
 
     #[test]

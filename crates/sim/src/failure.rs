@@ -17,8 +17,9 @@ use sparcle_core::TraceHandle;
 use sparcle_model::{Network, NetworkElement};
 use std::collections::BTreeSet;
 
-/// Stable trace label of a network element (`"ncp:3"`, `"link:7"`).
-fn element_label(e: NetworkElement) -> String {
+/// Stable trace label of a network element (`"ncp:3"`, `"link:7"`), the
+/// one format every element-state trace event carries.
+pub fn element_label(e: NetworkElement) -> String {
     match e {
         NetworkElement::Ncp(id) => format!("ncp:{}", id.index()),
         NetworkElement::Link(id) => format!("link:{}", id.index()),

@@ -25,10 +25,11 @@
 //!   plane driving a live system through arrivals, departures, element
 //!   failures, and capacity fluctuation, with pluggable reconcile
 //!   policies and an SLO ledger.
-//! * [`service`] — the admission service plane: a long-running loop
-//!   that coalesces placement requests into micro-batched transactions
-//!   (one warm solve per window), answers what-if probes from an
-//!   immutable state snapshot, and sheds load under backpressure.
+//! * [`service`] — the admission service plane, a plane on the
+//!   runtime's event queue: it coalesces placement requests into
+//!   micro-batched transactions (one warm solve per window), answers
+//!   what-if probes from an immutable state snapshot, and sheds load
+//!   under backpressure.
 //!
 //! # Quickstart
 //!
@@ -56,6 +57,6 @@ pub use sparcle_baselines as baselines;
 pub use sparcle_core as core;
 pub use sparcle_model as model;
 pub use sparcle_runtime as runtime;
-pub use sparcle_service as service;
+pub use sparcle_runtime::service;
 pub use sparcle_sim as sim;
 pub use sparcle_workloads as workloads;

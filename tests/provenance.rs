@@ -16,8 +16,8 @@ use sparcle_core::{SystemConfig, TraceHandle};
 use sparcle_model::{
     Application, LinkDirection, NcpId, Network, NetworkBuilder, QoeClass, ResourceVec,
 };
+use sparcle_runtime::service::{AdmissionService, ServiceConfig};
 use sparcle_runtime::{FluctuationConfig, ReconcilePolicy, RuntimeConfig, SparcleRuntime};
-use sparcle_service::{AdmissionService, ServiceConfig};
 use sparcle_sim::FluctuationModel;
 use sparcle_telemetry::{CollectRecorder, StampedEvent};
 use sparcle_trace_tools::explain::{explain, pick_lineage, Selector};

@@ -1,6 +1,6 @@
 //! Differential suite for the admission service plane.
 //!
-//! The service crate promises (see `sparcle_service::service` module
+//! The service plane promises (see `sparcle_runtime::service` module
 //! docs) that micro-batched admission is *decision-equivalent* to
 //! sequential admission: the same requests are admitted/rejected, with
 //! the same placements and the same post-run GR residual, bit for bit —
@@ -14,7 +14,7 @@
 
 use sparcle_core::{SparcleSystem, SystemConfig};
 use sparcle_model::{NcpId, Network, NetworkBuilder, ResourceVec};
-use sparcle_service::{AdmissionService, ServiceConfig};
+use sparcle_runtime::service::{AdmissionService, ServiceConfig};
 use sparcle_workloads::edge_hub::service_app;
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream};
 
