@@ -88,12 +88,56 @@
 //! ([`PlacementEngine::audit_caches`], `tests/parallel_equivalence.rs`
 //! and the γ- and tree-staleness proptests enforce all of this.)
 //!
+//! ## Ranking scan
+//!
+//! A ranking round needs `argmax_j γ_{i,j}` for every unplaced CT `i`,
+//! and nearly every host loses. The scan therefore reads hosts in an
+//! order that does not depend on the CT and stops as soon as no host
+//! left can win — Fagin–Lotem–Naor's threshold algorithm ("Optimal
+//! aggregation algorithms for middleware", JCSS 2003) with one sorted
+//! list.
+//!
+//! The bound: take any resource kind `r` the CT needs (`a_r > 0`). The
+//! host term is `min_k C_k / (L_k + a_k)` over the kinds with a nonzero
+//! sum, `r` among them, so `γ = min(host term, net_γ) ≤ C_r / a_r`. That
+//! holds exactly in floating point: loads only grow during an engine's
+//! life, so `L ≥ 0` and `fl(L + a) ≥ a`; IEEE division is monotone; and
+//! [`sparcle_model::ResourceVec`] refuses negative and non-finite
+//! amounts, so every `C` and `a` is finite and `≥ 0`. So the engine
+//! keeps, per kind, its hosts sorted by `C_r` descending (ties toward
+//! the lower id), and a CT's scan walks the order of the first kind it
+//! needs, stopping at the first host whose `C_r / a_r` is **strictly**
+//! below the best γ found so far: every host after it has a bound no
+//! larger, hence a γ below the best. A CT that needs nothing divides by
+//! `+0.0`; `+∞` and NaN are never below a γ, so its scan reads every
+//! host.
+//!
+//! The order is built lazily in the [`EngineScratch`]: filled from the
+//! engine's capacities the first time a scan asks for a kind (every new
+//! engine starts over, since capacities differ per engine), and sorted
+//! only as far as a scan has read, the prefix doubling each time a scan
+//! runs past it. On the benchmark's 5,000-NCP hub chain a CT-round
+//! reads about 53 hosts.
+//!
+//! Ties stay exact. Scanning on while the bound *equals* the best means
+//! every host whose γ could equal the maximum is read. Reading in
+//! capacity order instead of id order, the scan keeps the host with the
+//! larger γ, and on an equal γ it flags the tie and keeps the lower id
+//! (with that host's γ bits, so `0.0` and `-0.0` come out as in an id
+//! order scan). A scan stops only once it has a best, so a CT no host
+//! can route reads every host and fails where an id order scan does.
+//! The result — host, γ bits, tie flag, and
+//! [`AssignError::NoHostForCt`] for the same CT — is that of a scan over
+//! every host in id order; the core proptests hold it to the oracle's.
+//! [`AssignStats::hosts_evaluated`] counts the hosts read.
+//!
 //! ## Deterministic tie-break and thread-count independence
 //!
 //! [`PlacementEngine::rank_round`] always resolves its choice by
 //!
 //! 1. per CT, the host with the **largest** γ, ties toward the **lower
-//!    `NcpId`**;
+//!    `NcpId`** — whatever order the ranking scan reads the hosts in
+//!    (see above);
 //! 2. across CTs, the candidate with the **smallest** best-γ, ties
 //!    toward the **lower `CtId`**.
 //!
@@ -116,6 +160,7 @@ pub use route::fewest_hops_path;
 use crate::error::AssignError;
 use crate::trace::TraceHandle;
 use crate::widest_path::CsrWidestTree;
+use rank::CapacityOrders;
 use sparcle_model::{
     Application, CapacityMap, CtId, DenseLoad, LoadMap, NcpId, Network, Placement, ReachScratch,
     ReachablePlacedCt, TtId,
@@ -135,8 +180,9 @@ pub enum RoutePolicy {
 
 /// Reusable assignment buffers a long-lived caller hoists across engine
 /// lifetimes: the serial sweep buffers, the routing scratch, the tree
-/// store's `phi`/witness buffers, the reach-set traversal, and the
-/// per-evaluation and per-commit work lists. A fresh engine allocates
+/// store's `phi`/witness buffers, the reach-set traversal, the
+/// ranking scan's host orders, and the per-evaluation and per-commit
+/// work lists. A fresh engine allocates
 /// these lazily per assignment; the system's rollback-only probe paths
 /// (γ reconcile probes, defrag migration probes) run thousands of
 /// assignments over one network, so taking the buffers from — and
@@ -165,6 +211,8 @@ pub struct EngineScratch {
     /// routing order.
     touched: LinkSet,
     incident: Vec<TtId>,
+    /// The ranking scan's host orders, one per resource kind.
+    orders: CapacityOrders,
 }
 
 /// The result of a completed task assignment: one *task assignment path*.
@@ -199,6 +247,11 @@ pub struct AssignStats {
     pub cache_hits: u64,
     /// Widest-path trees computed (one Algorithm-1 sweep each).
     pub cache_misses: u64,
+    /// Hosts the ranking scan read, over every CT of every ranking
+    /// round: at most `|N|` per CT-round, and fewer the sooner the
+    /// capacity threshold stops the scan (module docs, "Ranking scan").
+    /// An engine counter only: no trace counter carries it.
+    pub hosts_evaluated: u64,
 }
 
 impl AssignStats {
@@ -207,6 +260,7 @@ impl AssignStats {
         self.rank_rounds += other.rank_rounds;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.hosts_evaluated += other.hosts_evaluated;
     }
 }
 
@@ -308,8 +362,10 @@ impl<'a> PlacementEngine<'a> {
             stats: AssignStats::default(),
             round: 0,
         };
-        // Trees describe one engine's loads; only buffers carry over.
+        // Trees and host orders describe one engine's loads and
+        // capacities; only buffers carry over.
         engine.scratch.trees.retire(|_| true);
+        engine.scratch.orders.reset();
         for (&ct, &host) in app.pinned() {
             if let Err(e) = engine.commit(ct, host) {
                 // A rejected pin must not swallow the caller's buffers.

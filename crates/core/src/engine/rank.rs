@@ -1,11 +1,99 @@
 //! The ranking scan: `γ_{i,j}` (eq. (2)) for one pair, and one full
 //! `argmin_i max_j γ_{i,j}` round of Algorithm 2, both read straight off
-//! the tree store.
+//! the tree store; each CT's `argmax_j` scans hosts in capacity order and
+//! stops at the threshold (module docs, "Ranking scan").
 
+use super::trees::TreeStore;
 use super::{EngineScratch, PlacementEngine};
 use crate::error::AssignError;
-use sparcle_model::{CtId, NcpId};
+use sparcle_model::{CapacityMap, CtId, NcpId, ResourceKind};
 use sparcle_telemetry::{Candidate, CtTieBreak, Event, HostTieBreak, PlacementDecision};
+use std::cmp::Ordering;
+
+/// The first prefix a scan sorts; each further step doubles it.
+const FIRST_PREFIX: usize = 32;
+
+/// One host order per resource kind the engine's CTs name, filled from
+/// the engine's capacities the first time a scan asks for the kind. The
+/// buffers outlive the engine (they sit in [`EngineScratch`]); their
+/// contents do not, because every engine has capacities of its own.
+#[derive(Debug, Clone, Default)]
+pub(super) struct CapacityOrders {
+    orders: Vec<CapacityOrder>,
+    /// How many of `orders` the current engine has filled.
+    live: usize,
+}
+
+impl CapacityOrders {
+    /// Forgets every order, keeping the buffers for the next engine.
+    pub(super) fn reset(&mut self) {
+        self.live = 0;
+    }
+
+    /// The order of `kind` under `capacities`, filled (unsorted) on
+    /// first use.
+    fn order(&mut self, kind: ResourceKind, capacities: &CapacityMap) -> &mut CapacityOrder {
+        let at = match self.orders[..self.live].iter().position(|o| o.kind == kind) {
+            Some(at) => at,
+            None => {
+                if self.live == self.orders.len() {
+                    self.orders.push(CapacityOrder::default());
+                }
+                self.orders[self.live].fill(kind, capacities);
+                self.live += 1;
+                self.live - 1
+            }
+        };
+        &mut self.orders[at]
+    }
+}
+
+/// Every host as `(C_j^(kind), j)`, sorted lazily into scan order —
+/// capacity descending, ties toward the lower id — only as far as a scan
+/// has read: `hosts[..sorted]` is in scan order and every entry behind
+/// it comes after all of them.
+#[derive(Debug, Clone, Default)]
+struct CapacityOrder {
+    kind: ResourceKind,
+    hosts: Vec<(f64, NcpId)>,
+    sorted: usize,
+}
+
+impl CapacityOrder {
+    fn fill(&mut self, kind: ResourceKind, capacities: &CapacityMap) {
+        self.kind = kind;
+        self.hosts.clear();
+        self.hosts.extend((0..capacities.ncp_count()).map(|i| {
+            let host = NcpId::new(i as u32);
+            (capacities.ncp(host).amount(kind), host)
+        }));
+        self.sorted = 0;
+    }
+
+    /// The `i`-th host in scan order, sorting the prefix out to it
+    /// (doubled) on first reach: the tail's smallest entries are
+    /// selected, then sorted in place.
+    fn get(&mut self, i: usize) -> Option<(f64, NcpId)> {
+        if i >= self.sorted && i < self.hosts.len() {
+            let end = (2 * self.sorted).max(FIRST_PREFIX).max(i + 1);
+            let tail = &mut self.hosts[self.sorted..];
+            let take = (end - self.sorted).min(tail.len());
+            if take < tail.len() {
+                tail.select_nth_unstable_by(take - 1, scan_order);
+            }
+            tail[..take].sort_unstable_by(scan_order);
+            self.sorted += take;
+        }
+        self.hosts.get(i).copied()
+    }
+}
+
+/// Capacity descending (by total order: `-0.0` after `0.0`, which IEEE
+/// comparison calls equal), ties toward the lower id. A total order, so
+/// the sorted prefix is unique.
+fn scan_order(a: &(f64, NcpId), b: &(f64, NcpId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
 
 impl PlacementEngine<'_> {
     /// The paper's `γ_{i,j}` (eq. (2)): the bottleneck processing rate
@@ -89,9 +177,9 @@ impl PlacementEngine<'_> {
         self.scratch = scratch;
         fill_span.finish();
         let merge_span = self.trace.span("engine.rank_merge");
-        // Serial merge straight off the stored trees — per host the
-        // `min` of the `φ` the CT's reach set names; the strict
+        // Serial merge straight off the stored trees; the strict
         // comparisons are the tie-breaks of the module docs.
+        let mut orders = std::mem::take(&mut self.scratch.orders);
         let EngineScratch {
             trees,
             need_ends,
@@ -101,26 +189,18 @@ impl PlacementEngine<'_> {
         let mut candidates: Vec<Candidate> = Vec::new();
         let mut ct_tied = false;
         let mut pick: Option<(f64, CtId, NcpId)> = None;
+        let mut stranded = None;
+        let mut evaluated = 0;
         let mut first = 0;
         for (ct, &end) in self.unplaced().zip(need_ends) {
             let reach = &slots[first..end];
             first = end;
-            let mut best: Option<(NcpId, f64)> = None;
-            let mut host_tied = false;
-            for host in self.network.ncp_ids() {
-                let net = trees.net_gamma(reach, host);
-                if net == f64::NEG_INFINITY {
-                    continue;
-                }
-                let g = self.host_rate(ct, host).min(net);
-                if best.is_none_or(|(_, bg)| g > bg) {
-                    best = Some((host, g));
-                    host_tied = false;
-                } else if best.is_some_and(|(_, bg)| g == bg) {
-                    host_tied = true;
-                }
-            }
-            let (host, g) = best.ok_or(AssignError::NoHostForCt(ct))?;
+            let Some((host, g, host_tied)) =
+                self.best_host(ct, trees, reach, &mut orders, &mut evaluated)
+            else {
+                stranded = Some(ct);
+                break;
+            };
             if self.trace.is_enabled() {
                 candidates.push(Candidate {
                     ct: ct.index() as u32,
@@ -139,6 +219,11 @@ impl PlacementEngine<'_> {
             } else if pick.is_some_and(|(bg, _, _)| g == bg) {
                 ct_tied = true;
             }
+        }
+        self.scratch.orders = orders;
+        self.stats.hosts_evaluated += evaluated;
+        if let Some(ct) = stranded {
+            return Err(AssignError::NoHostForCt(ct));
         }
         let (g, ct, host) = pick.expect("unplaced set is non-empty");
         merge_span.finish();
@@ -162,6 +247,65 @@ impl PlacementEngine<'_> {
         self.round += 1;
         round_span.finish();
         Ok(Some((ct, host, g)))
+    }
+
+    /// `argmax_j γ_{ct,j}` over the stored trees `reach` names: the
+    /// host, its γ, and whether another host reaches the same γ (the
+    /// host is then the lowest id among them). `None` when no host can
+    /// route `ct`. Scans hosts in the capacity order of a kind `ct`
+    /// needs and stops at the first whose bound `C/a` is strictly below
+    /// the best γ so far (module docs, "Ranking scan"); adds the hosts
+    /// it read to `evaluated`.
+    fn best_host(
+        &self,
+        ct: CtId,
+        trees: &TreeStore,
+        reach: &[usize],
+        orders: &mut CapacityOrders,
+        evaluated: &mut u64,
+    ) -> Option<(NcpId, f64, bool)> {
+        // A CT that needs nothing gets `a = +0.0`: every bound is then
+        // `+∞` or NaN, neither is below a γ, and the scan reads every
+        // host.
+        let (kind, a) = self
+            .app
+            .graph()
+            .ct(ct)
+            .requirement()
+            .iter()
+            .find(|&(_, a)| a > 0.0)
+            .unwrap_or((ResourceKind::Cpu, 0.0));
+        let order = orders.order(kind, self.capacities);
+        let mut best: Option<(NcpId, f64)> = None;
+        let mut tied = false;
+        let mut read = 0;
+        while let Some((capacity, host)) = order.get(read) {
+            if best.is_some_and(|(_, bg)| capacity / a < bg) {
+                break;
+            }
+            read += 1;
+            let net = trees.net_gamma(reach, host);
+            if net == f64::NEG_INFINITY {
+                continue;
+            }
+            let g = self.host_rate(ct, host).min(net);
+            match best {
+                Some((_, bg)) if g > bg => {
+                    best = Some((host, g));
+                    tied = false;
+                }
+                Some((bh, bg)) if g == bg => {
+                    tied = true;
+                    if host < bh {
+                        best = Some((host, g));
+                    }
+                }
+                Some(_) => {}
+                None => best = Some((host, g)),
+            }
+        }
+        *evaluated += read as u64;
+        best.map(|(host, g)| (host, g, tied))
     }
 }
 

@@ -1,10 +1,13 @@
 //! Property-based tests for SPARCLE's core algorithms.
 
 use proptest::prelude::*;
+use sparcle_core::telemetry::{CollectRecorder, CtTieBreak, Event, HostTieBreak};
 use sparcle_core::widest_path::{
     csr_widest_path, csr_widest_path_with, csr_widest_tree, CsrWidestTree, WidestPath,
 };
-use sparcle_core::{DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem};
+use sparcle_core::{
+    AssignError, DisplacedApp, DynamicRankingAssigner, PlacementEngine, SparcleSystem, TraceHandle,
+};
 use sparcle_model::{
     Application, CapacityMap, CtId, LinkDirection, LinkId, LoadMap, NcpId, Network, NetworkBuilder,
     NetworkElement, QoeClass, ResourceKind, ResourceVec, TaskGraphBuilder,
@@ -1112,6 +1115,220 @@ proptest! {
                 capacity_bits(&residual, &net)
             );
             prop_assert_eq!(sys.state().audit(sys.network()), Ok(()));
+        }
+    }
+}
+
+/// Capacities and link widths the ranking-scan check draws from: few
+/// values, signed zeros included, so equal bounds and equal γ are common.
+const TIE_AMOUNTS: [f64; 6] = [0.0, -0.0, 1.0, 2.0, 4.0, 8.0];
+const TIE_WIDTHS: [f64; 4] = [0.0, 1.0, 2.0, 4.0];
+
+/// One NCP's capacity: `cpu` and `memory` indices into [`TIE_AMOUNTS`],
+/// an index past its end leaving the kind out.
+fn tie_capacity(cpu: usize, memory: usize) -> ResourceVec {
+    let kinds = [(ResourceKind::Cpu, cpu), (ResourceKind::Memory, memory)];
+    ResourceVec::from_entries(
+        kinds
+            .into_iter()
+            .filter_map(|(kind, i)| TIE_AMOUNTS.get(i).map(|&amount| (kind, amount))),
+    )
+}
+
+/// Strategy: `n` NCPs with [`tie_capacity`] capacities on two spines,
+/// `0..split` and `split..n` (one spine when `split == n`), plus extra
+/// links inside either, every width from [`TIE_WIDTHS`]. Across the two
+/// spines nothing routes.
+fn arb_tie_network(max_n: usize) -> impl Strategy<Value = Network> {
+    (3..=max_n)
+        .prop_flat_map(|n| {
+            let caps = proptest::collection::vec((0usize..7, 0usize..7), n);
+            let widths = proptest::collection::vec(0usize..4, n);
+            let extra = proptest::collection::vec((0..n, 0..n, 0usize..4), 0..n);
+            (Just(n), caps, 2..=2 * n, widths, extra)
+        })
+        .prop_map(|(n, caps, split, widths, extra)| {
+            let split = split.min(n);
+            let spine = |i: usize| usize::from(i >= split);
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<NcpId> = caps
+                .iter()
+                .enumerate()
+                .map(|(i, &(cpu, memory))| b.add_ncp(format!("n{i}"), tie_capacity(cpu, memory)))
+                .collect();
+            for i in 1..n {
+                if spine(i - 1) == spine(i) {
+                    b.add_link(
+                        format!("spine{i}"),
+                        ids[i - 1],
+                        ids[i],
+                        TIE_WIDTHS[widths[i]],
+                    )
+                    .expect("valid");
+                }
+            }
+            for (k, (x, y, w)) in extra.into_iter().enumerate() {
+                if x != y && spine(x) == spine(y) {
+                    b.add_link(format!("extra{k}"), ids[x], ids[y], TIE_WIDTHS[w])
+                        .expect("valid");
+                }
+            }
+            b.build().expect("valid network")
+        })
+}
+
+/// A pipeline from NCP 0 to NCP `dst` whose interior CTs need cpu only,
+/// memory only, both, or nothing at all (`kinds[i] % 5`: the last two
+/// are the empty vector and explicit zero amounts), in amounts from
+/// `{1, 2, 4}`; TT bits from `{1, 2}`.
+fn tie_pipeline_app(kinds: &[(usize, usize, usize)], bits: &[usize], dst: NcpId) -> Application {
+    const NEEDS: [f64; 3] = [1.0, 2.0, 4.0];
+    let mut tb = TaskGraphBuilder::new();
+    let s = tb.add_ct("src", ResourceVec::new());
+    let mut prev = s;
+    for (i, &(kind, cpu, memory)) in kinds.iter().enumerate() {
+        let (cpu, memory) = (NEEDS[cpu], NEEDS[memory]);
+        let need = match kind % 5 {
+            0 => ResourceVec::cpu(cpu),
+            1 => ResourceVec::memory(memory),
+            2 => ResourceVec::cpu_memory(cpu, memory),
+            3 => ResourceVec::new(),
+            _ => ResourceVec::cpu_memory(0.0, -0.0),
+        };
+        let ct = tb.add_ct(format!("c{i}"), need);
+        tb.add_tt(format!("t{i}"), prev, ct, 1.0 + (bits[i] % 2) as f64)
+            .unwrap();
+        prev = ct;
+    }
+    let t = tb.add_ct("sink", ResourceVec::new());
+    tb.add_tt("tlast", prev, t, 1.0 + (bits[kinds.len()] % 2) as f64)
+        .unwrap();
+    Application::new(
+        tb.build().unwrap(),
+        QoeClass::best_effort(1.0),
+        [(s, NcpId::new(0)), (t, dst)],
+    )
+    .unwrap()
+}
+
+/// The oracle's ranking round over every host: per unplaced CT (id
+/// order) `(ct, host, γ bits, tied)` — the largest γ, the lowest id
+/// among the hosts reaching it, and whether two or more do — or the
+/// first CT no host can route.
+fn oracle_round(engine: &PlacementEngine<'_>) -> Result<Vec<(u32, u32, u64, bool)>, CtId> {
+    let hosts = engine.network().ncp_count() as u32;
+    let mut out = Vec::new();
+    for ct in engine.unplaced() {
+        let gammas: Vec<(u32, f64)> = (0..hosts)
+            .filter_map(|h| gamma(engine, ct, NcpId::new(h)).map(|g| (h, g)))
+            .collect();
+        let mut best: Option<(u32, f64)> = None;
+        for &(h, g) in &gammas {
+            if best.is_none_or(|(_, bg)| g > bg) {
+                best = Some((h, g));
+            }
+        }
+        let (host, g) = best.ok_or(ct)?;
+        let reaching = gammas.iter().filter(|&&(_, other)| other == g).count();
+        out.push((ct.index() as u32, host, g.to_bits(), reaching >= 2));
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The ranking scan stops at the capacity threshold, yet every round
+    /// is exactly the oracle's scan over every host: each `Decision`
+    /// candidate's host, γ bits and host tie flag, the pick and its CT
+    /// tie flag, and `NoHostForCt` for the same CT. Capacities and
+    /// widths come from a few values (signed zeros, missing kinds), so
+    /// equal bounds and equal γ are the common case; CTs need cpu,
+    /// memory, both or nothing; arbitrary routable commits run between
+    /// rounds, so the scan reads loaded hosts too.
+    #[test]
+    fn ranking_scan_equals_the_oracle_ties_included(
+        net in arb_tie_network(8),
+        (kinds, bits) in (1usize..=5).prop_flat_map(|k| (
+            proptest::collection::vec((0usize..5, 0usize..3, 0usize..3), k),
+            proptest::collection::vec(0usize..2, k + 1),
+        )),
+        steps in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64), 1..12),
+        threads in 1usize..3,
+    ) {
+        let n = net.ncp_count();
+        let app = tie_pipeline_app(&kinds, &bits, NcpId::new(n as u32 - 1));
+        let caps = net.capacity_map();
+        let recorder = CollectRecorder::new();
+        let mut engine =
+            PlacementEngine::new_traced(&app, &net, &caps, TraceHandle::new(&recorder))
+                .expect("pins are not neighbours");
+        let mut rounds = 0u64;
+        for &(action, ci, hi) in &steps {
+            let unplaced: Vec<CtId> = engine.unplaced().collect();
+            if unplaced.is_empty() {
+                break;
+            }
+            if action == 2 {
+                // Commit an arbitrary CT on the first host at or after
+                // `hi` that can route it.
+                let ct = unplaced[ci % unplaced.len()];
+                let host = (0..n)
+                    .map(|k| NcpId::new(((hi + k) % n) as u32))
+                    .find(|&h| gamma(&engine, ct, h).is_some());
+                if let Some(host) = host {
+                    engine.commit(ct, host).expect("a routable host");
+                }
+                continue;
+            }
+            let expected = oracle_round(&engine);
+            let got = engine.rank_round(threads);
+            let candidates = match expected {
+                Err(ct) => {
+                    prop_assert_eq!(got, Err(AssignError::NoHostForCt(ct)));
+                    return Ok(());
+                }
+                Ok(candidates) => candidates,
+            };
+            let Ok(Some((ct, host, g))) = got else {
+                return Err(TestCaseError(format!("oracle ranks {candidates:?}, engine {got:?}")));
+            };
+            let decision = recorder.events().into_iter().rev().find_map(|e| match e {
+                Event::Decision(d) => Some(d),
+                _ => None,
+            });
+            let decision = decision.expect("a traced round records its decision");
+            prop_assert_eq!(decision.round, rounds);
+            rounds += 1;
+            let traced: Vec<(u32, u32, u64, bool)> = decision
+                .candidates
+                .iter()
+                .map(|c| (c.ct, c.host, c.gamma.to_bits(), c.host_tie == HostTieBreak::LowerNcpId))
+                .collect();
+            prop_assert_eq!(&traced, &candidates);
+            // The pick: the smallest γ, the lowest CT id among equals.
+            let min = candidates
+                .iter()
+                .map(|c| f64::from_bits(c.2))
+                .fold(f64::INFINITY, f64::min);
+            let at_min: Vec<_> = candidates
+                .iter()
+                .filter(|c| f64::from_bits(c.2) == min)
+                .collect();
+            let (pick_ct, pick_host, pick_bits, _) = *at_min[0];
+            prop_assert_eq!(
+                (ct.index() as u32, host.index() as u32, g.to_bits()),
+                (pick_ct, pick_host, pick_bits)
+            );
+            prop_assert_eq!(
+                (decision.ct, decision.host, decision.gamma.to_bits()),
+                (pick_ct, pick_host, pick_bits)
+            );
+            let tie = if at_min.len() >= 2 { CtTieBreak::LowerCtId } else { CtTieBreak::UniqueMin };
+            prop_assert_eq!(decision.tie_break, tie);
+            if action == 1 {
+                engine.commit(ct, host).expect("the picked host routes");
+            }
         }
     }
 }

@@ -17,7 +17,7 @@ use sparcle_workloads::{RequestKind, ServiceRequest};
 
 use super::{ChurnEvent, RuntimeConfig, SparcleRuntime};
 use crate::ledger::SloLedger;
-use crate::service::{ProbeAnswer, ServiceConfig, ServiceStats};
+use crate::service::{ServiceConfig, ServiceStats};
 
 /// Sim-seconds the writer is held per Newton step of a BE solve (warm
 /// or cold, barrier or dual phase) and per widest-path tree sweep (a
@@ -324,28 +324,25 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             QoeClass::BestEffort { priority, .. } => plane.snapshot.predicted_capacities(*priority),
             QoeClass::GuaranteedRate { .. } => plane.snapshot.gr_residual().clone(),
         };
-        let answer = match plane
-            .probe_assigner
-            .assign(&app, self.system.network(), &capacities)
-        {
-            Ok(path) => {
-                let clears = path.rate.is_finite() && path.rate > MIN_PATH_RATE;
-                let feasible = match app.qoe() {
-                    QoeClass::GuaranteedRate { min_rate, .. } => clears && path.rate >= *min_rate,
-                    QoeClass::BestEffort { .. } => clears,
-                };
-                ProbeAnswer {
-                    feasible,
-                    rate: path.rate,
+        let (feasible, rate) =
+            match plane
+                .probe_assigner
+                .assign(&app, self.system.network(), &capacities)
+            {
+                Ok(path) => {
+                    let clears = path.rate.is_finite() && path.rate > MIN_PATH_RATE;
+                    let feasible = match app.qoe() {
+                        QoeClass::GuaranteedRate { min_rate, .. } => {
+                            clears && path.rate >= *min_rate
+                        }
+                        QoeClass::BestEffort { .. } => clears,
+                    };
+                    (feasible, path.rate)
                 }
-            }
-            Err(_) => ProbeAnswer {
-                feasible: false,
-                rate: 0.0,
-            },
-        };
+                Err(_) => (false, 0.0),
+            };
         plane.stats.probes += 1;
-        if answer.feasible {
+        if feasible {
             plane.stats.probes_feasible += 1;
         }
         if trace.is_enabled() {
@@ -353,8 +350,8 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
                 time: request.time,
                 request: request.index,
                 lineage: request.index,
-                feasible: answer.feasible,
-                rate: answer.rate,
+                feasible,
+                rate,
             });
         }
     }

@@ -327,9 +327,14 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     /// Runs the timeline to the horizon, emitting one `runtime_*`
     /// telemetry event per processed churn event into `trace`.
+    ///
+    /// The `system.*` counters a call exports are that call's share, so
+    /// a runtime run twice into one recorder leaves the recorder's totals
+    /// equal to the system's `state_stats()`.
     pub fn run_traced(&mut self, trace: TraceHandle<'_>) -> &SloLedger {
         let run_span = trace.span("runtime.run");
         let before = self.events_processed;
+        let counters_before = self.system.state_stats().counters();
         self.run_until(self.config.horizon, trace);
         self.accrue(self.config.horizon);
         // Exported once per call, and not at all by a call that
@@ -341,8 +346,9 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         }
         // Deterministic state-core counters (wall-clock nanos stay out:
         // traces are compared bit-for-bit across thread counts).
-        for (name, value) in self.system.state_stats().counters() {
-            trace.counter(name, value);
+        let counters = self.system.state_stats().counters();
+        for ((name, now), (_, before)) in counters.into_iter().zip(counters_before) {
+            trace.counter(name, now - before);
         }
         run_span.finish();
         &self.ledger
@@ -839,6 +845,27 @@ mod tests {
         );
         assert!(rt.live_indices().is_empty());
         assert_eq!(rt.system().app_ids().len(), 0);
+    }
+
+    #[test]
+    fn a_second_run_exports_only_its_own_system_counters() {
+        let cfg = config(ReconcilePolicy::Fifo, 1);
+        let arrivals = ArrivalTrace::Poisson { rate: 1.0 }.events(cfg.horizon, 42);
+        let mut rt = SparcleRuntime::new(two_route_network(0.15), arrivals, app_source, cfg);
+        let recorder = sparcle_core::telemetry::CollectRecorder::new();
+        rt.run_traced(TraceHandle::new(&recorder));
+        // Past the horizon already: the second call runs nothing, so it
+        // adds nothing to the recorder's totals.
+        rt.run_traced(TraceHandle::new(&recorder));
+        let snapshot = recorder.snapshot();
+        let counters = rt.system().state_stats().counters();
+        assert!(
+            counters[0].1 > 0,
+            "the timeline solved nothing: {counters:?}"
+        );
+        for (name, value) in counters {
+            assert_eq!(snapshot.counter(name), value, "{name}");
+        }
     }
 
     #[test]

@@ -117,13 +117,3 @@ impl ServiceStats {
         ]
     }
 }
-
-/// The answer to a read-only what-if probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeAnswer {
-    /// Whether a fresh assignment path would clear admission (for GR
-    /// probes the path must also carry the requested minimum rate).
-    pub feasible: bool,
-    /// The rate the found path would carry (`0.0` when none was found).
-    pub rate: f64,
-}
