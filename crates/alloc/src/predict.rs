@@ -92,8 +92,8 @@ impl PriorityLoads {
     /// re-derives each touched element as the fold `Σ priorities` over
     /// the surviving applications (in admission order, matching
     /// [`Self::add_app`]'s accumulation bit-for-bit) and stores the
-    /// result here, instead of the clamped subtraction of
-    /// [`Self::remove_app`] which drifts in float arithmetic.
+    /// result here, instead of a clamped subtraction, which would drift
+    /// in float arithmetic.
     ///
     /// # Panics
     ///
@@ -107,20 +107,6 @@ impl PriorityLoads {
         match element {
             NetworkElement::Ncp(id) => self.ncps[id.index()] = total,
             NetworkElement::Link(id) => self.links[id.index()] = total,
-        }
-    }
-
-    /// Removes a previously added application (e.g. on departure).
-    pub fn remove_app(&mut self, load: &LoadMap, priority: f64) {
-        for element in load.loaded_elements() {
-            match element {
-                NetworkElement::Ncp(id) => {
-                    self.ncps[id.index()] = (self.ncps[id.index()] - priority).max(0.0);
-                }
-                NetworkElement::Link(id) => {
-                    self.links[id.index()] = (self.links[id.index()] - priority).max(0.0);
-                }
-            }
         }
     }
 
@@ -140,25 +126,42 @@ impl PriorityLoads {
     ///
     /// Elements hosting no BE application keep their full base capacity
     /// (`J_n = ∅` ⇒ share 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `priority` is not positive and finite.
     pub fn predict(&self, base: &CapacityMap, priority: f64) -> CapacityMap {
+        let mut predicted = CapacityMap::default();
+        self.predict_into(base, priority, &mut predicted);
+        predicted
+    }
+
+    /// [`Self::predict`] into a caller-kept map: `out` is refilled from
+    /// `base` through [`Clone::clone_from`], so a buffer that already has
+    /// the network's shape is overwritten without allocating, whatever
+    /// it held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `priority` is not positive and finite.
+    pub fn predict_into(&self, base: &CapacityMap, priority: f64, out: &mut CapacityMap) {
         assert!(
             priority.is_finite() && priority > 0.0,
             "priority must be positive and finite"
         );
-        let mut predicted = base.clone();
+        out.clone_from(base);
         for (i, &resident) in self.ncps.iter().enumerate() {
             if resident > 0.0 {
                 let share = priority / (priority + resident);
-                predicted.scale_element(NetworkElement::Ncp(NcpId::new(i as u32)), share);
+                out.scale_element(NetworkElement::Ncp(NcpId::new(i as u32)), share);
             }
         }
         for (i, &resident) in self.links.iter().enumerate() {
             if resident > 0.0 {
                 let share = priority / (priority + resident);
-                predicted.scale_element(NetworkElement::Link(LinkId::new(i as u32)), share);
+                out.scale_element(NetworkElement::Link(LinkId::new(i as u32)), share);
             }
         }
-        predicted
     }
 }
 
@@ -223,19 +226,6 @@ mod tests {
         // New app priority 1: share 1/(1+3) = 1/4 of 60 = 15.
         let predicted = tracker.predict(&network.capacity_map(), 1.0);
         assert!((predicted.ncp(NcpId::new(1)).amount(ResourceKind::Cpu) - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn remove_undoes_add() {
-        let network = net();
-        let mut tracker = PriorityLoads::zeroed(&network);
-        let mut load = LoadMap::zeroed(&network);
-        load.add_ct_load(NcpId::new(0), &ResourceVec::cpu(1.0));
-        load.add_tt_load(LinkId::new(0), 1.0);
-        tracker.add_app(&load, 2.5);
-        tracker.remove_app(&load, 2.5);
-        assert_eq!(tracker.ncp(NcpId::new(0)), 0.0);
-        assert_eq!(tracker.link(LinkId::new(0)), 0.0);
     }
 
     #[test]

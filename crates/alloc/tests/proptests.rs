@@ -1,10 +1,14 @@
 //! Property-based tests for the allocation crate: NUM solver optimality
-//! conditions, the single-bottleneck closed form, and availability-
-//! analysis consistency.
+//! conditions, the single-bottleneck closed form, availability-analysis
+//! consistency, and eq. (6) into a reused buffer.
 
 use proptest::prelude::*;
 use sparcle_alloc::availability::PathAvailability;
 use sparcle_alloc::num::{solve, ConstraintRow, ConstraintSystem};
+use sparcle_alloc::PriorityLoads;
+use sparcle_model::{
+    CapacityMap, LinkId, LoadMap, NcpId, NetworkBuilder, NetworkElement, ResourceKind, ResourceVec,
+};
 
 /// Strategy: a feasible random constraint system where every app is
 /// constrained (diagonal safety rows guarantee it).
@@ -209,5 +213,86 @@ proptest! {
                 0.0
             };
         prop_assert!((pa.min_rate(total).unwrap() - all_up).abs() < 1e-9);
+    }
+}
+
+/// Strategy: a line network of 2–6 NCPs with a residual base map (CPU,
+/// sometimes memory, some amounts zero) and a priority tracker holding
+/// 0–4 resident BE applications on random elements.
+fn arb_prediction_input() -> impl Strategy<Value = (CapacityMap, PriorityLoads)> {
+    (2usize..=6)
+        .prop_flat_map(|n| {
+            let amount = || prop_oneof![Just(0.0f64), 1e-3f64..1e4];
+            // A memory amount only when the flag is 1.
+            let ncps = proptest::collection::vec((amount(), 0u8..2, amount()), n);
+            let links = proptest::collection::vec(0.0f64..1e4, n - 1);
+            let resident = (proptest::collection::vec(0u8..2, 2 * n - 1), 0.1f64..5.0);
+            (ncps, links, proptest::collection::vec(resident, 0..=4))
+        })
+        .prop_map(|(ncps, links, residents)| {
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<_> = (0..ncps.len())
+                .map(|i| b.add_ncp(format!("n{i}"), ResourceVec::cpu(1.0)))
+                .collect();
+            for w in ids.windows(2) {
+                b.add_link("l", w[0], w[1], 1.0).expect("valid link");
+            }
+            let network = b.build().expect("non-empty network");
+            let mut base = network.capacity_map();
+            for (i, &(cpu, has_memory, memory)) in ncps.iter().enumerate() {
+                let capacity = match has_memory {
+                    1 => ResourceVec::cpu_memory(cpu, memory),
+                    _ => ResourceVec::cpu(cpu),
+                };
+                base.set_element(NetworkElement::Ncp(NcpId::new(i as u32)), &capacity);
+            }
+            for (l, &bandwidth) in links.iter().enumerate() {
+                base.set_link(LinkId::new(l as u32), bandwidth);
+            }
+            let mut tracker = PriorityLoads::zeroed(&network);
+            for (on, priority) in residents {
+                let mut load = LoadMap::zeroed(&network);
+                for (e, _) in on.iter().enumerate().filter(|(_, &on)| on == 1) {
+                    match e.checked_sub(ncps.len()) {
+                        None => load.add_ct_load(NcpId::new(e as u32), &ResourceVec::cpu(1.0)),
+                        Some(l) => load.add_tt_load(LinkId::new(l as u32), 1.0),
+                    }
+                }
+                tracker.add_app(&load, priority);
+            }
+            (base, tracker)
+        })
+}
+
+/// A capacity map's shape and every amount as its bits.
+fn map_bits(map: &CapacityMap) -> (Vec<Vec<(ResourceKind, u64)>>, Vec<u64>) {
+    let ncps = (0..map.ncp_count())
+        .map(|i| {
+            let capacity = map.ncp(NcpId::new(i as u32));
+            capacity.iter().map(|(k, x)| (k, x.to_bits())).collect()
+        })
+        .collect();
+    let links = (0..map.link_count())
+        .map(|l| map.link(LinkId::new(l as u32)).to_bits())
+        .collect();
+    (ncps, links)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Eq. (6) into a dirty buffer — one last filled from another
+    /// network's base and another priority — is `predict` to the bit.
+    #[test]
+    fn predict_into_a_dirty_buffer_is_predict_bitwise(
+        (base, tracker) in arb_prediction_input(),
+        priority in 0.1f64..5.0,
+        (other_base, other_tracker) in arb_prediction_input(),
+        other_priority in 0.1f64..5.0,
+    ) {
+        let mut buffer = CapacityMap::default();
+        other_tracker.predict_into(&other_base, other_priority, &mut buffer);
+        tracker.predict_into(&base, priority, &mut buffer);
+        prop_assert_eq!(map_bits(&buffer), map_bits(&tracker.predict(&base, priority)));
     }
 }

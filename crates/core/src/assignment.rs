@@ -236,7 +236,7 @@ pub fn assign_multipath(
     max_paths: usize,
     min_rate: f64,
 ) -> (Vec<AssignedPath>, CapacityMap) {
-    let (paths, residual, _) = assign_multipath_scratch_stats(
+    let (paths, _) = assign_multipath_scratch_stats(
         assigner,
         &mut EngineScratch::default(),
         app,
@@ -245,15 +245,16 @@ pub fn assign_multipath(
         max_paths,
         min_rate,
     );
+    let residual = residual_after(capacities, &paths);
     (paths, residual)
 }
 
-/// [`assign_multipath`] over caller-hoisted [`EngineScratch`], also
-/// returning the γ-cache work counters ([`AssignStats`]) accumulated
-/// across every successfully assigned path. Every per-path engine in the
-/// extraction loop reuses — and refills — the same buffers, so a probe
-/// loop placing many apps over one network stays off the allocator for
-/// the content-independent scratch.
+/// [`assign_multipath`] over caller-hoisted [`EngineScratch`], returning
+/// the paths and the γ-cache work counters ([`AssignStats`]) accumulated
+/// across every successfully assigned path, but no residual. Every
+/// per-path engine in the extraction loop reuses — and refills — the
+/// same buffers, and a one-path call searches and scores on
+/// `capacities` itself, so it copies no capacity map either.
 pub fn assign_multipath_scratch_stats(
     assigner: &DynamicRankingAssigner,
     scratch: &mut EngineScratch,
@@ -262,12 +263,12 @@ pub fn assign_multipath_scratch_stats(
     capacities: &CapacityMap,
     max_paths: usize,
     min_rate: f64,
-) -> (Vec<AssignedPath>, CapacityMap, AssignStats) {
+) -> (Vec<AssignedPath>, AssignStats) {
     let mut stats = AssignStats::default();
-    let (paths, residual) = multipath_inner(
+    let paths = multipath_inner(
         assigner, scratch, app, network, capacities, max_paths, min_rate, 1.0, &mut stats,
     );
-    (paths, residual, stats)
+    (paths, stats)
 }
 
 /// [`assign_multipath`] with an element-diversity bias (an extension
@@ -295,7 +296,7 @@ pub fn assign_multipath_diverse(
     diversity_discount: f64,
 ) -> (Vec<AssignedPath>, CapacityMap) {
     let mut stats = AssignStats::default();
-    multipath_inner(
+    let paths = multipath_inner(
         assigner,
         &mut EngineScratch::default(),
         app,
@@ -305,9 +306,25 @@ pub fn assign_multipath_diverse(
         min_rate,
         diversity_discount,
         &mut stats,
-    )
+    );
+    let residual = residual_after(capacities, &paths);
+    (paths, residual)
 }
 
+/// `capacities` minus every path's load at its rate, in path order —
+/// the same subtractions, in the same order, as the extraction loop's.
+fn residual_after(capacities: &CapacityMap, paths: &[AssignedPath]) -> CapacityMap {
+    let mut residual = capacities.clone();
+    for path in paths {
+        residual.subtract_load(&path.load, path.rate);
+    }
+    residual
+}
+
+/// The extraction loop. `residual` (what later paths are scored on) and
+/// `biased` (what they are searched on) start as `None`, meaning "equal
+/// to `capacities`", and are copied only when a path that another may
+/// follow has to be subtracted: the last wanted path is not.
 #[allow(clippy::too_many_arguments)] // internal: the public wrappers curry
 fn multipath_inner(
     assigner: &DynamicRankingAssigner,
@@ -319,16 +336,17 @@ fn multipath_inner(
     min_rate: f64,
     diversity_discount: f64,
     stats: &mut AssignStats,
-) -> (Vec<AssignedPath>, CapacityMap) {
+) -> Vec<AssignedPath> {
     assert!(
         diversity_discount > 0.0 && diversity_discount <= 1.0,
         "diversity discount must lie in (0, 1]"
     );
-    let mut residual = capacities.clone();
-    let mut biased = capacities.clone();
+    let mut residual: Option<CapacityMap> = None;
+    let mut biased: Option<CapacityMap> = None;
     let mut paths: Vec<AssignedPath> = Vec::new();
-    for _ in 0..max_paths {
-        let mut path = match assigner.assign_scratch_with_stats(scratch, app, network, &biased) {
+    while paths.len() < max_paths {
+        let search = biased.as_ref().unwrap_or(capacities);
+        let mut path = match assigner.assign_scratch_with_stats(scratch, app, network, search) {
             Ok((p, s)) => {
                 stats.merge(&s);
                 p
@@ -337,10 +355,19 @@ fn multipath_inner(
         };
         // The biased capacities understate what the path can carry;
         // re-score it against the true residual.
-        path.rate = residual.bottleneck_rate(&path.load);
+        path.rate = residual
+            .as_ref()
+            .unwrap_or(capacities)
+            .bottleneck_rate(&path.load);
         if !(path.rate.is_finite() && path.rate > min_rate) {
             break;
         }
+        if paths.len() + 1 == max_paths {
+            paths.push(path);
+            break;
+        }
+        let residual = residual.get_or_insert_with(|| capacities.clone());
+        let biased = biased.get_or_insert_with(|| capacities.clone());
         residual.subtract_load(&path.load, path.rate);
         biased.subtract_load(&path.load, path.rate);
         if diversity_discount < 1.0 {
@@ -357,7 +384,7 @@ fn multipath_inner(
         }
         paths.push(path);
     }
-    (paths, residual)
+    paths
 }
 
 #[cfg(test)]

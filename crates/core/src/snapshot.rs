@@ -10,8 +10,9 @@
 //! (committed *or* rolled back) are invisible to it.
 //!
 //! A probe then runs the public, side-effect-free pipeline front half:
-//! [`StateSnapshot::predicted_capacities`] reproduces the capacity
-//! prediction an admission would see, and the result feeds a plain
+//! [`StateSnapshot::predict_into`] (or [`StateSnapshot::predicted_capacities`],
+//! into a fresh map) reproduces the capacity prediction an admission
+//! would see, and the result feeds a plain
 //! [`crate::DynamicRankingAssigner::assign`] over the same network.
 
 use crate::state::SystemState;
@@ -106,7 +107,21 @@ impl StateSnapshot {
     ///
     /// Panics if `priority` is not positive and finite.
     pub fn predicted_capacities(&self, priority: f64) -> CapacityMap {
-        self.priority_loads.predict(&self.gr_residual, priority)
+        let mut predicted = CapacityMap::default();
+        self.predict_into(priority, &mut predicted);
+        predicted
+    }
+
+    /// [`Self::predicted_capacities`] into a caller-kept map, refilled
+    /// in place: a probe loop that reuses `out` allocates nothing for
+    /// the prediction once `out` has the network's shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `priority` is not positive and finite.
+    pub fn predict_into(&self, priority: f64, out: &mut CapacityMap) {
+        self.priority_loads
+            .predict_into(&self.gr_residual, priority, out);
     }
 
     /// The rate the identified application carries (BE: last allocated;

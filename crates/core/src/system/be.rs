@@ -31,11 +31,11 @@ impl SystemTxn<'_> {
         defer_solve: bool,
     ) -> Result<Admission, AssignError> {
         let sys = &mut *self.sys;
-        // Step 1: predict available resources via eq. (6).
-        let predicted = sys
-            .state
+        // Step 1: predict available resources via eq. (6), into the
+        // system's buffer (refilled in place, no allocation once warm).
+        sys.state
             .priority_loads
-            .predict(&sys.state.gr_residual, priority);
+            .predict_into(&sys.state.gr_residual, priority, &mut sys.predicted);
 
         // Step 2: Algorithm 2 on the prediction — one path, or as many
         // as an availability target may need. Steps 2–3 only read system
@@ -45,14 +45,15 @@ impl SystemTxn<'_> {
         } else {
             1
         };
-        // `assigner`/`network` (shared) and `engine_scratch` (mutable)
-        // are disjoint fields, so the borrows coexist.
-        let (mut paths, _, assign_stats) = assign_multipath_scratch_stats(
+        // `assigner`/`network`/`predicted` (shared) and `engine_scratch`
+        // (mutable) are disjoint fields, so the borrows coexist. A
+        // one-path search runs on `predicted` itself.
+        let (mut paths, assign_stats) = assign_multipath_scratch_stats(
             &sys.assigner,
             &mut sys.engine_scratch,
             &app,
             &sys.network,
-            &predicted,
+            &sys.predicted,
             want_paths,
             MIN_PATH_RATE,
         );

@@ -335,6 +335,10 @@ pub struct SparcleSystem {
     /// probe loops stay off the allocator for content-independent
     /// scratch. Carries no placement state — rollback never touches it.
     engine_scratch: EngineScratch,
+    /// Eq. (6)'s prediction for the BE submission in progress: every
+    /// one refills it before reading it, so it carries no state either.
+    /// Starts empty; the first BE submission sizes it.
+    predicted: CapacityMap,
 }
 
 impl SparcleSystem {
@@ -352,6 +356,7 @@ impl SparcleSystem {
             assigner,
             state,
             engine_scratch: EngineScratch::default(),
+            predicted: CapacityMap::default(),
         }
     }
 

@@ -1,5 +1,6 @@
-//! Allocation-count checks on the placement engine's hot paths and on a
-//! single-element capacity change, under a counting global allocator.
+//! Allocation-count checks on the placement engine's hot paths, on a
+//! single-element capacity change and on a one-path BE submission,
+//! under a counting global allocator.
 //!
 //! Calls are counted per thread, so libtest's own threads (and the
 //! other tests of this file running next to this one) cannot perturb a
@@ -18,6 +19,7 @@ use sparcle_workloads::{BottleneckCase, GraphKind, ScenarioConfig, TopologyKind}
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// System allocator wrapper counting the calling thread's allocation
 /// calls.
@@ -82,17 +84,24 @@ fn chain_system(n: u32) -> SparcleSystem {
         QoeClass::guaranteed_rate(1.0, 0.0),
         QoeClass::best_effort(1.0),
     ] {
-        let mut tb = TaskGraphBuilder::new();
-        let s = tb.add_ct("s", ResourceVec::new());
-        let w = tb.add_ct("w", ResourceVec::cpu(10.0));
-        let t = tb.add_ct("t", ResourceVec::new());
-        tb.add_tt("sw", s, w, 50.0).expect("valid tt");
-        tb.add_tt("wt", w, t, 50.0).expect("valid tt");
-        let pins = [(s, NcpId::new(0)), (t, NcpId::new(2))];
-        let app = Application::new(tb.build().expect("valid graph"), qoe, pins).expect("valid app");
-        assert!(sys.submit(app).expect("assignable").is_admitted());
+        assert!(sys
+            .submit(chain_app(qoe))
+            .expect("assignable")
+            .is_admitted());
     }
     sys
+}
+
+/// The pipeline `chain_system` carries, pinned to NCPs 0 and 2.
+fn chain_app(qoe: QoeClass) -> Application {
+    let mut tb = TaskGraphBuilder::new();
+    let s = tb.add_ct("s", ResourceVec::new());
+    let w = tb.add_ct("w", ResourceVec::cpu(10.0));
+    let t = tb.add_ct("t", ResourceVec::new());
+    tb.add_tt("sw", s, w, 50.0).expect("valid tt");
+    tb.add_tt("wt", w, t, 50.0).expect("valid tt");
+    let pins = [(s, NcpId::new(0)), (t, NcpId::new(2))];
+    Application::new(tb.build().expect("valid graph"), qoe, pins).expect("valid app")
 }
 
 /// A single-element capacity change (a link failing, fading or coming
@@ -127,6 +136,37 @@ fn single_element_change_allocations_do_not_grow_with_the_network() {
     assert_eq!(
         small, large,
         "a one-link change made {small} allocator calls on 100 NCPs, {large} on 1,000"
+    );
+}
+
+/// A one-path BE submission predicts eq. (6) into the system's kept
+/// buffer and searches on it directly, so once one BE submission has
+/// sized that buffer, the next costs the same allocator calls on a
+/// 100-NCP chain as on a 1,000-NCP one. (Cloning the capacity map —
+/// for the prediction, or for multipath's residual and biased copies —
+/// costs one `ResourceVec` per NCP.) The window closes before the
+/// commit, whose debug-build audit refolds the whole network.
+#[test]
+fn be_submission_allocations_do_not_grow_with_the_network() {
+    let calls = |n: u32| {
+        let mut sys = chain_system(n);
+        assert!(sys
+            .submit(chain_app(QoeClass::best_effort(2.0)))
+            .expect("assignable")
+            .is_admitted());
+        let app = Arc::new(chain_app(QoeClass::best_effort(3.0)));
+        let mut txn = sys.begin();
+        let before = alloc_calls();
+        let admission = txn.submit(app).expect("assignable");
+        let calls = alloc_calls() - before;
+        assert!(black_box(admission).is_admitted());
+        txn.commit();
+        calls
+    };
+    let (small, large) = (calls(100), calls(1000));
+    assert_eq!(
+        small, large,
+        "a one-path BE submission made {small} allocator calls on 100 NCPs, {large} on 1,000"
     );
 }
 

@@ -382,6 +382,58 @@ proptest! {
             prop_assert!(used <= cap * (1.0 + 1e-6) + 1e-9, "{used} > {cap}");
         }
     }
+
+    /// Multipath copies its residual only when another path may follow,
+    /// and builds the returned residual after the loop. For every `k` in
+    /// 1..=5, plain and diversity-biased: a `k`-path call's paths are the
+    /// first `k` of a `(k+1)`-path call's, and its residual is
+    /// `capacities` minus each path's load at its rate, in path order,
+    /// to the bit.
+    #[test]
+    fn multipath_prefixes_and_residual_are_the_in_loop_fold(
+        net in arb_network(6),
+        (cpu, bits) in arb_pipeline(3),
+        discount in 0.1f64..0.99,
+    ) {
+        let n = net.ncp_count() as u32;
+        let app = pipeline_app(&cpu, &bits, NcpId::new(0), NcpId::new(n - 1));
+        let caps = net.capacity_map();
+        let assigner = DynamicRankingAssigner::new();
+        for diverse in [false, true] {
+            let run = |k: usize| {
+                if diverse {
+                    sparcle_core::assign_multipath_diverse(
+                        &assigner, &app, &net, &caps, k, 1e-9, discount,
+                    )
+                } else {
+                    sparcle_core::assign_multipath(&assigner, &app, &net, &caps, k, 1e-9)
+                }
+            };
+            for k in 1..=5 {
+                let (paths, residual) = run(k);
+                let (longer, _) = run(k + 1);
+                prop_assert_eq!(paths.len(), longer.len().min(k));
+                prop_assert_eq!(&paths[..], &longer[..paths.len()]);
+                let mut folded = caps.clone();
+                for p in &paths {
+                    folded.subtract_load(&p.load, p.rate);
+                }
+                for ncp in net.ncp_ids() {
+                    let bits = |m: &CapacityMap| {
+                        m.ncp(ncp).iter().map(|(kind, x)| (kind, x.to_bits())).collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(bits(&residual), bits(&folded), "ncp {:?}", ncp);
+                }
+                for link in net.link_ids() {
+                    prop_assert_eq!(
+                        residual.link(link).to_bits(),
+                        folded.link(link).to_bits(),
+                        "link {:?}", link
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

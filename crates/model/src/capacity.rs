@@ -24,10 +24,28 @@ use crate::resources::{ResourceKind, ResourceVec};
 /// Per-element capacities `C` — either the full network capacity, a
 /// residual after subtracting previously placed applications, or a
 /// predicted share (eq. (6) of the paper).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The [`Default`] map has no elements: a buffer to fill with
+/// [`Clone::clone_from`], which — unlike the derived form — refills a
+/// warm map entry by entry without allocating.
+#[derive(Debug, PartialEq, Default)]
 pub struct CapacityMap {
     ncps: Vec<ResourceVec>,
     links: Vec<f64>,
+}
+
+impl Clone for CapacityMap {
+    fn clone(&self) -> Self {
+        CapacityMap {
+            ncps: self.ncps.clone(),
+            links: self.links.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ncps.clone_from(&source.ncps);
+        self.links.clone_from(&source.links);
+    }
 }
 
 impl CapacityMap {

@@ -66,9 +66,24 @@ impl fmt::Display for ResourceKind {
 /// // Service rate = min over kinds of capacity / requirement:
 /// assert!((cap.rate_supported(&req).unwrap() - 3000.0 / 9880.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct ResourceVec {
     entries: Vec<(ResourceKind, f64)>,
+}
+
+/// `clone_from` refills the destination's buffer in place: a warm
+/// vector is overwritten without touching the allocator (the derived
+/// `clone_from` is `*self = source.clone()`, a fresh buffer every time).
+impl Clone for ResourceVec {
+    fn clone(&self) -> Self {
+        ResourceVec {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl ResourceVec {

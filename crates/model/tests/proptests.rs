@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sparcle_model::{
-    CapacityMap, CtId, LinkId, LoadMap, NcpId, NetworkBuilder, Placement, ResourceKind,
-    ResourceVec, TaskGraphBuilder,
+    CapacityMap, CtId, LinkId, LoadMap, NcpId, NetworkBuilder, NetworkElement, Placement,
+    ResourceKind, ResourceVec, TaskGraphBuilder,
 };
 
 /// Strategy: a random DAG built by only adding forward edges over a random
@@ -281,5 +281,108 @@ proptest! {
             "fused {:?} vs two-step {:?} for cap {}, base {}, extra {}",
             fused, two_step, cap, base, extra
         );
+    }
+}
+
+/// Strategy: like [`arb_resource_vec`], with `-0.0` among the amounts —
+/// a copy that went through `==` instead of the bits would lose its sign.
+fn arb_signed_zero_vec() -> impl Strategy<Value = ResourceVec> {
+    let kinds = [
+        ResourceKind::Cpu,
+        ResourceKind::Memory,
+        ResourceKind::Bandwidth,
+        ResourceKind::Custom(0),
+        ResourceKind::Custom(7),
+    ];
+    let amount = prop_oneof![
+        Just(None),
+        Just(Some(0.0f64)),
+        Just(Some(-0.0f64)),
+        (1e-3f64..1e6).prop_map(Some)
+    ];
+    proptest::collection::vec(amount, kinds.len()).prop_map(move |amounts| {
+        kinds
+            .iter()
+            .zip(amounts)
+            .filter_map(|(&kind, amount)| amount.map(|a| (kind, a)))
+            .collect()
+    })
+}
+
+/// Strategy: a capacity map of any shape — the empty [`Default`] map
+/// (one draw in seven), or 2–6 NCPs and 0–6 links with amounts from
+/// [`arb_signed_zero_vec`] (links: `0.0`, `-0.0` or positive).
+fn arb_capacity_map() -> impl Strategy<Value = CapacityMap> {
+    let link_amount = prop_oneof![Just(0.0f64), Just(-0.0f64), 1e-3f64..1e6];
+    (
+        0u8..7,
+        proptest::collection::vec(arb_signed_zero_vec(), 2..=6),
+        proptest::collection::vec(link_amount, 0..=6),
+    )
+        .prop_map(|(pick, ncps, links)| {
+            if pick == 0 {
+                return CapacityMap::default();
+            }
+            let mut b = NetworkBuilder::new();
+            let ids: Vec<_> = (0..ncps.len())
+                .map(|i| b.add_ncp(format!("n{i}"), ResourceVec::cpu(1.0)))
+                .collect();
+            for l in 0..links.len() {
+                b.add_link("l", ids[0], ids[1 + l % (ids.len() - 1)], 1.0)
+                    .unwrap();
+            }
+            let mut map = b.build().unwrap().capacity_map();
+            for (i, capacity) in ncps.iter().enumerate() {
+                map.set_element(NetworkElement::Ncp(NcpId::new(i as u32)), capacity);
+            }
+            for (l, &bandwidth) in links.iter().enumerate() {
+                let link = NetworkElement::Link(LinkId::new(l as u32));
+                map.set_element(link, &ResourceVec::bandwidth(bandwidth));
+            }
+            map
+        })
+}
+
+/// A resource vector's entries with each amount as its bits.
+fn vec_bits(v: &ResourceVec) -> Vec<(ResourceKind, u64)> {
+    v.iter()
+        .map(|(kind, amount)| (kind, amount.to_bits()))
+        .collect()
+}
+
+/// A capacity map's shape and every amount as its bits.
+fn map_bits(map: &CapacityMap) -> (Vec<Vec<(ResourceKind, u64)>>, Vec<u64>) {
+    let ncps = (0..map.ncp_count())
+        .map(|i| vec_bits(map.ncp(NcpId::new(i as u32))))
+        .collect();
+    let links = (0..map.link_count())
+        .map(|l| map.link(LinkId::new(l as u32)).to_bits())
+        .collect();
+    (ncps, links)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `clone_from` refills a destination of any shape to exactly what
+    /// `clone` builds: more or fewer entries, signed zeros kept.
+    #[test]
+    fn resource_vec_clone_from_is_clone_bitwise(
+        src in arb_signed_zero_vec(),
+        mut dst in arb_signed_zero_vec(),
+    ) {
+        dst.clone_from(&src);
+        prop_assert_eq!(vec_bits(&dst), vec_bits(&src.clone()));
+    }
+
+    /// The same for whole capacity maps: more or fewer NCPs and links,
+    /// more or fewer entries per NCP, an empty source or destination.
+    #[test]
+    fn capacity_map_clone_from_is_clone_bitwise(
+        src in arb_capacity_map(),
+        mut dst in arb_capacity_map(),
+    ) {
+        dst.clone_from(&src);
+        prop_assert_eq!(map_bits(&dst), map_bits(&src.clone()));
     }
 }

@@ -12,7 +12,7 @@ use sparcle_core::{
     Admission, AssignError, DynamicRankingAssigner, RejectCause, ShedCause, SparcleSystem,
     StateSnapshot, StateStats, TraceHandle, DEFER_WRITER_BUSY, MIN_PATH_RATE,
 };
-use sparcle_model::{Application, Network, QoeClass};
+use sparcle_model::{Application, CapacityMap, Network, QoeClass};
 use sparcle_workloads::{RequestKind, ServiceRequest};
 
 use super::{ChurnEvent, RuntimeConfig, SparcleRuntime};
@@ -66,6 +66,9 @@ pub(super) struct ServicePlane {
     /// Dedicated assigner for probes so reads never touch the writer's
     /// γ-cache state.
     probe_assigner: DynamicRankingAssigner,
+    /// A BE probe's eq. (6) prediction, refilled by every BE probe
+    /// before it is read; starts empty.
+    predicted: CapacityMap,
     stats: ServiceStats,
     decision_waits: Vec<f64>,
     pending: VecDeque<Pending>,
@@ -160,6 +163,7 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
         runtime.service = Some(ServicePlane {
             probe_assigner: DynamicRankingAssigner::with_threads(config.system.assigner_threads),
             snapshot: runtime.system.snapshot(),
+            predicted: CapacityMap::default(),
             config,
             stats: ServiceStats::default(),
             decision_waits: Vec::new(),
@@ -318,16 +322,20 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         let app = (self.source)(request.index);
         let plane = self.service.as_mut().expect("a serving runtime");
         // BE probes see the predicted capacities an equal-priority
-        // arrival would be admitted against; GR probes see the raw GR
-        // residual, exactly like the admission path.
+        // arrival would be admitted against (in the plane's buffer); GR
+        // probes see the raw GR residual, borrowed from the snapshot,
+        // exactly like the admission path.
         let capacities = match app.qoe() {
-            QoeClass::BestEffort { priority, .. } => plane.snapshot.predicted_capacities(*priority),
-            QoeClass::GuaranteedRate { .. } => plane.snapshot.gr_residual().clone(),
+            QoeClass::BestEffort { priority, .. } => {
+                plane.snapshot.predict_into(*priority, &mut plane.predicted);
+                &plane.predicted
+            }
+            QoeClass::GuaranteedRate { .. } => plane.snapshot.gr_residual(),
         };
         let (feasible, rate) =
             match plane
                 .probe_assigner
-                .assign(&app, self.system.network(), &capacities)
+                .assign(&app, self.system.network(), capacities)
             {
                 Ok(path) => {
                     let clears = path.rate.is_finite() && path.rate > MIN_PATH_RATE;
