@@ -1,21 +1,22 @@
 //! The admission service plane on the runtime's queue (DESIGN.md §13):
 //! the [`AdmissionService`] facade, the plane's state and its handlers.
-//! The handlers are an `impl SparcleRuntime` block because the plane's
-//! window closes are events on the runtime's queue and its batches
-//! commit to the runtime's system, ledger and monitor.
+//! The handlers are an `impl Timeline` block because the plane's window
+//! closes are events on the runtime's queue and its batches commit to
+//! the runtime's system, ledger and monitor; the facade calls the source
+//! and hands each handler its application.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sparcle_core::telemetry::Event;
 use sparcle_core::{
-    Admission, AssignError, DynamicRankingAssigner, RejectCause, ShedCause, SparcleSystem,
-    StateSnapshot, StateStats, TraceHandle, DEFER_WRITER_BUSY, MIN_PATH_RATE,
+    Admission, AssignError, DynamicRankingAssigner, EngineScratch, RejectCause, ShedCause,
+    SparcleSystem, StateSnapshot, StateStats, TraceHandle, DEFER_WRITER_BUSY, MIN_PATH_RATE,
 };
 use sparcle_model::{Application, CapacityMap, Network, QoeClass};
 use sparcle_workloads::{RequestKind, ServiceRequest};
 
-use super::{ChurnEvent, RuntimeConfig, SparcleRuntime};
+use super::{ChurnEvent, RuntimeConfig, SparcleRuntime, Timeline};
 use crate::ledger::SloLedger;
 use crate::service::{ServiceConfig, ServiceStats};
 
@@ -66,6 +67,10 @@ pub(super) struct ServicePlane {
     /// Dedicated assigner for probes so reads never touch the writer's
     /// γ-cache state.
     probe_assigner: DynamicRankingAssigner,
+    /// The probe assigner's engine buffers, kept warm across probes (the
+    /// engine retires trees and host orders on entry, so only capacity
+    /// carries over).
+    probe_scratch: EngineScratch,
     /// A BE probe's eq. (6) prediction, refilled by every BE probe
     /// before it is read; starts empty.
     predicted: CapacityMap,
@@ -153,16 +158,17 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             config.queue_capacity > 0,
             "queue_capacity must be at least 1"
         );
-        let timeline = RuntimeConfig {
+        let runtime_config = RuntimeConfig {
             horizon: f64::INFINITY,
             monitor: config.monitor.clone(),
             system: config.system.clone(),
             ..RuntimeConfig::default()
         };
-        let mut runtime = SparcleRuntime::assemble(network, source, timeline);
-        runtime.service = Some(ServicePlane {
+        let mut timeline = Timeline::assemble(network, runtime_config);
+        timeline.service = Some(ServicePlane {
             probe_assigner: DynamicRankingAssigner::with_threads(config.system.assigner_threads),
-            snapshot: runtime.system.snapshot(),
+            probe_scratch: EngineScratch::default(),
+            snapshot: timeline.system.snapshot(),
             predicted: CapacityMap::default(),
             config,
             stats: ServiceStats::default(),
@@ -173,11 +179,17 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             shed_since_batch: 0,
             last_batch_id: 0,
         });
-        AdmissionService { runtime }
+        AdmissionService {
+            runtime: SparcleRuntime { timeline, source },
+        }
     }
 
     fn plane(&self) -> &ServicePlane {
-        self.runtime.service.as_ref().expect("built by `new`")
+        self.runtime
+            .timeline
+            .service
+            .as_ref()
+            .expect("built by `new`")
     }
 
     /// Drives the service over a time-ordered request stream without
@@ -203,19 +215,20 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
             self.stats().counters(),
             self.system().state_stats().counters(),
         );
-        let rt = &mut self.runtime;
+        let SparcleRuntime { timeline, source } = &mut self.runtime;
         for request in requests {
             // Every boundary at or before the request closes first, so
             // a request due exactly on one joins the next window.
-            rt.run_until(request.time, trace);
+            timeline.run_until(request.time, source, trace);
+            let app = source(request.index);
             match request.kind {
-                RequestKind::Admit => rt.enqueue(request, trace),
-                RequestKind::Probe => rt.probe(request, trace),
+                RequestKind::Admit => timeline.enqueue(request, app, trace),
+                RequestKind::Probe => timeline.probe(request, app, trace),
             }
         }
         // Past the stream: deferred windows eventually pass
         // `writer_free_at`, and the last close leaves the queue empty.
-        rt.run_until(f64::INFINITY, trace);
+        timeline.run_until(f64::INFINITY, source, trace);
         let now = (
             self.stats().counters(),
             self.system().state_stats().counters(),
@@ -266,12 +279,12 @@ impl<F: FnMut(u64) -> Application> AdmissionService<F> {
     }
 }
 
-impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
+impl Timeline {
     /// Queues one submission, scheduling its window's close when the
     /// ingest queue was empty; on overflow sheds the lowest-ranked
     /// queued request (possibly the one that just arrived).
-    fn enqueue(&mut self, request: ServiceRequest, trace: TraceHandle<'_>) {
-        let app = Arc::new((self.source)(request.index));
+    fn enqueue(&mut self, request: ServiceRequest, app: Application, trace: TraceHandle<'_>) {
+        let app = Arc::new(app);
         let (class, rank) = match app.qoe() {
             QoeClass::GuaranteedRate { .. } => ("gr", f64::INFINITY),
             QoeClass::BestEffort { priority, .. } => ("be", *priority),
@@ -318,8 +331,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     /// Answers a what-if probe from the immutable snapshot — never
     /// touches the writer's state, so it works mid-commit.
-    fn probe(&mut self, request: ServiceRequest, trace: TraceHandle<'_>) {
-        let app = (self.source)(request.index);
+    fn probe(&mut self, request: ServiceRequest, app: Application, trace: TraceHandle<'_>) {
         let plane = self.service.as_mut().expect("a serving runtime");
         // BE probes see the predicted capacities an equal-priority
         // arrival would be admitted against (in the plane's buffer); GR
@@ -332,23 +344,22 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             }
             QoeClass::GuaranteedRate { .. } => plane.snapshot.gr_residual(),
         };
-        let (feasible, rate) =
-            match plane
-                .probe_assigner
-                .assign(&app, self.system.network(), capacities)
-            {
-                Ok(path) => {
-                    let clears = path.rate.is_finite() && path.rate > MIN_PATH_RATE;
-                    let feasible = match app.qoe() {
-                        QoeClass::GuaranteedRate { min_rate, .. } => {
-                            clears && path.rate >= *min_rate
-                        }
-                        QoeClass::BestEffort { .. } => clears,
-                    };
-                    (feasible, path.rate)
-                }
-                Err(_) => (false, 0.0),
-            };
+        let (feasible, rate) = match plane.probe_assigner.assign_scratch_with_stats(
+            &mut plane.probe_scratch,
+            &app,
+            self.system.network(),
+            capacities,
+        ) {
+            Ok((path, _)) => {
+                let clears = path.rate.is_finite() && path.rate > MIN_PATH_RATE;
+                let feasible = match app.qoe() {
+                    QoeClass::GuaranteedRate { min_rate, .. } => clears && path.rate >= *min_rate,
+                    QoeClass::BestEffort { .. } => clears,
+                };
+                (feasible, path.rate)
+            }
+            Err(_) => (false, 0.0),
+        };
         plane.stats.probes += 1;
         if feasible {
             plane.stats.probes_feasible += 1;

@@ -1,15 +1,14 @@
-//! The background defragmentation pass (DESIGN.md §15). It stays an
-//! `impl SparcleRuntime` block because its `runtime_migrate` events
+//! The background defragmentation pass (DESIGN.md §15). It is an
+//! `impl Timeline` block because its `runtime_migrate` events
 //! interleave with the loop's own and re-key the loop's index maps.
 
 use sparcle_core::telemetry::Event;
 use sparcle_core::{MigrationCause, TraceHandle};
-use sparcle_model::Application;
 
-use super::{ChurnEvent, SparcleRuntime};
+use super::{ChurnEvent, Timeline};
 use crate::defrag::MOVE_COST;
 
-impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
+impl Timeline {
     /// One background defragmentation pass (DESIGN.md §15). Reconcile
     /// repair always outranks optimization churn: the pass is skipped
     /// outright while displaced applications wait. A pass that does run:

@@ -8,9 +8,15 @@
 //! so a run is a pure function of `(network, arrivals, source, config)`
 //! — including across γ-evaluator thread counts.
 //!
+//! The runtime is two types. [`SparcleRuntime<F>`] is the public shell:
+//! the crate-private `Timeline` core plus the application source `F`.
+//! The core holds everything else and is not generic, so the loop and
+//! every handler compile once whatever the source type; the loop takes
+//! the source as a `&mut dyn FnMut` argument.
+//!
 //! This file holds the loop and the exogenous events; the reconcile pass,
 //! the defragmentation pass and the admission service plane are
-//! `impl SparcleRuntime` blocks in `reconcile.rs`, `defrag_pass.rs` and
+//! `impl Timeline` blocks in `reconcile.rs`, `defrag_pass.rs` and
 //! `admission.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -168,10 +174,17 @@ pub struct PendingApp {
 /// exactly once per arrival, in event order, so a seeded generator
 /// closure stays deterministic.
 pub struct SparcleRuntime<F> {
+    timeline: Timeline,
+    source: F,
+}
+
+/// The runtime without its application source: every piece of state the
+/// loop and its handlers touch. The source reaches it only as an
+/// argument of [`Self::run_until`].
+struct Timeline {
     config: RuntimeConfig,
     system: SparcleSystem,
     queue: EventQueue<ChurnEvent>,
-    source: F,
     hold_rng: StdRng,
     /// Pre-sampled fluctuation steps (index = `ChurnEvent::Fluctuation`).
     fluct_steps: Vec<CapacityMap>,
@@ -203,12 +216,13 @@ pub struct SparcleRuntime<F> {
 
 impl<F> std::fmt::Debug for SparcleRuntime<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tl = &self.timeline;
         f.debug_struct("SparcleRuntime")
-            .field("now", &self.queue.now())
-            .field("pending_events", &self.queue.len())
-            .field("live", &self.live.len())
-            .field("displaced", &self.pending.len())
-            .field("events_processed", &self.events_processed)
+            .field("now", &tl.queue.now())
+            .field("pending_events", &tl.queue.len())
+            .field("live", &tl.live.len())
+            .field("displaced", &tl.pending.len())
+            .field("events_processed", &tl.events_processed)
             .finish()
     }
 }
@@ -228,12 +242,85 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         source: F,
         config: RuntimeConfig,
     ) -> Self {
+        let timeline = Timeline::new(network, &mut arrivals.into_iter(), config);
+        SparcleRuntime { timeline, source }
+    }
+
+    /// Runs the timeline to the horizon without telemetry.
+    pub fn run(&mut self) -> &SloLedger {
+        self.run_traced(TraceHandle::none())
+    }
+
+    /// Runs the timeline to the horizon, emitting one `runtime_*`
+    /// telemetry event per processed churn event into `trace`.
+    ///
+    /// The `system.*` counters a call exports are that call's share, so
+    /// a runtime run twice into one recorder leaves the recorder's totals
+    /// equal to the system's `state_stats()`.
+    pub fn run_traced(&mut self, trace: TraceHandle<'_>) -> &SloLedger {
+        self.timeline.run_traced(&mut self.source, trace)
+    }
+}
+
+impl<F> SparcleRuntime<F> {
+    /// The owned scheduling system (final state after [`Self::run`]).
+    pub fn system(&self) -> &SparcleSystem {
+        &self.timeline.system
+    }
+
+    /// Consumes the runtime, handing out the owned system — for
+    /// post-run state inspection (e.g. the differential suites compare
+    /// final residuals and rates across configurations).
+    pub fn into_system(self) -> SparcleSystem {
+        self.timeline.system
+    }
+
+    /// The SLO ledger accrued so far.
+    pub fn ledger(&self) -> &SloLedger {
+        &self.timeline.ledger
+    }
+
+    /// The observability monitor, when enabled — for post-run alert
+    /// inspection (`ticks()`, `alerts_total()`, `firing()`).
+    pub fn monitor(&self) -> Option<&Monitor> {
+        self.timeline.monitor.as_ref()
+    }
+
+    /// The background defragmenter, when enabled — for post-run budget
+    /// and churn inspection (`passes()`, `probes()`, `moves()`).
+    pub fn defrag(&self) -> Option<&Defragmenter> {
+        self.timeline.defrag.as_ref()
+    }
+
+    /// Applications currently displaced and waiting for a reconcile.
+    pub fn pending(&self) -> &[PendingApp] {
+        &self.timeline.pending
+    }
+
+    /// Arrival indices of the currently live applications.
+    pub fn live_indices(&self) -> Vec<u64> {
+        self.timeline.live.keys().copied().collect()
+    }
+
+    /// Churn events processed so far.
+    pub fn events_processed(&self) -> u64 {
+        self.timeline.events_processed
+    }
+}
+
+impl Timeline {
+    /// The core of [`SparcleRuntime::new`].
+    fn new(
+        network: Network,
+        arrivals: &mut dyn Iterator<Item = ArrivalEvent>,
+        config: RuntimeConfig,
+    ) -> Self {
         assert!(
             config.horizon.is_finite() && config.horizon > 0.0,
             "horizon must be positive"
         );
         assert!(config.mean_hold > 0.0, "mean hold must be positive");
-        let mut rt = Self::assemble(network, source, config);
+        let mut rt = Self::assemble(network, config);
         let (horizon, network) = (rt.config.horizon, rt.system.network());
         for a in arrivals {
             if a.time < horizon {
@@ -291,17 +378,16 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
 
     /// The runtime over `network` with an empty timeline: builds the
     /// system and the configured (not yet scheduled) planes.
-    fn assemble(network: Network, source: F, config: RuntimeConfig) -> Self {
+    fn assemble(network: Network, config: RuntimeConfig) -> Self {
         let base_caps = network.capacity_map();
         let monitor = config.monitor.clone().map(Monitor::new);
         let defrag = config.defrag.clone().map(Defragmenter::new);
         let hold_rng = StdRng::seed_from_u64(config.hold_seed);
         let system = SparcleSystem::with_config(network, config.system.clone());
-        SparcleRuntime {
+        Timeline {
             config,
             system,
             queue: EventQueue::new(),
-            source,
             hold_rng,
             fluct_steps: Vec::new(),
             caps: base_caps.clone(),
@@ -320,22 +406,16 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         }
     }
 
-    /// Runs the timeline to the horizon without telemetry.
-    pub fn run(&mut self) -> &SloLedger {
-        self.run_traced(TraceHandle::none())
-    }
-
-    /// Runs the timeline to the horizon, emitting one `runtime_*`
-    /// telemetry event per processed churn event into `trace`.
-    ///
-    /// The `system.*` counters a call exports are that call's share, so
-    /// a runtime run twice into one recorder leaves the recorder's totals
-    /// equal to the system's `state_stats()`.
-    pub fn run_traced(&mut self, trace: TraceHandle<'_>) -> &SloLedger {
+    /// The core of [`SparcleRuntime::run_traced`].
+    fn run_traced(
+        &mut self,
+        source: &mut dyn FnMut(u64) -> Application,
+        trace: TraceHandle<'_>,
+    ) -> &SloLedger {
         let run_span = trace.span("runtime.run");
         let before = self.events_processed;
         let counters_before = self.system.state_stats().counters();
-        self.run_until(self.config.horizon, trace);
+        self.run_until(self.config.horizon, source, trace);
         self.accrue(self.config.horizon);
         // Exported once per call, and not at all by a call that
         // processed nothing, so a trace names the counter only when it
@@ -355,8 +435,14 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     }
 
     /// The loop: pops and handles every queued event due at or before
-    /// `until`, in `(time, insertion)` order.
-    fn run_until(&mut self, until: f64, trace: TraceHandle<'_>) {
+    /// `until`, in `(time, insertion)` order. `source` is called once per
+    /// `Arrival`, as it is popped.
+    fn run_until(
+        &mut self,
+        until: f64,
+        source: &mut dyn FnMut(u64) -> Application,
+        trace: TraceHandle<'_>,
+    ) {
         while self.queue.peek_time().is_some_and(|t| t <= until) {
             let (t, event) = self.queue.pop().expect("peeked");
             // A defrag tick accrues only once its pass may commit a move
@@ -368,7 +454,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
             }
             self.events_processed += 1;
             match event {
-                ChurnEvent::Arrival { index } => self.on_arrival(t, index, trace),
+                ChurnEvent::Arrival { index } => self.on_arrival(t, index, source(index), trace),
                 ChurnEvent::Departure { index } => self.on_departure(t, index, trace),
                 ChurnEvent::Element { element, up } => self.on_element(t, element, up, trace),
                 ChurnEvent::Fluctuation { step } => self.on_fluctuation(t, step, trace),
@@ -386,17 +472,12 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
     /// work.
     fn accrue(&mut self, t: f64) {
         let be_rate = self.system.be_rate_total();
-        let violating = self
-            .violating
-            .iter()
-            .copied()
-            .chain(
-                self.pending
-                    .iter()
-                    .filter(|p| p.displaced.is_gr())
-                    .map(|p| p.index),
-            )
-            .collect::<Vec<u64>>();
+        let violating = self.violating.iter().copied().chain(
+            self.pending
+                .iter()
+                .filter(|p| p.displaced.is_gr())
+                .map(|p| p.index),
+        );
         self.ledger.advance_to(t, violating, be_rate);
     }
 
@@ -416,8 +497,7 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         self.index_of.insert(id, index);
     }
 
-    fn on_arrival(&mut self, t: f64, index: u64, trace: TraceHandle<'_>) {
-        let app = (self.source)(index);
+    fn on_arrival(&mut self, t: f64, index: u64, app: Application, trace: TraceHandle<'_>) {
         let is_gr = matches!(app.qoe(), QoeClass::GuaranteedRate { .. });
         // An `Err` — an application the system cannot assign or analyse
         // at all, such as one past the availability analyser's element
@@ -622,55 +702,6 @@ impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
         };
         let sample = monitor.tick(t, &input);
         monitor.publish(&sample, trace);
-    }
-
-    /// The owned scheduling system (final state after [`Self::run`]).
-    pub fn system(&self) -> &SparcleSystem {
-        &self.system
-    }
-
-    /// Consumes the runtime, handing out the owned system — for
-    /// post-run state inspection (e.g. the differential suites compare
-    /// final residuals and rates across configurations).
-    pub fn into_system(self) -> SparcleSystem {
-        self.system
-    }
-
-    /// The SLO ledger accrued so far.
-    pub fn ledger(&self) -> &SloLedger {
-        &self.ledger
-    }
-
-    /// The observability monitor, when enabled — for post-run alert
-    /// inspection (`ticks()`, `alerts_total()`, `firing()`).
-    pub fn monitor(&self) -> Option<&Monitor> {
-        self.monitor.as_ref()
-    }
-
-    /// The background defragmenter, when enabled — for post-run budget
-    /// and churn inspection (`passes()`, `probes()`, `moves()`).
-    pub fn defrag(&self) -> Option<&Defragmenter> {
-        self.defrag.as_ref()
-    }
-
-    /// Applications currently displaced and waiting for a reconcile.
-    pub fn pending(&self) -> &[PendingApp] {
-        &self.pending
-    }
-
-    /// Arrival indices of the currently live applications.
-    pub fn live_indices(&self) -> Vec<u64> {
-        self.live.keys().copied().collect()
-    }
-
-    /// Churn events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// The simulated clock (time of the last processed event).
-    pub fn now(&self) -> f64 {
-        self.queue.now()
     }
 }
 

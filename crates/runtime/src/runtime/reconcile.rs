@@ -1,16 +1,18 @@
 //! The reconcile pass: re-places displaced applications in the order
 //! the [`ReconcilePolicy`] decides — exact reinstatement first, a fresh
 //! admission otherwise — and emits their `runtime_readmit` /
-//! `runtime_probe` / `runtime_reconcile` lifecycle events.
+//! `runtime_probe` / `runtime_reconcile` lifecycle events. An
+//! `impl Timeline` block: a re-placement resubmits the displaced
+//! application it kept, so the pass never needs the source.
 
 use sparcle_core::telemetry::Event;
 use sparcle_core::{Admission, DisplacedApp, RejectCause, TraceHandle};
-use sparcle_model::{Application, Placement};
+use sparcle_model::Placement;
 
-use super::{PendingApp, SparcleRuntime};
+use super::{PendingApp, Timeline};
 use crate::policy::ReconcilePolicy;
 
-impl<F: FnMut(u64) -> Application> SparcleRuntime<F> {
+impl Timeline {
     /// `true` when any path of the displaced placement crosses a downed
     /// element — exact reinstatement is pointless, go straight to a
     /// fresh placement search.

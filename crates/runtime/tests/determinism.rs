@@ -1,7 +1,8 @@
 //! The runtime determinism contract: the same seeds produce a
 //! byte-identical `runtime_*` telemetry event log — across repeated
 //! runs and across γ-evaluator thread counts — and every emitted event
-//! passes the trace schema validator.
+//! passes the trace schema validator. The source contract behind it:
+//! the application source is called once per arrival, in event order.
 
 use sparcle_core::telemetry::schema::validate_line;
 use sparcle_core::telemetry::CollectRecorder;
@@ -14,7 +15,8 @@ use sparcle_runtime::{
 };
 use sparcle_sim::FluctuationModel;
 use sparcle_workloads::graphs::linear_task_graph;
-use sparcle_workloads::ArrivalTrace;
+use sparcle_workloads::{ArrivalEvent, ArrivalTrace};
+use std::cell::RefCell;
 
 fn two_route_network() -> Network {
     let mut b = NetworkBuilder::new();
@@ -146,4 +148,52 @@ fn every_runtime_event_passes_the_schema() {
     assert!(kinds.contains("runtime_element_state"));
     assert!(kinds.contains("runtime_fluctuation"));
     assert!(kinds.contains("runtime_reconcile"));
+}
+
+/// The runtime calls its source exactly once per scheduled arrival, in
+/// event order: never for a departure, a displacement or a re-placement
+/// (a reconcile resubmits the application it kept), nor for an arrival
+/// past the horizon.
+#[test]
+fn source_is_called_once_per_arrival_in_event_order() {
+    let config = RuntimeConfig {
+        horizon: 40.0,
+        failure_seed: 11,
+        hold_seed: 7,
+        mean_hold: 15.0,
+        ..RuntimeConfig::default()
+    };
+    // Indices reversed, so event order is not index order; the trace
+    // runs past the horizon.
+    let trace: Vec<ArrivalEvent> = ArrivalTrace::Poisson { rate: 1.0 }
+        .events(50.0, 42)
+        .collect();
+    let last = trace.len() as u64 - 1;
+    let arrivals: Vec<ArrivalEvent> = trace
+        .iter()
+        .map(|a| ArrivalEvent {
+            time: a.time,
+            index: last - a.index,
+        })
+        .collect();
+    let expected: Vec<u64> = arrivals
+        .iter()
+        .filter(|a| a.time < config.horizon)
+        .map(|a| a.index)
+        .collect();
+    assert!(expected.len() < arrivals.len());
+
+    let calls = RefCell::new(Vec::new());
+    let source = |index| {
+        calls.borrow_mut().push(index);
+        app_source(index)
+    };
+    let mut rt = SparcleRuntime::new(two_route_network(), arrivals, source, config);
+    let ledger = rt.run();
+    assert!(
+        ledger.departures() > 0 && ledger.displacements() > 0 && ledger.reconciles() > 0,
+        "the timeline must depart, displace and reconcile: {ledger:?}"
+    );
+    assert_eq!(ledger.arrivals(), expected.len() as u64);
+    assert_eq!(*calls.borrow(), expected);
 }

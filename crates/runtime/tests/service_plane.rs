@@ -12,6 +12,7 @@ use sparcle_model::{
 use sparcle_runtime::service::{AdmissionService, ServiceConfig};
 use sparcle_runtime::MonitorConfig;
 use sparcle_workloads::{ArrivalTrace, RequestKind, RequestStream, ServiceRequest};
+use std::cell::RefCell;
 
 fn star_network() -> Network {
     let mut nb = NetworkBuilder::new();
@@ -345,6 +346,49 @@ fn sliced_stream_exports_each_counter_once() {
         assert_eq!(counters.counter(name), expected, "sliced {name}");
         assert_eq!(whole_counters.counter(name), expected, "whole {name}");
     }
+}
+
+/// The service calls its source once per request, probes included, in
+/// stream order: never again for a deferred window, a shed request or a
+/// batch.
+#[test]
+fn source_is_called_once_per_request_in_stream_order() {
+    // Windows shorter than one batch's counted work: backpressure
+    // defers and sheds.
+    let config = ServiceConfig {
+        batch_window: 0.0003,
+        queue_capacity: 8,
+        max_defer_windows: 1,
+        ..ServiceConfig::default()
+    };
+    // Indices reversed, so stream order is not index order.
+    let stream: Vec<ServiceRequest> =
+        RequestStream::new(ArrivalTrace::Poisson { rate: 6000.0 }, 0.02, 11)
+            .with_probe_every(5)
+            .collect();
+    let last = stream.len() as u64 - 1;
+    let requests: Vec<ServiceRequest> = stream
+        .iter()
+        .map(|r| ServiceRequest {
+            index: last - r.index,
+            ..*r
+        })
+        .collect();
+
+    let calls = RefCell::new(Vec::new());
+    let source = |index| {
+        calls.borrow_mut().push(index);
+        mixed_app(index)
+    };
+    let mut service = AdmissionService::new(star_network(), config, source);
+    service.run(requests.iter().copied());
+    let stats = *service.stats();
+    assert!(
+        stats.batches > 0 && stats.probes > 0 && stats.windows_deferred > 0 && stats.shed > 0,
+        "the stream must admit, probe, defer and shed: {stats:?}"
+    );
+    let expected: Vec<u64> = requests.iter().map(|r| r.index).collect();
+    assert_eq!(*calls.borrow(), expected);
 }
 
 #[test]
